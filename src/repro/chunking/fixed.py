@@ -12,6 +12,22 @@ from collections.abc import Iterable, Iterator
 
 from repro.util.errors import ConfigurationError
 
+#: A byte string is fed to a chunker in blocks of this size: the first
+#: chunks come out after one block has been scanned rather than the whole
+#: input, so a consumer's later stages can start while chunking goes on.
+FEED_BLOCK_BYTES = 1 << 20
+
+
+def iter_blocks(data_stream: Iterable[bytes] | bytes) -> Iterable[bytes]:
+    """The stream's blocks; a single byte string is cut into feed blocks."""
+    if not isinstance(data_stream, (bytes, bytearray, memoryview)):
+        return data_stream
+    view = memoryview(data_stream)
+    return (
+        bytes(view[start : start + FEED_BLOCK_BYTES])
+        for start in range(0, len(view), FEED_BLOCK_BYTES)
+    )
+
 
 class FixedChunker:
     """Streaming fixed-size chunker with the same API as RabinChunker."""
@@ -42,9 +58,7 @@ def fixed_chunks(
 ) -> Iterator[bytes]:
     """Chunk a byte string or an iterable of byte blocks into fixed sizes."""
     chunker = FixedChunker(chunk_size)
-    if isinstance(data_stream, (bytes, bytearray, memoryview)):
-        data_stream = [bytes(data_stream)]
-    for block in data_stream:
+    for block in iter_blocks(data_stream):
         yield from chunker.update(block)
     tail = chunker.finalize()
     if tail is not None:

@@ -50,6 +50,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 
+from repro.chunking.fixed import iter_blocks
 from repro.util.errors import ConfigurationError
 
 try:  # numpy is optional; the pure-Python engines always work.
@@ -507,9 +508,7 @@ def rabin_chunks(
     chunker = RabinChunker(
         min_size=min_size, max_size=max_size, avg_size=avg_size, engine=engine
     )
-    if isinstance(data_stream, (bytes, bytearray, memoryview)):
-        data_stream = [bytes(data_stream)]
-    for block in data_stream:
+    for block in iter_blocks(data_stream):
         yield from chunker.update(block)
     tail = chunker.finalize()
     if tail is not None:

@@ -32,7 +32,9 @@ import argparse
 import json
 import math
 import os
+import signal
 import sys
+import threading
 
 from repro.abe.cpabe import AttributeAuthority
 from repro.chunking.chunker import ChunkingSpec
@@ -322,10 +324,14 @@ def cmd_serve(args) -> int:
     print(f"{args.role} serving on {host}:{port}", flush=True)
     if args.once:  # test hook: do not block; the caller owns the lifetime
         return 0
+    # SIGTERM takes the same exit as Ctrl-C: a normal interpreter exit,
+    # at which worker processes a service started (the key manager's
+    # signers) are told to finish and joined rather than orphaned.
+    stopped = threading.Event()
+    if threading.current_thread() is threading.main_thread():
+        signal.signal(signal.SIGTERM, lambda *_: stopped.set())
     try:
-        import threading
-
-        threading.Event().wait()
+        stopped.wait()
     except KeyboardInterrupt:
         pass
     finally:

@@ -16,13 +16,14 @@ III-A).  It implements the four operations of Section IV-D:
 
 Performance measures from Section V-B are built in: MLE-key batching and
 caching (in :class:`~repro.mle.server_aided.ServerAidedKeyClient`),
-4 MB upload batches, and process-parallel chunk encryption
-(:mod:`repro.core.parallel`).
+4 MB upload batches, process-parallel chunk encryption
+(:mod:`repro.core.parallel`), and an upload pipeline that overlaps
+chunking, key generation, encryption and shipping
+(:mod:`repro.core.uploadpipe`).
 """
 
 from __future__ import annotations
 
-import contextvars
 import os
 from collections import deque
 from collections.abc import Iterable, Iterator
@@ -33,11 +34,7 @@ from repro.abe.cpabe import abe_decrypt, abe_encrypt, PrivateAccessKey
 from repro.chunking.chunker import Chunk, ChunkingSpec, chunk_stream
 from repro.core import envelopes
 from repro.core.chunkcache import ChunkCache
-from repro.core.parallel import (
-    ChunkTransformPool,
-    StubRekeyPool,
-    default_worker_count,
-)
+from repro.core.parallel import ChunkTransformPool, StubRekeyPool
 from repro.core.policy import FilePolicy
 from repro.core.rekey import RekeyManyResult, RekeyResult, RevocationMode
 from repro.core.rekeypipe import (
@@ -47,6 +44,7 @@ from repro.core.rekeypipe import (
 )
 from repro.core.schemes import EncryptionScheme, SplitPackage, get_scheme
 from repro.core.server import StorageService
+from repro.core.uploadpipe import UploadPipeline
 from repro.core.stubs import (
     STUB_NONCE_SIZE,
     decrypt_stub_file,
@@ -56,7 +54,7 @@ from repro.crypto.cipher import SymmetricCipher
 from repro.crypto.drbg import SYSTEM_RANDOM, RandomSource
 from repro.crypto.rsa import RSAPublicKey
 from repro.keyreg.rsa_keyreg import KeyRegressionMember, KeyRegressionOwner, KeyState
-from repro.mle.server_aided import ServerAidedKeyClient
+from repro.mle.server_aided import DEFAULT_BATCH_SIZE, ServerAidedKeyClient
 from repro.obs import scope as obs_scope
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.obs.tracing import Tracer, default_tracer
@@ -67,6 +65,7 @@ from repro.util.errors import (
     CorruptionError,
     IntegrityError,
 )
+from repro.util.spanpool import default_worker_count
 from repro.util.units import MiB
 
 #: Client-side upload batch: trimmed packages buffered before one RPC
@@ -75,7 +74,7 @@ DEFAULT_UPLOAD_BATCH_BYTES = 4 * MiB
 
 #: Historical default worker count (the paper uses two; Experiment A.2).
 #: Kept as a named constant for back-compat; clients now default to
-#: :func:`~repro.core.parallel.default_worker_count`.
+#: :func:`~repro.util.spanpool.default_worker_count`.
 DEFAULT_ENCRYPTION_THREADS = 2
 
 
@@ -211,9 +210,10 @@ class REEDClient:
         self.upload_batch_bytes = upload_batch_bytes
         if pipeline_depth < 1:
             raise ConfigurationError("pipeline depth must be at least 1")
-        #: Upload batches allowed in flight at once: while one batch's
-        #: store RPC is on the wire, the next batch is being chunked,
-        #: keyed, and encrypted.  Depth 1 disables the overlap.
+        #: Work allowed in flight per pipeline stage: upload key windows
+        #: awaiting encryption and store batches on the wire (see
+        #: repro.core.uploadpipe), restore fetch windows.  Depth 1
+        #: disables the overlap: every stage runs on the caller thread.
         self.pipeline_depth = pipeline_depth
         self.encryption_workers = encryption_workers
         #: Back-compat alias for the worker count.
@@ -420,107 +420,40 @@ class REEDClient:
         trips_before = getattr(key_client, "round_trips", 0)
         store_trips_before = getattr(self.storage, "round_trips", 0)
 
-        refs: list[ChunkRef] = []
-        stubs: list[bytes] = []
-        total_size = 0
-        new_chunks = 0
-        trimmed_bytes = 0
-        upload_batches = 0
-
-        batch: list[Chunk] = []
-        batch_bytes = 0
-
         derive = getattr(key_client, "derive_keys", None) or key_client.get_keys
         put_many = getattr(self.storage, "chunk_put_many", None)
 
-        tracer = self.tracer
-        clock = tracer.clock
-        chunking_seconds = 0.0
-
-        def prepare(chunks: list[Chunk]) -> list[tuple[bytes, bytes]]:
-            """Stage 1+2: batch-derive MLE keys, then transform chunks.
-
-            Runs on the caller thread so refs/stubs accumulate in file
-            order; only the store RPC is handed to the pipeline.
-            """
-            nonlocal trimmed_bytes
-            with tracer.span("upload.key_derive", chunks=len(chunks)):
-                mle_keys = derive([c.fingerprint for c in chunks])
-            with tracer.span("upload.encrypt", chunks=len(chunks)):
-                packages = self._encrypt_chunks(chunks, mle_keys)
-            payload = []
-            for chunk, package in zip(chunks, packages):
-                refs.append(
-                    ChunkRef(fingerprint=package.fingerprint, length=chunk.size)
-                )
-                stubs.append(package.stub)
-                payload.append((package.fingerprint, package.trimmed_package))
-                trimmed_bytes += len(package.trimmed_package)
-            return payload
-
         def store(payload: list[tuple[bytes, bytes]]) -> int:
-            """Stage 3: ship one batch message (per-item status when the
-            service supports it, falling back to the count reply)."""
-            with tracer.span("upload.store", chunks=len(payload)):
-                if put_many is not None:
-                    new = 0
-                    for status in put_many(payload):
-                        if isinstance(status, Exception):
-                            raise status
-                        new += 1 if status else 0
-                    return new
+            """Ship one batch message (per-item status when the service
+            supports it, falling back to the count reply)."""
+            if put_many is None:
                 return self.storage.chunk_put_batch(payload)
+            new = 0
+            for status in put_many(payload):
+                if isinstance(status, Exception):
+                    raise status
+                new += 1 if status else 0
+            return new
 
-        # A one-worker executor keeps store calls strictly ordered (so
-        # container layout matches the unpipelined path byte for byte)
-        # while the next batch chunks/keys/encrypts concurrently.
-        executor = (
-            ThreadPoolExecutor(max_workers=1, thread_name_prefix="reed-upload")
-            if self.pipeline_depth > 1
-            else None
+        tracer = self.tracer
+        # Chunking, key derivation, the chunk transform and the store RPC
+        # overlap stage by stage (see repro.core.uploadpipe); a file of
+        # one key window and one store batch runs inline, as does
+        # everything at pipeline depth 1.
+        pipeline = UploadPipeline(
+            derive=derive,
+            encrypt=self._encrypt_chunks,
+            store=store,
+            tracer=tracer,
+            key_window=getattr(key_client, "batch_size", DEFAULT_BATCH_SIZE),
+            key_cache=getattr(key_client, "cache", None),
+            batch_bytes=self.upload_batch_bytes,
+            depth=self.pipeline_depth,
         )
-        in_flight: deque[Future] = deque()
         with obs_scope.attribution() as scope, tracer.span("upload") as root:
-            try:
-                def dispatch(chunks: list[Chunk]) -> None:
-                    nonlocal new_chunks, upload_batches
-                    upload_batches += 1
-                    payload = prepare(chunks)
-                    if executor is None:
-                        new_chunks += store(payload)
-                        return
-                    while len(in_flight) >= self.pipeline_depth:
-                        new_chunks += in_flight.popleft().result()
-                    # copy_context: the ship worker must keep reporting
-                    # into *this* upload's attribution scope.
-                    context = contextvars.copy_context()
-                    in_flight.append(executor.submit(context.run, store, payload))
-
-                chunker = iter(chunk_stream(data, self.chunking))
-                while True:
-                    chunk_started = clock()
-                    chunk = next(chunker, None)
-                    chunking_seconds += clock() - chunk_started
-                    if chunk is None:
-                        break
-                    total_size += chunk.size
-                    batch.append(chunk)
-                    batch_bytes += chunk.size
-                    if batch_bytes >= self.upload_batch_bytes:
-                        dispatch(batch)
-                        batch = []
-                        batch_bytes = 0
-                if batch:
-                    dispatch(batch)
-                while in_flight:
-                    new_chunks += in_flight.popleft().result()
-            finally:
-                # Surface the first failure but never leak futures/threads.
-                while in_flight:
-                    in_flight.popleft().cancel()
-                if executor is not None:
-                    executor.shutdown(wait=True)
-                tracer.observe("upload.chunk", chunking_seconds)
+            pipeline.run(chunk_stream(data, self.chunking))
+            refs, stubs = pipeline.refs, pipeline.stubs
+            total_size, new_chunks = pipeline.total_size, pipeline.new_chunks
             self.storage.flush()
 
             with tracer.span("upload.stub"):
@@ -558,7 +491,7 @@ class REEDClient:
             size=total_size,
             chunk_count=len(refs),
             new_chunks=new_chunks,
-            trimmed_bytes=trimmed_bytes,
+            trimmed_bytes=pipeline.trimmed_bytes,
             stub_file_bytes=len(stub_file),
             key_version=state.version,
             key_cache_hits=scope.get_int("key_cache_hits")
@@ -573,7 +506,7 @@ class REEDClient:
             store_round_trips=scope.get_int("store_round_trips")
             if store_scoped
             else getattr(self.storage, "round_trips", 0) - store_trips_before,
-            upload_batches=upload_batches,
+            upload_batches=pipeline.upload_batches,
             trace_id=root.trace_id,
         )
 

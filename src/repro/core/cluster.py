@@ -420,7 +420,8 @@ class TcpCluster:
         return merged
 
     def stop(self, drain: bool = True) -> None:
-        """Close every client connection and stop every server."""
+        """Close every client connection, stop every server and reap the
+        key manager's signing workers."""
         for daemon in self._gc_daemons.values():
             daemon.stop()
         self._gc_daemons.clear()
@@ -430,6 +431,7 @@ class TcpCluster:
         for server in self._node_servers.values():
             server.stop(drain=drain)
         self._node_servers.clear()
+        self.key_manager.close()
 
     def __enter__(self) -> "TcpCluster":
         return self

@@ -8,14 +8,13 @@ transform across *processes*: chunk batches are pickled to workers, each
 worker rebuilds the encryption scheme once from its registry names, and
 results are reassembled in submission order.
 
-The pool degrades gracefully:
-
-* **serial** for small batches (the pickling round trip would dominate),
-  for a single-worker configuration, and for schemes or ciphers that are
-  not registry-reconstructible in a fresh process (custom instances);
-* **threads** when process pools are unavailable on the platform
-  (spawn failure) — still correct, occasionally useful when the cipher
-  releases the GIL.
+The worker lifecycle, span slicing and every fallback (in-process for
+small batches and single-worker configurations, threads when process
+pools are unavailable, an in-process redo when a worker dies) live in
+:class:`~repro.util.spanpool.SpanPool`; the pools here add what they
+transform and when a batch is worth the hand-off.  Schemes or ciphers
+that are not registry-reconstructible in a fresh process (custom
+instances) stay on threads.
 
 Worker processes are started lazily on first use and reused across
 uploads; call :meth:`ChunkTransformPool.close` (or
@@ -25,28 +24,15 @@ them deterministically.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-
 from repro.core.schemes import STUB_SIZE, EncryptionScheme, SplitPackage, get_scheme
 from repro.core.stubs import decrypt_stub_file, encrypt_stub_file
 from repro.crypto.cipher import SymmetricCipher, get_cipher
 from repro.util.errors import ConfigurationError, IntegrityError
-
-#: Upper bound on the default worker count: chunk transforms saturate
-#: memory bandwidth well before this many cores help.
-DEFAULT_WORKER_CAP = 8
+from repro.util.spanpool import SpanPool
 
 #: Below this many bytes per batch the fork/pickle overhead exceeds the
 #: parallel win and the transform runs serially in-process.
 DEFAULT_MIN_PARALLEL_BYTES = 1 << 20
-
-
-def default_worker_count(cap: int = DEFAULT_WORKER_CAP) -> int:
-    """``os.cpu_count()`` capped — the default client worker count."""
-    return max(1, min(os.cpu_count() or 1, cap))
 
 
 # -- worker-process side -----------------------------------------------------
@@ -56,32 +42,31 @@ def default_worker_count(cap: int = DEFAULT_WORKER_CAP) -> int:
 _WORKER_SCHEMES: dict[tuple[str, str, int], EncryptionScheme] = {}
 
 
+def _worker_scheme(spec: tuple[str, str, int]) -> EncryptionScheme:
+    scheme = _WORKER_SCHEMES.get(spec)
+    if scheme is None:
+        scheme_name, cipher_name, stub_size = spec
+        scheme = get_scheme(
+            scheme_name, cipher=get_cipher(cipher_name), stub_size=stub_size
+        )
+        _WORKER_SCHEMES[spec] = scheme
+    return scheme
+
+
 def _encrypt_batch(
-    scheme_name: str,
-    cipher_name: str,
-    stub_size: int,
-    pairs: list[tuple[bytes, bytes]],
+    spec: tuple[str, str, int], pairs: list[tuple[bytes, bytes]]
 ) -> list[SplitPackage]:
     """Worker entry point: transform ``(chunk, mle_key)`` pairs.
 
     Module-level (picklable) by design; the scheme travels as registry
     names, never as a pickled object graph.
     """
-    spec = (scheme_name, cipher_name, stub_size)
-    scheme = _WORKER_SCHEMES.get(spec)
-    if scheme is None:
-        scheme = get_scheme(
-            scheme_name, cipher=get_cipher(cipher_name), stub_size=stub_size
-        )
-        _WORKER_SCHEMES[spec] = scheme
-    return [scheme.encrypt_chunk(chunk, mle_key) for chunk, mle_key in pairs]
+    encrypt = _worker_scheme(spec).encrypt_chunk
+    return [encrypt(chunk, mle_key) for chunk, mle_key in pairs]
 
 
 def _decrypt_batch(
-    scheme_name: str,
-    cipher_name: str,
-    stub_size: int,
-    pairs: list[tuple[bytes, bytes]],
+    spec: tuple[str, str, int], pairs: list[tuple[bytes, bytes]]
 ) -> list[bytes]:
     """Worker entry point: invert ``(trimmed_package, stub)`` pairs.
 
@@ -89,14 +74,8 @@ def _decrypt_batch(
     :class:`~repro.util.errors.IntegrityError`, which pickles back to the
     client intact.
     """
-    spec = (scheme_name, cipher_name, stub_size)
-    scheme = _WORKER_SCHEMES.get(spec)
-    if scheme is None:
-        scheme = get_scheme(
-            scheme_name, cipher=get_cipher(cipher_name), stub_size=stub_size
-        )
-        _WORKER_SCHEMES[spec] = scheme
-    return [scheme.decrypt_chunk(trimmed, stub) for trimmed, stub in pairs]
+    decrypt = _worker_scheme(spec).decrypt_chunk
+    return [decrypt(trimmed, stub) for trimmed, stub in pairs]
 
 
 #: Per-process cipher cache for the stub-rekey worker entry point.
@@ -156,7 +135,7 @@ def _registry_spec(scheme: EncryptionScheme) -> tuple[str, str, int] | None:
     singleton cannot be faithfully reconstructed from names, so such
     schemes stay on the in-process paths.
     """
-    cipher_name = getattr(scheme.cipher, "name", None)
+    cipher_name = _cipher_spec(scheme.cipher)
     scheme_name = getattr(scheme, "name", None)
     if not cipher_name or not scheme_name:
         return None
@@ -166,27 +145,35 @@ def _registry_spec(scheme: EncryptionScheme) -> tuple[str, str, int] | None:
         )
     except ConfigurationError:
         return None
-    if type(rebuilt) is not type(scheme) or type(rebuilt.cipher) is not type(
-        scheme.cipher
-    ):
+    if type(rebuilt) is not type(scheme):
         return None
     return (scheme_name, cipher_name, scheme.stub_size)
 
 
-def _make_process_pool(workers: int) -> ProcessPoolExecutor:
-    # Prefer fork where available: workers inherit the warm module state
-    # (tables, caches) instead of re-importing everything.
+def _cipher_spec(cipher: SymmetricCipher) -> str | None:
+    """Registry name that rebuilds ``cipher`` in a fresh process, or None."""
+    name = getattr(cipher, "name", None)
+    if not name:
+        return None
     try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-fork platforms
-        context = multiprocessing.get_context()
-    return ProcessPoolExecutor(max_workers=workers, mp_context=context)
+        rebuilt = get_cipher(name)
+    except ConfigurationError:
+        return None
+    if type(rebuilt) is not type(cipher):
+        return None
+    return name
 
 
-class ChunkTransformPool:
+def _repays_hand_off(pool: "ChunkTransformPool | StubRekeyPool", total: int) -> bool:
+    # Threads pay no pickling, so only the process path has a floor.
+    return not pool.use_processes or total >= pool.min_parallel_bytes
+
+
+class ChunkTransformPool(SpanPool):
     """Runs ``scheme.encrypt_chunk`` over batches, in parallel when it pays.
 
-    ``workers`` defaults to :func:`default_worker_count`.  ``use_processes``
+    ``workers`` defaults to
+    :func:`~repro.util.spanpool.default_worker_count`.  ``use_processes``
     may be forced off to get the legacy thread-pool behaviour.
     """
 
@@ -197,56 +184,14 @@ class ChunkTransformPool:
         use_processes: bool = True,
         min_parallel_bytes: int = DEFAULT_MIN_PARALLEL_BYTES,
     ) -> None:
-        if workers is None:
-            workers = default_worker_count()
-        if workers < 1:
-            raise ConfigurationError("need at least one encryption worker")
-        self.scheme = scheme
-        self.workers = workers
-        self.min_parallel_bytes = min_parallel_bytes
         self._spec = _registry_spec(scheme) if use_processes else None
-        self._executor: Executor | None = None
-        self._executor_is_process = False
-        #: Batches that actually ran on the process pool (for tests/stats).
-        self.parallel_batches = 0
-        self.serial_batches = 0
+        super().__init__(workers, use_processes=self._spec is not None)
+        self.scheme = scheme
+        self.min_parallel_bytes = min_parallel_bytes
 
-    # -- executor lifecycle ------------------------------------------------
-
-    def _get_executor(self) -> Executor:
-        if self._executor is None:
-            if self._spec is not None:
-                try:
-                    self._executor = _make_process_pool(self.workers)
-                    self._executor_is_process = True
-                except (NotImplementedError, OSError, PermissionError):
-                    # Platform without working multiprocessing: threads
-                    # keep the API (not the speedup).
-                    self._spec = None
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(max_workers=self.workers)
-                self._executor_is_process = False
-        return self._executor
-
-    def close(self) -> None:
-        """Shut down worker processes/threads; the pool restarts lazily."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def __enter__(self) -> "ChunkTransformPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # -- transform ---------------------------------------------------------
-
-    def _encrypt_serial(
-        self, chunks: list[bytes], mle_keys: list[bytes]
-    ) -> list[SplitPackage]:
+    def _encrypt_serial(self, pairs: list[tuple[bytes, bytes]]) -> list[SplitPackage]:
         encrypt = self.scheme.encrypt_chunk
-        return [encrypt(chunk, key) for chunk, key in zip(chunks, mle_keys)]
+        return [encrypt(chunk, key) for chunk, key in pairs]
 
     def encrypt(
         self, chunks: list[bytes], mle_keys: list[bytes]
@@ -256,91 +201,38 @@ class ChunkTransformPool:
             raise ConfigurationError(
                 f"{len(chunks)} chunks but {len(mle_keys)} MLE keys"
             )
-        total = sum(len(chunk) for chunk in chunks)
-        if (
-            self.workers == 1
-            or len(chunks) < 2
-            or (self._spec is not None and total < self.min_parallel_bytes)
-        ):
-            self.serial_batches += 1
-            return self._encrypt_serial(chunks, mle_keys)
-        executor = self._get_executor()
-        if not self._executor_is_process:
-            self.parallel_batches += 1
-            return list(executor.map(self.scheme.encrypt_chunk, chunks, mle_keys))
-        # Slice into one contiguous span per worker; futures come back in
-        # submission order, so reassembly is a flatten.
-        spec = self._spec
-        span = max(1, -(-len(chunks) // self.workers))
-        futures = []
-        for start in range(0, len(chunks), span):
-            pairs = list(
-                zip(chunks[start : start + span], mle_keys[start : start + span])
-            )
-            futures.append(executor.submit(_encrypt_batch, *spec, pairs))
-        try:
-            results = [future.result() for future in futures]
-        except BrokenProcessPool:  # pragma: no cover - worker crash
-            # A dead worker (OOM-kill, signal) poisons the whole pool:
-            # disable it and redo this batch in-process rather than fail
-            # the upload.
-            self.close()
-            self._spec = None
-            self.serial_batches += 1
-            return self._encrypt_serial(chunks, mle_keys)
-        self.parallel_batches += 1
-        return [package for batch in results for package in batch]
+        return self.map_spans(
+            list(zip(chunks, mle_keys)),
+            self._encrypt_serial,
+            _encrypt_batch,
+            self._spec,
+            parallel=_repays_hand_off(self, sum(len(chunk) for chunk in chunks)),
+        )
 
-    def _decrypt_serial(
-        self, trimmed: list[bytes], stubs: list[bytes]
-    ) -> list[bytes]:
+    def _decrypt_serial(self, pairs: list[tuple[bytes, bytes]]) -> list[bytes]:
         decrypt = self.scheme.decrypt_chunk
-        return [decrypt(package, stub) for package, stub in zip(trimmed, stubs)]
+        return [decrypt(package, stub) for package, stub in pairs]
 
     def decrypt(self, trimmed: list[bytes], stubs: list[bytes]) -> list[bytes]:
         """Invert split packages back to plaintext chunks, preserving order.
 
-        Mirrors :meth:`encrypt`: serial below the parallel threshold,
-        contiguous spans per worker above it, futures consumed in
-        submission order so the earliest tampered chunk raises first —
-        the abort is deterministic regardless of worker scheduling.
+        Mirrors :meth:`encrypt`; the earliest tampered chunk raises first,
+        so the abort is deterministic regardless of worker scheduling.
         """
         if len(trimmed) != len(stubs):
             raise ConfigurationError(
                 f"{len(trimmed)} trimmed packages but {len(stubs)} stubs"
             )
-        total = sum(len(package) for package in trimmed)
-        if (
-            self.workers == 1
-            or len(trimmed) < 2
-            or (self._spec is not None and total < self.min_parallel_bytes)
-        ):
-            self.serial_batches += 1
-            return self._decrypt_serial(trimmed, stubs)
-        executor = self._get_executor()
-        if not self._executor_is_process:
-            self.parallel_batches += 1
-            return list(executor.map(self.scheme.decrypt_chunk, trimmed, stubs))
-        spec = self._spec
-        span = max(1, -(-len(trimmed) // self.workers))
-        futures = []
-        for start in range(0, len(trimmed), span):
-            pairs = list(
-                zip(trimmed[start : start + span], stubs[start : start + span])
-            )
-            futures.append(executor.submit(_decrypt_batch, *spec, pairs))
-        try:
-            results = [future.result() for future in futures]
-        except BrokenProcessPool:  # pragma: no cover - worker crash
-            self.close()
-            self._spec = None
-            self.serial_batches += 1
-            return self._decrypt_serial(trimmed, stubs)
-        self.parallel_batches += 1
-        return [chunk for batch in results for chunk in batch]
+        return self.map_spans(
+            list(zip(trimmed, stubs)),
+            self._decrypt_serial,
+            _decrypt_batch,
+            self._spec,
+            parallel=_repays_hand_off(self, sum(len(package) for package in trimmed)),
+        )
 
 
-class StubRekeyPool:
+class StubRekeyPool(SpanPool):
     """Runs stub-file re-encryption over batches, in parallel when it pays.
 
     The active-revocation hot path: each item is one whole stub file to
@@ -348,8 +240,8 @@ class StubRekeyPool:
     Nonces come from the caller (drawn on the client thread in file
     order), so the output is bit-identical to the serial path no matter
     how items are scheduled across workers.  Degrades exactly like
-    :class:`ChunkTransformPool`: serial below ``min_parallel_bytes`` or
-    for non-registry ciphers, threads when process pools are
+    :class:`ChunkTransformPool`: serial below ``min_parallel_bytes``,
+    threads for non-registry ciphers or when process pools are
     unavailable, and a serial redo if the pool breaks mid-batch.
     """
 
@@ -361,58 +253,11 @@ class StubRekeyPool:
         min_parallel_bytes: int = DEFAULT_MIN_PARALLEL_BYTES,
         default_stub_size: int = STUB_SIZE,
     ) -> None:
-        if workers is None:
-            workers = default_worker_count()
-        if workers < 1:
-            raise ConfigurationError("need at least one rekey worker")
         self.cipher = cipher or get_cipher()
-        self.workers = workers
+        self._spec = _cipher_spec(self.cipher) if use_processes else None
+        super().__init__(workers, use_processes=self._spec is not None)
         self.min_parallel_bytes = min_parallel_bytes
         self.default_stub_size = default_stub_size
-        self._spec = self._cipher_spec(self.cipher) if use_processes else None
-        self._executor: Executor | None = None
-        self._executor_is_process = False
-        self.parallel_batches = 0
-        self.serial_batches = 0
-
-    @staticmethod
-    def _cipher_spec(cipher: SymmetricCipher) -> str | None:
-        """Registry name that rebuilds ``cipher`` in a fresh process."""
-        name = getattr(cipher, "name", None)
-        if not name:
-            return None
-        try:
-            rebuilt = get_cipher(name)
-        except ConfigurationError:
-            return None
-        if type(rebuilt) is not type(cipher):
-            return None
-        return name
-
-    def _get_executor(self) -> Executor:
-        if self._executor is None:
-            if self._spec is not None:
-                try:
-                    self._executor = _make_process_pool(self.workers)
-                    self._executor_is_process = True
-                except (NotImplementedError, OSError, PermissionError):
-                    self._spec = None
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(max_workers=self.workers)
-                self._executor_is_process = False
-        return self._executor
-
-    def close(self) -> None:
-        """Shut down worker processes/threads; the pool restarts lazily."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def __enter__(self) -> "StubRekeyPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def _reencrypt_serial(
         self, items: list[tuple[bytes, bytes, bytes, bytes]]
@@ -427,47 +272,15 @@ class StubRekeyPool:
     ) -> list[bytes]:
         """Re-encrypt ``(stub_file, old_key, new_key, nonce)`` items in order.
 
-        Futures are consumed in submission order, so the earliest failing
-        item raises first — the abort is deterministic regardless of
-        worker scheduling.
+        The earliest failing item raises first — the abort is
+        deterministic regardless of worker scheduling.
         """
         total = sum(len(stub_file) for stub_file, *_rest in items)
-        if (
-            self.workers == 1
-            or len(items) < 2
-            or (self._spec is not None and total < self.min_parallel_bytes)
-        ):
-            self.serial_batches += 1
-            return self._reencrypt_serial(items)
-        executor = self._get_executor()
-        if not self._executor_is_process:
-            self.parallel_batches += 1
-            return list(
-                executor.map(
-                    lambda item: _reencrypt_one_stub_file(
-                        self.cipher, *item, self.default_stub_size
-                    ),
-                    items,
-                )
-            )
-        spec = self._spec
-        span = max(1, -(-len(items) // self.workers))
-        futures = []
-        for start in range(0, len(items), span):
-            futures.append(
-                executor.submit(
-                    _reencrypt_stub_batch,
-                    spec,
-                    self.default_stub_size,
-                    items[start : start + span],
-                )
-            )
-        try:
-            results = [future.result() for future in futures]
-        except BrokenProcessPool:  # pragma: no cover - worker crash
-            self.close()
-            self._spec = None
-            self.serial_batches += 1
-            return self._reencrypt_serial(items)
-        self.parallel_batches += 1
-        return [stub_file for batch in results for stub_file in batch]
+        return self.map_spans(
+            items,
+            self._reencrypt_serial,
+            _reencrypt_stub_batch,
+            self._spec,
+            self.default_stub_size,
+            parallel=_repays_hand_off(self, total),
+        )

@@ -567,6 +567,10 @@ class RemoteKeyStore:
 def register_key_manager(
     registry: ServiceRegistry, manager: KeyManager, prefix: str = "km."
 ) -> None:
+    # The manager's signing span and batch counters belong in the scrape
+    # of the node that serves it.
+    manager.observe_on(registry.metrics, registry.tracer)
+
     def public_key(_payload: bytes) -> bytes:
         return manager.public_key.encode()
 

@@ -18,6 +18,7 @@ while offline brute force now requires the key manager's private key.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from repro.crypto.drbg import SYSTEM_RANDOM, RandomSource
@@ -47,20 +48,67 @@ def blind(
     Returns the blinded value to send and the state needed to unblind the
     response.
     """
-    rng = rng or SYSTEM_RANDOM
-    h = hash_to_int(fingerprint, public_key.n)
+    n = public_key.n
+    r = _draw_blinding_factor(n, rng or SYSTEM_RANDOM)
+    blinded = (hash_to_int(fingerprint, n) * pow(r, public_key.e, n)) % n
+    return blinded, BlindingState(fingerprint=fingerprint, r_inverse=pow(r, -1, n))
+
+
+def _draw_blinding_factor(n: int, rng: RandomSource) -> int:
     while True:
-        r = 1 + rng.randint_below(public_key.n - 1)
-        if math.gcd(r, public_key.n) == 1:
-            break
-    blinded = (h * pow(r, public_key.e, public_key.n)) % public_key.n
-    return blinded, BlindingState(fingerprint=fingerprint, r_inverse=pow(r, -1, public_key.n))
+        r = 1 + rng.randint_below(n - 1)
+        if math.gcd(r, n) == 1:
+            return r
+
+
+def blind_many(
+    public_key: RSAPublicKey,
+    fingerprints: Sequence[bytes],
+    rng: RandomSource | None = None,
+) -> tuple[list[int], list[BlindingState]]:
+    """Blind a batch of fingerprints for one key-manager round trip.
+
+    Draws the same factors in the same order as :func:`blind` called per
+    fingerprint, so the blinded values are identical — but the factors
+    are inverted together (Montgomery's trick: one modular inverse for
+    the batch plus three multiplications per item, instead of one
+    inverse each).  Every factor is coprime to ``n``, so their product
+    is invertible.
+    """
+    rng = rng or SYSTEM_RANDOM
+    n, e = public_key.n, public_key.e
+    factors = [_draw_blinding_factor(n, rng) for _ in fingerprints]
+    blinded = [
+        (hash_to_int(fingerprint, n) * pow(r, e, n)) % n
+        for fingerprint, r in zip(fingerprints, factors)
+    ]
+    # prefix[i] = r_0 * ... * r_(i-1); walking back from the inverse of
+    # the full product peels off one factor's inverse per step.
+    prefix = [1]
+    for r in factors:
+        prefix.append((prefix[-1] * r) % n)
+    running = pow(prefix.pop(), -1, n)
+    inverses = []
+    for r, before in zip(reversed(factors), reversed(prefix)):
+        inverses.append((running * before) % n)
+        running = (running * r) % n
+    states = [
+        BlindingState(fingerprint=fingerprint, r_inverse=r_inverse)
+        for fingerprint, r_inverse in zip(fingerprints, reversed(inverses))
+    ]
+    return blinded, states
+
+
+def require_in_domain(n: int, blinded_values: Iterable[int]) -> None:
+    """Key-manager side: reject a batch holding a value outside ``[0, n)``."""
+    for blinded in blinded_values:
+        if not 0 <= blinded < n:
+            raise KeyManagerError("blinded value out of the RSA domain")
 
 
 def sign_blinded(private_key: RSAPrivateKey, blinded: int) -> int:
     """Key-manager side: sign a blinded value (one private RSA operation)."""
-    if not 0 <= blinded < private_key.n:
-        raise KeyManagerError("blinded value out of the RSA domain")
+    require_in_domain(private_key.n, (blinded,))
     return private_key.apply(blinded)
 
 

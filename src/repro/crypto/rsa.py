@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.crypto.drbg import SYSTEM_RANDOM, RandomSource
 from repro.crypto.hashing import hash_to_int, sha256
@@ -144,13 +145,20 @@ class RSAPrivateKey:
     def public(self) -> RSAPublicKey:
         return RSAPublicKey(n=self.n, e=self.e)
 
+    @cached_property
+    def _crt(self) -> tuple[int, int, int]:
+        """``(d mod p-1, d mod q-1, q^-1 mod p)``, computed once per key."""
+        return (
+            self.d % (self.p - 1),
+            self.d % (self.q - 1),
+            pow(self.q, -1, self.p),
+        )
+
     def apply(self, x: int) -> int:
         """The private RSA operation ``x^d mod n`` via the CRT."""
         if not 0 <= x < self.n:
             raise ConfigurationError("RSA input out of range")
-        dp = self.d % (self.p - 1)
-        dq = self.d % (self.q - 1)
-        q_inv = pow(self.q, -1, self.p)
+        dp, dq, q_inv = self._crt
         mp = pow(x % self.p, dp, self.p)
         mq = pow(x % self.q, dq, self.q)
         h = (q_inv * (mp - mq)) % self.p

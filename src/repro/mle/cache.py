@@ -44,5 +44,9 @@ class MLEKeyCache:
     def __len__(self) -> int:
         return len(self._cache)
 
+    def __contains__(self, fingerprint: bytes) -> bool:
+        """Membership without touching recency or the hit/miss counters."""
+        return fingerprint in self._cache
+
     def stats(self) -> dict[str, int]:
         return self._cache.stats()

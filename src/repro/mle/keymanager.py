@@ -9,6 +9,14 @@ key generation, Section III-B).
 To slow online brute-force attacks from compromised clients, requests are
 rate-limited per client with a token bucket (Section II-A).  The manager
 also keeps per-client accounting used by the evaluation harness.
+
+Signing is the one CPU-heavy step of an upload that the client cannot
+parallelise for itself, and a 1024-bit CRT ``pow`` holds the GIL, so an
+admitted batch is signed in contiguous spans on worker *processes*
+(:class:`~repro.util.spanpool.SpanPool`).  Workers receive the private
+key once, when they start; per batch only blinded values go out and
+signatures come back.  Admission — size cap, rate limit, domain check —
+happens on the handler thread before any worker sees a value.
 """
 
 from __future__ import annotations
@@ -20,7 +28,10 @@ from dataclasses import dataclass
 from repro.crypto import blindrsa
 from repro.crypto.drbg import RandomSource
 from repro.crypto.rsa import DEFAULT_KEY_BITS, RSAPrivateKey, RSAPublicKey, generate_keypair
+from repro.obs.metrics import MetricsRegistry, default_registry
+from repro.obs.tracing import Tracer, default_tracer
 from repro.util.errors import ConfigurationError, RateLimitExceeded
+from repro.util.spanpool import SpanPool
 from repro.util.tokenbucket import TokenBucket
 
 #: Default per-client sustained request rate (chunk keys per second).
@@ -30,6 +41,24 @@ DEFAULT_RATE_LIMIT = 8192.0
 
 #: Default burst: one maximum-size batch.
 DEFAULT_BURST = 16384.0
+
+#: Batches below this many values are signed on the handler thread: the
+#: hand-off to the workers costs about as much as signing a few values,
+#: and small-file uploads should never start the workers at all.
+MIN_PARALLEL_SIGN = 64
+
+#: Worker processes only: the key installed when the worker started.
+_SIGNING_KEY: RSAPrivateKey | None = None
+
+
+def _hold_signing_key(private_key: RSAPrivateKey) -> None:
+    global _SIGNING_KEY
+    _SIGNING_KEY = private_key
+
+
+def _sign_span(blinded_values: list[int]) -> list[int]:
+    """Worker entry point: sign one span with the key held since start-up."""
+    return [_SIGNING_KEY.apply(value) for value in blinded_values]
 
 
 @dataclass
@@ -81,6 +110,29 @@ class KeyManager:
         self._quotas: dict[str, ClientQuota] = {}
         self._lock = threading.Lock()
         self.stats = KeyManagerStats()
+        self._signers = SpanPool(
+            initializer=_hold_signing_key, initargs=(private_key,)
+        )
+        self.observe_on(default_registry(), default_tracer())
+
+    def observe_on(self, metrics: MetricsRegistry, tracer: Tracer) -> None:
+        """Report signing telemetry on ``metrics`` / ``tracer``.
+
+        The process defaults until the node that serves this manager
+        binds its own (:func:`~repro.core.service.register_key_manager`),
+        so the series show up in that node's scrape.
+        """
+        self._tracer = tracer
+        self._sign_batches = metrics.counter(
+            "km_sign_batches_total",
+            "Admitted signing batches, by where they were signed "
+            "(worker processes or the handler thread).",
+            labelnames=("mode",),
+        )
+
+    def close(self) -> None:
+        """Reap the signing workers (they restart on the next large batch)."""
+        self._signers.close()
 
     @property
     def public_key(self) -> RSAPublicKey:
@@ -120,17 +172,27 @@ class KeyManager:
             raise RateLimitExceeded(
                 f"client {client_id!r} exceeded the key-generation rate limit"
             )
+        blindrsa.require_in_domain(self._private_key.n, blinded_values)
+        parallel = (
+            len(blinded_values) >= MIN_PARALLEL_SIGN and self._signers.workers > 1
+        )
         started = self._clock()
-        signatures = [
-            blindrsa.sign_blinded(self._private_key, value) for value in blinded_values
-        ]
+        with self._tracer.span("km.sign", values=len(blinded_values)):
+            signatures = self._signers.map_spans(
+                blinded_values, self._sign_here, _sign_span, parallel=parallel
+            )
         elapsed = self._clock() - started
+        self._sign_batches.labels(mode="parallel" if parallel else "serial").inc()
         with self._lock:
             quota.requests += len(blinded_values)
             self.stats.signatures += len(blinded_values)
             self.stats.batches += 1
             self.stats.busy_seconds += elapsed
         return signatures
+
+    def _sign_here(self, blinded_values: list[int]) -> list[int]:
+        sign = self._private_key.apply
+        return [sign(value) for value in blinded_values]
 
     def derive_batch(self, client_id: str, blinded_values: list[int]) -> list[int]:
         """Whole-file key derivation: sign one file's fingerprints at once.

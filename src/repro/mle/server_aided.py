@@ -99,8 +99,11 @@ class ServerAidedKeyClient:
             raise ConfigurationError("batch size must be at least 1")
         self._channel = channel
         self._client_id = client_id
-        self._cache = cache
-        self._batch_size = batch_size
+        #: Public so a pipelined caller can size its key windows: how many
+        #: evaluations one round trip carries, and which fingerprints
+        #: would be served without one (``fingerprint in cache``).
+        self.cache = cache
+        self.batch_size = batch_size
         self._rng = rng or SYSTEM_RANDOM
         self._sleep = sleep
         self._max_retries = max_retries
@@ -152,8 +155,8 @@ class ServerAidedKeyClient:
         return self._public_key
 
     def clear_cache(self) -> None:
-        if self._cache is not None:
-            self._cache.clear()
+        if self.cache is not None:
+            self.cache.clear()
 
     def stats(self) -> dict:
         """Counters for observability: OPRF work, cache wins, RPC trips.
@@ -170,8 +173,8 @@ class ServerAidedKeyClient:
             "cache_hits": self.cache_hits,
             "round_trips": self.round_trips,
         }
-        if self._cache is not None:
-            data["cache"] = self._cache.stats()
+        if self.cache is not None:
+            data["cache"] = self.cache.stats()
         return data
 
     # ------------------------------------------------------------------
@@ -201,12 +204,9 @@ class ServerAidedKeyClient:
     def _fetch_batch(self, fingerprints: list[bytes], rpc=None) -> list[bytes]:
         """One OPRF round trip for up to ``batch_size`` fingerprints."""
         public_key = self.public_key
-        blinded_values: list[int] = []
-        states: list[blindrsa.BlindingState] = []
-        for fp in fingerprints:
-            blinded, state = blindrsa.blind(public_key, fp, self._rng)
-            blinded_values.append(blinded)
-            states.append(state)
+        blinded_values, states = blindrsa.blind_many(
+            public_key, fingerprints, self._rng
+        )
         signatures = self._send_with_backoff(blinded_values, rpc)
         if len(signatures) != len(blinded_values):
             raise KeyManagerError(
@@ -231,7 +231,7 @@ class ServerAidedKeyClient:
             if fp in seen:
                 continue
             seen.add(fp)
-            cached = self._cache.get(fp) if self._cache is not None else None
+            cached = self.cache.get(fp) if self.cache is not None else None
             if cached is not None:
                 results[fp] = cached
                 self.cache_hits += 1
@@ -239,12 +239,12 @@ class ServerAidedKeyClient:
                 obs_scope.add("key_cache_hits")
             else:
                 missing.append(fp)
-        for start in range(0, len(missing), self._batch_size):
-            batch = missing[start : start + self._batch_size]
+        for start in range(0, len(missing), self.batch_size):
+            batch = missing[start : start + self.batch_size]
             for fp, key in zip(batch, self._fetch_batch(batch, rpc)):
                 results[fp] = key
-                if self._cache is not None:
-                    self._cache.put(fp, key)
+                if self.cache is not None:
+                    self.cache.put(fp, key)
         return [results[fp] for fp in fingerprints]
 
     def get_keys(self, fingerprints: Sequence[bytes]) -> list[bytes]:

@@ -29,10 +29,11 @@ import math
 import time
 from dataclasses import dataclass
 
+from repro.crypto import blindrsa
 from repro.crypto.drbg import SYSTEM_RANDOM, RandomSource
 from repro.crypto.rsa import RSAPrivateKey, RSAPublicKey
 from repro.mle.keymanager import DEFAULT_BURST, DEFAULT_RATE_LIMIT
-from repro.util.errors import ConfigurationError, KeyManagerError
+from repro.util.errors import ConfigurationError, KeyManagerError, RateLimitExceeded
 from repro.util.tokenbucket import TokenBucket
 
 
@@ -187,17 +188,12 @@ class ThresholdKeyManager:
         if not blinded_values:
             return []
         if not self._bucket(client_id).try_take(len(blinded_values)):
-            from repro.util.errors import RateLimitExceeded
-
             raise RateLimitExceeded(
                 f"key manager {self.index} rate-limited client {client_id!r}"
             )
-        n = self._share.public_key.n
-        out = []
-        for blinded in blinded_values:
-            if not 0 <= blinded < n:
-                raise KeyManagerError("blinded value out of the RSA domain")
-            out.append(pow(blinded, self._share.value, n))
+        n, exponent = self._share.public_key.n, self._share.value
+        blindrsa.require_in_domain(n, blinded_values)
+        out = [pow(blinded, exponent, n) for blinded in blinded_values]
         self.signatures += len(out)
         return out
 

@@ -112,6 +112,12 @@ class ServiceRegistry:
             labelnames=("method",),
         )
 
+    @property
+    def tracer(self) -> Tracer:
+        """The tracer handler spans land on (the process default unless
+        one was injected)."""
+        return self._tracer if self._tracer is not None else default_tracer()
+
     def register(self, method: str, handler: Handler) -> None:
         if method in self._handlers:
             raise ProtocolError(f"method {method!r} registered twice")
@@ -138,8 +144,7 @@ class ServiceRegistry:
         # the caller's trace (the distributed half of the span tree);
         # untraced requests stay span-free, exactly as before.
         if request.trace_id:
-            tracer = self._tracer if self._tracer is not None else default_tracer()
-            span = tracer.remote_span(
+            span = self.tracer.remote_span(
                 f"rpc.{method}", request.trace_id, request.parent_span_id
             )
         else:

@@ -1,12 +1,10 @@
 """Tests for the parallel chunk-transform pool."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
-from repro.core.parallel import (
-    ChunkTransformPool,
-    _registry_spec,
-    default_worker_count,
-)
+from repro.core.parallel import ChunkTransformPool, _registry_spec
 from repro.core.schemes import get_scheme
 from repro.crypto.cipher import get_cipher
 from repro.util.errors import ConfigurationError
@@ -19,10 +17,6 @@ def _inputs(count, size=2048, seed=0):
 
 
 class TestDefaults:
-    def test_default_worker_count_positive_and_capped(self):
-        assert 1 <= default_worker_count() <= 8
-        assert default_worker_count(cap=1) == 1
-
     def test_rejects_zero_workers(self):
         with pytest.raises(ConfigurationError):
             ChunkTransformPool(get_scheme("enhanced"), workers=0)
@@ -103,7 +97,7 @@ class TestThreadFallback:
             chunks, keys = _inputs(4)
             got = pool.encrypt(chunks, keys)
             assert got == [scheme.encrypt_chunk(c, k) for c, k in zip(chunks, keys)]
-            assert pool._executor_is_process is False
+            assert isinstance(pool._executor, ThreadPoolExecutor)
 
     def test_use_processes_false_forces_threads(self):
         scheme = get_scheme("enhanced")
@@ -112,4 +106,4 @@ class TestThreadFallback:
         ) as pool:
             chunks, keys = _inputs(4)
             pool.encrypt(chunks, keys)
-            assert pool._executor_is_process is False
+            assert isinstance(pool._executor, ThreadPoolExecutor)

@@ -98,12 +98,13 @@ class TestStoredDataCorruption:
 
 class TestKeyManagerFailures:
     def test_rate_limited_client_backs_off_and_completes(self):
-        # rate 64 keys/s with burst 64; the client sends 32-key batches,
-        # so the third batch must hit the limiter and back off (real
-        # clock; the wait is a fraction of a second).
+        # rate 40 keys/s with burst 40; the client sends 32-key windows
+        # as the chunker fills them, so the second window finds 8 tokens
+        # plus a few milliseconds' refill, must hit the limiter and back
+        # off (real clock; the wait is a fraction of a second).
         system = build_system(
             num_data_servers=1,
-            rate_limit=64,
+            rate_limit=40,
             key_batch_size=32,
             rng=HmacDrbg(b"rl"),
         )

@@ -1,0 +1,115 @@
+"""Worker processes next to live servers: the client's transform pool
+and the key manager's signers share a process with every TCP listener of
+an in-process ``TcpCluster``."""
+
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import repro
+from repro.core.cluster import TcpCluster
+from repro.crypto.drbg import HmacDrbg
+
+MiB = 1 << 20
+#: Child interpreters import the package under test, installed or not.
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+
+
+def test_data_server_restarts_while_worker_pools_are_alive():
+    """Forked workers used to inherit every node's listening socket, so a
+    killed data server could not get its port back (``EADDRINUSE``) until
+    the pools were closed."""
+    # Workers other tests leaked are none of this test's business.
+    before = {child.pid for child in multiprocessing.active_children()}
+
+    def workers():
+        return {c.pid for c in multiprocessing.active_children()} - before
+
+    with TcpCluster(
+        num_data_servers=2, replicas=2, rng=HmacDrbg(b"pools")
+    ) as cluster:
+        client = cluster.new_client("alice", encryption_workers=2)
+        data = HmacDrbg(b"pools-data").random_bytes(3 * MiB // 2)
+        result = client.upload("file", data)
+        assert result.key_round_trips >= 1
+        # Both kinds of worker are up: the transform pool (>= 1 MiB
+        # batch) and the signers (a key window above the threshold).
+        assert client._transform_pool.parallel_batches >= 1
+        assert cluster.key_manager._signers.parallel_batches >= 1
+        assert len(workers()) >= 3
+
+        for index in range(2):
+            cluster.kill_data_server(index)
+            cluster.restart_data_server(index)
+
+        client.storage.probe_nodes()
+        assert client.download("file").data == data
+        client.close()
+    # stop() reaped the signers, close() the client's pools.
+    assert workers() == set()
+
+
+def test_serve_km_reaps_its_signers_on_sigterm(tmp_path):
+    org = tmp_path / "org"
+    cli = [sys.executable, "-m", "repro.cli"]
+    subprocess.run(
+        [*cli, "org", "init", "--org", str(org), "--key-bits", "512"],
+        check=True,
+        env=CHILD_ENV,
+    )
+    server = subprocess.Popen(
+        [*cli, "serve", "km", "--org", str(org), "--port", "0"],
+        stdout=subprocess.PIPE,
+        text=True,
+        env=CHILD_ENV,
+    )
+    try:
+        address = server.stdout.readline().split()[-1]
+        # Drive one batch large enough to start the signers.
+        sign = (
+            "import sys\n"
+            "from repro.core.service import RemoteKeyManagerChannel\n"
+            "from repro.net.tcp import TcpConnection\n"
+            "host, port = sys.argv[1].rsplit(':', 1)\n"
+            "connection = TcpConnection(host, int(port))\n"
+            "channel = RemoteKeyManagerChannel(connection.client())\n"
+            "assert len(channel.derive_batch('alice', list(range(2, 130)))) == 128\n"
+            "connection.close()\n"
+        )
+        subprocess.run([sys.executable, "-c", sign, address], check=True, env=CHILD_ENV)
+        children = _children_of(server.pid)
+        assert children, "the signers never started"
+        server.send_signal(signal.SIGTERM)
+        assert server.wait(timeout=30) == 0
+        deadline = time.monotonic() + 10
+        while _alive(children) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _alive(children) == []
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.wait()
+
+
+def _children_of(pid: int) -> list[int]:
+    listing = subprocess.run(
+        ["ps", "-o", "pid=", "--ppid", str(pid)], capture_output=True, text=True
+    )
+    return [int(line) for line in listing.stdout.split()]
+
+
+def _alive(pids: list[int]) -> list[int]:
+    listing = subprocess.run(
+        ["ps", "-o", "pid=,stat=", "-p", ",".join(map(str, pids))],
+        capture_output=True,
+        text=True,
+    )
+    return [
+        int(line.split()[0])
+        for line in listing.stdout.splitlines()
+        if line.split() and not line.split()[1].startswith("Z")
+    ]

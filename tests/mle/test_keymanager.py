@@ -1,12 +1,19 @@
 """Tests for the key manager: signing, rate limiting, accounting."""
 
+import os
+import signal
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto import blindrsa
 from repro.crypto.drbg import HmacDrbg
-from repro.mle.keymanager import KeyManager
+from repro.mle.keymanager import MIN_PARALLEL_SIGN, KeyManager
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracing import Tracer
 from repro.sim.clock import SimClock
-from repro.util.errors import ConfigurationError, RateLimitExceeded
+from repro.util.errors import ConfigurationError, KeyManagerError, RateLimitExceeded
 
 
 @pytest.fixture()
@@ -98,3 +105,92 @@ class TestAccounting:
             manager.sign_batch("alice", [1])
         assert manager.stats.rejected == 1
         assert manager.client_stats("alice")["rejected"] == 1
+
+
+class TestParallelSigning:
+    """Admitted batches are signed on worker processes; admission and
+    results are those of the in-process path."""
+
+    @pytest.fixture(scope="class")
+    def signer(self, rsa_512):
+        manager = KeyManager(private_key=rsa_512, rate_limit=1e9, burst=1e9)
+        yield manager
+        manager.close()
+
+    @settings(max_examples=25)
+    @given(
+        count=st.one_of(
+            st.integers(1, 3 * MIN_PARALLEL_SIGN),
+            st.sampled_from(
+                [MIN_PARALLEL_SIGN - 1, MIN_PARALLEL_SIGN, MIN_PARALLEL_SIGN + 1]
+            ),
+        ),
+        seed=st.binary(min_size=1, max_size=8),
+    )
+    def test_parallel_equals_in_process(self, signer, rsa_512, count, seed):
+        draw = HmacDrbg(seed)
+        values = [draw.randint_below(rsa_512.n) for _ in range(count)]
+        before = signer._signers.parallel_batches
+        assert signer.sign_batch("alice", values) == [
+            rsa_512.apply(value) for value in values
+        ]
+        went_parallel = signer._signers.parallel_batches - before
+        assert went_parallel == (1 if count >= MIN_PARALLEL_SIGN else 0)
+
+    def test_small_batches_never_start_workers(self, rsa_512):
+        manager = KeyManager(private_key=rsa_512)
+        manager.sign_batch("alice", [5] * (MIN_PARALLEL_SIGN - 1))
+        assert manager._signers._executor is None
+        assert manager._signers.serial_batches == 1
+
+    def test_rejected_batches_reach_no_worker_and_cost_no_tokens(self, rsa_512):
+        clock = SimClock()
+        burst = 2 * MIN_PARALLEL_SIGN
+        manager = KeyManager(
+            private_key=rsa_512, rate_limit=1, burst=burst, clock=clock
+        )
+        with pytest.raises(ConfigurationError):
+            manager.sign_batch("alice", [5] * (burst + 1))  # oversize
+        # The whole burst is still there...
+        assert len(manager.sign_batch("alice", [5] * burst)) == burst
+        # ...and once it is gone, a rejected batch charges nothing either:
+        # one refilled token is still one token afterwards.
+        clock.advance(1.0)
+        with pytest.raises(RateLimitExceeded):
+            manager.sign_batch("alice", [5] * MIN_PARALLEL_SIGN)
+        assert len(manager.sign_batch("alice", [5])) == 1
+        assert manager._signers.parallel_batches == 1  # only the admitted burst
+        assert manager.stats.batches == 2
+        assert manager.stats.rejected == MIN_PARALLEL_SIGN
+        manager.close()
+
+    @pytest.mark.parametrize("bad", [-1, "n"])
+    def test_out_of_domain_value_is_refused_before_signing(self, rsa_512, bad):
+        manager = KeyManager(private_key=rsa_512)
+        batch = [5] * MIN_PARALLEL_SIGN + [rsa_512.n if bad == "n" else bad]
+        with pytest.raises(KeyManagerError):
+            manager.sign_batch("alice", batch)
+        assert manager._signers._executor is None
+        assert manager.stats.signatures == 0
+
+    def test_killed_worker_degrades_to_in_process_signing(self, rsa_512):
+        manager = KeyManager(private_key=rsa_512)
+        values = list(range(2, 2 + MIN_PARALLEL_SIGN))
+        expected = [rsa_512.apply(value) for value in values]
+        assert manager.sign_batch("alice", values) == expected
+        signers = list(manager._signers._executor._processes.values())
+        os.kill(signers[0].pid, signal.SIGKILL)
+        assert manager.sign_batch("alice", values) == expected
+        manager.close()
+        assert not any(signer.is_alive() for signer in signers)
+
+    def test_sign_telemetry_lands_on_the_bound_registry(self, rsa_512):
+        metrics = MetricsRegistry()
+        manager = KeyManager(private_key=rsa_512)
+        manager.observe_on(metrics, Tracer(metrics=metrics, node="key-manager"))
+        manager.sign_batch("alice", [5] * 3)
+        manager.sign_batch("alice", [5] * MIN_PARALLEL_SIGN)
+        manager.close()
+        assert metrics.value("km_sign_batches_total", mode="serial") == 1
+        assert metrics.value("km_sign_batches_total", mode="parallel") == 1
+        assert metrics.get("span_seconds").labels(span="km.sign").count == 2
