@@ -10,7 +10,9 @@ across many containers written by earlier backups.
 
 Sealed containers carry a versioned header (magic, codec byte,
 uncompressed length) and are zlib-compressed when that makes them
-smaller; headerless blobs written by earlier versions remain readable.
+smaller — judged from a 64 KiB prefix first, so ciphertext containers
+skip the full trial; headerless blobs written by earlier versions remain
+readable.
 Batch reads (`read_many`) fetch each distinct container exactly once,
 with bounded concurrency, and fetches are single-flighted per container
 id so concurrent readers never duplicate a backend fetch.
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import struct
 import threading
+import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 
@@ -28,7 +31,7 @@ from repro.storage.backend import BlobBackend
 from repro.storage.index import ChunkLocation
 from repro.util.errors import ConfigurationError, NotFoundError, StorageError
 from repro.util.lru import LRUCache
-from repro.util.units import MiB
+from repro.util.units import KiB, MiB
 
 #: Container capacity (paper Section V-B).
 DEFAULT_CONTAINER_BYTES = 4 * MiB
@@ -47,13 +50,27 @@ _MAGIC = b"RCF1"
 _HEADER = struct.Struct(">4sBQ")
 CODEC_STORED = 0
 CODEC_ZLIB = 1
+_CODEC_NAMES = {CODEC_STORED: "stored", CODEC_ZLIB: "zlib"}
 
 #: zlib level 6 is the speed/ratio sweet spot for 4 MB containers.
 _ZLIB_LEVEL = 6
 
+#: Prefix of a larger payload that is trial-compressed before the whole
+#: container is.  Trimmed packages are CAONT ciphertext, so the usual
+#: container never shrinks and pays one sample instead of ~27 ms/MiB.
+_SAMPLE_BYTES = 64 * KiB
+
 
 def _encode_container(payload: bytes) -> bytes:
-    """Frame a sealed payload, compressing when compression wins."""
+    """Frame a sealed payload, compressing when compression wins.
+
+    A payload longer than ``_SAMPLE_BYTES`` whose prefix of that length
+    does not shrink under zlib is stored raw without compressing the rest.
+    """
+    if len(payload) > _SAMPLE_BYTES:
+        sample = payload[:_SAMPLE_BYTES]
+        if len(zlib.compress(sample, _ZLIB_LEVEL)) >= len(sample):
+            return _HEADER.pack(_MAGIC, CODEC_STORED, len(payload)) + payload
     compressed = zlib.compress(payload, _ZLIB_LEVEL)
     if len(compressed) < len(payload):
         return _HEADER.pack(_MAGIC, CODEC_ZLIB, len(payload)) + compressed
@@ -149,6 +166,15 @@ class ContainerStore:
             "container_compression_ratio",
             "Uncompressed over on-disk bytes for sealed containers (>= 1 when compression wins).",
         )
+        self._m_seal_seconds = self.metrics.histogram(
+            "container_seal_seconds",
+            "Wall time of one container seal: encode plus backend put.",
+        )
+        self._m_seals = self.metrics.counter(
+            "container_seals_total",
+            "Containers sealed, by the codec the encoder chose.",
+            labelnames=("codec",),
+        )
 
     def _next_container_id(self) -> int:
         """Resume numbering after existing containers (restart support)."""
@@ -184,9 +210,13 @@ class ContainerStore:
     def _seal_locked(self) -> None:
         if not self._open_buffer:
             return
+        started = time.perf_counter()
         payload = bytes(self._open_buffer)
         blob = _encode_container(payload)
         self._backend.put(self._name(self._open_id), blob)
+        self._m_seal_seconds.observe(time.perf_counter() - started)
+        _magic, codec, _len = _HEADER.unpack_from(blob)
+        self._m_seals.labels(codec=_CODEC_NAMES[codec]).inc()
         self._record_lens_locked(self._open_id, len(payload), len(blob))
         self.sealed_containers += 1
         self._open_id += 1

@@ -258,9 +258,16 @@ class DataStore:
 
     def flush(self) -> None:
         """Seal the open container and snapshot the fingerprint index, so
-        a restart over the same backend resumes with dedup state intact."""
-        self.containers.flush()
-        self.backend.put(INDEX_BLOB, self.index.encode())
+        a restart over the same backend resumes with dedup state intact.
+
+        Holds the store lock throughout: a ``put_chunk`` landing between
+        the seal and the encode would put an entry pointing into the new,
+        unsealed container into the snapshot, and after a crash that
+        container id is reused for different bytes.
+        """
+        with self._lock:
+            self.containers.flush()
+            self.backend.put(INDEX_BLOB, self.index.encode())
 
     # -- restart support -----------------------------------------------------
 

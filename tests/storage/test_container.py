@@ -3,19 +3,24 @@
 import hashlib
 import threading
 import time
+import zlib
 
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
+from repro.storage import container as container_module
 from repro.storage.backend import MemoryBackend
 from repro.storage.container import (
     _HEADER,
     _MAGIC,
+    _SAMPLE_BYTES,
     CODEC_STORED,
+    CODEC_ZLIB,
     ContainerStore,
 )
 from repro.storage.index import ChunkLocation
 from repro.util.errors import ConfigurationError, NotFoundError, StorageError
+from repro.util.units import MiB
 
 
 @pytest.fixture()
@@ -157,11 +162,33 @@ class TestLifecycle:
         assert restarted.container_fetches == 0
 
 
+def _frame_codec(backend, loc) -> int:
+    _magic, codec, _len = _HEADER.unpack_from(
+        backend.get(f"container/{loc.container_id:012d}")
+    )
+    return codec
+
+
+@pytest.fixture()
+def compress_spy(monkeypatch):
+    """Input lengths of every ``zlib.compress`` call the encoder makes."""
+    sizes = []
+    real = zlib.compress
+
+    def spy(data, *args, **kwargs):
+        sizes.append(len(data))
+        return real(data, *args, **kwargs)
+
+    monkeypatch.setattr(container_module.zlib, "compress", spy)
+    return sizes
+
+
 class TestCompression:
-    def test_compressible_payload_shrinks_on_disk(self, backend):
+    def test_compressible_payload_shrinks_on_disk(self, backend, compress_spy):
         store = ContainerStore(backend, container_bytes=4096)
         loc = store.append(b"abcd" * 1024)  # 4 KiB, highly compressible
         store.flush()
+        assert compress_spy == [4096]  # within the sample: one trial only
         on_disk = backend.size(f"container/{loc.container_id:012d}")
         assert on_disk < 4096
         assert store.compressed_bytes() == on_disk
@@ -225,6 +252,55 @@ class TestCompression:
         assert registry.value("container_compression_ratio") == pytest.approx(
             4096 / compressed
         )
+
+    def test_seal_metrics_by_codec(self, backend):
+        registry = MetricsRegistry()
+        store = ContainerStore(backend, container_bytes=4096, metrics=registry)
+        store.append(b"abcd" * 1024)  # fills and seals (zlib)
+        store.append(incompressible(1000))
+        store.flush()  # stored
+        assert registry.value("container_seals_total", codec="zlib") == 1
+        assert registry.value("container_seals_total", codec="stored") == 1
+        seconds = registry.get("container_seal_seconds").labels()
+        assert seconds.count == 2
+        assert seconds.sum > 0
+
+    # -- the 64 KiB sample rule for larger payloads ------------------------
+
+    def test_incompressible_payload_only_compresses_the_sample(
+        self, backend, compress_spy
+    ):
+        store = ContainerStore(backend, container_bytes=2 * MiB)
+        data = incompressible(MiB)
+        loc = store.append(data)
+        store.flush()
+        assert compress_spy == [_SAMPLE_BYTES]
+        assert _frame_codec(backend, loc) == CODEC_STORED
+        assert ContainerStore(backend).read(loc) == data
+
+    def test_compressible_payload_still_compressed(self, backend, compress_spy):
+        store = ContainerStore(backend, container_bytes=2 * MiB)
+        data = b"reed-container" * (MiB // 14 + 1)
+        loc = store.append(data)
+        store.flush()
+        assert compress_spy == [_SAMPLE_BYTES, len(data)]
+        assert _frame_codec(backend, loc) == CODEC_ZLIB
+        assert store.compressed_bytes() < len(data) // 10
+        assert ContainerStore(backend).read(loc) == data
+
+    def test_incompressible_sample_stores_the_whole_payload_raw(self, backend):
+        """By design the sample decides: a container whose first 64 KiB is
+        ciphertext is stored raw even if the rest would compress well."""
+        store = ContainerStore(backend, container_bytes=2 * MiB)
+        data = incompressible(_SAMPLE_BYTES) + b"\x00" * MiB
+        loc = store.append(data)
+        store.flush()
+        assert _frame_codec(backend, loc) == CODEC_STORED
+        assert backend.size(f"container/{loc.container_id:012d}") == (
+            _HEADER.size + len(data)
+        )
+        assert ContainerStore(backend).read(loc) == data
+
 
 
 class _CountingBackend(MemoryBackend):

@@ -1,10 +1,14 @@
 """Tests for the data store (dedup accounting, recipes, stubs, GC)."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.crypto.hashing import fingerprint
 from repro.obs.metrics import MetricsRegistry
-from repro.storage.datastore import DataStore
+from repro.storage.datastore import INDEX_BLOB, DataStore
+from repro.storage.index import FingerprintIndex
 from repro.util.errors import NotFoundError, StorageError
 
 
@@ -153,6 +157,72 @@ class TestBatchReads:
         assert stats.container_payload_bytes == 4096
         assert 0 < stats.container_compressed_bytes < 4096
         assert stats.compression_ratio > 1.0
+
+
+class TestFlushSnapshot:
+    def test_put_racing_flush_is_not_snapshotted_into_an_unsealed_container(self):
+        store = DataStore(container_bytes=1024)
+        put(store, b"a" * 32)
+        racer = b"r" * 32
+        real_flush = store.containers.flush
+        threads = []
+
+        def flush_then_race():
+            real_flush()
+            # A concurrent upload's put lands right after the seal.  The
+            # timeout lets the snapshot proceed when the put is blocked.
+            thread = threading.Thread(target=put, args=(store, racer))
+            thread.start()
+            thread.join(timeout=0.5)
+            threads.append(thread)
+
+        store.containers.flush = flush_then_race
+        store.flush()
+        threads[0].join(timeout=5)
+        assert not threads[0].is_alive()
+        # Crash before the next flush: the racer's open container is lost
+        # and the rebooted store reuses its id for different bytes.
+        rebooted = DataStore(backend=store.backend, container_bytes=1024)
+        other = b"o" * 32
+        put(rebooted, other)
+        assert not rebooted.has_chunk(fingerprint(racer))
+        assert rebooted.get_chunk(fingerprint(other)) == other
+        assert rebooted.get_chunk(fingerprint(b"a" * 32)) == b"a" * 32
+
+    def test_every_snapshot_entry_is_sealed_under_concurrent_puts(self):
+        store = DataStore(container_bytes=4096)
+        stop = threading.Event()
+        dangling = []
+
+        def putter(worker):
+            for i in range(300):
+                put(store, f"{worker}:{i}".encode() * 8)
+
+        def flusher():
+            while not stop.is_set():
+                store.flush()
+                snapshot = FingerprintIndex.decode(store.backend.get(INDEX_BLOB))
+                for fp in snapshot.fingerprints():
+                    cid = snapshot.lookup(fp).container_id
+                    if not store.backend.exists(f"container/{cid:012d}"):
+                        dangling.append(cid)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            putters = [threading.Thread(target=putter, args=(w,)) for w in range(4)]
+            flush_thread = threading.Thread(target=flusher)
+            flush_thread.start()
+            for thread in putters:
+                thread.start()
+            for thread in putters:
+                thread.join(timeout=30)
+            stop.set()
+            flush_thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in [*putters, flush_thread])
+        assert dangling == []
 
 
 class TestAddrefContract:
