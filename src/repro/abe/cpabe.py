@@ -34,7 +34,7 @@ user count), decryption of an OR-of-identifiers policy touches one leaf
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.abe import access_tree as at
 from repro.crypto import shamir
@@ -83,10 +83,18 @@ class AbeCiphertext:
     nonce: bytes
     body: bytes
     mac: bytes
+    #: ``policy`` encoded: what the MAC binds and :meth:`encode` writes.
+    #: Encoded once — from the tree when not given, kept as read by
+    #: :meth:`decode`.
+    policy_blob: bytes = field(default=b"", repr=False)
+
+    def __post_init__(self) -> None:
+        if not self.policy_blob:
+            object.__setattr__(self, "policy_blob", at.encode_tree(self.policy))
 
     def encode(self) -> bytes:
         enc = Encoder()
-        enc.blob(at.encode_tree(self.policy))
+        enc.blob(self.policy_blob)
         enc.uint(len(self.wrapped_shares))
         for share in self.wrapped_shares:
             enc.blob(share)
@@ -98,7 +106,8 @@ class AbeCiphertext:
     @classmethod
     def decode(cls, data: bytes) -> "AbeCiphertext":
         dec = Decoder(data)
-        policy = at.decode_tree(dec.blob())
+        policy_blob = dec.blob()
+        policy = at.decode_tree(policy_blob)
         count = dec.uint()
         if count != at.leaf_count(policy):
             raise CorruptionError("share count does not match policy leaves")
@@ -108,7 +117,12 @@ class AbeCiphertext:
         mac = dec.blob()
         dec.expect_end()
         return cls(
-            policy=policy, wrapped_shares=shares, nonce=nonce, body=body, mac=mac
+            policy=policy,
+            wrapped_shares=shares,
+            nonce=nonce,
+            body=body,
+            mac=mac,
+            policy_blob=policy_blob,
         )
 
 
@@ -245,13 +259,15 @@ def abe_encrypt(
     payload_key = kdf(secret_bytes, "abe-payload-key")
     body = cipher.encrypt(payload_key, nonce[: cipher.nonce_size], plaintext)
     mac_key = kdf(secret_bytes, "abe-mac-key")
-    mac = hmac_sha256(mac_key, at.encode_tree(policy) + nonce + body)
+    policy_blob = at.encode_tree(policy)
+    mac = hmac_sha256(mac_key, policy_blob + nonce + body)
     return AbeCiphertext(
         policy=policy,
         wrapped_shares=tuple(wrapped),
         nonce=nonce,
         body=body,
         mac=mac,
+        policy_blob=policy_blob,
     )
 
 
@@ -286,7 +302,7 @@ def abe_decrypt(
     secret_bytes = shamir.secret_to_bytes(secret)
     mac_key = kdf(secret_bytes, "abe-mac-key")
     expected = hmac_sha256(
-        mac_key, at.encode_tree(ciphertext.policy) + ciphertext.nonce + ciphertext.body
+        mac_key, ciphertext.policy_blob + ciphertext.nonce + ciphertext.body
     )
     if not ct_equal(expected, ciphertext.mac):
         raise IntegrityError("ABE ciphertext failed its integrity check")

@@ -34,7 +34,7 @@ from repro.abe.cpabe import abe_decrypt, abe_encrypt, PrivateAccessKey
 from repro.chunking.chunker import Chunk, ChunkingSpec, chunk_stream
 from repro.core import envelopes
 from repro.core.chunkcache import ChunkCache
-from repro.core.parallel import ChunkTransformPool, StubRekeyPool
+from repro.core.parallel import MIN_PARALLEL_WIND, ChunkTransformPool, RekeyPool
 from repro.core.policy import FilePolicy
 from repro.core.rekey import RekeyManyResult, RekeyResult, RevocationMode
 from repro.core.rekeypipe import (
@@ -226,12 +226,15 @@ class REEDClient:
         #: Files per rekey-pipeline window — one batch RPC per stage per
         #: window (see :mod:`repro.core.rekeypipe`).
         self.rekey_batch_size = rekey_batch_size
-        self._stub_rekey_pool = StubRekeyPool(
+        #: Key-regression winds and stub re-encryption, on worker
+        #: processes that hold this owner's derivation key.
+        self._rekey_pool = RekeyPool(
             cipher=self.scheme.cipher,
             workers=rekey_workers,
             default_stub_size=self.scheme.stub_size,
+            owner=keyreg_owner,
         )
-        self.rekey_workers = self._stub_rekey_pool.workers
+        self.rekey_workers = self._rekey_pool.workers
         self.rng = rng or SYSTEM_RANDOM
         #: When set, pathnames are obfuscated with this salt before they
         #: reach the recipe (paper Section IV-D: "we can obfuscate
@@ -280,6 +283,12 @@ class REEDClient:
             "client_rekey_stub_bytes_total",
             "Stub-file bytes moved by active rekeys (down + up).",
         )
+        self._m_rekey_wind_batches = self.metrics.counter(
+            "client_rekey_wind_batches_total",
+            "Key-regression wind batches, by where they were wound "
+            "(rekey worker processes or the caller thread).",
+            labelnames=("mode",),
+        )
         #: Optional client-side read cache of trimmed packages (see
         #: :mod:`repro.core.chunkcache`).  Pass a :class:`ChunkCache` to
         #: share one cache across clients, or ``chunk_cache_bytes`` to
@@ -313,16 +322,24 @@ class REEDClient:
         )
 
     def close(self) -> None:
-        """Reap encryption worker processes (they restart lazily)."""
+        """Reap encryption and rekey worker processes (they restart lazily)."""
         self._transform_pool.close()
-        self._stub_rekey_pool.close()
+        self._rekey_pool.close()
 
     def _seal_key_state(
-        self, file_id: str, state: KeyState, policy: FilePolicy
+        self,
+        file_id: str,
+        state: KeyState,
+        policy: FilePolicy,
+        wrap_keys: dict[str, bytes] | None = None,
     ) -> KeyStateRecord:
+        """ABE-seal ``state`` under ``policy``; pass ``wrap_keys`` (the
+        provider's keys for ``policy``) to reuse them across files."""
         owner = self._require_owner()
+        if wrap_keys is None:
+            wrap_keys = self.wrap_keys_provider(policy.tree)
         ciphertext = abe_encrypt(
-            self.wrap_keys_provider(policy.tree),
+            wrap_keys,
             policy.tree,
             state.encode(),
             cipher=self.scheme.cipher,
@@ -851,6 +868,24 @@ class REEDClient:
             return self._file_key_at(record, state, version)
         return self._require_owner().wind_to(state, version).derive_key()
 
+    def _wind(self, states: list[KeyState]) -> list[KeyState]:
+        """The rekey wind stage: advance each key state one version.
+
+        Windows of :data:`~repro.core.parallel.MIN_PARALLEL_WIND` states
+        or more wind on the rekey workers, which hold the derivation key
+        from start-up; smaller ones (every single-file rekey) wind on
+        this thread.  A wind is deterministic, so the output does not
+        depend on where it ran.
+        """
+        pool = self._rekey_pool
+        parallel = len(states) >= MIN_PARALLEL_WIND and pool.workers > 1
+        with self.tracer.span("rekey.wind", files=len(states)):
+            wound = pool.wind(states, parallel=parallel)
+        self._m_rekey_wind_batches.labels(
+            mode="parallel" if parallel else "serial"
+        ).inc()
+        return wound
+
     def rekey(
         self,
         file_id: str,
@@ -882,13 +917,14 @@ class REEDClient:
         with obs_scope.attribution() as scope, tracer.span(
             "rekey", mode=mode.value
         ) as root:
-            owner = self._require_owner()
-            with tracer.span("rekey.wind"):
+            self._require_owner()
+            with tracer.span("rekey.open"):
                 record = (
                     _record if _record is not None else self.keystore.get(file_id)
                 )
                 old_state = self._open_key_state(record)
-                new_state = owner.wind(old_state)
+            (new_state,) = self._wind([old_state])
+            with tracer.span("rekey.seal"):
                 new_record = self._seal_key_state(file_id, new_state, new_policy)
 
             stub_bytes = 0
@@ -900,7 +936,7 @@ class REEDClient:
                     )
                     stub_file = self.storage.stub_get(file_id)
                     nonce = self.rng.random_bytes(STUB_NONCE_SIZE)
-                    (new_stub_file,) = self._stub_rekey_pool.reencrypt(
+                    (new_stub_file,) = self._rekey_pool.reencrypt(
                         [(stub_file, old_file_key, new_state.derive_key(), nonce)]
                     )
                     self.storage.stub_put(file_id, new_stub_file)
@@ -948,29 +984,33 @@ class REEDClient:
         The fleet-scale form of :meth:`rekey`: files move through the
         :class:`~repro.core.rekeypipe.RekeyPipeline` in windows of
         :attr:`rekey_batch_size`, with one batch RPC per stage per
-        window instead of ~5 round trips per file, stub re-encryption
-        fanned out across :attr:`rekey_workers`, and up to
-        :attr:`pipeline_depth` windows in flight.  Output is
-        bit-identical to calling :meth:`rekey` per file in order (every
-        random draw happens on this thread in file order), key states
-        still commit last within each window, and the first failing file
-        aborts the run deterministically — no window after the failing
-        one ships anything.
+        window instead of ~5 round trips per file, key-regression winds
+        and stub re-encryption fanned out across :attr:`rekey_workers`,
+        and up to :attr:`pipeline_depth` windows in flight.  Output is
+        bit-identical to calling :meth:`rekey` per file in order (winds
+        are deterministic and every random draw happens on this thread
+        in file order), key states still commit last within each window,
+        and the first failing file aborts the run deterministically — no
+        window after the failing one ships anything.
         """
-        owner = self._require_owner()
+        self._require_owner()
         active = mode is RevocationMode.ACTIVE
+        # One policy for the whole run: its wrap keys are fetched once.
+        wrap_keys = self.wrap_keys_provider(new_policy.tree)
 
         def plan_file(
             file_id: str,
             record: KeyStateRecord,
+            old_state: KeyState,
+            new_state: KeyState,
             recipe_bytes: bytes | None,
             stub_file: bytes | None,
         ) -> FileRekeyPlan:
-            old_state = self._open_key_state(record)
-            new_state = owner.wind(old_state)
             plan = FileRekeyPlan(
                 file_id=file_id,
-                new_record=self._seal_key_state(file_id, new_state, new_policy),
+                new_record=self._seal_key_state(
+                    file_id, new_state, new_policy, wrap_keys
+                ),
                 old_key_version=old_state.version,
                 new_key_version=new_state.version,
             )
@@ -995,9 +1035,11 @@ class REEDClient:
         pipeline = RekeyPipeline(
             self.storage,
             self.keystore,
-            plan_file,
-            self.tracer,
-            stub_pool=self._stub_rekey_pool,
+            opener=self._open_key_state,
+            planner=plan_file,
+            tracer=self.tracer,
+            winder=self._wind,
+            stub_pool=self._rekey_pool,
             active=active,
             batch_size=self.rekey_batch_size,
             pipeline_depth=self.pipeline_depth,
@@ -1038,7 +1080,7 @@ class REEDClient:
             if key_scoped
             else getattr(self.keystore, "round_trips", 0) - key_trips_before,
             batches=stats.batches,
-            workers=self.rekey_workers if active else 0,
+            workers=self.rekey_workers,
             trace_id=pipeline_root.trace_id,
         )
 

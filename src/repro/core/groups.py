@@ -65,7 +65,8 @@ class GroupRekeyResult:
     keystore_round_trips: int = 0
     #: Rekey pipeline windows shipped (0 on the serial path).
     batches: int = 0
-    #: Stub re-encryption workers configured (0 when serial or lazy).
+    #: Rekey workers configured for member winds and stub re-encryption
+    #: (0 when serial or lazy: lazy group rekeying winds no member file).
     workers: int = 0
 
 
@@ -390,43 +391,41 @@ class GroupManager:
         def plan_file(
             file_id: str,
             file_record: KeyStateRecord,
+            old_state: KeyState,
+            new_state: KeyState,
             recipe_bytes: bytes | None,
             stub_file: bytes | None,
         ) -> FileRekeyPlan:
-            file_state = open_member_state(file_record)
-            old_version = file_state.version
             stub_fields = {}
             if active:
                 recipe = FileRecipe.decode(recipe_bytes)
-                old_file_key = client._stub_source_key(
-                    file_record, file_state, recipe.key_version
-                )
-                file_state = client.keyreg_owner.wind(file_state)
                 # Draw order matches the serial path per file: stub nonce
                 # first, then the group envelope's nonce (in seal_group).
                 stub_fields = dict(
                     stub_file=stub_file,
-                    old_file_key=old_file_key,
-                    new_file_key=file_state.derive_key(),
+                    old_file_key=client._stub_source_key(
+                        file_record, old_state, recipe.key_version
+                    ),
+                    new_file_key=new_state.derive_key(),
                     nonce=client.rng.random_bytes(STUB_NONCE_SIZE),
                     updated_recipe=FileRecipe(
                         file_id=recipe.file_id,
                         pathname=recipe.pathname,
                         size=recipe.size,
                         scheme=recipe.scheme,
-                        key_version=file_state.version,
+                        key_version=new_state.version,
                         chunks=recipe.chunks,
                     ).encode(),
                 )
             new_record = KeyStateRecord(
                 file_id=file_id,
                 policy_text=f"@group:{group_id}",
-                key_version=file_state.version,
+                key_version=new_state.version,
                 encrypted_state=envelopes.seal_group(
                     group_id,
                     new_group_version,
                     new_key,
-                    file_state.encode(),
+                    new_state.encode(),
                     cipher=client.scheme.cipher,
                     rng=client.rng,
                 ),
@@ -435,17 +434,21 @@ class GroupManager:
             return FileRekeyPlan(
                 file_id=file_id,
                 new_record=new_record,
-                old_key_version=old_version,
-                new_key_version=file_state.version,
+                old_key_version=old_state.version,
+                new_key_version=new_state.version,
                 **stub_fields,
             )
 
+        # Lazy group rekeying re-wraps member states as they are; only
+        # active mode winds them.
         pipeline = RekeyPipeline(
             client.storage,
             client.keystore,
-            plan_file,
-            client.tracer,
-            stub_pool=client._stub_rekey_pool,
+            opener=open_member_state,
+            planner=plan_file,
+            tracer=client.tracer,
+            winder=client._wind if active else None,
+            stub_pool=client._rekey_pool,
             active=active,
             batch_size=client.rekey_batch_size,
             pipeline_depth=client.pipeline_depth,
@@ -459,10 +462,10 @@ class GroupManager:
         client = self.client
         recipe = FileRecipe.decode(client.storage.recipe_get(record.file_id))
         old_file_key = client._stub_source_key(record, state, recipe.key_version)
-        new_state = client.keyreg_owner.wind(state)
+        (new_state,) = client._wind([state])
         stub_file = client.storage.stub_get(record.file_id)
         nonce = client.rng.random_bytes(STUB_NONCE_SIZE)
-        (new_stub_file,) = client._stub_rekey_pool.reencrypt(
+        (new_stub_file,) = client._rekey_pool.reencrypt(
             [(stub_file, old_file_key, new_state.derive_key(), nonce)]
         )
         client.storage.stub_put(record.file_id, new_stub_file)

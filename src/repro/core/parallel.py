@@ -1,4 +1,4 @@
-"""Parallel chunk-transform pool for the client encrypt path.
+"""Client worker pools: chunk transforms and rekeying.
 
 The chunk transform (MLE encryption + CAONT packaging) is pure Python and
 CPU-bound, so the GIL serializes it no matter how many threads run it —
@@ -6,7 +6,9 @@ the journal version of REED reaches its reported throughputs only with
 truly concurrent chunk encryption.  :class:`ChunkTransformPool` runs the
 transform across *processes*: chunk batches are pickled to workers, each
 worker rebuilds the encryption scheme once from its registry names, and
-results are reassembled in submission order.
+results are reassembled in submission order.  :class:`RekeyPool` does
+the same for the two CPU-bound steps of a rekey: key-regression winds
+(one private RSA operation per file) and stub-file re-encryption.
 
 The worker lifecycle, span slicing and every fallback (in-process for
 small batches and single-worker configurations, threads when process
@@ -14,7 +16,7 @@ pools are unavailable, an in-process redo when a worker dies) live in
 :class:`~repro.util.spanpool.SpanPool`; the pools here add what they
 transform and when a batch is worth the hand-off.  Schemes or ciphers
 that are not registry-reconstructible in a fresh process (custom
-instances) stay on threads.
+instances) never leave the parent process.
 
 Worker processes are started lazily on first use and reused across
 uploads; call :meth:`ChunkTransformPool.close` (or
@@ -27,12 +29,19 @@ from __future__ import annotations
 from repro.core.schemes import STUB_SIZE, EncryptionScheme, SplitPackage, get_scheme
 from repro.core.stubs import decrypt_stub_file, encrypt_stub_file
 from repro.crypto.cipher import SymmetricCipher, get_cipher
+from repro.crypto.rsa import RSAPrivateKey
+from repro.keyreg.rsa_keyreg import KeyRegressionOwner, KeyState
 from repro.util.errors import ConfigurationError, IntegrityError
 from repro.util.spanpool import SpanPool
 
 #: Below this many bytes per batch the fork/pickle overhead exceeds the
 #: parallel win and the transform runs serially in-process.
 DEFAULT_MIN_PARALLEL_BYTES = 1 << 20
+
+#: Rekey windows of fewer key states wind on the caller thread: a wind
+#: is ~1.4 ms of CPU, so a handful of them does not repay the hand-off,
+#: and a single-file rekey never starts the workers at all.
+MIN_PARALLEL_WIND = 8
 
 
 # -- worker-process side -----------------------------------------------------
@@ -125,6 +134,21 @@ def _reencrypt_stub_batch(
     ]
 
 
+#: Worker processes only: the owner's side of key regression, holding
+#: the derivation key installed when the worker started.
+_WINDER: KeyRegressionOwner | None = None
+
+
+def _hold_derivation_key(private_key: RSAPrivateKey) -> None:
+    global _WINDER
+    _WINDER = KeyRegressionOwner(private_key)
+
+
+def _wind_span(states: list[KeyState]) -> list[KeyState]:
+    """Worker entry point: wind one span with the key held since start-up."""
+    return [_WINDER.wind(state) for state in states]
+
+
 # -- client side -------------------------------------------------------------
 
 
@@ -164,7 +188,7 @@ def _cipher_spec(cipher: SymmetricCipher) -> str | None:
     return name
 
 
-def _repays_hand_off(pool: "ChunkTransformPool | StubRekeyPool", total: int) -> bool:
+def _repays_hand_off(pool: "ChunkTransformPool", total: int) -> bool:
     # Threads pay no pickling, so only the process path has a floor.
     return not pool.use_processes or total >= pool.min_parallel_bytes
 
@@ -232,17 +256,26 @@ class ChunkTransformPool(SpanPool):
         )
 
 
-class StubRekeyPool(SpanPool):
-    """Runs stub-file re-encryption over batches, in parallel when it pays.
+class RekeyPool(SpanPool):
+    """The client's rekey workers: key-regression winds and stub files.
 
-    The active-revocation hot path: each item is one whole stub file to
-    decrypt under the old file key and re-encrypt under the new one.
-    Nonces come from the caller (drawn on the client thread in file
-    order), so the output is bit-identical to the serial path no matter
-    how items are scheduled across workers.  Degrades exactly like
-    :class:`ChunkTransformPool`: serial below ``min_parallel_bytes``,
-    threads for non-registry ciphers or when process pools are
-    unavailable, and a serial redo if the pool breaks mid-batch.
+    **Winds.**  With an ``owner``, every worker holds the owner's
+    derivation key from start-up, exactly like the key manager's signers
+    hold theirs; per window only key states go out and wound states come
+    back, in order.  A wind is deterministic, so where it ran never
+    shows in the output.
+
+    **Stub files** (the active-revocation hot path): each item is one
+    whole stub file to decrypt under the old file key and re-encrypt
+    under the new one.  Nonces come from the caller (drawn on the client
+    thread in file order), so the output is bit-identical to the serial
+    path no matter how items are scheduled across workers.  Batches below
+    ``min_parallel_bytes`` and ciphers that cannot be rebuilt from their
+    registry name stay in-process; that does not keep winds off the
+    workers.
+
+    Degrades like :class:`ChunkTransformPool`: threads when process
+    pools are unavailable, a serial redo if the pool breaks mid-batch.
     """
 
     def __init__(
@@ -252,12 +285,34 @@ class StubRekeyPool(SpanPool):
         use_processes: bool = True,
         min_parallel_bytes: int = DEFAULT_MIN_PARALLEL_BYTES,
         default_stub_size: int = STUB_SIZE,
+        owner: KeyRegressionOwner | None = None,
     ) -> None:
         self.cipher = cipher or get_cipher()
-        self._spec = _cipher_spec(self.cipher) if use_processes else None
-        super().__init__(workers, use_processes=self._spec is not None)
+        self._spec = _cipher_spec(self.cipher)
+        self.owner = owner
+        super().__init__(
+            workers,
+            use_processes=use_processes
+            and (self._spec is not None or owner is not None),
+            initializer=_hold_derivation_key if owner is not None else None,
+            initargs=(owner.derivation_key,) if owner is not None else (),
+        )
         self.min_parallel_bytes = min_parallel_bytes
         self.default_stub_size = default_stub_size
+
+    def _wind_serial(self, states: list[KeyState]) -> list[KeyState]:
+        wind = self.owner.wind
+        return [wind(state) for state in states]
+
+    def wind(self, states: list[KeyState], parallel: bool = True) -> list[KeyState]:
+        """Wind each key state one version, preserving order.
+
+        ``parallel=False`` is the caller's verdict that the window is too
+        small to repay the hand-off (see :data:`MIN_PARALLEL_WIND`).
+        """
+        return self.map_spans(
+            states, self._wind_serial, _wind_span, parallel=parallel
+        )
 
     def _reencrypt_serial(
         self, items: list[tuple[bytes, bytes, bytes, bytes]]
@@ -282,5 +337,8 @@ class StubRekeyPool(SpanPool):
             _reencrypt_stub_batch,
             self._spec,
             self.default_stub_size,
-            parallel=_repays_hand_off(self, total),
+            # Threads pay no pickling; a worker process needs a cipher it
+            # can rebuild and a batch that repays the hand-off.
+            parallel=not self.use_processes
+            or (self._spec is not None and total >= self.min_parallel_bytes),
         )

@@ -68,7 +68,8 @@ class RekeyManyResult:
     keystore_round_trips: int = 0
     #: Pipeline windows shipped (≈ ``ceil(files / batch_size)``).
     batches: int = 0
-    #: Stub re-encryption workers configured.
+    #: Rekey workers configured: they wind key states in both modes and
+    #: re-encrypt stub files in active mode.
     workers: int = 0
     #: Distributed trace id of the shared ``rekey.pipeline`` root span.
     trace_id: str = ""

@@ -11,12 +11,17 @@ Stages, mirroring the upload pipeline:
 
 1. **fetch** (single worker thread) — ``keystore.get_many`` plus, for
    active revocation, ``recipe_get_many`` and ``stub_get_many``;
-2. **plan + re-encrypt** (caller thread) — a per-file *planner* callback
-   opens each key state, winds it forward, and seals the new record,
-   drawing every random byte **on the caller thread in file order**;
-   the pure stub re-encryption then fans out across the
-   :class:`~repro.core.parallel.StubRekeyPool` with caller-drawn nonces,
-   so pipelined output is bit-identical to the serial path;
+2. **open → wind → plan → re-encrypt** (caller thread) — an *opener*
+   callback opens every key state of the window in file order; the
+   *winder* advances them all one version in one call (the client runs
+   windows of :data:`~repro.core.parallel.MIN_PARALLEL_WIND` or more on
+   its :class:`~repro.core.parallel.RekeyPool` workers, which hold the
+   owner's derivation key); a per-file *planner* callback then seals
+   each new record, drawing every random byte **on the caller thread in
+   file order**; the pure stub re-encryption then fans out across the
+   same pool with caller-drawn nonces.  Winds are deterministic and the
+   draw order is the per-file order, so pipelined output is
+   bit-identical to the serial path;
 3. **ship** (single worker thread) — ``stub_put_many`` →
    ``recipe_put_many`` → ``keystore.put_many``.  Key states commit
    *last*: until they land, the old record still opens the file, and the
@@ -38,7 +43,8 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from repro.core.parallel import StubRekeyPool
+from repro.core.parallel import RekeyPool
+from repro.keyreg.rsa_keyreg import KeyState
 from repro.obs.tracing import Tracer
 from repro.storage.keystore import KeyStateRecord
 
@@ -66,10 +72,22 @@ class FileRekeyPlan:
     moved_bytes: int = 0
 
 
-#: planner(file_id, record, recipe_bytes, stub_file) -> FileRekeyPlan.
-#: ``recipe_bytes``/``stub_file`` are None for lazy revocation.  Called
-#: on the caller thread in file order — all rng draws belong here.
-Planner = Callable[[str, KeyStateRecord, bytes | None, bytes | None], FileRekeyPlan]
+#: opener(record) -> the file's current key state.  Called on the caller
+#: thread in file order; draws no randomness.
+Opener = Callable[[KeyStateRecord], KeyState]
+
+#: winder(states) -> each state one version on, in order.
+Winder = Callable[[list[KeyState]], list[KeyState]]
+
+#: planner(file_id, record, old_state, new_state, recipe_bytes, stub_file)
+#: -> FileRekeyPlan.  ``new_state`` is the state the new record seals:
+#: the wound one, or ``old_state`` itself when the pipeline has no
+#: winder.  ``recipe_bytes``/``stub_file`` are None for lazy revocation.
+#: Called on the caller thread in file order — all rng draws belong here.
+Planner = Callable[
+    [str, KeyStateRecord, KeyState, KeyState, bytes | None, bytes | None],
+    FileRekeyPlan,
+]
 
 
 @dataclass
@@ -131,28 +149,34 @@ def _storage_put_many(
 class RekeyPipeline:
     """One batched rekey run over a fixed list of file ids.
 
-    The pipeline is policy-agnostic: the *planner* decides how each key
-    state winds and how its new record is sealed (per-file ABE for
-    :meth:`REEDClient.rekey_many`, symmetric group envelopes for
-    :meth:`GroupManager.rekey`), so both ride the same fetch/re-encrypt/
-    ship machinery.
+    The pipeline is policy-agnostic: the *opener* and *planner* decide
+    how each key state opens and how its new record is sealed (per-file
+    ABE for :meth:`REEDClient.rekey_many`, symmetric group envelopes for
+    :meth:`GroupManager.rekey`), so both ride the same fetch/wind/
+    re-encrypt/ship machinery.  Without a *winder* the states are
+    resealed as they are (lazy group rekeying re-wraps, it never winds
+    member files).
     """
 
     def __init__(
         self,
         storage,
         keystore,
+        opener: Opener,
         planner: Planner,
         tracer: Tracer,
-        stub_pool: StubRekeyPool | None = None,
+        winder: Winder | None = None,
+        stub_pool: RekeyPool | None = None,
         active: bool = False,
         batch_size: int = DEFAULT_REKEY_BATCH_SIZE,
         pipeline_depth: int = 2,
     ) -> None:
         self._storage = storage
         self._keystore = keystore
+        self._opener = opener
         self._planner = planner
         self._tracer = tracer
+        self._winder = winder
         self._stub_pool = stub_pool
         self._active = active
         self._batch_size = max(1, batch_size)
@@ -175,15 +199,32 @@ class RekeyPipeline:
     ) -> list[FileRekeyPlan]:
         records, recipes, stub_files = fetched
         with self._tracer.span("rekey.reencrypt", files=len(window)):
-            plans: list[FileRekeyPlan] = []
-            for file_id, record, recipe, stub_file in zip(
-                window, records, recipes, stub_files
-            ):
-                # Per-item fetch errors surface here, earliest file first.
-                for item in (record, recipe, stub_file):
-                    if isinstance(item, Exception):
-                        raise item
-                plans.append(self._planner(file_id, record, recipe, stub_file))
+            # Open in file order up to the first file that cannot be
+            # fetched or opened.  Its error is raised only after every
+            # file before it is planned, so a planning error of an
+            # earlier file still wins: the first error in file order.
+            old_states: list[KeyState] = []
+            failure: Exception | None = None
+            for record, recipe, stub_file in zip(records, recipes, stub_files):
+                try:
+                    for item in (record, recipe, stub_file):
+                        if isinstance(item, Exception):
+                            raise item
+                    old_states.append(self._opener(record))
+                except Exception as error:
+                    failure = error
+                    break
+            new_states = old_states
+            if self._winder is not None and old_states:
+                new_states = self._winder(old_states)
+            plans = [
+                self._planner(file_id, record, old, new, recipe, stub_file)
+                for file_id, record, old, new, recipe, stub_file in zip(
+                    window, records, old_states, new_states, recipes, stub_files
+                )
+            ]
+            if failure is not None:
+                raise failure
             if self._active:
                 items = [
                     (p.stub_file, p.old_file_key, p.new_file_key, p.nonce)

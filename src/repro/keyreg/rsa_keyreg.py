@@ -82,6 +82,12 @@ class KeyRegressionOwner:
     def public_key(self) -> RSAPublicKey:
         return self._private_key.public
 
+    @property
+    def derivation_key(self) -> RSAPrivateKey:
+        """The private derivation key, for workers that wind on the
+        owner's behalf (:class:`~repro.core.parallel.RekeyPool`)."""
+        return self._private_key
+
     def member(self) -> "KeyRegressionMember":
         return KeyRegressionMember(self.public_key)
 

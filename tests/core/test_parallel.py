@@ -1,12 +1,15 @@
-"""Tests for the parallel chunk-transform pool."""
+"""Tests for the client worker pools: chunk transforms and rekeying."""
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import pytest
 
-from repro.core.parallel import ChunkTransformPool, _registry_spec
+from repro.core.parallel import ChunkTransformPool, RekeyPool, _registry_spec
 from repro.core.schemes import get_scheme
+from repro.core.stubs import encrypt_stub_file
 from repro.crypto.cipher import get_cipher
+from repro.crypto.drbg import HmacDrbg
+from repro.keyreg.rsa_keyreg import KeyRegressionOwner
 from repro.util.errors import ConfigurationError
 
 
@@ -107,3 +110,50 @@ class TestThreadFallback:
             chunks, keys = _inputs(4)
             pool.encrypt(chunks, keys)
             assert isinstance(pool._executor, ThreadPoolExecutor)
+
+
+class _UnregisteredCipher(type(get_cipher("hashctr"))):
+    name = "not-registered"
+
+
+@pytest.fixture()
+def keyreg_owner(rsa_512):
+    return KeyRegressionOwner(private_key=rsa_512, rng=HmacDrbg(b"rekey-pool"))
+
+
+def _states(owner, count):
+    states = [owner.initial_state()]
+    for _ in range(count - 1):
+        states.append(owner.wind(states[-1]))
+    return states
+
+
+class TestRekeyPool:
+    def test_winds_on_workers_match_in_process(self, keyreg_owner):
+        states = _states(keyreg_owner, 11)
+        with RekeyPool(workers=2, owner=keyreg_owner) as pool:
+            assert pool.wind(states) == [keyreg_owner.wind(s) for s in states]
+            assert pool.parallel_batches == 1
+            assert isinstance(pool._executor, ProcessPoolExecutor)
+
+    def test_unregistered_cipher_keeps_stubs_home_not_winds(self, keyreg_owner):
+        """Winds run on processes whatever the stub cipher is; stub files
+        under a cipher a fresh process cannot rebuild stay in-process."""
+        cipher = _UnregisteredCipher()
+        states = _states(keyreg_owner, 4)
+        old, new = bytes(32), bytes([1]) * 32
+        stub_file = encrypt_stub_file(
+            old, [bytes(64)] * 20_000, cipher=cipher, nonce=bytes(16)
+        )
+        with RekeyPool(cipher=cipher, workers=2, owner=keyreg_owner) as pool:
+            assert pool.wind(states) == [keyreg_owner.wind(s) for s in states]
+            assert isinstance(pool._executor, ProcessPoolExecutor)
+            items = [(stub_file, old, new, bytes([n]) * 16) for n in range(2)]
+            assert pool.reencrypt(items) == pool._reencrypt_serial(items)
+            assert (pool.parallel_batches, pool.serial_batches) == (1, 1)
+
+    def test_reader_with_unregistered_cipher_never_forks(self):
+        """Without a derivation key and with a cipher no fresh process can
+        rebuild, no rekey work could leave the process."""
+        pool = RekeyPool(workers=2, cipher=_UnregisteredCipher())
+        assert pool.use_processes is False

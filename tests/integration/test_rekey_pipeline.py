@@ -6,10 +6,15 @@ reference path, a dead shard aborts the run deterministically without a
 partially-rekeyed manifest, every member file still round-trips after
 the rekey, attribution stays exact under concurrent traffic, and an
 injected mid-rekey crash recovers on retry (key states commit last).
+Key-regression winds of windows of ``MIN_PARALLEL_WIND`` files or more
+run on the client's rekey worker processes; their output is
+bit-identical to the per-file path.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import multiprocessing
 import threading
 
 import pytest
@@ -17,11 +22,12 @@ import pytest
 from repro.chunking.chunker import ChunkingSpec
 from repro.core.cluster import TcpCluster
 from repro.core.groups import GroupManager
+from repro.core.parallel import MIN_PARALLEL_WIND
 from repro.core.policy import FilePolicy
 from repro.core.rekey import RevocationMode
 from repro.core.system import build_system
 from repro.crypto.drbg import HmacDrbg
-from repro.util.errors import IntegrityError
+from repro.util.errors import CorruptionError, IntegrityError
 from repro.workloads.synthetic import unique_data
 
 GROUP = "project"
@@ -349,3 +355,156 @@ def test_interrupted_group_rekey_manifest_recovers():
         assert sorted(groups._read_manifest(GROUP, key)) == sorted(file_ids)
         assert state.version == result.new_group_version
         owner.close()
+
+
+# -- parallel key-regression winds -------------------------------------------
+
+#: (files, rekey_workers): windows of 64 around the wind threshold and the
+#: batch size, plus a single-worker client.
+WIND_CASES = [
+    (1, 2),
+    (MIN_PARALLEL_WIND - 1, 2),
+    (MIN_PARALLEL_WIND, 2),
+    (63, 2),
+    (64, 2),
+    (65, 2),
+    (65, 1),
+]
+
+
+def _wind_cluster(seed: bytes, files: int, workers: int = 2):
+    """A TCP cluster whose owner uploaded ``files`` small files."""
+    cluster = TcpCluster(num_data_servers=2, chunking=CHUNKING, rng=HmacDrbg(seed))
+    try:
+        client = cluster.new_client(
+            "alice", rekey_workers=workers, rekey_batch_size=64
+        )
+        file_ids = _member_ids(files)
+        for index, file_id in enumerate(file_ids):
+            client.upload(file_id, _payload(index))
+    except BaseException:
+        cluster.stop()
+        raise
+    return cluster, client, file_ids
+
+
+@pytest.mark.parametrize("files, workers", WIND_CASES)
+def test_parallel_winds_bit_identical_to_per_file_rekey(files, workers):
+    """``rekey_many`` in windows of 64 — winds on the rekey workers where a
+    window reaches the threshold — against per-file ``rekey``, LAZY then
+    ACTIVE: every key state, stub file and recipe byte for byte."""
+    rounds = (
+        (RevocationMode.LAZY, FilePolicy.for_users(["alice", "bob"])),
+        (RevocationMode.ACTIVE, FilePolicy.for_users(["alice"])),
+    )
+    states = {}
+    for batched in (False, True):
+        cluster, client, file_ids = _wind_cluster(b"parallel-winds", files, workers)
+        with cluster:
+            wound_before = client.metrics.value(
+                "client_rekey_wind_batches_total", mode="parallel"
+            )
+            for mode, policy in rounds:
+                if batched:
+                    result = client.rekey_many(file_ids, policy, mode)
+                    assert result.files == files
+                    assert result.workers == workers
+                else:
+                    for file_id in file_ids:
+                        client.rekey(file_id, policy, mode)
+                states[batched, mode] = _stored_state(cluster, file_ids)
+            pool = client._rekey_pool
+            # Stub files this small never leave the process, so every
+            # parallel batch is a wind: one per window at the threshold.
+            windows = [len(file_ids[i : i + 64]) for i in range(0, files, 64)]
+            parallel = (
+                2 * sum(size >= MIN_PARALLEL_WIND for size in windows)
+                if batched and workers > 1
+                else 0
+            )
+            assert pool.parallel_batches == parallel
+            assert (
+                client.metrics.value(
+                    "client_rekey_wind_batches_total", mode="parallel"
+                )
+                - wound_before
+                == parallel
+            )
+            if not parallel:
+                assert pool._executor is None  # no worker process started
+            client.close()
+    for mode, _policy in rounds:
+        assert states[True, mode] == states[False, mode]
+
+
+def test_group_active_parallel_winds_bit_identical_to_serial():
+    """A group with a window above the wind threshold: the pipelined
+    ACTIVE rekey winds member states on the workers, the serial path one
+    by one, and both store the same bytes."""
+    files = MIN_PARALLEL_WIND + 1
+    states = {}
+    for pipelined in (False, True):
+        cluster, owner, groups, file_ids = _group_cluster(batch_size=64, files=files)
+        with cluster:
+            result = groups.revoke_users(
+                GROUP, {"mallory"}, RevocationMode.ACTIVE, pipelined=pipelined
+            )
+            assert result.files_rewrapped == files
+            states[pipelined] = _stored_state(cluster, file_ids)
+            states[pipelined]["group-record"] = cluster.keystore.get(
+                owner.group_record_id(GROUP)
+            ).encode()
+            assert owner._rekey_pool.parallel_batches == (1 if pipelined else 0)
+            owner.close()
+    assert states[True] == states[False]
+
+
+def test_corrupt_key_state_mid_window_raises_its_error_and_ships_nothing():
+    """An unopenable record in the middle of a window aborts the window
+    with that file's error before any wind or ship; an earlier file's
+    planning error (a corrupt recipe) still comes first in file order."""
+    cluster, client, file_ids = _wind_cluster(b"corrupt-mid-window", 12)
+    with cluster:
+        record = cluster.keystore.get(file_ids[6])
+        tampered = record.encrypted_state[:-1] + bytes(
+            [record.encrypted_state[-1] ^ 1]
+        )
+        cluster.keystore.put(dataclasses.replace(record, encrypted_state=tampered))
+        before = _stored_state(cluster, file_ids)
+        policy = FilePolicy.for_users(["alice"])
+        for mode in (RevocationMode.LAZY, RevocationMode.ACTIVE):
+            with pytest.raises(IntegrityError):
+                client.rekey_many(file_ids, policy, mode)
+            assert _stored_state(cluster, file_ids) == before
+
+        client.storage.recipe_put(file_ids[3], b"not a recipe")
+        before = _stored_state(cluster, file_ids)
+        with pytest.raises(CorruptionError):
+            client.rekey_many(file_ids, policy, RevocationMode.ACTIVE)
+        assert _stored_state(cluster, file_ids) == before
+        client.close()
+
+
+def test_single_file_and_small_window_start_no_worker():
+    """A single-file ``rekey`` and a window below the wind threshold wind
+    on the caller thread: no rekey worker process is ever started."""
+    before = {child.pid for child in multiprocessing.active_children()}
+    cluster, client, file_ids = _wind_cluster(
+        b"no-workers", MIN_PARALLEL_WIND - 1
+    )
+    with cluster:
+        serial_before = client.metrics.value(
+            "client_rekey_wind_batches_total", mode="serial"
+        )
+        policy = FilePolicy.for_users(["alice"])
+        for mode in (RevocationMode.LAZY, RevocationMode.ACTIVE):
+            client.rekey(file_ids[0], policy, mode)
+            client.rekey_many(file_ids, policy, mode)
+        assert client._rekey_pool._executor is None
+        assert {c.pid for c in multiprocessing.active_children()} == before
+        assert (
+            client.metrics.value("client_rekey_wind_batches_total", mode="serial")
+            - serial_before
+            == 4
+        )
+        client.close()

@@ -1,6 +1,6 @@
-"""Worker processes next to live servers: the client's transform pool
-and the key manager's signers share a process with every TCP listener of
-an in-process ``TcpCluster``."""
+"""Worker processes next to live servers: the client's transform and
+rekey pools and the key manager's signers share a process with every TCP
+listener of an in-process ``TcpCluster``."""
 
 import multiprocessing
 import os
@@ -11,7 +11,10 @@ import time
 from pathlib import Path
 
 import repro
+from repro.core import parallel
 from repro.core.cluster import TcpCluster
+from repro.core.policy import FilePolicy
+from repro.core.rekey import RevocationMode
 from repro.crypto.drbg import HmacDrbg
 
 MiB = 1 << 20
@@ -93,6 +96,57 @@ def test_serve_km_reaps_its_signers_on_sigterm(tmp_path):
         if server.poll() is None:
             server.kill()
             server.wait()
+
+
+def _die_winding(states):
+    """Stands in for the wind span on a worker: the worker is SIGKILLed
+    while it holds a window's key states."""
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _records_after_two_rekeys(kill_winders: bool, monkeypatch) -> dict:
+    """Two ACTIVE rekey rounds of 16 files (windows above the wind
+    threshold) and the bytes they leave in the key store."""
+    with TcpCluster(num_data_servers=2, rng=HmacDrbg(b"wind-kill")) as cluster:
+        client = cluster.new_client("alice", rekey_workers=2)
+        file_ids = [f"file-{index}" for index in range(16)]
+        for index, file_id in enumerate(file_ids):
+            client.upload(file_id, HmacDrbg(b"%d" % index).random_bytes(3000))
+        if kill_winders:
+            monkeypatch.setattr(parallel, "_wind_span", _die_winding)
+        for users in (["alice", "bob"], ["alice"]):
+            result = client.rekey_many(
+                file_ids, FilePolicy.for_users(users), RevocationMode.ACTIVE
+            )
+            assert result.files == len(file_ids)
+        pool = client._rekey_pool
+        if kill_winders:
+            # The first window's workers died mid-wind: its winds were
+            # redone in-process (the one serial batch) and the pool
+            # serves everything after that on threads.
+            assert pool.serial_batches == 1
+            assert pool.use_processes is False
+        else:
+            # Two windows wound on the workers; the stub files are far
+            # too small to leave the process.
+            assert (pool.parallel_batches, pool.serial_batches) == (2, 2)
+        records = {
+            file_id: cluster.keystore.get(file_id).encode() for file_id in file_ids
+        }
+        for file_id in file_ids[:2]:
+            assert client.download(file_id).key_version == 2
+        client.close()
+    return records
+
+
+def test_killed_wind_worker_redoes_the_window_in_process(monkeypatch):
+    """A rekey worker killed while winding costs the window nothing but
+    time: the winds are redone in-process and every record is the one a
+    healthy pool produces."""
+    before = {child.pid for child in multiprocessing.active_children()}
+    healthy = _records_after_two_rekeys(False, monkeypatch)
+    assert _records_after_two_rekeys(True, monkeypatch) == healthy
+    assert {c.pid for c in multiprocessing.active_children()} <= before
 
 
 def _children_of(pid: int) -> list[int]:
