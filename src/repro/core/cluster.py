@@ -161,7 +161,7 @@ class TcpCluster:
         """Build one data server over the node's metrics registry.
 
         ``backend`` revives a node over its surviving blobs — the store
-        reloads the fingerprint-index snapshot written by ``flush()``,
+        replays the fingerprint-index journal written by ``flush()``,
         the true "process restarted on the same disk" path.
         """
         node = f"storage-{index}"
@@ -315,7 +315,7 @@ class TcpCluster:
         "replaced the dead disk" scenario the repair daemon exists for.
         ``wipe=False`` rebuilds the server *process* over the node's
         surviving backend: the store resumes container numbering and
-        reloads the fingerprint-index snapshot persisted by ``flush()``,
+        replays the fingerprint-index journal persisted by ``flush()``,
         so chunks stored before the kill stay reachable.  Clients
         reconnect transparently (the multiplexed connection re-dials);
         call ``probe_nodes()`` on a client's storage service (or let the

@@ -22,7 +22,7 @@ from repro.crypto.hashing import fingerprint as _fingerprint
 from repro.storage.datastore import DataStore, DataStoreStats
 from repro.storage.gc import CompactionGC
 from repro.storage.sharding import ShardedDataStore
-from repro.util.errors import IntegrityError, NotFoundError
+from repro.util.errors import IntegrityError
 
 
 class StorageService(Protocol):
@@ -197,11 +197,7 @@ class REEDServer:
         its release must not block the releases that follow it.
         """
         self.counters.add(requests=1)
-        for fp in fingerprints:
-            try:
-                self.store.release_chunk(fp)
-            except NotFoundError:
-                continue
+        self.store.release_many(fingerprints)
 
     def chunk_list(self) -> list[bytes]:
         """Every fingerprint this node indexes — the repair daemon's

@@ -13,28 +13,27 @@ Stub files are *not* deduplicated: they are encrypted under renewable
 file keys, so identical chunks in different files still have distinct
 encrypted stubs (the storage-overhead experiment measures exactly this).
 
-Restart support: ``flush()`` snapshots the fingerprint index into the
-backend next to the containers, and a store constructed over a backend
-that holds a snapshot reloads it — so a rebooted data server resumes
-with its dedup state (and per-container dead-space accounting) intact.
+Restart support: ``flush()`` journals the fingerprint index's changes
+into the backend next to the containers (``IndexJournal``), and a store
+constructed over a backend that holds a journal replays it — so a
+rebooted data server resumes with its dedup state (and per-container
+dead-space accounting) intact.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass
 
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.storage.backend import BlobBackend, MemoryBackend
 from repro.storage.container import DEFAULT_CONTAINER_BYTES, ContainerStore
-from repro.storage.index import FingerprintIndex
+from repro.storage.index import FingerprintIndex, IndexJournal, JournalScan
 from repro.util.errors import NotFoundError
 
 _RECIPE_PREFIX = "recipe/"
 _STUB_PREFIX = "stub/"
-
-#: Backend blob holding the fingerprint-index snapshot across restarts.
-INDEX_BLOB = "meta/fingerprint-index"
 
 
 @dataclass
@@ -89,6 +88,7 @@ class DataStore:
         self.backend = backend if backend is not None else MemoryBackend()
         self.metrics = metrics if metrics is not None else default_registry()
         self.index = FingerprintIndex()
+        self._journal = IndexJournal(self.backend, metrics=self.metrics)
         self.containers = ContainerStore(
             self.backend, container_bytes, metrics=self.metrics
         )
@@ -101,6 +101,10 @@ class DataStore:
         self._m_dead_ratio = self.metrics.gauge(
             "dead_space_ratio",
             "Dead over total accounted container bytes on this store.",
+        )
+        self._m_flush_seconds = self.metrics.histogram(
+            "datastore_flush_seconds",
+            "Wall time of one flush: container seal plus index journal write.",
         )
         self.load_index_snapshot()
 
@@ -227,19 +231,40 @@ class DataStore:
         rewrites their survivors (``storage/gc.py``).
         """
         with self._lock:
-            location = self.index.lookup(fingerprint)
-            if not self.index.release(fingerprint):
-                return
-            self._stats.physical_bytes -= location.length
-            self._stats.chunks_stored -= 1
-            cid = location.container_id
-            if self.index.usage_for(cid).live_chunks == 0 and (
-                cid != self.containers.open_container_id
-                and self.containers.has_container(cid)
-            ):
-                self.containers.delete_container(cid)
-                self.index.clear_container(cid)
-            self._publish_dead_space_locked()
+            if self._release_locked(fingerprint):
+                self.dead_space()
+
+    def release_many(self, fingerprints: list[bytes]) -> None:
+        """Drop one reference per fingerprint, skipping fingerprints this
+        store does not index (the ``chunk_release_batch`` contract).
+
+        Publishes ``dead_space_ratio`` once for the whole batch.
+        """
+        garbage = False
+        with self._lock:
+            for fingerprint in fingerprints:
+                try:
+                    garbage |= self._release_locked(fingerprint)
+                except NotFoundError:
+                    continue
+            if garbage:
+                self.dead_space()
+
+    def _release_locked(self, fingerprint: bytes) -> bool:
+        """Drop one reference; True when the chunk became garbage."""
+        location = self.index.lookup(fingerprint)
+        if not self.index.release(fingerprint):
+            return False
+        self._stats.physical_bytes -= location.length
+        self._stats.chunks_stored -= 1
+        cid = location.container_id
+        if self.index.usage_for(cid).live_chunks == 0 and (
+            cid != self.containers.open_container_id
+            and self.containers.has_container(cid)
+        ):
+            self.containers.delete_container(cid)
+            self.index.clear_container(cid)
+        return True
 
     def dead_space(self) -> tuple[int, int, float]:
         """(live_bytes, dead_bytes, dead_ratio) across all containers."""
@@ -253,35 +278,46 @@ class DataStore:
         self._m_dead_ratio.set(ratio)
         return live, dead, ratio
 
-    def _publish_dead_space_locked(self) -> None:
-        self.dead_space()
-
     def flush(self) -> None:
-        """Seal the open container and snapshot the fingerprint index, so
-        a restart over the same backend resumes with dedup state intact.
+        """Seal the open container and journal the index entries changed
+        since the last flush, so a restart over the same backend resumes
+        with dedup state intact.
 
-        Holds the store lock throughout: a ``put_chunk`` landing between
-        the seal and the encode would put an entry pointing into the new,
-        unsealed container into the snapshot, and after a crash that
-        container id is reused for different bytes.
+        The changes are captured *before* the seal and written after it,
+        all under the store lock.  Every location captured then points
+        into a container that is sealed or is the open one the seal is
+        about to write, even when a compaction appends and relocates
+        concurrently without the store lock.  A journal entry written
+        ahead of its container would dangle after a crash, and a rebooted
+        store reuses that container id for other bytes.
         """
+        started = time.perf_counter()
         with self._lock:
+            pending = self._journal.capture(self.index)
             self.containers.flush()
-            self.backend.put(INDEX_BLOB, self.index.encode())
+            self._journal.write(*pending)
+        self._m_flush_seconds.observe(time.perf_counter() - started)
 
     # -- restart support -----------------------------------------------------
 
-    def load_index_snapshot(self) -> bool:
-        """Restore a snapshotted index; returns False if none exists.
+    def scan_journal(self) -> JournalScan:
+        """Read back the index journal as a reboot would (``fsck``)."""
+        with self._lock:
+            return self._journal.scan()
 
-        Rebuilds the derived accounting the snapshot does not carry:
+    def load_index_snapshot(self) -> bool:
+        """Restore the journaled index; returns False if none exists.
+
+        Rebuilds the derived accounting the journal does not carry:
         physical bytes and chunk counts from the entries, stub bytes
         from the backend, and per-container dead bytes by reconciling
         each sealed container's payload length against its live bytes.
         """
-        if not self.backend.exists(INDEX_BLOB):
+        with self._lock:
+            index = self._journal.load()
+        if index is None:
             return False
-        self.index = FingerprintIndex.decode(self.backend.get(INDEX_BLOB))
+        self.index = index
         physical = 0
         chunks = 0
         for fp in self.index.fingerprints():

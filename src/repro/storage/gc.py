@@ -8,7 +8,8 @@ containers whose dead-space ratio meets a threshold, rewrites their
 surviving chunks into fresh containers, repoints the ``ChunkLocation``s
 atomically under the index lock (:meth:`FingerprintIndex.relocate_many`,
 compare-and-swap per entry so concurrently released chunks are not
-resurrected), and deletes the old container.
+resurrected), flushes the store so the copies are sealed and their new
+locations journaled, and only then deletes the old containers.
 
 :class:`CompactionDaemon` runs passes on an interval, mirroring
 ``RepairDaemon``: a failing pass records its error and the next interval
@@ -145,9 +146,11 @@ class CompactionGC:
         report.scanned_containers += len(store.index.container_usage())
         candidates = self._candidates(store, threshold)
         report.candidates += len(candidates)
+        compacted = []
         for cid in candidates:
             try:
                 self._compact_container(store, cid, report)
+                compacted.append(cid)
             except NotFoundError:
                 # The container (or a chunk) vanished mid-compaction — a
                 # concurrent release emptied and deleted it.  Nothing to
@@ -155,34 +158,34 @@ class CompactionGC:
                 report.skipped += 1
             except StorageError as exc:
                 report.errors.append(f"container {cid}: {exc}")
-        if report.compacted_containers:
-            # Seal the rewritten chunks and refresh the index snapshot so
-            # a restart after compaction sees the new locations.
-            store.flush()
+        if not compacted:
+            return
+        # Seal the copies and journal their new locations before the old
+        # bytes go: a crash in between then leaves the survivors readable
+        # at one location or the other, never at neither.
+        store.flush()
+        for cid in compacted:
+            try:
+                store.containers.delete_container(cid)
+            except NotFoundError:
+                pass  # a concurrent release emptied and deleted it first
+            store.index.clear_container(cid)
 
     def _compact_container(
         self, store: DataStore, cid: int, report: CompactionReport
     ) -> None:
+        """Copy one candidate's survivors and repoint them; the caller
+        deletes the old container once the copies are durable."""
         dead_before = store.index.usage_for(cid).dead_bytes
         survivors = store.index.entries_in_container(cid)
-        if not survivors:
-            # Fully dead: no rewrite needed, just drop it.
-            store.containers.delete_container(cid)
-            store.index.clear_container(cid)
-            report.compacted_containers += 1
-            report.reclaimed_bytes += dead_before
-            self._m_compacted.inc()
-            self._m_reclaimed.inc(dead_before)
-            return
-        locations = [location for _, location in survivors]
-        chunks = store.containers.read_many(locations)
+        # A fully dead container has no survivors: nothing is read or
+        # rewritten, and it is just dropped.
+        chunks = store.containers.read_many([location for _, location in survivors])
         moves = []
         for (fingerprint, old), data in zip(survivors, chunks):
             new = store.containers.append(data)
             moves.append((fingerprint, old, new))
         applied = store.index.relocate_many(moves)
-        store.containers.delete_container(cid)
-        store.index.clear_container(cid)
         relocated_bytes = sum(new.length for _, _, new in moves)
         report.compacted_containers += 1
         report.relocated_chunks += applied

@@ -584,6 +584,12 @@ class ShardedDataStore:
             tolerate=(NotFoundError,),
         )
 
+    def release_many(self, fingerprints: list[bytes]) -> None:
+        """Drop one reference per fingerprint on its owners; an owner
+        that does not index one is tolerated (``DataStore.release_many``)."""
+        for fp in fingerprints:
+            self.release_chunk(fp)
+
     def refcount_many(self, fingerprints: list[bytes]) -> list[int]:
         """Highest per-replica reference count for each fingerprint.
 

@@ -7,7 +7,7 @@ Two drills for the locality-aware container engine:
   ``storage.gc`` RPC (one-shot and via the background daemons) while the
   surviving file stays bit-identical.
 * **Restart persistence** — a data server is killed and restarted over
-  its surviving backend; the fingerprint-index snapshot written by
+  its surviving backend; the fingerprint-index journal written by
   ``flush()`` brings dedup state and chunk locations back.
 """
 
@@ -146,7 +146,7 @@ class TestRestartPersistence:
             chunks_before = cluster.servers[0].store.stats.chunks_stored
 
             # Reboot the only data server over its surviving backend: the
-            # new process reloads the fingerprint-index snapshot written
+            # new process replays the fingerprint-index journal written
             # by the upload's flush.
             cluster.kill_data_server(0)
             cluster.restart_data_server(0)

@@ -7,8 +7,7 @@ import pytest
 
 from repro.crypto.hashing import fingerprint
 from repro.obs.metrics import MetricsRegistry
-from repro.storage.datastore import INDEX_BLOB, DataStore
-from repro.storage.index import FingerprintIndex
+from repro.storage.datastore import DataStore
 from repro.util.errors import NotFoundError, StorageError
 
 
@@ -193,19 +192,26 @@ class TestFlushSnapshot:
         store = DataStore(container_bytes=4096)
         stop = threading.Event()
         dangling = []
+        errors = []
+        checked = []
 
         def putter(worker):
             for i in range(300):
                 put(store, f"{worker}:{i}".encode() * 8)
 
         def flusher():
-            while not stop.is_set():
-                store.flush()
-                snapshot = FingerprintIndex.decode(store.backend.get(INDEX_BLOB))
-                for fp in snapshot.fingerprints():
-                    cid = snapshot.lookup(fp).container_id
-                    if not store.backend.exists(f"container/{cid:012d}"):
-                        dangling.append(cid)
+            try:
+                while not stop.is_set():
+                    store.flush()
+                    # Exactly what a reboot would load at this instant.
+                    journaled = store.scan_journal().index.snapshot()
+                    for location, _refcount in journaled.values():
+                        cid = location.container_id
+                        if not store.backend.exists(f"container/{cid:012d}"):
+                            dangling.append(cid)
+                    checked.append(len(journaled))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
 
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -222,7 +228,13 @@ class TestFlushSnapshot:
         finally:
             sys.setswitchinterval(switch)
         assert not any(t.is_alive() for t in [*putters, flush_thread])
+        assert errors == []
+        assert checked, "the flusher never completed a flush-and-check pass"
         assert dangling == []
+        store.flush()
+        rebooted = DataStore(backend=store.backend, container_bytes=4096)
+        assert rebooted.index.snapshot() == store.index.snapshot()
+        assert len(rebooted.index) == 4 * 300
 
 
 class TestAddrefContract:
@@ -280,6 +292,29 @@ class TestDeadSpaceAccounting:
         # The container still holds a live chunk, so it survives.
         assert store.backend.total_bytes("container/") > 0
         assert store.metrics.value("dead_space_ratio") == pytest.approx(0.5)
+
+    def test_release_batch_publishes_dead_space_once(self):
+        def filled():
+            store = DataStore(container_bytes=64, metrics=MetricsRegistry())
+            for i in range(12):
+                put(store, bytes([i]) * 16)
+            store.flush()
+            return store
+
+        doomed = [fingerprint(bytes([i]) * 16) for i in (0, 1, 2, 5, 9)]
+        reference = filled()
+        for fp in doomed:
+            reference.release_chunk(fp)
+        batched = filled()
+        published = []
+        real_dead_space = batched.dead_space
+        batched.dead_space = lambda: published.append(1) or real_dead_space()
+        batched.release_many([*doomed, fingerprint(b"never stored")])
+        assert len(published) == 1
+        ratio = batched.metrics.value("dead_space_ratio")
+        assert ratio == reference.metrics.value("dead_space_ratio") > 0
+        assert batched.index.snapshot() == reference.index.snapshot()
+        assert batched.stats.physical_bytes == reference.stats.physical_bytes
 
     def test_full_release_clears_accounting(self):
         store = DataStore(container_bytes=64)

@@ -5,6 +5,7 @@ from repro.crypto.hashing import fingerprint
 from repro.storage.backend import DirectoryBackend, MemoryBackend
 from repro.storage.datastore import DataStore
 from repro.storage.fsck import drop_orphans, fsck, load_index, save_index
+from repro.storage.index import CHECKPOINT_BLOB, SEGMENT_PREFIX
 
 
 def fill(store, n=10, tag=0):
@@ -113,3 +114,60 @@ class TestFsck:
         fill(store)
         report = fsck(store, verify_hashes=False)
         assert report.clean
+
+
+class TestFsckJournal:
+    def _journaled(self):
+        """A store whose index journal holds a checkpoint and two segments."""
+        store = DataStore(container_bytes=256)
+        fill(store, n=40)  # checkpoint
+        fill(store, n=2, tag=1)
+        fill(store, n=2, tag=2)
+        names = list(store.backend.list(SEGMENT_PREFIX))
+        assert len(names) == 2
+        return store, names
+
+    def test_clean_journal(self):
+        store, _ = self._journaled()
+        report = fsck(store)
+        assert report.clean
+        assert (report.bad_segments, report.segment_gaps) == ([], [])
+        assert not report.checkpoint_mismatch
+
+    def test_bad_crc_segment_reported(self):
+        store, names = self._journaled()
+        blob = bytearray(store.backend.get(names[0]))
+        blob[len(blob) // 2] ^= 0x40
+        store.backend.put(names[0], bytes(blob))
+        report = fsck(store)
+        assert report.bad_segments == [int(names[0].rsplit("/", 1)[1])]
+        # The live store is intact, but the damaged log no longer replays
+        # to it: both facts are reported.
+        assert report.checkpoint_mismatch
+        assert not report.clean
+
+    def test_sequence_gap_reported(self):
+        store, names = self._journaled()
+        store.backend.delete(names[0])
+        report = fsck(store)
+        assert report.segment_gaps == [int(names[0].rsplit("/", 1)[1])]
+        assert not report.clean
+
+    def test_checkpoint_that_disagrees_with_the_log_reported(self):
+        store, _ = self._journaled()
+        # A well-formed checkpoint of some other index.
+        other = DataStore(container_bytes=256)
+        fill(other, n=3, tag=9)
+        store.backend.put(CHECKPOINT_BLOB, other.backend.get(CHECKPOINT_BLOB))
+        report = fsck(store)
+        assert report.checkpoint_mismatch
+        assert not report.clean
+
+    def test_damaged_checkpoint_reported(self):
+        store, _ = self._journaled()
+        blob = bytearray(store.backend.get(CHECKPOINT_BLOB))
+        blob[-1] ^= 0x01
+        store.backend.put(CHECKPOINT_BLOB, bytes(blob))
+        report = fsck(store)
+        assert report.checkpoint_mismatch
+        assert not report.clean

@@ -145,12 +145,12 @@ class TestCompaction:
         assert store.dead_space()[1] == 32  # dead bytes remain
 
     def test_orphan_container_reclaimed_after_restart(self, tmp_path):
-        # Chunks sealed after the last index snapshot are fully dead on
+        # Chunks sealed after the last index journal write are fully dead on
         # reboot; the boot reconciliation accounts them and a GC pass
         # drops the whole container without a rewrite.
         backend = DirectoryBackend(str(tmp_path))
         store = DataStore(backend, container_bytes=256)
-        fill(store, tag=1)  # flush() snapshots the index
+        fill(store, tag=1)  # flush() journals the index
         for i in range(4):
             data = bytes([9, i]) * 50
             store.put_chunk(fingerprint(data), data)
@@ -168,6 +168,32 @@ class TestCompaction:
         for i in range(8):
             data = bytes([1, i]) * 16
             assert reopened.get_chunk(fingerprint(data)) == data
+
+    def test_crash_at_first_old_container_delete_keeps_survivors(self):
+        # The crash point is right after compaction deletes its first old
+        # container.  Deleting before the copies are sealed and their
+        # relocations journaled lost every survivor of that container.
+        store = DataStore(MemoryBackend(), container_bytes=128)
+        pairs = fill(store, chunks=8, size=32)
+        for fp, _ in pairs[::2]:
+            store.release_chunk(fp)
+        store.flush()
+        crashed = []
+        real_delete = store.containers.delete_container
+
+        def delete_then_crash(cid):
+            real_delete(cid)
+            if not crashed:
+                image = MemoryBackend()
+                for name in store.backend.list():
+                    image.put(name, store.backend.get(name))
+                crashed.append(image)
+
+        store.containers.delete_container = delete_then_crash
+        assert CompactionGC(store, threshold=0.5).run_once().compacted_containers == 2
+        rebooted = DataStore(crashed[0], container_bytes=128)
+        for fp, data in pairs[1::2]:
+            assert rebooted.get_chunk(fp) == data
 
     def test_compaction_survives_restart(self, tmp_path):
         backend = DirectoryBackend(str(tmp_path))
