@@ -27,7 +27,6 @@ from repro.core.service import (
     register_keystate_service,
     register_storage_service,
 )
-from repro.core.system import ShardedStorageService
 from repro.keyreg.rsa_keyreg import KeyRegressionOwner
 from repro.mle.cache import MLEKeyCache
 from repro.mle.keymanager import KeyManager
@@ -35,6 +34,7 @@ from repro.mle.server_aided import ServerAidedKeyClient
 from repro.net.rpc import ServiceRegistry
 from repro.net.tcp import TcpConnection, TcpServer
 from repro.storage.keystore import KeyStore
+from repro.storage.sharding import ShardedStorageService
 from repro.util.errors import AccessDeniedError
 from repro.util.units import MiB
 from repro.workloads.synthetic import unique_data

@@ -50,7 +50,6 @@ from repro.core.service import (
     register_keystate_service,
     register_storage_service,
 )
-from repro.core.system import ShardedStorageService
 from repro.crypto.rsa import RSAPrivateKey, generate_keypair
 from repro.keyreg.rsa_keyreg import KeyRegressionOwner
 from repro.mle.cache import MLEKeyCache
@@ -78,6 +77,7 @@ from repro.storage.backend import DirectoryBackend
 from repro.storage.datastore import DataStore
 from repro.storage.gc import CompactionDaemon
 from repro.storage.keystore import KeyStore
+from repro.storage.sharding import HashRing, ShardedStorageService
 from repro.util.errors import ConfigurationError, ReproError
 from repro.util.units import MiB
 
@@ -691,7 +691,6 @@ def _ring_storage(args) -> tuple[ShardedStorageService, list[TcpConnection]]:
 def cmd_ring(args) -> int:
     """Inspect and maintain consistent-hash ring placement."""
     from repro.storage.repair import ReplicaRepairer
-    from repro.storage.sharding import HashRing
 
     if args.ring_command == "show":
         ring = HashRing(

@@ -21,11 +21,8 @@ from repro.core.schemes import (
 )
 from repro.core.server import REEDServer, StorageService
 from repro.core.stubs import decrypt_stub_file, encrypt_stub_file
-from repro.core.system import (
-    ReedSystem,
-    ShardedStorageService,
-    build_system,
-)
+from repro.core.system import ReedSystem, build_system
+from repro.storage.sharding import ShardedStorageService
 
 __all__ = [
     "BasicScheme",

@@ -424,29 +424,16 @@ class REEDClient:
         file_key = state.derive_key()
 
         key_client = self.key_client
-        # Counter attribution: components instrumented with
-        # repro.obs.scope report this upload's deltas into the scope
-        # opened below, which stays correct under concurrent uploads on
-        # a shared client.  Components that predate the scope (custom
-        # key clients / storage) fall back to lifetime-counter diffing —
-        # the historical behaviour, fragile only under concurrency.
-        key_scoped = getattr(key_client, "supports_attribution", False)
-        store_scoped = getattr(self.storage, "supports_attribution", False)
-        hits_before = getattr(key_client, "cache_hits", 0)
-        evals_before = getattr(key_client, "oprf_evaluations", 0)
-        trips_before = getattr(key_client, "round_trips", 0)
-        store_trips_before = getattr(self.storage, "round_trips", 0)
-
+        # Counter attribution: the key client and the storage engine
+        # report this upload's deltas into the repro.obs.scope opened
+        # below, which stays correct under concurrent uploads on a
+        # shared client.
         derive = getattr(key_client, "derive_keys", None) or key_client.get_keys
-        put_many = getattr(self.storage, "chunk_put_many", None)
 
         def store(payload: list[tuple[bytes, bytes]]) -> int:
-            """Ship one batch message (per-item status when the service
-            supports it, falling back to the count reply)."""
-            if put_many is None:
-                return self.storage.chunk_put_batch(payload)
+            """Ship one per-item-status batch message; returns #new."""
             new = 0
-            for status in put_many(payload):
+            for status in self.storage.chunk_put_many(payload):
                 if isinstance(status, Exception):
                     raise status
                 new += 1 if status else 0
@@ -511,18 +498,10 @@ class REEDClient:
             trimmed_bytes=pipeline.trimmed_bytes,
             stub_file_bytes=len(stub_file),
             key_version=state.version,
-            key_cache_hits=scope.get_int("key_cache_hits")
-            if key_scoped
-            else getattr(key_client, "cache_hits", 0) - hits_before,
-            key_oprf_evaluations=scope.get_int("key_oprf_evaluations")
-            if key_scoped
-            else getattr(key_client, "oprf_evaluations", 0) - evals_before,
-            key_round_trips=scope.get_int("key_round_trips")
-            if key_scoped
-            else getattr(key_client, "round_trips", 0) - trips_before,
-            store_round_trips=scope.get_int("store_round_trips")
-            if store_scoped
-            else getattr(self.storage, "round_trips", 0) - store_trips_before,
+            key_cache_hits=scope.get_int("key_cache_hits"),
+            key_oprf_evaluations=scope.get_int("key_oprf_evaluations"),
+            key_round_trips=scope.get_int("key_round_trips"),
+            store_round_trips=scope.get_int("store_round_trips"),
             upload_batches=pipeline.upload_batches,
             trace_id=root.trace_id,
         )
@@ -754,16 +733,10 @@ class REEDClient:
         scope = obs_scope.AttributionScope(parent=obs_scope.current())
         yield from self._restore(file_id, fetch_batch_chunks, stats, scope)
 
-    def _download_counters(
-        self,
-        scope: obs_scope.AttributionScope,
-        store_scoped: bool,
-        store_trips_before: int,
-    ) -> dict[str, int]:
+    @staticmethod
+    def _download_counters(scope: obs_scope.AttributionScope) -> dict[str, int]:
         return {
-            "store_round_trips": scope.get_int("store_round_trips")
-            if store_scoped
-            else getattr(self.storage, "round_trips", 0) - store_trips_before,
+            "store_round_trips": scope.get_int("store_round_trips"),
             "chunk_cache_hits": scope.get_int("chunk_cache_hits"),
             "chunk_cache_misses": scope.get_int("chunk_cache_misses"),
         }
@@ -773,8 +746,6 @@ class REEDClient:
         tracer = self.tracer
         stats = _DownloadStats()
         scope = obs_scope.AttributionScope(parent=obs_scope.current())
-        store_scoped = getattr(self.storage, "supports_attribution", False)
-        store_trips_before = getattr(self.storage, "round_trips", 0)
         with tracer.span("download") as root:
             pieces = list(
                 self._restore(file_id, fetch_batch_chunks, stats, scope)
@@ -790,7 +761,7 @@ class REEDClient:
             size=stats.size,
             fetch_batches=stats.fetch_batches,
             trace_id=root.trace_id,
-            **self._download_counters(scope, store_scoped, store_trips_before),
+            **self._download_counters(scope),
         )
 
     def download_to(
@@ -807,8 +778,6 @@ class REEDClient:
         tracer = self.tracer
         stats = _DownloadStats()
         scope = obs_scope.AttributionScope(parent=obs_scope.current())
-        store_scoped = getattr(self.storage, "supports_attribution", False)
-        store_trips_before = getattr(self.storage, "round_trips", 0)
         with tracer.span("download") as root:
             for chunk in self._restore(file_id, fetch_batch_chunks, stats, scope):
                 sink.write(chunk)
@@ -822,7 +791,7 @@ class REEDClient:
             size=stats.size,
             fetch_batches=stats.fetch_batches,
             trace_id=root.trace_id,
-            **self._download_counters(scope, store_scoped, store_trips_before),
+            **self._download_counters(scope),
         )
 
     def download_path(
@@ -910,10 +879,6 @@ class REEDClient:
         key-state record (``revoke_users``) skip the second fetch.
         """
         tracer = self.tracer
-        store_scoped = getattr(self.storage, "supports_attribution", False)
-        key_scoped = getattr(self.keystore, "supports_attribution", False)
-        store_trips_before = getattr(self.storage, "round_trips", 0)
-        key_trips_before = getattr(self.keystore, "round_trips", 0)
         with obs_scope.attribution() as scope, tracer.span(
             "rekey", mode=mode.value
         ) as root:
@@ -964,12 +929,8 @@ class REEDClient:
             new_key_version=new_state.version,
             new_policy_text=new_policy.text,
             stub_bytes_reencrypted=stub_bytes,
-            store_round_trips=scope.get_int("store_round_trips")
-            if store_scoped
-            else getattr(self.storage, "round_trips", 0) - store_trips_before,
-            keystore_round_trips=scope.get_int("keystore_round_trips")
-            if key_scoped
-            else getattr(self.keystore, "round_trips", 0) - key_trips_before,
+            store_round_trips=scope.get_int("store_round_trips"),
+            keystore_round_trips=scope.get_int("keystore_round_trips"),
             trace_id=root.trace_id,
         )
 
@@ -1044,10 +1005,6 @@ class REEDClient:
             batch_size=self.rekey_batch_size,
             pipeline_depth=self.pipeline_depth,
         )
-        store_scoped = getattr(self.storage, "supports_attribution", False)
-        key_scoped = getattr(self.keystore, "supports_attribution", False)
-        store_trips_before = getattr(self.storage, "round_trips", 0)
-        key_trips_before = getattr(self.keystore, "round_trips", 0)
         with obs_scope.attribution() as scope, self.tracer.span(
             "rekey.pipeline", mode=mode.value, files=len(file_ids)
         ) as pipeline_root:
@@ -1073,12 +1030,8 @@ class REEDClient:
             new_policy_text=new_policy.text,
             results=results,
             stub_bytes_reencrypted=stats.stub_bytes,
-            store_round_trips=scope.get_int("store_round_trips")
-            if store_scoped
-            else getattr(self.storage, "round_trips", 0) - store_trips_before,
-            keystore_round_trips=scope.get_int("keystore_round_trips")
-            if key_scoped
-            else getattr(self.keystore, "round_trips", 0) - key_trips_before,
+            store_round_trips=scope.get_int("store_round_trips"),
+            keystore_round_trips=scope.get_int("keystore_round_trips"),
             batches=stats.batches,
             workers=self.rekey_workers,
             trace_id=pipeline_root.trace_id,
@@ -1111,32 +1064,18 @@ class REEDClient:
     def delete(self, file_id: str) -> None:
         """Remove a file: release its chunks and drop its metadata.
 
-        Metadata removal rides the batch messages when the service
-        offers them — one ``meta_delete_many`` (stub + recipe in a
-        single round trip) plus one ``keystore.delete_many`` instead of
-        three serial RPCs.
+        Metadata removal rides the batch messages — one
+        ``meta_delete_many`` (stub + recipe in a single round trip) plus
+        one ``keystore.delete_many`` instead of three serial RPCs.
         """
         recipe = FileRecipe.decode(self.storage.recipe_get(file_id))
         self.storage.chunk_release_batch([ref.fingerprint for ref in recipe.chunks])
-        meta_delete_many = getattr(self.storage, "meta_delete_many", None)
-        if meta_delete_many is not None:
-            self._check_items(meta_delete_many([file_id]))
-        else:
-            self.storage.stub_delete(file_id)
-            self.storage.recipe_delete(file_id)
-        key_delete_many = getattr(self.keystore, "delete_many", None)
-        if key_delete_many is not None:
-            self._check_items(key_delete_many([file_id]))
-        else:
-            self.keystore.delete(file_id)
+        self._check_items(self.storage.meta_delete_many([file_id]))
+        self._check_items(self.keystore.delete_many([file_id]))
 
     def delete_many(self, file_ids: list[str]) -> None:
         """Remove several files with batched metadata round trips."""
-        recipe_get_many = getattr(self.storage, "recipe_get_many", None)
-        if recipe_get_many is not None:
-            recipes = recipe_get_many(list(file_ids))
-        else:
-            recipes = [self.storage.recipe_get(file_id) for file_id in file_ids]
+        recipes = self.storage.recipe_get_many(list(file_ids))
         self._check_items(recipes)
         fingerprints = [
             ref.fingerprint
@@ -1145,16 +1084,5 @@ class REEDClient:
         ]
         if fingerprints:
             self.storage.chunk_release_batch(fingerprints)
-        meta_delete_many = getattr(self.storage, "meta_delete_many", None)
-        if meta_delete_many is not None:
-            self._check_items(meta_delete_many(list(file_ids)))
-        else:
-            for file_id in file_ids:
-                self.storage.stub_delete(file_id)
-                self.storage.recipe_delete(file_id)
-        key_delete_many = getattr(self.keystore, "delete_many", None)
-        if key_delete_many is not None:
-            self._check_items(key_delete_many(list(file_ids)))
-        else:
-            for file_id in file_ids:
-                self.keystore.delete(file_id)
+        self._check_items(self.storage.meta_delete_many(list(file_ids)))
+        self._check_items(self.keystore.delete_many(list(file_ids)))

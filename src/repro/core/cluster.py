@@ -23,7 +23,7 @@ from repro.core.service import (
     register_keystate_service,
     register_storage_service,
 )
-from repro.core.system import FAST_KEY_BITS, ShardedStorageService
+from repro.core.system import FAST_KEY_BITS
 from repro.crypto.drbg import SYSTEM_RANDOM, RandomSource
 from repro.keyreg.rsa_keyreg import KeyRegressionOwner
 from repro.mle.cache import MLEKeyCache
@@ -51,6 +51,7 @@ from repro.obs.tracing import Tracer, default_tracer
 from repro.storage.datastore import DataStore
 from repro.storage.gc import CompactionDaemon
 from repro.storage.keystore import KeyStore
+from repro.storage.sharding import ShardedStorageService
 from repro.util.errors import ConfigurationError
 
 

@@ -262,10 +262,6 @@ class GroupManager:
         client = self.client
         owner = client.keyreg_owner
         tracer = client.tracer
-        store_scoped = getattr(client.storage, "supports_attribution", False)
-        key_scoped = getattr(client.keystore, "supports_attribution", False)
-        store_trips_before = getattr(client.storage, "round_trips", 0)
-        key_trips_before = getattr(client.keystore, "round_trips", 0)
         with obs_scope.attribution() as scope, tracer.span(
             "rekey.group", mode=mode.value
         ):
@@ -328,12 +324,8 @@ class GroupManager:
             abe_operations=1,
             files_rewrapped=len(files),
             stub_bytes_reencrypted=stub_bytes,
-            store_round_trips=scope.get_int("store_round_trips")
-            if store_scoped
-            else getattr(client.storage, "round_trips", 0) - store_trips_before,
-            keystore_round_trips=scope.get_int("keystore_round_trips")
-            if key_scoped
-            else getattr(client.keystore, "round_trips", 0) - key_trips_before,
+            store_round_trips=scope.get_int("store_round_trips"),
+            keystore_round_trips=scope.get_int("keystore_round_trips"),
             batches=batches,
             workers=client.rekey_workers if (pipelined and active) else 0,
         )

@@ -110,42 +110,6 @@ def _check_items(results: list) -> None:
             raise status
 
 
-def _keystore_get_many(keystore, file_ids: list[str]) -> list:
-    get_many = getattr(keystore, "get_many", None)
-    if get_many is not None:
-        return get_many(file_ids)
-    return [keystore.get(file_id) for file_id in file_ids]
-
-
-def _keystore_put_many(keystore, records: list[KeyStateRecord]) -> None:
-    put_many = getattr(keystore, "put_many", None)
-    if put_many is not None:
-        _check_items(put_many(records))
-        return
-    for record in records:
-        keystore.put(record)
-
-
-def _storage_get_many(storage, method: str, file_ids: list[str]) -> list:
-    batched = getattr(storage, method + "_get_many", None)
-    if batched is not None:
-        return batched(file_ids)
-    single = getattr(storage, method + "_get")
-    return [single(file_id) for file_id in file_ids]
-
-
-def _storage_put_many(
-    storage, method: str, items: list[tuple[str, bytes]]
-) -> None:
-    batched = getattr(storage, method + "_put_many", None)
-    if batched is not None:
-        _check_items(batched(items))
-        return
-    single = getattr(storage, method + "_put")
-    for file_id, data in items:
-        single(file_id, data)
-
-
 class RekeyPipeline:
     """One batched rekey run over a fixed list of file ids.
 
@@ -186,12 +150,12 @@ class RekeyPipeline:
 
     def _fetch(self, window: list[str]):
         with self._tracer.span("rekey.fetch", files=len(window)):
-            records = _keystore_get_many(self._keystore, window)
+            records = self._keystore.get_many(window)
             recipes: list = [None] * len(window)
             stub_files: list = [None] * len(window)
             if self._active:
-                recipes = _storage_get_many(self._storage, "recipe", window)
-                stub_files = _storage_get_many(self._storage, "stub", window)
+                recipes = self._storage.recipe_get_many(window)
+                stub_files = self._storage.stub_get_many(window)
             return records, recipes, stub_files
 
     def _transform(
@@ -251,22 +215,22 @@ class RekeyPipeline:
         try:
             with self._tracer.span("rekey.ship", files=len(plans)):
                 if self._active:
-                    _storage_put_many(
-                        self._storage,
-                        "stub",
-                        [(p.file_id, p.new_stub_file) for p in plans],
+                    _check_items(
+                        self._storage.stub_put_many(
+                            [(p.file_id, p.new_stub_file) for p in plans]
+                        )
                     )
-                    _storage_put_many(
-                        self._storage,
-                        "recipe",
-                        [(p.file_id, p.updated_recipe) for p in plans],
+                    _check_items(
+                        self._storage.recipe_put_many(
+                            [(p.file_id, p.updated_recipe) for p in plans]
+                        )
                     )
                 # Key states last: a crash before this line leaves every
                 # file readable under its old record, and the stub-side
                 # recovery (decrypt-under-new-key, wind-forward) converges
                 # on retry.
-                _keystore_put_many(
-                    self._keystore, [p.new_record for p in plans]
+                _check_items(
+                    self._keystore.put_many([p.new_record for p in plans])
                 )
         except BaseException:
             abort.set()

@@ -21,7 +21,6 @@ from typing import Protocol
 from repro.crypto.hashing import fingerprint as _fingerprint
 from repro.storage.datastore import DataStore, DataStoreStats
 from repro.storage.gc import CompactionGC
-from repro.storage.sharding import ShardedDataStore
 from repro.util.errors import IntegrityError
 
 
@@ -108,11 +107,11 @@ class ServerCounters:
 
 
 class REEDServer:
-    """Storage-service implementation over a (possibly sharded) data store."""
+    """Storage-service implementation over one node's data store."""
 
     def __init__(
         self,
-        store: DataStore | ShardedDataStore | None = None,
+        store: DataStore | None = None,
         gc_threshold: float | None = None,
     ) -> None:
         self.store = store if store is not None else DataStore()
@@ -120,11 +119,6 @@ class REEDServer:
         self._gc_threshold = gc_threshold
         self._gc_engine: CompactionGC | None = None
         self._gc_lock = threading.Lock()
-
-    @property
-    def round_trips(self) -> int:
-        """Batch-level calls served (== RPC round trips when remoted)."""
-        return self.counters.requests
 
     # -- chunks ---------------------------------------------------------------
 
@@ -180,8 +174,6 @@ class REEDServer:
 
     def chunk_get_batch(self, fingerprints: list[bytes]) -> list[bytes]:
         self.counters.add(requests=1)
-        # ``get_many`` lets a sharded store scatter-gather its shards
-        # concurrently; a plain DataStore reads serially, same result.
         out = self.store.get_many(fingerprints)
         for data in out:
             self.counters.add(bytes_sent=len(data))

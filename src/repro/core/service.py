@@ -290,11 +290,6 @@ class RemoteStorageService:
     def _call(self, method: str, payload: bytes = b"") -> bytes:
         return self._rpc.call(self._prefix + method, payload)
 
-    @property
-    def round_trips(self) -> int:
-        """RPC round trips issued by this stub (its client's call count)."""
-        return self._rpc.calls
-
     def chunk_exists_batch(self, fingerprints: list[bytes]) -> list[bool]:
         flags = self._call("has_many", Encoder().list_of(fingerprints).done())
         return [bool(b) for b in flags]
@@ -498,14 +493,10 @@ def register_keystate_service(
 class RemoteKeyStore:
     """Client stub with the same interface as :class:`KeyStore`.
 
-    Round trips are counted per RPC and reported both through
-    :attr:`round_trips` and into the active attribution scope
+    Every RPC is reported into the active attribution scope
     (``keystore_round_trips``), so rekey results can report exact
     key-store traffic per operation.
     """
-
-    #: Round trips are reported through :mod:`repro.obs.scope`.
-    supports_attribution = True
 
     def __init__(self, rpc: RpcClient, prefix: str = "keystore.") -> None:
         self._rpc = rpc
@@ -514,11 +505,6 @@ class RemoteKeyStore:
     def _call(self, method: str, payload: bytes = b"") -> bytes:
         obs_scope.add("keystore_round_trips")
         return self._rpc.call(self._prefix + method, payload)
-
-    @property
-    def round_trips(self) -> int:
-        """RPC round trips issued by this stub (its client's call count)."""
-        return self._rpc.calls
 
     def put(self, record: KeyStateRecord) -> None:
         self._call("put", record.encode())

@@ -76,12 +76,12 @@ class LocalKeyManagerChannel:
 
 
 class ServerAidedKeyClient:
-    """Obtains MLE keys from the key manager via the blind-RSA OPRF."""
+    """Obtains MLE keys from the key manager via the blind-RSA OPRF.
 
-    #: This client reports per-operation deltas through
-    #: :mod:`repro.obs.scope`, so callers can attribute counters to one
-    #: upload without diffing lifetime totals.
-    supports_attribution = True
+    Reports per-operation deltas through :mod:`repro.obs.scope`, so
+    callers can attribute counters to one upload without diffing
+    lifetime totals.
+    """
 
     def __init__(
         self,

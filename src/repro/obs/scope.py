@@ -8,7 +8,7 @@ diff swallowed the other's increments — the counts cross-contaminated.
 
 An :class:`AttributionScope` fixes that: the instrumented components
 (:class:`~repro.mle.server_aided.ServerAidedKeyClient`,
-:class:`~repro.core.system.ShardedStorageService`) call
+:class:`~repro.storage.sharding.ShardedStorageService`) call
 :func:`add` at the same sites where they bump their registry counters,
 and whichever operation is active *in the current context* collects the
 delta.  Scopes live in a :class:`contextvars.ContextVar`, so concurrent

@@ -14,7 +14,6 @@ from repro.storage.datastore import DataStore, DataStoreStats
 from repro.storage.index import ChunkLocation, FingerprintIndex
 from repro.storage.keystore import KeyStateRecord, KeyStore
 from repro.storage.recipes import ChunkRef, FileRecipe, obfuscate_pathname
-from repro.storage.sharding import ShardedDataStore
 
 __all__ = [
     "BlobBackend",
@@ -32,7 +31,6 @@ __all__ = [
     "KeyStateRecord",
     "KeyStore",
     "MemoryBackend",
-    "ShardedDataStore",
     "analyze_file",
     "analyze_sharded",
     "fragmentation_over_generations",

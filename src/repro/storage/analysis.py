@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from repro.storage.datastore import DataStore
 from repro.storage.recipes import FileRecipe
+from repro.storage.sharding import HashRing, ShardedStorageService
 from repro.util.errors import NotFoundError
 
 
@@ -83,22 +84,21 @@ def analyze_file(store: DataStore, recipe: FileRecipe) -> FragmentationReport:
 def analyze_sharded(shards, recipe: FileRecipe) -> FragmentationReport:
     """Fragmentation metrics across a sharded deployment.
 
-    ``shards`` is either the
-    :class:`~repro.storage.sharding.ShardedDataStore` itself (preferred
-    — analysis then follows the store's real ring, node ids, and
-    replica placement) or a plain list of :class:`DataStore` shards,
-    assumed to be ring nodes ``node-0 .. node-(n-1)`` in order.  Each
-    chunk is attributed to the first node on its ring preference list
-    whose index holds it, so a replica that landed off-primary (a
-    degraded write, or placement not yet rebalanced) is still found
-    instead of raising.
+    ``shards`` is either a
+    :class:`~repro.storage.sharding.ShardedStorageService` over
+    in-process :class:`~repro.core.server.REEDServer` nodes (preferred —
+    analysis then follows the engine's real ring, node ids, and replica
+    placement) or a plain list of :class:`DataStore` shards, assumed to
+    be ring nodes ``node-0 .. node-(n-1)`` in order.  Each chunk is
+    attributed to the first node on its ring preference list whose
+    index holds it, so a replica that landed off-primary (a degraded
+    write, or placement not yet rebalanced) is still found instead of
+    raising.
     """
-    from repro.storage.sharding import HashRing, ShardedDataStore
-
-    if isinstance(shards, ShardedDataStore):
+    if isinstance(shards, ShardedStorageService):
         ring = shards.ring
         node_ids = shards.node_ids()
-        stores = {node: shards.node_store(node) for node in node_ids}
+        stores = {node: shards.node_service(node).store for node in node_ids}
     else:
         node_ids = [f"node-{index}" for index in range(len(shards))]
         ring = HashRing(node_ids)

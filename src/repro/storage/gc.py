@@ -55,14 +55,15 @@ class CompactionReport:
 class CompactionGC:
     """Rewrites mostly-dead containers so their dead bytes are reclaimed.
 
-    Works over a single :class:`DataStore` or anything exposing a
-    ``shards`` list of them (``ShardedDataStore``); every shard is
-    compacted independently in one pass.
+    Works over one node's :class:`DataStore`.  Each in-process
+    :class:`~repro.core.server.REEDServer` owns one engine, and
+    :meth:`~repro.storage.sharding.ShardedStorageService.gc_run` fans a
+    pass out over every up node.
     """
 
     def __init__(
         self,
-        store,
+        store: DataStore,
         threshold: float = DEFAULT_DEAD_SPACE_THRESHOLD,
         metrics: MetricsRegistry | None = None,
     ) -> None:
@@ -89,30 +90,14 @@ class CompactionGC:
             "Live chunks rewritten into fresh containers by compaction.",
         )
 
-    def _stores(self) -> list[DataStore]:
-        shards = getattr(self.store, "shards", None)
-        if shards is None:
-            return [self.store]
-        return list(shards)
-
     def dead_space(self) -> tuple[int, int, float]:
-        """Aggregate (live, dead, dead_ratio) across every shard."""
-        live = 0
-        dead = 0
-        for store in self._stores():
-            shard_live, shard_dead, _ = store.dead_space()
-            live += shard_live
-            dead += shard_dead
-        total = live + dead
-        return live, dead, dead / total if total else 0.0
+        """The store's (live, dead, dead_ratio) byte accounting."""
+        return self.store.dead_space()
 
     def candidate_containers(self, threshold: float | None = None) -> int:
         """How many sealed containers currently meet the threshold."""
         limit = self.threshold if threshold is None else threshold
-        count = 0
-        for store in self._stores():
-            count += len(self._candidates(store, limit))
-        return count
+        return len(self._candidates(self.store, limit))
 
     @staticmethod
     def _candidates(store: DataStore, threshold: float) -> list[int]:
@@ -126,15 +111,14 @@ class CompactionGC:
         return out
 
     def run_once(self, threshold: float | None = None) -> CompactionReport:
-        """One compaction pass over every shard (serialized per GC)."""
+        """One compaction pass over the store (serialized per GC)."""
         limit = self.threshold if threshold is None else threshold
         if not 0.0 < limit <= 1.0:
             raise ConfigurationError("GC threshold must be in (0, 1]")
         with self._lock:
             report = CompactionReport()
             _live, _dead, report.dead_ratio_before = self.dead_space()
-            for store in self._stores():
-                self._compact_store(store, limit, report)
+            self._compact_store(self.store, limit, report)
             _live, _dead, report.dead_ratio_after = self.dead_space()
             self._m_passes.inc()
             self.last_report = report

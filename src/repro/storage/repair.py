@@ -1,7 +1,7 @@
 """Replica repair and ring rebalancing for replicated deployments.
 
-Replication (``replicas`` > 1 on :class:`~repro.storage.sharding.ShardedDataStore`
-or :class:`~repro.core.system.ShardedStorageService`) keeps a write
+Replication (``replicas`` > 1 on
+:class:`~repro.storage.sharding.ShardedStorageService`) keeps a write
 available through node failures, but leaves two kinds of debt behind:
 
 * **under-replication** — a chunk written at quorum while one of its
@@ -14,10 +14,11 @@ available through node failures, but leaves two kinds of debt behind:
 inventory (the ``chunk_list``/``recipe_list``/``stub_list`` surface),
 compares it against ring ownership, and re-replicates anything missing
 from an owner, copying from any intact holder.  Corruption detection
-reuses :func:`repro.storage.fsck.fsck` when a node's
-:class:`~repro.storage.datastore.DataStore` is directly reachable, and
-falls back to audit-style re-hashing of fetched replicas otherwise
-(the same integrity check :mod:`repro.storage.audit` performs).
+runs :func:`repro.storage.fsck.fsck` when a node is an in-process
+:class:`~repro.core.server.REEDServer` (its
+:class:`~repro.storage.datastore.DataStore` is directly reachable), and
+re-hashes fetched replicas over RPC (the same integrity check
+:mod:`repro.storage.audit` performs).
 
 :func:`rebalance` pays the second: given the ring as it was *before* a
 membership change, it migrates exactly the keys whose ownership moved —
@@ -41,9 +42,12 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
+from repro.core.server import REEDServer
 from repro.crypto.hashing import fingerprint as _fingerprint
 from repro.obs.metrics import MetricsRegistry, default_registry
+from repro.storage.datastore import DataStore
 from repro.storage.fsck import fsck
+from repro.storage.sharding import ShardedStorageService
 from repro.util.errors import ConfigurationError, NotFoundError, ProtocolError
 
 #: Chunk copies per batched transfer (one ``get_many``/``put_many`` pair).
@@ -55,23 +59,26 @@ REPAIR_BATCH = 128
 _TRANSPORT_FAILURES = (ProtocolError, OSError)
 
 
-def _replay_refcounts(store, source: str, target: str, batch: list[bytes]) -> None:
+def _replay_refcounts(
+    store: ShardedStorageService, source: str, target: str, batch: list[bytes]
+) -> None:
     """Clone the source replica's reference counts onto fresh copies.
 
     ``put`` lands a restored chunk with refcount 1 regardless of how
     many files reference it; without the replay the first file delete
     would garbage-collect the restored replica while other files still
-    point at it.  Stores lacking the refcount surface skip the replay —
-    the copied bytes are still correct, only delete bookkeeping degrades.
+    point at it.
     """
-    refcounts = getattr(store, "node_refcounts", None)
-    addref = getattr(store, "node_addref_many", None)
-    if refcounts is None or addref is None:
-        return
-    counts = refcounts(source, batch)
+    counts = store.node_refcounts(source, batch)
     extra = [(fp, count - 1) for fp, count in zip(batch, counts) if count > 1]
     if extra:
-        addref(target, extra)
+        store.node_addref_many(target, extra)
+
+
+def _local_store(store: ShardedStorageService, node: str) -> DataStore | None:
+    """The node's data store when the node is an in-process server."""
+    service = store.node_service(node)
+    return service.store if isinstance(service, REEDServer) else None
 
 
 @dataclass
@@ -112,28 +119,23 @@ class RebalanceReport:
 
 
 class ReplicaRepairer:
-    """Scan-and-repair engine over a replicated sharded store.
+    """Scan-and-repair engine over the replication engine.
 
-    Works against anything exposing the per-node repair surface
-    (``ring``, ``replicas``, ``node_ids``, ``node_chunk_list``,
-    ``node_has_many``, ``node_get_many``, ``node_put_many``, the
-    recipe/stub equivalents, and optionally
-    ``node_refcounts``/``node_addref_many`` for reference-count
-    replay) — both the in-process
-    :class:`~repro.storage.sharding.ShardedDataStore` and the RPC-backed
-    :class:`~repro.core.system.ShardedStorageService`.
+    Uses the engine's per-node surface (``node_chunk_list``,
+    ``node_get_many``, ``node_put_many``, the recipe/stub equivalents,
+    and ``node_refcounts``/``node_addref_many`` for reference-count
+    replay), which works the same over in-process servers and RPC stubs.
     """
 
     def __init__(
         self,
-        store,
+        store: ShardedStorageService,
         metrics: MetricsRegistry | None = None,
         verify_hashes: bool = False,
     ) -> None:
-        if getattr(store, "ring", None) is None:
+        if not isinstance(store, ShardedStorageService):
             raise ConfigurationError(
-                "repairer needs a ring-placed store (ShardedDataStore or "
-                "ShardedStorageService)"
+                "repairer needs a ring-placed store (ShardedStorageService)"
             )
         self.store = store
         self.verify_hashes = verify_hashes
@@ -163,16 +165,13 @@ class ReplicaRepairer:
     def _corrupt_on(self, node: str, fingerprints: list[bytes]) -> set[bytes]:
         """Integrity-check one node's chunks.
 
-        Prefers a real :func:`fsck` pass (index-vs-container cross-check)
-        when the node's store is in-process; over RPC it re-hashes the
+        Runs a real :func:`fsck` pass (index-vs-container cross-check)
+        when the node is an in-process server; over RPC it re-hashes the
         fetched replicas, which is the audit module's detection primitive.
         """
-        node_store = getattr(self.store, "node_store", None)
-        if node_store is not None:
-            try:
-                return set(fsck(node_store(node), verify_hashes=True).corrupt)
-            except ConfigurationError:
-                pass
+        local = _local_store(self.store, node)
+        if local is not None:
+            return set(fsck(local, verify_hashes=True).corrupt)
         corrupt: set[bytes] = set()
         for start in range(0, len(fingerprints), REPAIR_BATCH):
             batch = fingerprints[start : start + REPAIR_BATCH]
@@ -200,14 +199,13 @@ class ReplicaRepairer:
 
         ``put`` deduplicates by fingerprint, so a corrupt-but-indexed
         chunk must leave the index before re-replication overwrites it.
-        Only possible with direct store access; over RPC the corrupt
+        Only possible on an in-process server; over RPC the corrupt
         replicas are reported but kept (the read path already routes
         around them via fallback).  Returns the fingerprints purged.
         """
-        node_store = getattr(self.store, "node_store", None)
-        if node_store is None:
+        store = _local_store(self.store, node)
+        if store is None:
             return set()
-        store = node_store(node)
         purged: set[bytes] = set()
         for fp in fingerprints:
             try:
@@ -227,10 +225,8 @@ class ReplicaRepairer:
         revives it; the next pass retries either way.
         """
         report.failed_nodes.append(node)
-        if isinstance(exc, _TRANSPORT_FAILURES):
-            mark_down = getattr(self.store, "mark_down", None)
-            if mark_down is not None and self.store.ring.is_up(node):
-                mark_down(node)
+        if isinstance(exc, _TRANSPORT_FAILURES) and self.store.ring.is_up(node):
+            self.store.mark_down(node)
 
     def _owners_of(self, key, failed: set[str]) -> list[str]:
         return [
@@ -248,10 +244,7 @@ class ReplicaRepairer:
         and its inventory read) is excluded from the pass instead of
         aborting it — see :meth:`_exclude_node`.
         """
-        report = RepairReport()
-        probe = getattr(self.store, "probe_nodes", None)
-        if probe is not None:
-            report.revived_nodes = probe()
+        report = RepairReport(revived_nodes=self.store.probe_nodes())
 
         # Chunk inventory: fingerprint -> nodes holding an intact copy.
         holders: dict[bytes, set[str]] = {}
@@ -445,15 +438,14 @@ class RepairDaemon:
 
 
 def rebalance(
-    store,
+    store: ShardedStorageService,
     old_ring,
     metrics: MetricsRegistry | None = None,
 ) -> RebalanceReport:
     """Migrate keys whose ring ownership changed between two rings.
 
     Call with a :meth:`~repro.storage.sharding.HashRing.copy` snapshot
-    taken *before* ``add_shard``/``remove_shard`` (or the service-level
-    equivalents).  Only keys whose preference list changed are copied —
+    taken *before* ``add_service``/``remove_service``.  Only keys whose preference list changed are copied —
     ~1/N of the keyspace per single-node membership change — and copies
     land on the new owners without deleting the old replicas (space is
     reclaimed by garbage collection, not here, so a mid-migration crash

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.core.server import REEDServer
-from repro.core.system import ShardedStorageService, build_system
+from repro.core.system import build_system
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.hashing import fingerprint
 from repro.storage.backend import DirectoryBackend
+from repro.storage.sharding import ShardedStorageService
 from repro.util.errors import ConfigurationError, ProtocolError
 from repro.workloads.synthetic import unique_data
 

@@ -17,9 +17,8 @@ SMALL_CHUNKS = ChunkingSpec(avg_size=256, min_size=64, max_size=1024)
 
 
 class _GetKeysOnly:
-    """A key client from before ``derive_keys``: the serial reference."""
-
-    supports_attribution = True  # the wrapped client still reports to the scope
+    """A key client from before ``derive_keys``: the serial reference.
+    The wrapped client still reports its counters to the scope."""
 
     def __init__(self, inner):
         self.get_keys = inner.get_keys

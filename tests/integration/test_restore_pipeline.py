@@ -13,9 +13,9 @@ import pytest
 
 from repro.chunking.chunker import ChunkingSpec
 from repro.core.cluster import TcpCluster
-from repro.core.system import ShardedStorageService
 from repro.crypto.drbg import HmacDrbg
 from repro.storage.recipes import FileRecipe
+from repro.storage.sharding import ShardedStorageService
 from repro.util.errors import (
     IntegrityError,
     NotFoundError,

@@ -20,7 +20,6 @@ from repro.core.service import (
     register_keystate_service,
     register_storage_service,
 )
-from repro.core.system import ShardedStorageService
 from repro.crypto.drbg import HmacDrbg
 from repro.keyreg.rsa_keyreg import KeyRegressionOwner
 from repro.mle.cache import MLEKeyCache
@@ -29,6 +28,7 @@ from repro.mle.server_aided import ServerAidedKeyClient
 from repro.net.rpc import ServiceRegistry
 from repro.net.tcp import TcpConnection, TcpServer
 from repro.storage.keystore import KeyStore
+from repro.storage.sharding import ShardedStorageService
 from repro.util.errors import AccessDeniedError
 from repro.workloads.synthetic import unique_data
 

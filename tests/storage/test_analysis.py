@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.server import REEDServer
 from repro.crypto.hashing import fingerprint
 from repro.storage.analysis import (
     analyze_file,
@@ -10,6 +11,7 @@ from repro.storage.analysis import (
 )
 from repro.storage.datastore import DataStore
 from repro.storage.recipes import ChunkRef, FileRecipe
+from repro.storage.sharding import HashRing, ShardedStorageService
 
 
 def store_file(store, file_id, chunks):
@@ -85,8 +87,6 @@ class TestAnalyzeFile:
 
 class TestAnalyzeSharded:
     def test_sharded_metrics(self):
-        from repro.storage.sharding import HashRing
-
         shards = [DataStore(container_bytes=512) for _ in range(3)]
         ring = HashRing([f"node-{index}" for index in range(3)])
         chunks = [bytes([i]) * 64 for i in range(24)]
@@ -112,12 +112,11 @@ class TestAnalyzeSharded:
         assert report.read_amplification >= 1.0
 
     def test_accepts_store_and_finds_degraded_replicas(self):
-        """Passing the ShardedDataStore itself uses its real ring, and a
+        """Passing the replication engine uses its real ring, and a
         chunk that landed only on a non-primary owner is still found."""
-        from repro.storage.sharding import ShardedDataStore
-
-        store = ShardedDataStore(
-            [DataStore(container_bytes=512) for _ in range(3)], replicas=2
+        store = ShardedStorageService(
+            [REEDServer(DataStore(container_bytes=512)) for _ in range(3)],
+            replicas=2,
         )
         chunks = [bytes([i]) * 64 for i in range(16)]
         refs = []
@@ -125,7 +124,7 @@ class TestAnalyzeSharded:
             fp = fingerprint(chunk)
             # Degraded write: only the secondary owner got a copy.
             secondary = store.ring.preference(fp, 2)[1]
-            store.node_store(secondary).put_chunk(fp, chunk)
+            store.node_service(secondary).chunk_put_many([(fp, chunk)])
             refs.append(ChunkRef(fingerprint=fp, length=len(chunk)))
         store.flush()
         recipe = FileRecipe(
@@ -143,16 +142,16 @@ class TestAnalyzeSharded:
     def test_custom_node_ids(self):
         """Shards attached under custom node ids must not be
         misattributed to positional ``node-{i}`` placement."""
-        from repro.storage.sharding import ShardedDataStore
-
-        store = ShardedDataStore([DataStore(), DataStore()])
-        store.add_shard(DataStore(), node_id="rack-b-7")
+        store = ShardedStorageService([REEDServer(), REEDServer()])
+        store.add_service(REEDServer(), node_id="rack-b-7")
         chunks = [bytes([i]) * 64 for i in range(16)]
         refs = []
         for chunk in chunks:
             fp = fingerprint(chunk)
-            store.put_chunk(fp, chunk)
+            store.chunk_put_many([(fp, chunk)])
             refs.append(ChunkRef(fingerprint=fp, length=len(chunk)))
+        # Some chunks live only on the custom-id node.
+        assert "rack-b-7" in {store.ring.primary(ref.fingerprint) for ref in refs}
         store.flush()
         recipe = FileRecipe(
             file_id="custom-ids",

@@ -5,12 +5,13 @@ import time
 
 import pytest
 
+from repro.core.server import REEDServer
 from repro.crypto.hashing import fingerprint
 from repro.obs.metrics import MetricsRegistry
 from repro.storage.backend import DirectoryBackend, MemoryBackend
 from repro.storage.datastore import DataStore
 from repro.storage.gc import CompactionDaemon, CompactionGC
-from repro.storage.sharding import ShardedDataStore
+from repro.storage.sharding import ShardedStorageService
 from repro.util.errors import ConfigurationError
 
 
@@ -274,27 +275,31 @@ class TestConcurrency:
 
 class TestSharded:
     def test_compacts_every_shard(self):
-        sharded = ShardedDataStore(
-            [DataStore(container_bytes=128) for _ in range(3)]
-        )
+        stores = [
+            DataStore(container_bytes=128, metrics=MetricsRegistry())
+            for _ in range(3)
+        ]
+        sharded = ShardedStorageService([REEDServer(store) for store in stores])
         pairs = []
         for i in range(48):
             data = bytes([i, 255 - i]) * 16
             fp = fingerprint(data)
-            sharded.put_chunk(fp, data)
+            sharded.chunk_put_many([(fp, data)])
             pairs.append((fp, data))
         sharded.flush()
-        for fp, _ in pairs[::2]:
-            sharded.release_chunk(fp)
+        sharded.chunk_release_batch([fp for fp, _ in pairs[::2]])
 
-        gc = CompactionGC(sharded, threshold=0.1, metrics=MetricsRegistry())
-        _live, dead_before, _ = gc.dead_space()
+        dead_before = sharded.gc_status()["dead_bytes"]
         assert dead_before > 0
-        report = gc.run_once()
-        assert report.compacted_containers > 0
-        assert report.reclaimed_bytes >= 0.9 * dead_before
-        for fp, data in pairs[1::2]:
-            assert sharded.get_chunk(fp) == data
+        assert all(store.dead_space()[1] > 0 for store in stores)
+        status = sharded.gc_run(0.1)
+        assert status["containers_compacted_total"] > 0
+        assert status["last_reclaimed_bytes"] >= 0.9 * dead_before
+        # Every node compacted its own containers in the one fan-out.
+        assert all(store.dead_space()[1] == 0 for store in stores)
+        assert sharded.chunk_get_batch([fp for fp, _ in pairs[1::2]]) == [
+            data for _, data in pairs[1::2]
+        ]
 
 
 class TestStatus:

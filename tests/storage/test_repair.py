@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from repro.core.server import REEDServer
 from repro.crypto.hashing import fingerprint
 from repro.obs.metrics import MetricsRegistry
 from repro.storage.datastore import DataStore
@@ -12,14 +13,19 @@ from repro.storage.repair import (
     ReplicaRepairer,
     rebalance,
 )
-from repro.storage.sharding import ShardedDataStore
+from repro.storage.sharding import ShardedStorageService
 from repro.util.errors import ConfigurationError, ProtocolError
 
 
 def make_store(n=3, replicas=2):
-    return ShardedDataStore(
-        [DataStore() for _ in range(n)], replicas=replicas
+    return ShardedStorageService(
+        [REEDServer() for _ in range(n)], replicas=replicas
     )
+
+
+def node_store(store, node):
+    """The in-process data store behind one ring node."""
+    return store.node_service(node).store
 
 
 def payloads(count, tag=b"x"):
@@ -30,7 +36,7 @@ def payloads(count, tag=b"x"):
 class TestReplicaRepairer:
     def test_clean_store_needs_no_repairs(self):
         store = make_store()
-        store.put_many(payloads(32))
+        store.chunk_put_many(payloads(32))
         metrics = MetricsRegistry()
         report = ReplicaRepairer(store, metrics=metrics).run_once()
         assert report.repairs == 0
@@ -44,9 +50,9 @@ class TestReplicaRepairer:
         down = store.node_ids()[0]
         store.mark_down(down)
         items = payloads(64)
-        store.put_many(items)
-        store.put_recipe("file-a", b"recipe-bytes")
-        store.put_stub_file("file-a", b"stub-bytes")
+        store.chunk_put_many(items)
+        store.recipe_put("file-a", b"recipe-bytes")
+        store.stub_put("file-a", b"stub-bytes")
         store.mark_up(down)
 
         metrics = MetricsRegistry()
@@ -60,8 +66,8 @@ class TestReplicaRepairer:
         # Every chunk now lives on both its owners.
         for fp, data in items:
             for node in store.ring.preference(fp, store.replicas):
-                assert store.node_store(node).has_chunk(fp), fp.hex()
-                assert store.node_store(node).get_chunk(fp) == data
+                assert node_store(store, node).has_chunk(fp), fp.hex()
+                assert node_store(store, node).get_chunk(fp) == data
         second = ReplicaRepairer(store, metrics=metrics).run_once()
         assert second.missing_replicas == 0
 
@@ -69,24 +75,23 @@ class TestReplicaRepairer:
         """A node that lost its disk (fresh empty store) is refilled."""
         store = make_store()
         items = payloads(48, tag=b"wipe")
-        store.put_many(items)
+        store.chunk_put_many(items)
         victim = store.node_ids()[1]
-        store._stores[victim] = DataStore()  # the replaced disk
+        store._services[victim] = REEDServer()  # the replaced disk
         report = ReplicaRepairer(store).run_once()
         assert report.unrepaired == 0
         for fp, data in items:
             owners = store.ring.preference(fp, store.replicas)
             if victim in owners:
-                assert store.node_store(victim).get_chunk(fp) == data
+                assert node_store(store, victim).get_chunk(fp) == data
 
     def test_detects_and_heals_corrupt_replica(self):
         store = make_store(n=2, replicas=2)
         fp, data = payloads(1, tag=b"corrupt")[0]
-        store.put_many([(fp, data)])
-        store.shards[0].flush()
-        store.shards[1].flush()
+        store.chunk_put_many([(fp, data)])
+        store.flush()
         # Flip bits in node-0's copy on disk (both nodes own it at R=2).
-        victim = store.node_store("node-0")
+        victim = node_store(store, "node-0")
         location = victim.index.lookup(fp)
         name = f"container/{location.container_id:012d}"
         blob = bytearray(victim.backend.get(name))
@@ -104,11 +109,11 @@ class TestReplicaRepairer:
         down = store.node_ids()[0]
         store.mark_down(down)
         items = payloads(16, tag=b"lost")
-        store.put_many(items)
+        store.chunk_put_many(items)
         # The only nodes holding copies vanish: wipe every up holder.
         for node in store.node_ids():
             if node != down:
-                store._stores[node] = DataStore()
+                store._services[node] = REEDServer()
         store.mark_up(down)
         metrics = MetricsRegistry()
         report = ReplicaRepairer(store, metrics=metrics).run_once()
@@ -124,26 +129,26 @@ class TestReplicaRepairer:
         data = b"shared-by-three-files"
         fp = fingerprint(data)
         for _ in range(3):  # three files reference the chunk
-            store.put_chunk(fp, data)
+            store.chunk_put_many([(fp, data)])
         victim = store.ring.preference(fp, store.replicas)[0]
-        store._stores[victim] = DataStore()  # the wiped disk
+        store._services[victim] = REEDServer()  # the wiped disk
         report = ReplicaRepairer(store, metrics=MetricsRegistry()).run_once()
         assert report.chunks_repaired >= 1
-        assert store.node_store(victim).index.refcount(fp) == 3
+        assert node_store(store, victim).index.refcount(fp) == 3
         # Two file deletes leave the third reference intact everywhere.
-        store.release_chunk(fp)
-        store.release_chunk(fp)
+        store.chunk_release_batch([fp])
+        store.chunk_release_batch([fp])
         for node in store.ring.preference(fp, store.replicas):
-            assert store.node_store(node).has_chunk(fp)
-        store.release_chunk(fp)
-        assert not store.has_chunk(fp)
+            assert node_store(store, node).has_chunk(fp)
+        store.chunk_release_batch([fp])
+        assert store.chunk_exists_batch([fp]) == [False]
 
     def test_run_once_excludes_node_dying_mid_scan(self):
         """A node failing between the liveness probe and its inventory
         read is dropped from the pass (and marked down on a transport
         error) instead of aborting the whole scan."""
         store = make_store()
-        store.put_many(payloads(24, tag=b"midscan"))
+        store.chunk_put_many(payloads(24, tag=b"midscan"))
         victim = store.node_ids()[1]
         original = store.node_chunk_list
 
@@ -168,7 +173,7 @@ class TestRepairDaemon:
         store = make_store()
         down = store.node_ids()[0]
         store.mark_down(down)
-        store.put_many(payloads(8, tag=b"daemon"))
+        store.chunk_put_many(payloads(8, tag=b"daemon"))
         store.mark_up(down)
         daemon = RepairDaemon(ReplicaRepairer(store), interval=30.0)
         with daemon:
@@ -206,12 +211,12 @@ class TestRebalance:
     def test_join_migrates_only_moved_keys(self):
         store = make_store(n=3, replicas=2)
         items = payloads(128, tag=b"join")
-        store.put_many(items)
-        store.put_recipe("file-r", b"recipe")
-        store.put_stub_file("file-r", b"stub")
+        store.chunk_put_many(items)
+        store.recipe_put("file-r", b"recipe")
+        store.stub_put("file-r", b"stub")
 
         old_ring = store.ring.copy()
-        joined = store.add_shard(DataStore())
+        joined = store.add_service(REEDServer())
         metrics = MetricsRegistry()
         report = rebalance(store, old_ring, metrics=metrics)
 
@@ -224,14 +229,15 @@ class TestRebalance:
         after = ReplicaRepairer(store).run_once()
         assert after.missing_replicas == 0
         # The joined node actually received its keys.
-        assert len(store.node_store(joined).list_chunks()) > 0
+        assert len(node_store(store, joined).list_chunks()) > 0
 
     def test_reads_survive_membership_change_with_rebalance(self):
         store = make_store(n=2, replicas=2)
         items = payloads(64, tag=b"leave")
-        store.put_many(items)
+        store.chunk_put_many(items)
         old_ring = store.ring.copy()
-        store.add_shard(DataStore())
+        store.add_service(REEDServer())
         rebalance(store, old_ring)
-        for fp, data in items:
-            assert store.get_chunk(fp) == data
+        assert store.chunk_get_batch([fp for fp, _ in items]) == [
+            data for _, data in items
+        ]
