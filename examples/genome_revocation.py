@@ -78,6 +78,7 @@ def main() -> None:
 
     print("\nDeduplicated data was never re-encrypted; only key states and")
     print("one stub file moved. Done.")
+    system.close()
 
 
 if __name__ == "__main__":

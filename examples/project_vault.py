@@ -88,6 +88,7 @@ def main() -> None:
         )
     print("\nLater runs reference chunks written by earlier uploads — the")
     print("fragmentation the paper observes in Experiment B.2. Done.")
+    system.close()
 
 
 if __name__ == "__main__":

@@ -73,6 +73,7 @@ def main() -> None:
 
     assert alice.download("quarterly-report").data == data
     print("    Alice still reads the file fine.\n\nQuickstart complete.")
+    system.close()  # reap the key manager's signing workers
 
 
 if __name__ == "__main__":

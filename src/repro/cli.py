@@ -769,22 +769,25 @@ def cmd_demo(_args) -> int:
     from repro.util.errors import AccessDeniedError
 
     system = build_system()
-    alice = system.new_client("alice", cache_bytes=64 * MiB)
-    bob = system.new_client("bob", owner=False)
-    data = unique_data(500_000, seed=1)
-    alice.upload("demo", data, policy=FilePolicy.for_users(["alice", "bob"]))
-    assert bob.download("demo").data == data
-    print("upload + shared download: OK")
-    alice.revoke_users("demo", {"bob"}, RevocationMode.ACTIVE)
     try:
-        bob.download("demo")
-        print("ERROR: revocation failed")
-        return 1
-    except AccessDeniedError:
-        print("active revocation: OK")
-    assert alice.download("demo").data == data
-    print("owner access after rekey: OK")
-    return 0
+        alice = system.new_client("alice", cache_bytes=64 * MiB)
+        bob = system.new_client("bob", owner=False)
+        data = unique_data(500_000, seed=1)
+        alice.upload("demo", data, policy=FilePolicy.for_users(["alice", "bob"]))
+        assert bob.download("demo").data == data
+        print("upload + shared download: OK")
+        alice.revoke_users("demo", {"bob"}, RevocationMode.ACTIVE)
+        try:
+            bob.download("demo")
+            print("ERROR: revocation failed")
+            return 1
+        except AccessDeniedError:
+            print("active revocation: OK")
+        assert alice.download("demo").data == data
+        print("owner access after rekey: OK")
+        return 0
+    finally:
+        system.close()
 
 
 # ---------------------------------------------------------------------------

@@ -286,7 +286,7 @@ class REEDClient:
         self._m_rekey_wind_batches = self.metrics.counter(
             "client_rekey_wind_batches_total",
             "Key-regression wind batches, by where they were wound "
-            "(rekey worker processes or the caller thread).",
+            "(parallel: on rekey worker processes; serial: in this process).",
             labelnames=("mode",),
         )
         #: Optional client-side read cache of trimmed packages (see
@@ -846,12 +846,12 @@ class REEDClient:
         this thread.  A wind is deterministic, so the output does not
         depend on where it ran.
         """
-        pool = self._rekey_pool
-        parallel = len(states) >= MIN_PARALLEL_WIND and pool.workers > 1
         with self.tracer.span("rekey.wind", files=len(states)):
-            wound = pool.wind(states, parallel=parallel)
+            wound, on_workers = self._rekey_pool.wind(
+                states, parallel=len(states) >= MIN_PARALLEL_WIND
+            )
         self._m_rekey_wind_batches.labels(
-            mode="parallel" if parallel else "serial"
+            mode="parallel" if on_workers else "serial"
         ).inc()
         return wound
 

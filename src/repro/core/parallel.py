@@ -304,13 +304,16 @@ class RekeyPool(SpanPool):
         wind = self.owner.wind
         return [wind(state) for state in states]
 
-    def wind(self, states: list[KeyState], parallel: bool = True) -> list[KeyState]:
-        """Wind each key state one version, preserving order.
+    def wind(
+        self, states: list[KeyState], parallel: bool = True
+    ) -> tuple[list[KeyState], bool]:
+        """Wind each key state one version, preserving order; also say
+        whether the winds ran on worker processes.
 
         ``parallel=False`` is the caller's verdict that the window is too
         small to repay the hand-off (see :data:`MIN_PARALLEL_WIND`).
         """
-        return self.map_spans(
+        return self.map_spans_where(
             states, self._wind_serial, _wind_span, parallel=parallel
         )
 

@@ -114,6 +114,15 @@ class ReedSystem:
             rng=self.rng,
         )
 
+    def close(self) -> None:
+        """Reap the key manager's signing workers (they restart lazily).
+
+        Call it before the interpreter exits: an executor left to the
+        garbage collector just before exit can race the interpreter's
+        own shutdown of it.
+        """
+        self.key_manager.close()
+
     @property
     def storage_stats(self) -> DataStoreStats:
         """Aggregate storage accounting across all data servers."""

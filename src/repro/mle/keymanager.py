@@ -11,12 +11,17 @@ rate-limited per client with a token bucket (Section II-A).  The manager
 also keeps per-client accounting used by the evaluation harness.
 
 Signing is the one CPU-heavy step of an upload that the client cannot
-parallelise for itself, and a 1024-bit CRT ``pow`` holds the GIL, so an
-admitted batch is signed in contiguous spans on worker *processes*
+parallelise for itself, and a 1024-bit CRT ``pow`` holds the GIL, so
+every admitted batch, a small file's few values included, is signed in
+contiguous spans on worker *processes*
 (:class:`~repro.util.spanpool.SpanPool`).  Workers receive the private
 key once, when they start; per batch only blinded values go out and
-signatures come back.  Admission — size cap, rate limit, domain check —
-happens on the handler thread before any worker sees a value.
+signatures come back.  Admission — size cap, domain check, rate limit —
+happens on the handler thread before any worker sees a value; after it,
+the handler thread only hands off and waits.  It signs a batch itself
+only where no second process can help: a single value (nothing to
+split), a one-worker host, a host without process pools, and the redo
+of a batch whose worker died (after which the pool stays off processes).
 """
 
 from __future__ import annotations
@@ -41,11 +46,6 @@ DEFAULT_RATE_LIMIT = 8192.0
 
 #: Default burst: one maximum-size batch.
 DEFAULT_BURST = 16384.0
-
-#: Batches below this many values are signed on the handler thread: the
-#: hand-off to the workers costs about as much as signing a few values,
-#: and small-file uploads should never start the workers at all.
-MIN_PARALLEL_SIGN = 64
 
 #: Worker processes only: the key installed when the worker started.
 _SIGNING_KEY: RSAPrivateKey | None = None
@@ -126,12 +126,12 @@ class KeyManager:
         self._sign_batches = metrics.counter(
             "km_sign_batches_total",
             "Admitted signing batches, by where they were signed "
-            "(worker processes or the handler thread).",
+            "(parallel: on worker processes; serial: on the handler thread).",
             labelnames=("mode",),
         )
 
     def close(self) -> None:
-        """Reap the signing workers (they restart on the next large batch)."""
+        """Reap the signing workers (they restart on the next batch)."""
         self._signers.close()
 
     @property
@@ -156,7 +156,8 @@ class KeyManager:
         Raises :class:`RateLimitExceeded` when the client's token bucket
         cannot cover the batch; the client is expected to back off (the
         batch is all-or-nothing so partial progress never leaks through
-        the limiter).
+        the limiter).  An oversize batch or one with a value outside
+        ``[0, n)`` is refused before the limiter and costs no tokens.
         """
         if not blinded_values:
             return []
@@ -165,6 +166,7 @@ class KeyManager:
                 f"batch of {len(blinded_values)} exceeds the maximum batch "
                 f"size {int(self._burst)}"
             )
+        blindrsa.require_in_domain(self._private_key.n, blinded_values)
         quota = self._quota_for(client_id)
         if not quota.bucket.try_take(len(blinded_values)):
             quota.rejected += len(blinded_values)
@@ -172,17 +174,18 @@ class KeyManager:
             raise RateLimitExceeded(
                 f"client {client_id!r} exceeded the key-generation rate limit"
             )
-        blindrsa.require_in_domain(self._private_key.n, blinded_values)
-        parallel = (
-            len(blinded_values) >= MIN_PARALLEL_SIGN and self._signers.workers > 1
-        )
         started = self._clock()
         with self._tracer.span("km.sign", values=len(blinded_values)):
-            signatures = self._signers.map_spans(
-                blinded_values, self._sign_here, _sign_span, parallel=parallel
+            # Signing threads would only take turns on the GIL: without
+            # worker processes the batch is signed right here.
+            signatures, on_workers = self._signers.map_spans_where(
+                blinded_values,
+                self._sign_here,
+                _sign_span,
+                parallel=self._signers.use_processes,
             )
         elapsed = self._clock() - started
-        self._sign_batches.labels(mode="parallel" if parallel else "serial").inc()
+        self._sign_batches.labels(mode="parallel" if on_workers else "serial").inc()
         with self._lock:
             quota.requests += len(blinded_values)
             self.stats.signatures += len(blinded_values)

@@ -197,16 +197,34 @@ class SpanPool:
         Worker processes run ``task(*task_args, span)`` (module-level
         and picklable); threads and the in-process paths run
         ``serial(span)``.  ``parallel=False`` is the caller's verdict
-        that this batch is too small to repay the hand-off.
+        that this batch is too small to repay the hand-off.  A one-item
+        batch always stays in-process: there is nothing to split, and the
+        round trip to a worker would only add to the caller's wait.
         """
+        return self.map_spans_where(
+            items, serial, task, *task_args, parallel=parallel
+        )[0]
+
+    def map_spans_where(
+        self,
+        items: list,
+        serial: Callable[[list], list],
+        task: Callable[..., list],
+        *task_args,
+        parallel: bool = True,
+    ) -> tuple[list, bool]:
+        """:meth:`map_spans`, plus whether the batch ran on worker
+        processes — not on threads, not in-process, and not redone
+        in-process after a worker died."""
         if not parallel or self.workers == 1 or len(items) < 2:
             self.serial_batches += 1
-            return serial(items)
+            return serial(items), False
         executor = self._get_executor()
+        on_processes = isinstance(executor, ProcessPoolExecutor)
         size = -(-len(items) // self.workers)
         spans = [items[start : start + size] for start in range(0, len(items), size)]
         try:
-            if isinstance(executor, ProcessPoolExecutor):
+            if on_processes:
                 futures = [executor.submit(task, *task_args, span) for span in spans]
             else:
                 futures = [executor.submit(serial, span) for span in spans]
@@ -218,6 +236,6 @@ class SpanPool:
                     self._executor = None
             executor.shutdown(wait=True)
             self.serial_batches += 1
-            return serial(items)
+            return serial(items), False
         self.parallel_batches += 1
-        return [result for batch in results for result in batch]
+        return [result for batch in results for result in batch], on_processes

@@ -45,10 +45,14 @@ def rsa_1024():
 @pytest.fixture()
 def system():
     """A small in-process REED deployment (one data server)."""
-    return build_system(num_data_servers=1, rng=HmacDrbg(b"system-fixture"))
+    built = build_system(num_data_servers=1, rng=HmacDrbg(b"system-fixture"))
+    yield built
+    built.close()
 
 
 @pytest.fixture()
 def cluster():
     """The paper's topology: four data servers plus a key store."""
-    return build_system(num_data_servers=4, rng=HmacDrbg(b"cluster-fixture"))
+    built = build_system(num_data_servers=4, rng=HmacDrbg(b"cluster-fixture"))
+    yield built
+    built.close()

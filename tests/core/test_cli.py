@@ -1,9 +1,13 @@
 """Tests for the ``reed`` command-line tool against a real TCP cluster."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import OrgState, build_parser, main, start_service
 from repro.workloads.synthetic import unique_data
 
@@ -129,6 +133,21 @@ class TestFileLifecycle:
 class TestParser:
     def test_demo_runs(self):
         assert main(["demo"]) == 0
+
+    def test_demo_exits_cleanly_in_a_fresh_interpreter(self):
+        """The demo's key manager signs on worker processes; they are
+        reaped before exit instead of being left to the garbage
+        collector, whose shutdown of them races the interpreter's."""
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "demo"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert done.returncode == 0
+        assert "Traceback" not in done.stderr, done.stderr
 
     def test_endpoint_validation(self, org_dir, cluster):
         args = client_args(org_dir, cluster, "alice")

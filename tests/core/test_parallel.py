@@ -132,8 +132,9 @@ class TestRekeyPool:
     def test_winds_on_workers_match_in_process(self, keyreg_owner):
         states = _states(keyreg_owner, 11)
         with RekeyPool(workers=2, owner=keyreg_owner) as pool:
-            assert pool.wind(states) == [keyreg_owner.wind(s) for s in states]
-            assert pool.parallel_batches == 1
+            wound, on_workers = pool.wind(states)
+            assert wound == [keyreg_owner.wind(s) for s in states]
+            assert on_workers and pool.parallel_batches == 1
             assert isinstance(pool._executor, ProcessPoolExecutor)
 
     def test_unregistered_cipher_keeps_stubs_home_not_winds(self, keyreg_owner):
@@ -146,7 +147,7 @@ class TestRekeyPool:
             old, [bytes(64)] * 20_000, cipher=cipher, nonce=bytes(16)
         )
         with RekeyPool(cipher=cipher, workers=2, owner=keyreg_owner) as pool:
-            assert pool.wind(states) == [keyreg_owner.wind(s) for s in states]
+            assert pool.wind(states) == ([keyreg_owner.wind(s) for s in states], True)
             assert isinstance(pool._executor, ProcessPoolExecutor)
             items = [(stub_file, old, new, bytes([n]) * 16) for n in range(2)]
             assert pool.reencrypt(items) == pool._reencrypt_serial(items)

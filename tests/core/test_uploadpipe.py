@@ -68,6 +68,7 @@ def _upload(
         client.key_client.get_keys = spy
     result = client.upload("file", feed(data))
     client.close()
+    system.close()
     containers = {}
     for index, server in enumerate(system.servers):
         backend = server.store.backend
@@ -187,7 +188,9 @@ class TestBitIdentical:
             threading.Thread.start = original
         assert done["result"].upload_batches == 1
         assert done["result"].key_round_trips == 1
-        assert started == []
+        # No pipeline stage thread; the in-process key manager's signer
+        # pool starts threads of its own, which are not the upload's.
+        assert not [name for name in started if name.startswith("reed-upload")]
 
 
 def _upload_threads():

@@ -488,11 +488,12 @@ def test_corrupt_key_state_mid_window_raises_its_error_and_ships_nothing():
 def test_single_file_and_small_window_start_no_worker():
     """A single-file ``rekey`` and a window below the wind threshold wind
     on the caller thread: no rekey worker process is ever started."""
-    before = {child.pid for child in multiprocessing.active_children()}
     cluster, client, file_ids = _wind_cluster(
         b"no-workers", MIN_PARALLEL_WIND - 1
     )
     with cluster:
+        # The uploads have started the key manager's signers by now.
+        before = {child.pid for child in multiprocessing.active_children()}
         serial_before = client.metrics.value(
             "client_rekey_wind_batches_total", mode="serial"
         )

@@ -19,6 +19,7 @@ from repro import cli
 from repro.chunking.chunker import ChunkingSpec
 from repro.core.cluster import TcpCluster
 from repro.crypto.drbg import HmacDrbg
+from repro.obs.expo import parse_prometheus
 from repro.obs.metrics import reset_default_registry
 from repro.obs.tracing import reset_default_tracer
 
@@ -109,6 +110,30 @@ def test_upload_produces_one_merged_cross_node_trace(fresh_telemetry, cluster):
         if span["name"] == "rpc.storage.put_many"
     }
     assert put_parents == {"upload.store"}
+
+
+def test_small_upload_is_signed_on_the_signer_workers(fresh_telemetry, cluster):
+    """A 64 KiB file is one small signing batch; the key manager hands
+    it to its worker processes all the same, inside the handler span."""
+    client = cluster.new_client("alice")
+    result = client.upload("small", cluster.rng.random_bytes(16 * CHUNK_SIZE))
+    samples = parse_prometheus(cluster.scrape_node("key-manager"))
+
+    def sign_batches(mode):
+        return samples.get(("km_sign_batches_total", frozenset({("mode", mode)})), 0)
+
+    assert sign_batches("serial") == 0
+    assert sign_batches("parallel") >= 1
+
+    (entry,) = cluster.merged_traces(trace_id=result.trace_id)
+    spans = list(_walk(entry["root"]))
+    by_id = {span["span_id"]: span for span in spans}
+    signs = [span for span in spans if span["name"] == "km.sign"]
+    assert signs
+    for span in signs:
+        assert span["node"] == "key-manager"
+        assert by_id[span["parent_span_id"]]["name"] == "rpc.km.derive_batch"
+    client.close()
 
 
 @pytest.mark.slow

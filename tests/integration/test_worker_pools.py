@@ -16,7 +16,9 @@ from repro.core.cluster import TcpCluster
 from repro.core.policy import FilePolicy
 from repro.core.rekey import RevocationMode
 from repro.crypto.drbg import HmacDrbg
+from repro.obs.expo import parse_prometheus
 
+KiB = 1 << 10
 MiB = 1 << 20
 #: Child interpreters import the package under test, installed or not.
 CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
@@ -40,7 +42,7 @@ def test_data_server_restarts_while_worker_pools_are_alive():
         result = client.upload("file", data)
         assert result.key_round_trips >= 1
         # Both kinds of worker are up: the transform pool (>= 1 MiB
-        # batch) and the signers (a key window above the threshold).
+        # batch) and the signers (every key window).
         assert client._transform_pool.parallel_batches >= 1
         assert cluster.key_manager._signers.parallel_batches >= 1
         assert len(workers()) >= 3
@@ -54,6 +56,46 @@ def test_data_server_restarts_while_worker_pools_are_alive():
         client.close()
     # stop() reaped the signers, close() the client's pools.
     assert workers() == set()
+
+
+def _sign_batches(cluster) -> tuple[float, float]:
+    """(serial, parallel) signing batches, from a live key-manager scrape."""
+    samples = parse_prometheus(cluster.scrape_node("key-manager"))
+    return tuple(
+        samples.get(("km_sign_batches_total", frozenset({("mode", mode)})), 0)
+        for mode in ("serial", "parallel")
+    )
+
+
+def test_small_uploads_after_a_signer_dies_count_as_serial():
+    """A SIGKILLed signer poisons the signing pool: the batch that finds
+    it dead is redone in-process and every later batch is signed on the
+    handler thread.  Keys stay those of the healthy pool, and the series
+    says where each batch was signed, not where it was meant to be."""
+    files = [HmacDrbg(b"small-%d" % index).random_bytes(64 * KiB) for index in range(3)]
+    with TcpCluster(num_data_servers=2, rng=HmacDrbg(b"signer-kill")) as cluster:
+        alice = cluster.new_client("alice")
+        for index, data in enumerate(files):
+            alice.upload(f"alice-{index}", data)
+        assert _sign_batches(cluster) == (0, 3)
+
+        signers = cluster.key_manager._signers
+        os.kill(next(iter(signers._executor._processes)), signal.SIGKILL)
+        # Until the executor has noticed, the surviving signer may still
+        # serve a whole batch; what is checked is what happens after.
+        deadline = time.monotonic() + 30
+        while not signers._executor._broken and time.monotonic() < deadline:
+            time.sleep(0.01)
+
+        bob = cluster.new_client("bob")  # a cold key cache: every key is signed
+        for index, data in enumerate(files):
+            # The same MLE keys as alice's: every chunk deduplicates.
+            assert bob.upload(f"bob-{index}", data).new_chunks == 0
+        assert _sign_batches(cluster) == (3, 3)
+        assert signers.use_processes is False
+        assert bob.download("bob-2").data == files[2]
+        alice.close()
+        bob.close()
 
 
 def test_serve_km_reaps_its_signers_on_sigterm(tmp_path):
@@ -72,7 +114,7 @@ def test_serve_km_reaps_its_signers_on_sigterm(tmp_path):
     )
     try:
         address = server.stdout.readline().split()[-1]
-        # Drive one batch large enough to start the signers.
+        # Drive one small-file-sized batch; it starts the signers.
         sign = (
             "import sys\n"
             "from repro.core.service import RemoteKeyManagerChannel\n"
@@ -80,7 +122,7 @@ def test_serve_km_reaps_its_signers_on_sigterm(tmp_path):
             "host, port = sys.argv[1].rsplit(':', 1)\n"
             "connection = TcpConnection(host, int(port))\n"
             "channel = RemoteKeyManagerChannel(connection.client())\n"
-            "assert len(channel.derive_batch('alice', list(range(2, 130)))) == 128\n"
+            "assert len(channel.derive_batch('alice', list(range(2, 10)))) == 8\n"
             "connection.close()\n"
         )
         subprocess.run([sys.executable, "-c", sign, address], check=True, env=CHILD_ENV)
@@ -114,22 +156,34 @@ def _records_after_two_rekeys(kill_winders: bool, monkeypatch) -> dict:
             client.upload(file_id, HmacDrbg(b"%d" % index).random_bytes(3000))
         if kill_winders:
             monkeypatch.setattr(parallel, "_wind_span", _die_winding)
+
+        def wind_batches():
+            return {
+                mode: client.metrics.value("client_rekey_wind_batches_total", mode=mode)
+                for mode in ("serial", "parallel")
+            }
+
+        before = wind_batches()
         for users in (["alice", "bob"], ["alice"]):
             result = client.rekey_many(
                 file_ids, FilePolicy.for_users(users), RevocationMode.ACTIVE
             )
             assert result.files == len(file_ids)
         pool = client._rekey_pool
+        wound = {mode: count - before[mode] for mode, count in wind_batches().items()}
         if kill_winders:
             # The first window's workers died mid-wind: its winds were
             # redone in-process (the one serial batch) and the pool
-            # serves everything after that on threads.
+            # serves everything after that on threads — neither of which
+            # counts as a parallel wind.
             assert pool.serial_batches == 1
             assert pool.use_processes is False
+            assert wound == {"serial": 2, "parallel": 0}
         else:
             # Two windows wound on the workers; the stub files are far
             # too small to leave the process.
             assert (pool.parallel_batches, pool.serial_batches) == (2, 2)
+            assert wound == {"serial": 0, "parallel": 2}
         records = {
             file_id: cluster.keystore.get(file_id).encode() for file_id in file_ids
         }

@@ -2,6 +2,7 @@
 
 import os
 import signal
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.crypto import blindrsa
 from repro.crypto.drbg import HmacDrbg
-from repro.mle.keymanager import MIN_PARALLEL_SIGN, KeyManager
+from repro.mle.keymanager import DEFAULT_BURST, KeyManager
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
 from repro.sim.clock import SimClock
@@ -108,8 +109,9 @@ class TestAccounting:
 
 
 class TestParallelSigning:
-    """Admitted batches are signed on worker processes; admission and
-    results are those of the in-process path."""
+    """Every admitted batch of two values or more is signed on worker
+    processes, however small; admission and results are those of the
+    in-process path."""
 
     @pytest.fixture(scope="class")
     def signer(self, rsa_512):
@@ -119,63 +121,70 @@ class TestParallelSigning:
 
     @settings(max_examples=25)
     @given(
-        count=st.one_of(
-            st.integers(1, 3 * MIN_PARALLEL_SIGN),
-            st.sampled_from(
-                [MIN_PARALLEL_SIGN - 1, MIN_PARALLEL_SIGN, MIN_PARALLEL_SIGN + 1]
-            ),
-        ),
+        count=st.one_of(st.integers(1, 192), st.sampled_from([1, 2, 3, 8, 63, 64])),
         seed=st.binary(min_size=1, max_size=8),
     )
     def test_parallel_equals_in_process(self, signer, rsa_512, count, seed):
         draw = HmacDrbg(seed)
         values = [draw.randint_below(rsa_512.n) for _ in range(count)]
-        before = signer._signers.parallel_batches
+        pool = signer._signers
+        before = (pool.parallel_batches, pool.serial_batches)
         assert signer.sign_batch("alice", values) == [
             rsa_512.apply(value) for value in values
         ]
-        went_parallel = signer._signers.parallel_batches - before
-        assert went_parallel == (1 if count >= MIN_PARALLEL_SIGN else 0)
+        # A single value has nothing to split and stays on the handler
+        # thread; anything more goes to the workers.
+        on_workers = count >= 2
+        assert (pool.parallel_batches, pool.serial_batches) == (
+            before[0] + on_workers,
+            before[1] + (not on_workers),
+        )
+        if on_workers:
+            assert isinstance(pool._executor, ProcessPoolExecutor)
 
-    def test_small_batches_never_start_workers(self, rsa_512):
+    def test_one_worker_manager_signs_in_process(self, rsa_512, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
         manager = KeyManager(private_key=rsa_512)
-        manager.sign_batch("alice", [5] * (MIN_PARALLEL_SIGN - 1))
+        assert manager.sign_batch("alice", [5] * 100) == [rsa_512.apply(5)] * 100
         assert manager._signers._executor is None
         assert manager._signers.serial_batches == 1
 
     def test_rejected_batches_reach_no_worker_and_cost_no_tokens(self, rsa_512):
         clock = SimClock()
-        burst = 2 * MIN_PARALLEL_SIGN
-        manager = KeyManager(
-            private_key=rsa_512, rate_limit=1, burst=burst, clock=clock
-        )
+        manager = KeyManager(private_key=rsa_512, rate_limit=1, burst=8, clock=clock)
         with pytest.raises(ConfigurationError):
-            manager.sign_batch("alice", [5] * (burst + 1))  # oversize
-        # The whole burst is still there...
-        assert len(manager.sign_batch("alice", [5] * burst)) == burst
-        # ...and once it is gone, a rejected batch charges nothing either:
-        # one refilled token is still one token afterwards.
-        clock.advance(1.0)
+            manager.sign_batch("alice", [5] * 9)  # oversize
+        # The oversize batch started no worker and took no token...
+        assert manager._signers._executor is None
+        assert manager.seconds_until_allowed("alice", 8) == 0
+        # ...and once the burst is spent, a rate-limited batch neither
+        # reaches a worker (reaped here, none restarts) nor charges
+        # anything: two refilled tokens are still two tokens afterwards.
+        assert len(manager.sign_batch("alice", [5] * 8)) == 8
+        manager.close()
+        clock.advance(2.0)
         with pytest.raises(RateLimitExceeded):
-            manager.sign_batch("alice", [5] * MIN_PARALLEL_SIGN)
-        assert len(manager.sign_batch("alice", [5])) == 1
-        assert manager._signers.parallel_batches == 1  # only the admitted burst
+            manager.sign_batch("alice", [5] * 3)
+        assert manager._signers._executor is None
+        assert len(manager.sign_batch("alice", [5] * 2)) == 2
+        assert manager._signers.parallel_batches == 2  # only admitted batches
         assert manager.stats.batches == 2
-        assert manager.stats.rejected == MIN_PARALLEL_SIGN
+        assert manager.stats.rejected == 3
         manager.close()
 
     @pytest.mark.parametrize("bad", [-1, "n"])
     def test_out_of_domain_value_is_refused_before_signing(self, rsa_512, bad):
         manager = KeyManager(private_key=rsa_512)
-        batch = [5] * MIN_PARALLEL_SIGN + [rsa_512.n if bad == "n" else bad]
+        batch = [5, 6, rsa_512.n if bad == "n" else bad]
         with pytest.raises(KeyManagerError):
             manager.sign_batch("alice", batch)
         assert manager._signers._executor is None
         assert manager.stats.signatures == 0
+        assert manager.seconds_until_allowed("alice", int(DEFAULT_BURST)) == 0
 
     def test_killed_worker_degrades_to_in_process_signing(self, rsa_512):
         manager = KeyManager(private_key=rsa_512)
-        values = list(range(2, 2 + MIN_PARALLEL_SIGN))
+        values = list(range(2, 10))
         expected = [rsa_512.apply(value) for value in values]
         assert manager.sign_batch("alice", values) == expected
         signers = list(manager._signers._executor._processes.values())
@@ -189,8 +198,7 @@ class TestParallelSigning:
         manager = KeyManager(private_key=rsa_512)
         manager.observe_on(metrics, Tracer(metrics=metrics, node="key-manager"))
         manager.sign_batch("alice", [5] * 3)
-        manager.sign_batch("alice", [5] * MIN_PARALLEL_SIGN)
         manager.close()
-        assert metrics.value("km_sign_batches_total", mode="serial") == 1
+        assert metrics.value("km_sign_batches_total", mode="serial") == 0
         assert metrics.value("km_sign_batches_total", mode="parallel") == 1
-        assert metrics.get("span_seconds").labels(span="km.sign").count == 2
+        assert metrics.get("span_seconds").labels(span="km.sign").count == 1

@@ -4,6 +4,7 @@ import pytest
 
 from repro.crypto import blindrsa
 from repro.crypto.drbg import HmacDrbg
+from repro.mle.keymanager import KeyManager
 from repro.mle.server_aided import ServerAidedKeyClient
 from repro.mle.threshold import (
     ThresholdKeyManagerChannel,
@@ -145,8 +146,9 @@ class TestEndToEndWithReed:
         from repro.mle.threshold import build_group
         from repro.workloads.synthetic import unique_data
 
-        # Rebuild the system's key manager around a known private key.
-        system.key_manager._private_key = rsa_512
+        # Swap in a key manager built around a known private key (its
+        # signer workers hold the key it was built with).
+        system.key_manager = KeyManager(private_key=rsa_512)
         alice = system.new_client("alice")
 
         _managers, channel = build_group(rsa_512, 2, 3, rng=HmacDrbg(b"g"))

@@ -50,8 +50,8 @@ class TestPaths:
     )
     def test_in_process_paths_never_start_workers(self, workers, items, parallel):
         pool = SpanPool(workers=workers)
-        got = pool.map_spans(items, _double, _scale_span, 2, parallel=parallel)
-        assert got == _double(items)
+        got = pool.map_spans_where(items, _double, _scale_span, 2, parallel=parallel)
+        assert got == (_double(items), False)
         assert (pool.serial_batches, pool.parallel_batches) == (1, 0)
         assert pool._executor is None
 
@@ -59,17 +59,18 @@ class TestPaths:
         items = list(range(11))
         with SpanPool(workers=3) as pool:
             assert pool.map_spans(items, _double, _scale_span, 2) == _double(items)
-            pids = pool.map_spans(items, _pid_span, _pid_span)
-            assert pool.parallel_batches == 2
+            pids, on_processes = pool.map_spans_where(items, _pid_span, _pid_span)
+            assert on_processes and pool.parallel_batches == 2
         assert os.getpid() not in pids
         # One contiguous span per worker: pids change at most twice.
         assert sum(a != b for a, b in zip(pids, pids[1:])) <= 2
 
     def test_threads_when_processes_are_off(self):
         with SpanPool(workers=2, use_processes=False) as pool:
-            pids = pool.map_spans([1, 2, 3, 4], _pid_span, _pid_span)
+            pids, on_processes = pool.map_spans_where([1, 2, 3, 4], _pid_span, _pid_span)
             assert pids == [os.getpid()] * 4
-            assert pool.parallel_batches == 1
+            # Spread over threads, but not on worker processes.
+            assert not on_processes and pool.parallel_batches == 1
 
     def test_initializer_state_is_held_from_start_up(self):
         with SpanPool(workers=2, initializer=_hold, initargs=(100,)) as pool:
@@ -129,7 +130,10 @@ class TestWorkerHygiene:
         deadline = time.monotonic() + 30
         while not pool._executor._broken and time.monotonic() < deadline:
             time.sleep(0.01)
-        assert pool.map_spans([1, 2, 3, 4], _double, _scale_span, 2) == [2, 4, 6, 8]
+        assert pool.map_spans_where([1, 2, 3, 4], _double, _scale_span, 2) == (
+            [2, 4, 6, 8],
+            False,
+        )
         assert (pool.parallel_batches, pool.serial_batches) == (1, 1)
         # A dead worker poisons the executor: the pool stays off processes.
         assert pool.use_processes is False
