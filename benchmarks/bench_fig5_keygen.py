@@ -49,7 +49,7 @@ def test_fig5a_keygen_speed_vs_chunk_size(benchmark, manager, chunk_kib):
     fps = fingerprints(KEY_COUNT, chunk_kib)
 
     def run():
-        return client.get_keys(fps)
+        return client.derive_keys(fps)
 
     keys = benchmark(run)
     assert len(keys) == KEY_COUNT
@@ -74,7 +74,7 @@ def test_fig5b_keygen_speed_vs_batch_size(benchmark, manager, batch_size):
     fps = fingerprints(KEY_COUNT, 99)
 
     def run():
-        return client.get_keys(fps)
+        return client.derive_keys(fps)
 
     keys = benchmark(run)
     assert len(keys) == KEY_COUNT

@@ -28,18 +28,11 @@ Measures the four layers the acceleration pass touches —
   member file) vs. the batched rekey pipeline (one batch RPC per stage
   per window plus parallel stub re-encryption), recording store and
   keystore round trips alongside wall time;
-* **concurrent_tcp** — 100+ concurrent clients hammering ONE node with
-  latency-bound requests: the legacy thread-per-connection server
-  (16 workers, each owning a connection until its client hangs up) vs.
-  the asyncio-multiplexed server (connections decoupled from handler
-  threads), recording aggregate request throughput and the
-  per-client completion spread (the starvation signature);
 * **gc_compaction** — the locality-aware container engine: a cold
   128-chunk restore over TCP recording container fetches per container
   (the coalesced batch-read path fetches each container exactly once),
-  a delete → compact → verify churn cycle recording the fraction of
-  dead container bytes reclaimed, and an in-process compressed-store
-  pass recording the per-container compression ratio —
+  and a delete → compact → verify churn cycle recording the fraction
+  of dead container bytes reclaimed —
 
 and writes machine-readable ``BENCH_hotpath.json`` at the repo root so
 future PRs can track the perf trajectory.  Run it directly::
@@ -576,141 +569,11 @@ def bench_rekey_tcp(
     return results
 
 
-def bench_concurrent_tcp(
-    clients: int, calls: int, delay_s: float, repeats: int, seed: int
-) -> list[dict]:
-    """100+ concurrent clients against ONE node: threaded vs. multiplexed.
-
-    Every client thread opens its own persistent connection and issues
-    ``calls`` latency-bound requests (the handler sleeps ``delay_s`` to
-    model backend/disk latency, releasing the GIL exactly like real I/O
-    does).  The two servers get identical hardware but embody the two
-    architectures:
-
-    * ``threaded`` — the legacy thread-per-connection server with the
-      default 16-worker pool: a worker *owns* a connection until its
-      client disconnects, so only 16 of the N clients make progress at
-      any moment and the rest starve in the accept queue (watch
-      ``client_spread_s``: the last client finishes a full pool-rotation
-      after the first);
-    * ``multiplexed`` — the asyncio server: all N connections stay live
-      on one event loop, requests dispatch to a bounded handler
-      executor as they arrive, responses return out of order.  Handler
-      threads are sized to the node (not to the connection count), so
-      aggregate throughput scales with handler parallelism instead of
-      being capped by connection ownership.
-
-    Reported ``seconds`` is the whole storm (connect + all requests +
-    disconnect for every client); ``requests_per_s`` is the aggregate
-    rate the node sustained; ``client_spread_s`` is last-client-done
-    minus first-client-done — flat for a fair scheduler, a full
-    rotation-length tail under connection ownership.
-    """
-    import threading
-
-    from repro.net.rpc import ServiceRegistry
-    from repro.net.tcp import TcpConnection, TcpServer, ThreadedTcpServer
-
-    payload = _seed_rng("bench-concurrent-tcp", seed).random_bytes(256)
-
-    def make_registry():
-        registry = ServiceRegistry()
-
-        def work(request: bytes) -> bytes:
-            time.sleep(delay_s)  # models backend latency; releases the GIL
-            return request
-
-        registry.register("storage.work", work)
-        return registry
-
-    def storm(address) -> tuple[float, float]:
-        """Run the full client storm; returns (seconds, completion spread)."""
-        barrier = threading.Barrier(clients + 1)
-        done: list[float] = []
-        errors: list[Exception] = []
-        lock = threading.Lock()
-
-        def one_client() -> None:
-            try:
-                connection = TcpConnection(*address)
-                try:
-                    client = connection.client()
-                    barrier.wait(timeout=30.0)
-                    for _ in range(calls):
-                        if client.call("storage.work", payload) != payload:
-                            raise AssertionError("payload corrupted in flight")
-                finally:
-                    connection.close()
-                with lock:
-                    done.append(time.perf_counter())
-            except Exception as exc:  # surfaced after the join below
-                with lock:
-                    errors.append(exc)
-                try:
-                    barrier.abort()
-                except threading.BrokenBarrierError:
-                    pass
-
-        threads = [threading.Thread(target=one_client) for _ in range(clients)]
-        for thread in threads:
-            thread.start()
-        barrier.wait(timeout=30.0)
-        start = time.perf_counter()
-        for thread in threads:
-            thread.join(timeout=120.0)
-        elapsed = time.perf_counter() - start
-        if errors:
-            raise errors[0]
-        if len(done) != clients:
-            raise AssertionError(f"only {len(done)}/{clients} clients finished")
-        return elapsed, max(done) - min(done)
-
-    results = []
-    total_requests = clients * calls
-    total_bytes = total_requests * len(payload)
-    configs = (
-        # The legacy coupling: worker count == concurrently-served
-        # connections, at the old default pool size.
-        ("threaded", lambda: ThreadedTcpServer(make_registry())),
-        # Decoupled: the event loop holds every connection; the handler
-        # executor is sized for the node's latency-bound work.
-        ("multiplexed", lambda: TcpServer(make_registry(), max_workers=64)),
-    )
-    for label, make_server in configs:
-        state = {"spread": 0.0}
-        server = make_server()
-        server.start()
-        try:
-
-            def run(server=server, state=state):
-                _, state["spread"] = storm(server.address)
-
-            seconds = _time(run, repeats, f"concurrent_tcp/{label}")
-        finally:
-            server.stop(drain=True)
-        results.append(
-            {
-                "name": f"concurrent_tcp/{label}",
-                "bytes": total_bytes,
-                "seconds": seconds,
-                "mib_per_s": _mib_per_s(total_bytes, seconds),
-                "clients": clients,
-                "calls_per_client": calls,
-                "requests": total_requests,
-                "requests_per_s": round(total_requests / seconds, 1),
-                "handler_delay_ms": delay_s * 1000,
-                "client_spread_s": round(state["spread"], 4),
-            }
-        )
-    return results
-
-
 def bench_gc_compaction(file_bytes: int, repeats: int, seed: int) -> list[dict]:
-    """The locality-aware container engine: coalesced cold restores,
-    compaction reclaim, and per-container compression.
+    """The locality-aware container engine: coalesced cold restores and
+    compaction reclaim.
 
-    Three rows over a 2-node localhost TCP cluster (plus one in-process
-    engine pass):
+    Two rows over a 2-node localhost TCP cluster:
 
     * ``cold_restore`` — every timed repeat restores a file no server
       has read before, so each download hits sealed containers cold.
@@ -725,16 +588,9 @@ def bench_gc_compaction(file_bytes: int, repeats: int, seed: int) -> list[dict]:
       ``storage.gc`` RPC, and verifies the kept file restores
       bit-identically from its relocated chunks.  ``reclaim_fraction``
       is the share of dead bytes the pass recovered (>= 0.9 expected).
-    * ``compressed_store`` — an in-process :class:`DataStore` ingests
-      compressible chunks and reads them all back through the batch
-      path; the row records the container compression ratio (the TCP
-      rows store encrypted, incompressible payloads, so the codec's
-      win only shows on data that can compress).
     """
     from repro.chunking.chunker import ChunkingSpec
     from repro.core.cluster import TcpCluster
-    from repro.crypto.hashing import fingerprint as _fingerprint
-    from repro.storage.datastore import DataStore
 
     rng = _seed_rng("bench-gc-compaction", seed)
     chunking = ChunkingSpec(method="fixed", avg_size=4096)
@@ -831,43 +687,6 @@ def bench_gc_compaction(file_bytes: int, repeats: int, seed: int) -> list[dict]:
         )
         client.close()
 
-    # -- compressed_store: the codec's win, in-process ------------------
-    pattern = rng.random_bytes(512)
-    chunk_count = max(16, file_bytes // 4096)
-    chunks = [
-        (index.to_bytes(4, "big") + pattern * 8)[:4096]
-        for index in range(chunk_count)
-    ]
-    pairs = [(_fingerprint(data), data) for data in chunks]
-    total = sum(len(data) for data in chunks)
-    comp: dict = {"stats": None}
-
-    def run_compressed(comp=comp):
-        store = DataStore(metrics=MetricsRegistry())
-        for fp, data in pairs:
-            store.put_chunk(fp, data)
-        store.flush()
-        if store.get_many([fp for fp, _ in pairs]) != chunks:
-            raise AssertionError(
-                "gc_compaction/compressed_store: round trip corrupted"
-            )
-        comp["stats"] = store.stats
-
-    seconds = _time(run_compressed, repeats, "gc_compaction/compressed_store")
-    stats = comp["stats"]
-    results.append(
-        {
-            "name": "gc_compaction/compressed_store",
-            "bytes": total,
-            "seconds": seconds,
-            "mib_per_s": _mib_per_s(total, seconds),
-            "chunks": chunk_count,
-            "container_payload_bytes": stats.container_payload_bytes,
-            "container_compressed_bytes": stats.container_compressed_bytes,
-            "compression_ratio": round(stats.compression_ratio, 2),
-            **_quantiles("gc_compaction/compressed_store"),
-        }
-    )
     return results
 
 
@@ -890,11 +709,6 @@ def compute_speedups(results: list[dict]) -> dict[str, float]:
         ),
         ("download_tcp", "download_tcp/serial", ("download_tcp/pipelined",)),
         ("rekey_tcp", "rekey_tcp/serial", ("rekey_tcp/pipelined",)),
-        (
-            "concurrent_tcp",
-            "concurrent_tcp/threaded",
-            ("concurrent_tcp/multiplexed",),
-        ),
     )
     for family, ref_name, fast_names in pairs:
         ref = by_name.get(ref_name)
@@ -916,7 +730,6 @@ def run(quick: bool, seed: int = 0, only: list[str] | None = None) -> dict:
         tcp_bytes = 64 * 1024
         download_bytes = 64 * 1024
         rekey = (8, 8 * 1024, 4)  # files, bytes/file, pipeline batch size
-        concurrent = (16, 4, 0.002)  # clients, calls/client, handler delay
         repeats = 1
     else:
         chunk_data = rng.random_bytes(4 * 1024 * 1024)
@@ -931,12 +744,6 @@ def run(quick: bool, seed: int = 0, only: list[str] | None = None) -> dict:
         # The ISSUE's acceptance scenario: a 64-file group over 4
         # shards, rekeyed in windows of 16 (4 batches per stage).
         rekey = (64, 16 * 1024, 16)
-        # The acceptance scenario: 120 concurrent clients, each making
-        # 10 latency-bound (20 ms — think a disk seek or a backend hop)
-        # calls against ONE node.  The latency must dominate per-request
-        # CPU: every party here shares one interpreter, so sub-5ms
-        # handlers measure the GIL, not the transport.
-        concurrent = (120, 10, 0.02)
         repeats = 3
 
     families: tuple[tuple[str, object], ...] = (
@@ -954,10 +761,6 @@ def run(quick: bool, seed: int = 0, only: list[str] | None = None) -> dict:
             lambda: bench_replicated_tcp(tcp_bytes, repeats, seed),
         ),
         ("rekey_tcp", lambda: bench_rekey_tcp(*rekey, repeats, seed)),
-        (
-            "concurrent_tcp",
-            lambda: bench_concurrent_tcp(*concurrent, repeats, seed),
-        ),
         (
             "gc_compaction",
             lambda: bench_gc_compaction(download_bytes, repeats, seed),
@@ -1041,7 +844,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="FAMILY",
         help="run only this bench family (repeatable, e.g. "
-        "--only concurrent_tcp); default is every family",
+        "--only gc_compaction); default is every family",
     )
     parser.add_argument(
         "--out",

@@ -54,7 +54,7 @@ from repro.crypto.cipher import SymmetricCipher
 from repro.crypto.drbg import SYSTEM_RANDOM, RandomSource
 from repro.crypto.rsa import RSAPublicKey
 from repro.keyreg.rsa_keyreg import KeyRegressionMember, KeyRegressionOwner, KeyState
-from repro.mle.server_aided import DEFAULT_BATCH_SIZE, ServerAidedKeyClient
+from repro.mle.server_aided import ServerAidedKeyClient
 from repro.obs import scope as obs_scope
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.obs.tracing import Tracer, default_tracer
@@ -71,11 +71,6 @@ from repro.util.units import MiB
 #: Client-side upload batch: trimmed packages buffered before one RPC
 #: (Section V-B sets the in-memory buffer to 4 MB).
 DEFAULT_UPLOAD_BATCH_BYTES = 4 * MiB
-
-#: Historical default worker count (the paper uses two; Experiment A.2).
-#: Kept as a named constant for back-compat; clients now default to
-#: :func:`~repro.util.spanpool.default_worker_count`.
-DEFAULT_ENCRYPTION_THREADS = 2
 
 
 @dataclass(frozen=True)
@@ -171,7 +166,6 @@ class REEDClient:
         cipher: SymmetricCipher | None = None,
         chunking: ChunkingSpec | None = None,
         upload_batch_bytes: int = DEFAULT_UPLOAD_BATCH_BYTES,
-        encryption_threads: int | None = None,
         rng: RandomSource | None = None,
         pathname_salt: bytes | None = None,
         encryption_workers: int | None = None,
@@ -183,15 +177,9 @@ class REEDClient:
         rekey_workers: int | None = None,
         rekey_batch_size: int = DEFAULT_REKEY_BATCH_SIZE,
     ) -> None:
-        # ``encryption_workers`` is the configured name; ``encryption_threads``
-        # survives as a back-compat alias.  Unset -> one worker per CPU
-        # (capped), no longer the paper's hard-coded two threads.
+        # Unset -> one worker per CPU (capped).
         if encryption_workers is None:
-            encryption_workers = (
-                encryption_threads
-                if encryption_threads is not None
-                else default_worker_count()
-            )
+            encryption_workers = default_worker_count()
         if encryption_workers < 1:
             raise ConfigurationError("need at least one encryption worker")
         self.user_id = user_id
@@ -216,8 +204,6 @@ class REEDClient:
         #: disables the overlap: every stage runs on the caller thread.
         self.pipeline_depth = pipeline_depth
         self.encryption_workers = encryption_workers
-        #: Back-compat alias for the worker count.
-        self.encryption_threads = encryption_workers
         self._transform_pool = ChunkTransformPool(
             self.scheme, workers=encryption_workers
         )
@@ -423,12 +409,11 @@ class REEDClient:
         state = owner.initial_state()
         file_key = state.derive_key()
 
-        key_client = self.key_client
         # Counter attribution: the key client and the storage engine
         # report this upload's deltas into the repro.obs.scope opened
         # below, which stays correct under concurrent uploads on a
         # shared client.
-        derive = getattr(key_client, "derive_keys", None) or key_client.get_keys
+        key_client = self.key_client
 
         def store(payload: list[tuple[bytes, bytes]]) -> int:
             """Ship one per-item-status batch message; returns #new."""
@@ -445,12 +430,12 @@ class REEDClient:
         # one key window and one store batch runs inline, as does
         # everything at pipeline depth 1.
         pipeline = UploadPipeline(
-            derive=derive,
+            derive=key_client.derive_keys,
             encrypt=self._encrypt_chunks,
             store=store,
             tracer=tracer,
-            key_window=getattr(key_client, "batch_size", DEFAULT_BATCH_SIZE),
-            key_cache=getattr(key_client, "cache", None),
+            key_window=key_client.batch_size,
+            key_cache=key_client.cache,
             batch_bytes=self.upload_batch_bytes,
             depth=self.pipeline_depth,
         )

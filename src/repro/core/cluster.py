@@ -37,7 +37,6 @@ from repro.net.tcp import (
     DEFAULT_MAX_WORKERS,
     TcpConnection,
     TcpServer,
-    ThreadedTcpServer,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.propagate import (
@@ -70,11 +69,8 @@ class TcpCluster:
             alice = cluster.new_client("alice")
             alice.upload("file", data)
 
-    ``transport`` selects the server generation: ``"aio"`` (default) is
-    the asyncio-multiplexed :class:`TcpServer`; ``"threaded"`` is the
-    legacy thread-per-connection :class:`ThreadedTcpServer` kept for
-    benchmarking.  ``idle_timeout`` / ``connection_window`` tune the aio
-    servers' dead-peer drop and per-connection request window;
+    ``idle_timeout`` / ``connection_window`` tune the servers' dead-peer
+    drop and per-connection request window;
     ``client_window`` bounds in-flight calls per client connection.
     """
 
@@ -87,7 +83,6 @@ class TcpCluster:
         key_batch_size: int = DEFAULT_BATCH_SIZE,
         rng: RandomSource | None = None,
         max_workers: int = DEFAULT_MAX_WORKERS,
-        transport: str = "aio",
         idle_timeout: float | None = DEFAULT_IDLE_TIMEOUT,
         connection_window: int = DEFAULT_CONNECTION_WINDOW,
         client_window: int = DEFAULT_CLIENT_WINDOW,
@@ -98,10 +93,6 @@ class TcpCluster:
     ) -> None:
         if num_data_servers < 1:
             raise ConfigurationError("need at least one data server")
-        if transport not in ("aio", "threaded"):
-            raise ConfigurationError(
-                f"unknown transport {transport!r}: expected 'aio' or 'threaded'"
-            )
         if not 1 <= replicas <= num_data_servers:
             raise ConfigurationError(
                 f"replicas must be in 1..{num_data_servers}"
@@ -135,14 +126,13 @@ class TcpCluster:
         self.keystore = KeyStore()
         self._keyreg_bits = key_bits
         self._owners: dict[str, KeyRegressionOwner] = {}
-        self._transport = transport
         self._max_workers = max_workers
         self._idle_timeout = idle_timeout
         self._connection_window = connection_window
         self._client_window = client_window
         #: Live TCP servers keyed by node name; a killed data server's
         #: entry is removed until :meth:`restart_data_server` revives it.
-        self._node_servers: dict[str, TcpServer | ThreadedTcpServer] = {}
+        self._node_servers: dict[str, TcpServer] = {}
         self._connections: list[TcpConnection] = []
 
         self.storage_addresses = [
@@ -193,20 +183,14 @@ class TcpCluster:
         register(registry, obj)
         register_metrics(registry, metrics)
         register_traces(registry, tracer)
-        if self._transport == "aio":
-            server = TcpServer(
-                registry,
-                port=port,
-                max_workers=self._max_workers,
-                metrics=metrics,
-                idle_timeout=self._idle_timeout,
-                connection_window=self._connection_window,
-            )
-        else:
-            server = ThreadedTcpServer(
-                registry, port=port, max_workers=self._max_workers,
-                metrics=metrics,
-            )
+        server = TcpServer(
+            registry,
+            port=port,
+            max_workers=self._max_workers,
+            metrics=metrics,
+            idle_timeout=self._idle_timeout,
+            connection_window=self._connection_window,
+        )
         server.start()
         self._node_servers[node] = server
         return server.address

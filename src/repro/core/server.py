@@ -21,7 +21,7 @@ from typing import Protocol
 from repro.crypto.hashing import fingerprint as _fingerprint
 from repro.storage.datastore import DataStore, DataStoreStats
 from repro.storage.gc import CompactionGC
-from repro.util.errors import IntegrityError
+from repro.util.errors import IntegrityError, NotFoundError
 
 
 class StorageService(Protocol):
@@ -298,12 +298,24 @@ class REEDServer:
         return results
 
     def meta_delete_many(self, file_ids: list[str]) -> list[None | Exception]:
-        """Drop a file's stub file *and* recipe in one message (delete path)."""
+        """Drop a file's stub file *and* recipe in one message (delete path).
+
+        Each object is dropped on its own, so a replica that holds only
+        one of them still loses it; an item fails with
+        :class:`NotFoundError` only when neither existed.
+        """
         self.counters.add(requests=1)
 
         def drop(file_id: str) -> None:
-            self.store.delete_stub_file(file_id)
-            self.store.delete_recipe(file_id)
+            found = False
+            for delete in (self.store.delete_stub_file, self.store.delete_recipe):
+                try:
+                    delete(file_id)
+                    found = True
+                except NotFoundError:
+                    pass
+            if not found:
+                raise NotFoundError(f"no stub file or recipe for {file_id!r}")
 
         return self._per_item(drop, file_ids)
 

@@ -560,25 +560,12 @@ def register_key_manager(
     def public_key(_payload: bytes) -> bytes:
         return manager.public_key.encode()
 
-    def sign_batch(payload: bytes) -> bytes:
-        dec = Decoder(payload)
-        client_id = dec.text()
-        blinded = [int.from_bytes(blob, "big") for blob in dec.list_of()]
-        dec.expect_end()
-        signatures = manager.sign_batch(client_id, blinded)
-        byte_size = manager.public_key.byte_size
-        return (
-            Encoder()
-            .list_of([sig.to_bytes(byte_size, "big") for sig in signatures])
-            .done()
-        )
-
     def derive_batch(payload: bytes) -> bytes:
         dec = Decoder(payload)
         client_id = dec.text()
         blinded = [int.from_bytes(blob, "big") for blob in dec.list_of()]
         dec.expect_end()
-        signatures = manager.derive_batch(client_id, blinded)
+        signatures = manager.sign_batch(client_id, blinded)
         byte_size = manager.public_key.byte_size
         return (
             Encoder()
@@ -594,7 +581,6 @@ def register_key_manager(
         return struct.pack(">d", manager.seconds_until_allowed(client_id, batch_size))
 
     registry.register(prefix + "public_key", public_key)
-    registry.register(prefix + "sign_batch", sign_batch)
     registry.register(prefix + "derive_batch", derive_batch)
     registry.register(prefix + "backoff_hint", backoff_hint)
 
@@ -707,21 +693,13 @@ class RemoteKeyManagerChannel:
             )
         return self._cached_key
 
-    def sign_batch(self, client_id: str, blinded_values: list[int]) -> list[int]:
-        return self._send_blinded("sign_batch", client_id, blinded_values)
-
     def derive_batch(self, client_id: str, blinded_values: list[int]) -> list[int]:
-        """One whole-file key-derivation round trip (batched protocol)."""
-        return self._send_blinded("derive_batch", client_id, blinded_values)
-
-    def _send_blinded(
-        self, method: str, client_id: str, blinded_values: list[int]
-    ) -> list[int]:
+        """One key-derivation round trip for a batch of blinded values."""
         enc = Encoder().text(client_id)
         # Blinded values are uniform in Z_n; encode at the modulus width.
         byte_size = self.public_key().byte_size
         enc.list_of([value.to_bytes(byte_size, "big") for value in blinded_values])
-        payload = self._rpc.call(self._prefix + method, enc.done())
+        payload = self._rpc.call(self._prefix + "derive_batch", enc.done())
         return [int.from_bytes(blob, "big") for blob in Decoder(payload).list_of()]
 
     def backoff_hint(self, client_id: str, batch_size: int) -> float:

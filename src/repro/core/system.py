@@ -70,7 +70,6 @@ class ReedSystem:
         owner: bool = True,
         cache_bytes: int | None = None,
         scheme: str | None = None,
-        encryption_threads: int | None = None,
         encryption_workers: int | None = None,
         chunk_cache_bytes: int | None = None,
     ) -> REEDClient:
@@ -79,8 +78,7 @@ class ReedSystem:
         ``owner=False`` creates a read-only participant (no derivation
         keypair); ``cache_bytes`` sizes the MLE key cache (None disables
         caching, mirroring the paper's cache on/off experiments).
-        ``encryption_workers`` defaults to one worker per CPU (capped);
-        ``encryption_threads`` is its back-compat alias.
+        ``encryption_workers`` defaults to one worker per CPU (capped).
         ``chunk_cache_bytes`` enables the client-side trimmed-package
         read cache (None disables it).
         """
@@ -108,7 +106,6 @@ class ReedSystem:
             scheme=scheme or self.scheme,
             cipher=self.cipher,
             chunking=self.chunking,
-            encryption_threads=encryption_threads,
             encryption_workers=encryption_workers,
             chunk_cache_bytes=chunk_cache_bytes,
             rng=self.rng,

@@ -77,9 +77,6 @@ class KeyManagerStats:
     clients: int = 0
     signatures: int = 0
     batches: int = 0
-    #: Batches that arrived through the whole-file ``derive_batch``
-    #: entry point (a subset of ``batches``).
-    derive_batches: int = 0
     rejected: int = 0
     busy_seconds: float = 0.0
 
@@ -196,22 +193,6 @@ class KeyManager:
     def _sign_here(self, blinded_values: list[int]) -> list[int]:
         sign = self._private_key.apply
         return [sign(value) for value in blinded_values]
-
-    def derive_batch(self, client_id: str, blinded_values: list[int]) -> list[int]:
-        """Whole-file key derivation: sign one file's fingerprints at once.
-
-        Wire entry point for the batched upload protocol
-        (``km.derive_batch``).  Semantics match :meth:`sign_batch` — the
-        rate limiter is charged one token per fingerprint and the batch
-        is admitted all-or-nothing — but the call is accounted
-        separately so the evaluation harness can tell amortized
-        whole-file round trips from legacy fixed-size batches.
-        """
-        signatures = self.sign_batch(client_id, blinded_values)
-        if blinded_values:
-            with self._lock:
-                self.stats.derive_batches += 1
-        return signatures
 
     def seconds_until_allowed(self, client_id: str, batch_size: int) -> float:
         """Back-off hint: seconds until a batch of ``batch_size`` is allowed."""

@@ -47,7 +47,7 @@ class KeyManagerChannel(Protocol):
         """Fetch the system-wide RSA public key."""
         ...
 
-    def sign_batch(self, client_id: str, blinded_values: list[int]) -> list[int]:
+    def derive_batch(self, client_id: str, blinded_values: list[int]) -> list[int]:
         """Submit one batch of blinded values; returns blind signatures."""
         ...
 
@@ -65,11 +65,8 @@ class LocalKeyManagerChannel:
     def public_key(self) -> RSAPublicKey:
         return self._manager.public_key
 
-    def sign_batch(self, client_id: str, blinded_values: list[int]) -> list[int]:
-        return self._manager.sign_batch(client_id, blinded_values)
-
     def derive_batch(self, client_id: str, blinded_values: list[int]) -> list[int]:
-        return self._manager.derive_batch(client_id, blinded_values)
+        return self._manager.sign_batch(client_id, blinded_values)
 
     def backoff_hint(self, client_id: str, batch_size: int) -> float:
         return self._manager.seconds_until_allowed(client_id, batch_size)
@@ -112,7 +109,7 @@ class ServerAidedKeyClient:
         self.oprf_evaluations = 0
         #: Requests answered from the cache.
         self.cache_hits = 0
-        #: sign-batch RPCs issued to the key manager (including attempts
+        #: derive-batch RPCs issued to the key manager (including attempts
         #: rejected by rate limiting — they did cross the wire).
         self.round_trips = 0
         # The per-instance integers above stay the exact per-client
@@ -158,37 +155,16 @@ class ServerAidedKeyClient:
         if self.cache is not None:
             self.cache.clear()
 
-    def stats(self) -> dict:
-        """Counters for observability: OPRF work, cache wins, RPC trips.
-
-        Includes the LRU cache's own :meth:`~repro.mle.cache.MLEKeyCache.stats`
-        under ``"cache"`` when a cache is attached.
-
-        .. deprecated:: the registry series (``key_oprf_evaluations_total``
-           et al. on :attr:`metrics`, labeled by client) are the
-           canonical source; this dict remains as a per-instance view.
-        """
-        data = {
-            "oprf_evaluations": self.oprf_evaluations,
-            "cache_hits": self.cache_hits,
-            "round_trips": self.round_trips,
-        }
-        if self.cache is not None:
-            data["cache"] = self.cache.stats()
-        return data
-
     # ------------------------------------------------------------------
 
-    def _send_with_backoff(self, blinded: list[int], rpc=None) -> list[int]:
-        if rpc is None:
-            rpc = self._channel.sign_batch
+    def _send_with_backoff(self, blinded: list[int]) -> list[int]:
         for attempt in range(self._max_retries + 1):
             started = self._clock()
             try:
                 self.round_trips += 1
                 self._m_trips.inc()
                 obs_scope.add("key_round_trips")
-                result = rpc(self._client_id, blinded)
+                result = self._channel.derive_batch(self._client_id, blinded)
                 self._m_rpc_seconds.observe(self._clock() - started)
                 return result
             except RateLimitExceeded:
@@ -201,13 +177,13 @@ class ServerAidedKeyClient:
                 self._sleep(max(delay, 1e-4) * 1.05)
         raise AssertionError("unreachable")
 
-    def _fetch_batch(self, fingerprints: list[bytes], rpc=None) -> list[bytes]:
+    def _fetch_batch(self, fingerprints: list[bytes]) -> list[bytes]:
         """One OPRF round trip for up to ``batch_size`` fingerprints."""
         public_key = self.public_key
         blinded_values, states = blindrsa.blind_many(
             public_key, fingerprints, self._rng
         )
-        signatures = self._send_with_backoff(blinded_values, rpc)
+        signatures = self._send_with_backoff(blinded_values)
         if len(signatures) != len(blinded_values):
             raise KeyManagerError(
                 f"key manager returned {len(signatures)} signatures for "
@@ -222,8 +198,17 @@ class ServerAidedKeyClient:
         obs_scope.add("key_oprf_evaluations", len(keys))
         return keys
 
-    def _resolve(self, fingerprints: Sequence[bytes], rpc=None) -> list[bytes]:
-        """Cache-first, deduplicated, batched key resolution."""
+    def derive_keys(self, fingerprints: Sequence[bytes]) -> list[bytes]:
+        """Return MLE keys for ``fingerprints`` (order-preserving).
+
+        Blinds, ships, and unblinds a whole file's chunk fingerprints
+        through the ``km.derive_batch`` RPC: the cache is consulted
+        before anything touches the wire, duplicate fingerprints cost
+        one evaluation, and the misses travel in at most
+        ``ceil(misses / batch_size)`` round trips (one, for any file up
+        to ``batch_size`` unique chunks).  Unblinding strips the only
+        randomness, so the keys do not depend on the batching.
+        """
         results: dict[bytes, bytes] = {}
         missing: list[bytes] = []
         seen: set[bytes] = set()
@@ -241,37 +226,8 @@ class ServerAidedKeyClient:
                 missing.append(fp)
         for start in range(0, len(missing), self.batch_size):
             batch = missing[start : start + self.batch_size]
-            for fp, key in zip(batch, self._fetch_batch(batch, rpc)):
+            for fp, key in zip(batch, self._fetch_batch(batch)):
                 results[fp] = key
                 if self.cache is not None:
                     self.cache.put(fp, key)
         return [results[fp] for fp in fingerprints]
-
-    def get_keys(self, fingerprints: Sequence[bytes]) -> list[bytes]:
-        """Return MLE keys for ``fingerprints`` (order-preserving).
-
-        Cache hits and duplicate fingerprints within the call are served
-        without extra OPRF evaluations.  This is the per-batch reference
-        path over the legacy ``km.sign_batch`` RPC; uploads use
-        :meth:`derive_keys`, which produces bit-identical keys.
-        """
-        return self._resolve(fingerprints)
-
-    def derive_keys(self, fingerprints: Sequence[bytes]) -> list[bytes]:
-        """Batched whole-file key derivation (order-preserving).
-
-        Blinds, ships, and unblinds a whole file's chunk fingerprints
-        through the ``km.derive_batch`` RPC: the cache is consulted
-        before anything touches the wire, duplicate fingerprints cost
-        one evaluation, and the misses travel in at most
-        ``ceil(misses / batch_size)`` round trips (one, for any file up
-        to ``batch_size`` unique chunks).  Falls back to the legacy
-        ``sign_batch`` RPC when the channel predates ``derive_batch``.
-        Keys are bit-identical to :meth:`get_keys` — unblinding strips
-        the only randomness, so both paths hash the same RSA signature.
-        """
-        rpc = getattr(self._channel, "derive_batch", None)
-        return self._resolve(fingerprints, rpc)
-
-    def get_key(self, fingerprint: bytes) -> bytes:
-        return self.get_keys([fingerprint])[0]

@@ -222,7 +222,7 @@ class ThresholdKeyManagerChannel:
     def public_key(self) -> RSAPublicKey:
         return self._public_key
 
-    def sign_batch(self, client_id: str, blinded_values: list[int]) -> list[int]:
+    def derive_batch(self, client_id: str, blinded_values: list[int]) -> list[int]:
         """Gather partials from ``threshold`` live managers and combine."""
         partials_per_manager: dict[int, list[int]] = {}
         errors: list[str] = []

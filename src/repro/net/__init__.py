@@ -15,7 +15,7 @@ from repro.net.rpc import (
     decode_error,
     encode_error,
 )
-from repro.net.tcp import TcpConnection, TcpServer, ThreadedTcpServer, connect
+from repro.net.tcp import TcpConnection, TcpServer, connect
 
 __all__ = [
     "AsyncTcpServer",
@@ -29,7 +29,6 @@ __all__ = [
     "ServiceRegistry",
     "TcpConnection",
     "TcpServer",
-    "ThreadedTcpServer",
     "connect",
     "decode_error",
     "encode_error",

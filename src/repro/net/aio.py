@@ -1,12 +1,11 @@
 """Asyncio-native multiplexed RPC server.
 
-:class:`AsyncTcpServer` replaces the thread-per-connection transport
-with an event loop: one accept loop, one lightweight task per
-connection, and one dispatch task per *request*.  Because requests are
-dispatched as they are read — instead of a worker owning the connection
-until its current request finishes — a slow ``chunk_get_batch`` no
-longer blocks the next request on the same socket, and 100+ concurrent
-clients per node stay live on a handful of threads.
+:class:`AsyncTcpServer` serves RPCs from an event loop: one accept
+loop, one lightweight task per connection, and one dispatch task per
+*request*.  Because requests are dispatched as they are read — no
+worker owns a connection until its current request finishes — a slow
+``chunk_get_batch`` does not block the next request on the same socket,
+and 100+ concurrent clients per node stay live on a handful of threads.
 
 Design points:
 
@@ -32,11 +31,9 @@ Design points:
   peer is dropped and counted in ``tcp_idle_drops_total``.
 * **Graceful drain.**  ``stop(drain=True)`` closes the listener at once
   but gives every in-flight request up to ``timeout`` seconds to finish
-  and flush its response, exactly like the threaded server did.
+  and flush its response.
 
-The metrics surface is a superset of the threaded server's: the same
-``tcp_*`` series (so dashboards and the metrics gate keep working) plus
-``tcp_idle_drops_total`` and the ``aio_*`` series documented in
+The metrics surface is the ``tcp_*`` and ``aio_*`` series documented in
 ``docs/OBSERVABILITY.md``.
 """
 
@@ -52,9 +49,8 @@ from repro.net.rpc import ServiceRegistry
 from repro.obs.metrics import MetricsRegistry
 from repro.util.errors import ConfigurationError
 
-#: Default size of the handler executor.  With the threaded server this
-#: was also the number of concurrently-served *connections*; here it
-#: bounds concurrently-*executing handlers* only.
+#: Default size of the handler executor: it bounds concurrently
+#: *executing handlers*, not connections.
 DEFAULT_MAX_WORKERS = 16
 
 #: Default per-connection in-flight request window: how many requests
@@ -125,10 +121,8 @@ class AsyncTcpServer:
     """Serves a :class:`ServiceRegistry` on an asyncio event loop.
 
     The loop runs on a dedicated background thread, so the public API
-    (:meth:`start`, :meth:`stop`, :meth:`stats`) is synchronous and
-    drop-in for the threaded server's: same constructor signature, same
-    ``tcp_*`` metrics, same ``stats()`` keys, same ``stop(drain=True)``
-    semantics.  See the module docstring for the architecture.
+    (:meth:`start`, :meth:`stop`, :meth:`stats`) is synchronous.  See
+    the module docstring for the architecture.
     """
 
     def __init__(
@@ -217,30 +211,11 @@ class AsyncTcpServer:
     def address(self) -> tuple[str, int]:
         return self._listener.getsockname()
 
-    # -- legacy counter views (canonical values live in the registry) ------
-
-    @property
-    def connections_accepted(self) -> int:
-        return int(self._connections_accepted.value)
-
-    @property
-    def requests_served(self) -> int:
-        return int(self._requests_served.value)
-
-    @property
-    def oversize_drops(self) -> int:
-        return int(self._oversize_drops.value)
-
-    @property
-    def idle_drops(self) -> int:
-        return int(self._idle_drops.value)
-
     def stats(self) -> dict:
         """Server-side counters for observability.
 
-        Same keys as the threaded server (so existing dashboards and the
-        metrics gate keep working) plus ``idle_drops``; the snapshot is
-        taken under the mutation lock so it is internally consistent.
+        The snapshot is taken under the mutation lock so it is
+        internally consistent.
         """
         with self._lock:
             return {

@@ -263,15 +263,6 @@ class RpcClient:
         self._response_bytes.labels(method=method).inc(len(response.payload))
         return response.payload
 
-    def stats(self) -> dict:
-        """Round-trip counters for observability.
-
-        .. deprecated:: the registry series (``rpc_client_requests_total``
-           et al. on :attr:`metrics`) are the canonical source; this dict
-           remains as a stable view of the per-instance totals.
-        """
-        return {"calls": self.calls, "errors": self.errors}
-
 
 class LoopbackTransport:
     """Zero-copy in-process transport: dispatch straight into a registry.

@@ -1,13 +1,9 @@
 """TCP transport for the RPC layer.
 
-Two generations of transport live here:
-
-* :class:`TcpServer` — the deployment server, now backed by the asyncio
-  event loop in :mod:`repro.net.aio` (single accept loop, one task per
-  connection, handlers dispatched concurrently onto a bounded executor,
-  responses written out of order as they finish).  Signature, metrics,
-  ``stats()`` keys, and ``stop(drain=True)`` semantics are unchanged
-  from the threaded generation.
+* :class:`TcpServer` — the server, backed by the asyncio event loop in
+  :mod:`repro.net.aio` (single accept loop, one task per connection,
+  handlers dispatched concurrently onto a bounded executor, responses
+  written out of order as they finish).
 * :class:`TcpConnection` — a **multiplexed** client connection: many
   threads share one persistent socket, each call tagged with a wire
   ``message_id`` and completed out of order by a background reader
@@ -16,22 +12,15 @@ Two generations of transport live here:
   peers, and idempotent methods are transparently retried over a fresh
   dial when the persistent connection breaks (a server restart no
   longer fails a pipeline mid-window).
-* :class:`ThreadedTcpServer` — the previous thread-per-connection
-  server (bounded worker pool, one blocked thread per live client),
-  kept as the baseline for ``bench_hotpath``'s ``concurrent_tcp``
-  scenario and as a fallback transport.
 
-The wire format is unchanged (4-byte length framing around
-:class:`~repro.net.message.Message`, which always carried the
-correlation id), so either client generation talks to either server
-generation.
+The wire format is 4-byte length framing around
+:class:`~repro.net.message.Message`, which carries the correlation id.
 """
 
 from __future__ import annotations
 
 import socket
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from repro.net.aio import (
@@ -41,11 +30,11 @@ from repro.net.aio import (
     AsyncTcpServer,
     tune_socket,
 )
-from repro.net.message import MAX_MESSAGE_BYTES, Message, frame, read_frame
+from repro.net.message import Message, frame, read_frame
 from repro.net.retry import RetryPolicy, is_idempotent_method
-from repro.net.rpc import RpcClient, ServiceRegistry
+from repro.net.rpc import RpcClient
 from repro.obs.metrics import MetricsRegistry, default_registry
-from repro.util.errors import ConfigurationError, CorruptionError, ProtocolError
+from repro.util.errors import ConfigurationError, ProtocolError
 
 #: Default client-side in-flight window: how many calls may be awaiting
 #: responses on one multiplexed connection before further senders block.
@@ -70,250 +59,11 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
 class TcpServer(AsyncTcpServer):
     """The deployment server: asyncio-multiplexed (see :mod:`repro.net.aio`).
 
-    Drop-in for the threaded generation — same constructor, metrics
-    surface, ``stats()`` keys, and drain semantics — but 100+ concurrent
-    clients per node stay live on one accept loop plus ``max_workers``
-    handler threads, with per-connection request windows, idle-read
-    timeouts, and TCP keepalives (``idle_timeout`` /
+    100+ concurrent clients per node stay live on one accept loop plus
+    ``max_workers`` handler threads, with per-connection request
+    windows, idle-read timeouts, and TCP keepalives (``idle_timeout`` /
     ``connection_window``).
     """
-
-
-class ThreadedTcpServer:
-    """The previous generation: thread-per-connection with a bounded pool.
-
-    One worker owns a connection for its lifetime, so at most
-    ``max_workers`` clients make progress concurrently and responses on
-    a connection always arrive in request order.  Kept as the
-    ``bench_hotpath`` ``concurrent_tcp`` baseline (it is exactly the
-    architecture whose connection/worker coupling the asyncio server
-    removes) and as a conservative fallback transport.
-
-    ``max_message_bytes`` caps inbound frames; an oversized frame drops
-    the offending connection rather than attempting the allocation.
-    ``stop(drain=True)`` closes the listener immediately but gives
-    in-flight requests up to ``timeout`` seconds to flush.
-    """
-
-    def __init__(
-        self,
-        registry: ServiceRegistry,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        max_workers: int = DEFAULT_MAX_WORKERS,
-        max_message_bytes: int = MAX_MESSAGE_BYTES,
-        metrics: MetricsRegistry | None = None,
-    ) -> None:
-        if max_workers < 1:
-            raise ConfigurationError("need at least one worker")
-        if max_message_bytes < 1 or max_message_bytes > MAX_MESSAGE_BYTES:
-            raise ConfigurationError(
-                f"max_message_bytes must be in [1, {MAX_MESSAGE_BYTES}]"
-            )
-        self._registry = registry
-        self._max_workers = max_workers
-        self._max_message_bytes = max_message_bytes
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(128)
-        self._running = False
-        self._pool: ThreadPoolExecutor | None = None
-        self._accept_thread: threading.Thread | None = None
-        self._connections: list[socket.socket] = []
-        self._lock = threading.Lock()
-        self._idle = threading.Condition(self._lock)
-        self._in_flight = 0
-        #: Connections handed to the pool but not yet picked up by a
-        #: worker (the accept backlog inside the process).
-        self._queued = 0
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._connections_accepted = self.metrics.counter(
-            "tcp_connections_accepted_total", "Connections accepted."
-        )
-        self._requests_served = self.metrics.counter(
-            "tcp_requests_total", "Requests served (responses flushed count too)."
-        )
-        self._oversize_drops = self.metrics.counter(
-            "tcp_oversize_drops_total",
-            "Connections dropped for oversized or length-damaged frames.",
-        )
-        self._active_connections = self.metrics.gauge(
-            "tcp_active_connections", "Connections currently open."
-        )
-        self._in_flight_gauge = self.metrics.gauge(
-            "tcp_in_flight_requests", "Requests currently being dispatched."
-        )
-        self._queue_depth = self.metrics.gauge(
-            "tcp_queue_depth",
-            "Accepted connections waiting for a free worker.",
-        )
-        self.metrics.gauge(
-            "tcp_max_workers", "Size of the connection-serving worker pool."
-        ).set(max_workers)
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self._listener.getsockname()
-
-    # -- legacy counter views (canonical values live in the registry) ------
-
-    @property
-    def connections_accepted(self) -> int:
-        return int(self._connections_accepted.value)
-
-    @property
-    def requests_served(self) -> int:
-        return int(self._requests_served.value)
-
-    @property
-    def oversize_drops(self) -> int:
-        return int(self._oversize_drops.value)
-
-    def stats(self) -> dict:
-        """Server-side counters for observability (see :class:`TcpServer`)."""
-        with self._lock:
-            return {
-                "connections_accepted": int(self._connections_accepted.value),
-                "active_connections": len(self._connections),
-                "in_flight_requests": self._in_flight,
-                "queued_connections": self._queued,
-                "requests_served": int(self._requests_served.value),
-                "oversize_drops": int(self._oversize_drops.value),
-                "max_workers": self._max_workers,
-            }
-
-    def start(self) -> None:
-        """Start accepting connections on a background thread."""
-        self._running = True
-        self._pool = ThreadPoolExecutor(
-            max_workers=self._max_workers, thread_name_prefix="reed-tcp"
-        )
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._accept_thread.start()
-
-    def _accept_loop(self) -> None:
-        while self._running:
-            try:
-                conn, _addr = self._listener.accept()
-            except OSError:
-                return  # listener closed
-            if not self._running:
-                # A connect raced the shutdown: the kernel completed the
-                # handshake between the stop flag and the listener close.
-                # Drop it rather than serve a stopped server.
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-                return
-            with self._lock:
-                self._connections.append(conn)
-                self._connections_accepted.inc()
-                self._active_connections.set(len(self._connections))
-                self._queued += 1
-                self._queue_depth.set(self._queued)
-            pool = self._pool
-            try:
-                if pool is None:
-                    raise RuntimeError("server stopped")
-                pool.submit(self._serve_connection, conn)
-            except RuntimeError:  # a stop() raced the accept
-                with self._lock:
-                    if conn in self._connections:
-                        self._connections.remove(conn)
-                    self._active_connections.set(len(self._connections))
-                    self._queued -= 1
-                    self._queue_depth.set(self._queued)
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-                return
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        with self._lock:
-            # A worker picked the connection up: it leaves the queue.
-            self._queued -= 1
-            self._queue_depth.set(self._queued)
-        try:
-            with conn:
-                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                while self._running:
-                    try:
-                        body = read_frame(
-                            lambda n: _recv_exact(conn, n), self._max_message_bytes
-                        )
-                    except CorruptionError:
-                        # Oversized (or length-damaged) frame: drop the
-                        # connection before attempting the allocation.
-                        with self._lock:
-                            self._oversize_drops.inc()
-                        return
-                    except Exception:
-                        return  # disconnect or framing damage
-                    with self._lock:
-                        self._in_flight += 1
-                        self._in_flight_gauge.set(self._in_flight)
-                    try:
-                        # The response flush counts as in-flight too, so a
-                        # draining stop() cannot drop the connection between
-                        # dispatch finishing and the reply hitting the wire.
-                        response = self._registry.dispatch(Message.decode(body))
-                        with self._lock:
-                            # Counted before the flush so the served total
-                            # is already visible when the client reads the
-                            # response.
-                            self._requests_served.inc()
-                        try:
-                            conn.sendall(frame(response.encode()))
-                        except OSError:
-                            return
-                    finally:
-                        with self._lock:
-                            self._in_flight -= 1
-                            self._in_flight_gauge.set(self._in_flight)
-                            self._idle.notify_all()
-        finally:
-            with self._lock:
-                try:
-                    self._connections.remove(conn)
-                except ValueError:
-                    pass
-                self._active_connections.set(len(self._connections))
-
-    def stop(self, drain: bool = False, timeout: float = 5.0) -> None:
-        """Stop the server (``drain=True`` flushes in-flight responses)."""
-        self._running = False
-        try:
-            # shutdown() before close(): a bare close() does not release
-            # the listening port while the accept thread is blocked in
-            # accept() on it, so new connects could still succeed.
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        if drain:
-            with self._idle:
-                self._idle.wait_for(lambda: self._in_flight == 0, timeout=timeout)
-        with self._lock:
-            connections = list(self._connections)
-            self._connections.clear()
-        for conn in connections:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
 
 
 class _Waiter:
@@ -609,6 +359,5 @@ __all__ = [
     "DEFAULT_MAX_WORKERS",
     "TcpConnection",
     "TcpServer",
-    "ThreadedTcpServer",
     "connect",
 ]

@@ -63,8 +63,8 @@ def analyze_file(store: DataStore, recipe: FileRecipe) -> FragmentationReport:
             previous_container = location.container_id
     container_bytes = 0
     for container_id in containers:
-        # Uncompressed payload length: what a restore actually handles
-        # per container, independent of the on-disk compression codec.
+        # Payload length (no frame header): what a restore actually
+        # handles per container.
         container_bytes += store.containers.payload_length(container_id)
     file_bytes = max(1, recipe.size)
     return FragmentationReport(

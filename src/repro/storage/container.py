@@ -8,11 +8,10 @@ LRU container cache — this is also where the download-fragmentation
 effect in Experiment B.2 comes from: chunks of one file end up scattered
 across many containers written by earlier backups.
 
-Sealed containers carry a versioned header (magic, codec byte,
-uncompressed length) and are zlib-compressed when that makes them
-smaller — judged from a 64 KiB prefix first, so ciphertext containers
-skip the full trial; headerless blobs written by earlier versions remain
-readable.
+Sealed containers carry a versioned header (magic, codec byte, payload
+length) in front of the raw payload.  The payload is CAONT ciphertext,
+so the store never compresses it: the only codec is ``stored``, and a
+blob with another codec or without the header is refused.
 Batch reads (`read_many`) fetch each distinct container exactly once,
 with bounded concurrency, and fetches are single-flighted per container
 id so concurrent readers never duplicate a backend fetch.
@@ -23,7 +22,6 @@ from __future__ import annotations
 import struct
 import threading
 import time
-import zlib
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.obs.metrics import MetricsRegistry, default_registry
@@ -31,7 +29,7 @@ from repro.storage.backend import BlobBackend
 from repro.storage.index import ChunkLocation
 from repro.util.errors import ConfigurationError, NotFoundError, StorageError
 from repro.util.lru import LRUCache
-from repro.util.units import KiB, MiB
+from repro.util.units import MiB
 
 #: Container capacity (paper Section V-B).
 DEFAULT_CONTAINER_BYTES = 4 * MiB
@@ -44,67 +42,37 @@ DEFAULT_FETCH_CONCURRENCY = 4
 
 _PREFIX = "container/"
 
-#: Versioned container header: magic, codec byte, big-endian uncompressed
-#: payload length.  Blobs without the magic are legacy raw payloads.
+#: Versioned container header: magic, codec byte, big-endian payload length.
 _MAGIC = b"RCF1"
 _HEADER = struct.Struct(">4sBQ")
+#: The one codec: the payload follows the header as is.
 CODEC_STORED = 0
-CODEC_ZLIB = 1
-_CODEC_NAMES = {CODEC_STORED: "stored", CODEC_ZLIB: "zlib"}
-
-#: zlib level 6 is the speed/ratio sweet spot for 4 MB containers.
-_ZLIB_LEVEL = 6
-
-#: Prefix of a larger payload that is trial-compressed before the whole
-#: container is.  Trimmed packages are CAONT ciphertext, so the usual
-#: container never shrinks and pays one sample instead of ~27 ms/MiB.
-_SAMPLE_BYTES = 64 * KiB
 
 
 def _encode_container(payload: bytes) -> bytes:
-    """Frame a sealed payload, compressing when compression wins.
-
-    A payload longer than ``_SAMPLE_BYTES`` whose prefix of that length
-    does not shrink under zlib is stored raw without compressing the rest.
-    """
-    if len(payload) > _SAMPLE_BYTES:
-        sample = payload[:_SAMPLE_BYTES]
-        if len(zlib.compress(sample, _ZLIB_LEVEL)) >= len(sample):
-            return _HEADER.pack(_MAGIC, CODEC_STORED, len(payload)) + payload
-    compressed = zlib.compress(payload, _ZLIB_LEVEL)
-    if len(compressed) < len(payload):
-        return _HEADER.pack(_MAGIC, CODEC_ZLIB, len(payload)) + compressed
+    """Frame a sealed payload."""
     return _HEADER.pack(_MAGIC, CODEC_STORED, len(payload)) + payload
 
 
-def _decode_container(blob: bytes) -> bytes:
-    """Recover the payload from a framed (or legacy raw) container blob."""
+def _payload_len(blob: bytes) -> int:
+    """The payload length a container blob's header declares."""
     if len(blob) < _HEADER.size or not blob.startswith(_MAGIC):
-        return blob  # Legacy raw container from before the framed format.
-    magic, codec, payload_len = _HEADER.unpack_from(blob)
-    body = blob[_HEADER.size:]
-    if codec == CODEC_STORED:
-        payload = body
-    elif codec == CODEC_ZLIB:
-        try:
-            payload = zlib.decompress(body)
-        except zlib.error as exc:
-            raise StorageError(f"container decompression failed: {exc}") from exc
-    else:
+        raise StorageError("container blob has no RCF1 header")
+    _magic, codec, payload_len = _HEADER.unpack_from(blob)
+    if codec != CODEC_STORED:
         raise StorageError(f"unknown container codec {codec}")
+    return payload_len
+
+
+def _decode_container(blob: bytes) -> bytes:
+    """Recover the payload from a framed container blob."""
+    payload_len = _payload_len(blob)
+    payload = blob[_HEADER.size:]
     if len(payload) != payload_len:
         raise StorageError(
             f"container payload is {len(payload)} bytes, header says {payload_len}"
         )
     return payload
-
-
-def _blob_payload_len(blob: bytes) -> int:
-    """Uncompressed payload length without decompressing the body."""
-    if len(blob) < _HEADER.size or not blob.startswith(_MAGIC):
-        return len(blob)
-    _magic, _codec, payload_len = _HEADER.unpack_from(blob)
-    return payload_len
 
 
 class ContainerStore:
@@ -156,15 +124,11 @@ class ContainerStore:
         )
         self._m_payload_bytes = self.metrics.gauge(
             "container_payload_bytes",
-            "Uncompressed payload bytes across sealed containers.",
+            "Payload bytes across sealed containers.",
         )
         self._m_compressed_bytes = self.metrics.gauge(
             "container_compressed_bytes",
-            "On-disk (framed, possibly compressed) bytes across sealed containers.",
-        )
-        self._m_ratio = self.metrics.gauge(
-            "container_compression_ratio",
-            "Uncompressed over on-disk bytes for sealed containers (>= 1 when compression wins).",
+            "On-disk (framed) bytes across sealed containers.",
         )
         self._m_seal_seconds = self.metrics.histogram(
             "container_seal_seconds",
@@ -172,7 +136,7 @@ class ContainerStore:
         )
         self._m_seals = self.metrics.counter(
             "container_seals_total",
-            "Containers sealed, by the codec the encoder chose.",
+            "Containers sealed, by codec (always stored).",
             labelnames=("codec",),
         )
 
@@ -215,8 +179,7 @@ class ContainerStore:
         blob = _encode_container(payload)
         self._backend.put(self._name(self._open_id), blob)
         self._m_seal_seconds.observe(time.perf_counter() - started)
-        _magic, codec, _len = _HEADER.unpack_from(blob)
-        self._m_seals.labels(codec=_CODEC_NAMES[codec]).inc()
+        self._m_seals.labels(codec="stored").inc()
         self._record_lens_locked(self._open_id, len(payload), len(blob))
         self.sealed_containers += 1
         self._open_id += 1
@@ -225,27 +188,29 @@ class ContainerStore:
     def _record_lens_locked(self, container_id: int, payload: int, stored: int) -> None:
         self._payload_lens[container_id] = payload
         self._stored_lens[container_id] = stored
-        self._publish_compression_locked()
+        self._publish_bytes_locked()
 
-    def _publish_compression_locked(self) -> None:
-        payload = sum(self._payload_lens.values())
-        stored = sum(self._stored_lens.values())
-        self._m_payload_bytes.set(payload)
-        self._m_compressed_bytes.set(stored)
-        self._m_ratio.set(payload / stored if stored else 1.0)
+    def _publish_bytes_locked(self) -> None:
+        self._m_payload_bytes.set(sum(self._payload_lens.values()))
+        self._m_compressed_bytes.set(sum(self._stored_lens.values()))
 
     def _learn_lens(self, container_id: int) -> None:
         """Record byte accounting for a container sealed by a previous
-        store instance (statistics only: no cache or counter effects)."""
+        store instance (statistics only: no cache or counter effects).
+
+        A missing container, or one whose header is unreadable, is left
+        unaccounted; reads of it raise and ``fsck`` names its chunks.
+        """
         with self._lock:
             if container_id in self._payload_lens:
                 return
         try:
             blob = self._backend.get(self._name(container_id))
-        except NotFoundError:
+            payload_len = _payload_len(blob)
+        except (NotFoundError, StorageError):
             return
         with self._lock:
-            self._record_lens_locked(container_id, _blob_payload_len(blob), len(blob))
+            self._record_lens_locked(container_id, payload_len, len(blob))
 
     def flush(self) -> None:
         """Seal the open container (called at the end of an upload batch)."""
@@ -278,7 +243,7 @@ class ContainerStore:
         return self._backend.exists(self._name(container_id))
 
     def payload_length(self, container_id: int) -> int:
-        """Uncompressed payload bytes of one container (0 when absent)."""
+        """Payload bytes of one container (0 when absent or unreadable)."""
         with self._lock:
             if container_id == self._open_id:
                 return len(self._open_buffer)
@@ -388,12 +353,12 @@ class ContainerStore:
         with self._lock:
             self._payload_lens.pop(container_id, None)
             self._stored_lens.pop(container_id, None)
-            self._publish_compression_locked()
+            self._publish_bytes_locked()
         self._backend.delete(self._name(container_id))
 
     def stored_bytes(self) -> int:
-        """Uncompressed payload bytes in sealed containers plus the open
-        buffer (the byte count dedup accounting is denominated in)."""
+        """Payload bytes in sealed containers plus the open buffer (the
+        byte count dedup accounting is denominated in)."""
         for container_id in self.sealed_container_ids():
             if container_id not in self._payload_lens:
                 self._learn_lens(container_id)
@@ -401,7 +366,7 @@ class ContainerStore:
             return sum(self._payload_lens.values()) + len(self._open_buffer)
 
     def sealed_payload_bytes(self) -> int:
-        """Uncompressed payload bytes across known sealed containers."""
+        """Payload bytes across known sealed containers."""
         with self._lock:
             return sum(self._payload_lens.values())
 

@@ -49,7 +49,7 @@ class DataStoreStats:
     #: Chunks received / unique chunks stored.
     chunks_received: int = 0
     chunks_stored: int = 0
-    #: Uncompressed payload vs on-disk bytes of sealed containers.
+    #: Payload vs on-disk (framed) bytes of sealed containers.
     container_payload_bytes: int = 0
     container_compressed_bytes: int = 0
 
@@ -66,14 +66,6 @@ class DataStoreStats:
         if self.logical_bytes == 0:
             return 0.0
         return 1.0 - (self.physical_bytes + self.stub_bytes) / self.logical_bytes
-
-    @property
-    def compression_ratio(self) -> float:
-        """Uncompressed over on-disk sealed-container bytes (>= 1 when
-        container compression wins)."""
-        if self.container_compressed_bytes == 0:
-            return 1.0
-        return self.container_payload_bytes / self.container_compressed_bytes
 
 
 class DataStore:
@@ -110,7 +102,7 @@ class DataStore:
 
     @property
     def stats(self) -> DataStoreStats:
-        """Byte accounting, with container-compression fields refreshed."""
+        """Byte accounting, with the sealed-container fields refreshed."""
         self._stats.container_payload_bytes = self.containers.sealed_payload_bytes()
         self._stats.container_compressed_bytes = self.containers.compressed_bytes()
         return self._stats

@@ -1,17 +1,14 @@
-"""Consistency checking and index persistence for the data store.
+"""Consistency checking for the data store.
 
 The fingerprint index is the data store's only mutable in-memory state;
-everything else lives in the blob backend.  This module provides
-
-* **index persistence** — journal the index into the backend and load
-  it back on restart, so a data server resumes with its dedup state
-  intact (containers already resume their numbering);
-* **fsck** — verify that every index entry points at container bytes
-  whose hash matches its fingerprint, report orphaned containers
-  (bytes no index entry references — space leaks after a crash between
-  a container seal and the journal write), and check the index journal
-  itself: damaged segments, sequence gaps, and whether the checkpoint
-  plus the segments after it reproduce the live index.
+everything else lives in the blob backend (``DataStore.flush`` journals
+the index there, and a store built over the backend replays it).
+:func:`fsck` verifies that every index entry points at container bytes
+whose hash matches its fingerprint, reports orphaned containers (bytes
+no index entry references — space leaks after a crash between a
+container seal and the journal write), and checks the index journal
+itself: damaged segments, sequence gaps, and whether the checkpoint plus
+the segments after it reproduce the live index.
 
 The checker never repairs silently: it reports, and the caller decides
 (e.g. drop orphans, or rebuild refcounts from recipes).
@@ -24,25 +21,6 @@ from dataclasses import dataclass, field
 from repro.crypto.hashing import fingerprint as _fingerprint
 from repro.storage.datastore import DataStore
 from repro.util.errors import CorruptionError, NotFoundError, StorageError
-
-
-def save_index(store: DataStore) -> None:
-    """Make the fingerprint index durable in the store's backend.
-
-    ``DataStore.flush`` seals the open container and journals the
-    index; this wrapper remains as the operator-facing entry point.
-    """
-    store.flush()
-
-
-def load_index(store: DataStore) -> bool:
-    """Restore the journaled index; returns False if none exists.
-
-    Delegates to :meth:`DataStore.load_index_snapshot`, which also
-    rebuilds derived accounting (physical/stub bytes, chunk counts, and
-    per-container dead space).
-    """
-    return store.load_index_snapshot()
 
 
 @dataclass
@@ -111,8 +89,8 @@ def fsck(store: DataStore, verify_hashes: bool = True) -> FsckReport:
         try:
             data = store.containers.read(location)
         except (NotFoundError, StorageError):
-            # Unreadable location, or a container whose framing or
-            # compressed body no longer decodes (bit rot).
+            # Unreadable location, or a container whose header or body
+            # length is damaged (bit rot, a torn write, a foreign blob).
             report.corrupt.append(fp)
             continue
         if _fingerprint(data) != fp:

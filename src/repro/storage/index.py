@@ -309,9 +309,6 @@ class FingerprintIndex:
 
 # -- the journal ---------------------------------------------------------
 
-#: Snapshot blob of stores written before the journal existed; loaded as
-#: a checkpoint covering sequence number 0 until the first real one lands.
-LEGACY_SNAPSHOT_BLOB = "meta/fingerprint-index"
 #: The latest checkpoint: a frame around :meth:`FingerprintIndex.encode`.
 CHECKPOINT_BLOB = "meta/index-checkpoint"
 #: One log segment per flush that changed the index, named by sequence
@@ -380,14 +377,12 @@ def _decode_changes(body: bytes) -> list[Change]:
 class JournalScan:
     """What :meth:`IndexJournal.scan` read from the backend."""
 
-    #: The checkpoint (or legacy snapshot) with the acknowledged prefix of
-    #: the log replayed onto it.
+    #: The checkpoint with the acknowledged prefix of the log replayed
+    #: onto it.
     index: FingerprintIndex
     #: Whether any index state was persisted at all.
     found: bool = False
-    #: A pre-journal snapshot blob is present.
-    legacy: bool = False
-    #: Size of the checkpoint (or legacy snapshot) blob.
+    #: Size of the checkpoint blob.
     checkpoint_bytes: int = 0
     #: Last sequence number the loaded state covers (the checkpoint's,
     #: then each replayed segment's): the end of the acknowledged prefix.
@@ -443,7 +438,6 @@ class IndexJournal:
         #: Size of the current checkpoint, and segment bytes written since.
         self.checkpoint_bytes = 0
         self.log_bytes = 0
-        self._legacy = False
         self._on_disk: list[int] = []
         self._must_checkpoint = False
 
@@ -455,15 +449,10 @@ class IndexJournal:
         checkpoint itself is damaged.
         """
         scan = JournalScan(index=FingerprintIndex())
-        scan.legacy = self.backend.exists(LEGACY_SNAPSHOT_BLOB)
         if self.backend.exists(CHECKPOINT_BLOB):
             blob = self.backend.get(CHECKPOINT_BLOB)
             scan.seq, body = _unframe(blob, _CHECKPOINT_MAGIC)
             scan.index = FingerprintIndex.decode(body)
-            scan.checkpoint_bytes = len(blob)
-        elif scan.legacy:
-            blob = self.backend.get(LEGACY_SNAPSHOT_BLOB)
-            scan.index = FingerprintIndex.decode(blob)
             scan.checkpoint_bytes = len(blob)
         for name in self.backend.list(SEGMENT_PREFIX):
             try:
@@ -507,7 +496,6 @@ class IndexJournal:
         self.seq = scan.seq
         self.checkpoint_bytes = scan.checkpoint_bytes
         self.log_bytes = scan.log_bytes
-        self._legacy = scan.legacy
         self._on_disk = scan.segments
         self._must_checkpoint = scan.damaged
         return scan.index if scan.found else None
@@ -541,10 +529,7 @@ class IndexJournal:
             self.backend.put(CHECKPOINT_BLOB, blob)
             for seq in self._on_disk:
                 self._delete(_segment_name(seq))
-            if self._legacy:
-                self._delete(LEGACY_SNAPSHOT_BLOB)
             self._on_disk = []
-            self._legacy = False
             self.checkpoint_bytes = len(blob)
             self.log_bytes = 0
             self._m_checkpoints.inc()

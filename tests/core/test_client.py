@@ -87,7 +87,7 @@ class TestUploadObservability:
         # Most chunks repeat; only the delta shows up on the second result.
         assert second.key_cache_hits > 0
         assert second.key_oprf_evaluations < first.key_oprf_evaluations
-        assert alice.key_client.stats()["oprf_evaluations"] == (
+        assert alice.key_client.oprf_evaluations == (
             first.key_oprf_evaluations + second.key_oprf_evaluations
         )
 
@@ -99,15 +99,10 @@ class TestWorkerConfiguration:
         client = system.new_client("worker-default")
         expected = max(1, min(_os.cpu_count() or 1, 8))
         assert client.encryption_workers == expected
-        assert client.encryption_threads == expected  # back-compat alias
 
     def test_explicit_workers_override(self, system):
         client = system.new_client("worker-explicit", encryption_workers=3)
         assert client.encryption_workers == 3
-
-    def test_legacy_threads_alias(self, system):
-        client = system.new_client("worker-legacy", encryption_threads=2)
-        assert client.encryption_workers == 2
 
     def test_zero_workers_rejected(self, system):
         with pytest.raises(ConfigurationError):

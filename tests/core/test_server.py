@@ -68,6 +68,25 @@ class TestFileData:
         with pytest.raises(NotFoundError):
             server.stub_get("f1")
 
+    def test_meta_delete_drops_a_recipe_without_a_stub(self, server):
+        """A replica that missed the stub put still drops the recipe."""
+        server.recipe_put("f1", b"recipe")
+        assert server.meta_delete_many(["f1"]) == [None]
+        assert not server.store.has_recipe("f1")
+
+    def test_meta_delete_drops_a_stub_without_a_recipe(self, server):
+        server.stub_put("f1", b"stub-data")
+        assert server.meta_delete_many(["f1"]) == [None]
+        assert server.store.list_stub_files() == []
+
+    def test_meta_delete_of_nothing_is_not_found(self, server):
+        server.recipe_put("kept", b"recipe")
+        server.stub_put("kept", b"stub-data")
+        result, kept = server.meta_delete_many(["absent", "kept"])
+        assert isinstance(result, NotFoundError)
+        assert kept is None
+        assert server.store.list_recipes() == []
+
 
 class TestCounters:
     def test_byte_counters(self, server):

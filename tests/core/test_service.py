@@ -170,12 +170,12 @@ class TestRemoteKeyManager:
         assert channel.public_key().n == manager.public_key.n
         client = ServerAidedKeyClient(channel, "alice", rng=HmacDrbg(b"c"))
         fp = b"\x0a" * 32
-        assert client.get_key(fp) == blindrsa.derive_mle_key_directly(rsa_512, fp)
+        assert client.derive_keys([fp])[0] == blindrsa.derive_mle_key_directly(rsa_512, fp)
 
     def test_rate_limit_crosses_rpc(self, wired):
         _server, _ks, _manager, rpc = wired
         channel = RemoteKeyManagerChannel(rpc)
-        channel.sign_batch("alice", [5] * 50)
+        channel.derive_batch("alice", [5] * 50)
         with pytest.raises(RateLimitExceeded):
-            channel.sign_batch("alice", [5])
+            channel.derive_batch("alice", [5])
         assert channel.backoff_hint("alice", 10) > 0

@@ -16,14 +16,6 @@ KEY_WINDOW = 16
 SMALL_CHUNKS = ChunkingSpec(avg_size=256, min_size=64, max_size=1024)
 
 
-class _GetKeysOnly:
-    """A key client from before ``derive_keys``: the serial reference.
-    The wrapped client still reports its counters to the scope."""
-
-    def __init__(self, inner):
-        self.get_keys = inner.get_keys
-
-
 def _lagging(inner):
     """The same key client, each derive call starting late: the chunker
     is always windows ahead of the keys."""
@@ -55,17 +47,14 @@ def _upload(
     if key_client is not None:
         client.key_client = key_client(client.key_client)
     keys = []
-    derive = getattr(client.key_client, "derive_keys", None) or client.key_client.get_keys
+    derive = client.key_client.derive_keys
 
     def spy(fingerprints):
         got = derive(fingerprints)
         keys.extend(zip(fingerprints, got))
         return got
 
-    if hasattr(client.key_client, "derive_keys"):
-        client.key_client.derive_keys = spy
-    else:
-        client.key_client.get_keys = spy
+    client.key_client.derive_keys = spy
     result = client.upload("file", feed(data))
     client.close()
     system.close()
@@ -103,7 +92,7 @@ def _blocks(size):
 
 
 class TestBitIdentical:
-    """Pipelined, depth-1 and pre-``derive_keys`` uploads of one file
+    """Pipelined and depth-1 (serial reference) uploads of one file
     leave the same keys, recipe, stub file and container bytes."""
 
     def test_multi_window_file_across_feeds_and_paths(self):
@@ -112,20 +101,19 @@ class TestBitIdentical:
         # blocks of the chunker.
         data = HmacDrbg(b"big").random_bytes(5 << 19)
         shape = dict(batch_bytes=1 << 20)
-        reference = _upload(data, bytes, key_client=_GetKeysOnly, depth=1, **shape)
+        reference = _upload(data, bytes, depth=1, **shape)
         assert reference["result"].upload_batches == 3
         assert reference["containers"]
         pipelined = _upload(data, bytes, **shape)
         assert pipelined["result"].key_round_trips >= 6
         _same_bytes(pipelined, reference)
-        _same_bytes(_upload(data, bytes, depth=1, **shape), reference)
         _same_bytes(_upload(data, _blocks(4 << 20), **shape), reference)
         _same_bytes(_upload(data, _blocks(300_000), **shape), reference)
 
     def test_one_byte_blocks(self):
         data = HmacDrbg(b"small").random_bytes(12_000)
         shape = dict(chunking=SMALL_CHUNKS, batch_bytes=4096)
-        reference = _upload(data, bytes, key_client=_GetKeysOnly, depth=1, **shape)
+        reference = _upload(data, bytes, depth=1, **shape)
         assert reference["result"].upload_batches >= 3
         assert reference["result"].chunk_count > 2 * KEY_WINDOW
         _same_bytes(_upload(data, _blocks(1), **shape), reference)
@@ -164,13 +152,12 @@ class TestBitIdentical:
             HmacDrbg(b"tail%d" % i).random_bytes(8 * 4096) + repeated for i in range(3)
         )
         shape = dict(chunking=fixed, batch_bytes=20 * 4096, cache_bytes=1 << 20)
-        reference = _upload(data, bytes, key_client=_GetKeysOnly, depth=1, **shape)
+        reference = _upload(data, bytes, depth=1, **shape)
         assert reference["result"].upload_batches == 4
         assert reference["result"].key_cache_hits == 3 * 12
         pipelined = _upload(data, bytes, key_client=_lagging, **shape)
         assert pipelined["result"].key_cache_hits == 3 * 12
         _same_bytes(pipelined, reference)
-        _same_bytes(_upload(data, bytes, depth=1, **shape), reference)
 
     def test_single_window_file_runs_inline(self):
         data = HmacDrbg(b"inline").random_bytes(8 * 1024)
@@ -266,7 +253,7 @@ class TestAbort:
             calls.append(len(blinded))
             if len(calls) >= 2:
                 raise KeyManagerError(f"window {len(calls)} refused")
-            return system.key_manager.derive_batch(client_id, blinded)
+            return system.key_manager.sign_batch(client_id, blinded)
 
         channel.derive_batch = failing
         data = HmacDrbg(b"first").random_bytes(20_000)

@@ -27,7 +27,6 @@ EXPECTED_FAMILIES = {
     "download_tcp",
     "replicated_tcp",
     "rekey_tcp",
-    "concurrent_tcp",
     "gc_compaction",
 }
 
@@ -45,7 +44,6 @@ REFERENCE_ROWS = {
     "download_tcp": "download_tcp/serial",
     "replicated_tcp": "replicated_tcp/upload_r1",
     "rekey_tcp": "rekey_tcp/serial",
-    "concurrent_tcp": "concurrent_tcp/threaded",
     "gc_compaction": "gc_compaction/cold_restore",
 }
 
@@ -82,17 +80,8 @@ REKEY_KEYS = THROUGHPUT_KEYS | QUANTILE_KEYS | {
     "workers",
     "abe_operations",
 }
-#: The concurrent-clients scenario records storm shape and fairness.
-CONCURRENT_KEYS = THROUGHPUT_KEYS | {
-    "clients",
-    "calls_per_client",
-    "requests",
-    "requests_per_s",
-    "handler_delay_ms",
-    "client_spread_s",
-}
-#: The container-engine scenarios record coalesced-read locality,
-#: compaction reclaim, and per-container compression (schema v6).
+#: The container-engine scenarios record coalesced-read locality and
+#: compaction reclaim.
 GC_COLD_KEYS = THROUGHPUT_KEYS | QUANTILE_KEYS | {
     "chunks",
     "containers",
@@ -107,12 +96,6 @@ GC_RECLAIM_KEYS = THROUGHPUT_KEYS | QUANTILE_KEYS | {
     "dead_ratio_before",
     "dead_ratio_after",
     "relocated_chunks",
-}
-GC_COMPRESSED_KEYS = THROUGHPUT_KEYS | QUANTILE_KEYS | {
-    "chunks",
-    "container_payload_bytes",
-    "container_compressed_bytes",
-    "compression_ratio",
 }
 
 
@@ -156,14 +139,10 @@ def test_quick_bench_runs_and_writes_valid_report(tmp_path):
             )
         elif result["name"].startswith("rekey_tcp/"):
             expected_keys = REKEY_KEYS
-        elif result["name"].startswith("concurrent_tcp/"):
-            expected_keys = CONCURRENT_KEYS
         elif result["name"] == "gc_compaction/cold_restore":
             expected_keys = GC_COLD_KEYS
         elif result["name"] == "gc_compaction/reclaim":
             expected_keys = GC_RECLAIM_KEYS
-        elif result["name"] == "gc_compaction/compressed_store":
-            expected_keys = GC_COMPRESSED_KEYS
         else:
             expected_keys = THROUGHPUT_KEYS
         assert set(result) == expected_keys
@@ -230,21 +209,12 @@ def test_quick_bench_runs_and_writes_valid_report(tmp_path):
     # Both rows re-encrypted the same stub bytes (identical crypto work).
     assert serial_rk["bytes"] == pipelined_rk["bytes"] > 0
     assert serial_rk["abe_operations"] == pipelined_rk["abe_operations"] == 1
-    # The concurrent-clients storm: both transports served every request
-    # (quick scale is too small for a throughput assertion — the full
-    # run in BENCH_hotpath.json carries that evidence).
-    threaded = by_name["concurrent_tcp/threaded"]
-    multiplexed = by_name["concurrent_tcp/multiplexed"]
-    assert threaded["requests"] == multiplexed["requests"] > 0
-    assert threaded["clients"] == multiplexed["clients"]
-    assert multiplexed["requests_per_s"] > 0
     # The container engine's defining wins.  Cold restores coalesce: the
     # batch-read path fetches each container at most once, so a restore
     # of N chunks packed C-per-container pays ~#containers fetches
     # rather than #chunks.  Compaction reclaims >= 90% of dead container
     # bytes (the bench itself verifies the survivor restores
-    # bit-identically), and the compressed in-process store demonstrates
-    # the per-container codec.
+    # bit-identically).
     cold = by_name["gc_compaction/cold_restore"]
     assert cold["chunks"] > cold["containers"] > 0
     assert 0 < cold["container_fetches"] <= cold["containers"]
@@ -253,10 +223,3 @@ def test_quick_bench_runs_and_writes_valid_report(tmp_path):
     assert reclaim["dead_bytes"] > 0
     assert reclaim["reclaim_fraction"] >= 0.9
     assert reclaim["dead_ratio_after"] < reclaim["dead_ratio_before"]
-    compressed = by_name["gc_compaction/compressed_store"]
-    assert (
-        0
-        < compressed["container_compressed_bytes"]
-        < compressed["container_payload_bytes"]
-    )
-    assert compressed["compression_ratio"] > 1.0

@@ -121,9 +121,7 @@ class TestKeyManagerFailures:
         def outage(_client_id, _blinded):
             raise KeyManagerError("key manager unreachable")
 
-        # A down key manager answers neither the per-chunk nor the
-        # batched derivation RPC.
-        alice.key_client._channel.sign_batch = outage
+        # A down key manager answers no derivation RPC.
         alice.key_client._channel.derive_batch = outage
         with pytest.raises(KeyManagerError):
             alice.upload("doomed", unique_data(50_000, seed=43))

@@ -10,6 +10,7 @@ from repro.mle.server_aided import (
     LocalKeyManagerChannel,
     ServerAidedKeyClient,
 )
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.clock import SimClock
 from repro.util.errors import ConfigurationError, KeyManagerError, RateLimitExceeded
 
@@ -30,36 +31,38 @@ class TestCorrectness:
     def test_keys_match_direct_oprf(self, manager, rsa_512):
         client = make_client(manager)
         fps = [bytes([i]) * 32 for i in range(10)]
-        keys = client.get_keys(fps)
+        keys = client.derive_keys(fps)
         for fp, key in zip(fps, keys):
             assert key == blindrsa.derive_mle_key_directly(rsa_512, fp)
 
     def test_order_preserved(self, manager):
         client = make_client(manager)
         fps = [bytes([i]) * 32 for i in range(7)]
-        keys = client.get_keys(list(reversed(fps)))
-        assert keys == list(reversed(client.get_keys(fps)))
+        keys = client.derive_keys(list(reversed(fps)))
+        assert keys == list(reversed(client.derive_keys(fps)))
 
     def test_single_key(self, manager, rsa_512):
         client = make_client(manager)
         fp = b"\x09" * 32
-        assert client.get_key(fp) == blindrsa.derive_mle_key_directly(rsa_512, fp)
+        assert client.derive_keys([fp]) == [
+            blindrsa.derive_mle_key_directly(rsa_512, fp)
+        ]
 
     def test_empty_request(self, manager):
-        assert make_client(manager).get_keys([]) == []
+        assert make_client(manager).derive_keys([]) == []
 
 
 class TestBatching:
     def test_requests_split_into_batches(self, manager):
         client = make_client(manager, batch_size=4)
-        client.get_keys([bytes([i]) * 32 for i in range(10)])
+        client.derive_keys([bytes([i]) * 32 for i in range(10)])
         assert manager.stats.batches == 3  # 4 + 4 + 2
         assert manager.stats.signatures == 10
 
     def test_duplicates_within_call_deduplicated(self, manager):
         client = make_client(manager)
         fp = b"\x01" * 32
-        keys = client.get_keys([fp, fp, fp])
+        keys = client.derive_keys([fp, fp, fp])
         assert keys[0] == keys[1] == keys[2]
         assert manager.stats.signatures == 1
 
@@ -72,35 +75,35 @@ class TestCaching:
     def test_cache_hit_skips_key_manager(self, manager):
         client = make_client(manager, cache=MLEKeyCache(1 << 20))
         fps = [bytes([i]) * 32 for i in range(5)]
-        client.get_keys(fps)
+        client.derive_keys(fps)
         before = manager.stats.signatures
-        client.get_keys(fps)
+        client.derive_keys(fps)
         assert manager.stats.signatures == before
         assert client.cache_hits == 5
 
     def test_clear_cache_forces_regeneration(self, manager):
         client = make_client(manager, cache=MLEKeyCache(1 << 20))
         fps = [bytes([i]) * 32 for i in range(3)]
-        client.get_keys(fps)
+        client.derive_keys(fps)
         client.clear_cache()
-        client.get_keys(fps)
+        client.derive_keys(fps)
         assert manager.stats.signatures == 6
 
     def test_no_cache_configured(self, manager):
         client = make_client(manager, cache=None)
         fp = b"\x02" * 32
-        client.get_key(fp)
-        client.get_key(fp)
+        client.derive_keys([fp])
+        client.derive_keys([fp])
         assert manager.stats.signatures == 2
 
 
 class TestDeriveKeys:
     """The whole-file ``derive_keys`` path of the batched upload protocol."""
 
-    def test_bit_identical_to_get_keys(self, manager, rsa_512):
+    def test_bit_identical_across_batch_sizes(self, manager, rsa_512):
         fps = [bytes([i]) * 32 for i in range(17)]
         batched = make_client(manager).derive_keys(fps)
-        reference = make_client(manager, batch_size=1).get_keys(fps)
+        reference = make_client(manager, batch_size=1).derive_keys(fps)
         assert batched == reference
         for fp, key in zip(fps, batched):
             assert key == blindrsa.derive_mle_key_directly(rsa_512, fp)
@@ -109,7 +112,7 @@ class TestDeriveKeys:
         client = make_client(manager)
         client.derive_keys([bytes([i]) * 32 for i in range(50)])
         assert client.round_trips == 1
-        assert manager.stats.derive_batches == 1
+        assert manager.stats.batches == 1
         assert manager.stats.signatures == 50
 
     def test_round_trips_bounded_by_batch_size(self, manager):
@@ -135,19 +138,6 @@ class TestDeriveKeys:
             client.derive_keys([b"\xee" * 32])
         assert manager.client_stats("alice")["requests"] == 10
 
-    def test_falls_back_without_derive_batch(self, manager, rsa_512):
-        class LegacyChannel(LocalKeyManagerChannel):
-            derive_batch = None  # channel predates the batched protocol
-
-        client = ServerAidedKeyClient(
-            LegacyChannel(manager), client_id="alice", rng=HmacDrbg(b"c")
-        )
-        fp = b"\x03" * 32
-        assert client.derive_keys([fp]) == [
-            blindrsa.derive_mle_key_directly(rsa_512, fp)
-        ]
-        assert manager.stats.derive_batches == 0  # went via sign_batch
-
 
 class TestRateLimitBackoff:
     def test_retry_after_backoff(self, rsa_512):
@@ -160,10 +150,10 @@ class TestRateLimitBackoff:
             sleep=clock.sleep,
             batch_size=10,
         )
-        client.get_keys([bytes([i]) * 32 for i in range(10)])  # drains bucket
+        client.derive_keys([bytes([i]) * 32 for i in range(10)])  # drains bucket
         # The next batch must back off (via the injected sleeping clock)
         # and then succeed.
-        keys = client.get_keys([bytes([i + 50]) * 32 for i in range(10)])
+        keys = client.derive_keys([bytes([i + 50]) * 32 for i in range(10)])
         assert len(keys) == 10
 
     def test_retries_bounded(self, rsa_512):
@@ -181,9 +171,9 @@ class TestRateLimitBackoff:
             batch_size=10,
             max_retries=2,
         )
-        client.get_keys([bytes([i]) * 32 for i in range(10)])
+        client.derive_keys([bytes([i]) * 32 for i in range(10)])
         with pytest.raises(RateLimitExceeded):
-            client.get_keys([b"\xff" * 32])
+            client.derive_keys([b"\xff" * 32])
 
 
 class TestRobustness:
@@ -191,46 +181,49 @@ class TestRobustness:
         client = make_client(manager)
 
         class TruncatingChannel(LocalKeyManagerChannel):
-            def sign_batch(self, client_id, blinded_values):
-                return super().sign_batch(client_id, blinded_values)[:-1]
+            def derive_batch(self, client_id, blinded_values):
+                return super().derive_batch(client_id, blinded_values)[:-1]
 
         client._channel = TruncatingChannel(manager)
         with pytest.raises(KeyManagerError):
-            client.get_keys([b"\x01" * 32, b"\x02" * 32])
+            client.derive_keys([b"\x01" * 32, b"\x02" * 32])
 
     def test_corrupted_signature_detected(self, manager):
         class CorruptingChannel(LocalKeyManagerChannel):
-            def sign_batch(self, client_id, blinded_values):
-                out = super().sign_batch(client_id, blinded_values)
+            def derive_batch(self, client_id, blinded_values):
+                out = super().derive_batch(client_id, blinded_values)
                 return [value ^ 1 for value in out]
 
         client = ServerAidedKeyClient(
             CorruptingChannel(manager), client_id="alice", rng=HmacDrbg(b"c")
         )
         with pytest.raises(KeyManagerError):
-            client.get_key(b"\x01" * 32)
+            client.derive_keys([b"\x01" * 32])
 
 
 class TestStats:
     def test_round_trips_counted(self, manager):
         client = make_client(manager, batch_size=4)
-        client.get_keys([bytes([i]) * 32 for i in range(10)])
+        client.derive_keys([bytes([i]) * 32 for i in range(10)])
         assert client.round_trips == 3  # 4 + 4 + 2
 
     def test_stats_snapshot(self, manager):
-        client = make_client(manager, cache=MLEKeyCache(1 << 20))
+        registry = MetricsRegistry()
+        client = make_client(manager, cache=MLEKeyCache(1 << 20), metrics=registry)
         fps = [bytes([i]) * 32 for i in range(5)]
-        client.get_keys(fps)
-        client.get_keys(fps)
-        stats = client.stats()
-        assert stats["oprf_evaluations"] == 5
-        assert stats["cache_hits"] == 5
-        assert stats["round_trips"] == 1
-        assert stats["cache"]["entries"] == 5
+        client.derive_keys(fps)
+        client.derive_keys(fps)
+        assert client.oprf_evaluations == 5
+        assert client.cache_hits == 5
+        assert client.round_trips == 1
+        assert client.cache.stats()["entries"] == 5
+        # The registry series carry the same per-client totals.
+        assert registry.value("key_oprf_evaluations_total", client="alice") == 5
+        assert registry.value("key_cache_hits_total", client="alice") == 5
+        assert registry.value("key_round_trips_total", client="alice") == 1
 
     def test_stats_without_cache(self, manager):
         client = make_client(manager, cache=None)
-        client.get_key(b"\x07" * 32)
-        stats = client.stats()
-        assert "cache" not in stats
-        assert stats["round_trips"] == 1
+        client.derive_keys([b"\x07" * 32])
+        assert client.cache is None
+        assert client.round_trips == 1

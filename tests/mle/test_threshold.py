@@ -81,7 +81,7 @@ class TestChannel:
         _managers, channel = group
         client = ServerAidedKeyClient(channel, "alice", rng=rng)
         fp = b"\x15" * 32
-        assert client.get_key(fp) == blindrsa.derive_mle_key_directly(rsa_512, fp)
+        assert client.derive_keys([fp])[0] == blindrsa.derive_mle_key_directly(rsa_512, fp)
 
     def test_survives_manager_failures(self, rsa_512, group, rng):
         managers, channel = group
@@ -89,7 +89,7 @@ class TestChannel:
         managers[3].available = False  # 3 of 5 remain: exactly threshold
         client = ServerAidedKeyClient(channel, "alice", rng=rng)
         fp = b"\x16" * 32
-        assert client.get_key(fp) == blindrsa.derive_mle_key_directly(rsa_512, fp)
+        assert client.derive_keys([fp])[0] == blindrsa.derive_mle_key_directly(rsa_512, fp)
 
     def test_too_many_failures_fails_loudly(self, rsa_512, group, rng):
         managers, channel = group
@@ -97,13 +97,13 @@ class TestChannel:
             manager.available = False  # only 2 remain < threshold 3
         client = ServerAidedKeyClient(channel, "alice", rng=rng, max_retries=0)
         with pytest.raises(KeyManagerError):
-            client.get_key(b"\x17" * 32)
+            client.derive_keys([b"\x17" * 32])
 
     def test_batching_through_group(self, rsa_512, group, rng):
         managers, channel = group
         client = ServerAidedKeyClient(channel, "alice", rng=rng, batch_size=4)
         fps = [bytes([i]) * 32 for i in range(10)]
-        keys = client.get_keys(fps)
+        keys = client.derive_keys(fps)
         assert keys == [blindrsa.derive_mle_key_directly(rsa_512, fp) for fp in fps]
         # Only threshold-many managers did work per batch.
         working = [m for m in managers if m.signatures > 0]
@@ -114,17 +114,17 @@ class TestChannel:
         fingerprint look unrelated to every manager."""
         _managers, channel = group
         seen = []
-        original = channel.sign_batch
+        original = channel.derive_batch
 
         def spy(client_id, blinded_values):
             seen.extend(blinded_values)
             return original(client_id, blinded_values)
 
-        channel.sign_batch = spy
+        channel.derive_batch = spy
         client = ServerAidedKeyClient(channel, "alice", rng=rng)
         fp = b"\x18" * 32
-        k1 = client.get_key(fp)
-        k2 = client.get_key(fp)
+        k1 = client.derive_keys([fp])[0]
+        k2 = client.derive_keys([fp])[0]
         assert k1 == k2
         assert len(seen) == 2 and seen[0] != seen[1]
 
@@ -185,7 +185,7 @@ class TestThresholdOverRpc:
         channel = ThresholdKeyManagerChannel(stubs)
         client = ServerAidedKeyClient(channel, "alice", rng=rng)
         fp = b"\x19" * 32
-        assert client.get_key(fp) == blindrsa.derive_mle_key_directly(rsa_512, fp)
+        assert client.derive_keys([fp])[0] == blindrsa.derive_mle_key_directly(rsa_512, fp)
 
     def test_remote_group_survives_one_failure(self, rsa_512, rng):
         from repro.core.service import (
@@ -206,4 +206,4 @@ class TestThresholdOverRpc:
         channel = ThresholdKeyManagerChannel(stubs)
         client = ServerAidedKeyClient(channel, "alice", rng=rng, max_retries=0)
         fp = b"\x20" * 32
-        assert client.get_key(fp) == blindrsa.derive_mle_key_directly(rsa_512, fp)
+        assert client.derive_keys([fp])[0] == blindrsa.derive_mle_key_directly(rsa_512, fp)

@@ -162,7 +162,7 @@ class TestReconnectRetry:
         assert is_idempotent_method("keystore.get_many")
         assert is_idempotent_method("metrics")
         assert not is_idempotent_method("storage.put_many")
-        assert not is_idempotent_method("km.sign_batch")
+        assert not is_idempotent_method("km.derive_batch")
         assert not is_idempotent_method("echo")
 
     def test_idempotent_call_survives_server_restart(self, server_factory):

@@ -211,7 +211,7 @@ class TestSemanticErrorsNotRetried:
             sleep=clock.sleep,
             batch_size=10,
         )
-        key_client.get_keys([bytes([i]) * 32 for i in range(10)])  # drains bucket
+        key_client.derive_keys([bytes([i]) * 32 for i in range(10)])  # drains bucket
         calls_when_drained = inner.calls
         keys = key_client.derive_keys([bytes([i + 50]) * 32 for i in range(10)])
         assert len(keys) == 10

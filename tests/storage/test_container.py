@@ -1,4 +1,4 @@
-"""Tests for container batching, compression, and coalesced reads."""
+"""Tests for container batching, framing, and coalesced reads."""
 
 import hashlib
 import threading
@@ -8,19 +8,16 @@ import zlib
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
-from repro.storage import container as container_module
 from repro.storage.backend import MemoryBackend
 from repro.storage.container import (
     _HEADER,
     _MAGIC,
-    _SAMPLE_BYTES,
     CODEC_STORED,
-    CODEC_ZLIB,
     ContainerStore,
 )
 from repro.storage.index import ChunkLocation
 from repro.util.errors import ConfigurationError, NotFoundError, StorageError
-from repro.util.units import MiB
+from repro.util.units import KiB, MiB
 
 
 @pytest.fixture()
@@ -170,8 +167,8 @@ def _frame_codec(backend, loc) -> int:
 
 
 @pytest.fixture()
-def compress_spy(monkeypatch):
-    """Input lengths of every ``zlib.compress`` call the encoder makes."""
+def zlib_spy(monkeypatch):
+    """Input lengths of every ``zlib.compress`` call made while sealing."""
     sizes = []
     real = zlib.compress
 
@@ -179,23 +176,30 @@ def compress_spy(monkeypatch):
         sizes.append(len(data))
         return real(data, *args, **kwargs)
 
-    monkeypatch.setattr(container_module.zlib, "compress", spy)
+    monkeypatch.setattr(zlib, "compress", spy)
     return sizes
 
 
 class TestCompression:
-    def test_compressible_payload_shrinks_on_disk(self, backend, compress_spy):
-        store = ContainerStore(backend, container_bytes=4096)
-        loc = store.append(b"abcd" * 1024)  # 4 KiB, highly compressible
+    """Containers hold CAONT ciphertext, so the store never compresses."""
+
+    @staticmethod
+    def _seal_and_check(backend, zlib_spy, data: bytes) -> None:
+        store = ContainerStore(backend, container_bytes=2 * MiB)
+        loc = store.append(data)
         store.flush()
-        assert compress_spy == [4096]  # within the sample: one trial only
-        on_disk = backend.size(f"container/{loc.container_id:012d}")
-        assert on_disk < 4096
-        assert store.compressed_bytes() == on_disk
-        assert store.sealed_payload_bytes() == 4096
-        # Round trip through the compressed frame.
-        fresh = ContainerStore(backend, container_bytes=4096)
-        assert fresh.read(loc) == b"abcd" * 1024
+        assert zlib_spy == []
+        assert _frame_codec(backend, loc) == CODEC_STORED
+        assert backend.size(f"container/{loc.container_id:012d}") == (
+            _HEADER.size + len(data)
+        )
+        assert ContainerStore(backend).read(loc) == data
+
+    def test_compressible_payload_stored_raw(self, backend, zlib_spy):
+        self._seal_and_check(backend, zlib_spy, b"abcd" * 1024)  # 4 KiB
+
+    def test_random_mib_payload_makes_no_zlib_call(self, backend, zlib_spy):
+        self._seal_and_check(backend, zlib_spy, incompressible(MiB))
 
     def test_incompressible_payload_stored_raw(self, backend):
         store = ContainerStore(backend, container_bytes=1024)
@@ -209,13 +213,14 @@ class TestCompression:
         assert payload_len == 1024
         assert store.read(loc) == data
 
-    def test_legacy_raw_container_readable(self, backend):
-        # A headerless blob written before the framed format.
-        backend.put("container/000000000000", b"legacy-payload")
+    def test_headerless_blob_rejected(self, backend):
+        # A raw payload without the RCF1 frame is not a container.
+        backend.put("container/000000000000", b"raw-payload-without-a-header")
         store = ContainerStore(backend, container_bytes=64)
-        assert store.read(ChunkLocation(0, 0, 6)) == b"legacy"
-        assert store.payload_length(0) == len(b"legacy-payload")
-        # Numbering resumed past the legacy container.
+        with pytest.raises(StorageError):
+            store.read(ChunkLocation(0, 0, 6))
+        # Accounting skips it instead of guessing a payload length.
+        assert store.payload_length(0) == 0
         assert store.open_container_id == 1
 
     def test_header_length_mismatch_rejected(self, backend):
@@ -227,6 +232,14 @@ class TestCompression:
 
     def test_unknown_codec_rejected(self, backend):
         blob = _HEADER.pack(_MAGIC, 7, 5) + b"12345"
+        backend.put("container/000000000000", blob)
+        store = ContainerStore(backend, container_bytes=64)
+        with pytest.raises(StorageError):
+            store.read(ChunkLocation(0, 0, 5))
+
+    def test_zlib_codec_rejected(self, backend):
+        payload = b"x" * 256
+        blob = _HEADER.pack(_MAGIC, 1, len(payload)) + zlib.compress(payload)
         backend.put("container/000000000000", blob)
         store = ContainerStore(backend, container_bytes=64)
         with pytest.raises(StorageError):
@@ -247,52 +260,16 @@ class TestCompression:
         store.append(b"abcd" * 1024)
         store.flush()
         assert registry.value("container_payload_bytes") == 4096
-        compressed = registry.value("container_compressed_bytes")
-        assert 0 < compressed < 4096
-        assert registry.value("container_compression_ratio") == pytest.approx(
-            4096 / compressed
-        )
-
-    def test_seal_metrics_by_codec(self, backend):
-        registry = MetricsRegistry()
-        store = ContainerStore(backend, container_bytes=4096, metrics=registry)
-        store.append(b"abcd" * 1024)  # fills and seals (zlib)
-        store.append(incompressible(1000))
-        store.flush()  # stored
-        assert registry.value("container_seals_total", codec="zlib") == 1
-        assert registry.value("container_seals_total", codec="stored") == 1
-        seconds = registry.get("container_seal_seconds").labels()
-        assert seconds.count == 2
-        assert seconds.sum > 0
-
-    # -- the 64 KiB sample rule for larger payloads ------------------------
-
-    def test_incompressible_payload_only_compresses_the_sample(
-        self, backend, compress_spy
-    ):
-        store = ContainerStore(backend, container_bytes=2 * MiB)
-        data = incompressible(MiB)
-        loc = store.append(data)
-        store.flush()
-        assert compress_spy == [_SAMPLE_BYTES]
-        assert _frame_codec(backend, loc) == CODEC_STORED
-        assert ContainerStore(backend).read(loc) == data
-
-    def test_compressible_payload_still_compressed(self, backend, compress_spy):
-        store = ContainerStore(backend, container_bytes=2 * MiB)
-        data = b"reed-container" * (MiB // 14 + 1)
-        loc = store.append(data)
-        store.flush()
-        assert compress_spy == [_SAMPLE_BYTES, len(data)]
-        assert _frame_codec(backend, loc) == CODEC_ZLIB
-        assert store.compressed_bytes() < len(data) // 10
-        assert ContainerStore(backend).read(loc) == data
+        # The gauge keeps its name; it counts framed on-disk bytes.
+        assert registry.value("container_compressed_bytes") == 4096 + _HEADER.size
+        assert store.compressed_bytes() == 4096 + _HEADER.size
+        assert registry.get("container_compression_ratio") is None
 
     def test_incompressible_sample_stores_the_whole_payload_raw(self, backend):
-        """By design the sample decides: a container whose first 64 KiB is
-        ciphertext is stored raw even if the rest would compress well."""
+        """A ciphertext prefix followed by bytes that would compress well
+        is stored raw, whole, like every other payload."""
         store = ContainerStore(backend, container_bytes=2 * MiB)
-        data = incompressible(_SAMPLE_BYTES) + b"\x00" * MiB
+        data = incompressible(64 * KiB) + b"\x00" * MiB
         loc = store.append(data)
         store.flush()
         assert _frame_codec(backend, loc) == CODEC_STORED
@@ -301,6 +278,16 @@ class TestCompression:
         )
         assert ContainerStore(backend).read(loc) == data
 
+    def test_seal_metrics_by_codec(self, backend):
+        registry = MetricsRegistry()
+        store = ContainerStore(backend, container_bytes=4096, metrics=registry)
+        store.append(b"abcd" * 1024)  # fills and seals
+        store.append(incompressible(1000))
+        store.flush()
+        assert registry.value("container_seals_total", codec="stored") == 2
+        seconds = registry.get("container_seal_seconds").labels()
+        assert seconds.count == 2
+        assert seconds.sum > 0
 
 
 class _CountingBackend(MemoryBackend):

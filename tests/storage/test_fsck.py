@@ -1,11 +1,16 @@
 """Tests for index persistence and fsck."""
 
+import zlib
+
+import pytest
 
 from repro.crypto.hashing import fingerprint
 from repro.storage.backend import DirectoryBackend, MemoryBackend
+from repro.storage.container import _HEADER, _MAGIC
 from repro.storage.datastore import DataStore
-from repro.storage.fsck import drop_orphans, fsck, load_index, save_index
+from repro.storage.fsck import drop_orphans, fsck
 from repro.storage.index import CHECKPOINT_BLOB, SEGMENT_PREFIX
+from repro.util.errors import StorageError
 
 
 def fill(store, n=10, tag=0):
@@ -20,10 +25,10 @@ class TestIndexPersistence:
         backend = DirectoryBackend(str(tmp_path))
         store = DataStore(backend, container_bytes=256)
         fill(store)
-        save_index(store)
+        store.flush()
 
         reopened = DataStore(DirectoryBackend(str(tmp_path)), container_bytes=256)
-        assert load_index(reopened) is True
+        assert reopened.load_index_snapshot() is True
         assert len(reopened.index) == 10
         # Data readable through the restored index.
         data = bytes([0, 3]) * 50
@@ -33,15 +38,14 @@ class TestIndexPersistence:
         assert reopened.stats.chunks_stored == 10
 
     def test_load_without_snapshot(self):
-        assert load_index(DataStore()) is False
+        assert DataStore().load_index_snapshot() is False
 
     def test_dedup_works_after_restore(self, tmp_path):
         backend = DirectoryBackend(str(tmp_path))
         store = DataStore(backend, container_bytes=256)
         fill(store)
-        save_index(store)
+        store.flush()
         reopened = DataStore(DirectoryBackend(str(tmp_path)), container_bytes=256)
-        load_index(reopened)
         data = bytes([0, 0]) * 50  # already stored pre-restart
         assert reopened.put_chunk(fingerprint(data), data) is False
 
@@ -51,9 +55,7 @@ class TestIndexPersistence:
         data = b"x" * 100  # exactly one container
         store.put_chunk(fingerprint(data), data)
         store.flush()
-        save_index(store)
         reopened = DataStore(DirectoryBackend(str(tmp_path)), container_bytes=100)
-        load_index(reopened)
         reopened.release_chunk(fingerprint(data))
         assert reopened.stats.physical_bytes == 0
         assert reopened.backend.total_bytes("container/") == 0
@@ -93,7 +95,7 @@ class TestFsck:
         backend = DirectoryBackend(str(tmp_path))
         store = DataStore(backend, container_bytes=256)
         fill(store)
-        save_index(store)
+        store.flush()
         # Crash scenario: containers sealed after the last index
         # snapshot (a crash between the container seal and the snapshot
         # write inside flush) are orphaned on restart.
@@ -102,12 +104,49 @@ class TestFsck:
             store.put_chunk(fingerprint(data), data)
         store.containers.flush()
         reopened = DataStore(DirectoryBackend(str(tmp_path)), container_bytes=256)
-        load_index(reopened)
         report = fsck(reopened)
         assert report.orphaned_containers
         freed = drop_orphans(reopened, report)
         assert freed > 0
         assert fsck(reopened).clean
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            # A well-formed zlib frame (codec 1): a codec the store refuses.
+            lambda blob: _HEADER.pack(_MAGIC, 1, len(blob) - _HEADER.size)
+            + zlib.compress(blob[_HEADER.size:]),
+            lambda blob: blob[:4] + bytes([9]) + blob[5:],  # unknown codec
+            lambda blob: blob[:-3],  # truncated frame
+            lambda blob: blob[_HEADER.size:],  # no header
+        ],
+        ids=["zlib-codec", "unknown-codec", "truncated", "headerless"],
+    )
+    def test_unreadable_container_chunks_reported_corrupt(self, damage):
+        backend = MemoryBackend()
+        store = DataStore(backend, container_bytes=256)
+        for i in range(10):
+            # Incompressible, like the CAONT packages a store holds.
+            data = b"".join(fingerprint(bytes([i, j])) for j in range(3))
+            store.put_chunk(fingerprint(data), data)
+        store.flush()
+        name = next(iter(backend.list("container/")))
+        cid = int(name.rsplit("/", 1)[1])
+        inside = sorted(
+            fp for fp in store.index.fingerprints()
+            if store.index.lookup(fp).container_id == cid
+        )
+        assert inside
+        backend.put(name, damage(backend.get(name)))
+        # A rebooted store comes up over the damaged blob; reading it
+        # raises, and fsck names exactly the chunks it held.
+        rebooted = DataStore(backend, container_bytes=256)
+        with pytest.raises(StorageError):
+            rebooted.get_chunk(inside[0])
+        report = fsck(rebooted)
+        assert sorted(report.corrupt) == inside
+        assert cid not in report.missing_containers
+        assert not report.clean
 
     def test_hash_verification_optional(self):
         store = DataStore(container_bytes=256)

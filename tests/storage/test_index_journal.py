@@ -2,7 +2,7 @@
 
 Covers the segment/checkpoint life cycle, the O(delta) cost of a flush,
 the write-amplification bound, crash consistency under any cut of the
-log (hypothesis), and loading a store written before the journal.
+log (hypothesis), and what a store written before the journal boots to.
 """
 
 import pytest
@@ -15,11 +15,7 @@ from repro.storage.backend import MemoryBackend
 from repro.storage.datastore import DataStore
 from repro.storage.fsck import fsck
 from repro.storage.gc import CompactionGC
-from repro.storage.index import (
-    CHECKPOINT_BLOB,
-    LEGACY_SNAPSHOT_BLOB,
-    SEGMENT_PREFIX,
-)
+from repro.storage.index import CHECKPOINT_BLOB, SEGMENT_PREFIX
 from repro.util.errors import CorruptionError, StorageError
 
 
@@ -327,47 +323,44 @@ class TestFailedWrite:
         assert new_store(backend).index.snapshot() == store.index.snapshot()
 
 
-class TestLegacySnapshot:
-    def _legacy_backend(self) -> tuple[MemoryBackend, DataStore]:
-        """A backend as a store without the journal left it: containers
-        plus the whole-index snapshot blob, and no journal blobs."""
-        store = new_store(container_bytes=128)
-        pairs = [chunk(8, i, size=32) for i in range(24)]
-        for fp, data in pairs:
-            store.put_chunk(fp, data)
-        store.addref_many([(pairs[3][0], 4)])
-        for fp, _ in pairs[::3]:
-            store.release_chunk(fp)
-        store.flush()
-        legacy = MemoryBackend()
-        for name in store.backend.list("container/"):
-            legacy.put(name, store.backend.get(name))
-        legacy.put(LEGACY_SNAPSHOT_BLOB, store.index.encode())
-        return legacy, store
+def pre_journal_backend() -> MemoryBackend:
+    """Containers plus the whole-index snapshot blob of a store that
+    predates the journal, and no checkpoint or segment."""
+    store = new_store(container_bytes=128)
+    for i in range(24):
+        store.put_chunk(*chunk(8, i, size=32))
+    store.flush()
+    old = MemoryBackend()
+    for name in store.backend.list("container/"):
+        old.put(name, store.backend.get(name))
+    old.put("meta/fingerprint-index", store.index.encode())
+    return old
 
-    def test_loads_to_the_same_index_and_dead_space(self):
-        legacy, store = self._legacy_backend()
-        rebooted = new_store(legacy, container_bytes=128)
-        assert rebooted.index.snapshot() == store.index.snapshot()
-        assert rebooted.dead_space() == store.dead_space()
-        assert rebooted.index.container_usage() == store.index.container_usage()
 
-    def test_first_checkpoint_retires_the_legacy_blob(self):
-        legacy, store = self._legacy_backend()
-        rebooted = new_store(legacy, container_bytes=128)
-        # Small changes replay on top of the legacy snapshot...
+class TestPreJournalSnapshot:
+    def test_boots_empty_and_fsck_names_its_containers(self):
+        """The pre-journal blob is not read, so the store boots empty, and
+        fsck names every container as orphaned rather than letting the
+        data disappear silently."""
+        old = pre_journal_backend()
+        rebooted = new_store(old, container_bytes=128)
+        assert len(rebooted.index) == 0
+        report = fsck(rebooted)
+        containers = sorted(
+            int(name.rsplit("/", 1)[1]) for name in old.list("container/")
+        )
+        assert containers
+        assert report.orphaned_containers == containers
+        assert not report.clean
+
+    def test_first_checkpoint_keeps_the_pre_journal_blob(self):
+        """The store's first checkpoint neither reads nor deletes the
+        pre-journal blob, so it stays on the backend for recovery."""
+        old = pre_journal_backend()
+        blob = old.get("meta/fingerprint-index")
+        rebooted = new_store(old, container_bytes=128)
         rebooted.put_chunk(*chunk(9, 0, size=32))
         rebooted.flush()
-        assert legacy.exists(LEGACY_SNAPSHOT_BLOB)
-        assert new_store(legacy, container_bytes=128).index.snapshot() == (
-            rebooted.index.snapshot()
-        )
-        # ...until the log outgrows it and a checkpoint replaces it.
-        for i in range(1, 40):
-            rebooted.put_chunk(*chunk(9, i, size=32))
-            rebooted.flush()
-        assert rebooted.metrics.value("index_checkpoints_total") >= 1
-        assert not legacy.exists(LEGACY_SNAPSHOT_BLOB)
-        assert new_store(legacy, container_bytes=128).index.snapshot() == (
-            rebooted.index.snapshot()
-        )
+        assert old.exists(CHECKPOINT_BLOB)
+        assert old.get("meta/fingerprint-index") == blob
+        assert len(new_store(old, container_bytes=128).index) == 1
