@@ -63,7 +63,7 @@ def split_key(
     if not 1 <= threshold <= players:
         raise ConfigurationError(f"invalid threshold {threshold} of {players}")
     rng = rng or SYSTEM_RANDOM
-    phi = (private_key.p - 1) * (private_key.q - 1)
+    phi = math.prod(prime - 1 for prime in private_key.primes)
     # f(x) = d + a1 x + ... + a_{k-1} x^{k-1} over Z_phi.
     coefficients = [private_key.d % phi] + [
         rng.randint_below(phi) for _ in range(threshold - 1)

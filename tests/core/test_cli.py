@@ -69,6 +69,46 @@ class TestOrg:
         second = org.derivation_key("carol", 512)
         assert first.n == second.n
 
+    def test_init_writes_three_prime_key_at_1024_bits(self, tmp_path):
+        path = str(tmp_path / "org")
+        assert main(["org", "init", "--org", path, "--key-bits", "1024"]) == 0
+        assert len(OrgState(path).key_manager_key().primes) == 3
+
+    def test_org_with_two_prime_keys_still_serves(self, tmp_path, two_prime_blob):
+        """An org directory written before keys had three primes loads
+        as-is: nothing is regenerated and the key manager serves the same
+        OPRF it always did."""
+        from repro.core.service import RemoteKeyManagerChannel
+        from repro.crypto import blindrsa
+        from repro.mle.server_aided import ServerAidedKeyClient
+        from repro.net.tcp import TcpConnection
+
+        (tmp_path / "authority.master").write_bytes(bytes(32))
+        (tmp_path / "keymanager.rsa").write_bytes(two_prime_blob)
+        (tmp_path / "users").mkdir()
+        (tmp_path / "users" / "alice.key").write_bytes(two_prime_blob)
+        org = OrgState(str(tmp_path))
+        owner_key = org.derivation_key("alice", 1024)
+        assert owner_key.encode() == two_prime_blob
+        assert (tmp_path / "users" / "alice.key").read_bytes() == two_prime_blob
+        km_key = org.key_manager_key()
+        assert len(km_key.primes) == 2
+        server = start_service("km", org)
+        try:
+            connection = TcpConnection(*server.address)
+            try:
+                client = ServerAidedKeyClient(
+                    RemoteKeyManagerChannel(connection.client()), "alice"
+                )
+                fp = b"\x42" * 32
+                assert client.derive_keys([fp]) == [
+                    blindrsa.derive_mle_key_directly(km_key, fp)
+                ]
+            finally:
+                connection.close()
+        finally:
+            server.stop()
+
 
 class TestFileLifecycle:
     def test_upload_download_roundtrip(self, org_dir, cluster, tmp_path):

@@ -137,6 +137,17 @@ class TestRekeyPool:
             assert on_workers and pool.parallel_batches == 1
             assert isinstance(pool._executor, ProcessPoolExecutor)
 
+    def test_three_prime_winds_on_workers_match_and_unwind(self, rsa_1024):
+        owner = KeyRegressionOwner(private_key=rsa_1024, rng=HmacDrbg(b"three"))
+        assert len(owner.derivation_key.primes) == 3
+        states = _states(owner, 9)
+        with RekeyPool(workers=2, owner=owner) as pool:
+            wound, on_workers = pool.wind(states)
+        assert on_workers
+        assert wound == [owner.wind(s) for s in states]
+        member = owner.member()
+        assert [member.unwind(s) for s in wound] == states
+
     def test_unregistered_cipher_keeps_stubs_home_not_winds(self, keyreg_owner):
         """Winds run on processes whatever the stub cipher is; stub files
         under a cipher a fresh process cannot rebuild stay in-process."""

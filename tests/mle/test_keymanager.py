@@ -142,6 +142,25 @@ class TestParallelSigning:
         if on_workers:
             assert isinstance(pool._executor, ProcessPoolExecutor)
 
+    def test_three_prime_key_round_trips_through_the_signers(self, rsa_1024, rng):
+        """blind_many -> signing on the workers -> unblind, with the
+        three-prime key every 1024-bit key manager now holds."""
+        assert len(rsa_1024.primes) == 3
+        manager = KeyManager(private_key=rsa_1024)
+        fps = [bytes([i]) * 32 for i in range(6)]
+        blinded, states = blindrsa.blind_many(manager.public_key, fps, rng)
+        signatures = manager.sign_batch("alice", blinded)
+        assert manager._signers.parallel_batches == 1
+        manager.close()
+        keys = [
+            blindrsa.signature_to_key(
+                blindrsa.unblind(manager.public_key, state, signature),
+                manager.public_key.byte_size,
+            )
+            for state, signature in zip(states, signatures)
+        ]
+        assert keys == [blindrsa.derive_mle_key_directly(rsa_1024, fp) for fp in fps]
+
     def test_one_worker_manager_signs_in_process(self, rsa_512, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         manager = KeyManager(private_key=rsa_512)

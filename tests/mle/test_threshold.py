@@ -54,6 +54,23 @@ class TestCombination:
             )
             assert sig == expected
 
+    @pytest.mark.parametrize("threshold, players", [(2, 3), (3, 5)])
+    def test_three_prime_key_splits_over_every_prime(self, rsa_1024, threshold, players):
+        """Shares live modulo phi over all three primes; a dealer that
+        used only two would deal shares no quorum can sign with."""
+        assert len(rsa_1024.primes) == 3
+        managers, _channel = build_group(
+            rsa_1024, threshold, players, rng=HmacDrbg(b"three-prime")
+        )
+        for blinded in (2, 123456789, rsa_1024.n - 1):
+            partials = {
+                m.index: m.sign_batch_partial("c", [blinded])[0]
+                for m in managers[-threshold:]
+            }
+            assert combine_partials(
+                rsa_1024.public, blinded, partials, threshold, players
+            ) == rsa_1024.apply(blinded)
+
     def test_below_threshold_fails(self, rsa_512):
         managers, _channel = build_group(rsa_512, 3, 5, rng=HmacDrbg(b"t"))
         blinded = 42
