@@ -77,20 +77,19 @@ HEALTHY_CEILINGS = {
 #: Per-node RPC methods whose request counters must have fired during
 #: the upload and the downloads (beyond the ``metrics`` scrape itself).
 REQUIRED_METHODS = {
-    "storage-0": ("storage.put_many", "storage.flush", "storage.get"),
-    "storage-1": ("storage.put_many", "storage.flush", "storage.get"),
+    "storage-0": ("storage.put_many", "storage.get"),
+    "storage-1": ("storage.put_many", "storage.get"),
     "keystore": ("keystore.put", "keystore.get_many", "keystore.put_many"),
     "key-manager": ("km.public_key", "km.derive_batch"),
 }
 
-#: Rekey batch RPCs that must have fired on at least one storage node.
-#: The sharded store only contacts shards that hold batch items, so a
-#: small group need not touch every shard — the union is the invariant.
+#: Per-file metadata RPCs (upload/rekey commits, restore/rekey fetches)
+#: that must have fired on at least one storage node.  They are routed
+#: by file id, so a few files need not touch every shard — the union is
+#: the invariant.
 REQUIRED_ON_ANY_STORAGE = (
-    "storage.recipe_get_many",
-    "storage.recipe_put_many",
-    "storage.stub_get_many",
-    "storage.stub_put_many",
+    "storage.file_commit",
+    "storage.file_get_many",
 )
 
 #: Client-side counters the download pipeline must have populated.
@@ -179,6 +178,29 @@ def check_node(node: str, text: str) -> list[str]:
                 f"for {count} requests"
             )
     return problems
+
+
+def check_any_storage(scraped: dict[str, str]) -> list[str]:
+    """Methods of :data:`REQUIRED_ON_ANY_STORAGE` no storage node served
+    (a node whose exposition does not parse is reported by check_node)."""
+    served: set[str] = set()
+    for node, text in scraped.items():
+        if not node.startswith("storage-"):
+            continue
+        try:
+            series = parse_prometheus(text)
+        except CorruptionError:
+            continue
+        served.update(
+            dict(labels).get("method", "")
+            for (name, labels), value in series.items()
+            if name == "rpc_requests_total" and value > 0
+        )
+    return [
+        f"storage: no node served {method!r}"
+        for method in REQUIRED_ON_ANY_STORAGE
+        if method not in served
+    ]
 
 
 #: Repair/rebalance series the replication stage must expose, all on the
@@ -427,7 +449,7 @@ def main() -> int:
             return 1
 
         # A group rekey drives the batched rekey pipeline: keystore
-        # get_many/put_many, per-shard stub/recipe batch RPCs, and the
+        # get_many/put_many, per-shard file_get_many/file_commit, and the
         # client's rekey spans and counters.
         groups = GroupManager(client)
         groups.create_group(
@@ -464,11 +486,13 @@ def main() -> int:
             problems.append(f"client: exposition rejected: {exc}")
         else:
             problems.extend(check_client(client_series))
-        for node, text in cluster.scrape_all().items():
+        scraped = cluster.scrape_all()
+        for node, text in scraped.items():
             node_problems = check_node(node, text)
             status = "FAIL" if node_problems else "ok"
             print(f"scrape {node}: {len(text.splitlines())} lines [{status}]")
             problems.extend(node_problems)
+        problems.extend(check_any_storage(scraped))
         servers = list(cluster._node_servers.values())
 
     # After the drained stop: nothing may remain in flight on any node

@@ -58,10 +58,8 @@ HANDLER_P99_BUDGETS = {
     "storage.get_many": 0.08,
     "storage.get": 0.08,
     "storage.flush": 0.05,
-    "storage.stub_put": 0.05,
-    "storage.stub_get": 0.05,
-    "storage.recipe_put": 0.05,
-    "storage.recipe_get": 0.05,
+    "storage.file_commit": 0.05,
+    "storage.file_get_many": 0.05,
     "keystore.put": 0.05,
     "keystore.get": 0.05,
     "km.derive_batch": 0.30,

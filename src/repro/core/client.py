@@ -28,7 +28,7 @@ import os
 from collections import deque
 from collections.abc import Iterable, Iterator
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.abe.cpabe import abe_decrypt, abe_encrypt, PrivateAccessKey
 from repro.chunking.chunker import Chunk, ChunkingSpec, chunk_stream
@@ -97,8 +97,9 @@ class UploadResult:
     #: warm cache it is zero.
     key_round_trips: int = 0
     #: Storage-layer round trips (batch messages to data servers) this
-    #: upload issued — at most ``shards × upload_batches`` chunk puts
-    #: plus one stub put, one recipe put, and the flush fan-out.
+    #: upload issued — at most ``shards × upload_batches`` chunk puts,
+    #: one bare flush per node an earlier batch touched but the last
+    #: (flushing) batch did not, and one ``file_commit`` per owner.
     store_round_trips: int = 0
     #: Upload batches shipped (chunk-put pipeline stages executed).
     upload_batches: int = 0
@@ -312,6 +313,22 @@ class REEDClient:
         self._transform_pool.close()
         self._rekey_pool.close()
 
+    def _commit_file(
+        self, file_id: str, stub_file: bytes, recipe: FileRecipe
+    ) -> None:
+        """Write a file's stub file and recipe: one ``file_commit``."""
+        self._check_items(
+            self.storage.file_commit([(file_id, stub_file, recipe.encode())])
+        )
+
+    def _fetch_file(self, file_id: str) -> tuple[bytes, FileRecipe]:
+        """A file's stub file and recipe: one ``file_get_many``."""
+        (stored,) = self.storage.file_get_many([file_id])
+        if isinstance(stored, Exception):
+            raise stored
+        stub_file, recipe = stored
+        return stub_file, FileRecipe.decode(recipe)
+
     def _seal_key_state(
         self,
         file_id: str,
@@ -415,10 +432,11 @@ class REEDClient:
         # shared client.
         key_client = self.key_client
 
-        def store(payload: list[tuple[bytes, bytes]]) -> int:
-            """Ship one per-item-status batch message; returns #new."""
+        def store(payload: list[tuple[bytes, bytes]], last: bool) -> int:
+            """Ship one per-item-status batch message; returns #new.  The
+            file's last batch carries the upload's flush."""
             new = 0
-            for status in self.storage.chunk_put_many(payload):
+            for status in self.storage.chunk_put_many(payload, flush=last):
                 if isinstance(status, Exception):
                     raise status
                 new += 1 if status else 0
@@ -443,7 +461,6 @@ class REEDClient:
             pipeline.run(chunk_stream(data, self.chunking))
             refs, stubs = pipeline.refs, pipeline.stubs
             total_size, new_chunks = pipeline.total_size, pipeline.new_chunks
-            self.storage.flush()
 
             with tracer.span("upload.stub"):
                 stub_file = encrypt_stub_file(
@@ -453,7 +470,6 @@ class REEDClient:
                     cipher=self.scheme.cipher,
                     rng=self.rng,
                 )
-                self.storage.stub_put(file_id, stub_file)
 
             if pathname and self.pathname_salt is not None:
                 pathname = obfuscate_pathname(pathname, self.pathname_salt)
@@ -465,8 +481,10 @@ class REEDClient:
                 key_version=state.version,
                 chunks=tuple(refs),
             )
-            with tracer.span("upload.recipe"):
-                self.storage.recipe_put(file_id, recipe.encode())
+            # Chunks are durable (the last batch flushed), then the stub
+            # file and recipe, and the key state last.
+            with tracer.span("upload.commit"):
+                self._commit_file(file_id, stub_file, recipe)
             with tracer.span("upload.keystate"):
                 self.keystore.put(self._seal_key_state(file_id, state, policy))
 
@@ -549,7 +567,7 @@ class REEDClient:
             with tracer.span("download.keystate"):
                 record = self.keystore.get(file_id)
                 state = self._open_key_state(record)
-                recipe = FileRecipe.decode(self.storage.recipe_get(file_id))
+                stub_file, recipe = self._fetch_file(file_id)
             if recipe.file_id != file_id or record.file_id != file_id:
                 raise IntegrityError(
                     "stored metadata does not name the requested file"
@@ -564,9 +582,7 @@ class REEDClient:
             file_key = self._stub_source_key(record, state, recipe.key_version)
             with tracer.span("download.stub"):
                 stubs = decrypt_stub_file(
-                    file_key,
-                    self.storage.stub_get(file_id),
-                    cipher=self.scheme.cipher,
+                    file_key, stub_file, cipher=self.scheme.cipher
                 )
         if len(stubs) != recipe.chunk_count:
             raise IntegrityError(
@@ -880,26 +896,20 @@ class REEDClient:
             stub_bytes = 0
             if mode is RevocationMode.ACTIVE:
                 with tracer.span("rekey.stub_reencrypt"):
-                    recipe = FileRecipe.decode(self.storage.recipe_get(file_id))
+                    stub_file, recipe = self._fetch_file(file_id)
                     old_file_key = self._stub_source_key(
                         record, old_state, recipe.key_version
                     )
-                    stub_file = self.storage.stub_get(file_id)
                     nonce = self.rng.random_bytes(STUB_NONCE_SIZE)
                     (new_stub_file,) = self._rekey_pool.reencrypt(
                         [(stub_file, old_file_key, new_state.derive_key(), nonce)]
                     )
-                    self.storage.stub_put(file_id, new_stub_file)
                     stub_bytes = len(stub_file) + len(new_stub_file)
-                    updated = FileRecipe(
-                        file_id=recipe.file_id,
-                        pathname=recipe.pathname,
-                        size=recipe.size,
-                        scheme=recipe.scheme,
-                        key_version=new_state.version,
-                        chunks=recipe.chunks,
+                    self._commit_file(
+                        file_id,
+                        new_stub_file,
+                        replace(recipe, key_version=new_state.version),
                     )
-                    self.storage.recipe_put(file_id, updated.encode())
 
             with tracer.span("rekey.keystate"):
                 self.keystore.put(new_record)
@@ -968,13 +978,8 @@ class REEDClient:
                 )
                 plan.new_file_key = new_state.derive_key()
                 plan.nonce = self.rng.random_bytes(STUB_NONCE_SIZE)
-                plan.updated_recipe = FileRecipe(
-                    file_id=recipe.file_id,
-                    pathname=recipe.pathname,
-                    size=recipe.size,
-                    scheme=recipe.scheme,
-                    key_version=new_state.version,
-                    chunks=recipe.chunks,
+                plan.updated_recipe = replace(
+                    recipe, key_version=new_state.version
                 ).encode()
             return plan
 

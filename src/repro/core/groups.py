@@ -26,7 +26,7 @@ per-file design.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.core import envelopes
 from repro.core.client import REEDClient, UploadResult
@@ -400,13 +400,8 @@ class GroupManager:
                     ),
                     new_file_key=new_state.derive_key(),
                     nonce=client.rng.random_bytes(STUB_NONCE_SIZE),
-                    updated_recipe=FileRecipe(
-                        file_id=recipe.file_id,
-                        pathname=recipe.pathname,
-                        size=recipe.size,
-                        scheme=recipe.scheme,
-                        key_version=new_state.version,
-                        chunks=recipe.chunks,
+                    updated_recipe=replace(
+                        recipe, key_version=new_state.version
                     ).encode(),
                 )
             new_record = KeyStateRecord(
@@ -452,24 +447,18 @@ class GroupManager:
     ) -> tuple[KeyState, int]:
         """Wind a member file's state and re-encrypt its stub file."""
         client = self.client
-        recipe = FileRecipe.decode(client.storage.recipe_get(record.file_id))
+        stub_file, recipe = client._fetch_file(record.file_id)
         old_file_key = client._stub_source_key(record, state, recipe.key_version)
         (new_state,) = client._wind([state])
-        stub_file = client.storage.stub_get(record.file_id)
         nonce = client.rng.random_bytes(STUB_NONCE_SIZE)
         (new_stub_file,) = client._rekey_pool.reencrypt(
             [(stub_file, old_file_key, new_state.derive_key(), nonce)]
         )
-        client.storage.stub_put(record.file_id, new_stub_file)
-        updated = FileRecipe(
-            file_id=recipe.file_id,
-            pathname=recipe.pathname,
-            size=recipe.size,
-            scheme=recipe.scheme,
-            key_version=new_state.version,
-            chunks=recipe.chunks,
+        client._commit_file(
+            record.file_id,
+            new_stub_file,
+            replace(recipe, key_version=new_state.version),
         )
-        client.storage.recipe_put(record.file_id, updated.encode())
         return new_state, len(stub_file) + len(new_stub_file)
 
     def revoke_users(

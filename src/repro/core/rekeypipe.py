@@ -10,7 +10,8 @@ RPC per stage per window.
 Stages, mirroring the upload pipeline:
 
 1. **fetch** (single worker thread) — ``keystore.get_many`` plus, for
-   active revocation, ``recipe_get_many`` and ``stub_get_many``;
+   active revocation, one ``file_get_many`` (stub file and recipe per
+   file);
 2. **open → wind → plan → re-encrypt** (caller thread) — an *opener*
    callback opens every key state of the window in file order; the
    *winder* advances them all one version in one call (the client runs
@@ -22,9 +23,8 @@ Stages, mirroring the upload pipeline:
    same pool with caller-drawn nonces.  Winds are deterministic and the
    draw order is the per-file order, so pipelined output is
    bit-identical to the serial path;
-3. **ship** (single worker thread) — ``stub_put_many`` →
-   ``recipe_put_many`` → ``keystore.put_many``.  Key states commit
-   *last*: until they land, the old record still opens the file, and the
+3. **ship** (single worker thread) — ``file_commit`` (stub file and
+   recipe per file) → ``keystore.put_many``.  Key states commit *last*: until they land, the old record still opens the file, and the
    owner's deterministic wind re-derives the same new key on retry.
 
 Up to ``pipeline_depth`` windows are in flight at once (window N+1
@@ -151,17 +151,15 @@ class RekeyPipeline:
     def _fetch(self, window: list[str]):
         with self._tracer.span("rekey.fetch", files=len(window)):
             records = self._keystore.get_many(window)
-            recipes: list = [None] * len(window)
-            stub_files: list = [None] * len(window)
+            files: list = [(None, None)] * len(window)
             if self._active:
-                recipes = self._storage.recipe_get_many(window)
-                stub_files = self._storage.stub_get_many(window)
-            return records, recipes, stub_files
+                files = self._storage.file_get_many(window)
+            return records, files
 
     def _transform(
         self, window: list[str], fetched, stats: RekeyPipelineStats
     ) -> list[FileRekeyPlan]:
-        records, recipes, stub_files = fetched
+        records, files = fetched
         with self._tracer.span("rekey.reencrypt", files=len(window)):
             # Open in file order up to the first file that cannot be
             # fetched or opened.  Its error is raised only after every
@@ -169,9 +167,9 @@ class RekeyPipeline:
             # earlier file still wins: the first error in file order.
             old_states: list[KeyState] = []
             failure: Exception | None = None
-            for record, recipe, stub_file in zip(records, recipes, stub_files):
+            for record, stored in zip(records, files):
                 try:
-                    for item in (record, recipe, stub_file):
+                    for item in (record, stored):
                         if isinstance(item, Exception):
                             raise item
                     old_states.append(self._opener(record))
@@ -182,9 +180,9 @@ class RekeyPipeline:
             if self._winder is not None and old_states:
                 new_states = self._winder(old_states)
             plans = [
-                self._planner(file_id, record, old, new, recipe, stub_file)
-                for file_id, record, old, new, recipe, stub_file in zip(
-                    window, records, old_states, new_states, recipes, stub_files
+                self._planner(file_id, record, old, new, stored[1], stored[0])
+                for file_id, record, old, new, stored in zip(
+                    window, records, old_states, new_states, files
                 )
             ]
             if failure is not None:
@@ -216,13 +214,11 @@ class RekeyPipeline:
             with self._tracer.span("rekey.ship", files=len(plans)):
                 if self._active:
                     _check_items(
-                        self._storage.stub_put_many(
-                            [(p.file_id, p.new_stub_file) for p in plans]
-                        )
-                    )
-                    _check_items(
-                        self._storage.recipe_put_many(
-                            [(p.file_id, p.updated_recipe) for p in plans]
+                        self._storage.file_commit(
+                            [
+                                (p.file_id, p.new_stub_file, p.updated_recipe)
+                                for p in plans
+                            ]
                         )
                     )
                 # Key states last: a crash before this line leaves every

@@ -32,7 +32,7 @@ class StorageService(Protocol):
     def chunk_put_batch(self, chunks: list[tuple[bytes, bytes]]) -> int: ...
 
     def chunk_put_many(
-        self, chunks: list[tuple[bytes, bytes]]
+        self, chunks: list[tuple[bytes, bytes]], flush: bool = False
     ) -> list[bool | Exception]: ...
 
     def chunk_get_batch(self, fingerprints: list[bytes]) -> list[bytes]: ...
@@ -49,10 +49,6 @@ class StorageService(Protocol):
 
     def recipe_list(self) -> list[str]: ...
 
-    def recipe_put_many(
-        self, items: list[tuple[str, bytes]]
-    ) -> list[None | Exception]: ...
-
     def recipe_get_many(self, file_ids: list[str]) -> list[bytes | Exception]: ...
 
     def stub_put(self, file_id: str, data: bytes) -> None: ...
@@ -61,13 +57,15 @@ class StorageService(Protocol):
 
     def stub_delete(self, file_id: str) -> None: ...
 
-    def stub_put_many(
-        self, items: list[tuple[str, bytes]]
+    def stub_list(self) -> list[str]: ...
+
+    def file_commit(
+        self, items: list[tuple[str, bytes, bytes]]
     ) -> list[None | Exception]: ...
 
-    def stub_get_many(self, file_ids: list[str]) -> list[bytes | Exception]: ...
-
-    def stub_list(self) -> list[str]: ...
+    def file_get_many(
+        self, file_ids: list[str]
+    ) -> list[tuple[bytes, bytes] | Exception]: ...
 
     def meta_delete_many(self, file_ids: list[str]) -> list[None | Exception]: ...
 
@@ -147,7 +145,7 @@ class REEDServer:
         return new
 
     def chunk_put_many(
-        self, chunks: list[tuple[bytes, bytes]]
+        self, chunks: list[tuple[bytes, bytes]], flush: bool = False
     ) -> list[bool | Exception]:
         """Store chunks with *per-item* status for the batch protocol.
 
@@ -156,6 +154,10 @@ class REEDServer:
         :class:`IntegrityError` on a fingerprint mismatch).  One poisoned
         chunk therefore fails alone instead of aborting its whole batch
         — the wire layer carries the per-item errors back verbatim.
+
+        ``flush`` (set on an upload's last batch) seals and journals the
+        store right after the batch, failed items or not, so the honest
+        chunks are durable when the reply leaves.
         """
         self.counters.add(requests=1)
         results: list[bool | Exception] = []
@@ -170,6 +172,8 @@ class REEDServer:
             except Exception as exc:  # noqa: BLE001 - carried per item
                 results.append(exc)
         self.counters.add(put_batches=1)
+        if flush:
+            self.store.flush()
         return results
 
     def chunk_get_batch(self, fingerprints: list[bytes]) -> list[bytes]:
@@ -245,7 +249,7 @@ class REEDServer:
         self.counters.add(requests=1)
         return self.store.list_stub_files()
 
-    # -- batched metadata (the rekeying pipeline's multi-file messages) -------
+    # -- batched metadata (upload, restore, rekey and delete messages) -------
 
     @staticmethod
     def _per_item(fn, items) -> list:
@@ -263,14 +267,6 @@ class REEDServer:
                 results.append(exc)
         return results
 
-    def recipe_put_many(
-        self, items: list[tuple[str, bytes]]
-    ) -> list[None | Exception]:
-        self.counters.add(requests=1)
-        return self._per_item(
-            lambda item: self.store.put_recipe(item[0], item[1]), items
-        )
-
     def recipe_get_many(self, file_ids: list[str]) -> list[bytes | Exception]:
         self.counters.add(requests=1)
         results = self._per_item(self.store.get_recipe, file_ids)
@@ -279,23 +275,34 @@ class REEDServer:
                 self.counters.add(bytes_sent=len(data))
         return results
 
-    def stub_put_many(
-        self, items: list[tuple[str, bytes]]
+    def file_commit(
+        self, items: list[tuple[str, bytes, bytes]]
     ) -> list[None | Exception]:
+        """Store each ``(file_id, stub_file, recipe)``: the stub file,
+        then the recipe — one message per owner for a file's metadata."""
         self.counters.add(requests=1)
-        for _file_id, data in items:
-            self.counters.add(bytes_received=len(data))
-        return self._per_item(
-            lambda item: self.store.put_stub_file(item[0], item[1]), items
-        )
 
-    def stub_get_many(self, file_ids: list[str]) -> list[bytes | Exception]:
+        def commit(item: tuple[str, bytes, bytes]) -> None:
+            file_id, stub_file, recipe = item
+            self.counters.add(bytes_received=len(stub_file))
+            self.store.put_stub_file(file_id, stub_file)
+            self.store.put_recipe(file_id, recipe)
+
+        return self._per_item(commit, items)
+
+    def file_get_many(
+        self, file_ids: list[str]
+    ) -> list[tuple[bytes, bytes] | Exception]:
+        """``(stub_file, recipe)`` per file; an item fails when this node
+        lacks either object."""
         self.counters.add(requests=1)
-        results = self._per_item(self.store.get_stub_file, file_ids)
-        for data in results:
-            if not isinstance(data, Exception):
-                self.counters.add(bytes_sent=len(data))
-        return results
+
+        def fetch(file_id: str) -> tuple[bytes, bytes]:
+            pair = (self.store.get_stub_file(file_id), self.store.get_recipe(file_id))
+            self.counters.add(bytes_sent=len(pair[0]) + len(pair[1]))
+            return pair
+
+        return self._per_item(fetch, file_ids)
 
     def meta_delete_many(self, file_ids: list[str]) -> list[None | Exception]:
         """Drop a file's stub file *and* recipe in one message (delete path).

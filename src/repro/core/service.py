@@ -96,20 +96,6 @@ def _decode_item_blobs(payload: bytes) -> list[bytes | Exception]:
     return results
 
 
-def _decode_named_blobs(payload: bytes) -> list[tuple[str, bytes]]:
-    dec = Decoder(payload)
-    items = [(dec.text(), dec.blob()) for _ in range(dec.uint())]
-    dec.expect_end()
-    return items
-
-
-def _encode_named_blobs(items: list[tuple[str, bytes]]) -> bytes:
-    enc = Encoder().uint(len(items))
-    for file_id, data in items:
-        enc.text(file_id).blob(data)
-    return enc.done()
-
-
 def _encode_ids(file_ids: list[str]) -> bytes:
     return Encoder().list_of([fid.encode("utf-8") for fid in file_ids]).done()
 
@@ -143,9 +129,10 @@ def register_storage_service(
         dec = Decoder(payload)
         count = dec.uint()
         chunks = [(dec.blob(), dec.blob()) for _ in range(count)]
+        flush = dec.boolean()
         dec.expect_end()
         enc = Encoder().uint(count)
-        for status in server.chunk_put_many(chunks):
+        for status in server.chunk_put_many(chunks, flush=flush):
             if isinstance(status, Exception):
                 enc.uint(ITEM_ERROR).blob(encode_error(status))
             else:
@@ -202,21 +189,24 @@ def register_storage_service(
         server.stub_delete(Decoder(payload).text())
         return b""
 
-    def recipe_put_many(payload: bytes) -> bytes:
-        return _encode_item_acks(
-            server.recipe_put_many(_decode_named_blobs(payload))
-        )
-
     def recipe_get_many(payload: bytes) -> bytes:
         return _encode_item_blobs(server.recipe_get_many(_decode_ids(payload)))
 
-    def stub_put_many(payload: bytes) -> bytes:
-        return _encode_item_acks(
-            server.stub_put_many(_decode_named_blobs(payload))
-        )
+    def file_commit(payload: bytes) -> bytes:
+        dec = Decoder(payload)
+        items = [(dec.text(), dec.blob(), dec.blob()) for _ in range(dec.uint())]
+        dec.expect_end()
+        return _encode_item_acks(server.file_commit(items))
 
-    def stub_get_many(payload: bytes) -> bytes:
-        return _encode_item_blobs(server.stub_get_many(_decode_ids(payload)))
+    def file_get_many(payload: bytes) -> bytes:
+        results = server.file_get_many(_decode_ids(payload))
+        enc = Encoder().uint(len(results))
+        for item in results:
+            if isinstance(item, Exception):
+                enc.uint(ITEM_ERROR).blob(encode_error(item))
+            else:
+                enc.uint(ITEM_OK).blob(item[0]).blob(item[1])
+        return enc.done()
 
     def meta_delete_many(payload: bytes) -> bytes:
         return _encode_item_acks(server.meta_delete_many(_decode_ids(payload)))
@@ -269,10 +259,9 @@ def register_storage_service(
     registry.register(prefix + "stub_put", stub_put)
     registry.register(prefix + "stub_get", stub_get)
     registry.register(prefix + "stub_delete", stub_delete)
-    registry.register(prefix + "recipe_put_many", recipe_put_many)
     registry.register(prefix + "recipe_get_many", recipe_get_many)
-    registry.register(prefix + "stub_put_many", stub_put_many)
-    registry.register(prefix + "stub_get_many", stub_get_many)
+    registry.register(prefix + "file_commit", file_commit)
+    registry.register(prefix + "file_get_many", file_get_many)
     registry.register(prefix + "meta_delete_many", meta_delete_many)
     registry.register(prefix + "flush", flush)
     registry.register(prefix + "chunk_list", chunk_list)
@@ -304,17 +293,19 @@ class RemoteStorageService:
         return new
 
     def chunk_put_many(
-        self, chunks: list[tuple[bytes, bytes]]
+        self, chunks: list[tuple[bytes, bytes]], flush: bool = False
     ) -> list[bool | Exception]:
         """Batch put with per-item status decoded from the wire.
 
         Failed items come back as the *same exception class and message*
         the server-side handler raised (see ``_WIRE_ERRORS``); successful
-        neighbours in the batch are unaffected.
+        neighbours in the batch are unaffected.  ``flush`` travels as a
+        trailing flag: the node seals and journals after the batch.
         """
         enc = Encoder().uint(len(chunks))
         for fp, data in chunks:
             enc.blob(fp).blob(data)
+        enc.boolean(flush)
         dec = Decoder(self._call("put_many", enc.done()))
         count = dec.uint()
         results: list[bool | Exception] = []
@@ -371,29 +362,31 @@ class RemoteStorageService:
     def stub_delete(self, file_id: str) -> None:
         self._call("stub_delete", Encoder().text(file_id).done())
 
-    def recipe_put_many(
-        self, items: list[tuple[str, bytes]]
-    ) -> list[None | Exception]:
-        return _decode_item_acks(
-            self._call("recipe_put_many", _encode_named_blobs(items))
-        )
-
     def recipe_get_many(self, file_ids: list[str]) -> list[bytes | Exception]:
         return _decode_item_blobs(
             self._call("recipe_get_many", _encode_ids(file_ids))
         )
 
-    def stub_put_many(
-        self, items: list[tuple[str, bytes]]
+    def file_commit(
+        self, items: list[tuple[str, bytes, bytes]]
     ) -> list[None | Exception]:
-        return _decode_item_acks(
-            self._call("stub_put_many", _encode_named_blobs(items))
-        )
+        enc = Encoder().uint(len(items))
+        for file_id, stub_file, recipe in items:
+            enc.text(file_id).blob(stub_file).blob(recipe)
+        return _decode_item_acks(self._call("file_commit", enc.done()))
 
-    def stub_get_many(self, file_ids: list[str]) -> list[bytes | Exception]:
-        return _decode_item_blobs(
-            self._call("stub_get_many", _encode_ids(file_ids))
-        )
+    def file_get_many(
+        self, file_ids: list[str]
+    ) -> list[tuple[bytes, bytes] | Exception]:
+        dec = Decoder(self._call("file_get_many", _encode_ids(file_ids)))
+        results: list[tuple[bytes, bytes] | Exception] = []
+        for _ in range(dec.uint()):
+            if dec.uint() == ITEM_ERROR:
+                results.append(decode_error(dec.blob()))
+            else:
+                results.append((dec.blob(), dec.blob()))
+        dec.expect_end()
+        return results
 
     def meta_delete_many(self, file_ids: list[str]) -> list[None | Exception]:
         return _decode_item_acks(

@@ -23,6 +23,8 @@ order — and with it every byte written — stays that of the serial path::
   store batch.
 * A **store batch** is ``batch_bytes`` of chunks, as before: its
   segments' packages accumulate and ship as one ``chunk_put_many``.
+  The file's last batch ships with ``last`` set, so the store stage can
+  fold the upload's flush into it.
 * One worker per stage keeps each stage's calls in file order: blinding
   factors are drawn, ``refs``/``stubs`` appended and containers filled
   exactly as without the pipeline.
@@ -72,17 +74,17 @@ class UploadPipeline:
     """Runs one upload's chunks through derive, encrypt and store.
 
     ``derive(fingerprints) -> keys``, ``encrypt(chunks, keys) ->
-    packages`` and ``store(payload) -> new chunk count`` are the three
-    stage functions; ``key_cache`` (anything supporting ``in``) and
-    ``key_window`` size the key windows.  Results accumulate on the
-    instance in file order.
+    packages`` and ``store(payload, last) -> new chunk count`` are the
+    three stage functions (``last`` marks the file's final batch);
+    ``key_cache`` (anything supporting ``in``) and ``key_window`` size
+    the key windows.  Results accumulate on the instance in file order.
     """
 
     def __init__(
         self,
         derive: Callable[[Sequence[bytes]], list[bytes]],
         encrypt: Callable[[list[Chunk], list[bytes]], list[SplitPackage]],
-        store: Callable[[list[tuple[bytes, bytes]]], int],
+        store: Callable[[list[tuple[bytes, bytes]], bool], int],
         tracer: Tracer,
         key_window: int,
         key_cache,
@@ -196,7 +198,9 @@ class UploadPipeline:
         keys = self._stage(_KEY, self._derive_segment, fresh, self._mid_batch)
         self._mid_batch = not batch_end
         self._encrypting.append(
-            self._stage(_ENCRYPT, self._encrypt_segment, segment, keys, batch_end)
+            self._stage(
+                _ENCRYPT, self._encrypt_segment, segment, keys, batch_end, not more
+            )
         )
         # Finished work is read at once (an error must not wait for the
         # pipeline to fill); unfinished work only when the pipeline is full.
@@ -242,6 +246,7 @@ class UploadPipeline:
         chunks: list[Chunk],
         keys: Future,
         batch_end: bool,
+        last: bool,
     ) -> None:
         if previous is not None:
             previous.result()
@@ -264,14 +269,14 @@ class UploadPipeline:
         while len(self._storing) >= self._depth:
             self.new_chunks += self._storing.popleft().result()
         payload, self._payload = self._payload, []
-        self._storing.append(self._stage(_SHIP, self._store_batch, payload))
+        self._storing.append(self._stage(_SHIP, self._store_batch, payload, last))
 
     # -- ship worker -------------------------------------------------------
 
     def _store_batch(
-        self, previous: Future | None, payload: list[tuple[bytes, bytes]]
+        self, previous: Future | None, payload: list[tuple[bytes, bytes]], last: bool
     ) -> int:
         if previous is not None:
             previous.result()
         with self._tracer.span("upload.store", chunks=len(payload)):
-            return self._store(payload)
+            return self._store(payload, last)

@@ -29,9 +29,10 @@ TRANSIENT_ERRORS: tuple[type[BaseException], ...] = (ProtocolError, OSError)
 #: Wire-method name suffixes (the part after the service prefix, e.g.
 #: ``storage.has_many`` → ``has_many``) that are safe to retry blind on a
 #: broken connection: pure reads plus side-effect-free info calls.  The
-#: deliberately-excluded deterministic writes (``put_many`` overwrites
-#: identically) would also be safe data-wise, but retrying them skews
-#: dedup/rate-limit accounting, so the transport only auto-retries these.
+#: deliberately-excluded deterministic writes (``put_many`` and
+#: ``file_commit`` overwrite identically) would also be safe data-wise,
+#: but retrying them skews dedup/rate-limit accounting, so the transport
+#: only auto-retries these.
 IDEMPOTENT_METHOD_SUFFIXES: frozenset[str] = frozenset(
     {
         "exists",
@@ -43,7 +44,7 @@ IDEMPOTENT_METHOD_SUFFIXES: frozenset[str] = frozenset(
         "recipe_get_many",
         "recipe_list",
         "stub_get",
-        "stub_get_many",
+        "file_get_many",
         "chunk_list",
         "refcounts",
         "stub_list",

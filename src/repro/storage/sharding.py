@@ -292,6 +292,12 @@ class ShardedStorageService:
         self.fetch_workers = fetch_workers
         self._fetch_pool: ThreadPoolExecutor | None = None
         self._pool_lock = threading.Lock()
+        #: Nodes whose chunk writes or releases may not be sealed and
+        #: journaled yet, each with the sequence number of its latest
+        #: write; an upload's last batch flushes them.
+        self._unflushed: dict[str, int] = {}
+        self._writes = 0
+        self._unflushed_lock = threading.Lock()
         # Mirrored into the registry (process totals + per-shard routing)
         # and the active attribution scope (per-upload deltas).
         self.metrics = metrics if metrics is not None else default_registry()
@@ -445,14 +451,17 @@ class ShardedStorageService:
 
     # -- replicated write/read engines -----------------------------------------
 
-    def _replicated_batch_write(self, keys: list, items: list, call) -> list:
+    def _replicated_batch_write(
+        self, keys: list, items: list, call, reached: set[str] | None = None
+    ) -> list:
         """Write every item to all its up owners; fold to per-item status.
 
         ``call(service, sub_items)`` must return one status per item
         (``Exception`` marks a failed item).  The folded status is the
         most-preferred replica's answer when at least ``write_quorum``
         replicas succeeded, else the first error (never raises — the
-        per-item batch protocol carries errors as values).
+        per-item batch protocol carries errors as values).  Nodes whose
+        sub-batch returned are added to ``reached``.
         """
         placements = [self._owners(key) for key in keys]
         per_node: dict[str, list[int]] = {}
@@ -471,6 +480,9 @@ class ShardedStorageService:
             except Exception as exc:  # noqa: BLE001 - folded per item
                 self._note_failure(node, exc)
                 answers[node] = [exc] * len(positions)
+            else:
+                if reached is not None:
+                    reached.add(node)
             slots[node] = {p: i for i, p in enumerate(positions)}
         results: list = []
         for position, owners in enumerate(placements):
@@ -615,19 +627,45 @@ class ShardedStorageService:
         return sum(1 for status in statuses if status is True)
 
     def chunk_put_many(
-        self, chunks: list[tuple[bytes, bytes]]
+        self, chunks: list[tuple[bytes, bytes]], flush: bool = False
     ) -> list[bool | Exception]:
         """Per-item-status batch put, one sub-batch per shard touched.
 
         With replication each chunk lands on its R owners; the item
         succeeds at write quorum W and reports the most-preferred
         replica's new/dup status.
+
+        ``flush`` marks an upload's last batch.  It snapshots the nodes
+        with unflushed writes *before* sending, has every node of this
+        batch seal and journal right after its sub-batch, and sends one
+        bare ``flush`` to each other node of the snapshot; nodes nobody
+        wrote to are not contacted.  A node enters the set once its put
+        returned and leaves it only when a flush that began after its
+        latest write completed, so every earlier write of the upload is
+        durable when this call returns, whatever concurrent uploads on
+        the engine do.
         """
-        return self._replicated_batch_write(
-            [fp for fp, _data in chunks],
+        keys = [fp for fp, _data in chunks]
+        reached: set[str] = set()
+        if not flush:
+            results = self._replicated_batch_write(
+                keys,
+                chunks,
+                lambda service, batch: service.chunk_put_many(batch),
+                reached,
+            )
+            self._mark_unflushed(reached)
+            return results
+        with self._unflushed_lock:
+            pending = dict(self._unflushed)
+        results = self._replicated_batch_write(
+            keys,
             chunks,
-            lambda service, batch: service.chunk_put_many(batch),
+            lambda service, batch: service.chunk_put_many(batch, flush=True),
+            reached,
         )
+        self._flush_nodes(set(pending) - reached, pending, reached)
+        return results
 
     def chunk_get_batch(self, fingerprints: list[bytes]) -> list[bytes]:
         # Scatter-gather: group by preferred owner, issue all per-shard
@@ -811,6 +849,7 @@ class ShardedStorageService:
                 continue
             for position in positions:
                 successes[position] += 1
+            self._mark_unflushed({node})
         for position, owners in enumerate(placements):
             if successes[position] >= self.write_quorum:
                 if successes[position] < self.replicas:
@@ -867,17 +906,7 @@ class ShardedStorageService:
             tolerate=(NotFoundError,),
         )
 
-    # -- batched metadata (rekey/delete pipelines) ----------------------------
-
-    def _scatter_meta_puts(
-        self, method: str, items: list[tuple[str, bytes]]
-    ) -> list[None | Exception]:
-        """One per-item-status sub-batch per shard touched, file-routed."""
-        return self._replicated_batch_write(
-            [file_id for file_id, _data in items],
-            items,
-            lambda service, batch: getattr(service, method)(batch),
-        )
+    # -- batched metadata (upload, restore, rekey and delete) ------------------
 
     def _scatter_meta_gets(
         self, method: str, file_ids: list[str]
@@ -962,21 +991,25 @@ class ShardedStorageService:
             first_round = False
         return results  # type: ignore[return-value]
 
-    def recipe_put_many(
-        self, items: list[tuple[str, bytes]]
-    ) -> list[None | Exception]:
-        return self._scatter_meta_puts("recipe_put_many", items)
-
     def recipe_get_many(self, file_ids: list[str]) -> list[bytes | Exception]:
         return self._scatter_meta_gets("recipe_get_many", file_ids)
 
-    def stub_put_many(
-        self, items: list[tuple[str, bytes]]
+    def file_commit(
+        self, items: list[tuple[str, bytes, bytes]]
     ) -> list[None | Exception]:
-        return self._scatter_meta_puts("stub_put_many", items)
+        """Replicated ``(file_id, stub_file, recipe)`` writes: one
+        per-item-status sub-batch per owner, both objects in it."""
+        return self._replicated_batch_write(
+            [file_id for file_id, _stub, _recipe in items],
+            items,
+            lambda service, batch: service.file_commit(batch),
+        )
 
-    def stub_get_many(self, file_ids: list[str]) -> list[bytes | Exception]:
-        return self._scatter_meta_gets("stub_get_many", file_ids)
+    def file_get_many(
+        self, file_ids: list[str]
+    ) -> list[tuple[bytes, bytes] | Exception]:
+        """``(stub_file, recipe)`` per file, replicas walked per item."""
+        return self._scatter_meta_gets("file_get_many", file_ids)
 
     def meta_delete_many(self, file_ids: list[str]) -> list[None | Exception]:
         """Replicated per-item delete: an item succeeds when every
@@ -992,11 +1025,46 @@ class ShardedStorageService:
         )
 
     def flush(self) -> None:
+        """Seal and journal every up node."""
+        with self._unflushed_lock:
+            pending = dict(self._unflushed)
+        self._flush_nodes(set(self._order), pending, set())
+
+    def _mark_unflushed(self, nodes: set[str]) -> None:
+        with self._unflushed_lock:
+            for node in nodes:
+                self._writes += 1
+                self._unflushed[node] = self._writes
+
+    def _flush_nodes(
+        self, nodes: set[str], pending: dict[str, int], flushed: set[str]
+    ) -> None:
+        """One bare ``flush`` per up node of ``nodes``, in attach order;
+        then drop from the unflushed set every node of ``flushed`` (which
+        gains the nodes just flushed) not written to since the
+        ``pending`` snapshot was taken.
+
+        Every node is attempted; a failed one stays in the set, and the
+        first error is raised at the end.
+        """
+        first_error: Exception | None = None
         for node in self._order:
-            if not self.ring.is_up(node):
+            if node not in nodes or not self.ring.is_up(node):
                 continue
             self._trip(node)
-            self._services[node].flush()
+            try:
+                self._services[node].flush()
+            except Exception as exc:  # noqa: BLE001 - raised after the rest
+                self._note_failure(node, exc)
+                first_error = first_error or exc
+            else:
+                flushed.add(node)
+        with self._unflushed_lock:
+            for node in flushed:
+                if node in pending and self._unflushed.get(node) == pending[node]:
+                    del self._unflushed[node]
+        if first_error is not None:
+            raise first_error
 
     # -- compaction GC -------------------------------------------------------
 
@@ -1049,7 +1117,9 @@ class ShardedStorageService:
         self, node_id: str, chunks: list[tuple[bytes, bytes]]
     ) -> None:
         self._trip(node_id)
-        for status in self.node_service(node_id).chunk_put_many(chunks):
+        statuses = self.node_service(node_id).chunk_put_many(chunks)
+        self._mark_unflushed({node_id})
+        for status in statuses:
             if isinstance(status, Exception):
                 raise status
 
@@ -1062,6 +1132,7 @@ class ShardedStorageService:
     ) -> None:
         self._trip(node_id)
         self.node_service(node_id).chunk_addref_batch(refs)
+        self._mark_unflushed({node_id})
 
     def node_recipe_list(self, node_id: str) -> list[str]:
         self._trip(node_id)

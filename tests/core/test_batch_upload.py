@@ -49,8 +49,8 @@ class TestRoundTripBounds:
         # Chunk-put traffic: at most one sub-call per shard per batch.
         put_calls = sum(server.counters.put_batches for server in system.servers)
         assert put_calls <= shards * result.upload_batches
-        # Whole upload (dedup check + puts + stub + recipe + flush):
-        # bounded by a constant number of per-shard fan-outs, not by N.
+        # Whole upload (puts + bare flushes + file commit): bounded by a
+        # constant number of per-shard fan-outs, not by N.
         assert result.store_round_trips <= shards * (2 * result.upload_batches + 3)
         client.close()
 
@@ -153,7 +153,7 @@ class TestTcpRoundTripAccounting:
             client.close()
             assert result.chunk_count == n
             assert result.key_round_trips == 1
-            # ≤ shards × (exists + put per batch) + stub + recipe + flush.
+            # ≤ shards × (put per batch) + bare flushes + file commit.
             assert result.store_round_trips <= 2 * (2 * result.upload_batches + 3)
             served = sum(s["requests_served"] for s in cluster.server_stats())
             assert served < n  # far fewer RPCs than chunks

@@ -111,7 +111,7 @@ def test_scrape_all_nodes_after_128_chunk_upload(fresh_registry, cluster):
         "upload.encrypt",
         "upload.store",
         "upload.stub",
-        "upload.recipe",
+        "upload.commit",
         "upload.keystate",
         "upload.chunk",
     ):

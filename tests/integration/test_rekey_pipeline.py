@@ -27,7 +27,7 @@ from repro.core.policy import FilePolicy
 from repro.core.rekey import RevocationMode
 from repro.core.system import build_system
 from repro.crypto.drbg import HmacDrbg
-from repro.util.errors import CorruptionError, IntegrityError
+from repro.util.errors import CorruptionError, IntegrityError, NotFoundError
 from repro.workloads.synthetic import unique_data
 
 GROUP = "project"
@@ -250,6 +250,48 @@ def test_interrupted_rekey_recovers_on_retry():
     client.close()
 
 
+def test_pipeline_crash_after_file_commit_recovers_on_retry():
+    """The pipeline's ``file_commit`` lands, then the run dies before any
+    key state ships: the owner still reads every file (its recipe is one
+    version ahead of its key state), and the retry converges."""
+    system = build_system(
+        num_data_servers=2, chunking=CHUNKING, rng=HmacDrbg(b"pipeline-crash")
+    )
+    client = system.new_client("alice")
+    client.rekey_batch_size = 2
+    file_ids = _member_ids(5)
+    for index, file_id in enumerate(file_ids):
+        client.upload(file_id, _payload(index))
+    records_before = {f: system.keystore.get(f).encode() for f in file_ids}
+    policy = FilePolicy.for_users(["alice"])
+
+    real_commit = client.storage.file_commit
+
+    def commit_then_crash(items):
+        real_commit(items)
+        raise RuntimeError("injected commit crash")
+
+    client.storage.file_commit = commit_then_crash
+    try:
+        with pytest.raises(RuntimeError, match="injected commit crash"):
+            client.rekey_many(file_ids, policy, RevocationMode.ACTIVE)
+    finally:
+        client.storage.file_commit = real_commit
+
+    assert {f: system.keystore.get(f).encode() for f in file_ids} == records_before
+    for index, file_id in enumerate(file_ids):
+        assert client.download(file_id).data == _payload(index)
+
+    result = client.rekey_many(file_ids, policy, RevocationMode.ACTIVE)
+    assert result.files == len(file_ids)
+    for index, (file_id, rekeyed) in enumerate(zip(file_ids, result.results)):
+        assert rekeyed.new_key_version == rekeyed.old_key_version + 1
+        downloaded = client.download(file_id)
+        assert downloaded.data == _payload(index)
+        assert downloaded.key_version == rekeyed.new_key_version
+    client.close()
+
+
 def test_concurrent_rekey_and_upload_attribution_exact():
     """A rekey pipeline and an upload running concurrently must not
     bleed round-trip counters into each other's results."""
@@ -310,14 +352,16 @@ def test_remote_batch_rpcs_carry_per_item_errors():
         records = client.keystore.get_many(["present", "absent"])
         assert records[0].file_id == "present"
         assert isinstance(records[1], Exception)
-        stubs = client.storage.stub_get_many(["present", "absent"])
-        assert isinstance(stubs[0], bytes)
-        assert isinstance(stubs[1], Exception)
+        files = client.storage.file_get_many(["present", "absent"])
+        stub_file, recipe = files[0]
+        assert isinstance(stub_file, bytes) and isinstance(recipe, bytes)
+        assert isinstance(files[1], NotFoundError)
         recipes = client.storage.recipe_get_many(["present", "absent"])
         assert isinstance(recipes[0], bytes)
         assert isinstance(recipes[1], Exception)
-        acks = client.storage.stub_put_many([("extra", b"x" * 64)])
+        acks = client.storage.file_commit([("extra", b"x" * 64, b"recipe")])
         assert acks == [None]
+        assert client.storage.file_get_many(["extra"]) == [(b"x" * 64, b"recipe")]
         deletes = client.storage.meta_delete_many(["present", "absent"])
         assert not isinstance(deletes[0], Exception)
         client.close()

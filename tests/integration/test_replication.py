@@ -41,11 +41,11 @@ class TestKillMidUpload:
         real_put_many = storage.chunk_put_many
         calls = {"n": 0}
 
-        def put_many_with_kill(chunks):
+        def put_many_with_kill(chunks, **kwargs):
             calls["n"] += 1
             if calls["n"] == 3:
                 cluster.kill_data_server(1)
-            return real_put_many(chunks)
+            return real_put_many(chunks, **kwargs)
 
         storage.chunk_put_many = put_many_with_kill
         try:

@@ -161,7 +161,9 @@ class TestReconnectRetry:
         assert is_idempotent_method("storage.has_many")
         assert is_idempotent_method("keystore.get_many")
         assert is_idempotent_method("metrics")
+        assert is_idempotent_method("storage.file_get_many")
         assert not is_idempotent_method("storage.put_many")
+        assert not is_idempotent_method("storage.file_commit")
         assert not is_idempotent_method("km.derive_batch")
         assert not is_idempotent_method("echo")
 

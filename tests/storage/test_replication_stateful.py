@@ -16,8 +16,7 @@ After every step it checks that
   through ``chunk_get_batch``, and every other chunk is ``NotFound``,
 * ``chunk_exists_batch`` agrees with ``chunk_get_batch``, and
 * every file one of whose up owners holds it reads back through
-  ``recipe_get_many`` / ``stub_get_many`` as stored on its first such
-  owner.
+  ``file_get_many`` as stored on its first such owner.
 
 Deleted-stays-deleted across an outage is *not* asserted: a release or
 delete that misses a down owner comes back at the next repair, and the
@@ -128,19 +127,16 @@ class ReplicationMachine(RuleBasedStateMachine):
             unique_by=lambda item: item[0],
         )
     )
-    def recipe_put_many(self, items):
-        stubs = [(file_id, b"stub:" + recipe) for file_id, recipe in items]
-        stub_results = self.engine.stub_put_many(stubs)
-        recipe_results = self.engine.recipe_put_many(items)
-        for (file_id, recipe), stub_result, recipe_result in zip(
-            items, stub_results, recipe_results
-        ):
+    def file_commit(self, items):
+        results = self.engine.file_commit(
+            [(file_id, b"stub:" + recipe, recipe) for file_id, recipe in items]
+        )
+        for (file_id, recipe), result in zip(items, results):
             owners = self._up_owners(file_id)
             if not owners:
-                assert isinstance(stub_result, Exception)
-                assert isinstance(recipe_result, Exception)
+                assert isinstance(result, Exception)
                 continue
-            assert stub_result is None and recipe_result is None
+            assert result is None
             for node in owners:
                 self.files[node][file_id] = (recipe, b"stub:" + recipe)
 
@@ -231,14 +227,15 @@ class ReplicationMachine(RuleBasedStateMachine):
     @invariant()
     def files_read_back(self):
         recipes = self.engine.recipe_get_many(FILE_IDS)
-        stubs = self.engine.stub_get_many(FILE_IDS)
-        for file_id, recipe, stub in zip(FILE_IDS, recipes, stubs):
+        files = self.engine.file_get_many(FILE_IDS)
+        for file_id, recipe, stored in zip(FILE_IDS, recipes, files):
             expected = self._file_read(file_id)
             if expected is None:
                 assert isinstance(recipe, Exception)
-                assert isinstance(stub, Exception)
+                assert isinstance(stored, Exception)
             else:
-                assert (recipe, stub) == expected
+                assert recipe == expected[0]
+                assert stored == (expected[1], expected[0])
 
 
 ReplicationMachine.TestCase.settings = settings(
