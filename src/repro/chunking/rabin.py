@@ -26,29 +26,28 @@ this; see docs/PERFORMANCE.md):
   the buffer indexed directly (the byte leaving the window is
   ``buf[i - WINDOW_SIZE]``, so no ring buffer) and all tables bound to
   locals;
-* ``"numpy"`` — the windowed fingerprint is a pure XOR of per-offset
-  table entries, so *candidate* boundaries for every position are
-  computed vectorized (byte-pair tables, 24 gathers per position batch,
-  low 16 fingerprint bits only — the boundary mask never needs more),
-  then a cheap sequential walk applies the min/max clamping.
+* ``"numpy"`` — the windowed fingerprint does not depend on where chunks
+  were cut, so *candidate* boundaries of a whole fed region come first:
+  the region splits into lanes of consecutive positions, and each numpy
+  step rolls the full 53-bit fingerprint of every lane by one byte (two
+  table gathers).  A cheap sequential walk then applies the min/max
+  clamping.
 
 ``RabinChunker`` picks the fastest available engine unless ``engine=``
 pins one.
 
-Historical note: the seed implementation's cancel table was built with a
-shift of ``8 * WINDOW_SIZE`` instead of ``8 * (WINDOW_SIZE - 1)``, so the
-byte leaving the window was cancelled one shift too high and the
-fingerprint silently depended on *every* byte since the last cut rather
-than on the 48-byte window (weakening boundary resynchronization after
-edits, and contradicting this docstring).  The shift is now correct; the
-window property is pinned by tests and is exactly what makes the
-skip-ahead and vectorized engines sound.
+Historical note: the seed implementation cancelled the byte leaving the
+window at ``8 * WINDOW_SIZE`` instead of ``8 * (WINDOW_SIZE - 1)``, so its
+fingerprint depended on every byte since the last cut, not on the window.
+The shift is now correct; the window property is pinned by tests and is
+exactly what makes the skip-ahead and vectorized engines sound.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
+from functools import cache
 
 from repro.chunking.fixed import iter_blocks
 from repro.util.errors import ConfigurationError
@@ -91,19 +90,12 @@ def _build_tables(poly: int, degree: int, window: int) -> tuple[list[int], list[
 
     ``append_table[top]`` reduces the high byte that overflows past the
     polynomial degree when a new byte is shifted in.  ``cancel_table[b]``
-    is ``b * x^(8*(window-1)) mod poly``: the byte leaving the window
-    sits at degree ``8*(window-1)`` when the cancel is applied (before
-    the shift), so this is the contribution to remove — cancelling at
-    ``8*window`` would leave a residue and break the sliding-window
-    property (see the module docstring).
+    is ``b * x^(8*(window-1)) mod poly``: the byte leaving the window sits
+    at that degree when the cancel is applied, before the shift (cancelling
+    at ``8*window`` breaks the sliding-window property; see above).
     """
-    append_table = []
-    for top in range(256):
-        append_table.append(_poly_mod(top << degree, poly, degree))
-    cancel_table = []
-    shift = 8 * (window - 1)
-    for b in range(256):
-        cancel_table.append(_poly_mod(b << shift, poly, degree))
+    append_table = [_poly_mod(top << degree, poly, degree) for top in range(256)]
+    cancel_table = [_poly_mod(b << 8 * (window - 1), poly, degree) for b in range(256)]
     return append_table, cancel_table
 
 
@@ -301,43 +293,96 @@ class _ScanEngine:
 
 # -- numpy engine ------------------------------------------------------------
 
-#: Byte-pair lookup tables for the vectorized scan, built on first use:
-#: ``_PAIR16[m][lo | hi << 8] = low16((lo * x^(8*(2m+1)) ^ hi * x^(8*2m)) mod P)``
-#: — the contribution of two adjacent window bytes, keeping only the low
-#: 16 fingerprint bits (the boundary mask ``avg_size - 1`` never needs
-#: more when ``avg_size <= 65536``).
-_PAIR16 = None
+#: Lane length (bytes) of the vectorized scan; regions under 256 KiB use
+#: more, shorter lanes, and regions under 4 KiB the scalar loop.
+_LANE_BYTES, _SHORT_LANE_BYTES = 256, 64
+_SHORT_REGION_BYTES, _SCALAR_REGION_BYTES = 256 * 1024, 4096
+#: Lanes hold the fingerprint in the top 53 bits of an int64, so the
+#: byte shifted past degree 53 falls off without a mask.
+_LANE_PAD = 64 - POLY_DEGREE
 
 
-def _pair_tables():
-    global _PAIR16
-    if _PAIR16 is None:
-        np = _np
-        byte_tables = np.zeros((WINDOW_SIZE, 256), dtype=np.uint16)
-        for j in range(WINDOW_SIZE):
-            for b in range(256):
-                byte_tables[j][b] = (
-                    _poly_mod(b << (8 * j), IRREDUCIBLE_POLY, POLY_DEGREE) & 0xFFFF
-                )
-        pair = np.empty((WINDOW_SIZE // 2, 65536), dtype=np.uint16)
-        for m in range(WINDOW_SIZE // 2):
-            j = 2 * m
-            # Index p = earlier | later << 8; the earlier byte sits one
-            # shift higher in the window.
-            pair[m] = (byte_tables[j][:, None] ^ byte_tables[j + 1][None, :]).ravel()
-        _PAIR16 = pair
-    return _PAIR16
+@cache
+def _lane_tables():
+    """``(fold, step)`` in the lane bit layout, built on first use.
+
+    ``fold[top]`` is the append table, and
+    ``step[o << 8 | b] = (o * x^(8*WINDOW_SIZE) mod P) ^ b`` appends ``b``
+    and cancels ``o``: the update is GF(2)-linear, so cancelling ``o`` after
+    the shift, one byte higher than the reference does before it, is equal.
+    """
+    np = _np
+    cancel = [((c << 8) & _FP_MASK) ^ _APPEND_TABLE[c >> _TOP_SHIFT] for c in _CANCEL_TABLE]
+    step = np.bitwise_xor.outer(np.array(cancel, np.uint64), np.arange(256, dtype=np.uint64))
+    fold = np.array(_APPEND_TABLE, np.uint64)
+    return tuple((t.ravel() << np.uint64(_LANE_PAD)).view(np.int64) for t in (fold, step))
+
+
+def _scalar_hits(region: bytes, mask: int, magic: int) -> list[int]:
+    """``_lane_hits`` as one plain rolling loop, for short regions."""
+    hits, fp = [], 0
+    for u, (out, byte) in enumerate(zip(bytes(WINDOW_SIZE) + region, region)):
+        fp ^= _CANCEL_TABLE[out]
+        fp = (((fp << 8) | byte) & _FP_MASK) ^ _APPEND_TABLE[fp >> _TOP_SHIFT]
+        if (fp & mask) == magic and u >= WINDOW_SIZE:
+            hits.append(u - WINDOW_SIZE)
+    return hits
+
+
+def _lane_hits(region: bytes, mask: int, magic: int) -> list[int]:
+    """Sorted ``j`` whose window ``region[j+1 : j+WINDOW_SIZE+1]`` matches.
+
+    The positions split into lanes of consecutive ones.  Each lane warms
+    up over the ``WINDOW_SIZE`` bytes before its first position, testing
+    nothing; then each step rolls every lane by one byte at once:
+    ``fp = (fp << 8) ^ fold[fp >> 56] ^ step[out << 8 | in]``.
+    """
+    np = _np
+    fold, step = _lane_tables()
+    count = len(region) - WINDOW_SIZE
+    lane = _LANE_BYTES if count >= _SHORT_REGION_BYTES else _SHORT_LANE_BYTES
+    lanes = -(-count // lane)
+    # pairs[i] = out << 8 | in: byte i enters the window byte i - 48 leaves.
+    pairs = np.zeros(lanes * lane + WINDOW_SIZE, dtype=np.uint16)
+    pairs[: len(region)] = np.frombuffer(region, dtype=np.uint8)
+    pairs[WINDOW_SIZE:] |= pairs[:-WINDOW_SIZE] << 8
+    # Lane k runs over pairs[k*lane : (k+1)*lane + WINDOW_SIZE].  Transpose
+    # to step-major through a uint64 view, four pairs per element: step u
+    # of every lane is then steps[u >> 2, :, u & 3].
+    rows = (lane + WINDOW_SIZE) // 4
+    by_lane = np.lib.stride_tricks.as_strided(pairs.view(np.uint64), (lanes, rows), (2 * lane, 8))
+    steps = by_lane.T.copy().view(np.uint16).reshape(rows, lanes, 4)
+    del pairs, by_lane
+    fp = np.zeros(lanes, dtype=np.int64)
+    top = np.empty_like(fp)
+    # low[t, k]: the fingerprint bits the mask tests, of lane k after step t.
+    low = np.empty((lane, lanes), dtype=np.min_scalar_type(mask))
+    for u in range(lane + WINDOW_SIZE):
+        index = steps[u >> 2, :, u & 3]
+        # The arithmetic shift gives -128..127, which indexes the
+        # 256-entry table from its end just as the unsigned byte would.
+        np.right_shift(fp, 56, out=top)
+        fp <<= 8
+        fp ^= fold[top]
+        if u < WINDOW_SIZE:  # warm-up: no byte has left the window yet
+            fp ^= step.take(index & 0xFF, mode="clip")
+        else:
+            fp ^= step.take(index, mode="clip")
+            np.right_shift(fp, _LANE_PAD, out=low[u - WINDOW_SIZE], casting="unsafe")
+    del steps
+    low &= mask
+    t, k = np.divmod(np.flatnonzero(low == magic), lanes)
+    hits = np.sort(k * lane + t)
+    return hits[: np.searchsorted(hits, count)].tolist()
 
 
 class _NumpyEngine:
     """Vectorized candidate scan + sequential clamping walk.
 
-    The (fixed) windowed fingerprint at stream position ``i`` is a pure
-    function of bytes ``i-47..i``, independent of where chunks were cut.
-    So every position's boundary *candidacy* can be precomputed in bulk,
-    and the min/max clamping — the only sequential part — walks the
-    sparse candidate list (one candidate per ``avg_size`` bytes on
-    average) in plain Python.
+    The fingerprint at position ``i`` depends on bytes ``i-47..i`` only,
+    not on where chunks were cut, so every position's *candidacy* is
+    found in bulk; the min/max clamping walks the sparse candidate list
+    (one per ``avg_size`` bytes on average) in plain Python.
     """
 
     def __init__(self, min_size: int, max_size: int, avg_size: int) -> None:
@@ -351,43 +396,11 @@ class _NumpyEngine:
 
     def _scan(self, start: int, n: int) -> None:
         """Find candidate window-end positions in ``[start, n)``."""
-        np = _np
-        pair = _pair_tables()
-        # Copy the region so `del buf[:k]` later never trips the
-        # exporting-view BufferError.
-        lo = start - (WINDOW_SIZE - 1)
-        region = bytes(self._buf[lo:n])
-        arr = np.frombuffer(region, dtype=np.uint8)
-        length = len(arr)
-        mask16 = np.uint16(self._mask)
-        magic16 = np.uint16(self._magic)
-        half = WINDOW_SIZE // 2
-        found: list[int] = []
-        # Window starts alternate parity; handle each parity class with
-        # its own uint16 pair view.
-        for par in (0, 1):
-            usable = (length - par) // 2
-            nwin = usable - half + 1
-            if nwin <= 0:
-                continue
-            v = (
-                arr[par : par + 2 * usable : 2].astype(np.uint16)
-                | (arr[par + 1 : par + 2 * usable + 1 : 2].astype(np.uint16) << 8)
-            )
-            # Pair at window offset 2*m covers shifts (47-2m, 46-2m).
-            acc = pair[half - 1][v[0:nwin]].copy()
-            for m in range(1, half):
-                acc ^= pair[half - 1 - m][v[m : m + nwin]]
-            hits = np.nonzero((acc & mask16) == magic16)[0]
-            if len(hits):
-                # Window-end position in buf coordinates.
-                found.extend((lo + par + 2 * hits + (WINDOW_SIZE - 1)).tolist())
-        if found:
-            found.sort()
-            cands = self._cands
-            for p in found:
-                if p >= start:  # overlap region was decided by a prior scan
-                    cands.append(p)
+        # A copy, so `del buf[:k]` never trips the exporting-view BufferError;
+        # the zero in front stands in for the byte before the first window.
+        region = bytes(1) + self._buf[start - (WINDOW_SIZE - 1) : n]
+        scan = _scalar_hits if n - start < _SCALAR_REGION_BYTES else _lane_hits
+        self._cands.extend(start + j for j in scan(region, self._mask, self._magic))
 
     def _next_cut(self) -> int:
         """Next boundary decidable from scanned data, or -1."""
@@ -404,9 +417,7 @@ class _NumpyEngine:
         buf += data
         n = len(buf)
         if n >= WINDOW_SIZE and self._scanned < n:
-            start = max(self._scanned, WINDOW_SIZE - 1)
-            if start < n:
-                self._scan(start, n)
+            self._scan(max(self._scanned, WINDOW_SIZE - 1), n)
             self._scanned = n
         while True:
             cut = self._next_cut()
@@ -429,27 +440,16 @@ class _NumpyEngine:
         return chunk
 
 
-def _resolve_engine(engine: str | None, avg_size: int) -> str:
-    mask_fits = (avg_size - 1) <= 0xFFFF
+def _resolve_engine(engine: str | None) -> str:
     if engine is None:
-        if _np is not None and mask_fits:
-            return "numpy"
-        return "scan"
+        return "numpy" if _np is not None else "scan"
     if engine not in _ENGINES:
         raise ConfigurationError(
             f"unknown chunking engine {engine!r}; "
             f"available: {available_chunking_engines()}"
         )
-    if engine == "numpy":
-        if _np is None:
-            raise ConfigurationError(
-                "numpy chunking engine requested but numpy is absent"
-            )
-        if not mask_fits:
-            raise ConfigurationError(
-                "numpy chunking engine supports avg_size up to 65536 "
-                f"(16-bit boundary mask), got {avg_size}"
-            )
+    if engine == "numpy" and _np is None:
+        raise ConfigurationError("numpy chunking engine requested but numpy is absent")
     return engine
 
 
@@ -484,7 +484,7 @@ class RabinChunker:
         self.min_size = min_size
         self.max_size = max_size
         self.avg_size = avg_size
-        self.engine = _resolve_engine(engine, avg_size)
+        self.engine = _resolve_engine(engine)
         self._impl = self._ENGINE_CLASSES[self.engine](min_size, max_size, avg_size)
 
     def update(self, data: bytes) -> Iterator[bytes]:

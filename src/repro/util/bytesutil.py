@@ -36,15 +36,20 @@ def xor_fold(data: bytes, piece_size: int) -> bytes:
     together.  This is the "self-XOR" operation of REED's enhanced
     encryption scheme (Section IV-B): the result cannot be predicted
     without knowing the entire content of the input.
+
+    One integer holds all pieces; each round XORs its upper pieces onto
+    its lower half, so the fold takes ``log2(pieces)`` big-int operations
+    instead of one conversion per piece.
     """
     if piece_size <= 0:
         raise ConfigurationError("piece_size must be positive")
-    acc = 0
-    for offset in range(0, len(data), piece_size):
-        piece = data[offset : offset + piece_size]
-        if len(piece) < piece_size:
-            piece = piece + b"\x00" * (piece_size - len(piece))
-        acc ^= int.from_bytes(piece, "big")
+    count = -(-len(data) // piece_size)
+    acc = int.from_bytes(data, "big") << 8 * (count * piece_size - len(data))
+    while count > 1:
+        half = count // 2
+        bits = 8 * piece_size * half
+        acc = (acc >> bits) ^ (acc & ((1 << bits) - 1))
+        count -= half
     return acc.to_bytes(piece_size, "big")
 
 

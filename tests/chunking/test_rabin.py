@@ -5,11 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chunking.rabin import (
+    BOUNDARY_MAGIC,
     DEFAULT_AVG_SIZE,
     DEFAULT_MAX_SIZE,
     DEFAULT_MIN_SIZE,
     WINDOW_SIZE,
     RabinChunker,
+    _lane_hits,
+    _ReferenceEngine,
+    _scalar_hits,
     available_chunking_engines,
     rabin_chunks,
     window_fingerprint,
@@ -99,8 +103,6 @@ class TestWindowProperty:
         fingerprint of just the last WINDOW_SIZE bytes — the sliding-window
         property that skip-ahead and edit-resilient dedup both rest on
         (the seed implementation violated this; see the module docstring)."""
-        from repro.chunking.rabin import _ReferenceEngine
-
         data = unique_data(1_000, seed=11)
         engine = _ReferenceEngine(**SMALL)
         for end in (WINDOW_SIZE, 100, 347, 1_000):
@@ -168,19 +170,83 @@ class TestEngineEquivalence:
         with pytest.raises(ConfigurationError):
             RabinChunker(engine="bogus", **SMALL)
 
-    def test_numpy_engine_rejects_wide_mask(self):
-        if "numpy" not in available_chunking_engines():
-            pytest.skip("numpy unavailable")
-        with pytest.raises(ConfigurationError):
-            RabinChunker(
-                min_size=1024, max_size=1 << 20, avg_size=1 << 17, engine="numpy"
-            )
 
-    def test_auto_engine_falls_back_on_wide_mask(self):
-        # avg 128 KiB exceeds the numpy engine's 16-bit mask; auto
-        # selection must quietly pick the pure-Python scanner.
-        chunker = RabinChunker(min_size=1024, max_size=1 << 20, avg_size=1 << 17)
-        assert chunker.engine == "scan"
+def _reference_hits(region, mask):
+    """Offsets ``j`` whose window ``region[j+1 : j+WINDOW_SIZE+1]`` matches,
+    by the reference engine's rolling update."""
+    engine = _ReferenceEngine(**SMALL)
+    hits = []
+    for i, byte in enumerate(region[1:]):
+        engine._roll(byte)
+        if i >= WINDOW_SIZE - 1 and (engine._fingerprint & mask) == BOUNDARY_MAGIC & mask:
+            hits.append(i - (WINDOW_SIZE - 1))
+    return hits
+
+
+#: Period-8 data whose every eighth window matches the SMALL mask.
+PERIODIC = bytes(range(2, 58, 7)) * 4_000
+WIDE = dict(min_size=1024, max_size=1 << 19, avg_size=1 << 17)
+
+
+@pytest.mark.skipif("numpy" not in available_chunking_engines(), reason="numpy unavailable")
+class TestLaneEdges:
+    """The numpy engine's lane scan at its edges, against the reference."""
+
+    @pytest.mark.parametrize(
+        "count",
+        [1, 2, 47, 48, 49, 63, 64, 65, 95, 96, 97, 127, 128, 129]
+        + [4095, 4096, 4097, 64 * 70 - 1, 64 * 70, 64 * 70 + 1],
+    )
+    def test_region_lengths(self, count):
+        region = unique_data(count + WINDOW_SIZE, seed=count)
+        expected = _reference_hits(region, 63)
+        assert _lane_hits(region, 63, BOUNDARY_MAGIC & 63) == expected
+        assert _scalar_hits(region, 63, BOUNDARY_MAGIC & 63) == expected
+
+    @settings(max_examples=30)
+    @given(
+        st.binary(min_size=WINDOW_SIZE + 1, max_size=3_000),
+        st.sampled_from([63, 127, 8191, (1 << 17) - 1]),
+    )
+    def test_random_regions(self, region, mask):
+        # region[0] is arbitrary: the stand-in byte must cancel out.
+        assert _lane_hits(region, mask, BOUNDARY_MAGIC & mask) == _reference_hits(region, mask)
+
+    @pytest.mark.parametrize("count", [(1 << 18) - 1, 1 << 18, (1 << 18) + 257])
+    def test_both_sides_of_lane_length_switch(self, count):
+        data = unique_data(count + WINDOW_SIZE - 1, seed=21)
+        expected = _chunks_with_feed("reference", data, len(data))
+        assert _chunks_with_feed("numpy", data, len(data)) == expected
+
+    @pytest.mark.parametrize("feed", [1, 4095, 4097])
+    def test_feeds_around_scalar_switch(self, feed):
+        data = unique_data(40_000, seed=22)
+        expected = _chunks_with_feed("reference", data, len(data))
+        assert _chunks_with_feed("numpy", data, feed) == expected
+
+    def test_all_zero_input_cuts_only_at_max(self):
+        data = bytes(30_000)
+        expected = _chunks_with_feed("reference", data, len(data))
+        assert {len(c) for c in expected[:-1]} == {SMALL["max_size"]}
+        for feed in (len(data), 4097):
+            assert _chunks_with_feed("numpy", data, feed) == expected
+
+    def test_short_period_data_dense_candidates(self):
+        region = bytes(1) + PERIODIC[:6_000]
+        assert len(_lane_hits(region, 127, BOUNDARY_MAGIC & 127)) >= 6_000 // 8 - 8
+        expected = _chunks_with_feed("reference", PERIODIC, len(PERIODIC))
+        for feed in (len(PERIODIC), 4097):
+            assert _chunks_with_feed("numpy", PERIODIC, feed) == expected
+
+    def test_wide_mask_cuts_like_reference(self):
+        # A 17-bit boundary mask: the lanes roll the full fingerprint.
+        data = unique_data(1 << 20, seed=23)
+        expected = _chunks_with_feed("reference", data, len(data), WIDE)
+        assert len(expected) > len(data) // WIDE["max_size"] + 1
+        assert _chunks_with_feed("numpy", data, len(data), WIDE) == expected
+
+    def test_auto_engine_picks_numpy_on_wide_mask(self):
+        assert RabinChunker(**WIDE).engine == "numpy"
 
 
 class TestValidation:

@@ -35,7 +35,25 @@ class TestXorBytes:
         assert xor_bytes(a, b) == a
 
 
+def _xor_fold_by_piece(data: bytes, piece_size: int) -> bytes:
+    """The fold one zero-padded piece at a time: the oracle for xor_fold."""
+    acc = 0
+    for offset in range(0, len(data), piece_size):
+        piece = data[offset : offset + piece_size]
+        acc ^= int.from_bytes(piece.ljust(piece_size, b"\x00"), "big")
+    return acc.to_bytes(piece_size, "big")
+
+
 class TestXorFold:
+    @given(st.binary(max_size=40_000), st.integers(1, 64))
+    def test_matches_piece_by_piece_fold(self, data, piece):
+        assert xor_fold(data, piece) == _xor_fold_by_piece(data, piece)
+
+    @pytest.mark.parametrize("length", [1, 31, 32, 33, 64, 100, 2080, 8224, 16416])
+    def test_package_lengths(self, length):
+        data = bytes((7 * i + 3) % 256 for i in range(length))
+        assert xor_fold(data, 32) == _xor_fold_by_piece(data, 32)
+
     def test_single_piece(self):
         assert xor_fold(b"\x01\x02", 2) == b"\x01\x02"
 
