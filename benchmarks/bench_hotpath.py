@@ -7,7 +7,9 @@ Measures the four layers the acceleration pass touches —
 * **ctr** — AES-CTR keystream generation, per engine
   (``reference`` / ``ttable`` / ``numpy``);
 * **caont** — the CAONT chunk transform (enhanced scheme) with the
-  reference CTR engine pinned vs. the auto-dispatched fast path;
+  reference CTR engine pinned vs. the auto-dispatched fast path, plus a
+  ``caont/hashctr`` row for the default (HashCTR) cipher every client
+  runs;
 * **upload** — end-to-end client upload against an in-process system,
   reference engines vs. accelerated defaults;
 * **upload_tcp** — end-to-end upload over a real localhost TCP cluster,
@@ -171,7 +173,8 @@ def bench_ctr(data_len: int, repeats: int) -> list[dict]:
 
 
 def bench_caont(chunk_size: int, chunk_count: int, repeats: int, seed: int) -> list[dict]:
-    """CAONT transform under AES-256: reference CTR vs. fast dispatch.
+    """CAONT transform under AES-256: reference CTR vs. fast dispatch,
+    then the same chunks under the default cipher (``caont/hashctr``).
 
     The cipher's ``mask``/``deterministic_encrypt`` go through
     ``ctr_keystream``, so pinning the dispatcher's default engine
@@ -214,6 +217,21 @@ def bench_caont(chunk_size: int, chunk_count: int, repeats: int, seed: int) -> l
                 "mib_per_s": _mib_per_s(total, seconds),
             }
         )
+    default_scheme = get_scheme("enhanced")
+
+    def run_default():
+        for chunk, key in zip(chunks, keys):
+            default_scheme.encrypt_chunk(chunk, key)
+
+    seconds = _time(run_default, repeats, "caont/hashctr")
+    results.append(
+        {
+            "name": "caont/hashctr",
+            "bytes": total,
+            "seconds": seconds,
+            "mib_per_s": _mib_per_s(total, seconds),
+        }
+    )
     return results
 
 

@@ -100,12 +100,21 @@ class HashCTRCipher(SymmetricCipher):
     key_size = 32
     nonce_size = 16
 
+    def check_nonce(self, nonce: bytes) -> None:
+        # An empty nonce would yield the deterministic stream (the CAONT mask).
+        if len(nonce) != self.nonce_size:
+            raise ConfigurationError(
+                f"{self.name} requires a {self.nonce_size}-byte nonce, got {len(nonce)}"
+            )
+
     def encrypt(self, key: bytes, nonce: bytes, plaintext: bytes) -> bytes:
         self.check_key(key)
+        self.check_nonce(nonce)
         return streamcipher.encrypt(key, nonce, plaintext)
 
     def decrypt(self, key: bytes, nonce: bytes, ciphertext: bytes) -> bytes:
         self.check_key(key)
+        self.check_nonce(nonce)
         return streamcipher.decrypt(key, nonce, ciphertext)
 
     def deterministic_encrypt(self, key: bytes, plaintext: bytes) -> bytes:

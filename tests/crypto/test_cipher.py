@@ -72,6 +72,16 @@ class TestCipherContract:
             assert len(cipher.deterministic_encrypt(KEY, b"x" * n)) == n
 
 
+@pytest.mark.parametrize("nonce", [b"", b"\x08" * 8], ids=["empty", "8-byte"])
+def test_hashctr_rejects_wrong_nonce_size(nonce):
+    # An empty nonce would otherwise return the deterministic (mask) stream.
+    cipher = get_cipher("hashctr")
+    with pytest.raises(ConfigurationError):
+        cipher.encrypt(KEY, nonce, b"stub file")
+    with pytest.raises(ConfigurationError):
+        cipher.decrypt(KEY, nonce, b"stub file")
+
+
 @given(st.binary(max_size=300))
 def test_ciphers_are_distinct_constructions(data):
     """AES-CTR and HashCTR must not accidentally produce the same stream."""
