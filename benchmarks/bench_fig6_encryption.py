@@ -56,18 +56,25 @@ def test_fig6_encryption_speed(benchmark, corpus, scheme_name, chunk_kib):
     )
 
 
+#: Interleaved timing rounds of the shape check; each scheme keeps its
+#: best round, so a load spike during one round cannot flip the ratio.
+SHAPE_ROUNDS = 9
+
+
 def test_fig6_real_shape_basic_faster(corpus):
     """Shape check on the real implementation: basic beats enhanced."""
     import time
 
-    rates = {}
-    for name in ("basic", "enhanced"):
-        scheme = get_scheme(name)
-        chunks, keys = corpus[8]
-        start = time.perf_counter()
-        for chunk, key in zip(chunks, keys):
-            scheme.encrypt_chunk(chunk, key)
-        rates[name] = DATA_BYTES / (time.perf_counter() - start)
+    chunks, keys = corpus[8]
+    schemes = {name: get_scheme(name) for name in ("basic", "enhanced")}
+    best = {name: float("inf") for name in schemes}
+    for _round in range(SHAPE_ROUNDS):
+        for name, scheme in schemes.items():
+            start = time.perf_counter()
+            for chunk, key in zip(chunks, keys):
+                scheme.encrypt_chunk(chunk, key)
+            best[name] = min(best[name], time.perf_counter() - start)
+    rates = {name: DATA_BYTES / seconds for name, seconds in best.items()}
     assert rates["basic"] > rates["enhanced"]
     ratio = rates["basic"] / rates["enhanced"]
     save_result("fig6", f"real fig6: basic/enhanced ratio @8KB = {ratio:.2f} (paper 1.24)")

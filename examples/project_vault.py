@@ -47,8 +47,9 @@ def main() -> None:
 
     print("\n[2] Auditing the cloud (Merkle challenge over random chunks)...")
     auditor = FileAuditor(system.storage)
+    recipes = dict(zip(payloads, system.storage.recipe_get_many(list(payloads))))
     for file_id in payloads:
-        recipe = FileRecipe.decode(system.storage.recipe_get(file_id))
+        recipe = FileRecipe.decode(recipes[file_id])
         auditor.register(file_id, [ref.fingerprint for ref in recipe.chunks])
         verified = auditor.audit(file_id, sample_size=12)
         print(f"    {file_id}: {verified} chunks proven present and intact")
@@ -80,7 +81,7 @@ def main() -> None:
     shards = [server.store for server in system.servers]
     print(f"    {'file':>8} {'containers':>10} {'runs':>6} {'read amp':>9}")
     for file_id in payloads:
-        recipe = FileRecipe.decode(system.storage.recipe_get(file_id))
+        recipe = FileRecipe.decode(recipes[file_id])
         report = analyze_sharded(shards, recipe)
         print(
             f"    {file_id:>8} {report.containers_touched:>10} "

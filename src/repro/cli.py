@@ -75,9 +75,9 @@ from repro.obs.rpc import register_metrics, scrape
 from repro.obs.tracing import Tracer, default_tracer
 from repro.storage.backend import DirectoryBackend
 from repro.storage.datastore import DataStore
-from repro.storage.gc import CompactionDaemon
 from repro.storage.keystore import KeyStore
 from repro.storage.sharding import HashRing, ShardedStorageService
+from repro.util.daemon import IntervalDaemon
 from repro.util.errors import ConfigurationError, ReproError
 from repro.util.units import MiB
 
@@ -288,8 +288,13 @@ def start_service(
         reed_server = REEDServer(store, gc_threshold=gc_threshold)
         register_storage_service(registry, reed_server)
         if gc_interval is not None:
-            daemon = CompactionDaemon(reed_server.gc_engine(), interval=gc_interval)
-            daemon.start()
+            engine = reed_server.gc_engine()
+            IntervalDaemon(
+                engine.run_once,
+                engine.pass_failures,
+                interval=gc_interval,
+                name="reed-compaction",
+            ).start()
     elif role == "keystore":
         backend = DirectoryBackend(data) if data else None
         register_keystate_service(registry, KeyStore(backend))
@@ -722,8 +727,7 @@ def cmd_ring(args) -> int:
             f"{report.missing_replicas} replicas missing, "
             f"{report.corrupt_replicas} corrupt; repaired "
             f"{report.chunks_repaired} chunks, "
-            f"{report.recipes_repaired} recipes, "
-            f"{report.stubs_repaired} stubs "
+            f"{report.files_repaired} files "
             f"({report.unrepaired} unrepaired)"
         )
         return 1 if report.unrepaired else 0

@@ -41,6 +41,7 @@ from repro.core.rekeypipe import (
     DEFAULT_REKEY_BATCH_SIZE,
     FileRekeyPlan,
     RekeyPipeline,
+    check_items,
 )
 from repro.core.schemes import EncryptionScheme, SplitPackage, get_scheme
 from repro.core.server import StorageService
@@ -317,7 +318,7 @@ class REEDClient:
         self, file_id: str, stub_file: bytes, recipe: FileRecipe
     ) -> None:
         """Write a file's stub file and recipe: one ``file_commit``."""
-        self._check_items(
+        check_items(
             self.storage.file_commit([(file_id, stub_file, recipe.encode())])
         )
 
@@ -1044,29 +1045,16 @@ class REEDClient:
     # delete
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _check_items(results: list) -> None:
-        """Raise the first per-item error of a batch reply, in order."""
-        for status in results:
-            if isinstance(status, Exception):
-                raise status
-
     def delete(self, file_id: str) -> None:
-        """Remove a file: release its chunks and drop its metadata.
-
-        Metadata removal rides the batch messages — one
-        ``meta_delete_many`` (stub + recipe in a single round trip) plus
-        one ``keystore.delete_many`` instead of three serial RPCs.
-        """
-        recipe = FileRecipe.decode(self.storage.recipe_get(file_id))
-        self.storage.chunk_release_batch([ref.fingerprint for ref in recipe.chunks])
-        self._check_items(self.storage.meta_delete_many([file_id]))
-        self._check_items(self.keystore.delete_many([file_id]))
+        """Remove a file: release its chunks and drop its metadata."""
+        self.delete_many([file_id])
 
     def delete_many(self, file_ids: list[str]) -> None:
-        """Remove several files with batched metadata round trips."""
+        """Remove files with batched round trips: one ``recipe_get_many``,
+        one chunk release, one ``meta_delete_many`` (stub + recipe) and
+        one ``keystore.delete_many``."""
         recipes = self.storage.recipe_get_many(list(file_ids))
-        self._check_items(recipes)
+        check_items(recipes)
         fingerprints = [
             ref.fingerprint
             for blob in recipes
@@ -1074,5 +1062,5 @@ class REEDClient:
         ]
         if fingerprints:
             self.storage.chunk_release_batch(fingerprints)
-        self._check_items(self.storage.meta_delete_many(list(file_ids)))
-        self._check_items(self.keystore.delete_many(list(file_ids)))
+        check_items(self.storage.meta_delete_many(list(file_ids)))
+        check_items(self.keystore.delete_many(list(file_ids)))

@@ -48,9 +48,9 @@ from repro.obs.propagate import (
 from repro.obs.rpc import register_metrics, scrape
 from repro.obs.tracing import Tracer, default_tracer
 from repro.storage.datastore import DataStore
-from repro.storage.gc import CompactionDaemon
 from repro.storage.keystore import KeyStore
 from repro.storage.sharding import ShardedStorageService
+from repro.util.daemon import IntervalDaemon
 from repro.util.errors import ConfigurationError
 
 
@@ -117,7 +117,7 @@ class TcpCluster:
         #: propagated trace contexts land here with the node name
         #: attached; each node serves its ring over the ``traces`` RPC.
         self.node_tracers: dict[str, Tracer] = {}
-        self._gc_daemons: dict[str, CompactionDaemon] = {}
+        self._gc_daemons: dict[str, IntervalDaemon] = {}
         self.key_manager = KeyManager(key_bits=key_bits, rng=self._rng)
         self.authority = AttributeAuthority(rng=self._rng)
         self.servers = [
@@ -164,8 +164,12 @@ class TcpCluster:
         if self.gc_interval is None:
             return
         node = f"storage-{index}"
-        daemon = CompactionDaemon(
-            self.servers[index].gc_engine(), interval=self.gc_interval
+        engine = self.servers[index].gc_engine()
+        daemon = IntervalDaemon(
+            engine.run_once,
+            engine.pass_failures,
+            interval=self.gc_interval,
+            name="reed-compaction",
         )
         daemon.start()
         self._gc_daemons[node] = daemon

@@ -32,7 +32,7 @@ from repro.core import envelopes
 from repro.core.client import REEDClient, UploadResult
 from repro.core.policy import FilePolicy
 from repro.core.rekey import RevocationMode
-from repro.core.rekeypipe import FileRekeyPlan, RekeyPipeline
+from repro.core.rekeypipe import FileRekeyPlan, RekeyPipeline, check_items
 from repro.core.stubs import STUB_NONCE_SIZE
 from repro.crypto.hashing import hmac_sha256, kdf
 from repro.crypto.rsa import RSAPublicKey
@@ -94,7 +94,12 @@ class GroupManager:
             enc.text(file_id)
         body = enc.done()
         mac = hmac_sha256(kdf(group_key, "group-manifest-mac"), body)
-        self.client.storage.recipe_put(self._manifest_id(group_id), body + mac)
+        # An empty stub file keeps the manifest a whole (stub file,
+        # recipe) pair, the unit repair and rebalancing copy.
+        manifest_id = self._manifest_id(group_id)
+        check_items(
+            self.client.storage.file_commit([(manifest_id, b"", body + mac)])
+        )
 
     @staticmethod
     def _decode_manifest(blob: bytes, group_key: bytes) -> list[str]:
@@ -108,9 +113,13 @@ class GroupManager:
         dec.expect_end()
         return files
 
+    def _manifest_blob(self, group_id: str) -> bytes:
+        [blob] = self.client.storage.recipe_get_many([self._manifest_id(group_id)])
+        check_items([blob])
+        return blob
+
     def _read_manifest(self, group_id: str, group_key: bytes) -> list[str]:
-        blob = self.client.storage.recipe_get(self._manifest_id(group_id))
-        return self._decode_manifest(blob, group_key)
+        return self._decode_manifest(self._manifest_blob(group_id), group_key)
 
     def _read_manifest_at(
         self, group_id: str, record: KeyStateRecord, state: KeyState
@@ -123,7 +132,7 @@ class GroupManager:
         makes recovery free: unwind the current state version by version
         until the MAC verifies.
         """
-        blob = self.client.storage.recipe_get(self._manifest_id(group_id))
+        blob = self._manifest_blob(group_id)
         try:
             return self._decode_manifest(blob, state.derive_key())
         except IntegrityError:

@@ -103,7 +103,7 @@ class RekeyPipelineStats:
     shipped: list[tuple[str, int, int, int]] = field(default_factory=list)
 
 
-def _check_items(results: list) -> None:
+def check_items(results: list) -> None:
     """Raise the first per-item error, in item (= file) order."""
     for status in results:
         if isinstance(status, Exception):
@@ -213,7 +213,7 @@ class RekeyPipeline:
         try:
             with self._tracer.span("rekey.ship", files=len(plans)):
                 if self._active:
-                    _check_items(
+                    check_items(
                         self._storage.file_commit(
                             [
                                 (p.file_id, p.new_stub_file, p.updated_recipe)
@@ -225,7 +225,7 @@ class RekeyPipeline:
                 # file readable under its old record, and the stub-side
                 # recovery (decrypt-under-new-key, wind-forward) converges
                 # on retry.
-                _check_items(
+                check_items(
                     self._keystore.put_many([p.new_record for p in plans])
                 )
         except BaseException:

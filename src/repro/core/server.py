@@ -29,8 +29,6 @@ class StorageService(Protocol):
 
     def chunk_exists_batch(self, fingerprints: list[bytes]) -> list[bool]: ...
 
-    def chunk_put_batch(self, chunks: list[tuple[bytes, bytes]]) -> int: ...
-
     def chunk_put_many(
         self, chunks: list[tuple[bytes, bytes]], flush: bool = False
     ) -> list[bool | Exception]: ...
@@ -41,21 +39,9 @@ class StorageService(Protocol):
 
     def chunk_list(self) -> list[bytes]: ...
 
-    def recipe_put(self, file_id: str, data: bytes) -> None: ...
-
-    def recipe_get(self, file_id: str) -> bytes: ...
-
-    def recipe_delete(self, file_id: str) -> None: ...
-
     def recipe_list(self) -> list[str]: ...
 
     def recipe_get_many(self, file_ids: list[str]) -> list[bytes | Exception]: ...
-
-    def stub_put(self, file_id: str, data: bytes) -> None: ...
-
-    def stub_get(self, file_id: str) -> bytes: ...
-
-    def stub_delete(self, file_id: str) -> None: ...
 
     def stub_list(self) -> list[str]: ...
 
@@ -124,33 +110,16 @@ class REEDServer:
         self.counters.add(requests=1)
         return self.store.has_many(fingerprints)
 
-    def chunk_put_batch(self, chunks: list[tuple[bytes, bytes]]) -> int:
-        """Store (fingerprint, trimmed package) pairs; returns #new chunks.
-
-        The server re-derives each fingerprint and rejects mismatches —
-        a malicious or buggy client must not be able to poison another
-        user's chunk under a false fingerprint.
-        """
-        self.counters.add(requests=1)
-        new = 0
-        for fp, data in chunks:
-            self.counters.add(bytes_received=len(data))
-            if _fingerprint(data) != fp:
-                raise IntegrityError(
-                    "uploaded chunk does not match its declared fingerprint"
-                )
-            if self.store.put_chunk(fp, data):
-                new += 1
-        self.counters.add(put_batches=1)
-        return new
-
     def chunk_put_many(
         self, chunks: list[tuple[bytes, bytes]], flush: bool = False
     ) -> list[bool | Exception]:
         """Store chunks with *per-item* status for the batch protocol.
 
-        Each item resolves independently: ``True`` (new chunk stored),
-        ``False`` (dedup hit), or the exception that rejected it (e.g.
+        The server re-derives each fingerprint and rejects mismatches —
+        a malicious or buggy client must not be able to poison another
+        user's chunk under a false fingerprint.  Each item resolves
+        independently: ``True`` (new chunk stored), ``False`` (dedup
+        hit), or the exception that rejected it (e.g.
         :class:`IntegrityError` on a fingerprint mismatch).  One poisoned
         chunk therefore fails alone instead of aborting its whole batch
         — the wire layer carries the per-item errors back verbatim.
@@ -215,41 +184,15 @@ class REEDServer:
         self.counters.add(requests=1)
         self.store.addref_many(refs)
 
-    # -- recipes / stub files ------------------------------------------------------
-
-    def recipe_put(self, file_id: str, data: bytes) -> None:
-        self.counters.add(requests=1)
-        self.store.put_recipe(file_id, data)
-
-    def recipe_get(self, file_id: str) -> bytes:
-        self.counters.add(requests=1)
-        return self.store.get_recipe(file_id)
-
-    def recipe_delete(self, file_id: str) -> None:
-        self.counters.add(requests=1)
-        self.store.delete_recipe(file_id)
+    # -- file metadata (upload, restore, rekey, delete and listing) ------------
 
     def recipe_list(self) -> list[str]:
         self.counters.add(requests=1)
         return self.store.list_recipes()
 
-    def stub_put(self, file_id: str, data: bytes) -> None:
-        self.counters.add(requests=1)
-        self.store.put_stub_file(file_id, data)
-
-    def stub_get(self, file_id: str) -> bytes:
-        self.counters.add(requests=1)
-        return self.store.get_stub_file(file_id)
-
-    def stub_delete(self, file_id: str) -> None:
-        self.counters.add(requests=1)
-        self.store.delete_stub_file(file_id)
-
     def stub_list(self) -> list[str]:
         self.counters.add(requests=1)
         return self.store.list_stub_files()
-
-    # -- batched metadata (upload, restore, rekey and delete messages) -------
 
     @staticmethod
     def _per_item(fn, items) -> list:

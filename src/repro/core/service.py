@@ -113,17 +113,10 @@ def register_storage_service(
 ) -> None:
     """Expose a :class:`REEDServer` through an RPC registry."""
 
-    def exists(payload: bytes) -> bytes:
+    def has_many(payload: bytes) -> bytes:
         fps = Decoder(payload).list_of()
         flags = server.chunk_exists_batch(fps)
         return bytes(1 if flag else 0 for flag in flags)
-
-    def put(payload: bytes) -> bytes:
-        dec = Decoder(payload)
-        count = dec.uint()
-        chunks = [(dec.blob(), dec.blob()) for _ in range(count)]
-        dec.expect_end()
-        return Encoder().uint(server.chunk_put_batch(chunks)).done()
 
     def put_many(payload: bytes) -> bytes:
         dec = Decoder(payload)
@@ -161,33 +154,9 @@ def register_storage_service(
         server.chunk_addref_batch(refs)
         return b""
 
-    def recipe_put(payload: bytes) -> bytes:
-        dec = Decoder(payload)
-        server.recipe_put(dec.text(), dec.blob())
-        return b""
-
-    def recipe_get(payload: bytes) -> bytes:
-        return server.recipe_get(Decoder(payload).text())
-
-    def recipe_delete(payload: bytes) -> bytes:
-        server.recipe_delete(Decoder(payload).text())
-        return b""
-
     def recipe_list(_payload: bytes) -> bytes:
         names = [name.encode("utf-8") for name in server.recipe_list()]
         return Encoder().list_of(names).done()
-
-    def stub_put(payload: bytes) -> bytes:
-        dec = Decoder(payload)
-        server.stub_put(dec.text(), dec.blob())
-        return b""
-
-    def stub_get(payload: bytes) -> bytes:
-        return server.stub_get(Decoder(payload).text())
-
-    def stub_delete(payload: bytes) -> bytes:
-        server.stub_delete(Decoder(payload).text())
-        return b""
 
     def recipe_get_many(payload: bytes) -> bytes:
         return _encode_item_blobs(server.recipe_get_many(_decode_ids(payload)))
@@ -242,30 +211,20 @@ def register_storage_service(
             enc.uint(int(status[name]))
         return enc.done()
 
-    registry.register(prefix + "exists", exists)
-    # ``has_many`` is the batch protocol's name for the same existence
-    # check; registered separately so wire captures read unambiguously.
-    registry.register(prefix + "has_many", exists)
-    registry.register(prefix + "put", put)
+    registry.register(prefix + "has_many", has_many)
     registry.register(prefix + "put_many", put_many)
     registry.register(prefix + "get", get)
     registry.register(prefix + "release", release)
     registry.register(prefix + "refcounts", refcounts)
     registry.register(prefix + "addref", addref)
-    registry.register(prefix + "recipe_put", recipe_put)
-    registry.register(prefix + "recipe_get", recipe_get)
-    registry.register(prefix + "recipe_delete", recipe_delete)
     registry.register(prefix + "recipe_list", recipe_list)
-    registry.register(prefix + "stub_put", stub_put)
-    registry.register(prefix + "stub_get", stub_get)
-    registry.register(prefix + "stub_delete", stub_delete)
+    registry.register(prefix + "stub_list", stub_list)
     registry.register(prefix + "recipe_get_many", recipe_get_many)
     registry.register(prefix + "file_commit", file_commit)
     registry.register(prefix + "file_get_many", file_get_many)
     registry.register(prefix + "meta_delete_many", meta_delete_many)
     registry.register(prefix + "flush", flush)
     registry.register(prefix + "chunk_list", chunk_list)
-    registry.register(prefix + "stub_list", stub_list)
     registry.register(prefix + "gc", gc)
 
 
@@ -282,15 +241,6 @@ class RemoteStorageService:
     def chunk_exists_batch(self, fingerprints: list[bytes]) -> list[bool]:
         flags = self._call("has_many", Encoder().list_of(fingerprints).done())
         return [bool(b) for b in flags]
-
-    def chunk_put_batch(self, chunks: list[tuple[bytes, bytes]]) -> int:
-        enc = Encoder().uint(len(chunks))
-        for fp, data in chunks:
-            enc.blob(fp).blob(data)
-        dec = Decoder(self._call("put", enc.done()))
-        new = dec.uint()
-        dec.expect_end()
-        return new
 
     def chunk_put_many(
         self, chunks: list[tuple[bytes, bytes]], flush: bool = False
@@ -340,27 +290,13 @@ class RemoteStorageService:
             enc.blob(fp).uint(count)
         self._call("addref", enc.done())
 
-    def recipe_put(self, file_id: str, data: bytes) -> None:
-        self._call("recipe_put", Encoder().text(file_id).blob(data).done())
-
-    def recipe_get(self, file_id: str) -> bytes:
-        return self._call("recipe_get", Encoder().text(file_id).done())
-
-    def recipe_delete(self, file_id: str) -> None:
-        self._call("recipe_delete", Encoder().text(file_id).done())
-
     def recipe_list(self) -> list[str]:
         payload = self._call("recipe_list")
         return [name.decode("utf-8") for name in Decoder(payload).list_of()]
 
-    def stub_put(self, file_id: str, data: bytes) -> None:
-        self._call("stub_put", Encoder().text(file_id).blob(data).done())
-
-    def stub_get(self, file_id: str) -> bytes:
-        return self._call("stub_get", Encoder().text(file_id).done())
-
-    def stub_delete(self, file_id: str) -> None:
-        self._call("stub_delete", Encoder().text(file_id).done())
+    def stub_list(self) -> list[str]:
+        payload = self._call("stub_list")
+        return [name.decode("utf-8") for name in Decoder(payload).list_of()]
 
     def recipe_get_many(self, file_ids: list[str]) -> list[bytes | Exception]:
         return _decode_item_blobs(
@@ -423,10 +359,6 @@ class RemoteStorageService:
 
     def chunk_list(self) -> list[bytes]:
         return Decoder(self._call("chunk_list")).list_of()
-
-    def stub_list(self) -> list[str]:
-        payload = self._call("stub_list")
-        return [name.decode("utf-8") for name in Decoder(payload).list_of()]
 
 
 # ---------------------------------------------------------------------------
@@ -576,99 +508,6 @@ def register_key_manager(
     registry.register(prefix + "public_key", public_key)
     registry.register(prefix + "derive_batch", derive_batch)
     registry.register(prefix + "backoff_hint", backoff_hint)
-
-
-# ---------------------------------------------------------------------------
-# Threshold key managers
-# ---------------------------------------------------------------------------
-
-
-def register_threshold_key_manager(
-    registry: ServiceRegistry, manager, prefix: str = "tkm."
-) -> None:
-    """Expose one :class:`~repro.mle.threshold.ThresholdKeyManager`.
-
-    Each group member runs on its own host/port; the client-side
-    :class:`RemoteThresholdManager` stubs plug into a
-    :class:`~repro.mle.threshold.ThresholdKeyManagerChannel` unchanged.
-    """
-
-    def info(_payload: bytes) -> bytes:
-        share = manager._share
-        return (
-            Encoder()
-            .uint(share.index)
-            .uint(share.threshold)
-            .uint(share.players)
-            .blob(share.public_key.encode())
-            .done()
-        )
-
-    def sign_partial(payload: bytes) -> bytes:
-        dec = Decoder(payload)
-        client_id = dec.text()
-        blinded = [int.from_bytes(blob, "big") for blob in dec.list_of()]
-        dec.expect_end()
-        partials = manager.sign_batch_partial(client_id, blinded)
-        byte_size = manager.public_key.byte_size
-        return (
-            Encoder()
-            .list_of([p.to_bytes(byte_size, "big") for p in partials])
-            .done()
-        )
-
-    registry.register(prefix + "info", info)
-    registry.register(prefix + "sign_partial", sign_partial)
-
-
-class RemoteThresholdManager:
-    """Client stub for one remote threshold key manager.
-
-    Duck-types :class:`~repro.mle.threshold.ThresholdKeyManager` closely
-    enough for :class:`~repro.mle.threshold.ThresholdKeyManagerChannel`:
-    it exposes ``index``, ``available``, ``_share`` metadata, and
-    ``sign_batch_partial``.
-    """
-
-    def __init__(self, rpc: RpcClient, prefix: str = "tkm.") -> None:
-        self._rpc = rpc
-        self._prefix = prefix
-        dec = Decoder(self._rpc.call(prefix + "info"))
-        index = dec.uint()
-        threshold = dec.uint()
-        players = dec.uint()
-        public_key = RSAPublicKey.decode(dec.blob())
-        dec.expect_end()
-        from repro.mle.threshold import KeyShare
-
-        # value=0: the share value never leaves the manager; only the
-        # metadata travels, which is all the channel needs.
-        self._share = KeyShare(
-            index=index,
-            value=0,
-            threshold=threshold,
-            players=players,
-            public_key=public_key,
-        )
-        self.available = True
-
-    @property
-    def index(self) -> int:
-        return self._share.index
-
-    @property
-    def public_key(self) -> RSAPublicKey:
-        return self._share.public_key
-
-    def sign_batch_partial(self, client_id: str, blinded_values: list[int]) -> list[int]:
-        byte_size = self._share.public_key.byte_size
-        enc = Encoder().text(client_id)
-        enc.list_of([v.to_bytes(byte_size, "big") for v in blinded_values])
-        payload = self._rpc.call(self._prefix + "sign_partial", enc.done())
-        return [int.from_bytes(blob, "big") for blob in Decoder(payload).list_of()]
-
-    def _bucket(self, client_id: str):
-        raise NotImplementedError  # backoff hints come from the remote errors
 
 
 class RemoteKeyManagerChannel:

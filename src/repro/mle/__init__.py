@@ -13,12 +13,6 @@ from repro.mle.server_aided import (
     LocalKeyManagerChannel,
     ServerAidedKeyClient,
 )
-from repro.mle.threshold import (
-    ThresholdKeyManager,
-    ThresholdKeyManagerChannel,
-    build_group,
-    split_key,
-)
 
 __all__ = [
     "ConvergentCiphertext",
@@ -31,9 +25,5 @@ __all__ = [
     "LocalKeyManagerChannel",
     "MLEKeyCache",
     "ServerAidedKeyClient",
-    "ThresholdKeyManager",
-    "ThresholdKeyManagerChannel",
-    "build_group",
     "convergent_key",
-    "split_key",
 ]

@@ -36,14 +36,11 @@ TRANSIENT_ERRORS: tuple[type[BaseException], ...] = (ProtocolError, OSError)
 IDEMPOTENT_METHOD_SUFFIXES: frozenset[str] = frozenset(
     {
         "exists",
-        "exists_batch",
         "has_many",
         "get",
         "get_many",
-        "recipe_get",
         "recipe_get_many",
         "recipe_list",
-        "stub_get",
         "file_get_many",
         "chunk_list",
         "refcounts",
@@ -51,7 +48,6 @@ IDEMPOTENT_METHOD_SUFFIXES: frozenset[str] = frozenset(
         "list",
         "public_key",
         "backoff_hint",
-        "info",
         "metrics",
     }
 )

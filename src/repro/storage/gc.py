@@ -11,9 +11,8 @@ compare-and-swap per entry so concurrently released chunks are not
 resurrected), flushes the store so the copies are sealed and their new
 locations journaled, and only then deletes the old containers.
 
-:class:`CompactionDaemon` runs passes on an interval, mirroring
-``RepairDaemon``: a failing pass records its error and the next interval
-retries — the thread itself never dies.
+:class:`~repro.util.daemon.IntervalDaemon` runs :meth:`CompactionGC.run_once`
+on an interval; a failing pass bumps :attr:`CompactionGC.pass_failures`.
 """
 
 from __future__ import annotations
@@ -27,9 +26,6 @@ from repro.util.errors import ConfigurationError, NotFoundError, StorageError
 
 #: Containers at least this fraction dead are compaction candidates.
 DEFAULT_DEAD_SPACE_THRESHOLD = 0.25
-
-#: Seconds between background compaction passes.
-DEFAULT_GC_INTERVAL = 30.0
 
 
 @dataclass
@@ -88,6 +84,11 @@ class CompactionGC:
         self._m_relocated = self.metrics.counter(
             "gc_chunks_relocated_total",
             "Live chunks rewritten into fresh containers by compaction.",
+        )
+        #: Bumped by the background daemon for every pass that raised.
+        self.pass_failures = self.metrics.counter(
+            "gc_pass_failures_total",
+            "Compaction passes aborted by an unexpected error.",
         )
 
     def dead_space(self) -> tuple[int, int, float]:
@@ -197,81 +198,3 @@ class CompactionGC:
             "last_relocated_chunks": last.relocated_chunks if last else 0,
         }
 
-
-class CompactionDaemon:
-    """Background thread running :meth:`CompactionGC.run_once` on an
-    interval — the storage engine's space-reclamation loop.
-
-    Use as a context manager or call :meth:`start`/:meth:`stop`.
-    :meth:`run_now` forces an immediate pass (tests, CLI ``reed gc run``).
-    """
-
-    def __init__(
-        self,
-        gc: CompactionGC,
-        interval: float = DEFAULT_GC_INTERVAL,
-    ) -> None:
-        if interval <= 0:
-            raise ConfigurationError("GC interval must be positive")
-        self.gc = gc
-        self.interval = interval
-        self.last_report: CompactionReport | None = None
-        #: Exception that aborted the most recent pass (None after a
-        #: pass completes) — the daemon's health surface.
-        self.last_error: Exception | None = None
-        self.passes = 0
-        self.failed_passes = 0
-        self._m_pass_failures = gc.metrics.counter(
-            "gc_pass_failures_total",
-            "Compaction passes aborted by an unexpected error.",
-        )
-        self._stop = threading.Event()
-        self._wake = threading.Event()
-        self._thread: threading.Thread | None = None
-        self._lock = threading.Lock()
-
-    def _loop(self) -> None:
-        # A failing pass must never kill the thread: a daemon that died
-        # silently looks healthy while dead space grows unbounded.  The
-        # error is recorded and the next interval retries.
-        while not self._stop.is_set():
-            try:
-                self.run_now()
-            except Exception as exc:  # noqa: BLE001 - keep the loop alive
-                self.last_error = exc
-                self.failed_passes += 1
-                self._m_pass_failures.inc()
-            self._wake.wait(self.interval)
-            self._wake.clear()
-
-    def run_now(self) -> CompactionReport:
-        with self._lock:
-            report = self.gc.run_once()
-            self.last_report = report
-            self.last_error = None
-            self.passes += 1
-            return report
-
-    def start(self) -> None:
-        if self._thread is not None:
-            return
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._loop, name="reed-compaction", daemon=True
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        if self._thread is None:
-            return
-        self._stop.set()
-        self._wake.set()
-        self._thread.join()
-        self._thread = None
-
-    def __enter__(self) -> "CompactionDaemon":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()

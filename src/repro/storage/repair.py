@@ -13,7 +13,9 @@ available through node failures, but leaves two kinds of debt behind:
 :class:`ReplicaRepairer` pays the first debt: it scans every node's
 inventory (the ``chunk_list``/``recipe_list``/``stub_list`` surface),
 compares it against ring ownership, and re-replicates anything missing
-from an owner, copying from any intact holder.  Corruption detection
+from an owner, copying from any intact holder.  A file's metadata moves
+as one ``(stub file, recipe)`` pair (``file_get_many``/``file_commit``):
+a node holds a file only when it lists both objects.  Corruption detection
 runs :func:`repro.storage.fsck.fsck` when a node is an in-process
 :class:`~repro.core.server.REEDServer` (its
 :class:`~repro.storage.datastore.DataStore` is directly reachable), and
@@ -39,7 +41,6 @@ garbage-collection item on the roadmap).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 from repro.core.server import REEDServer
@@ -50,7 +51,8 @@ from repro.storage.fsck import fsck
 from repro.storage.sharding import ShardedStorageService
 from repro.util.errors import ConfigurationError, NotFoundError, ProtocolError
 
-#: Chunk copies per batched transfer (one ``get_many``/``put_many`` pair).
+#: Keys per batched copy (one ``get_many``/``put_many`` or
+#: ``file_get_many``/``file_commit`` pair).
 REPAIR_BATCH = 128
 
 #: Exceptions that mean "the node, not the request, failed" — a node
@@ -75,6 +77,39 @@ def _replay_refcounts(
         store.node_addref_many(target, extra)
 
 
+def _copy_chunks(
+    store: ShardedStorageService, source: str, target: str, batch: list[bytes]
+) -> None:
+    blobs = store.node_get_many(source, batch)
+    store.node_put_many(target, list(zip(batch, blobs)))
+    _replay_refcounts(store, source, target, batch)
+
+
+def _copy_files(
+    store: ShardedStorageService, source: str, target: str, batch: list[str]
+) -> None:
+    pairs = store.node_file_get_many(source, batch)
+    store.node_file_commit(
+        target,
+        [(file_id, stub, recipe) for file_id, (stub, recipe) in zip(batch, pairs)],
+    )
+
+
+def _files_on(store: ShardedStorageService, node: str) -> tuple[set[str], set[str]]:
+    """(every file id the node lists, the ids it holds in full)."""
+    stubs = set(store.node_stub_list(node))
+    recipes = set(store.node_recipe_list(node))
+    return stubs | recipes, stubs & recipes
+
+
+def _batches(plans: dict[str, dict[str, list]]):
+    """``(source, target, keys)`` per batched copy of a target→source plan."""
+    for target, sources in plans.items():
+        for source, keys in sources.items():
+            for start in range(0, len(keys), REPAIR_BATCH):
+                yield source, target, keys[start : start + REPAIR_BATCH]
+
+
 def _local_store(store: ShardedStorageService, node: str) -> DataStore | None:
     """The node's data store when the node is an in-process server."""
     service = store.node_service(node)
@@ -97,15 +132,15 @@ class RepairReport:
     #: Replicas whose stored bytes failed their integrity check.
     corrupt_replicas: int = 0
     chunks_repaired: int = 0
-    recipes_repaired: int = 0
-    stubs_repaired: int = 0
+    #: Files whose ``(stub file, recipe)`` pair was copied to an owner.
+    files_repaired: int = 0
     #: (key, owner) pairs that could not be restored — no intact holder
     #: or the copy itself failed.  Nonzero means data is at risk.
     unrepaired: int = 0
 
     @property
     def repairs(self) -> int:
-        return self.chunks_repaired + self.recipes_repaired + self.stubs_repaired
+        return self.chunks_repaired + self.files_repaired
 
 
 @dataclass
@@ -122,9 +157,10 @@ class ReplicaRepairer:
     """Scan-and-repair engine over the replication engine.
 
     Uses the engine's per-node surface (``node_chunk_list``,
-    ``node_get_many``, ``node_put_many``, the recipe/stub equivalents,
-    and ``node_refcounts``/``node_addref_many`` for reference-count
-    replay), which works the same over in-process servers and RPC stubs.
+    ``node_get_many``, ``node_put_many``, the recipe/stub listings with
+    ``node_file_get_many``/``node_file_commit``, and
+    ``node_refcounts``/``node_addref_many`` for reference-count replay),
+    which works the same over in-process servers and RPC stubs.
     """
 
     def __init__(
@@ -151,6 +187,11 @@ class ReplicaRepairer:
         self._m_scans = self.metrics.counter(
             "repair_scans_total",
             "Repair scans completed.",
+        )
+        #: Bumped by the background daemon for every pass that raised.
+        self.pass_failures = self.metrics.counter(
+            "repair_scan_failures_total",
+            "Repair passes aborted by an unexpected error.",
         )
 
     # -- inventory --------------------------------------------------------------
@@ -238,7 +279,7 @@ class ReplicaRepairer:
     # -- the scan ---------------------------------------------------------------
 
     def run_once(self) -> RepairReport:
-        """One full scan-and-repair pass over chunks, recipes, and stubs.
+        """One full scan-and-repair pass over chunks and files.
 
         A node failing mid-scan (e.g. dying between the liveness probe
         and its inventory read) is excluded from the pass instead of
@@ -271,13 +312,22 @@ class ReplicaRepairer:
                 holders.setdefault(fp, set())
         report.nodes_scanned = len(live)
         report.chunks_checked = len(holders)
-        failed = set(report.failed_nodes)
+        plans = self._plan(holders, set(report.failed_nodes), report)
+        report.chunks_repaired = self._copy(plans, _copy_chunks, report)
+        report.files_repaired = self._repair_files(live, report)
+        self._m_missing.set(float(report.unrepaired))
+        self._m_scans.inc()
+        return report
 
-        # Plan: target node -> source node -> fingerprints to copy.
-        plans: dict[str, dict[str, list[bytes]]] = {}
-        for fp, holding in holders.items():
-            owners = self._owners_of(fp, failed)
-            lacking = [node for node in owners if node not in holding]
+    def _plan(
+        self, holders: dict, failed: set[str], report: RepairReport
+    ) -> dict[str, dict[str, list]]:
+        """Target node -> source node -> keys its owners lack."""
+        plans: dict[str, dict[str, list]] = {}
+        for key, holding in holders.items():
+            lacking = [
+                node for node in self._owners_of(key, failed) if node not in holding
+            ]
             if not lacking:
                 continue
             report.missing_replicas += len(lacking)
@@ -286,155 +336,43 @@ class ReplicaRepairer:
                 continue
             source = min(holding)  # deterministic pick
             for target in lacking:
-                plans.setdefault(target, {}).setdefault(source, []).append(fp)
+                plans.setdefault(target, {}).setdefault(source, []).append(key)
+        return plans
 
-        for target, sources in plans.items():
-            for source, fps in sources.items():
-                for start in range(0, len(fps), REPAIR_BATCH):
-                    batch = fps[start : start + REPAIR_BATCH]
-                    try:
-                        blobs = self.store.node_get_many(source, batch)
-                        self.store.node_put_many(
-                            target, list(zip(batch, blobs))
-                        )
-                        _replay_refcounts(self.store, source, target, batch)
-                    except Exception:  # noqa: BLE001 - keep scanning
-                        report.unrepaired += len(batch)
-                        continue
-                    report.chunks_repaired += len(batch)
-                    self._m_repairs.inc(len(batch))
+    def _copy(self, plans, copy, report: RepairReport) -> int:
+        """Run every batched copy of ``plans``; returns the keys copied."""
+        copied = 0
+        for source, target, batch in _batches(plans):
+            try:
+                copy(self.store, source, target, batch)
+            except Exception:  # noqa: BLE001 - keep scanning
+                report.unrepaired += len(batch)
+                continue
+            copied += len(batch)
+            self._m_repairs.inc(len(batch))
+        return copied
 
-        report.recipes_repaired = self._repair_named(
-            live,
-            self.store.node_recipe_list,
-            self.store.node_recipe_get,
-            self.store.node_recipe_put,
-            report,
-        )
-        report.stubs_repaired = self._repair_named(
-            live,
-            self.store.node_stub_list,
-            self.store.node_stub_get,
-            self.store.node_stub_put,
-            report,
-        )
-        self._m_missing.set(float(report.unrepaired))
-        self._m_scans.inc()
-        return report
+    def _repair_files(self, live: list[str], report: RepairReport) -> int:
+        """Re-replicate file metadata, one ``(stub file, recipe)`` pair
+        per file.
 
-    def _repair_named(self, live, list_fn, get_fn, put_fn, report) -> int:
-        """Re-replicate one named-blob namespace (recipes or stub files)."""
+        An owner left with one object (an interrupted commit) counts as
+        lacking and receives the full pair; a file no up node holds in
+        full is counted unrepaired and never half-copied.
+        """
         holders: dict[str, set[str]] = {}
         for node in live:
-            if node in report.failed_nodes:
-                continue
             try:
-                listing = list_fn(node)
+                listed, full = _files_on(self.store, node)
             except Exception as exc:  # noqa: BLE001 - node died mid-scan
                 self._exclude_node(node, exc, report)
                 continue
-            for file_id in listing:
-                holders.setdefault(file_id, set()).add(node)
-        failed = set(report.failed_nodes)
-        repaired = 0
-        for file_id, holding in holders.items():
-            owners = self._owners_of(file_id, failed)
-            lacking = [node for node in owners if node not in holding]
-            if not lacking:
-                continue
-            report.missing_replicas += len(lacking)
-            try:
-                data = get_fn(min(holding), file_id)
-            except Exception:  # noqa: BLE001 - keep scanning
-                report.unrepaired += len(lacking)
-                continue
-            for target in lacking:
-                try:
-                    put_fn(target, file_id, data)
-                except Exception:  # noqa: BLE001 - keep scanning
-                    report.unrepaired += 1
-                    continue
-                repaired += 1
-                self._m_repairs.inc()
-        return repaired
-
-
-class RepairDaemon:
-    """Background thread running :meth:`ReplicaRepairer.run_once` on an
-    interval — the deployment's self-healing loop.
-
-    Use as a context manager or call :meth:`start`/:meth:`stop`.
-    :meth:`run_now` forces an immediate pass (tests, post-restart).
-    """
-
-    def __init__(
-        self,
-        repairer: ReplicaRepairer,
-        interval: float = 30.0,
-    ) -> None:
-        if interval <= 0:
-            raise ConfigurationError("repair interval must be positive")
-        self.repairer = repairer
-        self.interval = interval
-        self.last_report: RepairReport | None = None
-        #: Exception that aborted the most recent pass (None after a
-        #: pass completes) — the daemon's health surface.
-        self.last_error: Exception | None = None
-        self.passes = 0
-        self.failed_passes = 0
-        self._m_scan_failures = repairer.metrics.counter(
-            "repair_scan_failures_total",
-            "Repair passes aborted by an unexpected error.",
-        )
-        self._stop = threading.Event()
-        self._wake = threading.Event()
-        self._thread: threading.Thread | None = None
-        self._lock = threading.Lock()
-
-    def _loop(self) -> None:
-        # A failing pass must never kill the thread: a daemon that died
-        # silently looks healthy while the deployment stops self-healing.
-        # The error is recorded and the next interval retries.
-        while not self._stop.is_set():
-            try:
-                self.run_now()
-            except Exception as exc:  # noqa: BLE001 - keep the loop alive
-                self.last_error = exc
-                self.failed_passes += 1
-                self._m_scan_failures.inc()
-            self._wake.wait(self.interval)
-            self._wake.clear()
-
-    def run_now(self) -> RepairReport:
-        with self._lock:
-            report = self.repairer.run_once()
-            self.last_report = report
-            self.last_error = None
-            self.passes += 1
-            return report
-
-    def start(self) -> None:
-        if self._thread is not None:
-            raise ConfigurationError("repair daemon already started")
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._loop, name="reed-repair", daemon=True
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._stop.set()
-        self._wake.set()
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-
-    def __enter__(self) -> RepairDaemon:
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+            for file_id in listed:
+                holding = holders.setdefault(file_id, set())
+                if file_id in full:
+                    holding.add(node)
+        plans = self._plan(holders, set(report.failed_nodes), report)
+        return self._copy(plans, _copy_files, report)
 
 
 def rebalance(
@@ -459,65 +397,31 @@ def rebalance(
     report = RebalanceReport()
     live = [node for node in store.node_ids() if store.ring.is_up(node)]
 
-    # Chunks.
-    holders: dict[bytes, set[str]] = {}
-    for node in live:
-        for fp in store.node_chunk_list(node):
-            holders.setdefault(fp, set()).add(node)
-    plans: dict[str, dict[str, list[bytes]]] = {}
-    for fp, holding in holders.items():
-        report.keys_checked += 1
-        old_owners = set(old_ring.preference(fp, store.replicas))
-        new_owners = set(store.ring.preference(fp, store.replicas))
-        if new_owners == old_owners:
-            continue
-        report.keys_moved += 1
-        moved_total.inc()
-        targets = [
-            node
-            for node in new_owners - holding
-            if store.ring.is_up(node)
-        ]
-        if not targets or not holding:
-            continue
-        source = min(holding)
-        for target in targets:
-            plans.setdefault(target, {}).setdefault(source, []).append(fp)
-    for target, sources in plans.items():
-        for source, fps in sources.items():
-            for start in range(0, len(fps), REPAIR_BATCH):
-                batch = fps[start : start + REPAIR_BATCH]
-                blobs = store.node_get_many(source, batch)
-                store.node_put_many(target, list(zip(batch, blobs)))
-                _replay_refcounts(store, source, target, batch)
-                report.copies_made += len(batch)
-
-    # Recipes and stub files.
-    for list_fn, get_fn, put_fn in (
-        (store.node_recipe_list, store.node_recipe_get, store.node_recipe_put),
-        (store.node_stub_list, store.node_stub_get, store.node_stub_put),
-    ):
-        named: dict[str, set[str]] = {}
-        for node in live:
-            for file_id in list_fn(node):
-                named.setdefault(file_id, set()).add(node)
-        for file_id, holding in named.items():
+    def plan(holders: dict) -> dict[str, dict[str, list]]:
+        plans: dict[str, dict[str, list]] = {}
+        for key, holding in holders.items():
             report.keys_checked += 1
-            old_owners = set(old_ring.preference(file_id, store.replicas))
-            new_owners = set(store.ring.preference(file_id, store.replicas))
+            old_owners = set(old_ring.preference(key, store.replicas))
+            new_owners = set(store.ring.preference(key, store.replicas))
             if new_owners == old_owners:
                 continue
             report.keys_moved += 1
             moved_total.inc()
-            targets = [
-                node
-                for node in new_owners - holding
-                if store.ring.is_up(node)
-            ]
-            if not targets or not holding:
-                continue
-            data = get_fn(min(holding), file_id)
-            for target in targets:
-                put_fn(target, file_id, data)
-                report.copies_made += 1
+            source = min(holding)
+            for target in new_owners - holding:
+                if store.ring.is_up(target):
+                    plans.setdefault(target, {}).setdefault(source, []).append(key)
+        return plans
+
+    chunk_holders: dict[bytes, set[str]] = {}
+    file_holders: dict[str, set[str]] = {}
+    for node in live:
+        for fp in store.node_chunk_list(node):
+            chunk_holders.setdefault(fp, set()).add(node)
+        for file_id in _files_on(store, node)[1]:
+            file_holders.setdefault(file_id, set()).add(node)
+    for holders, copy in ((chunk_holders, _copy_chunks), (file_holders, _copy_files)):
+        for source, target, batch in _batches(plan(holders)):
+            copy(store, source, target, batch)
+            report.copies_made += len(batch)
     return report

@@ -515,55 +515,6 @@ class ShardedStorageService:
                 )
         return results
 
-    def _write_meta(self, file_id: str, call, tolerate=()) -> None:
-        """Single-item replicated write (recipe/stub put and delete)."""
-        successes = 0
-        attempted = 0
-        first_error: Exception | None = None
-        for node in self._owners(file_id):
-            if not self.ring.is_up(node):
-                continue
-            attempted += 1
-            self._trip(node)
-            try:
-                call(self._services[node])
-                successes += 1
-            except tolerate:
-                successes += 1
-            except Exception as exc:  # noqa: BLE001 - folded into quorum
-                self._note_failure(node, exc)
-                if first_error is None:
-                    first_error = exc
-        if successes < self.write_quorum:
-            if first_error is not None:
-                raise first_error
-            raise StorageError(
-                f"write quorum {self.write_quorum} not met for {file_id!r} "
-                f"({successes}/{attempted} replicas reachable)"
-            )
-        if successes < self.replicas:
-            self._m_degraded.inc()
-
-    def _read_meta(self, file_id: str, call):
-        """Single-item read walking the owners in preference order."""
-        last: Exception | None = None
-        for node in self._owners(file_id):
-            if not self.ring.is_up(node):
-                continue
-            self._trip(node)
-            try:
-                value = call(self._services[node])
-            except Exception as exc:  # noqa: BLE001 - next replica
-                self._note_failure(node, exc)
-                last = exc
-                continue
-            if last is not None:
-                self._m_fallbacks.inc()
-            return value
-        if last is not None:
-            raise last
-        raise StorageError(f"no live replica holds {file_id!r}")
-
     # -- chunk API --------------------------------------------------------------
 
     def chunk_exists_batch(self, fingerprints: list[bytes]) -> list[bool]:
@@ -612,19 +563,6 @@ class ShardedStorageService:
                         retry.append(position)
             unresolved = retry
         return flags
-
-    def chunk_put_batch(self, chunks: list[tuple[bytes, bytes]]) -> int:
-        """Count-reply batch put over :meth:`chunk_put_many`.
-
-        Every item is attempted (an honest chunk queued behind a forged
-        one still lands), then the first per-item error is raised, since
-        this entry point has no per-item error channel.
-        """
-        statuses = self.chunk_put_many(chunks)
-        for status in statuses:
-            if isinstance(status, Exception):
-                raise status
-        return sum(1 for status in statuses if status is True)
 
     def chunk_put_many(
         self, chunks: list[tuple[bytes, bytes]], flush: bool = False
@@ -861,24 +799,7 @@ class ShardedStorageService:
                 f"({successes[position]}/{len(owners)} replicas up)"
             )
 
-    # -- recipes and stub files --------------------------------------------------
-
-    def recipe_put(self, file_id: str, data: bytes) -> None:
-        self._write_meta(
-            file_id, lambda service: service.recipe_put(file_id, data)
-        )
-
-    def recipe_get(self, file_id: str) -> bytes:
-        return self._read_meta(
-            file_id, lambda service: service.recipe_get(file_id)
-        )
-
-    def recipe_delete(self, file_id: str) -> None:
-        self._write_meta(
-            file_id,
-            lambda service: service.recipe_delete(file_id),
-            tolerate=(NotFoundError,),
-        )
+    # -- file metadata (upload, restore, rekey, delete and listing) ------------
 
     def recipe_list(self) -> list[str]:
         names: set[str] = set()
@@ -888,25 +809,6 @@ class ShardedStorageService:
             self._trip(node)
             names.update(self._services[node].recipe_list())
         return sorted(names)
-
-    def stub_put(self, file_id: str, data: bytes) -> None:
-        self._write_meta(
-            file_id, lambda service: service.stub_put(file_id, data)
-        )
-
-    def stub_get(self, file_id: str) -> bytes:
-        return self._read_meta(
-            file_id, lambda service: service.stub_get(file_id)
-        )
-
-    def stub_delete(self, file_id: str) -> None:
-        self._write_meta(
-            file_id,
-            lambda service: service.stub_delete(file_id),
-            tolerate=(NotFoundError,),
-        )
-
-    # -- batched metadata (upload, restore, rekey and delete) ------------------
 
     def _scatter_meta_gets(
         self, method: str, file_ids: list[str]
@@ -1138,22 +1040,26 @@ class ShardedStorageService:
         self._trip(node_id)
         return self.node_service(node_id).recipe_list()
 
-    def node_recipe_get(self, node_id: str, file_id: str) -> bytes:
-        self._trip(node_id)
-        return self.node_service(node_id).recipe_get(file_id)
-
-    def node_recipe_put(self, node_id: str, file_id: str, data: bytes) -> None:
-        self._trip(node_id)
-        self.node_service(node_id).recipe_put(file_id, data)
-
     def node_stub_list(self, node_id: str) -> list[str]:
         self._trip(node_id)
         return self.node_service(node_id).stub_list()
 
-    def node_stub_get(self, node_id: str, file_id: str) -> bytes:
+    def node_file_get_many(
+        self, node_id: str, file_ids: list[str]
+    ) -> list[tuple[bytes, bytes]]:
+        """``(stub_file, recipe)`` per file from one node; raises the
+        first per-item error."""
         self._trip(node_id)
-        return self.node_service(node_id).stub_get(file_id)
+        pairs = self.node_service(node_id).file_get_many(file_ids)
+        for pair in pairs:
+            if isinstance(pair, Exception):
+                raise pair
+        return pairs
 
-    def node_stub_put(self, node_id: str, file_id: str, data: bytes) -> None:
+    def node_file_commit(
+        self, node_id: str, items: list[tuple[str, bytes, bytes]]
+    ) -> None:
         self._trip(node_id)
-        self.node_service(node_id).stub_put(file_id, data)
+        for status in self.node_service(node_id).file_commit(items):
+            if isinstance(status, Exception):
+                raise status

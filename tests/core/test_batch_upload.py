@@ -88,7 +88,7 @@ class TestBitIdenticalToPerChunkPath:
         try:
             client = cluster.new_client("alice", **client_kwargs)
             result = client.upload("file", make_data(n))
-            recipe = client.storage.recipe_get("file")
+            [recipe] = client.storage.recipe_get_many(["file"])
             fingerprints = [
                 ref.fingerprint for ref in FileRecipe.decode(recipe).chunks
             ]

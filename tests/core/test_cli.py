@@ -227,7 +227,7 @@ class TestParser:
                     (fingerprint(bytes([i]) * 64), bytes([i]) * 64)
                     for i in range(8)
                 ]
-                remote.chunk_put_batch(pairs)
+                remote.chunk_put_many(pairs)
                 remote.flush()
                 remote.chunk_release_batch([fp for fp, _ in pairs[:4]])
                 deadline = time.monotonic() + 10
@@ -372,3 +372,46 @@ class TestGcCommand:
             "download", *args, "--id", "gc-kept", "--out", str(out),
         ]) == 0
         assert out.read_bytes() == block
+
+
+class TestRingRepair:
+    def test_repair_copies_files_as_pairs(self, org_dir, capsys):
+        """`reed ring repair` gives the replica that lacks a file its full
+        ``(stub file, recipe)`` pair and reports the file count."""
+        from repro.core.service import RemoteStorageService
+        from repro.crypto.hashing import fingerprint
+        from repro.net.tcp import TcpConnection
+
+        org = OrgState(org_dir)
+        servers = [start_service("storage", org) for _ in range(2)]
+
+        def remote_call(server, fn):
+            connection = TcpConnection(*server.address)
+            try:
+                return fn(RemoteStorageService(connection.client()))
+            finally:
+                connection.close()
+
+        try:
+            data = b"written to the first node only"
+            remote_call(
+                servers[0],
+                lambda remote: (
+                    remote.chunk_put_many([(fingerprint(data), data)]),
+                    remote.file_commit([("lonely", b"stub", b"recipe")]),
+                ),
+            )
+            endpoints = ",".join(
+                f"{host}:{port}" for host, port in (s.address for s in servers)
+            )
+            assert main([
+                "ring", "repair", "--storage", endpoints, "--replicas", "2",
+            ]) == 0
+            out = capsys.readouterr().out
+            assert "repaired 1 chunks, 1 files (0 unrepaired)" in out
+            assert remote_call(
+                servers[1], lambda remote: remote.file_get_many(["lonely"])
+            ) == [(b"stub", b"recipe")]
+        finally:
+            for server in servers:
+                server.stop()

@@ -139,15 +139,17 @@ class TestDownload:
 
     def test_corrupted_stub_file_aborts(self, system, alice, data):
         alice.upload("f1", data)
-        blob = bytearray(system.storage.stub_get("f1"))
+        [(stub_file, recipe)] = system.storage.file_get_many(["f1"])
+        blob = bytearray(stub_file)
         blob[len(blob) // 2] ^= 0x01
-        system.storage.stub_put("f1", bytes(blob))
+        system.storage.file_commit([("f1", bytes(blob), recipe)])
         with pytest.raises(IntegrityError):
             alice.download("f1")
 
     def test_recipe_size_mismatch_detected(self, system, alice, data):
         alice.upload("f1", data)
-        recipe = FileRecipe.decode(system.storage.recipe_get("f1"))
+        [(stub_file, recipe_bytes)] = system.storage.file_get_many(["f1"])
+        recipe = FileRecipe.decode(recipe_bytes)
         truncated = FileRecipe(
             file_id=recipe.file_id,
             pathname=recipe.pathname,
@@ -156,7 +158,7 @@ class TestDownload:
             key_version=recipe.key_version,
             chunks=recipe.chunks[:-1],
         )
-        system.storage.recipe_put("f1", truncated.encode())
+        system.storage.file_commit([("f1", stub_file, truncated.encode())])
         with pytest.raises(IntegrityError):
             alice.download("f1")
 
@@ -177,11 +179,11 @@ class TestRekey:
 
     def test_active_rekey_reencrypts_stub(self, system, alice, data):
         alice.upload("f1", data, policy=FilePolicy.for_users(["alice", "bob"]))
-        before = system.storage.stub_get("f1")
+        before = system.storage.file_get_many(["f1"])[0][0]
         result = alice.rekey(
             "f1", FilePolicy.for_users(["alice"]), RevocationMode.ACTIVE
         )
-        after = system.storage.stub_get("f1")
+        after = system.storage.file_get_many(["f1"])[0][0]
         assert result.stub_bytes_reencrypted == len(before) + len(after)
         assert before != after
         assert alice.download("f1").data == data
@@ -252,7 +254,7 @@ class TestPathnameObfuscation:
         client = system.new_client("salty")
         client.pathname_salt = b"org-wide-salt"
         client.upload("f1", data, pathname="/home/salty/secret-project/plan.doc")
-        recipe = FileRecipe.decode(system.storage.recipe_get("f1"))
+        recipe = FileRecipe.decode(system.storage.recipe_get_many(["f1"])[0])
         assert "secret-project" not in recipe.pathname
         assert recipe.pathname == obfuscate_pathname(
             "/home/salty/secret-project/plan.doc", b"org-wide-salt"
@@ -265,7 +267,7 @@ class TestPathnameObfuscation:
 
         client = system.new_client("plain")
         client.upload("f1", data, pathname="/tmp/visible")
-        recipe = FileRecipe.decode(system.storage.recipe_get("f1"))
+        recipe = FileRecipe.decode(system.storage.recipe_get_many(["f1"])[0])
         assert recipe.pathname == "/tmp/visible"
 
     def test_same_pathname_same_obfuscation_across_snapshots(self, system, data):
@@ -275,8 +277,8 @@ class TestPathnameObfuscation:
         client.pathname_salt = b"salt"
         client.upload("day1", data, pathname="/home/x")
         client.upload("day2", data, pathname="/home/x")
-        r1 = FileRecipe.decode(system.storage.recipe_get("day1"))
-        r2 = FileRecipe.decode(system.storage.recipe_get("day2"))
+        r1 = FileRecipe.decode(system.storage.recipe_get_many(["day1"])[0])
+        r2 = FileRecipe.decode(system.storage.recipe_get_many(["day2"])[0])
         assert r1.pathname == r2.pathname
 
 

@@ -46,12 +46,27 @@ def wired(rsa_512):
 
 
 class TestRemoteStorage:
+    def test_registered_methods(self):
+        """One batch RPC per operation: no single-item metadata calls,
+        no count-reply put, no second name for ``has_many``."""
+        registry = ServiceRegistry(metrics=MetricsRegistry())
+        register_storage_service(registry, REEDServer())
+        assert registry.methods() == sorted(
+            "storage." + name
+            for name in (
+                "has_many", "put_many", "get", "release", "refcounts",
+                "addref", "recipe_list", "stub_list", "recipe_get_many",
+                "file_commit", "file_get_many", "meta_delete_many", "flush",
+                "chunk_list", "gc",
+            )
+        )
+
     def test_chunk_roundtrip(self, wired):
         _server, _ks, _km, rpc = wired
         remote = RemoteStorageService(rpc)
         fp = fingerprint(b"chunk")
-        assert remote.chunk_put_batch([(fp, b"chunk")]) == 1
-        assert remote.chunk_put_batch([(fp, b"chunk")]) == 0
+        assert remote.chunk_put_many([(fp, b"chunk")]) == [True]
+        assert remote.chunk_put_many([(fp, b"chunk")]) == [False]
         assert remote.chunk_exists_batch([fp, b"\x00" * 32]) == [True, False]
         assert remote.chunk_get_batch([fp]) == [b"chunk"]
         remote.chunk_release_batch([fp])
@@ -65,7 +80,7 @@ class TestRemoteStorage:
         _server, _ks, _km, rpc = wired
         remote = RemoteStorageService(rpc)
         fp = fingerprint(b"held")
-        remote.chunk_put_batch([(fp, b"held")])
+        remote.chunk_put_many([(fp, b"held")])
         remote.chunk_release_batch([fingerprint(b"never-stored"), fp])
         assert remote.chunk_exists_batch([fp]) == [False]
 
@@ -73,8 +88,8 @@ class TestRemoteStorage:
         _server, _ks, _km, rpc = wired
         remote = RemoteStorageService(rpc)
         fp = fingerprint(b"counted")
-        remote.chunk_put_batch([(fp, b"counted")])
-        remote.chunk_put_batch([(fp, b"counted")])  # dedup hit: refcount 2
+        remote.chunk_put_many([(fp, b"counted")])
+        remote.chunk_put_many([(fp, b"counted")])  # dedup hit: refcount 2
         missing = fingerprint(b"unknown")
         assert remote.chunk_refcount_batch([fp, missing]) == [2, 0]
         remote.chunk_addref_batch([(fp, 3)])
@@ -85,28 +100,30 @@ class TestRemoteStorage:
     def test_recipes_and_stubs(self, wired):
         _server, _ks, _km, rpc = wired
         remote = RemoteStorageService(rpc)
-        remote.recipe_put("f", b"r")
-        assert remote.recipe_get("f") == b"r"
+        assert remote.file_commit([("f", b"s", b"r")]) == [None]
+        assert remote.recipe_get_many(["f"]) == [b"r"]
+        assert remote.file_get_many(["f"]) == [(b"s", b"r")]
         assert remote.recipe_list() == ["f"]
-        remote.stub_put("f", b"s")
-        assert remote.stub_get("f") == b"s"
-        remote.stub_delete("f")
-        remote.recipe_delete("f")
+        assert remote.stub_list() == ["f"]
+        assert remote.meta_delete_many(["f"]) == [None]
         assert remote.recipe_list() == []
+        assert remote.stub_list() == []
         remote.flush()
 
     def test_errors_propagate(self, wired):
         _server, _ks, _km, rpc = wired
         remote = RemoteStorageService(rpc)
         with pytest.raises(NotFoundError):
-            remote.recipe_get("missing")
+            remote.chunk_get_batch([fingerprint(b"missing")])
+        [item] = remote.recipe_get_many(["missing"])
+        assert isinstance(item, NotFoundError)
 
 
 class TestGcRpc:
     def _seed_dead_space(self, server, rpc):
         remote = RemoteStorageService(rpc)
         pairs = [(fingerprint(bytes([i]) * 64), bytes([i]) * 64) for i in range(8)]
-        remote.chunk_put_batch(pairs)
+        remote.chunk_put_many(pairs)
         remote.flush()
         remote.chunk_release_batch([fp for fp, _ in pairs[:4]])
         return remote, pairs

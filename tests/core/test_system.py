@@ -20,20 +20,19 @@ class TestShardedStorageService:
     def test_chunk_roundtrip_and_order(self, sharded):
         chunks = [bytes([i]) * 50 for i in range(20)]
         payload = [(fingerprint(c), c) for c in chunks]
-        assert sharded.chunk_put_batch(payload) == 20
+        assert sharded.chunk_put_many(payload) == [True] * 20
         fetched = sharded.chunk_get_batch([fp for fp, _ in payload])
         assert fetched == chunks
 
     def test_dedup_preserved_across_shards(self, sharded):
         payload = [(fingerprint(b"dup"), b"dup")]
-        assert sharded.chunk_put_batch(payload) == 1
-        assert sharded.chunk_put_batch(payload) == 0
+        assert sharded.chunk_put_many(payload) == [True]
+        assert sharded.chunk_put_many(payload) == [False]
 
     def test_file_data_routing(self, sharded):
-        sharded.recipe_put("file-x", b"r")
-        sharded.stub_put("file-x", b"s")
-        assert sharded.recipe_get("file-x") == b"r"
-        assert sharded.stub_get("file-x") == b"s"
+        sharded.file_commit([("file-x", b"s", b"r")])
+        assert sharded.recipe_get_many(["file-x"]) == [b"r"]
+        assert sharded.file_get_many(["file-x"]) == [(b"s", b"r")]
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -50,7 +49,7 @@ class TestReplicatedRelease:
         down = sharded.node_ids()[0]
         sharded.mark_down(down)
         chunks = [(fingerprint(b"rel-%d" % i), b"rel-%d" % i) for i in range(24)]
-        sharded.chunk_put_batch(chunks)
+        sharded.chunk_put_many(chunks)
         sharded.mark_up(down)
         fps = [fp for fp, _ in chunks]
         sharded.chunk_release_batch(fps)  # must not raise
@@ -71,7 +70,7 @@ class TestReplicatedRelease:
             [REEDServer() for _ in range(3)], replicas=2
         )
         chunks = [(fingerprint(b"dd-%d" % i), b"dd-%d" % i) for i in range(24)]
-        sharded.chunk_put_batch(chunks)
+        sharded.chunk_put_many(chunks)
         victim = sharded.node_ids()[0]
         survivors = {
             node: sharded.node_service(node)

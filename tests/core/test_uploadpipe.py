@@ -64,11 +64,12 @@ def _upload(
         for name in backend.list("container/"):
             containers[index, name] = backend.get(name)
     assert client.download("file").data == data
+    [(stub_file, recipe)] = system.storage.file_get_many(["file"])
     return {
         "result": result,
         "mle_keys": dict(keys),
-        "recipe": system.storage.recipe_get("file"),
-        "stub_file": system.storage.stub_get("file"),
+        "recipe": recipe,
+        "stub_file": stub_file,
         "containers": containers,
     }
 
@@ -201,10 +202,10 @@ class TestAbort:
         return system, client
 
     def _assert_nothing_written(self, system, client):
-        with pytest.raises(NotFoundError):
-            system.storage.recipe_get("file")
-        with pytest.raises(NotFoundError):
-            system.storage.stub_get("file")
+        [recipe] = system.storage.recipe_get_many(["file"])
+        assert isinstance(recipe, NotFoundError)
+        for server in system.servers:
+            assert "file" not in server.store.list_stub_files()
         with pytest.raises(NotFoundError):
             system.keystore.get("file")
         assert _upload_threads() == []

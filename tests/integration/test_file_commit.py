@@ -58,7 +58,8 @@ def test_folded_flush_survives_a_restart_of_every_node():
         files = {"solo": _data(b"solo")}
         result = alice.upload("solo", files["solo"])
 
-        refs = FileRecipe.decode(alice.storage.recipe_get("solo")).chunks
+        [recipe] = alice.storage.recipe_get_many(["solo"])
+        refs = FileRecipe.decode(recipe).chunks
         ring = alice.storage.ring
         last = {ring.primary(refs[-1].fingerprint)}
         earlier = {ring.primary(ref.fingerprint) for ref in refs[:-1]}

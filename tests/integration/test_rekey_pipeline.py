@@ -521,7 +521,8 @@ def test_corrupt_key_state_mid_window_raises_its_error_and_ships_nothing():
                 client.rekey_many(file_ids, policy, mode)
             assert _stored_state(cluster, file_ids) == before
 
-        client.storage.recipe_put(file_ids[3], b"not a recipe")
+        [(stub_file, _recipe)] = client.storage.file_get_many([file_ids[3]])
+        client.storage.file_commit([(file_ids[3], stub_file, b"not a recipe")])
         before = _stored_state(cluster, file_ids)
         with pytest.raises(CorruptionError):
             client.rekey_many(file_ids, policy, RevocationMode.ACTIVE)

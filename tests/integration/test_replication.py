@@ -15,7 +15,8 @@ from repro.chunking.chunker import ChunkingSpec
 from repro.core.cluster import TcpCluster
 from repro.obs.expo import parse_prometheus, render_prometheus
 from repro.obs.metrics import MetricsRegistry
-from repro.storage.repair import RepairDaemon, ReplicaRepairer
+from repro.storage.repair import ReplicaRepairer
+from repro.util.daemon import IntervalDaemon
 from repro.workloads.synthetic import unique_data
 
 
@@ -70,7 +71,10 @@ class TestKillMidUpload:
         cluster.restart_data_server(1)
         metrics = MetricsRegistry()
         repairer = ReplicaRepairer(storage, metrics=metrics)
-        with RepairDaemon(repairer, interval=60.0) as daemon:
+        daemon = IntervalDaemon(
+            repairer.run_once, repairer.pass_failures, interval=60.0
+        )
+        with daemon:
             deadline = time.monotonic() + 30
             while daemon.passes == 0 and time.monotonic() < deadline:
                 time.sleep(0.02)

@@ -116,7 +116,7 @@ class _BoundCheckingSink:
 class TestStreamingMemoryBound:
     def test_download_path_memory_bounded(self, stored):
         cluster, _alice, data = stored
-        recipe = FileRecipe.decode(cluster.storage.recipe_get("doc"))
+        recipe = FileRecipe.decode(cluster.storage.recipe_get_many(["doc"])[0])
         max_len = max(ref.length for ref in recipe.chunks)
         reader = cluster.new_client("alice", owner=False)
         spy = _CountingStorage(reader.storage)
@@ -139,7 +139,7 @@ class TestMissingChunks:
         alice = system.new_client("alice")
         data = unique_data(120_000, seed=23)
         alice.upload("victim", data)
-        recipe = FileRecipe.decode(system.storage.recipe_get("victim"))
+        recipe = FileRecipe.decode(system.storage.recipe_get_many(["victim"])[0])
         lost = recipe.chunks[len(recipe.chunks) // 2].fingerprint
         system.servers[0].store.release_chunk(lost)
         with pytest.raises(NotFoundError) as excinfo:

@@ -4,8 +4,20 @@ import random
 
 import pytest
 
-from repro.net.retry import RetryingRpcClient, RetryPolicy
+from repro.core.server import REEDServer
+from repro.core.service import (
+    register_key_manager,
+    register_keystate_service,
+    register_storage_service,
+)
+from repro.mle.keymanager import KeyManager
+from repro.net.retry import IDEMPOTENT_METHOD_SUFFIXES, RetryingRpcClient, RetryPolicy
 from repro.net.rpc import LoopbackTransport, ServiceRegistry
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.propagate import register_traces
+from repro.obs.rpc import register_metrics
+from repro.obs.tracing import Tracer
+from repro.storage.keystore import KeyStore
 from repro.util.errors import (
     ConfigurationError,
     IntegrityError,
@@ -248,7 +260,22 @@ class TestEndToEndWithStorage:
         )
         storage = RemoteStorageService(client)
         data = b"chunk bytes"
-        assert storage.chunk_put_batch([(fingerprint(data), data)]) == 1
+        assert storage.chunk_put_many([(fingerprint(data), data)]) == [True]
         assert storage.chunk_get_batch([fingerprint(data)]) == [data]
-        storage.recipe_put("f", b"r")
+        assert storage.file_commit([("f", b"s", b"r")]) == [None]
         assert storage.recipe_list() == ["f"]
+
+
+class TestIdempotentMethodList:
+    def test_every_suffix_names_a_registered_method(self, rsa_512):
+        """Each blind-retry suffix must match a method some ``register_*``
+        binding serves, so the list cannot drift from the wire surface."""
+        metrics = MetricsRegistry()
+        registry = ServiceRegistry(metrics=metrics)
+        register_storage_service(registry, REEDServer())
+        register_keystate_service(registry, KeyStore())
+        register_key_manager(registry, KeyManager(private_key=rsa_512))
+        register_metrics(registry, metrics)
+        register_traces(registry, Tracer(metrics=metrics))
+        served = {method.rsplit(".", 1)[-1] for method in registry.methods()}
+        assert sorted(IDEMPOTENT_METHOD_SUFFIXES - served) == []

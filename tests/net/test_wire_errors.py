@@ -97,4 +97,4 @@ class TestBatchPartialFailure:
         client, _server = tcp_service
         storage = RemoteStorageService(client)
         with pytest.raises(NotFoundError):
-            storage.recipe_get("never-written")
+            storage.chunk_get_batch([fingerprint(b"never-written")])

@@ -126,7 +126,7 @@ class TestFileAuditor:
         server = REEDServer()
         data = [bytes([i]) * 100 for i in range(20)]
         payload = [(fingerprint(d), d) for d in data]
-        server.chunk_put_batch(payload)
+        server.chunk_put_many(payload)
         auditor = FileAuditor(server, rng=HmacDrbg(b"a"))
         auditor.register("file", [fp for fp, _ in payload])
         assert auditor.audit("file", sample_size=8) == 8
@@ -135,7 +135,7 @@ class TestFileAuditor:
         server = REEDServer()
         data = [bytes([i]) * 100 for i in range(10)]
         payload = [(fingerprint(d), d) for d in data]
-        server.chunk_put_batch(payload)
+        server.chunk_put_many(payload)
         auditor = FileAuditor(server, rng=HmacDrbg(b"a"))
         auditor.register("file", [fp for fp, _ in payload])
         # The server loses a chunk (GC bug, disk loss...).

@@ -10,8 +10,9 @@ from repro.crypto.hashing import fingerprint
 from repro.obs.metrics import MetricsRegistry
 from repro.storage.backend import DirectoryBackend, MemoryBackend
 from repro.storage.datastore import DataStore
-from repro.storage.gc import CompactionDaemon, CompactionGC
+from repro.storage.gc import CompactionGC
 from repro.storage.sharding import ShardedStorageService
+from repro.util.daemon import IntervalDaemon
 from repro.util.errors import ConfigurationError
 
 
@@ -47,7 +48,7 @@ class TestConfiguration:
     def test_daemon_interval_validated(self):
         gc = CompactionGC(DataStore())
         with pytest.raises(ConfigurationError):
-            CompactionDaemon(gc, interval=0.0)
+            IntervalDaemon(gc.run_once, gc.pass_failures, interval=0.0)
 
 
 class TestCandidates:
@@ -333,7 +334,7 @@ class TestDaemon:
         for fp, _ in pairs[::2]:
             store.release_chunk(fp)
         gc = CompactionGC(store, threshold=0.5, metrics=registry)
-        with CompactionDaemon(gc, interval=0.01) as daemon:
+        with IntervalDaemon(gc.run_once, gc.pass_failures, interval=0.01) as daemon:
             deadline = time.monotonic() + 10
             while daemon.passes < 2 and time.monotonic() < deadline:
                 time.sleep(0.005)
@@ -356,7 +357,7 @@ class TestDaemon:
             return real_run_once(threshold)
 
         real_run_once, gc.run_once = gc.run_once, flaky
-        daemon = CompactionDaemon(gc, interval=0.01)
+        daemon = IntervalDaemon(gc.run_once, gc.pass_failures, interval=0.01)
         daemon.start()
         try:
             deadline = time.monotonic() + 10
@@ -368,25 +369,6 @@ class TestDaemon:
         assert daemon.passes >= 1  # recovered after the failure
         assert daemon.last_error is None  # cleared by the good pass
         assert registry.value("gc_pass_failures_total") == 1
-
-    def test_run_now_forces_a_pass(self):
-        store = DataStore(container_bytes=128)
-        pairs = fill(store, chunks=4, size=32)
-        for fp, _ in pairs[:2]:
-            store.release_chunk(fp)
-        daemon = CompactionDaemon(CompactionGC(store, threshold=0.5))
-        report = daemon.run_now()
-        assert report.compacted_containers == 1
-        assert daemon.passes == 1
-        assert daemon.last_report is report
-
-    def test_stop_idempotent(self):
-        daemon = CompactionDaemon(CompactionGC(DataStore()), interval=0.05)
-        daemon.stop()  # never started
-        daemon.start()
-        daemon.start()  # second start is a no-op
-        daemon.stop()
-        daemon.stop()
 
 
 class TestEngineOverMemoryBackend:

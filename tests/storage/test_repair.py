@@ -1,4 +1,5 @@
-"""Tests for the repair daemon and the ring rebalancer."""
+"""Tests for the replica repairer, its background daemon and the ring
+rebalancer."""
 
 import time
 
@@ -8,12 +9,9 @@ from repro.core.server import REEDServer
 from repro.crypto.hashing import fingerprint
 from repro.obs.metrics import MetricsRegistry
 from repro.storage.datastore import DataStore
-from repro.storage.repair import (
-    RepairDaemon,
-    ReplicaRepairer,
-    rebalance,
-)
+from repro.storage.repair import ReplicaRepairer, rebalance
 from repro.storage.sharding import ShardedStorageService
+from repro.util.daemon import IntervalDaemon
 from repro.util.errors import ConfigurationError, ProtocolError
 
 
@@ -51,8 +49,7 @@ class TestReplicaRepairer:
         store.mark_down(down)
         items = payloads(64)
         store.chunk_put_many(items)
-        store.recipe_put("file-a", b"recipe-bytes")
-        store.stub_put("file-a", b"stub-bytes")
+        store.file_commit([("file-a", b"stub-bytes", b"recipe-bytes")])
         store.mark_up(down)
 
         metrics = MetricsRegistry()
@@ -168,6 +165,55 @@ class TestReplicaRepairer:
             ReplicaRepairer(DataStore())
 
 
+class TestFileRepair:
+    """A file's metadata is repaired as one ``(stub file, recipe)`` pair."""
+
+    def _owners(self, store, file_id):
+        return store.ring.preference(file_id, store.replicas)
+
+    def test_stub_only_owner_receives_the_full_pair(self):
+        """An owner left with only the stub file by an interrupted commit
+        does not count as holding the file: it gets the full pair from a
+        full holder and then serves ``file_get_many``."""
+        store = make_store()
+        full, half = self._owners(store, "interrupted")
+        store.node_service(full).file_commit(
+            [("interrupted", b"stub-bytes", b"recipe-bytes")]
+        )
+        node_store(store, half).put_stub_file("interrupted", b"stub-bytes")
+
+        report = ReplicaRepairer(store, metrics=MetricsRegistry()).run_once()
+        assert report.missing_replicas == 1
+        assert report.files_repaired == 1
+        assert report.repairs == 1
+        assert report.unrepaired == 0
+        assert store.node_service(half).file_get_many(["interrupted"]) == [
+            (b"stub-bytes", b"recipe-bytes")
+        ]
+        assert ReplicaRepairer(store).run_once().missing_replicas == 0
+
+    def test_file_no_node_holds_in_full_is_unrepaired(self):
+        """With no whole copy anywhere, both owners count as unrepaired
+        and neither receives half a file."""
+        store = make_store()
+        stub_only, recipe_only = self._owners(store, "torn")
+        node_store(store, stub_only).put_stub_file("torn", b"stub-bytes")
+        node_store(store, recipe_only).put_recipe("torn", b"recipe-bytes")
+
+        metrics = MetricsRegistry()
+        report = ReplicaRepairer(store, metrics=metrics).run_once()
+        assert report.files_repaired == 0
+        assert report.missing_replicas == 2
+        assert report.unrepaired == 2
+        assert metrics.value("replicas_missing") == 2.0
+        assert not node_store(store, stub_only).has_recipe("torn")
+        assert node_store(store, recipe_only).list_stub_files() == []
+        for node in store.node_ids():
+            if node not in (stub_only, recipe_only):
+                assert node_store(store, node).list_recipes() == []
+                assert node_store(store, node).list_stub_files() == []
+
+
 class TestRepairDaemon:
     def test_background_passes(self):
         store = make_store()
@@ -175,7 +221,10 @@ class TestRepairDaemon:
         store.mark_down(down)
         store.chunk_put_many(payloads(8, tag=b"daemon"))
         store.mark_up(down)
-        daemon = RepairDaemon(ReplicaRepairer(store), interval=30.0)
+        repairer = ReplicaRepairer(store)
+        daemon = IntervalDaemon(
+            repairer.run_once, repairer.pass_failures, interval=30.0
+        )
         with daemon:
             report = daemon.run_now()
         assert daemon.passes >= 1
@@ -183,13 +232,15 @@ class TestRepairDaemon:
         assert daemon.last_report is not None
 
     def test_rejects_bad_interval(self):
+        repairer = ReplicaRepairer(make_store())
         with pytest.raises(ConfigurationError):
-            RepairDaemon(ReplicaRepairer(make_store()), interval=0)
+            IntervalDaemon(repairer.run_once, repairer.pass_failures, interval=0)
 
     def test_survives_failing_passes(self):
         """A pass blowing up must not kill the daemon thread — the
         self-healing loop records the error and retries next interval."""
-        repairer = ReplicaRepairer(make_store(), metrics=MetricsRegistry())
+        metrics = MetricsRegistry()
+        repairer = ReplicaRepairer(make_store(), metrics=metrics)
         calls = []
 
         def boom():
@@ -197,7 +248,9 @@ class TestRepairDaemon:
             raise ProtocolError("node died mid-scan")
 
         repairer.run_once = boom
-        daemon = RepairDaemon(repairer, interval=0.01)
+        daemon = IntervalDaemon(
+            repairer.run_once, repairer.pass_failures, interval=0.01
+        )
         with daemon:
             deadline = time.time() + 5.0
             while len(calls) < 2 and time.time() < deadline:
@@ -205,6 +258,7 @@ class TestRepairDaemon:
         assert len(calls) >= 2  # the loop outlived the first failure
         assert daemon.failed_passes >= 2
         assert isinstance(daemon.last_error, ProtocolError)
+        assert metrics.value("repair_scan_failures_total") == daemon.failed_passes
 
 
 class TestRebalance:
@@ -212,8 +266,7 @@ class TestRebalance:
         store = make_store(n=3, replicas=2)
         items = payloads(128, tag=b"join")
         store.chunk_put_many(items)
-        store.recipe_put("file-r", b"recipe")
-        store.stub_put("file-r", b"stub")
+        store.file_commit([("file-r", b"stub", b"recipe")])
 
         old_ring = store.ring.copy()
         joined = store.add_service(REEDServer())

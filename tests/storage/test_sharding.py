@@ -72,21 +72,22 @@ class TestChunkRouting:
 
 class TestFileRouting:
     def test_recipes(self, sharded):
-        sharded.recipe_put("file-a", b"ra")
-        sharded.recipe_put("file-b", b"rb")
-        assert sharded.recipe_get("file-a") == b"ra"
+        assert sharded.file_commit(
+            [("file-a", b"sa", b"ra"), ("file-b", b"sb", b"rb")]
+        ) == [None, None]
+        assert sharded.recipe_get_many(["file-a"]) == [b"ra"]
         assert sharded.recipe_list() == ["file-a", "file-b"]
-        sharded.recipe_delete("file-a")
+        assert sharded.meta_delete_many(["file-a"]) == [None]
         assert sharded.recipe_list() == ["file-b"]
-        with pytest.raises(NotFoundError):
-            sharded.recipe_get("file-a")
+        [missing] = sharded.recipe_get_many(["file-a"])
+        assert isinstance(missing, NotFoundError)
 
     def test_stub_files(self, sharded):
-        sharded.stub_put("file-a", b"stubby")
-        assert sharded.stub_get("file-a") == b"stubby"
+        sharded.file_commit([("file-a", b"stubby", b"ra")])
+        assert sharded.file_get_many(["file-a"]) == [(b"stubby", b"ra")]
         owner = sharded.shard_for_file("file-a")
         assert sharded.node_service(owner).stats.stub_bytes == 6
-        sharded.stub_delete("file-a")
+        sharded.meta_delete_many(["file-a"])
         assert sum(s.stub_bytes for s in node_stats(sharded)) == 0
 
     def test_flush_all(self, sharded):
