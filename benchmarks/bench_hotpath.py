@@ -603,7 +603,7 @@ def bench_gc_compaction(file_bytes: int, repeats: int, seed: int) -> list[dict]:
       kept file ``B`` (fixed-size chunking dedups the shared half),
       deletes the doomed file (stranding A's chunks as dead space in
       containers B still lives in), runs a compaction pass over the
-      ``storage.gc`` RPC, and verifies the kept file restores
+      ``storage.gc_run`` RPC, and verifies the kept file restores
       bit-identically from its relocated chunks.  ``reclaim_fraction``
       is the share of dead bytes the pass recovered (>= 0.9 expected).
     """

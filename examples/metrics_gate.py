@@ -15,7 +15,7 @@ client counters never fired.
 
 A third stage drills the container engine: it strands dead space by
 deleting one of two chunk-sharing files, compacts over the
-``storage.gc`` RPC, and fails unless bytes were reclaimed
+``storage.gc_run`` RPC, and fails unless bytes were reclaimed
 (``gc_bytes_reclaimed_total`` > 0), ``dead_space_ratio`` dropped below
 the configured threshold, the surviving file restored bit-identically,
 and every storage node exposes the ``container_*`` / ``gc_*`` series.
@@ -345,7 +345,7 @@ def gc_compaction_stage() -> list[str]:
 
     Uploads two files sharing half their chunks (fixed-size chunking
     dedups the shared block), deletes one to strand dead space inside
-    still-live containers, then compacts over the ``storage.gc`` RPC.
+    still-live containers, then compacts over the ``storage.gc_run`` RPC.
     The gate fails unless the pass reclaims bytes
     (``gc_bytes_reclaimed_total`` > 0), drives ``dead_space_ratio``
     below the configured threshold, and leaves the surviving file

@@ -24,7 +24,6 @@ from repro.net.rpc import RpcClient, ServiceRegistry, decode_error, encode_error
 from repro.obs import scope as obs_scope
 from repro.storage.keystore import KeyStateRecord, KeyStore
 from repro.util.codec import Decoder, Encoder
-from repro.util.errors import ConfigurationError
 
 #: Per-item status codes used by batch responses (``storage.put_many``):
 #: the item deduplicated, stored new bytes, or failed with a wire error.
@@ -34,9 +33,9 @@ ITEM_DUP, ITEM_NEW, ITEM_ERROR = 0, 1, 2
 #: dup/new distinction (metadata puts/gets/deletes).
 ITEM_OK = 0
 
-#: Integer fields of the ``storage.gc`` status payload, in wire order
-#: (the two float fields — threshold and dead-space ratio — travel as a
-#: packed ``>dd`` blob ahead of them).
+#: Integer fields of the ``storage.gc_status``/``storage.gc_run`` reply,
+#: in wire order (the two float fields — threshold and dead-space ratio —
+#: travel as a packed ``>dd`` blob ahead of them).
 _GC_UINT_FIELDS = (
     "live_bytes",
     "dead_bytes",
@@ -94,6 +93,25 @@ def _decode_item_blobs(payload: bytes) -> list[bytes | Exception]:
             results.append(dec.blob())
     dec.expect_end()
     return results
+
+
+def _encode_gc_status(status: dict) -> bytes:
+    enc = Encoder().blob(
+        struct.pack(">dd", status["threshold"], status["dead_space_ratio"])
+    )
+    for name in _GC_UINT_FIELDS:
+        enc.uint(int(status[name]))
+    return enc.done()
+
+
+def _decode_gc_status(payload: bytes) -> dict:
+    dec = Decoder(payload)
+    threshold, ratio = struct.unpack(">dd", dec.blob())
+    status: dict = {"threshold": threshold, "dead_space_ratio": ratio}
+    for name in _GC_UINT_FIELDS:
+        status[name] = dec.uint()
+    dec.expect_end()
+    return status
 
 
 def _encode_ids(file_ids: list[str]) -> bytes:
@@ -191,25 +209,14 @@ def register_storage_service(
         names = [name.encode("utf-8") for name in server.stub_list()]
         return Encoder().list_of(names).done()
 
-    def gc(payload: bytes) -> bytes:
+    def gc_status(_payload: bytes) -> bytes:
+        return _encode_gc_status(server.gc_status())
+
+    def gc_run(payload: bytes) -> bytes:
         dec = Decoder(payload)
-        action = dec.text()
-        threshold = None
-        if dec.uint():
-            threshold = struct.unpack(">d", dec.blob())[0]
+        threshold = struct.unpack(">d", dec.blob())[0] if dec.uint() else None
         dec.expect_end()
-        if action == "run":
-            status = server.gc_run(threshold)
-        elif action == "status":
-            status = server.gc_status()
-        else:
-            raise ConfigurationError(f"unknown gc action {action!r}")
-        enc = Encoder().blob(
-            struct.pack(">dd", status["threshold"], status["dead_space_ratio"])
-        )
-        for name in _GC_UINT_FIELDS:
-            enc.uint(int(status[name]))
-        return enc.done()
+        return _encode_gc_status(server.gc_run(threshold))
 
     registry.register(prefix + "has_many", has_many)
     registry.register(prefix + "put_many", put_many)
@@ -225,7 +232,8 @@ def register_storage_service(
     registry.register(prefix + "meta_delete_many", meta_delete_many)
     registry.register(prefix + "flush", flush)
     registry.register(prefix + "chunk_list", chunk_list)
-    registry.register(prefix + "gc", gc)
+    registry.register(prefix + "gc_status", gc_status)
+    registry.register(prefix + "gc_run", gc_run)
 
 
 class RemoteStorageService:
@@ -332,30 +340,18 @@ class RemoteStorageService:
     def flush(self) -> None:
         self._call("flush")
 
-    def _gc_call(self, action: str, threshold: float | None = None) -> dict:
-        enc = Encoder().text(action)
+    def gc_status(self) -> dict:
+        """Dead-space accounting and compaction counters of the node."""
+        return _decode_gc_status(self._call("gc_status"))
+
+    def gc_run(self, threshold: float | None = None) -> dict:
+        """Run one compaction pass on the node; returns post-pass status."""
+        enc = Encoder()
         if threshold is None:
             enc.uint(0)
         else:
             enc.uint(1).blob(struct.pack(">d", threshold))
-        dec = Decoder(self._call("gc", enc.done()))
-        threshold_value, ratio = struct.unpack(">dd", dec.blob())
-        status: dict = {
-            "threshold": threshold_value,
-            "dead_space_ratio": ratio,
-        }
-        for name in _GC_UINT_FIELDS:
-            status[name] = dec.uint()
-        dec.expect_end()
-        return status
-
-    def gc_status(self) -> dict:
-        """Dead-space accounting and compaction counters of the node."""
-        return self._gc_call("status")
-
-    def gc_run(self, threshold: float | None = None) -> dict:
-        """Run one compaction pass on the node; returns post-pass status."""
-        return self._gc_call("run", threshold)
+        return _decode_gc_status(self._call("gc_run", enc.done()))
 
     def chunk_list(self) -> list[bytes]:
         return Decoder(self._call("chunk_list")).list_of()

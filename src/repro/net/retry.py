@@ -45,6 +45,7 @@ IDEMPOTENT_METHOD_SUFFIXES: frozenset[str] = frozenset(
         "chunk_list",
         "refcounts",
         "stub_list",
+        "gc_status",
         "list",
         "public_key",
         "backoff_hint",

@@ -181,7 +181,7 @@ class CompactionGC:
         self._m_reclaimed.inc(dead_before)
 
     def status(self) -> dict:
-        """Operator-facing snapshot (the ``storage.gc`` RPC payload)."""
+        """Operator-facing snapshot (the ``storage.gc_status``/``storage.gc_run`` reply)."""
         live, dead, ratio = self.dead_space()
         last = self.last_report
         return {

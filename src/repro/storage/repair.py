@@ -49,16 +49,11 @@ from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.storage.datastore import DataStore
 from repro.storage.fsck import fsck
 from repro.storage.sharding import ShardedStorageService
-from repro.util.errors import ConfigurationError, NotFoundError, ProtocolError
+from repro.util.errors import ConfigurationError, NotFoundError
 
 #: Keys per batched copy (one ``get_many``/``put_many`` or
 #: ``file_get_many``/``file_commit`` pair).
 REPAIR_BATCH = 128
-
-#: Exceptions that mean "the node, not the request, failed" — a node
-#: raising one mid-scan is marked down and skipped for the rest of the
-#: pass (same classification the client-side router uses).
-_TRANSPORT_FAILURES = (ProtocolError, OSError)
 
 
 def _replay_refcounts(
@@ -257,18 +252,6 @@ class ReplicaRepairer:
             purged.add(fp)
         return purged
 
-    def _exclude_node(self, node: str, exc: Exception, report: RepairReport) -> None:
-        """Drop a node that failed mid-scan from the rest of this pass.
-
-        A transport failure also marks it down on the ring (matching
-        the client router's classification) so it is neither counted as
-        a lacking owner nor targeted for copies until a later probe
-        revives it; the next pass retries either way.
-        """
-        report.failed_nodes.append(node)
-        if isinstance(exc, _TRANSPORT_FAILURES) and self.store.ring.is_up(node):
-            self.store.mark_down(node)
-
     def _owners_of(self, key, failed: set[str]) -> list[str]:
         return [
             node
@@ -283,7 +266,11 @@ class ReplicaRepairer:
 
         A node failing mid-scan (e.g. dying between the liveness probe
         and its inventory read) is excluded from the pass instead of
-        aborting it — see :meth:`_exclude_node`.
+        aborting it.  The engine's classifier
+        (:meth:`~repro.storage.sharding.ShardedStorageService.note_failure`)
+        also marks it down on a transport failure, so it is neither
+        counted as a lacking owner nor targeted for copies until a later
+        probe revives it; the next pass retries either way.
         """
         report = RepairReport(revived_nodes=self.store.probe_nodes())
 
@@ -299,7 +286,8 @@ class ReplicaRepairer:
                     else set()
                 )
             except Exception as exc:  # noqa: BLE001 - node died mid-scan
-                self._exclude_node(node, exc, report)
+                report.failed_nodes.append(node)
+                self.store.note_failure(node, exc)
                 continue
             live.append(node)
             if corrupt:
@@ -365,7 +353,8 @@ class ReplicaRepairer:
             try:
                 listed, full = _files_on(self.store, node)
             except Exception as exc:  # noqa: BLE001 - node died mid-scan
-                self._exclude_node(node, exc, report)
+                report.failed_nodes.append(node)
+                self.store.note_failure(node, exc)
                 continue
             for file_id in listed:
                 holding = holders.setdefault(file_id, set())

@@ -19,15 +19,10 @@ the ring: it stripes and replicates over any list of storage services
 (in-process :class:`~repro.core.server.REEDServer` nodes or RPC stubs),
 enforces the write quorum, falls back through replicas on reads, and
 exposes the per-node surface that :mod:`repro.storage.repair` and
-compaction fan-out use.
-
-.. note:: **Placement compatibility.**  Earlier revisions placed chunks
-   with ``int(fingerprint) mod shards`` and files with
-   ``sum(file_id.encode()) mod shards`` — the latter collided all
-   anagram file ids onto one shard.  Both now route through the same
-   ring hash, so data written by an older deployment must be migrated
-   (see :func:`repro.storage.repair.rebalance`) before a new client can
-   find it.
+compaction fan-out use.  Every read walks replicas through one engine
+(:meth:`ShardedStorageService._replicated_read`), every write folds
+per-item quorum through one (``_replicated_batch_write``), and every
+all-node call goes through one broadcast (``_broadcast``).
 """
 
 from __future__ import annotations
@@ -227,14 +222,21 @@ _NODE_FAILURES = (ProtocolError, OSError)
 _UNSET = object()
 
 
+def _outcome(fn, *args):
+    """``fn(*args)``, or the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the caller classifies it
+        return exc
+
+
 class ShardedStorageService:
     """Client-side striping over several storage services.
 
     Chunks are routed by fingerprint so global deduplication still works
     with any number of clients; recipes and stub files are routed by file
-    identifier through the **same** consistent-hash ring (the old
-    byte-sum file hash collided anagram ids).  Works identically over
-    in-process servers and RPC stubs.
+    identifier through the **same** consistent-hash ring.  Works
+    identically over in-process servers and RPC stubs.
 
     With ``replicas`` R > 1 every key is written to its first R owners
     on the ring and a write succeeds once ``write_quorum`` W of them
@@ -399,16 +401,16 @@ class ShardedStorageService:
     def _update_down_gauge(self) -> None:
         self._m_down.set(float(len(self.ring.down_nodes())))
 
-    def _note_failure(self, node: str, exc: Exception) -> bool:
+    def note_failure(self, node: str, exc: Exception) -> bool:
         """Classify an exception; transport failures mark the node down.
 
         Returns True when the error was a node failure (caller should
         re-route), False for semantic errors (caller should fall back
-        per item or surface them).
+        per item or surface them).  The repair scan shares this rule.
         """
         if not isinstance(exc, _NODE_FAILURES):
             return False
-        if node in self.ring.nodes() and self.ring.is_up(node):
+        if node in self.ring and self.ring.is_up(node):
             self.ring.mark_down(node)
             self._m_node_failures.inc()
             self._update_down_gauge()
@@ -449,7 +451,7 @@ class ShardedStorageService:
         """Primary owner of a file id (ring-hashed, anagram-safe)."""
         return self.ring.primary(file_id)
 
-    # -- replicated write/read engines -----------------------------------------
+    # -- the three engines: quorum write, replica read, broadcast -------------
 
     def _replicated_batch_write(
         self, keys: list, items: list, call, reached: set[str] | None = None
@@ -457,11 +459,12 @@ class ShardedStorageService:
         """Write every item to all its up owners; fold to per-item status.
 
         ``call(service, sub_items)`` must return one status per item
-        (``Exception`` marks a failed item).  The folded status is the
-        most-preferred replica's answer when at least ``write_quorum``
-        replicas succeeded, else the first error (never raises — the
-        per-item batch protocol carries errors as values).  Nodes whose
-        sub-batch returned are added to ``reached``.
+        (``Exception`` marks a failed item; see :meth:`_per_item`).  The
+        folded status is the most-preferred replica's answer when at
+        least ``write_quorum`` replicas succeeded, else the first error
+        (never raises — the per-item batch protocol carries errors as
+        values).  Nodes whose sub-batch returned are added to
+        ``reached``.
         """
         placements = [self._owners(key) for key in keys]
         per_node: dict[str, list[int]] = {}
@@ -469,31 +472,25 @@ class ShardedStorageService:
             for node in owners:
                 if self.ring.is_up(node):
                     per_node.setdefault(node, []).append(position)
-        answers: dict[str, list] = {}
-        slots: dict[str, dict[int, int]] = {}
+        answers: dict[str, dict[int, object]] = {}
         for node, positions in per_node.items():
             self._trip(node)
-            try:
-                answers[node] = call(
-                    self._services[node], [items[p] for p in positions]
-                )
-            except Exception as exc:  # noqa: BLE001 - folded per item
-                self._note_failure(node, exc)
-                answers[node] = [exc] * len(positions)
-            else:
-                if reached is not None:
-                    reached.add(node)
-            slots[node] = {p: i for i, p in enumerate(positions)}
+            batch = [items[p] for p in positions]
+            reply = _outcome(call, self._services[node], batch)
+            if reached is not None and not isinstance(reply, Exception):
+                reached.add(node)
+            answers[node] = dict(
+                zip(positions, self._per_item(node, reply, len(batch)))
+            )
         results: list = []
         for position, owners in enumerate(placements):
             successes = 0
             status: object = _UNSET
             first_error: Exception | None = None
             for node in owners:
-                slot = slots.get(node, {}).get(position)
-                if slot is None:
+                if node not in answers:
                     continue
-                answer = answers[node][slot]
+                answer = answers[node][position]
                 if isinstance(answer, Exception):
                     if first_error is None:
                         first_error = answer
@@ -515,20 +512,29 @@ class ShardedStorageService:
                 )
         return results
 
-    # -- chunk API --------------------------------------------------------------
+    def _replicated_read(self, keys: list, call) -> list:
+        """Per key, the answer of its first up owner that serves it.
 
-    def chunk_exists_batch(self, fingerprints: list[bytes]) -> list[bool]:
-        # One batched existence check per shard touched, never one per
-        # fingerprint — the multi-chunk message of the batch protocol.
-        # A "no", or a down/failed owner, falls back to the next replica,
-        # so a chunk only a later owner holds (degraded write) reads
-        # present, as it does for chunk_get_batch.  An unreachable key
-        # conservatively reads "absent" (re-uploading is always safe —
-        # the server deduplicates).
-        flags = [False] * len(fingerprints)
-        candidates = [self._up_owners(fp) for fp in fingerprints]
-        cursor = [0] * len(fingerprints)
-        unresolved = [p for p in range(len(fingerprints)) if candidates[p]]
+        ``call(node, sub_keys)`` returns one answer per key (an
+        ``Exception`` marks a miss on that node; see :meth:`_per_item`).
+        Positions are grouped by their next up owner; the first round's
+        groups fan out concurrently on the fetch pool, each under a copy
+        of the caller's context so counters and attribution scopes carry
+        over.  A failed key moves to its next replica.  A key whose
+        owners are all exhausted gets its last error, or
+        :class:`NotFoundError` if it has none.
+        """
+        results: list = [None] * len(keys)
+        candidates = [self._up_owners(key) for key in keys]
+        cursor = [0] * len(keys)
+        last_error: list[Exception | None] = [None] * len(keys)
+        unresolved = list(range(len(keys)))
+        first_round = True
+
+        def fetch(node: str, positions: list[int]) -> list:
+            self._trip(node)
+            return call(node, [keys[p] for p in positions])
+
         while unresolved:
             groups: dict[str, list[int]] = {}
             for position in unresolved:
@@ -542,27 +548,77 @@ class ShardedStorageService:
                     groups.setdefault(
                         options[cursor[position]], []
                     ).append(position)
-            retry: list[int] = []
-            for node, positions in groups.items():
-                self._trip(node)
-                try:
-                    answers = self._services[node].chunk_exists_batch(
-                        [fingerprints[p] for p in positions]
+                else:
+                    results[position] = last_error[position] or NotFoundError(
+                        f"no live replica holds {keys[position]!r}"
                     )
-                except Exception as exc:  # noqa: BLE001 - re-route
-                    self._note_failure(node, exc)
-                    for position in positions:
+            ordered = list(groups.items())
+            if first_round and len(ordered) > 1 and self.fetch_workers > 1:
+                pool = self._get_fetch_pool()
+                futures = [
+                    pool.submit(
+                        contextvars.copy_context().run, fetch, node, positions
+                    )
+                    for node, positions in ordered
+                ]
+                replies = [_outcome(future.result) for future in futures]
+            else:
+                replies = [_outcome(fetch, *group) for group in ordered]
+            unresolved = []
+            for (node, positions), reply in zip(ordered, replies):
+                answers = self._per_item(node, reply, len(positions))
+                for position, answer in zip(positions, answers):
+                    if isinstance(answer, Exception):
+                        last_error[position] = answer
                         cursor[position] += 1
-                        retry.append(position)
-                    continue
-                for position, flag in zip(positions, answers):
-                    if flag:
-                        flags[position] = True
+                        unresolved.append(position)
                     else:
-                        cursor[position] += 1
-                        retry.append(position)
-            unresolved = retry
-        return flags
+                        results[position] = answer
+                        if cursor[position] > 0:
+                            self._m_fallbacks.inc()
+            first_round = False
+        return results
+
+    def _per_item(self, node: str, reply, count: int) -> list:
+        """One node's reply to a ``count``-item sub-batch, as exactly
+        ``count`` answers.
+
+        An exception the call raised answers every item (a node failure
+        also marks the node down, :meth:`note_failure`); items a short
+        reply left out fail on this node.
+        """
+        if isinstance(reply, Exception):
+            self.note_failure(node, reply)
+            return [reply] * count
+        missing = count - len(reply)
+        if missing <= 0:
+            return reply
+        unanswered = StorageError(f"{node} left the item unanswered")
+        return [*reply, *[unanswered] * missing]
+
+    def _broadcast(self, call, nodes: set[str] | None = None) -> list:
+        """``call(node)`` on every up node (of ``nodes``), in attach
+        order, one round trip each; the successful nodes' answers.
+
+        Every node is attempted: a failure goes through
+        :meth:`note_failure`, and the first one is raised at the end.
+        """
+        answers: list = []
+        first_error: Exception | None = None
+        for node in self._order:
+            if not self.ring.is_up(node) or (nodes is not None and node not in nodes):
+                continue
+            self._trip(node)
+            try:
+                answers.append(call(node))
+            except Exception as exc:  # noqa: BLE001 - raised after the rest
+                self.note_failure(node, exc)
+                first_error = first_error or exc
+        if first_error is not None:
+            raise first_error
+        return answers
+
+    # -- chunk API --------------------------------------------------------------
 
     def chunk_put_many(
         self, chunks: list[tuple[bytes, bytes]], flush: bool = False
@@ -606,146 +662,49 @@ class ShardedStorageService:
         return results
 
     def chunk_get_batch(self, fingerprints: list[bytes]) -> list[bytes]:
-        # Scatter-gather: group by preferred owner, issue all per-shard
-        # sub-fetches concurrently, then restore request order by
-        # position.  Counters and attribution scopes are preserved by
-        # running each sub-fetch under a copy of the caller's context.
-        # Items a node cannot serve fall back through the remaining
-        # replicas (probing with ``has_many`` to split semantic misses
-        # from node failures).
-        results: list[bytes | None] = [None] * len(fingerprints)
-        candidates = [self._up_owners(fp) for fp in fingerprints]
-        cursor = [0] * len(fingerprints)
-        unresolved = list(range(len(fingerprints)))
-        first_round = True
-
-        def fetch(node: str, positions: list[int]) -> list[bytes]:
-            self._trip(node)
-            return self._services[node].chunk_get_batch(
-                [fingerprints[p] for p in positions]
+        """Chunks in request order, replicas walked per item; raises
+        :class:`NotFoundError` naming the chunks no up owner served."""
+        results = self._replicated_read(fingerprints, self._node_chunk_reads)
+        missing = [
+            fp for fp, data in zip(fingerprints, results)
+            if isinstance(data, Exception)
+        ]
+        if missing:
+            shown = ", ".join(fp.hex() for fp in missing[:8])
+            suffix = "" if len(missing) <= 8 else f" (+{len(missing) - 8} more)"
+            raise NotFoundError(
+                f"{len(missing)} chunk(s) missing from storage: {shown}{suffix}"
             )
+        return results
 
-        while unresolved:
-            groups: dict[str, list[int]] = {}
-            exhausted: list[int] = []
-            for position in unresolved:
-                options = candidates[position]
-                while (
-                    cursor[position] < len(options)
-                    and not self.ring.is_up(options[cursor[position]])
-                ):
-                    cursor[position] += 1
-                if cursor[position] >= len(options):
-                    exhausted.append(position)
-                else:
-                    groups.setdefault(
-                        options[cursor[position]], []
-                    ).append(position)
-            if exhausted:
-                shown = ", ".join(fingerprints[p].hex() for p in exhausted[:8])
-                suffix = (
-                    "" if len(exhausted) <= 8 else f" (+{len(exhausted) - 8} more)"
-                )
-                raise NotFoundError(
-                    f"{len(exhausted)} chunk(s) missing from storage: "
-                    f"{shown}{suffix}"
-                )
-            ordered = list(groups.items())
-            if first_round and len(ordered) > 1 and self.fetch_workers > 1:
-                pool = self._get_fetch_pool()
-                futures = [
-                    pool.submit(
-                        contextvars.copy_context().run, fetch, node, positions
-                    )
-                    for node, positions in ordered
-                ]
-                answer_sets: list = []
-                for future in futures:
-                    try:
-                        answer_sets.append(future.result())
-                    except Exception as exc:  # noqa: BLE001 - handled below
-                        answer_sets.append(exc)
-            else:
-                answer_sets = []
-                for node, positions in ordered:
-                    try:
-                        answer_sets.append(fetch(node, positions))
-                    except Exception as exc:  # noqa: BLE001 - handled below
-                        answer_sets.append(exc)
-            retry: list[int] = []
-            for (node, positions), answer_set in zip(ordered, answer_sets):
-                if isinstance(answer_set, Exception):
-                    retry.extend(
-                        self._salvage_group(
-                            node, positions, fingerprints, results, cursor,
-                            answer_set,
-                        )
-                    )
-                else:
-                    # A short reply (a buggy or truncating shard) must
-                    # not silently drop chunks: treat the unanswered
-                    # tail as misses on this node and re-route them.
-                    for position in positions[len(answer_set):]:
-                        cursor[position] += 1
-                        retry.append(position)
-                    for position, data in zip(positions, answer_set):
-                        results[position] = data
-                        if cursor[position] > 0:
-                            self._m_fallbacks.inc()
-            unresolved = retry
-            first_round = False
-        return [data for data in results if data is not None]
+    def _node_chunk_reads(
+        self, node: str, fingerprints: list[bytes]
+    ) -> list[bytes | Exception]:
+        """One node's whole-call chunk ``get`` as per-item results.
 
-    def _salvage_group(
-        self,
-        node: str,
-        positions: list[int],
-        fingerprints: list[bytes],
-        results: list,
-        cursor: list[int],
-        error: Exception,
-    ) -> list[int]:
-        """Recover from one failed ``chunk_get_batch`` sub-fetch.
-
-        A node failure re-routes every item to its next replica.  A
-        semantic failure (some fingerprint missing on this node) probes
-        ``has_many`` to learn which items the node *does* hold, fetches
-        those, and re-routes only the misses.  Returns the positions
-        still unresolved.
+        A node failure propagates (the read walk re-routes the group).
+        Any other failure means some chunk is missing there: a
+        ``has_many`` probe learns which ones the node holds, those are
+        fetched, and the rest come back as the original error.
         """
-        if self._note_failure(node, error):
-            for position in positions:
-                cursor[position] += 1
-            return list(positions)
+        service = self._services[node]
         try:
+            return service.chunk_get_batch(fingerprints)
+        except _NODE_FAILURES:
+            raise
+        except Exception as exc:  # noqa: BLE001 - probe which chunks it holds
+            miss = exc
+        self._trip(node)
+        held = service.chunk_exists_batch(fingerprints)
+        fetched = iter(())
+        if any(held):
             self._trip(node)
-            held = self._services[node].chunk_exists_batch(
-                [fingerprints[p] for p in positions]
-            )
-        except Exception as exc:  # noqa: BLE001 - node died mid-salvage
-            self._note_failure(node, exc)
-            for position in positions:
-                cursor[position] += 1
-            return list(positions)
-        have = [p for p, flag in zip(positions, held) if flag]
-        lack = [p for p, flag in zip(positions, held) if not flag]
-        if have:
-            try:
-                self._trip(node)
-                fetched = self._services[node].chunk_get_batch(
-                    [fingerprints[p] for p in have]
+            fetched = iter(
+                service.chunk_get_batch(
+                    [fp for fp, flag in zip(fingerprints, held) if flag]
                 )
-            except Exception as exc:  # noqa: BLE001 - node died mid-salvage
-                self._note_failure(node, exc)
-                lack = list(positions)
-            else:
-                for position, data in zip(have, fetched):
-                    results[position] = data
-                    if cursor[position] > 0:
-                        self._m_fallbacks.inc()
-        for position in lack:
-            cursor[position] += 1
-        return lack
+            )
+        return [next(fetched, miss) if flag else miss for flag in held]
 
     def chunk_release_batch(self, fingerprints: list[bytes]) -> None:
         """Replicated release: every up owner drops one reference.
@@ -753,148 +712,36 @@ class ShardedStorageService:
         One node's failure never aborts the other owners' sub-batches.
         A replica that never held a chunk (degraded write, or a wiped
         node the repair daemon refilled) counts as released — the
-        server tolerates missing fingerprints item by item — and a
-        transport failure marks the node down and moves on; the
-        references it leaks are GC debt, not data loss.  A chunk raises
-        (after every node was attempted) only when fewer than
-        ``write_quorum`` owners acknowledged its release.
+        server skips fingerprints it does not index — and a transport
+        failure marks the node down and moves on; the references it
+        leaks are GC debt, not data loss.  After every node was
+        attempted, the first chunk whose release fewer than
+        ``write_quorum`` owners acknowledged raises its error.
         """
-        placements = [self._owners(fp) for fp in fingerprints]
-        per_node: dict[str, list[int]] = {}
-        for position, owners in enumerate(placements):
-            for node in owners:
-                if self.ring.is_up(node):
-                    per_node.setdefault(node, []).append(position)
-        successes = [0] * len(fingerprints)
-        errors: list[Exception | None] = [None] * len(fingerprints)
-        for node, positions in per_node.items():
-            self._trip(node)
-            try:
-                self._services[node].chunk_release_batch(
-                    [fingerprints[p] for p in positions]
-                )
-            except NotFoundError:
-                # A pre-tolerance server aborts its sub-batch at the
-                # first fingerprint it never held; everything it does
-                # hold before that point was released, and a missing
-                # replica needs no release — count the node as done.
-                pass
-            except Exception as exc:  # noqa: BLE001 - folded into quorum
-                self._note_failure(node, exc)
-                for position in positions:
-                    if errors[position] is None:
-                        errors[position] = exc
-                continue
-            for position in positions:
-                successes[position] += 1
-            self._mark_unflushed({node})
-        for position, owners in enumerate(placements):
-            if successes[position] >= self.write_quorum:
-                if successes[position] < self.replicas:
-                    self._m_degraded.inc()
-                continue
-            raise errors[position] or StorageError(
-                f"write quorum {self.write_quorum} not met releasing "
-                f"{fingerprints[position].hex()} "
-                f"({successes[position]}/{len(owners)} replicas up)"
-            )
+
+        def release(service, batch: list[bytes]) -> list[None]:
+            service.chunk_release_batch(batch)
+            return [None] * len(batch)
+
+        reached: set[str] = set()
+        results = self._replicated_batch_write(
+            fingerprints, fingerprints, release, reached
+        )
+        self._mark_unflushed(reached)
+        for status in results:
+            if isinstance(status, Exception):
+                raise status
 
     # -- file metadata (upload, restore, rekey, delete and listing) ------------
 
     def recipe_list(self) -> list[str]:
-        names: set[str] = set()
-        for node in self._order:
-            if not self.ring.is_up(node):
-                continue
-            self._trip(node)
-            names.update(self._services[node].recipe_list())
-        return sorted(names)
-
-    def _scatter_meta_gets(
-        self, method: str, file_ids: list[str]
-    ) -> list[bytes | Exception]:
-        """Concurrent per-shard sub-fetches, like :meth:`chunk_get_batch`.
-
-        Per-item failures (missing file on one shard) come back in place
-        after falling back through the file's replicas; they never abort
-        the other shards' sub-batches.
-        """
-        results: list[bytes | Exception | None] = [None] * len(file_ids)
-        candidates = [self._up_owners(f) for f in file_ids]
-        cursor = [0] * len(file_ids)
-        last_error: list[Exception | None] = [None] * len(file_ids)
-        unresolved = list(range(len(file_ids)))
-        first_round = True
-
-        def fetch(node: str, positions: list[int]) -> list:
-            self._trip(node)
-            return getattr(self._services[node], method)(
-                [file_ids[p] for p in positions]
-            )
-
-        while unresolved:
-            groups: dict[str, list[int]] = {}
-            for position in unresolved:
-                options = candidates[position]
-                while (
-                    cursor[position] < len(options)
-                    and not self.ring.is_up(options[cursor[position]])
-                ):
-                    cursor[position] += 1
-                if cursor[position] >= len(options):
-                    results[position] = last_error[position] or NotFoundError(
-                        f"no live replica holds {file_ids[position]!r}"
-                    )
-                else:
-                    groups.setdefault(
-                        options[cursor[position]], []
-                    ).append(position)
-            ordered = list(groups.items())
-            if first_round and len(ordered) > 1 and self.fetch_workers > 1:
-                pool = self._get_fetch_pool()
-                futures = [
-                    pool.submit(
-                        contextvars.copy_context().run, fetch, node, positions
-                    )
-                    for node, positions in ordered
-                ]
-                answer_sets: list = []
-                for future in futures:
-                    try:
-                        answer_sets.append(future.result())
-                    except Exception as exc:  # noqa: BLE001 - handled below
-                        answer_sets.append(exc)
-            else:
-                answer_sets = []
-                for node, positions in ordered:
-                    try:
-                        answer_sets.append(fetch(node, positions))
-                    except Exception as exc:  # noqa: BLE001 - handled below
-                        answer_sets.append(exc)
-            retry: list[int] = []
-            for (node, positions), answer_set in zip(ordered, answer_sets):
-                if isinstance(answer_set, Exception):
-                    self._note_failure(node, answer_set)
-                    for position in positions:
-                        last_error[position] = answer_set
-                        cursor[position] += 1
-                        retry.append(position)
-                    continue
-                for position, answer in zip(positions, answer_set):
-                    if isinstance(answer, Exception):
-                        last_error[position] = answer
-                        cursor[position] += 1
-                        retry.append(position)
-                    else:
-                        results[position] = answer
-                        if cursor[position] > 0:
-                            self._m_fallbacks.inc()
-            unresolved = retry
-            first_round = False
-        return results  # type: ignore[return-value]
+        listed = self._broadcast(lambda node: self._services[node].recipe_list())
+        return sorted(set().union(*listed))
 
     def recipe_get_many(self, file_ids: list[str]) -> list[bytes | Exception]:
-        return self._scatter_meta_gets("recipe_get_many", file_ids)
+        return self._replicated_read(
+            file_ids, lambda node, ids: self._services[node].recipe_get_many(ids)
+        )
 
     def file_commit(
         self, items: list[tuple[str, bytes, bytes]]
@@ -911,7 +758,9 @@ class ShardedStorageService:
         self, file_ids: list[str]
     ) -> list[tuple[bytes, bytes] | Exception]:
         """``(stub_file, recipe)`` per file, replicas walked per item."""
-        return self._scatter_meta_gets("file_get_many", file_ids)
+        return self._replicated_read(
+            file_ids, lambda node, ids: self._services[node].file_get_many(ids)
+        )
 
     def meta_delete_many(self, file_ids: list[str]) -> list[None | Exception]:
         """Replicated per-item delete: an item succeeds when every
@@ -941,55 +790,41 @@ class ShardedStorageService:
     def _flush_nodes(
         self, nodes: set[str], pending: dict[str, int], flushed: set[str]
     ) -> None:
-        """One bare ``flush`` per up node of ``nodes``, in attach order;
-        then drop from the unflushed set every node of ``flushed`` (which
+        """Broadcast a bare ``flush`` to the up nodes of ``nodes``; then
+        drop from the unflushed set every node of ``flushed`` (which
         gains the nodes just flushed) not written to since the
-        ``pending`` snapshot was taken.
-
-        Every node is attempted; a failed one stays in the set, and the
-        first error is raised at the end.
+        ``pending`` snapshot was taken.  A failed node stays in the set.
         """
-        first_error: Exception | None = None
-        for node in self._order:
-            if node not in nodes or not self.ring.is_up(node):
-                continue
-            self._trip(node)
-            try:
-                self._services[node].flush()
-            except Exception as exc:  # noqa: BLE001 - raised after the rest
-                self._note_failure(node, exc)
-                first_error = first_error or exc
-            else:
-                flushed.add(node)
-        with self._unflushed_lock:
-            for node in flushed:
-                if node in pending and self._unflushed.get(node) == pending[node]:
-                    del self._unflushed[node]
-        if first_error is not None:
-            raise first_error
+
+        def flush_node(node: str) -> None:
+            self._services[node].flush()
+            flushed.add(node)
+
+        try:
+            self._broadcast(flush_node, nodes)
+        finally:
+            with self._unflushed_lock:
+                for node in flushed:
+                    if node in pending and self._unflushed.get(node) == pending[node]:
+                        del self._unflushed[node]
 
     # -- compaction GC -------------------------------------------------------
 
     def _gc_fanout(self, op) -> dict:
         """Apply a per-node gc call on every up node; sum the counters
         and recompute the aggregate dead-space ratio."""
+        statuses = self._broadcast(lambda node: op(self._services[node]))
         total: dict = {}
-        reached = 0
-        for node in self._order:
-            if not self.ring.is_up(node):
-                continue
-            self._trip(node)
-            status = op(self._services[node])
-            reached += 1
+        for status in statuses:
             for name, value in status.items():
                 total[name] = total.get(name, 0) + value
         live = total.get("live_bytes", 0)
         dead = total.get("dead_bytes", 0)
         accounted = live + dead
         total["dead_space_ratio"] = dead / accounted if accounted else 0.0
-        if reached:
+        if statuses:
             # Summing thresholds is meaningless; report the nodes' mean.
-            total["threshold"] = total.get("threshold", 0.0) / reached
+            total["threshold"] = total.get("threshold", 0.0) / len(statuses)
         return total
 
     def gc_status(self) -> dict:

@@ -57,7 +57,7 @@ class TestRemoteStorage:
                 "has_many", "put_many", "get", "release", "refcounts",
                 "addref", "recipe_list", "stub_list", "recipe_get_many",
                 "file_commit", "file_get_many", "meta_delete_many", "flush",
-                "chunk_list", "gc",
+                "chunk_list", "gc_status", "gc_run",
             )
         )
 

@@ -53,7 +53,9 @@ class TestReplicatedRelease:
         sharded.mark_up(down)
         fps = [fp for fp, _ in chunks]
         sharded.chunk_release_batch(fps)  # must not raise
-        assert sharded.chunk_exists_batch(fps) == [False] * len(fps)
+        for node in sharded.node_ids():
+            service = sharded.node_service(node)
+            assert service.chunk_exists_batch(fps) == [False] * len(fps)
 
     def test_release_continues_past_node_failure(self):
         """A node dying mid-delete leaks its references (GC debt) but

@@ -4,7 +4,7 @@ Two drills for the locality-aware container engine:
 
 * **Compaction over RPC** — files sharing chunks are uploaded, one is
   deleted, and the stranded dead space is reclaimed through the
-  ``storage.gc`` RPC (one-shot and via the background daemons) while the
+  ``storage.gc_run`` RPC (one-shot and via the background daemons) while the
   surviving file stays bit-identical.
 * **Restart persistence** — a data server is killed and restarted over
   its surviving backend; the fingerprint-index journal written by

@@ -266,6 +266,37 @@ class TestEndToEndWithStorage:
         assert storage.recipe_list() == ["f"]
 
 
+    def test_gc_status_retried_gc_run_not(self):
+        """``gc_status`` is a read the idempotent-only transport retries
+        through a dropped connection; ``gc_run`` compacts, so its
+        transport fault surfaces instead of a blind re-send."""
+        from repro.core.service import RemoteStorageService
+
+        registry = ServiceRegistry(metrics=MetricsRegistry())
+        register_storage_service(registry, REEDServer())
+        inner = LoopbackTransport(registry).client()
+
+        class FirstCallPerMethodFails:
+            def __init__(self):
+                self.failed = set()
+
+            def call(self, method, payload=b""):
+                if method not in self.failed:
+                    self.failed.add(method)
+                    raise ProtocolError("connection reset")
+                return inner.call(method, payload)
+
+        client = RetryingRpcClient(
+            FirstCallPerMethodFails(),
+            RetryPolicy(attempts=2, sleep=no_sleep),
+            idempotent_only=True,
+        )
+        storage = RemoteStorageService(client)
+        assert storage.gc_status()["dead_bytes"] == 0
+        with pytest.raises(ProtocolError):
+            storage.gc_run()
+
+
 class TestIdempotentMethodList:
     def test_every_suffix_names_a_registered_method(self, rsa_512):
         """Each blind-retry suffix must match a method some ``register_*``

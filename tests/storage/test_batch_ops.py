@@ -1,9 +1,9 @@
 """Batch operations on the data store and the replication engine.
 
-``has_many``/``put_many`` are the storage half of the multi-chunk
-messages the batched upload protocol ships; they must behave exactly
-like a loop of per-chunk calls — same answers, same bytes on disk —
-while letting the engine issue one sub-call per shard.
+``has_many``/``put_many``/``get`` are the storage half of the
+multi-chunk messages the batched protocol ships; they must behave
+exactly like a loop of per-chunk calls — same answers, same bytes on
+disk — while letting the engine send one sub-call per shard.
 """
 
 import pytest
@@ -12,7 +12,7 @@ from repro.core.server import REEDServer
 from repro.crypto.hashing import fingerprint
 from repro.storage.datastore import DataStore
 from repro.storage.sharding import ShardedStorageService
-from repro.util.errors import IntegrityError
+from repro.util.errors import IntegrityError, NotFoundError
 
 
 def make_chunks(count, prefix=b""):
@@ -77,12 +77,17 @@ class TestDataStoreBatches:
 
 
 class TestShardedBatches:
-    def test_has_many_routes_like_per_chunk(self, sharded):
+    def test_get_batch_routes_like_per_chunk(self, sharded):
         chunks = make_chunks(32)
         sharded.chunk_put_many(chunks[:16])
         fps = [fp for fp, _ in chunks]
-        per_chunk = [sharded.chunk_exists_batch([fp])[0] for fp in fps]
-        assert sharded.chunk_exists_batch(fps) == per_chunk
+        per_chunk = [sharded.chunk_get_batch([fp])[0] for fp in fps[:16]]
+        assert sharded.chunk_get_batch(fps[:16]) == per_chunk
+        for fp in fps[16:]:
+            with pytest.raises(NotFoundError, match=fp.hex()):
+                sharded.chunk_get_batch([fp])
+        with pytest.raises(NotFoundError, match="16 chunk"):
+            sharded.chunk_get_batch(fps)
 
     def test_put_many_equivalent_to_per_chunk_calls(self, sharded):
         reference = engine()
@@ -110,9 +115,9 @@ class TestShardedBatches:
                 super().__init__()
                 self.batch_calls = 0
 
-            def chunk_exists_batch(self, fingerprints):
+            def chunk_get_batch(self, fingerprints):
                 self.batch_calls += 1
-                return super().chunk_exists_batch(fingerprints)
+                return super().chunk_get_batch(fingerprints)
 
             def chunk_put_many(self, chunks):
                 self.batch_calls += 1
@@ -121,47 +126,60 @@ class TestShardedBatches:
         sharded = engine(server=CountingServer)
         chunks = make_chunks(64)  # lands on all four shards w.h.p.
         sharded.chunk_put_many(chunks)
-        sharded.chunk_exists_batch([fp for fp, _ in chunks])
+        sharded.chunk_get_batch([fp for fp, _ in chunks])
         for node in sharded.node_ids():
-            # one chunk_put_many + one chunk_exists_batch
+            # one chunk_put_many + one chunk_get_batch
             assert sharded.node_service(node).batch_calls == 2
 
     def test_order_preserved_across_shards(self, sharded):
         chunks = make_chunks(48)
         sharded.chunk_put_many(chunks[:24])
-        flags = sharded.chunk_exists_batch([fp for fp, _ in chunks])
-        assert flags == [True] * 24 + [False] * 24
+        stored = chunks[:24][::-1]
+        assert sharded.chunk_get_batch([fp for fp, _ in stored]) == [
+            data for _, data in stored
+        ]
+        held = [False] * len(chunks)
+        for node in sharded.node_ids():
+            flags = sharded.node_service(node).chunk_exists_batch(
+                [fp for fp, _ in chunks]
+            )
+            held = [a or b for a, b in zip(held, flags)]
+        assert held == [True] * 24 + [False] * 24
 
     def test_empty_batches(self, sharded):
-        assert sharded.chunk_exists_batch([]) == []
+        assert sharded.chunk_get_batch([]) == []
         assert sharded.chunk_put_many([]) == []
 
-    def test_has_many_falls_back_to_later_replica(self):
+    def test_get_batch_falls_back_to_later_replica(self):
         """A chunk that landed only on a non-primary owner (degraded
-        write) must read present, matching chunk_get_batch."""
+        write) must read back through the later replica."""
         sharded = engine(nodes=3, replicas=2)
         chunks = make_chunks(12, prefix=b"degraded")
         for fp, data in chunks:
             secondary = sharded.ring.preference(fp, 2)[1]
             sharded.node_service(secondary).chunk_put_many([(fp, data)])
         fps = [fp for fp, _ in chunks]
-        assert sharded.chunk_exists_batch(fps) == [True] * len(fps)
+        for fp in fps:
+            primary = sharded.ring.primary(fp)
+            assert sharded.node_service(primary).chunk_exists_batch([fp]) == [False]
         assert sharded.chunk_get_batch(fps) == [data for _, data in chunks]
 
-    def test_has_many_routes_around_failing_shard(self):
+    def test_get_batch_routes_around_failing_shard(self):
         """One shard raising must re-route its positions to the other
         owners instead of propagating or reading false absences."""
         sharded = engine(nodes=3, replicas=2)
         chunks = make_chunks(12, prefix=b"broken")
         sharded.chunk_put_many(chunks)
-        victim = sharded.node_service(sharded.node_ids()[0])
+        victim_id = sharded.node_ids()[0]
+        victim = sharded.node_service(victim_id)
 
         def boom(fingerprints):
             raise OSError("disk gone")
 
-        victim.chunk_exists_batch = boom
+        victim.chunk_get_batch = boom
         fps = [fp for fp, _ in chunks]
-        assert sharded.chunk_exists_batch(fps) == [True] * len(fps)
+        assert sharded.chunk_get_batch(fps) == [data for _, data in chunks]
+        assert not sharded.ring.is_up(victim_id)
 
     @pytest.mark.parametrize("replicas", [1, 2])
     def test_put_batch_keeps_honest_chunks_behind_forged_one(self, replicas):
@@ -174,5 +192,6 @@ class TestShardedBatches:
         assert isinstance(statuses[0], IntegrityError)
         assert statuses[1:] == [True] * len(honest)
         fps = [fp for fp, _ in honest]
-        assert sharded.chunk_exists_batch(fps) == [True] * len(fps)
-        assert sharded.chunk_exists_batch([forged[0]]) == [False]
+        assert sharded.chunk_get_batch(fps) == [data for _, data in honest]
+        with pytest.raises(NotFoundError, match=forged[0].hex()):
+            sharded.chunk_get_batch([forged[0]])

@@ -12,7 +12,7 @@ from repro.storage.datastore import DataStore
 from repro.storage.repair import ReplicaRepairer, rebalance
 from repro.storage.sharding import ShardedStorageService
 from repro.util.daemon import IntervalDaemon
-from repro.util.errors import ConfigurationError, ProtocolError
+from repro.util.errors import ConfigurationError, NotFoundError, ProtocolError
 
 
 def make_store(n=3, replicas=2):
@@ -138,7 +138,8 @@ class TestReplicaRepairer:
         for node in store.ring.preference(fp, store.replicas):
             assert node_store(store, node).has_chunk(fp)
         store.chunk_release_batch([fp])
-        assert store.chunk_exists_batch([fp]) == [False]
+        with pytest.raises(NotFoundError):
+            store.chunk_get_batch([fp])
 
     def test_run_once_excludes_node_dying_mid_scan(self):
         """A node failing between the liveness probe and its inventory
@@ -159,6 +160,29 @@ class TestReplicaRepairer:
         assert victim in report.failed_nodes
         assert not store.ring.is_up(victim)
         assert report.nodes_scanned == len(store.node_ids()) - 1
+
+    def test_transport_failure_mid_scan_counts_as_node_failure(self):
+        """Repair classifies a failing node with the engine's rule, so a
+        transport failure it detects shows in the engine's failure count."""
+        metrics = MetricsRegistry()
+        store = ShardedStorageService(
+            [REEDServer() for _ in range(3)], metrics=metrics, replicas=2
+        )
+        store.chunk_put_many(payloads(8, tag=b"counted"))
+        victim = store.node_ids()[2]
+        original = store.node_chunk_list
+
+        def flaky(node_id):
+            if node_id == victim:
+                raise OSError("connection refused")
+            return original(node_id)
+
+        store.node_chunk_list = flaky
+        report = ReplicaRepairer(store, metrics=MetricsRegistry()).run_once()
+        assert report.failed_nodes == [victim]
+        assert not store.ring.is_up(victim)
+        assert metrics.value("store_node_failures_total") == 1
+        assert metrics.value("store_nodes_down") == 1
 
     def test_requires_ring_store(self):
         with pytest.raises(ConfigurationError):

@@ -13,8 +13,7 @@ After every step it checks that
 
 * every node's reference counts match the model exactly,
 * every chunk one of whose up owners holds it reads back bit-identical
-  through ``chunk_get_batch``, and every other chunk is ``NotFound``,
-* ``chunk_exists_batch`` agrees with ``chunk_get_batch``, and
+  through ``chunk_get_batch``, and every other chunk is ``NotFound``, and
 * every file one of whose up owners holds it reads back through
   ``file_get_many`` as stored on its first such owner.
 
@@ -217,12 +216,6 @@ class ReplicationMachine(RuleBasedStateMachine):
             except NotFoundError:
                 continue
             raise AssertionError(f"chunk {fp.hex()} read back from no holder")
-
-    @invariant()
-    def exists_agrees_with_get(self):
-        assert self.engine.chunk_exists_batch(FINGERPRINTS) == [
-            self._readable(fp) for fp in FINGERPRINTS
-        ]
 
     @invariant()
     def files_read_back(self):
