@@ -14,7 +14,6 @@ from repro.chunking.rabin import (
     DEFAULT_MIN_SIZE,
     WINDOW_SIZE,
     RabinChunker,
-    available_chunking_engines,
     rabin_chunks,
 )
 
@@ -27,7 +26,6 @@ __all__ = [
     "FixedChunker",
     "RabinChunker",
     "WINDOW_SIZE",
-    "available_chunking_engines",
     "chunk_stream",
     "fixed_chunks",
     "iter_raw_chunks",

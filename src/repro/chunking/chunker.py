@@ -44,9 +44,9 @@ class ChunkingSpec:
     ``method`` is ``"rabin"`` (content-defined, the paper's default) or
     ``"fixed"``.  Sizes are in bytes; for Rabin chunking ``avg_size`` must
     be a power of two and the min/max default to the paper's 2 KB / 16 KB.
-    ``engine`` pins a Rabin implementation (``"reference"``, ``"scan"``,
-    ``"numpy"``); ``None`` picks the fastest available.  All engines cut
-    identical boundaries.
+    ``engine`` pins a Rabin implementation (``"reference"`` or
+    ``"numpy"``); ``None`` picks ``"numpy"``.  Both cut identical
+    boundaries.
     """
 
     method: str = "rabin"

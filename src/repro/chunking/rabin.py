@@ -14,18 +14,11 @@ bits of the fingerprint match a fixed magic value, giving geometrically
 distributed chunk sizes with the requested mean (clamped to
 [minimum, maximum]).
 
-Three engines cut bit-identical boundaries (differential tests enforce
+Two engines cut bit-identical boundaries (differential tests enforce
 this; see docs/PERFORMANCE.md):
 
 * ``"reference"`` — the readable per-byte rolling loop, kept as the
   correctness oracle;
-* ``"scan"`` — pure Python with the classic LBFS skip-ahead: boundaries
-  below ``min_size`` are clamped anyway, so after each cut the scanner
-  jumps straight to ``min_size - WINDOW_SIZE``, warms the window over
-  the next ``WINDOW_SIZE`` bytes, and only then starts testing — with
-  the buffer indexed directly (the byte leaving the window is
-  ``buf[i - WINDOW_SIZE]``, so no ring buffer) and all tables bound to
-  locals;
 * ``"numpy"`` — the windowed fingerprint does not depend on where chunks
   were cut, so *candidate* boundaries of a whole fed region come first:
   the region splits into lanes of consecutive positions, and each numpy
@@ -33,14 +26,13 @@ this; see docs/PERFORMANCE.md):
   table gathers).  A cheap sequential walk then applies the min/max
   clamping.
 
-``RabinChunker`` picks the fastest available engine unless ``engine=``
-pins one.
+``RabinChunker`` uses ``"numpy"`` unless ``engine=`` pins the reference.
 
 Historical note: the seed implementation cancelled the byte leaving the
 window at ``8 * WINDOW_SIZE`` instead of ``8 * (WINDOW_SIZE - 1)``, so its
 fingerprint depended on every byte since the last cut, not on the window.
 The shift is now correct; the window property is pinned by tests and is
-exactly what makes the skip-ahead and vectorized engines sound.
+exactly what makes the vectorized engine sound.
 """
 
 from __future__ import annotations
@@ -49,13 +41,10 @@ from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from functools import cache
 
+import numpy as np
+
 from repro.chunking.fixed import iter_blocks
 from repro.util.errors import ConfigurationError
-
-try:  # numpy is optional; the pure-Python engines always work.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on numpy-less installs
-    _np = None
 
 #: Degree-53 irreducible polynomial over GF(2) (the LBFS polynomial).
 IRREDUCIBLE_POLY = 0x3DA3358B4DC173
@@ -75,7 +64,8 @@ BOUNDARY_MAGIC = 0x78
 _FP_MASK = (1 << POLY_DEGREE) - 1
 _TOP_SHIFT = POLY_DEGREE - 8
 
-_ENGINES = ("reference", "scan", "numpy")
+#: Every engine, the oracle first.
+ENGINES = ("reference", "numpy")
 
 
 def _poly_mod(value: int, poly: int, degree: int) -> int:
@@ -113,11 +103,6 @@ def window_fingerprint(window: bytes) -> int:
     for byte in window:
         fp = _poly_mod((fp << 8) | byte, IRREDUCIBLE_POLY, POLY_DEGREE)
     return fp
-
-
-def available_chunking_engines() -> list[str]:
-    """Engines usable in this process (always includes the pure ones)."""
-    return [e for e in _ENGINES if e != "numpy" or _np is not None]
 
 
 def _validate_sizes(min_size: int, max_size: int, avg_size: int) -> None:
@@ -185,112 +170,6 @@ class _ReferenceEngine:
         return chunk
 
 
-class _ScanEngine:
-    """Skip-ahead scanner: LBFS fast path, bit-identical to the reference.
-
-    Boundary checks are clamped below ``min_size``, and the (fixed)
-    fingerprint depends only on the last ``WINDOW_SIZE`` bytes — so the
-    first ``min_size - WINDOW_SIZE`` bytes of every chunk need no
-    fingerprint work at all, the next ``WINDOW_SIZE`` bytes only warm
-    the window, and testing starts at size ``min_size`` exactly where
-    the reference takes its first boundary decision.
-    """
-
-    def __init__(self, min_size: int, max_size: int, avg_size: int) -> None:
-        self.min_size = min_size
-        self.max_size = max_size
-        self._mask = avg_size - 1
-        self._magic = BOUNDARY_MAGIC & self._mask
-        self._buf = bytearray()
-        self._pos = 0  # next unprocessed index in the current chunk
-        self._fp = 0
-
-    def update(self, data: bytes) -> Iterator[bytes]:
-        buf = self._buf
-        buf += data
-        append_tbl = _APPEND_TABLE
-        cancel_tbl = _CANCEL_TABLE
-        fp_mask = _FP_MASK
-        top_shift = _TOP_SHIFT
-        mask = self._mask
-        magic = self._magic
-        min_size = self.min_size
-        max_size = self.max_size
-        skip_to = min_size - WINDOW_SIZE
-        warm_end = min_size - 1
-        while True:
-            n = len(buf)
-            pos = self._pos
-            fp = self._fp
-            # Phase 1: skip — no boundary below min_size, no window state
-            # needed before the warm-up region.
-            if pos < skip_to:
-                pos = skip_to if n >= skip_to else n
-                if pos < skip_to:
-                    self._pos = pos
-                    return
-            # Phase 2: warm — fill the window, no checks yet.
-            if pos < warm_end:
-                end = warm_end if n >= warm_end else n
-                for i in range(pos, end):
-                    top = fp >> top_shift
-                    fp = ((fp << 8) | buf[i]) & fp_mask
-                    fp ^= append_tbl[top]
-                pos = end
-                if pos < warm_end:
-                    self._pos = pos
-                    self._fp = fp
-                    return
-            cut = -1
-            # First test position (size == min_size): the window has just
-            # filled, so there is still no byte to cancel.
-            if pos == warm_end:
-                if pos >= n:
-                    self._pos = pos
-                    self._fp = fp
-                    return
-                top = fp >> top_shift
-                fp = ((fp << 8) | buf[pos]) & fp_mask
-                fp ^= append_tbl[top]
-                if (fp & mask) == magic or min_size >= max_size:
-                    cut = pos
-                pos += 1
-            # Phase 3: scan — roll + test until a boundary, max_size, or
-            # the end of buffered data.
-            if cut < 0:
-                end = max_size if n >= max_size else n
-                for i in range(pos, end):
-                    fp ^= cancel_tbl[buf[i - WINDOW_SIZE]]
-                    top = fp >> top_shift
-                    fp = ((fp << 8) | buf[i]) & fp_mask
-                    fp ^= append_tbl[top]
-                    if (fp & mask) == magic:
-                        cut = i
-                        break
-                else:
-                    pos = end
-                    if end == max_size:
-                        cut = max_size - 1  # forced cut at the size cap
-            if cut < 0:
-                self._pos = pos
-                self._fp = fp
-                return
-            chunk = bytes(buf[: cut + 1])
-            del buf[: cut + 1]
-            self._pos = 0
-            self._fp = 0
-            yield chunk
-
-    def finalize(self) -> bytes | None:
-        if not self._buf:
-            return None
-        chunk = bytes(self._buf)
-        self._buf = bytearray()
-        self._pos = 0
-        self._fp = 0
-        return chunk
-
-
 # -- numpy engine ------------------------------------------------------------
 
 #: Lane length (bytes) of the vectorized scan; regions under 256 KiB use
@@ -311,7 +190,6 @@ def _lane_tables():
     and cancels ``o``: the update is GF(2)-linear, so cancelling ``o`` after
     the shift, one byte higher than the reference does before it, is equal.
     """
-    np = _np
     cancel = [((c << 8) & _FP_MASK) ^ _APPEND_TABLE[c >> _TOP_SHIFT] for c in _CANCEL_TABLE]
     step = np.bitwise_xor.outer(np.array(cancel, np.uint64), np.arange(256, dtype=np.uint64))
     fold = np.array(_APPEND_TABLE, np.uint64)
@@ -337,7 +215,6 @@ def _lane_hits(region: bytes, mask: int, magic: int) -> list[int]:
     nothing; then each step rolls every lane by one byte at once:
     ``fp = (fp << 8) ^ fold[fp >> 56] ^ step[out << 8 | in]``.
     """
-    np = _np
     fold, step = _lane_tables()
     count = len(region) - WINDOW_SIZE
     lane = _LANE_BYTES if count >= _SHORT_REGION_BYTES else _SHORT_LANE_BYTES
@@ -442,14 +319,11 @@ class _NumpyEngine:
 
 def _resolve_engine(engine: str | None) -> str:
     if engine is None:
-        return "numpy" if _np is not None else "scan"
-    if engine not in _ENGINES:
+        return "numpy"
+    if engine not in ENGINES:
         raise ConfigurationError(
-            f"unknown chunking engine {engine!r}; "
-            f"available: {available_chunking_engines()}"
+            f"unknown chunking engine {engine!r}; available: {list(ENGINES)}"
         )
-    if engine == "numpy" and _np is None:
-        raise ConfigurationError("numpy chunking engine requested but numpy is absent")
     return engine
 
 
@@ -462,14 +336,13 @@ class RabinChunker:
     or deleting data early in a file only disturbs nearby chunk
     boundaries — the property that makes deduplication robust to edits.
 
-    ``engine`` selects the implementation (``"reference"``, ``"scan"``,
-    ``"numpy"``); ``None`` picks the fastest available.  All engines cut
-    identical boundaries at every ``update()`` granularity.
+    ``engine`` selects the implementation (``"reference"`` or
+    ``"numpy"``); ``None`` picks ``"numpy"``.  Both cut identical
+    boundaries at every ``update()`` granularity.
     """
 
     _ENGINE_CLASSES = {
         "reference": _ReferenceEngine,
-        "scan": _ScanEngine,
         "numpy": _NumpyEngine,
     }
 

@@ -10,13 +10,12 @@ results are reassembled in submission order.  :class:`RekeyPool` does
 the same for the two CPU-bound steps of a rekey: key-regression winds
 (one private RSA operation per file) and stub-file re-encryption.
 
-The worker lifecycle, span slicing and every fallback (in-process for
-small batches and single-worker configurations, threads when process
-pools are unavailable, an in-process redo when a worker dies) live in
-:class:`~repro.util.spanpool.SpanPool`; the pools here add what they
-transform and when a batch is worth the hand-off.  Schemes or ciphers
-that are not registry-reconstructible in a fresh process (custom
-instances) never leave the parent process.
+The worker lifecycle, span slicing and the in-process path (small
+batches, single-worker configurations, no process pools, the redo after
+a worker died) live in :class:`~repro.util.spanpool.SpanPool`; the pools
+here add what they transform and when a batch is worth the hand-off.
+Schemes or ciphers that are not registry-reconstructible in a fresh
+process (custom instances) never leave the parent process.
 
 Worker processes are started lazily on first use and reused across
 uploads; call :meth:`ChunkTransformPool.close` (or
@@ -188,27 +187,20 @@ def _cipher_spec(cipher: SymmetricCipher) -> str | None:
     return name
 
 
-def _repays_hand_off(pool: "ChunkTransformPool", total: int) -> bool:
-    # Threads pay no pickling, so only the process path has a floor.
-    return not pool.use_processes or total >= pool.min_parallel_bytes
-
-
 class ChunkTransformPool(SpanPool):
     """Runs ``scheme.encrypt_chunk`` over batches, in parallel when it pays.
 
     ``workers`` defaults to
-    :func:`~repro.util.spanpool.default_worker_count`.  ``use_processes``
-    may be forced off to get the legacy thread-pool behaviour.
+    :func:`~repro.util.spanpool.default_worker_count`.
     """
 
     def __init__(
         self,
         scheme: EncryptionScheme,
         workers: int | None = None,
-        use_processes: bool = True,
         min_parallel_bytes: int = DEFAULT_MIN_PARALLEL_BYTES,
     ) -> None:
-        self._spec = _registry_spec(scheme) if use_processes else None
+        self._spec = _registry_spec(scheme)
         super().__init__(workers, use_processes=self._spec is not None)
         self.scheme = scheme
         self.min_parallel_bytes = min_parallel_bytes
@@ -225,13 +217,13 @@ class ChunkTransformPool(SpanPool):
             raise ConfigurationError(
                 f"{len(chunks)} chunks but {len(mle_keys)} MLE keys"
             )
-        return self.map_spans(
+        return self.map_spans_where(
             list(zip(chunks, mle_keys)),
             self._encrypt_serial,
             _encrypt_batch,
             self._spec,
-            parallel=_repays_hand_off(self, sum(len(chunk) for chunk in chunks)),
-        )
+            parallel=sum(map(len, chunks)) >= self.min_parallel_bytes,
+        )[0]
 
     def _decrypt_serial(self, pairs: list[tuple[bytes, bytes]]) -> list[bytes]:
         decrypt = self.scheme.decrypt_chunk
@@ -247,13 +239,13 @@ class ChunkTransformPool(SpanPool):
             raise ConfigurationError(
                 f"{len(trimmed)} trimmed packages but {len(stubs)} stubs"
             )
-        return self.map_spans(
+        return self.map_spans_where(
             list(zip(trimmed, stubs)),
             self._decrypt_serial,
             _decrypt_batch,
             self._spec,
-            parallel=_repays_hand_off(self, sum(len(package) for package in trimmed)),
-        )
+            parallel=sum(map(len, trimmed)) >= self.min_parallel_bytes,
+        )[0]
 
 
 class RekeyPool(SpanPool):
@@ -274,7 +266,7 @@ class RekeyPool(SpanPool):
     registry name stay in-process; that does not keep winds off the
     workers.
 
-    Degrades like :class:`ChunkTransformPool`: threads when process
+    Degrades like :class:`ChunkTransformPool`: in-process when process
     pools are unavailable, a serial redo if the pool breaks mid-batch.
     """
 
@@ -282,7 +274,6 @@ class RekeyPool(SpanPool):
         self,
         cipher: SymmetricCipher | None = None,
         workers: int | None = None,
-        use_processes: bool = True,
         min_parallel_bytes: int = DEFAULT_MIN_PARALLEL_BYTES,
         default_stub_size: int = STUB_SIZE,
         owner: KeyRegressionOwner | None = None,
@@ -292,8 +283,7 @@ class RekeyPool(SpanPool):
         self.owner = owner
         super().__init__(
             workers,
-            use_processes=use_processes
-            and (self._spec is not None or owner is not None),
+            use_processes=self._spec is not None or owner is not None,
             initializer=_hold_derivation_key if owner is not None else None,
             initargs=(owner.derivation_key,) if owner is not None else (),
         )
@@ -334,14 +324,13 @@ class RekeyPool(SpanPool):
         deterministic regardless of worker scheduling.
         """
         total = sum(len(stub_file) for stub_file, *_rest in items)
-        return self.map_spans(
+        return self.map_spans_where(
             items,
             self._reencrypt_serial,
             _reencrypt_stub_batch,
             self._spec,
             self.default_stub_size,
-            # Threads pay no pickling; a worker process needs a cipher it
-            # can rebuild and a batch that repays the hand-off.
-            parallel=not self.use_processes
-            or (self._spec is not None and total >= self.min_parallel_bytes),
-        )
+            # A worker process needs a cipher it can rebuild and a batch
+            # that repays the hand-off.
+            parallel=self._spec is not None and total >= self.min_parallel_bytes,
+        )[0]

@@ -18,24 +18,22 @@ differential tests; see docs/PERFORMANCE.md):
   :func:`struct.pack` call.
 * ``"numpy"`` — the same T-table round function vectorized across all
   counter blocks at once (each round is ~16 fancy-indexing gathers over
-  the whole batch).  Selected automatically when numpy is importable.
+  the whole batch).
 
-``ctr_keystream`` dispatches to the best available engine by default;
-pass ``engine=`` to pin one.
+``ctr_keystream`` picks ``"numpy"`` for runs of 16 blocks or more and
+``"ttable"`` below that; pass ``engine=`` to pin one.
 """
 
 from __future__ import annotations
 
 import struct
+from functools import cache
+
+import numpy as np
 
 from repro.crypto.aes import AES, BLOCK_SIZE, SBOX, T0, T1, T2, T3, encryption_schedule
 from repro.util.bytesutil import xor_bytes
 from repro.util.errors import ConfigurationError
-
-try:  # numpy is optional; every engine below has a pure-Python fallback.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on numpy-less installs
-    _np = None
 
 #: Nonce used for deterministic (MLE) encryption.
 ZERO_NONCE = b"\x00" * 8
@@ -48,15 +46,8 @@ _NUMPY_SLAB_BLOCKS = 1 << 15
 #: conversions) exceed the vector win; the ttable loop is faster.
 _NUMPY_MIN_BLOCKS = 16
 
-_ENGINES = ("reference", "ttable", "numpy")
-
-# numpy mirrors of the T-tables, built lazily on first use.
-_NP_TABLES = None
-
-
-def available_ctr_engines() -> list[str]:
-    """Engines usable in this process (always includes the pure ones)."""
-    return [e for e in _ENGINES if e != "numpy" or _np is not None]
+#: Every engine, the oracle first.
+ENGINES = ("reference", "ttable", "numpy")
 
 
 def _check_args(nonce: bytes, length: int) -> None:
@@ -114,21 +105,19 @@ def _ctr_keystream_ttable(key: bytes, nonce: bytes, length: int) -> bytes:
     return struct.pack(f">{len(out)}I", *out)[:length]
 
 
+@cache
 def _np_tables():
-    global _NP_TABLES
-    if _NP_TABLES is None:
-        _NP_TABLES = (
-            _np.array(T0, dtype=_np.uint32),
-            _np.array(T1, dtype=_np.uint32),
-            _np.array(T2, dtype=_np.uint32),
-            _np.array(T3, dtype=_np.uint32),
-            _np.frombuffer(SBOX, dtype=_np.uint8).astype(_np.uint32),
-        )
-    return _NP_TABLES
+    """numpy mirrors of the T-tables, built on first use."""
+    return (
+        np.array(T0, dtype=np.uint32),
+        np.array(T1, dtype=np.uint32),
+        np.array(T2, dtype=np.uint32),
+        np.array(T3, dtype=np.uint32),
+        np.frombuffer(SBOX, dtype=np.uint8).astype(np.uint32),
+    )
 
 
 def _ctr_slab_numpy(words, rounds, nonce_hi: int, start: int, blocks: int):
-    np = _np
     t0, t1, t2, t3, sb = _np_tables()
     ctr = np.arange(start, start + blocks, dtype=np.uint64)
     s0 = np.full(blocks, (nonce_hi >> 32) ^ words[0], dtype=np.uint32)
@@ -173,26 +162,20 @@ def ctr_keystream(
     """Generate ``length`` keystream bytes: ``E(K, nonce || counter)``.
 
     ``engine`` picks the implementation (``"reference"``, ``"ttable"``,
-    ``"numpy"``); ``None`` selects the fastest available.  All engines
-    return identical bytes.
+    ``"numpy"``); ``None`` selects the fastest for ``length``.  All
+    engines return identical bytes.
     """
     if engine is None:
         blocks = (length + BLOCK_SIZE - 1) // BLOCK_SIZE
-        engine = (
-            "numpy" if _np is not None and blocks >= _NUMPY_MIN_BLOCKS else "ttable"
-        )
+        engine = "numpy" if blocks >= _NUMPY_MIN_BLOCKS else "ttable"
     if engine == "reference":
         return ctr_keystream_reference(aes, nonce, length)
     _check_args(nonce, length)
     if engine == "ttable":
         return _ctr_keystream_ttable(aes.key, nonce, length)
     if engine == "numpy":
-        if _np is None:
-            raise ConfigurationError("numpy CTR engine requested but numpy is absent")
         return _ctr_keystream_numpy(aes.key, nonce, length)
-    raise ConfigurationError(
-        f"unknown CTR engine {engine!r}; available: {available_ctr_engines()}"
-    )
+    raise ConfigurationError(f"unknown CTR engine {engine!r}; available: {list(ENGINES)}")
 
 
 def ctr_encrypt(

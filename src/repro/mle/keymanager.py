@@ -173,13 +173,8 @@ class KeyManager:
             )
         started = self._clock()
         with self._tracer.span("km.sign", values=len(blinded_values)):
-            # Signing threads would only take turns on the GIL: without
-            # worker processes the batch is signed right here.
             signatures, on_workers = self._signers.map_spans_where(
-                blinded_values,
-                self._sign_here,
-                _sign_span,
-                parallel=self._signers.use_processes,
+                blinded_values, self._sign_here, _sign_span
             )
         elapsed = self._clock() - started
         self._sign_batches.labels(mode="parallel" if on_workers else "serial").inc()

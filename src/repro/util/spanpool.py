@@ -11,11 +11,12 @@ come back in submission order.  :class:`SpanPool` is that shape, once:
 * a batch is sliced into one span per worker and the futures are read in
   submission order, so the earliest failing item raises first no matter
   how the workers were scheduled;
-* it degrades to the caller's in-process function for batches that
-  cannot repay the IPC, to **threads** when process pools are
-  unavailable or switched off, and to an in-process redo when a worker
-  dies mid-batch (OOM kill, signal) — a dead worker poisons the whole
-  executor, so the pool stays off processes from then on.
+* everything else runs the caller's in-process function over the whole
+  batch: batches that cannot repay the IPC, pools whose processes are
+  switched off or cannot start, and the redo of a batch whose worker
+  died (OOM kill, signal) — a dead worker poisons the whole executor,
+  so the pool stays off processes from then on.  Threads would only take
+  turns on the GIL, so there is no third way to run a batch.
 
 Workers are forked where the platform allows it: they inherit warm
 module state instead of re-importing everything, and ``spawn`` /
@@ -34,7 +35,7 @@ import os
 import stat
 import threading
 from collections.abc import Callable
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.util.errors import ConfigurationError
@@ -118,7 +119,7 @@ class SpanPool:
         self.use_processes = use_processes
         self._initializer = initializer
         self._initargs = initargs
-        self._executor: Executor | None = None
+        self._executor: ProcessPoolExecutor | None = None
         self._start_lock = threading.Lock()
         #: Batches that ran on the workers / in-process (for tests/stats).
         self.parallel_batches = 0
@@ -126,7 +127,7 @@ class SpanPool:
 
     # -- executor lifecycle ------------------------------------------------
 
-    def _start_processes(self) -> Executor | None:
+    def _start_processes(self) -> ProcessPoolExecutor | None:
         """A process pool whose every worker is up, or ``None``."""
         try:
             context = multiprocessing.get_context("fork")
@@ -159,18 +160,17 @@ class SpanPool:
             return None
         return executor
 
-    def _get_executor(self) -> Executor:
+    def _get_executor(self) -> ProcessPoolExecutor | None:
+        """The worker processes, started on first use; ``None`` once
+        processes are off."""
         with self._start_lock:
             if self._executor is None and self.use_processes:
                 self._executor = self._start_processes()
                 self.use_processes = self._executor is not None
-            if self._executor is None:
-                # Threads keep the API (not the speedup).
-                self._executor = ThreadPoolExecutor(max_workers=self.workers)
             return self._executor
 
     def close(self) -> None:
-        """Reap worker processes/threads; the pool restarts lazily."""
+        """Reap the worker processes; the pool restarts lazily."""
         with self._start_lock:
             executor, self._executor = self._executor, None
         if executor is not None:
@@ -184,27 +184,6 @@ class SpanPool:
 
     # -- mapping -----------------------------------------------------------
 
-    def map_spans(
-        self,
-        items: list,
-        serial: Callable[[list], list],
-        task: Callable[..., list],
-        *task_args,
-        parallel: bool = True,
-    ) -> list:
-        """``serial(items)``, computed span by span on the workers.
-
-        Worker processes run ``task(*task_args, span)`` (module-level
-        and picklable); threads and the in-process paths run
-        ``serial(span)``.  ``parallel=False`` is the caller's verdict
-        that this batch is too small to repay the hand-off.  A one-item
-        batch always stays in-process: there is nothing to split, and the
-        round trip to a worker would only add to the caller's wait.
-        """
-        return self.map_spans_where(
-            items, serial, task, *task_args, parallel=parallel
-        )[0]
-
     def map_spans_where(
         self,
         items: list,
@@ -213,29 +192,36 @@ class SpanPool:
         *task_args,
         parallel: bool = True,
     ) -> tuple[list, bool]:
-        """:meth:`map_spans`, plus whether the batch ran on worker
-        processes — not on threads, not in-process, and not redone
-        in-process after a worker died."""
-        if not parallel or self.workers == 1 or len(items) < 2:
-            self.serial_batches += 1
-            return serial(items), False
-        executor = self._get_executor()
-        on_processes = isinstance(executor, ProcessPoolExecutor)
-        size = -(-len(items) // self.workers)
-        spans = [items[start : start + size] for start in range(0, len(items), size)]
-        try:
-            if on_processes:
-                futures = [executor.submit(task, *task_args, span) for span in spans]
+        """``serial(items)``, computed span by span on the workers, and
+        whether the batch really ran on them.
+
+        Worker processes run ``task(*task_args, span)`` (module-level
+        and picklable).  Every other batch runs ``serial(items)`` here:
+        ``parallel=False`` (the caller's verdict that the batch is too
+        small to repay the hand-off), a one-item batch (nothing to split,
+        and the round trip would only add to the caller's wait), a
+        one-worker pool, a pool whose processes are off, and the redo of
+        a batch whose worker died.
+        """
+        executor = None
+        if parallel and self.workers > 1 and len(items) >= 2:
+            executor = self._get_executor()
+        if executor is not None:
+            size = -(-len(items) // self.workers)
+            try:
+                futures = [
+                    executor.submit(task, *task_args, items[start : start + size])
+                    for start in range(0, len(items), size)
+                ]
+                results = [future.result() for future in futures]
+            except BrokenProcessPool:
+                with self._start_lock:
+                    self.use_processes = False
+                    if self._executor is executor:
+                        self._executor = None
+                executor.shutdown(wait=True)
             else:
-                futures = [executor.submit(serial, span) for span in spans]
-            results = [future.result() for future in futures]
-        except BrokenProcessPool:
-            with self._start_lock:
-                self.use_processes = False
-                if self._executor is executor:
-                    self._executor = None
-            executor.shutdown(wait=True)
-            self.serial_batches += 1
-            return serial(items), False
-        self.parallel_batches += 1
-        return [result for batch in results for result in batch], on_processes
+                self.parallel_batches += 1
+                return [result for batch in results for result in batch], True
+        self.serial_batches += 1
+        return serial(items), False

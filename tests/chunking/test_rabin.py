@@ -9,12 +9,12 @@ from repro.chunking.rabin import (
     DEFAULT_AVG_SIZE,
     DEFAULT_MAX_SIZE,
     DEFAULT_MIN_SIZE,
+    ENGINES,
     WINDOW_SIZE,
     RabinChunker,
     _lane_hits,
     _ReferenceEngine,
     _scalar_hits,
-    available_chunking_engines,
     rabin_chunks,
     window_fingerprint,
 )
@@ -118,10 +118,6 @@ class TestEngineEquivalence:
     """Accelerated engines must cut bit-identical boundaries to the
     reference at every update() granularity."""
 
-    def test_available_engines(self):
-        engines = available_chunking_engines()
-        assert "reference" in engines and "scan" in engines
-
     @pytest.mark.parametrize(
         "feed",
         [
@@ -135,7 +131,7 @@ class TestEngineEquivalence:
     def test_engines_match_reference_across_feeds(self, feed):
         data = unique_data(50_000, seed=12)
         expected = _chunks_with_feed("reference", data, 50_000)
-        for engine in available_chunking_engines():
+        for engine in ENGINES:
             assert _chunks_with_feed(engine, data, feed) == expected, (engine, feed)
 
     @settings(max_examples=25)
@@ -145,7 +141,7 @@ class TestEngineEquivalence:
     )
     def test_differential_random(self, data, feed):
         expected = _chunks_with_feed("reference", data, max(feed, 1))
-        for engine in available_chunking_engines():
+        for engine in ENGINES:
             assert _chunks_with_feed(engine, data, feed) == expected, (engine, feed)
 
     @pytest.mark.slow
@@ -153,13 +149,13 @@ class TestEngineEquivalence:
         # Repetitive data exercises the forced max_size cuts heavily.
         data = (b"\x00" * 4_000) + (b"ab" * 2_000) + unique_data(4_000, seed=13)
         expected = _chunks_with_feed("reference", data, len(data))
-        for engine in available_chunking_engines():
+        for engine in ENGINES:
             for feed in (1, 513, len(data)):
                 assert _chunks_with_feed(engine, data, feed) == expected
 
     def test_explicit_engine_on_chunker(self):
         data = unique_data(10_000, seed=14)
-        for engine in available_chunking_engines():
+        for engine in ENGINES:
             chunker = RabinChunker(engine=engine, **SMALL)
             assert chunker.engine == engine
             chunks = list(chunker.update(data))
@@ -167,8 +163,10 @@ class TestEngineEquivalence:
             assert b"".join(chunks) + (tail or b"") == data
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigurationError):
-            RabinChunker(engine="bogus", **SMALL)
+        # "scan", the retired pure-Python engine, is unknown too.
+        for engine in ("bogus", "scan"):
+            with pytest.raises(ConfigurationError, match="'reference', 'numpy'"):
+                RabinChunker(engine=engine, **SMALL)
 
 
 def _reference_hits(region, mask):
@@ -188,7 +186,6 @@ PERIODIC = bytes(range(2, 58, 7)) * 4_000
 WIDE = dict(min_size=1024, max_size=1 << 19, avg_size=1 << 17)
 
 
-@pytest.mark.skipif("numpy" not in available_chunking_engines(), reason="numpy unavailable")
 class TestLaneEdges:
     """The numpy engine's lane scan at its edges, against the reference."""
 

@@ -1,6 +1,6 @@
 """Tests for the client worker pools: chunk transforms and rekeying."""
 
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -90,30 +90,22 @@ class TestProcessPath:
         pool.close()
 
 
-class TestThreadFallback:
-    def test_custom_scheme_uses_threads(self):
-        class WeirdCipher(type(get_cipher("hashctr"))):
-            name = "not-registered"
+class _UnregisteredCipher(type(get_cipher("hashctr"))):
+    name = "not-registered"
 
-        scheme = get_scheme("enhanced", cipher=WeirdCipher())
+
+class TestInProcessFallback:
+    def test_custom_scheme_runs_in_process(self):
+        """A scheme no fresh process can rebuild never starts workers:
+        every batch runs whole in the caller's process."""
+        scheme = get_scheme("enhanced", cipher=_UnregisteredCipher())
         with ChunkTransformPool(scheme, workers=2, min_parallel_bytes=0) as pool:
             chunks, keys = _inputs(4)
             got = pool.encrypt(chunks, keys)
             assert got == [scheme.encrypt_chunk(c, k) for c, k in zip(chunks, keys)]
-            assert isinstance(pool._executor, ThreadPoolExecutor)
-
-    def test_use_processes_false_forces_threads(self):
-        scheme = get_scheme("enhanced")
-        with ChunkTransformPool(
-            scheme, workers=2, use_processes=False, min_parallel_bytes=0
-        ) as pool:
-            chunks, keys = _inputs(4)
-            pool.encrypt(chunks, keys)
-            assert isinstance(pool._executor, ThreadPoolExecutor)
-
-
-class _UnregisteredCipher(type(get_cipher("hashctr"))):
-    name = "not-registered"
+            assert pool.decrypt([p.trimmed_package for p in got], [p.stub for p in got]) == chunks
+            assert pool._executor is None
+            assert (pool.parallel_batches, pool.serial_batches) == (0, 2)
 
 
 @pytest.fixture()

@@ -45,15 +45,11 @@ class TestKeystream:
 class TestEngines:
     """All keystream engines must be byte-identical to the reference."""
 
-    def test_available_engines(self):
-        engines = modes.available_ctr_engines()
-        assert "reference" in engines and "ttable" in engines
-
     @pytest.mark.parametrize("length", [0, 1, 15, 16, 17, 100, 1000, 4096])
     def test_engines_match_reference(self, length):
         aes = AES(KEY)
         expected = modes.ctr_keystream_reference(aes, NONCE, length)
-        for engine in modes.available_ctr_engines():
+        for engine in modes.ENGINES:
             assert (
                 modes.ctr_keystream(aes, NONCE, length, engine=engine) == expected
             ), engine
@@ -66,7 +62,7 @@ class TestEngines:
     def test_differential_random(self, key, nonce, length):
         aes = AES(key)
         expected = modes.ctr_keystream_reference(aes, nonce, length)
-        for engine in modes.available_ctr_engines():
+        for engine in modes.ENGINES:
             assert (
                 modes.ctr_keystream(aes, nonce, length, engine=engine) == expected
             ), engine
@@ -74,8 +70,23 @@ class TestEngines:
     def test_engines_match_for_192_bit_keys(self):
         aes = AES(bytes(range(24)))
         expected = modes.ctr_keystream_reference(aes, NONCE, 333)
-        for engine in modes.available_ctr_engines():
+        for engine in modes.ENGINES:
             assert modes.ctr_keystream(aes, NONCE, 333, engine=engine) == expected
+
+    def test_numpy_slab_boundary(self):
+        """A keystream longer than one numpy slab continues the counter
+        across the slab edge and ends on a partial block."""
+        aes = AES(KEY)
+        slab = modes._NUMPY_SLAB_BLOCKS
+        length = (slab + 3) * 16 + 5
+        stream = modes.ctr_keystream(aes, NONCE, length)
+        assert len(stream) == length
+        assert stream == modes.ctr_keystream(aes, NONCE, length, engine="numpy")
+        for block in (slab - 1, slab, slab + 1):
+            expected = aes.encrypt_block(NONCE + block.to_bytes(8, "big"))
+            assert stream[16 * block : 16 * (block + 1)] == expected, block
+        tail = aes.encrypt_block(NONCE + (slab + 3).to_bytes(8, "big"))
+        assert stream[-5:] == tail[:5]
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -173,10 +173,10 @@ def _records_after_two_rekeys(kill_winders: bool, monkeypatch) -> dict:
         wound = {mode: count - before[mode] for mode, count in wind_batches().items()}
         if kill_winders:
             # The first window's workers died mid-wind: its winds were
-            # redone in-process (the one serial batch) and the pool
-            # serves everything after that on threads — neither of which
-            # counts as a parallel wind.
-            assert pool.serial_batches == 1
+            # redone in-process, and the pool runs everything after that
+            # in-process too (two windows and two stub batches) — none of
+            # which counts as a parallel wind.
+            assert (pool.parallel_batches, pool.serial_batches) == (0, 4)
             assert pool.use_processes is False
             assert wound == {"serial": 2, "parallel": 0}
         else:

@@ -58,34 +58,34 @@ class TestPaths:
     def test_processes_match_serial_in_order(self):
         items = list(range(11))
         with SpanPool(workers=3) as pool:
-            assert pool.map_spans(items, _double, _scale_span, 2) == _double(items)
+            assert pool.map_spans_where(items, _double, _scale_span, 2)[0] == _double(items)
             pids, on_processes = pool.map_spans_where(items, _pid_span, _pid_span)
             assert on_processes and pool.parallel_batches == 2
         assert os.getpid() not in pids
         # One contiguous span per worker: pids change at most twice.
         assert sum(a != b for a, b in zip(pids, pids[1:])) <= 2
 
-    def test_threads_when_processes_are_off(self):
+    def test_in_process_when_processes_are_off(self):
         with SpanPool(workers=2, use_processes=False) as pool:
             pids, on_processes = pool.map_spans_where([1, 2, 3, 4], _pid_span, _pid_span)
             assert pids == [os.getpid()] * 4
-            # Spread over threads, but not on worker processes.
-            assert not on_processes and pool.parallel_batches == 1
+            assert on_processes is False and pool.parallel_batches == 0
+            assert pool._executor is None
 
     def test_initializer_state_is_held_from_start_up(self):
         with SpanPool(workers=2, initializer=_hold, initargs=(100,)) as pool:
-            assert pool.map_spans([1, 2, 3, 4], _double, _held_plus_span) == [
+            assert pool.map_spans_where([1, 2, 3, 4], _double, _held_plus_span)[0] == [
                 101, 102, 103, 104,
             ]
         assert _HELD is None  # the parent never ran the initializer
 
     def test_restarts_after_close(self):
         pool = SpanPool(workers=2)
-        first = pool.map_spans([1, 2, 3, 4], _double, _scale_span, 2)
+        first = pool.map_spans_where([1, 2, 3, 4], _double, _scale_span, 2)[0]
         pool.close()
         pool.close()
         assert pool._executor is None
-        assert pool.map_spans([1, 2, 3, 4], _double, _scale_span, 2) == first
+        assert pool.map_spans_where([1, 2, 3, 4], _double, _scale_span, 2)[0] == first
         pool.close()
 
     def test_earliest_failing_span_raises_first(self):
@@ -94,7 +94,7 @@ class TestPaths:
 
         with SpanPool(workers=2) as pool:
             with pytest.raises(ZeroDivisionError):
-                pool.map_spans([0, 1, 2, 3], serial, _reciprocal_span)
+                pool.map_spans_where([0, 1, 2, 3], serial, _reciprocal_span)
 
 
 def _reciprocal_span(span):
@@ -111,7 +111,7 @@ class TestWorkerHygiene:
         with SpanPool(workers=2) as pool:
             # Forks both workers; whichever serves the batch, neither may
             # still be on its way to dropping the listener afterwards.
-            pool.map_spans([1, 2, 3, 4], _double, _scale_span, 2)
+            pool.map_spans_where([1, 2, 3, 4], _double, _scale_span, 2)
             listener.close()
             again = socket.socket()
             try:
@@ -119,11 +119,11 @@ class TestWorkerHygiene:
             finally:
                 again.close()
             # The workers still work after losing their inherited sockets.
-            assert pool.map_spans([5, 6], _double, _scale_span, 2) == [10, 12]
+            assert pool.map_spans_where([5, 6], _double, _scale_span, 2)[0] == [10, 12]
 
     def test_killed_worker_redoes_the_batch_in_process(self):
         pool = SpanPool(workers=2)
-        pids = set(pool.map_spans([1, 2, 3, 4], _pid_span, _pid_span))
+        pids = set(pool.map_spans_where([1, 2, 3, 4], _pid_span, _pid_span)[0])
         os.kill(next(iter(pids)), signal.SIGKILL)
         # Until the executor has noticed, the surviving worker may still
         # serve a whole batch; the redo is what happens once it has.
@@ -137,6 +137,22 @@ class TestWorkerHygiene:
         assert (pool.parallel_batches, pool.serial_batches) == (1, 1)
         # A dead worker poisons the executor: the pool stays off processes.
         assert pool.use_processes is False
-        assert pool.map_spans([1, 2], _pid_span, _pid_span) == [os.getpid()] * 2
+        assert pool.map_spans_where([1, 2], _pid_span, _pid_span)[0] == [os.getpid()] * 2
         pool.close()
         assert pids.isdisjoint(child.pid for child in multiprocessing.active_children())
+
+    def test_in_process_after_a_killed_worker(self):
+        """The batch that finds a worker dead and every batch after it
+        run in the caller's process, whole."""
+        pool = SpanPool(workers=2)
+        executor = pool._get_executor()
+        os.kill(next(iter(executor._processes)), signal.SIGKILL)
+        deadline = time.monotonic() + 30
+        while not executor._broken and time.monotonic() < deadline:
+            time.sleep(0.01)
+        for _ in range(2):
+            pids, on_processes = pool.map_spans_where([1, 2, 3, 4], _pid_span, _pid_span)
+            assert pids == [os.getpid()] * 4
+            assert on_processes is False and pool.parallel_batches == 0
+        assert pool._executor is None and pool.serial_batches == 2
+        pool.close()
