@@ -2,7 +2,7 @@
 
 Raw throughput of every primitive on the REED data path, to localize
 bottlenecks and to quantify the Python-vs-OpenSSL substrate gap recorded
-in DESIGN.md §3 (pure-Python AES vs HashCTR, RSA signing, Rabin
+in DESIGN.md §3 (pure-Python AES vs SHAKE-256, RSA signing, Rabin
 chunking, access-tree encryption).
 """
 
@@ -46,11 +46,11 @@ class TestCiphers:
         rate = mbps(16, benchmark.stats["mean"])
         save_result("components", f"pure-python AES block: {rate:.3f} MB/s")
 
-    def test_hashctr_mask_8k(self, benchmark):
-        cipher = get_cipher("hashctr")
+    def test_shake256_mask_8k(self, benchmark):
+        cipher = get_cipher("shake256")
         benchmark(cipher.mask, KEY32, 8 * KiB)
         rate = mbps(8 * KiB, benchmark.stats["mean"])
-        save_result("components", f"hashctr mask 8KB: {rate:.0f} MB/s")
+        save_result("components", f"shake256 mask 8KB: {rate:.0f} MB/s")
 
     def test_aes256_ctr_mask_2k(self, benchmark):
         cipher = get_cipher("aes256")

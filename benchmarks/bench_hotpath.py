@@ -8,7 +8,7 @@ Measures the four layers the acceleration pass touches —
   (``reference`` / ``ttable`` / ``numpy``);
 * **caont** — the CAONT chunk transform (enhanced scheme) with the
   reference CTR engine pinned vs. the auto-dispatched fast path, plus a
-  ``caont/hashctr`` row for the default (HashCTR) cipher every client
+  ``caont/shake256`` row for the default (SHAKE-256) cipher every client
   runs;
 * **upload** — end-to-end client upload against an in-process system,
   reference engines vs. accelerated defaults;
@@ -177,7 +177,7 @@ def bench_ctr(data_len: int, repeats: int) -> list[dict]:
 
 def bench_caont(chunk_size: int, chunk_count: int, repeats: int, seed: int) -> list[dict]:
     """CAONT transform under AES-256: reference CTR vs. fast dispatch,
-    then the same chunks under the default cipher (``caont/hashctr``).
+    then the same chunks under the default cipher (``caont/shake256``).
 
     The cipher's ``mask``/``deterministic_encrypt`` go through
     ``ctr_keystream``, so pinning the dispatcher's default engine
@@ -226,10 +226,10 @@ def bench_caont(chunk_size: int, chunk_count: int, repeats: int, seed: int) -> l
         for chunk, key in zip(chunks, keys):
             default_scheme.encrypt_chunk(chunk, key)
 
-    seconds = _time(run_default, repeats, "caont/hashctr")
+    seconds = _time(run_default, repeats, "caont/shake256")
     results.append(
         {
-            "name": "caont/hashctr",
+            "name": "caont/shake256",
             "bytes": total,
             "seconds": seconds,
             "mib_per_s": _mib_per_s(total, seconds),

@@ -5,7 +5,7 @@ Layout:
 * :mod:`repro.crypto.hashing` — SHA-256 fingerprints, HMAC, KDF, FDH hash.
 * :mod:`repro.crypto.aes` — pure-Python AES (FIPS-197).
 * :mod:`repro.crypto.modes` — CTR mode, deterministic MLE encryption.
-* :mod:`repro.crypto.streamcipher` — HashCTR fast keystream.
+* :mod:`repro.crypto.streamcipher` — SHAKE-256 fast keystream.
 * :mod:`repro.crypto.cipher` — the :class:`SymmetricCipher` interface.
 * :mod:`repro.crypto.drbg` — OS randomness + deterministic HMAC-DRBG.
 * :mod:`repro.crypto.rsa` — RSA keygen / FDH signatures.
@@ -16,7 +16,7 @@ Layout:
 from repro.crypto.cipher import (
     DEFAULT_CIPHER,
     AES256Cipher,
-    HashCTRCipher,
+    Shake256Cipher,
     SymmetricCipher,
     available_ciphers,
     get_cipher,
@@ -42,12 +42,12 @@ __all__ = [
     "DEFAULT_CIPHER",
     "DEFAULT_KEY_BITS",
     "DIGEST_SIZE",
-    "HashCTRCipher",
     "HmacDrbg",
     "RSAPrivateKey",
     "RSAPublicKey",
     "RandomSource",
     "SYSTEM_RANDOM",
+    "Shake256Cipher",
     "SymmetricCipher",
     "available_ciphers",
     "fingerprint",

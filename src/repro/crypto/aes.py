@@ -19,8 +19,8 @@ Two encrypt paths coexist (docs/PERFORMANCE.md):
   :mod:`repro.crypto.modes` are built on this schedule.
 
 Pure-Python AES is three orders of magnitude slower than hardware AES; the
-library therefore defaults to :mod:`repro.crypto.streamcipher` (a SHA-256
-counter-mode keystream) for bulk masking, with AES available for
+library therefore defaults to :mod:`repro.crypto.streamcipher` (a SHAKE-256
+keystream) for bulk masking, with AES available for
 correctness testing and for callers that require the exact paper
 construction.  See DESIGN.md §3.
 """

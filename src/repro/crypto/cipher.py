@@ -2,7 +2,7 @@
 
 Every REED construction (AONT, CAONT, the basic/enhanced schemes, stub
 encryption) is written against the :class:`SymmetricCipher` interface so
-that the exact paper construction (AES-256) and the Python-fast HashCTR
+that the exact paper construction (AES-256) and the fast SHAKE-256
 substitute are interchangeable.  The registry maps cipher names to
 singleton instances; ``get_cipher()`` returns the process-wide default.
 
@@ -93,10 +93,10 @@ class AES256Cipher(SymmetricCipher):
         return modes.ctr_keystream(AES(key), modes.ZERO_NONCE, length)
 
 
-class HashCTRCipher(SymmetricCipher):
-    """SHA-256 counter-mode stream cipher — the Python-fast default."""
+class Shake256Cipher(SymmetricCipher):
+    """SHAKE-256 keystream cipher — the fast default (DESIGN.md §3)."""
 
-    name = "hashctr"
+    name = "shake256"
     key_size = 32
     nonce_size = 16
 
@@ -132,11 +132,11 @@ class HashCTRCipher(SymmetricCipher):
 
 _REGISTRY: dict[str, SymmetricCipher] = {
     AES256Cipher.name: AES256Cipher(),
-    HashCTRCipher.name: HashCTRCipher(),
+    Shake256Cipher.name: Shake256Cipher(),
 }
 
 #: Name of the cipher returned by :func:`get_cipher` with no argument.
-DEFAULT_CIPHER = HashCTRCipher.name
+DEFAULT_CIPHER = Shake256Cipher.name
 
 
 def get_cipher(name: str | None = None) -> SymmetricCipher:

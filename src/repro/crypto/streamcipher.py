@@ -1,70 +1,42 @@
-"""HashCTR: a SHA-256 counter-mode stream cipher.
+"""SHAKE-256 keystream: an extendable-output function used as a stream cipher.
 
 The paper's prototype generates AONT masks with OpenSSL AES-256 at
 hundreds of MB/s.  Pure-Python AES runs at ~100 KB/s, which would make
-every experiment keystream-bound for the wrong reason.  HashCTR keeps the
-same abstraction — a deterministic keystream expanded from a 32-byte key —
-but is built from :mod:`hashlib`'s C-accelerated SHA-256, reaching tens of
-MB/s in pure Python.
+every experiment keystream-bound for the wrong reason.  This module keeps
+the same abstraction — a deterministic keystream expanded from a 32-byte
+key — but draws it from :mod:`hashlib`'s SHAKE-256 (FIPS 202), which
+produces the whole stream in one C call.
 
-Construction: keystream block ``i`` is ``SHA-256(key || nonce || i)`` with
-a 64-bit big-endian counter ``i``; this is the standard hash-counter PRG
-(indistinguishable from random if SHA-256 is a random oracle).  Encryption
-is XOR with the keystream, so encryption and decryption coincide, exactly
+Construction: the keystream is ``SHAKE-256(key || nonce)`` cut to the
+requested length, i.e. a keyed sponge used as a PRG.  The key is always
+32 bytes and the nonce is empty (deterministic MLE stream, CAONT mask) or
+16 bytes (randomized encryption), so the input encoding is injective.
+SHAKE-256's 512-bit capacity keeps the 256-bit key level.  Encryption is
+XOR with the keystream, so encryption and decryption coincide, exactly
 like CTR mode.
-
-:func:`keystream` hashes ``key || nonce`` once and, per block, copies that
-state, feeds it the counter and takes the digest.  The state is CPython's
-built-in SHA-256 type (``_sha2``/``_sha256``, where it exists): its
-``copy()`` is a struct copy, while an OpenSSL ``hashlib`` object allocates
-a context per copy.  The first 4,096 counters (128 KiB of keystream) come
-from an immutable table that is never grown, so concurrent callers cannot
-race on it.
 
 This substitution is recorded in DESIGN.md §3; all REED constructions are
 parametric in the cipher, and the test suite exercises both AES and
-HashCTR.
+SHAKE-256.
 """
 
 from __future__ import annotations
 
 import hashlib
-from itertools import chain
 
 from repro.util.bytesutil import xor_bytes
 from repro.util.errors import ConfigurationError
 
-try:  # CPython 3.12+
-    from _sha2 import sha256 as _sha256
-except ImportError:
-    try:  # CPython 3.10/3.11
-        from _sha256 import sha256 as _sha256
-    except ImportError:
-        _sha256 = hashlib.sha256
-
 KEY_SIZE = 32
-_BLOCK = 32  # SHA-256 output size
-_TABLE_BLOCKS = 4096
-_COUNTERS = tuple(i.to_bytes(8, "big") for i in range(_TABLE_BLOCKS))
 
 
 def keystream(key: bytes, length: int, nonce: bytes = b"") -> bytes:
     """Expand ``key`` (and optional nonce) into ``length`` keystream bytes."""
     if len(key) != KEY_SIZE:
-        raise ConfigurationError(f"HashCTR key must be {KEY_SIZE} bytes")
+        raise ConfigurationError(f"SHAKE-256 stream key must be {KEY_SIZE} bytes")
     if length < 0:
         raise ConfigurationError("keystream length must be non-negative")
-    blocks = (length + _BLOCK - 1) // _BLOCK
-    copy = _sha256(key + nonce).copy
-    out = []
-    counters = chain(
-        _COUNTERS[:blocks], (i.to_bytes(8, "big") for i in range(_TABLE_BLOCKS, blocks))
-    )
-    for counter in counters:
-        state = copy()
-        state.update(counter)
-        out.append(state.digest())
-    return b"".join(out)[:length]
+    return hashlib.shake_256(key + nonce).digest(length)
 
 
 def encrypt(key: bytes, nonce: bytes, plaintext: bytes) -> bytes:
@@ -77,7 +49,7 @@ def decrypt(key: bytes, nonce: bytes, ciphertext: bytes) -> bytes:
 
 
 def deterministic_encrypt(key: bytes, plaintext: bytes) -> bytes:
-    """Deterministic (zero-nonce) encryption for MLE use."""
+    """Deterministic (empty-nonce) encryption for MLE use."""
     return encrypt(key, b"", plaintext)
 
 

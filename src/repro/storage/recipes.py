@@ -17,7 +17,7 @@ from repro.util.codec import Decoder, Encoder
 from repro.util.errors import CorruptionError
 
 #: Recipe format version (for forward compatibility on disk).
-RECIPE_FORMAT = 1
+RECIPE_FORMAT = 2
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Shared utilities for the REED reproduction.
 
-This package holds small, dependency-free building blocks used across the
-whole system: error types, byte-string manipulation (XOR, splitting),
+This package holds small building blocks used across the whole system
+(numpy, for XOR and folding, is their only import outside the standard
+library): error types, byte-string manipulation (XOR, splitting),
 a tag-length-value serialization codec, an LRU cache with byte budgeting,
 a token-bucket rate limiter, and human-readable unit helpers.
 """

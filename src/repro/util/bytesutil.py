@@ -1,31 +1,27 @@
 """Byte-string helpers used throughout the cryptographic layers.
 
 The AONT constructions XOR large masks against messages and fold packages
-into fixed-size pieces; these helpers centralize that logic with fast
-``int.from_bytes`` based implementations (pure Python, no numpy needed on
-the critical path).
+into fixed-size pieces; these helpers centralize that logic on numpy
+``uint8`` views of the buffers, so one XOR or fold is a single vectorized
+pass whatever the length.
 """
 
 from __future__ import annotations
 
 import hmac
 
+import numpy as np
+
 from repro.util.errors import ConfigurationError
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:
-    """Return ``a XOR b``; the inputs must have equal length.
-
-    Implemented via arbitrary-precision integers, which is the fastest
-    portable way to XOR large buffers in pure Python (roughly 100x faster
-    than a byte-by-byte loop for megabyte inputs).
-    """
+    """Return ``a XOR b``; the inputs must have equal length."""
     if len(a) != len(b):
         raise ConfigurationError(
             f"xor_bytes requires equal lengths, got {len(a)} and {len(b)}"
         )
-    n = len(a)
-    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(n, "big")
+    return (np.frombuffer(a, np.uint8) ^ np.frombuffer(b, np.uint8)).tobytes()
 
 
 def xor_fold(data: bytes, piece_size: int) -> bytes:
@@ -35,22 +31,14 @@ def xor_fold(data: bytes, piece_size: int) -> bytes:
     final piece is zero-padded on the right) and all pieces are XORed
     together.  This is the "self-XOR" operation of REED's enhanced
     encryption scheme (Section IV-B): the result cannot be predicted
-    without knowing the entire content of the input.
-
-    One integer holds all pieces; each round XORs its upper pieces onto
-    its lower half, so the fold takes ``log2(pieces)`` big-int operations
-    instead of one conversion per piece.
+    without knowing the entire content of the input.  An empty input
+    folds to ``piece_size`` zero bytes.
     """
     if piece_size <= 0:
         raise ConfigurationError("piece_size must be positive")
     count = -(-len(data) // piece_size)
-    acc = int.from_bytes(data, "big") << 8 * (count * piece_size - len(data))
-    while count > 1:
-        half = count // 2
-        bits = 8 * piece_size * half
-        acc = (acc >> bits) ^ (acc & ((1 << bits) - 1))
-        count -= half
-    return acc.to_bytes(piece_size, "big")
+    pieces = np.frombuffer(data.ljust(count * piece_size, b"\x00"), np.uint8)
+    return np.bitwise_xor.reduce(pieces.reshape(count, piece_size), axis=0).tobytes()
 
 
 def split_at(data: bytes, index: int) -> tuple[bytes, bytes]:

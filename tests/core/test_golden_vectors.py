@@ -13,11 +13,14 @@ rather than misread.
 
 import hashlib
 
+import pytest
+
 from repro.aont.caont import caont_transform
 from repro.core.schemes import get_scheme
 from repro.crypto.cipher import get_cipher
 from repro.storage.recipes import ChunkRef, FileRecipe
 from repro.util.codec import Encoder
+from repro.util.errors import CorruptionError
 
 CHUNK = bytes(range(256)) * 4  # 1024 deterministic bytes
 MLE_KEY = bytes(range(32))
@@ -31,13 +34,13 @@ class TestSchemeVectors:
     """Trimmed package + stub digests for both schemes and ciphers."""
 
     GOLDEN = {
-        ("basic", "hashctr"): (
-            "01900f1c9f92c52ae8e9cb7724a68442",
-            "024b233e4a690ea98ffc7213ecdf8ce3",
+        ("basic", "shake256"): (
+            "9b0af91c8638b877eb628d15ed4ef678",
+            "dfd06dad9db5a091d1c7b84ee3520e25",
         ),
-        ("enhanced", "hashctr"): (
-            "727ec1aa8ebb83cdeaa6ed06386ad90e",
-            "656ab80fecfd520bc56e86642e901475",
+        ("enhanced", "shake256"): (
+            "1b2e3e22b4e50498a21d04be883ac5d1",
+            "dd4fb6449de2542e9bea2aad7b6a57b0",
         ),
         ("basic", "aes256"): (
             "286d591c815deefc72bbb90d9a672bcb",
@@ -67,8 +70,8 @@ class TestSchemeVectors:
 class TestCaontVector:
     def test_caont_frozen(self):
         package = caont_transform(CHUNK)
-        assert digest(package.head) == "b5928962fdeedf5e98039b73785cea1d"
-        assert digest(package.tail) == "e238a878f0f1068ac34e23f62d9a85ec"
+        assert digest(package.head) == "16a3f342c26bdeba8af0014a5518999e"
+        assert digest(package.tail) == "cdbce82913f7e325c002eaf76a8462f2"
 
 
 class TestEncodingVectors:
@@ -84,7 +87,26 @@ class TestEncodingVectors:
                 ChunkRef(fingerprint=bytes(reversed(range(32))), length=200),
             ),
         )
-        assert digest(recipe.encode()) == "717631d196363b742f873abeab38fa96"
+        assert digest(recipe.encode()) == "28d69911a9cb4a55199b990d704984b8"
+
+    def test_format_1_recipe_refused_by_name(self):
+        # Format 1 recipes point at chunks written under the retired
+        # HashCTR default cipher; they are refused, never misread.
+        legacy = (
+            Encoder()
+            .uint(1)
+            .text("golden")
+            .text("/tmp/file")
+            .uint(100)
+            .text("enhanced")
+            .uint(2)
+            .uint(1)
+            .blob(bytes(range(32)))
+            .uint(100)
+            .done()
+        )
+        with pytest.raises(CorruptionError, match="unsupported recipe format 1"):
+            FileRecipe.decode(legacy)
 
     def test_codec_primitives_frozen(self):
         data = (

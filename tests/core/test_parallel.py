@@ -7,7 +7,7 @@ import pytest
 from repro.core.parallel import ChunkTransformPool, RekeyPool, _registry_spec
 from repro.core.schemes import get_scheme
 from repro.core.stubs import encrypt_stub_file
-from repro.crypto.cipher import get_cipher
+from repro.crypto.cipher import DEFAULT_CIPHER, get_cipher
 from repro.crypto.drbg import HmacDrbg
 from repro.keyreg.rsa_keyreg import KeyRegressionOwner
 from repro.util.errors import ConfigurationError
@@ -31,8 +31,8 @@ class TestRegistrySpec:
         assert _registry_spec(scheme) == ("enhanced", "aes256", scheme.stub_size)
 
     def test_custom_cipher_is_not(self):
-        class WeirdCipher(type(get_cipher("hashctr"))):
-            name = "hashctr"  # lies about its registry name
+        class WeirdCipher(type(get_cipher())):
+            name = DEFAULT_CIPHER  # lies about its registry name
 
         scheme = get_scheme("basic", cipher=WeirdCipher())
         assert _registry_spec(scheme) is None
@@ -90,7 +90,7 @@ class TestProcessPath:
         pool.close()
 
 
-class _UnregisteredCipher(type(get_cipher("hashctr"))):
+class _UnregisteredCipher(type(get_cipher())):
     name = "not-registered"
 
 

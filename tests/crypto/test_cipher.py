@@ -18,7 +18,12 @@ ALL_CIPHERS = available_ciphers()
 class TestRegistry:
     def test_available(self):
         assert "aes256" in ALL_CIPHERS
-        assert "hashctr" in ALL_CIPHERS
+        assert "shake256" in ALL_CIPHERS
+
+    def test_hashctr_retired(self):
+        # The pre-SHAKE default is gone by name, not silently aliased.
+        with pytest.raises(ConfigurationError, match="available"):
+            get_cipher("hashctr")
 
     def test_default(self):
         assert get_cipher().name == DEFAULT_CIPHER
@@ -73,9 +78,9 @@ class TestCipherContract:
 
 
 @pytest.mark.parametrize("nonce", [b"", b"\x08" * 8], ids=["empty", "8-byte"])
-def test_hashctr_rejects_wrong_nonce_size(nonce):
+def test_shake256_rejects_wrong_nonce_size(nonce):
     # An empty nonce would otherwise return the deterministic (mask) stream.
-    cipher = get_cipher("hashctr")
+    cipher = get_cipher("shake256")
     with pytest.raises(ConfigurationError):
         cipher.encrypt(KEY, nonce, b"stub file")
     with pytest.raises(ConfigurationError):
@@ -84,8 +89,8 @@ def test_hashctr_rejects_wrong_nonce_size(nonce):
 
 @given(st.binary(max_size=300))
 def test_ciphers_are_distinct_constructions(data):
-    """AES-CTR and HashCTR must not accidentally produce the same stream."""
+    """AES-CTR and SHAKE-256 must not accidentally produce the same stream."""
     if data:
         a = get_cipher("aes256").deterministic_encrypt(KEY, data)
-        b = get_cipher("hashctr").deterministic_encrypt(KEY, data)
+        b = get_cipher("shake256").deterministic_encrypt(KEY, data)
         assert a != b

@@ -131,7 +131,10 @@ class TestDeriveKeys:
         assert client.cache_hits == 5
 
     def test_rate_limiter_charged_per_fingerprint(self, rsa_512):
-        manager = KeyManager(private_key=rsa_512, rate_limit=10, burst=10)
+        # A frozen clock: no wall-clock stall can refill a token mid-test.
+        manager = KeyManager(
+            private_key=rsa_512, rate_limit=10, burst=10, clock=SimClock()
+        )
         client = make_client(manager, max_retries=0)
         client.derive_keys([bytes([i]) * 32 for i in range(10)])  # drains bucket
         with pytest.raises(RateLimitExceeded):

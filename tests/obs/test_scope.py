@@ -93,14 +93,17 @@ def test_concurrent_operations_do_not_cross_contaminate():
 def test_threaded_adds_into_shared_scope_are_exact():
     """Many workers under one scope (pipelined stages): totals exact."""
     with obs_scope.attribution() as scope:
-        context = contextvars.copy_context()
 
         def bump() -> None:
             for _ in range(1_000):
                 obs_scope.add("n")
 
+        # One context per submit: a Context cannot be entered by two
+        # threads at once.
         with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(context.run, bump) for _ in range(4)]
+            futures = [
+                pool.submit(contextvars.copy_context().run, bump) for _ in range(4)
+            ]
             for future in futures:
                 future.result()
     assert scope.get_int("n") == 4_000

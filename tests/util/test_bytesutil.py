@@ -1,11 +1,68 @@
 """Tests for byte-string helpers (XOR, folding, splitting)."""
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from repro.util.bytesutil import ct_equal, split_at, split_pieces, xor_bytes, xor_fold
 from repro.util.errors import ConfigurationError
+
+
+def _xor_fold_by_piece(data: bytes, piece_size: int) -> bytes:
+    """The fold one zero-padded piece at a time: the oracle for xor_fold."""
+    acc = 0
+    for offset in range(0, len(data), piece_size):
+        piece = data[offset : offset + piece_size]
+        acc ^= int.from_bytes(piece.ljust(piece_size, b"\x00"), "big")
+    return acc.to_bytes(piece_size, "big")
+
+
+def _xor_int(a: bytes, b: bytes) -> bytes:
+    """XOR through one big integer per operand: the oracle for xor_bytes."""
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
+
+
+def _xor_fold_int(data: bytes, piece_size: int) -> bytes:
+    """The fold as log2(pieces) big-int halvings: an oracle for xor_fold."""
+    count = -(-len(data) // piece_size)
+    acc = int.from_bytes(data, "big") << 8 * (count * piece_size - len(data))
+    while count > 1:
+        half = count // 2
+        bits = 8 * piece_size * half
+        acc = (acc >> bits) ^ (acc & ((1 << bits) - 1))
+        count -= half
+    return acc.to_bytes(piece_size, "big")
+
+
+EQUAL_LENGTH_PAIRS = st.integers(0, 300).flatmap(
+    lambda n: st.tuples(st.binary(min_size=n, max_size=n), st.binary(min_size=n, max_size=n))
+)
+
+
+class TestAgainstIntOracles:
+    @given(EQUAL_LENGTH_PAIRS)
+    def test_xor_bytes_matches_int_form(self, pair):
+        a, b = pair
+        out = xor_bytes(a, b)
+        assert type(out) is bytes
+        assert out == _xor_int(a, b)
+
+    @given(st.binary(max_size=300), st.integers(1, 64))
+    def test_xor_fold_matches_int_forms(self, data, piece):
+        out = xor_fold(data, piece)
+        assert type(out) is bytes
+        assert out == _xor_fold_int(data, piece) == _xor_fold_by_piece(data, piece)
+
+    @given(st.binary(max_size=300), st.binary(max_size=300))
+    def test_xor_bytes_unequal_lengths_rejected(self, a, b):
+        assume(len(a) != len(b))
+        with pytest.raises(ConfigurationError):
+            xor_bytes(a, b)
+
+    @given(st.binary(max_size=300), st.integers(-64, 0))
+    def test_xor_fold_nonpositive_piece_rejected(self, data, piece):
+        with pytest.raises(ConfigurationError):
+            xor_fold(data, piece)
 
 
 class TestXorBytes:
@@ -29,19 +86,10 @@ class TestXorBytes:
         assert xor_bytes(data, b"\x00" * len(data)) == data
 
     def test_leading_zero_bytes_preserved(self):
-        # Regression guard: the int round trip must keep leading zeros.
+        # Regression guard: leading zero bytes survive the XOR.
         a = b"\x00\x00\x01"
         b = b"\x00\x00\x00"
         assert xor_bytes(a, b) == a
-
-
-def _xor_fold_by_piece(data: bytes, piece_size: int) -> bytes:
-    """The fold one zero-padded piece at a time: the oracle for xor_fold."""
-    acc = 0
-    for offset in range(0, len(data), piece_size):
-        piece = data[offset : offset + piece_size]
-        acc ^= int.from_bytes(piece.ljust(piece_size, b"\x00"), "big")
-    return acc.to_bytes(piece_size, "big")
 
 
 class TestXorFold:
