@@ -519,14 +519,17 @@ def bench_rekey_tcp(
     """Active group rekey over localhost TCP: serial vs. pipelined.
 
     One owner builds a group of ``group_files`` member files on a
-    4-shard cluster, then revokes access twice per timed repeat style:
+    4-shard cluster, then revokes access twice per timed repeat style.
+    Both rows run the same :class:`RekeyPipeline`, each on its own
+    client of the owner:
 
-    * ``serial`` — the per-file reference path: each member costs a
-      keystore get, a recipe get, a stub get, a stub put, a recipe put,
-      and a keystore put (~5 storage/keystore round trips per file);
-    * ``pipelined`` — the batched :class:`RekeyPipeline`: member files
-      travel in windows of ``batch_size``, one batch RPC per stage per
-      window, stub re-encryption fanned out across the rekey workers.
+    * ``serial`` — ``rekey_batch_size=1, pipeline_depth=1``: one window
+      per member file, each paying a keystore get, a stub file and
+      recipe fetch, a stub file and recipe commit, and a keystore put
+      before the next file starts;
+    * ``pipelined`` — member files travel in windows of ``batch_size``,
+      one batch RPC per stage per window, stub re-encryption fanned out
+      across the rekey workers.
 
     Every repeat performs a real ACTIVE rekey (key regression makes
     them repeatable — each run just winds the group chain one version
@@ -544,24 +547,26 @@ def bench_rekey_tcp(
     rng = _seed_rng("bench-rekey-tcp", seed)
     chunking = ChunkingSpec(method="fixed", avg_size=4096)
     group_id = "bench-rekey-group"
-    policy = FilePolicy.for_users(["bench-rekey-owner", "bench-rekey-reader"])
+    user = "bench-rekey-owner"
+    policy = FilePolicy.for_users([user, "bench-rekey-reader"])
     results = []
     with TcpCluster(num_data_servers=4, chunking=chunking, rng=rng) as cluster:
-        owner = cluster.new_client(
-            "bench-rekey-owner", rekey_batch_size=batch_size
-        )
+        owner = cluster.new_client(user, rekey_batch_size=batch_size)
         groups = GroupManager(owner)
         groups.create_group(group_id, policy)
         for index in range(group_files):
             groups.upload(
                 group_id, f"bench-rekey-{index}", rng.random_bytes(file_bytes)
             )
-        for label, pipelined in (("serial", False), ("pipelined", True)):
+        one_by_one = cluster.new_client(
+            user, rekey_batch_size=1, pipeline_depth=1
+        )
+        for label, client in (("serial", one_by_one), ("pipelined", owner)):
             state = {"last": None}
 
-            def run(pipelined=pipelined, state=state):
-                state["last"] = groups.rekey(
-                    group_id, policy, RevocationMode.ACTIVE, pipelined=pipelined
+            def run(manager=GroupManager(client), state=state):
+                state["last"] = manager.rekey(
+                    group_id, policy, RevocationMode.ACTIVE
                 )
 
             seconds = _time(run, repeats, f"rekey_tcp/{label}")
@@ -586,6 +591,7 @@ def bench_rekey_tcp(
                     **_quantiles(f"rekey_tcp/{label}"),
                 }
             )
+        one_by_one.close()
         owner.close()
     return results
 

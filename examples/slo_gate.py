@@ -4,7 +4,8 @@ Boots a real four-data-server :class:`~repro.core.cluster.TcpCluster`
 (the paper's Fig. 1 topology at full width), drives a mixed
 upload / download / rekey workload through it, then scrapes the JSON
 ``metrics`` snapshot of **every** node and fails if any gated
-histogram's p99 exceeds its latency budget — the soak-test complement
+histogram's p99 exceeds its latency budget, or if a budget saw no
+sample at all (it would gate nothing) — the soak-test complement
 of ``examples/metrics_gate.py`` (which checks that the series *exist*;
 this gate checks that they are *fast*).
 
@@ -53,21 +54,24 @@ from repro.workloads.synthetic import unique_data  # noqa: E402
 #: p99 ceilings in seconds, applied on every node that served the
 #: method.  Wide enough for loaded CI runners, tight enough that a
 #: 100 ms injected stall (or a real regression of that size) fails.
+#: Every budget must be reached by the soak: a method no node served is
+#: a violation, not a pass.
 HANDLER_P99_BUDGETS = {
     "storage.put_many": 0.08,
-    "storage.get_many": 0.08,
     "storage.get": 0.08,
-    "storage.flush": 0.05,
     "storage.file_commit": 0.05,
     "storage.file_get_many": 0.05,
     "keystore.put": 0.05,
     "keystore.get": 0.05,
+    "keystore.put_many": 0.05,
+    "keystore.get_many": 0.05,
     "km.derive_batch": 0.30,
 }
 
 #: Client-side pipeline budgets: ``span_seconds{span=...}`` p99
 #: ceilings in seconds on the workload process's own registry.  These
-#: cover the full operation (client compute + every RPC round trip).
+#: cover the full operation (client compute + every RPC round trip);
+#: a span with no samples is a violation too.
 SPAN_P99_BUDGETS = {
     "upload": 3.0,
     "download": 3.0,
@@ -117,49 +121,69 @@ def inject_storage_delay(cluster: TcpCluster, seconds: float) -> None:
             setattr(server, name, slowed)
 
 
-def check_handler_budgets(cluster: TcpCluster) -> list[str]:
-    """Scrape every node's JSON snapshot; return budget violations."""
+def _check_series(
+    where: str,
+    family: str,
+    label: str,
+    series_list: list[dict],
+    budgets: dict[str, float],
+    samples: dict[str, int],
+) -> list[str]:
+    """Budget violations among one snapshot's series; adds each gated
+    series' sample count to ``samples``."""
     violations: list[str] = []
-    for node in cluster.node_addresses():
-        snapshot = json.loads(cluster.scrape_node(node, fmt="json"))
-        family = snapshot.get("rpc_handler_seconds")
-        if not family:
+    for series in series_list:
+        name = series["labels"].get(label, "")
+        budget = budgets.get(name)
+        if budget is None:
             continue
-        for series in family["series"]:
-            method = series["labels"].get("method", "")
-            budget = HANDLER_P99_BUDGETS.get(method)
-            p99 = series.get("p99")
-            if budget is None or p99 is None:
-                continue
-            if p99 > budget:
-                violations.append(
-                    f"{node}: rpc_handler_seconds{{method={method}}} "
-                    f"p99 {p99 * 1000:.1f} ms > budget {budget * 1000:.1f} ms "
-                    f"({series['count']} samples)"
-                )
-    return violations
-
-
-def check_span_budgets() -> list[str]:
-    """Gate the workload process's own pipeline span p99s."""
-    violations: list[str] = []
-    snapshot = default_registry().snapshot()
-    family = snapshot.get("span_seconds")
-    if not family:
-        return ["client: span_seconds family missing from default registry"]
-    for series in family["series"]:
-        span = series["labels"].get("span", "")
-        budget = SPAN_P99_BUDGETS.get(span)
+        samples[name] += series.get("count", 0)
         p99 = series.get("p99")
-        if budget is None or p99 is None:
-            continue
-        if p99 > budget:
+        if p99 is not None and p99 > budget:
             violations.append(
-                f"client: span_seconds{{span={span}}} "
+                f"{where}: {family}{{{label}={name}}} "
                 f"p99 {p99 * 1000:.1f} ms > budget {budget * 1000:.1f} ms "
                 f"({series['count']} samples)"
             )
     return violations
+
+
+def _unsampled(family: str, label: str, samples: dict[str, int]) -> list[str]:
+    """A budget no sample reached gates nothing: that is a violation."""
+    return [
+        f"{family}{{{label}={name}}}: no samples, so its budget gates nothing"
+        for name, count in samples.items()
+        if count == 0
+    ]
+
+
+def check_handler_budgets(cluster: TcpCluster) -> list[str]:
+    """Scrape every node's JSON snapshot; return budget violations."""
+    violations: list[str] = []
+    samples = dict.fromkeys(HANDLER_P99_BUDGETS, 0)
+    for node in cluster.node_addresses():
+        snapshot = json.loads(cluster.scrape_node(node, fmt="json"))
+        family = snapshot.get("rpc_handler_seconds")
+        if family:
+            violations += _check_series(
+                node, "rpc_handler_seconds", "method", family["series"],
+                HANDLER_P99_BUDGETS, samples,
+            )
+    return violations + _unsampled("rpc_handler_seconds", "method", samples)
+
+
+def check_span_budgets() -> list[str]:
+    """Gate the workload process's own pipeline span p99s."""
+    snapshot = default_registry().snapshot()
+    family = snapshot.get("span_seconds")
+    if not family:
+        return ["client: span_seconds family missing from default registry"]
+    samples = dict.fromkeys(SPAN_P99_BUDGETS, 0)
+    violations = _check_series(
+        "client", "span_seconds", "span", family["series"],
+        SPAN_P99_BUDGETS, samples,
+    )
+    return violations + _unsampled("span_seconds", "span", samples)
 
 
 def write_trace_artifact(cluster: TcpCluster, path: str) -> None:

@@ -24,9 +24,10 @@ chunking, key generation, encryption and shipping
 
 from __future__ import annotations
 
+import io
 import os
 from collections import deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -735,47 +736,21 @@ class REEDClient:
         scope = obs_scope.AttributionScope(parent=obs_scope.current())
         yield from self._restore(file_id, fetch_batch_chunks, stats, scope)
 
-    @staticmethod
-    def _download_counters(scope: obs_scope.AttributionScope) -> dict[str, int]:
-        return {
-            "store_round_trips": scope.get_int("store_round_trips"),
-            "chunk_cache_hits": scope.get_int("chunk_cache_hits"),
-            "chunk_cache_misses": scope.get_int("chunk_cache_misses"),
-        }
-
     def download(self, file_id: str, fetch_batch_chunks: int = 512) -> DownloadResult:
         """Retrieve and decrypt a file; aborts on any tampered chunk."""
-        tracer = self.tracer
-        stats = _DownloadStats()
-        scope = obs_scope.AttributionScope(parent=obs_scope.current())
-        with tracer.span("download") as root:
-            pieces = list(
-                self._restore(file_id, fetch_batch_chunks, stats, scope)
-            )
-            data = b"".join(pieces)
-        self._m_downloads.inc()
-        self._m_download_bytes.inc(len(data))
-        return DownloadResult(
-            file_id=file_id,
-            data=data,
-            chunk_count=stats.chunk_count,
-            key_version=stats.key_version,
-            size=stats.size,
-            fetch_batches=stats.fetch_batches,
-            trace_id=root.trace_id,
-            **self._download_counters(scope),
-        )
+        sink = io.BytesIO()
+        result = self.download_to(file_id, sink, fetch_batch_chunks)
+        return replace(result, data=sink.getvalue())
 
     def download_to(
         self, file_id: str, sink, fetch_batch_chunks: int = 512
     ) -> DownloadResult:
         """Stream a file into a writable ``sink`` (``write(bytes)``).
 
-        The streaming twin of :meth:`download`: same pipeline, same
-        integrity guarantees, but chunks are written out as they verify
-        instead of accumulating, so memory stays bounded by
-        ``pipeline_depth`` fetch windows.  ``data`` in the result is
-        empty; ``size`` reports the bytes written.
+        Chunks are written out as they verify instead of accumulating,
+        so memory stays bounded by ``pipeline_depth`` fetch windows.
+        ``data`` in the result is empty; ``size`` reports the bytes
+        written.
         """
         tracer = self.tracer
         stats = _DownloadStats()
@@ -791,9 +766,11 @@ class REEDClient:
             chunk_count=stats.chunk_count,
             key_version=stats.key_version,
             size=stats.size,
+            store_round_trips=scope.get_int("store_round_trips"),
             fetch_batches=stats.fetch_batches,
+            chunk_cache_hits=scope.get_int("chunk_cache_hits"),
+            chunk_cache_misses=scope.get_int("chunk_cache_misses"),
             trace_id=root.trace_id,
-            **self._download_counters(scope),
         )
 
     def download_path(
@@ -862,7 +839,6 @@ class REEDClient:
         file_id: str,
         new_policy: FilePolicy,
         mode: RevocationMode = RevocationMode.LAZY,
-        _record: KeyStateRecord | None = None,
     ) -> RekeyResult:
         """Renew a file's key state under ``new_policy``.
 
@@ -870,65 +846,17 @@ class REEDClient:
         it forward, ABE-encrypt under the new policy, and upload.  In
         :attr:`RevocationMode.ACTIVE`, additionally download the stub
         file, re-encrypt it under the new file key, re-upload it, and
-        bump the recipe's key version.
+        bump the recipe's key version.  This is :meth:`rekey_many` over
+        one file: one window of the rekey pipeline.
 
         The new key state commits *last* (after the stub file and the
         recipe): a crash mid-rekey leaves the old record in place, so
         the file stays readable and a retried rekey converges — the
         owner's wind is deterministic and the stub re-encryption falls
         back to the new key if the old one no longer opens the stub
-        file.  ``_record`` lets callers that already fetched the current
-        key-state record (``revoke_users``) skip the second fetch.
+        file.
         """
-        tracer = self.tracer
-        with obs_scope.attribution() as scope, tracer.span(
-            "rekey", mode=mode.value
-        ) as root:
-            self._require_owner()
-            with tracer.span("rekey.open"):
-                record = (
-                    _record if _record is not None else self.keystore.get(file_id)
-                )
-                old_state = self._open_key_state(record)
-            (new_state,) = self._wind([old_state])
-            with tracer.span("rekey.seal"):
-                new_record = self._seal_key_state(file_id, new_state, new_policy)
-
-            stub_bytes = 0
-            if mode is RevocationMode.ACTIVE:
-                with tracer.span("rekey.stub_reencrypt"):
-                    stub_file, recipe = self._fetch_file(file_id)
-                    old_file_key = self._stub_source_key(
-                        record, old_state, recipe.key_version
-                    )
-                    nonce = self.rng.random_bytes(STUB_NONCE_SIZE)
-                    (new_stub_file,) = self._rekey_pool.reencrypt(
-                        [(stub_file, old_file_key, new_state.derive_key(), nonce)]
-                    )
-                    stub_bytes = len(stub_file) + len(new_stub_file)
-                    self._commit_file(
-                        file_id,
-                        new_stub_file,
-                        replace(recipe, key_version=new_state.version),
-                    )
-
-            with tracer.span("rekey.keystate"):
-                self.keystore.put(new_record)
-
-        self._m_rekeys.labels(mode=mode.value).inc()
-        self._m_rekey_files.labels(mode=mode.value).inc()
-        self._m_rekey_stub_bytes.inc(stub_bytes)
-        return RekeyResult(
-            file_id=file_id,
-            mode=mode,
-            old_key_version=old_state.version,
-            new_key_version=new_state.version,
-            new_policy_text=new_policy.text,
-            stub_bytes_reencrypted=stub_bytes,
-            store_round_trips=scope.get_int("store_round_trips"),
-            keystore_round_trips=scope.get_int("keystore_round_trips"),
-            trace_id=root.trace_id,
-        )
+        return self.rekey_many([file_id], new_policy, mode).single()
 
     def rekey_many(
         self,
@@ -938,68 +866,100 @@ class REEDClient:
     ) -> RekeyManyResult:
         """Rekey many files under one policy with batched, pipelined RPCs.
 
-        The fleet-scale form of :meth:`rekey`: files move through the
-        :class:`~repro.core.rekeypipe.RekeyPipeline` in windows of
-        :attr:`rekey_batch_size`, with one batch RPC per stage per
-        window instead of ~5 round trips per file, key-regression winds
-        and stub re-encryption fanned out across :attr:`rekey_workers`,
-        and up to :attr:`pipeline_depth` windows in flight.  Output is
-        bit-identical to calling :meth:`rekey` per file in order (winds
-        are deterministic and every random draw happens on this thread
-        in file order), key states still commit last within each window,
+        Files move through the :class:`~repro.core.rekeypipe.RekeyPipeline`
+        in windows of :attr:`rekey_batch_size`, with one batch RPC per
+        stage per window instead of ~5 round trips per file,
+        key-regression winds and stub re-encryption fanned out across
+        :attr:`rekey_workers`, and up to :attr:`pipeline_depth` windows
+        in flight.  Output does not depend on the window size (winds are
+        deterministic and every random draw happens on this thread in
+        file order), key states still commit last within each window,
         and the first failing file aborts the run deterministically — no
         window after the failing one ships anything.
         """
+        return self._rekey_run(list(file_ids), mode, lambda: (new_policy, None))
+
+    def revoke_users(
+        self,
+        file_id: str,
+        revoked: set[str],
+        mode: RevocationMode = RevocationMode.LAZY,
+    ) -> RekeyResult:
+        """Convenience: rekey with the current policy minus ``revoked``.
+
+        The current key-state record names that policy.  It is read once,
+        inside the rekey's root span and attribution scope, and handed to
+        the pipeline in place of its own key-state fetch.
+        """
+
+        def resolve() -> tuple[FilePolicy, list[KeyStateRecord]]:
+            record = self.keystore.get(file_id)
+            current = FilePolicy.parse(record.policy_text)
+            return current.without_users(revoked), [record]
+
+        return self._rekey_run([file_id], mode, resolve).single()
+
+    def _rekey_run(
+        self,
+        file_ids: list[str],
+        mode: RevocationMode,
+        resolve: Callable[[], tuple[FilePolicy, list[KeyStateRecord] | None]],
+    ) -> RekeyManyResult:
+        """Every client rekey: one ``rekey`` root span, one attribution
+        scope and one pipeline run.  ``resolve()`` runs inside both and
+        returns the new policy and, when already read, the files'
+        current key-state records."""
         self._require_owner()
         active = mode is RevocationMode.ACTIVE
-        # One policy for the whole run: its wrap keys are fetched once.
-        wrap_keys = self.wrap_keys_provider(new_policy.tree)
-
-        def plan_file(
-            file_id: str,
-            record: KeyStateRecord,
-            old_state: KeyState,
-            new_state: KeyState,
-            recipe_bytes: bytes | None,
-            stub_file: bytes | None,
-        ) -> FileRekeyPlan:
-            plan = FileRekeyPlan(
-                file_id=file_id,
-                new_record=self._seal_key_state(
-                    file_id, new_state, new_policy, wrap_keys
-                ),
-                old_key_version=old_state.version,
-                new_key_version=new_state.version,
-            )
-            if active:
-                recipe = FileRecipe.decode(recipe_bytes)
-                plan.stub_file = stub_file
-                plan.old_file_key = self._stub_source_key(
-                    record, old_state, recipe.key_version
-                )
-                plan.new_file_key = new_state.derive_key()
-                plan.nonce = self.rng.random_bytes(STUB_NONCE_SIZE)
-                plan.updated_recipe = replace(
-                    recipe, key_version=new_state.version
-                ).encode()
-            return plan
-
-        pipeline = RekeyPipeline(
-            self.storage,
-            self.keystore,
-            opener=self._open_key_state,
-            planner=plan_file,
-            tracer=self.tracer,
-            winder=self._wind,
-            stub_pool=self._rekey_pool,
-            active=active,
-            batch_size=self.rekey_batch_size,
-            pipeline_depth=self.pipeline_depth,
-        )
         with obs_scope.attribution() as scope, self.tracer.span(
-            "rekey.pipeline", mode=mode.value, files=len(file_ids)
-        ) as pipeline_root:
-            stats = pipeline.run(list(file_ids))
+            "rekey", mode=mode.value, files=len(file_ids)
+        ) as root:
+            new_policy, records = resolve()
+            # One policy for the whole run: its wrap keys are fetched once.
+            wrap_keys = self.wrap_keys_provider(new_policy.tree)
+
+            def plan_file(
+                file_id: str,
+                record: KeyStateRecord,
+                old_state: KeyState,
+                new_state: KeyState,
+                recipe_bytes: bytes | None,
+                stub_file: bytes | None,
+            ) -> FileRekeyPlan:
+                plan = FileRekeyPlan(
+                    file_id=file_id,
+                    new_record=self._seal_key_state(
+                        file_id, new_state, new_policy, wrap_keys
+                    ),
+                    old_key_version=old_state.version,
+                    new_key_version=new_state.version,
+                )
+                if active:
+                    recipe = FileRecipe.decode(recipe_bytes)
+                    plan.stub_file = stub_file
+                    plan.old_file_key = self._stub_source_key(
+                        record, old_state, recipe.key_version
+                    )
+                    plan.new_file_key = new_state.derive_key()
+                    plan.nonce = self.rng.random_bytes(STUB_NONCE_SIZE)
+                    plan.updated_recipe = replace(
+                        recipe, key_version=new_state.version
+                    ).encode()
+                return plan
+
+            pipeline = RekeyPipeline(
+                self.storage,
+                self.keystore,
+                opener=self._open_key_state,
+                planner=plan_file,
+                tracer=self.tracer,
+                winder=self._wind,
+                stub_pool=self._rekey_pool,
+                active=active,
+                batch_size=self.rekey_batch_size,
+                pipeline_depth=self.pipeline_depth,
+            )
+            stats = pipeline.run(file_ids, records)
 
         self._m_rekeys.labels(mode=mode.value).inc(stats.files)
         self._m_rekey_files.labels(mode=mode.value).inc(stats.files)
@@ -1025,20 +985,7 @@ class REEDClient:
             keystore_round_trips=scope.get_int("keystore_round_trips"),
             batches=stats.batches,
             workers=self.rekey_workers,
-            trace_id=pipeline_root.trace_id,
-        )
-
-    def revoke_users(
-        self,
-        file_id: str,
-        revoked: set[str],
-        mode: RevocationMode = RevocationMode.LAZY,
-    ) -> RekeyResult:
-        """Convenience: rekey with the current policy minus ``revoked``."""
-        record = self.keystore.get(file_id)
-        current = FilePolicy.parse(record.policy_text)
-        return self.rekey(
-            file_id, current.without_users(revoked), mode, _record=record
+            trace_id=root.trace_id,
         )
 
     # ------------------------------------------------------------------

@@ -26,6 +26,7 @@ per-file design.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from repro.core import envelopes
@@ -63,10 +64,10 @@ class GroupRekeyResult:
     store_round_trips: int = 0
     #: Key-store round trips issued.
     keystore_round_trips: int = 0
-    #: Rekey pipeline windows shipped (0 on the serial path).
+    #: Rekey pipeline windows shipped.
     batches: int = 0
     #: Rekey workers configured for member winds and stub re-encryption
-    #: (0 when serial or lazy: lazy group rekeying winds no member file).
+    #: (0 when lazy: lazy group rekeying winds no member file).
     workers: int = 0
 
 
@@ -241,8 +242,6 @@ class GroupManager:
         group_id: str,
         new_policy: FilePolicy,
         mode: RevocationMode = RevocationMode.LAZY,
-        pipelined: bool = True,
-        _record: KeyStateRecord | None = None,
     ) -> GroupRekeyResult:
         """Rekey the whole group under ``new_policy``.
 
@@ -252,14 +251,12 @@ class GroupManager:
         re-encrypts its stub file, exactly like per-file active
         revocation.
 
-        By default member files ride the batched
+        Member files ride the batched
         :class:`~repro.core.rekeypipe.RekeyPipeline` — one batch RPC per
         stage per window instead of ~5 round trips per file, with stub
         re-encryption fanned out across the client's rekey workers.
-        ``pipelined=False`` keeps the serial per-file reference path;
-        both produce bit-identical keystore records, stub files, and
-        recipes (every random draw happens on this thread in file
-        order).
+        Every random draw happens on this thread in file order, so the
+        stored bytes do not depend on the window size.
 
         The group record commits first (it *is* the single ABE
         operation); member records and the manifest follow, and an
@@ -268,13 +265,43 @@ class GroupManager:
         re-encryption recovers files whose recipes ran ahead of their
         key states.
         """
+        return self._rekey(group_id, mode, lambda record: new_policy)
+
+    def revoke_users(
+        self,
+        group_id: str,
+        revoked: set[str],
+        mode: RevocationMode = RevocationMode.LAZY,
+    ) -> GroupRekeyResult:
+        """Convenience: rekey with the current policy minus ``revoked``.
+
+        The group record that names the policy is read once, inside the
+        rekey's attribution scope.
+        """
+        return self._rekey(
+            group_id,
+            mode,
+            lambda record: FilePolicy.parse(record.policy_text).without_users(
+                revoked
+            ),
+        )
+
+    def _rekey(
+        self,
+        group_id: str,
+        mode: RevocationMode,
+        policy_of: Callable[[KeyStateRecord], FilePolicy],
+    ) -> GroupRekeyResult:
+        """One group rekey; ``policy_of(record)`` names the new policy
+        from the group's current record."""
         client = self.client
         owner = client.keyreg_owner
         tracer = client.tracer
         with obs_scope.attribution() as scope, tracer.span(
             "rekey.group", mode=mode.value
         ):
-            record = _record if _record is not None else self._group_record(group_id)
+            record = self._group_record(group_id)
+            new_policy = policy_of(record)
             old_state = client._open_key_state(record)
             files = self._read_manifest_at(group_id, record, old_state)
 
@@ -284,47 +311,16 @@ class GroupManager:
             client.keystore.put(
                 client._seal_key_state(record_id, new_state, new_policy)
             )
-
-            stub_bytes = 0
-            batches = 0
-            if pipelined:
-                stats = self._rekey_members_pipelined(
-                    group_id, files, record, old_state, new_state.version,
-                    new_key, mode,
-                )
-                stub_bytes = stats.stub_bytes
-                batches = stats.batches
-            else:
-                for file_id in files:
-                    file_record = client.keystore.get(file_id)
-                    file_state = client._open_key_state(file_record)
-                    if mode is RevocationMode.ACTIVE:
-                        file_state, moved = self._actively_rekey_file(
-                            file_record, file_state
-                        )
-                        stub_bytes += moved
-                    client.keystore.put(
-                        KeyStateRecord(
-                            file_id=file_id,
-                            policy_text=f"@group:{group_id}",
-                            key_version=file_state.version,
-                            encrypted_state=envelopes.seal_group(
-                                group_id,
-                                new_state.version,
-                                new_key,
-                                file_state.encode(),
-                                cipher=client.scheme.cipher,
-                                rng=client.rng,
-                            ),
-                            owner_public_key=file_record.owner_public_key,
-                        )
-                    )
+            stats = self._rekey_members(
+                group_id, files, record, old_state, new_state.version,
+                new_key, mode,
+            )
             self._write_manifest(group_id, new_key, files)
 
         active = mode is RevocationMode.ACTIVE
         client._m_rekey_files.labels(mode=mode.value).inc(len(files))
-        client._m_rekey_batches.inc(batches)
-        client._m_rekey_stub_bytes.inc(stub_bytes)
+        client._m_rekey_batches.inc(stats.batches)
+        client._m_rekey_stub_bytes.inc(stats.stub_bytes)
         return GroupRekeyResult(
             group_id=group_id,
             mode=mode,
@@ -332,14 +328,14 @@ class GroupManager:
             new_group_version=new_state.version,
             abe_operations=1,
             files_rewrapped=len(files),
-            stub_bytes_reencrypted=stub_bytes,
+            stub_bytes_reencrypted=stats.stub_bytes,
             store_round_trips=scope.get_int("store_round_trips"),
             keystore_round_trips=scope.get_int("keystore_round_trips"),
-            batches=batches,
-            workers=client.rekey_workers if (pipelined and active) else 0,
+            batches=stats.batches,
+            workers=client.rekey_workers if active else 0,
         )
 
-    def _rekey_members_pipelined(
+    def _rekey_members(
         self,
         group_id: str,
         files: list[str],
@@ -349,7 +345,7 @@ class GroupManager:
         new_key: bytes,
         mode: RevocationMode,
     ):
-        """Re-wrap (and actively rekey) member files via the pipeline."""
+        """Re-wrap (and actively rekey) member files through the pipeline."""
         client = self.client
         active = mode is RevocationMode.ACTIVE
 
@@ -400,8 +396,8 @@ class GroupManager:
             stub_fields = {}
             if active:
                 recipe = FileRecipe.decode(recipe_bytes)
-                # Draw order matches the serial path per file: stub nonce
-                # first, then the group envelope's nonce (in seal_group).
+                # Draw order per file: stub nonce first, then the group
+                # envelope's nonce (in seal_group).
                 stub_fields = dict(
                     stub_file=stub_file,
                     old_file_key=client._stub_source_key(
@@ -450,40 +446,3 @@ class GroupManager:
             pipeline_depth=client.pipeline_depth,
         )
         return pipeline.run(list(files))
-
-    def _actively_rekey_file(
-        self, record: KeyStateRecord, state: KeyState
-    ) -> tuple[KeyState, int]:
-        """Wind a member file's state and re-encrypt its stub file."""
-        client = self.client
-        stub_file, recipe = client._fetch_file(record.file_id)
-        old_file_key = client._stub_source_key(record, state, recipe.key_version)
-        (new_state,) = client._wind([state])
-        nonce = client.rng.random_bytes(STUB_NONCE_SIZE)
-        (new_stub_file,) = client._rekey_pool.reencrypt(
-            [(stub_file, old_file_key, new_state.derive_key(), nonce)]
-        )
-        client._commit_file(
-            record.file_id,
-            new_stub_file,
-            replace(recipe, key_version=new_state.version),
-        )
-        return new_state, len(stub_file) + len(new_stub_file)
-
-    def revoke_users(
-        self,
-        group_id: str,
-        revoked: set[str],
-        mode: RevocationMode = RevocationMode.LAZY,
-        pipelined: bool = True,
-    ) -> GroupRekeyResult:
-        """Convenience: rekey with the current policy minus ``revoked``."""
-        record = self._group_record(group_id)
-        current = FilePolicy.parse(record.policy_text)
-        return self.rekey(
-            group_id,
-            current.without_users(revoked),
-            mode,
-            pipelined=pipelined,
-            _record=record,
-        )

@@ -12,7 +12,7 @@ REED supports two revocation modes (Section II-B):
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 
 class RevocationMode(enum.Enum):
@@ -24,7 +24,12 @@ class RevocationMode(enum.Enum):
 
 @dataclass(frozen=True)
 class RekeyResult:
-    """What a rekey operation did (returned by ``REEDClient.rekey``)."""
+    """What a rekey operation did (returned by ``REEDClient.rekey``).
+
+    The per-file entries of a :class:`RekeyManyResult` leave the round
+    trips, ``batches``, ``workers`` and ``trace_id`` at their defaults:
+    those belong to the whole operation.
+    """
 
     file_id: str
     mode: RevocationMode
@@ -38,13 +43,11 @@ class RekeyResult:
     store_round_trips: int = 0
     #: Key-store round trips issued.
     keystore_round_trips: int = 0
-    #: Pipeline windows shipped (0 when the operation ran unbatched).
+    #: Pipeline windows shipped (1 for a single-file rekey).
     batches: int = 0
-    #: Stub re-encryption workers configured (0 when unbatched).
+    #: Rekey workers configured.
     workers: int = 0
-    #: Distributed trace id of the rekey's root span ("" when unbatched
-    #: files ride a shared ``rekey_many`` trace — see
-    #: :class:`RekeyManyResult`).
+    #: Distributed trace id of the rekey's root span.
     trace_id: str = ""
 
 
@@ -71,8 +74,20 @@ class RekeyManyResult:
     #: Rekey workers configured: they wind key states in both modes and
     #: re-encrypt stub files in active mode.
     workers: int = 0
-    #: Distributed trace id of the shared ``rekey.pipeline`` root span.
+    #: Distributed trace id of the operation's ``rekey`` root span.
     trace_id: str = ""
+
+    def single(self) -> RekeyResult:
+        """A one-file run's result, carrying the operation's counters."""
+        (result,) = self.results
+        return replace(
+            result,
+            store_round_trips=self.store_round_trips,
+            keystore_round_trips=self.keystore_round_trips,
+            batches=self.batches,
+            workers=self.workers,
+            trace_id=self.trace_id,
+        )
 
     @property
     def files(self) -> int:

@@ -1,17 +1,18 @@
-"""The batched, windowed rekeying pipeline.
+"""The rekeying pipeline: the one engine behind every rekey.
 
 Rekeying is REED's headline operation (Section IV-D): renewing a file's
-key costs O(stub), not O(file).  This module closes the round-trip gap
-the upload (batched ship) and download (windowed prefetch) pipelines
-already closed for data: instead of ~5 RPCs per file, member files move
-through the pipeline in windows of ``batch_size`` files, with one batch
-RPC per stage per window.
+key costs O(stub), not O(file).  Every rekey — a single file
+(:meth:`REEDClient.rekey`, :meth:`REEDClient.revoke_users`), a fleet of
+files (:meth:`REEDClient.rekey_many`) and a group's member files
+(:meth:`GroupManager.rekey`) — runs through :class:`RekeyPipeline`:
+member files move through it in windows of ``batch_size`` files, with
+one batch RPC per stage per window.  A single-file rekey is one window.
 
 Stages, mirroring the upload pipeline:
 
-1. **fetch** (single worker thread) — ``keystore.get_many`` plus, for
-   active revocation, one ``file_get_many`` (stub file and recipe per
-   file);
+1. **fetch** (single worker thread) — ``keystore.get_many`` (skipped
+   when the caller already holds the records) plus, for active
+   revocation, one ``file_get_many`` (stub file and recipe per file);
 2. **open → wind → plan → re-encrypt** (caller thread) — an *opener*
    callback opens every key state of the window in file order; the
    *winder* advances them all one version in one call (the client runs
@@ -21,10 +22,11 @@ Stages, mirroring the upload pipeline:
    each new record, drawing every random byte **on the caller thread in
    file order**; the pure stub re-encryption then fans out across the
    same pool with caller-drawn nonces.  Winds are deterministic and the
-   draw order is the per-file order, so pipelined output is
-   bit-identical to the serial path;
+   draw order is the per-file order, so the output does not depend on
+   the window size or the pipeline depth;
 3. **ship** (single worker thread) — ``file_commit`` (stub file and
-   recipe per file) → ``keystore.put_many``.  Key states commit *last*: until they land, the old record still opens the file, and the
+   recipe per file) → ``keystore.put_many``.  Key states commit *last*:
+   until they land, the old record still opens the file, and the
    owner's deterministic wind re-derives the same new key on retry.
 
 Up to ``pipeline_depth`` windows are in flight at once (window N+1
@@ -115,7 +117,7 @@ class RekeyPipeline:
 
     The pipeline is policy-agnostic: the *opener* and *planner* decide
     how each key state opens and how its new record is sealed (per-file
-    ABE for :meth:`REEDClient.rekey_many`, symmetric group envelopes for
+    ABE for :class:`REEDClient`'s rekeys, symmetric group envelopes for
     :meth:`GroupManager.rekey`), so both ride the same fetch/wind/
     re-encrypt/ship machinery.  Without a *winder* the states are
     resealed as they are (lazy group rekeying re-wraps, it never winds
@@ -148,9 +150,10 @@ class RekeyPipeline:
 
     # -- stages --------------------------------------------------------------
 
-    def _fetch(self, window: list[str]):
+    def _fetch(self, window: list[str], records: list | None):
         with self._tracer.span("rekey.fetch", files=len(window)):
-            records = self._keystore.get_many(window)
+            if records is None:
+                records = self._keystore.get_many(window)
             files: list = [(None, None)] * len(window)
             if self._active:
                 files = self._storage.file_get_many(window)
@@ -245,18 +248,27 @@ class RekeyPipeline:
 
     # -- run -----------------------------------------------------------------
 
-    def run(self, file_ids: list[str]) -> RekeyPipelineStats:
+    def run(
+        self, file_ids: list[str], records: list[KeyStateRecord] | None = None
+    ) -> RekeyPipelineStats:
+        """Rekey ``file_ids``; ``records`` (one per file, in order) are
+        their current key-state records when the caller already read
+        them, so the fetch stage skips its ``keystore.get_many``."""
         stats = RekeyPipelineStats()
+        size = self._batch_size
         windows = [
-            list(file_ids[start : start + self._batch_size])
-            for start in range(0, len(file_ids), self._batch_size)
+            (
+                list(file_ids[start : start + size]),
+                None if records is None else list(records[start : start + size]),
+            )
+            for start in range(0, len(file_ids), size)
         ]
         if not windows:
             return stats
         abort = threading.Event()
         if self._depth <= 1 or len(windows) == 1:
-            for window in windows:
-                plans = self._transform(window, self._fetch(window), stats)
+            for window, known in windows:
+                plans = self._transform(window, self._fetch(window, known), stats)
                 self._ship(plans, abort, stats)
             return stats
 
@@ -271,14 +283,13 @@ class RekeyPipeline:
         pending = iter(windows)
 
         def submit_fetch() -> None:
-            window = next(pending, None)
+            window, known = next(pending, (None, None))
             if window is not None:
                 # copy_context: the worker keeps reporting round trips
                 # into this operation's attribution scope.
                 context = contextvars.copy_context()
-                fetching.append(
-                    (window, fetch_executor.submit(context.run, self._fetch, window))
-                )
+                future = fetch_executor.submit(context.run, self._fetch, window, known)
+                fetching.append((window, future))
 
         try:
             for _ in range(max(1, self._depth - 1)):

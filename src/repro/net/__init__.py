@@ -1,6 +1,5 @@
 """Networking: message framing, RPC, loopback and TCP transports."""
 
-from repro.net.aio import AsyncTcpServer
 from repro.net.message import MAX_MESSAGE_BYTES, Message, frame, read_frame
 from repro.net.retry import (
     IDEMPOTENT_METHOD_SUFFIXES,
@@ -18,7 +17,6 @@ from repro.net.rpc import (
 from repro.net.tcp import TcpConnection, TcpServer, connect
 
 __all__ = [
-    "AsyncTcpServer",
     "IDEMPOTENT_METHOD_SUFFIXES",
     "LoopbackTransport",
     "MAX_MESSAGE_BYTES",

@@ -1,6 +1,6 @@
 """Asyncio-native multiplexed RPC server.
 
-:class:`AsyncTcpServer` serves RPCs from an event loop: one accept
+:class:`TcpServer` serves RPCs from an event loop: one accept
 loop, one lightweight task per connection, and one dispatch task per
 *request*.  Because requests are dispatched as they are read — no
 worker owns a connection until its current request finishes — a slow
@@ -117,8 +117,13 @@ class _Connection:
         return self._seq
 
 
-class AsyncTcpServer:
+class TcpServer:
     """Serves a :class:`ServiceRegistry` on an asyncio event loop.
+
+    The deployment server: 100+ concurrent clients per node stay live on
+    one accept loop plus ``max_workers`` handler threads, with
+    per-connection request windows, idle-read timeouts, and TCP
+    keepalives (``idle_timeout`` / ``connection_window``).
 
     The loop runs on a dedicated background thread, so the public API
     (:meth:`start`, :meth:`stop`, :meth:`stats`) is synchronous.  See

@@ -1,9 +1,9 @@
 """TCP transport for the RPC layer.
 
-* :class:`TcpServer` — the server, backed by the asyncio event loop in
-  :mod:`repro.net.aio` (single accept loop, one task per connection,
-  handlers dispatched concurrently onto a bounded executor, responses
-  written out of order as they finish).
+* :class:`TcpServer` — the server, defined in :mod:`repro.net.aio` and
+  re-exported here: an asyncio event loop (single accept loop, one
+  task per connection, handlers dispatched concurrently onto a bounded
+  executor, responses written out of order as they finish).
 * :class:`TcpConnection` — a **multiplexed** client connection: many
   threads share one persistent socket, each call tagged with a wire
   ``message_id`` and completed out of order by a background reader
@@ -27,7 +27,7 @@ from repro.net.aio import (
     DEFAULT_CONNECTION_WINDOW,
     DEFAULT_IDLE_TIMEOUT,
     DEFAULT_MAX_WORKERS,
-    AsyncTcpServer,
+    TcpServer,
     tune_socket,
 )
 from repro.net.message import Message, frame, read_frame
@@ -54,16 +54,6 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
             raise ProtocolError("peer closed the connection mid-frame")
         out.extend(piece)
     return bytes(out)
-
-
-class TcpServer(AsyncTcpServer):
-    """The deployment server: asyncio-multiplexed (see :mod:`repro.net.aio`).
-
-    100+ concurrent clients per node stay live on one accept loop plus
-    ``max_workers`` handler threads, with per-connection request
-    windows, idle-read timeouts, and TCP keepalives (``idle_timeout`` /
-    ``connection_window``).
-    """
 
 
 class _Waiter:

@@ -190,16 +190,17 @@ def test_quick_bench_runs_and_writes_valid_report(tmp_path):
     assert upload_r2["store_round_trips"] > upload_r1["store_round_trips"]
     assert upload_r2["overhead_vs_r1"] > 0
     assert by_name["replicated_tcp/download_r2"]["overhead_vs_r1"] > 0
-    # The rekey pipeline's defining win: the serial path pays ~3 keystore
-    # round trips per member file, the pipeline 2 per window (plus the
-    # group record's get/put).  Store round trips scatter per shard, so
-    # at quick scale (batch ~ shard count) they only must not regress.
+    # The rekey pipeline's defining win: in windows of one file it pays
+    # 2 keystore round trips per member file, in windows of a batch 2 per
+    # window (plus the group record's get/put).  Store round trips
+    # scatter per shard, so at quick scale (batch ~ shard count) they
+    # only must not regress.
     serial_rk = by_name["rekey_tcp/serial"]
     pipelined_rk = by_name["rekey_tcp/pipelined"]
     assert serial_rk["files"] == pipelined_rk["files"] > 0
-    assert serial_rk["batches"] == 0
+    assert serial_rk["batches"] == serial_rk["files"]
     assert pipelined_rk["batches"] >= 1
-    assert serial_rk["keystore_round_trips"] >= 3 * serial_rk["files"]
+    assert serial_rk["keystore_round_trips"] >= 2 * serial_rk["files"]
     assert (
         pipelined_rk["keystore_round_trips"]
         <= 2 + 2 * pipelined_rk["batches"]

@@ -1,14 +1,15 @@
 """The batched rekeying pipeline, end to end.
 
 Covers the contract of :mod:`repro.core.rekeypipe` over a real TCP
-cluster: pipelined group rekeying is bit-identical to the serial
-reference path, a dead shard aborts the run deterministically without a
+cluster: every rekey (single-file, batched and group) is bit-identical
+to a serial oracle built here from the client's primitives, one file at
+a time; a dead shard aborts the run deterministically without a
 partially-rekeyed manifest, every member file still round-trips after
 the rekey, attribution stays exact under concurrent traffic, and an
 injected mid-rekey crash recovers on retry (key states commit last).
 Key-regression winds of windows of ``MIN_PARALLEL_WIND`` files or more
 run on the client's rekey worker processes; their output is
-bit-identical to the per-file path.
+bit-identical to the oracle's.
 """
 
 from __future__ import annotations
@@ -20,13 +21,18 @@ import threading
 import pytest
 
 from repro.chunking.chunker import ChunkingSpec
+from repro.core import envelopes
 from repro.core.cluster import TcpCluster
 from repro.core.groups import GroupManager
 from repro.core.parallel import MIN_PARALLEL_WIND
 from repro.core.policy import FilePolicy
 from repro.core.rekey import RevocationMode
+from repro.core.stubs import STUB_NONCE_SIZE
 from repro.core.system import build_system
 from repro.crypto.drbg import HmacDrbg
+from repro.obs import scope as obs_scope
+from repro.obs.tracing import Tracer
+from repro.storage.keystore import KeyStateRecord
 from repro.util.errors import CorruptionError, IntegrityError, NotFoundError
 from repro.workloads.synthetic import unique_data
 
@@ -83,17 +89,106 @@ def _group_cluster(batch_size: int = 2, files: int = 5, shards: int = 4):
     return cluster, owner, groups, file_ids
 
 
+# -- the serial oracle ---------------------------------------------------------
+#
+# One file at a time, one RPC per step, built straight from the client's
+# primitives: the stored bytes every pipelined rekey must reproduce.
+
+
+def _serial_stub_reencrypt(client, record, old_state, new_state) -> int:
+    """Re-encrypt one stub file under ``new_state``'s key and commit it
+    with its bumped recipe; returns the stub bytes moved."""
+    stub_file, recipe = client._fetch_file(record.file_id)
+    old_file_key = client._stub_source_key(record, old_state, recipe.key_version)
+    nonce = client.rng.random_bytes(STUB_NONCE_SIZE)
+    (new_stub_file,) = client._rekey_pool.reencrypt(
+        [(stub_file, old_file_key, new_state.derive_key(), nonce)]
+    )
+    client._commit_file(
+        record.file_id,
+        new_stub_file,
+        dataclasses.replace(recipe, key_version=new_state.version),
+    )
+    return len(stub_file) + len(new_stub_file)
+
+
+def _serial_rekey(client, file_id: str, policy: FilePolicy, mode) -> None:
+    """Per-file rekey: open, wind, seal, (active) stub, key state last."""
+    record = client.keystore.get(file_id)
+    old_state = client._open_key_state(record)
+    (new_state,) = client._wind([old_state])
+    new_record = client._seal_key_state(file_id, new_state, policy)
+    if mode is RevocationMode.ACTIVE:
+        _serial_stub_reencrypt(client, record, old_state, new_state)
+    client.keystore.put(new_record)
+
+
+def _serial_group_revoke(groups, revoked: set[str], mode) -> dict:
+    """Group revocation, member by member: one ABE seal for the group
+    record, then per member a fetch, an open, (active) a wind and a stub
+    re-encryption, and a group-envelope seal."""
+    client = groups.client
+    with obs_scope.attribution() as scope:
+        record = groups._group_record(GROUP)
+        policy = FilePolicy.parse(record.policy_text).without_users(revoked)
+        old_group = client._open_key_state(record)
+        files = groups._read_manifest_at(GROUP, record, old_group)
+        new_group = client.keyreg_owner.wind(old_group)
+        group_key = new_group.derive_key()
+        client.keystore.put(
+            client._seal_key_state(client.group_record_id(GROUP), new_group, policy)
+        )
+        stub_bytes = 0
+        for file_id in files:
+            file_record = client.keystore.get(file_id)
+            state = client._open_key_state(file_record)
+            if mode is RevocationMode.ACTIVE:
+                old_state = state
+                (state,) = client._wind([old_state])
+                stub_bytes += _serial_stub_reencrypt(
+                    client, file_record, old_state, state
+                )
+            client.keystore.put(
+                KeyStateRecord(
+                    file_id=file_id,
+                    policy_text=f"@group:{GROUP}",
+                    key_version=state.version,
+                    encrypted_state=envelopes.seal_group(
+                        GROUP,
+                        new_group.version,
+                        group_key,
+                        state.encode(),
+                        cipher=client.scheme.cipher,
+                        rng=client.rng,
+                    ),
+                    owner_public_key=file_record.owner_public_key,
+                )
+            )
+        groups._write_manifest(GROUP, group_key, files)
+    return {
+        "files": len(files),
+        "stub_bytes": stub_bytes,
+        "keystore_round_trips": scope.get_int("keystore_round_trips"),
+    }
+
+
 def test_group_active_rekey_pipelined_bit_identical_to_serial():
-    """Same seeds, same group, serial vs pipelined ACTIVE rekey: every
-    keystore record, stub file, and recipe must match byte for byte."""
+    """Same seeds, same group, serial oracle vs pipelined ACTIVE rekey:
+    every keystore record, stub file, and recipe must match byte for
+    byte."""
     states = {}
     results = {}
     for pipelined in (False, True):
         cluster, owner, groups, file_ids = _group_cluster()
         with cluster:
-            results[pipelined] = groups.revoke_users(
-                GROUP, {"mallory"}, RevocationMode.ACTIVE, pipelined=pipelined
-            )
+            if pipelined:
+                results[pipelined] = groups.revoke_users(
+                    GROUP, {"mallory"}, RevocationMode.ACTIVE
+                )
+            else:
+                results[pipelined] = _serial_group_revoke(
+                    groups, {"mallory"}, RevocationMode.ACTIVE
+                )
             states[pipelined] = _stored_state(cluster, file_ids)
             # The group record and manifest live outside per-file state.
             states[pipelined]["group-record"] = cluster.keystore.get(
@@ -110,15 +205,14 @@ def test_group_active_rekey_pipelined_bit_identical_to_serial():
     assert states[True] == states[False]
 
     serial, piped = results[False], results[True]
-    assert piped.files_rewrapped == serial.files_rewrapped == 5
-    assert piped.abe_operations == serial.abe_operations == 1
-    assert piped.stub_bytes_reencrypted == serial.stub_bytes_reencrypted > 0
+    assert piped.files_rewrapped == serial["files"] == 5
+    assert piped.abe_operations == 1
+    assert piped.stub_bytes_reencrypted == serial["stub_bytes"] > 0
     # 5 files in windows of 2 -> 3 shipped batches, and strictly fewer
     # keystore round trips than ~2 per file on the serial path.
     assert piped.batches == 3
-    assert serial.batches == 0
     assert piped.workers == 2
-    assert 0 < piped.keystore_round_trips < serial.keystore_round_trips
+    assert 0 < piped.keystore_round_trips < serial["keystore_round_trips"]
 
 
 def test_post_rekey_downloads_round_trip():
@@ -126,9 +220,7 @@ def test_post_rekey_downloads_round_trip():
     download bit-exact, at the bumped key version."""
     cluster, owner, groups, file_ids = _group_cluster()
     with cluster:
-        result = groups.revoke_users(
-            GROUP, {"mallory"}, RevocationMode.ACTIVE, pipelined=True
-        )
+        result = groups.revoke_users(GROUP, {"mallory"}, RevocationMode.ACTIVE)
         assert result.files_rewrapped == len(file_ids)
         for index, file_id in enumerate(file_ids):
             downloaded = owner.download(file_id)
@@ -137,9 +229,10 @@ def test_post_rekey_downloads_round_trip():
 
 
 def test_rekey_many_bit_identical_to_serial_rekey():
-    """``rekey_many`` over ABE-sealed files matches per-file ``rekey``."""
+    """``rekey_many`` over ABE-sealed files, and ``rekey`` per file,
+    match the serial oracle byte for byte."""
     states = {}
-    for batched in (False, True):
+    for path in ("oracle", "rekey", "rekey_many"):
         system = build_system(
             num_data_servers=2,
             chunking=CHUNKING,
@@ -151,7 +244,7 @@ def test_rekey_many_bit_identical_to_serial_rekey():
         for index, file_id in enumerate(file_ids):
             client.upload(file_id, _payload(index))
         new_policy = FilePolicy.for_users(["alice", "bob"])
-        if batched:
+        if path == "rekey_many":
             result = client.rekey_many(
                 file_ids, new_policy, RevocationMode.ACTIVE
             )
@@ -162,12 +255,56 @@ def test_rekey_many_bit_identical_to_serial_rekey():
                 r.new_key_version == r.old_key_version + 1
                 for r in result.results
             )
-        else:
+        elif path == "rekey":
             for file_id in file_ids:
                 client.rekey(file_id, new_policy, RevocationMode.ACTIVE)
-        states[batched] = _stored_state(system, file_ids)
+        else:
+            for file_id in file_ids:
+                _serial_rekey(client, file_id, new_policy, RevocationMode.ACTIVE)
+        states[path] = _stored_state(system, file_ids)
         client.close()
-    assert states[True] == states[False]
+    assert states["rekey_many"] == states["oracle"]
+    assert states["rekey"] == states["oracle"]
+
+
+def test_single_file_rekeys_report_the_round_trips_they_make():
+    """A single-file rekey is one pipeline window: on a 4-node TCP
+    cluster LAZY costs one keystore get and one put, ACTIVE adds one
+    ``file_get_many`` and one ``file_commit``.  ``revoke_users`` reads
+    the record that names its policy inside the rekey's scope and hands
+    it to the pipeline, so it makes and reports the same two keystore
+    round trips.  Each call records exactly one root span, ``rekey``."""
+    cluster = TcpCluster(
+        num_data_servers=4, chunking=CHUNKING, rng=HmacDrbg(b"single-file-rtts")
+    )
+    with cluster:
+        client = cluster.new_client("alice")
+        # A tracer of its own: the default one's ring is shared and full.
+        client.tracer = Tracer(client.metrics)
+        calls = [
+            (client.rekey, FilePolicy.for_users(["alice"]), RevocationMode.LAZY),
+            (client.rekey, FilePolicy.for_users(["alice"]), RevocationMode.ACTIVE),
+            (client.revoke_users, {"bob"}, RevocationMode.LAZY),
+            (client.revoke_users, {"bob"}, RevocationMode.ACTIVE),
+        ]
+        for index, _call in enumerate(calls):
+            client.upload(
+                f"doc-{index}",
+                _payload(index),
+                policy=FilePolicy.for_users(["alice", "bob"]),
+            )
+        counts = []
+        for index, (call, argument, mode) in enumerate(calls):
+            traces = len(client.tracer.recent_traces())
+            result = call(f"doc-{index}", argument, mode)
+            counts.append((result.keystore_round_trips, result.store_round_trips))
+            assert result.new_key_version == result.old_key_version + 1
+            assert len(client.tracer.recent_traces()) == traces + 1
+            root = client.tracer.last_trace()
+            assert root.name == "rekey"
+            assert root.trace_id == result.trace_id
+        assert counts == [(2, 0), (2, 2), (2, 0), (2, 2)]
+        client.close()
 
 
 def test_shard_down_aborts_with_no_partial_rekey():
@@ -187,9 +324,7 @@ def test_shard_down_aborts_with_no_partial_rekey():
         dead = int(node.rsplit("-", 1)[1])
         cluster.kill_data_server(dead)
         with pytest.raises(Exception):  # noqa: B017 - dead TCP transport
-            groups.revoke_users(
-                GROUP, {"mallory"}, RevocationMode.ACTIVE, pipelined=True
-            )
+            groups.revoke_users(GROUP, {"mallory"}, RevocationMode.ACTIVE)
         # Key states commit last: the abort left every member record
         # byte-identical, so no file is partially rekeyed.
         after = {
@@ -380,9 +515,7 @@ def test_interrupted_group_rekey_manifest_recovers():
         groups._write_manifest = failing_write
         try:
             with pytest.raises(RuntimeError, match="injected manifest crash"):
-                groups.revoke_users(
-                    GROUP, {"mallory"}, RevocationMode.LAZY, pipelined=True
-                )
+                groups.revoke_users(GROUP, {"mallory"}, RevocationMode.LAZY)
         finally:
             groups._write_manifest = original
 
@@ -391,9 +524,7 @@ def test_interrupted_group_rekey_manifest_recovers():
         assert sorted(groups.members(GROUP)) == sorted(file_ids)
         # And the next rekey converges, rewriting the manifest under the
         # newest key so the plain read works again afterwards.
-        result = groups.revoke_users(
-            GROUP, {"mallory"}, RevocationMode.LAZY, pipelined=True
-        )
+        result = groups.revoke_users(GROUP, {"mallory"}, RevocationMode.LAZY)
         assert result.files_rewrapped == len(file_ids)
         state, key = groups.group_key(GROUP)
         assert sorted(groups._read_manifest(GROUP, key)) == sorted(file_ids)
@@ -435,8 +566,9 @@ def _wind_cluster(seed: bytes, files: int, workers: int = 2):
 @pytest.mark.parametrize("files, workers", WIND_CASES)
 def test_parallel_winds_bit_identical_to_per_file_rekey(files, workers):
     """``rekey_many`` in windows of 64 — winds on the rekey workers where a
-    window reaches the threshold — against per-file ``rekey``, LAZY then
-    ACTIVE: every key state, stub file and recipe byte for byte."""
+    window reaches the threshold — against the per-file serial oracle,
+    LAZY then ACTIVE: every key state, stub file and recipe byte for
+    byte."""
     rounds = (
         (RevocationMode.LAZY, FilePolicy.for_users(["alice", "bob"])),
         (RevocationMode.ACTIVE, FilePolicy.for_users(["alice"])),
@@ -455,7 +587,7 @@ def test_parallel_winds_bit_identical_to_per_file_rekey(files, workers):
                     assert result.workers == workers
                 else:
                     for file_id in file_ids:
-                        client.rekey(file_id, policy, mode)
+                        _serial_rekey(client, file_id, policy, mode)
                 states[batched, mode] = _stored_state(cluster, file_ids)
             pool = client._rekey_pool
             # Stub files this small never leave the process, so every
@@ -483,17 +615,23 @@ def test_parallel_winds_bit_identical_to_per_file_rekey(files, workers):
 
 def test_group_active_parallel_winds_bit_identical_to_serial():
     """A group with a window above the wind threshold: the pipelined
-    ACTIVE rekey winds member states on the workers, the serial path one
-    by one, and both store the same bytes."""
+    ACTIVE rekey winds member states on the workers, the serial oracle
+    one by one, and both store the same bytes."""
     files = MIN_PARALLEL_WIND + 1
     states = {}
     for pipelined in (False, True):
         cluster, owner, groups, file_ids = _group_cluster(batch_size=64, files=files)
         with cluster:
-            result = groups.revoke_users(
-                GROUP, {"mallory"}, RevocationMode.ACTIVE, pipelined=pipelined
-            )
-            assert result.files_rewrapped == files
+            if pipelined:
+                result = groups.revoke_users(
+                    GROUP, {"mallory"}, RevocationMode.ACTIVE
+                )
+                assert result.files_rewrapped == files
+            else:
+                serial = _serial_group_revoke(
+                    groups, {"mallory"}, RevocationMode.ACTIVE
+                )
+                assert serial["files"] == files
             states[pipelined] = _stored_state(cluster, file_ids)
             states[pipelined]["group-record"] = cluster.keystore.get(
                 owner.group_record_id(GROUP)

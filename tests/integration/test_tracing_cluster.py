@@ -207,6 +207,18 @@ def test_slo_gate_passes_on_healthy_cluster():
 
 
 @pytest.mark.slow
+def test_slo_gate_fails_when_a_budget_has_no_samples(tmp_path):
+    """An empty soak serves no gated method and records no gated span:
+    every budget is unsampled, and an unsampled budget fails the gate."""
+    artifact = tmp_path / "SLO_traces.json"
+    proc = _run_slo_gate("--operations", "0", "--trace-out", str(artifact))
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "SLO gate: FAIL" in proc.stdout
+    assert "rpc_handler_seconds{method=keystore.get_many}: no samples" in proc.stdout
+    assert "span_seconds{span=rekey}: no samples" in proc.stdout
+
+
+@pytest.mark.slow
 def test_slo_gate_fails_under_injected_delay(tmp_path):
     artifact = tmp_path / "SLO_traces.json"
     proc = _run_slo_gate("--inject-delay", "0.1", "--trace-out", str(artifact))

@@ -1,4 +1,4 @@
-"""AsyncTcpServer-specific behaviour: same-socket concurrent dispatch,
+"""TcpServer behaviour: same-socket concurrent dispatch,
 idle/dead-peer drops, per-connection backpressure windows, and drain."""
 
 import socket
@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from repro.net.aio import AsyncTcpServer
+from repro.net.aio import TcpServer
 from repro.net.message import Message, frame, read_frame
 from repro.net.rpc import ServiceRegistry
 from repro.net.tcp import TcpConnection, _recv_exact
@@ -27,7 +27,7 @@ def server_factory():
     servers = []
 
     def start(registry, **kwargs):
-        server = AsyncTcpServer(registry, **kwargs)
+        server = TcpServer(registry, **kwargs)
         server.start()
         servers.append(server)
         return server
@@ -172,12 +172,12 @@ class TestValidation:
     def test_bad_config_rejected(self):
         registry = make_registry()
         with pytest.raises(ConfigurationError):
-            AsyncTcpServer(registry, idle_timeout=0.0)
+            TcpServer(registry, idle_timeout=0.0)
         with pytest.raises(ConfigurationError):
-            AsyncTcpServer(registry, connection_window=0)
+            TcpServer(registry, connection_window=0)
 
     def test_stop_before_start_releases_port(self):
-        server = AsyncTcpServer(make_registry())
+        server = TcpServer(make_registry())
         address = server.address
         server.stop()
         with pytest.raises(OSError):
