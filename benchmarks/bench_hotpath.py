@@ -1,17 +1,11 @@
-"""Hot-path acceleration benchmark: reference vs. accelerated engines.
+"""Hot-path benchmark: per-layer throughput and round trips.
 
-Measures the four layers the acceleration pass touches —
+Measures the layers the client's hot paths cross —
 
 * **chunking** — Rabin content-defined chunking, per engine
   (``reference`` / ``numpy``);
-* **ctr** — AES-CTR keystream generation, per engine
-  (``reference`` / ``ttable`` / ``numpy``);
-* **caont** — the CAONT chunk transform (enhanced scheme) with the
-  reference CTR engine pinned vs. the auto-dispatched fast path, plus a
-  ``caont/shake256`` row for the default (SHAKE-256) cipher every client
-  runs;
-* **upload** — end-to-end client upload against an in-process system,
-  reference engines vs. accelerated defaults;
+* **caont** — the CAONT chunk transform (enhanced scheme) under the
+  default (SHAKE-256) cipher every client runs (``caont/shake256``);
 * **upload_tcp** — end-to-end upload over a real localhost TCP cluster,
   per-chunk RPCs vs. the batched pipeline, recording round trips per
   layer alongside throughput;
@@ -41,9 +35,9 @@ future PRs can track the perf trajectory.  Run it directly::
 
     PYTHONPATH=src python benchmarks/bench_hotpath.py [--quick] [--out PATH]
 
-``--quick`` shrinks the inputs so the whole run takes ~a second (used by
-the tier-1 smoke test); full-size runs take a couple of minutes on the
-pure-Python reference paths.
+``--quick`` shrinks the inputs so the whole run takes seconds (used by
+the tier-1 smoke test); full-size runs take a couple of minutes, most of
+it on the TCP scenarios and the reference chunker.
 
 This file is executable-only: it deliberately defines no ``test_*``
 functions (``pyproject.toml`` collects ``bench_*.py``), and the pytest
@@ -62,22 +56,18 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 from repro.chunking import rabin  # noqa: E402
-from repro.core.system import build_system  # noqa: E402
-from repro.crypto import modes  # noqa: E402
-from repro.crypto.aes import AES  # noqa: E402
-from repro.crypto.cipher import get_cipher  # noqa: E402
 from repro.crypto.drbg import HmacDrbg  # noqa: E402
 from repro.obs.expo import parse_prometheus, render_prometheus  # noqa: E402
 from repro.obs.metrics import MetricsRegistry  # noqa: E402
 
-SCHEMA = "reed-bench-hotpath/6"
+SCHEMA = "reed-bench-hotpath/7"
 
 #: Every timed repeat lands in ``bench_seconds{bench=...}`` here, so the
 #: numbers the report prints are the same ones a scrape would export.
 BENCH_METRICS = MetricsRegistry()
 
 #: Wide bucket spread: benchmark repeats range from sub-millisecond
-#: (quick CTR runs) to minutes (full reference chunking).
+#: (quick CAONT runs) to minutes (full reference chunking).
 _BENCH_BUCKETS = tuple(
     base * scale for scale in (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0) for base in (1, 2.5, 5)
 )
@@ -155,132 +145,29 @@ def bench_chunking(data: bytes, repeats: int) -> list[dict]:
     return results
 
 
-def bench_ctr(data_len: int, repeats: int) -> list[dict]:
-    key = bytes(range(32))
-    aes = AES(key)
-    results = []
-    for engine in modes.ENGINES:
-        def run(engine=engine):
-            modes.ctr_keystream(aes, modes.ZERO_NONCE, data_len, engine=engine)
-
-        seconds = _time(run, repeats, f"ctr/{engine}")
-        results.append(
-            {
-                "name": f"ctr/{engine}",
-                "bytes": data_len,
-                "seconds": seconds,
-                "mib_per_s": _mib_per_s(data_len, seconds),
-            }
-        )
-    return results
-
-
 def bench_caont(chunk_size: int, chunk_count: int, repeats: int, seed: int) -> list[dict]:
-    """CAONT transform under AES-256: reference CTR vs. fast dispatch,
-    then the same chunks under the default cipher (``caont/shake256``).
-
-    The cipher's ``mask``/``deterministic_encrypt`` go through
-    ``ctr_keystream``, so pinning the dispatcher's default engine
-    exercises exactly the paths the client uses.
-    """
+    """CAONT transform under the default cipher (``caont/shake256``)."""
     from repro.core.schemes import get_scheme
 
     rng = _seed_rng("bench-caont", seed)
     chunks = [rng.random_bytes(chunk_size) for _ in range(chunk_count)]
     keys = [rng.random_bytes(32) for _ in range(chunk_count)]
-    scheme = get_scheme("enhanced", cipher=get_cipher("aes256"))
+    scheme = get_scheme("enhanced")
     total = chunk_size * chunk_count
-    results = []
-    for label, engines in (("reference", ("reference",)), ("accelerated", (None,))):
-        engine = engines[0]
 
-        def run(engine=engine):
-            if engine is None:
-                for chunk, key in zip(chunks, keys):
-                    scheme.encrypt_chunk(chunk, key)
-            else:
-                original = modes.ctr_keystream
-                try:
-                    modes.ctr_keystream = (
-                        lambda aes, nonce, length, engine=None, _o=original: _o(
-                            aes, nonce, length, "reference"
-                        )
-                    )
-                    for chunk, key in zip(chunks, keys):
-                        scheme.encrypt_chunk(chunk, key)
-                finally:
-                    modes.ctr_keystream = original
-
-        seconds = _time(run, repeats, f"caont/{label}")
-        results.append(
-            {
-                "name": f"caont/{label}",
-                "bytes": total,
-                "seconds": seconds,
-                "mib_per_s": _mib_per_s(total, seconds),
-            }
-        )
-    default_scheme = get_scheme("enhanced")
-
-    def run_default():
+    def run():
         for chunk, key in zip(chunks, keys):
-            default_scheme.encrypt_chunk(chunk, key)
+            scheme.encrypt_chunk(chunk, key)
 
-    seconds = _time(run_default, repeats, "caont/shake256")
-    results.append(
+    seconds = _time(run, repeats, "caont/shake256")
+    return [
         {
             "name": "caont/shake256",
             "bytes": total,
             "seconds": seconds,
             "mib_per_s": _mib_per_s(total, seconds),
         }
-    )
-    return results
-
-
-def bench_upload(file_bytes: int, repeats: int, seed: int) -> list[dict]:
-    """End-to-end upload: reference engines vs. accelerated defaults."""
-    from repro.chunking.chunker import ChunkingSpec
-
-    rng = _seed_rng("bench-upload", seed)
-    data = rng.random_bytes(file_bytes)
-    results = []
-    configs = (
-        ("reference", ChunkingSpec(avg_size=1024, min_size=512, max_size=4096, engine="reference"), "reference"),
-        ("accelerated", ChunkingSpec(avg_size=1024, min_size=512, max_size=4096), None),
-    )
-    for label, spec, ctr_engine in configs:
-        counter = [0]
-
-        def run(spec=spec, ctr_engine=ctr_engine):
-            original = modes.ctr_keystream
-            try:
-                if ctr_engine is not None:
-                    modes.ctr_keystream = (
-                        lambda aes, nonce, length, engine=None, _o=original: _o(
-                            aes, nonce, length, ctr_engine
-                        )
-                    )
-                system = build_system(
-                    num_data_servers=1, cipher_name="aes256", chunking=spec
-                )
-                client = system.new_client("bench-user", cache_bytes=1 << 22)
-                counter[0] += 1
-                client.upload(f"file-{counter[0]}", data)
-                client.close()
-            finally:
-                modes.ctr_keystream = original
-
-        seconds = _time(run, repeats, f"upload/{label}")
-        results.append(
-            {
-                "name": f"upload/{label}",
-                "bytes": file_bytes,
-                "seconds": seconds,
-                "mib_per_s": _mib_per_s(file_bytes, seconds),
-            }
-        )
-    return results
+    ]
 
 
 def bench_upload_tcp(file_bytes: int, repeats: int, seed: int) -> list[dict]:
@@ -718,28 +605,21 @@ def bench_gc_compaction(file_bytes: int, repeats: int, seed: int) -> list[dict]:
 
 
 def compute_speedups(results: list[dict]) -> dict[str, float]:
-    """Accelerated-over-reference ratios per benchmark family."""
+    """Baseline-over-optimised time ratios per paired benchmark family."""
     by_name = {r["name"]: r for r in results}
     speedups: dict[str, float] = {}
     pairs = (
-        ("chunking", "chunking/reference", ("chunking/numpy",)),
-        ("ctr", "ctr/reference", ("ctr/numpy", "ctr/ttable")),
-        ("caont", "caont/reference", ("caont/accelerated",)),
-        ("upload", "upload/reference", ("upload/accelerated",)),
-        ("upload_tcp", "upload_tcp/per_chunk", ("upload_tcp/batched",)),
+        ("chunking", "chunking/reference", "chunking/numpy"),
+        ("upload_tcp", "upload_tcp/per_chunk", "upload_tcp/batched"),
         # Replication "speedup" reads below 1.0 by design: it is the
         # R=1-over-R=2 ratio, i.e. the inverse of the upload overhead.
-        (
-            "replicated_tcp",
-            "replicated_tcp/upload_r1",
-            ("replicated_tcp/upload_r2",),
-        ),
-        ("download_tcp", "download_tcp/serial", ("download_tcp/pipelined",)),
-        ("rekey_tcp", "rekey_tcp/serial", ("rekey_tcp/pipelined",)),
+        ("replicated_tcp", "replicated_tcp/upload_r1", "replicated_tcp/upload_r2"),
+        ("download_tcp", "download_tcp/serial", "download_tcp/pipelined"),
+        ("rekey_tcp", "rekey_tcp/serial", "rekey_tcp/pipelined"),
     )
-    for family, ref_name, fast_names in pairs:
+    for family, ref_name, fast_name in pairs:
         ref = by_name.get(ref_name)
-        fast = next((by_name[n] for n in fast_names if n in by_name), None)
+        fast = by_name.get(fast_name)
         if ref and fast and fast["seconds"] > 0:
             speedups[family] = round(ref["seconds"] / fast["seconds"], 2)
     return speedups
@@ -751,18 +631,14 @@ def run(quick: bool, seed: int = 0, only: list[str] | None = None) -> dict:
     rng = _seed_rng("bench-hotpath", seed)
     if quick:
         chunk_data = rng.random_bytes(96 * 1024)
-        ctr_len = 64 * 1024
         caont = (4096, 4)
-        upload_bytes = 64 * 1024
         tcp_bytes = 64 * 1024
         download_bytes = 64 * 1024
         rekey = (8, 8 * 1024, 4)  # files, bytes/file, pipeline batch size
         repeats = 1
     else:
         chunk_data = rng.random_bytes(4 * 1024 * 1024)
-        ctr_len = 1024 * 1024
         caont = (8192, 64)
-        upload_bytes = 1024 * 1024
         tcp_bytes = 512 * 1024
         # 128 fixed 4 KiB chunks, matching upload_tcp's full scale: the
         # serial row then pays one store round trip per chunk while the
@@ -775,9 +651,7 @@ def run(quick: bool, seed: int = 0, only: list[str] | None = None) -> dict:
 
     families: tuple[tuple[str, object], ...] = (
         ("chunking", lambda: bench_chunking(chunk_data, repeats)),
-        ("ctr", lambda: bench_ctr(ctr_len, repeats)),
         ("caont", lambda: bench_caont(*caont, repeats, seed)),
-        ("upload", lambda: bench_upload(upload_bytes, repeats, seed)),
         ("upload_tcp", lambda: bench_upload_tcp(tcp_bytes, repeats, seed)),
         (
             "download_tcp",

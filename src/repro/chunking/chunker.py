@@ -44,16 +44,12 @@ class ChunkingSpec:
     ``method`` is ``"rabin"`` (content-defined, the paper's default) or
     ``"fixed"``.  Sizes are in bytes; for Rabin chunking ``avg_size`` must
     be a power of two and the min/max default to the paper's 2 KB / 16 KB.
-    ``engine`` pins a Rabin implementation (``"reference"`` or
-    ``"numpy"``); ``None`` picks ``"numpy"``.  Both cut identical
-    boundaries.
     """
 
     method: str = "rabin"
     avg_size: int = DEFAULT_AVG_SIZE
     min_size: int = field(default=DEFAULT_MIN_SIZE)
     max_size: int = field(default=DEFAULT_MAX_SIZE)
-    engine: str | None = None
 
     def __post_init__(self) -> None:
         if self.method not in ("rabin", "fixed"):
@@ -68,7 +64,6 @@ def make_chunker(spec: ChunkingSpec) -> RabinChunker | FixedChunker:
         min_size=spec.min_size,
         max_size=spec.max_size,
         avg_size=spec.avg_size,
-        engine=spec.engine,
     )
 
 
@@ -84,7 +79,6 @@ def iter_raw_chunks(
             min_size=spec.min_size,
             max_size=spec.max_size,
             avg_size=spec.avg_size,
-            engine=spec.engine,
         )
 
 

@@ -52,7 +52,6 @@ from repro.core.stubs import (
     decrypt_stub_file,
     encrypt_stub_file,
 )
-from repro.crypto.cipher import SymmetricCipher
 from repro.crypto.drbg import SYSTEM_RANDOM, RandomSource
 from repro.crypto.rsa import RSAPublicKey
 from repro.keyreg.rsa_keyreg import KeyRegressionMember, KeyRegressionOwner, KeyState
@@ -166,7 +165,6 @@ class REEDClient:
         wrap_keys_provider,
         keyreg_owner: KeyRegressionOwner | None = None,
         scheme: str | EncryptionScheme = "enhanced",
-        cipher: SymmetricCipher | None = None,
         chunking: ChunkingSpec | None = None,
         upload_batch_bytes: int = DEFAULT_UPLOAD_BATCH_BYTES,
         rng: RandomSource | None = None,
@@ -195,7 +193,7 @@ class REEDClient:
         self.wrap_keys_provider = wrap_keys_provider
         self.keyreg_owner = keyreg_owner
         if isinstance(scheme, str):
-            scheme = get_scheme(scheme, cipher=cipher)
+            scheme = get_scheme(scheme)
         self.scheme = scheme
         self.chunking = chunking or ChunkingSpec()
         self.upload_batch_bytes = upload_batch_bytes

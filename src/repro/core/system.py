@@ -16,7 +16,6 @@ from repro.abe.cpabe import AttributeAuthority
 from repro.chunking.chunker import ChunkingSpec
 from repro.core.client import REEDClient
 from repro.core.server import REEDServer
-from repro.crypto.cipher import SymmetricCipher, get_cipher
 from repro.crypto.drbg import SYSTEM_RANDOM, RandomSource
 from repro.keyreg.rsa_keyreg import KeyRegressionOwner
 from repro.mle.cache import MLEKeyCache
@@ -57,7 +56,6 @@ class ReedSystem:
     keystore: KeyStore
     storage: ShardedStorageService
     scheme: str = "enhanced"
-    cipher: SymmetricCipher | None = None
     chunking: ChunkingSpec | None = None
     key_batch_size: int = DEFAULT_BATCH_SIZE
     rng: RandomSource = SYSTEM_RANDOM
@@ -104,7 +102,6 @@ class ReedSystem:
             wrap_keys_provider=self.authority.wrap_keys_for,
             keyreg_owner=keyreg_owner,
             scheme=scheme or self.scheme,
-            cipher=self.cipher,
             chunking=self.chunking,
             encryption_workers=encryption_workers,
             chunk_cache_bytes=chunk_cache_bytes,
@@ -139,7 +136,6 @@ class ReedSystem:
 def build_system(
     num_data_servers: int = DEFAULT_DATA_SERVERS,
     scheme: str = "enhanced",
-    cipher_name: str | None = None,
     chunking: ChunkingSpec | None = None,
     key_bits: int = FAST_KEY_BITS,
     key_batch_size: int = DEFAULT_BATCH_SIZE,
@@ -162,7 +158,6 @@ def build_system(
     if num_data_servers < 1:
         raise ConfigurationError("need at least one data server")
     rng = rng or SYSTEM_RANDOM
-    cipher = get_cipher(cipher_name)
     km_kwargs = {}
     if rate_limit is not None:
         # Scale the burst with the configured rate so a small rate limit
@@ -188,7 +183,6 @@ def build_system(
             list(servers), replicas=replicas, write_quorum=write_quorum
         ),
         scheme=scheme,
-        cipher=cipher,
         chunking=chunking,
         key_batch_size=key_batch_size,
         rng=rng,

@@ -7,16 +7,16 @@ multiplicative inverse plus the affine transform, standard key expansion,
 and table-free round functions — and is validated against the FIPS-197
 appendix test vectors in the test suite.
 
-Two encrypt paths coexist (docs/PERFORMANCE.md):
+Two encrypt paths give identical output (docs/PERFORMANCE.md):
 
 * the **reference path** (:meth:`AES.encrypt_block`) keeps the
   specification's per-step round functions and serves as the
   correctness oracle;
-* the **T-table path** (:meth:`AES.encrypt_block_fast`) folds
-  SubBytes + ShiftRows + MixColumns into four 256-entry 32-bit lookup
-  tables and runs on a per-key cached key schedule of packed 32-bit
-  words (:func:`encryption_schedule`).  The CTR engines in
-  :mod:`repro.crypto.modes` are built on this schedule.
+* the **T-table path**: ``T0``..``T3`` fold SubBytes + ShiftRows +
+  MixColumns into four 256-entry 32-bit lookup tables, and
+  :func:`encryption_schedule` caches each key's schedule as packed
+  32-bit words.  The numpy CTR engine in :mod:`repro.crypto.modes`
+  runs its rounds on these.
 
 Pure-Python AES is three orders of magnitude slower than hardware AES; the
 library therefore defaults to :mod:`repro.crypto.streamcipher` (a SHAKE-256
@@ -140,9 +140,9 @@ def encryption_schedule(key: bytes) -> tuple[tuple[int, ...], int]:
     """Per-key cached key schedule as big-endian packed 32-bit words.
 
     Returns ``(words, rounds)`` with ``4 * (rounds + 1)`` words.  The
-    cache means repeated cipher construction for the same key (one
-    :func:`modes.ctr_encrypt` call per chunk piece, say) expands the key
-    once.
+    cache means repeated CTR calls under the same key (one
+    :func:`modes.ctr_keystream` call per chunk piece, say) expand the
+    key once.
     """
     nk = len(key) // 4
     rounds = AES._ROUNDS.get(len(key))
@@ -274,32 +274,6 @@ class AES:
         state = self._shift_rows(state)
         self._add_round_key(state, self._round_keys[self._rounds])
         return bytes(state)
-
-    def encrypt_block_fast(self, block: bytes) -> bytes:
-        """T-table encryption of one block (identical output to
-        :meth:`encrypt_block`, roughly 4x faster in CPython)."""
-        if len(block) != BLOCK_SIZE:
-            raise ConfigurationError("AES block must be 16 bytes")
-        words, rounds = encryption_schedule(self.key)
-        t0, t1, t2, t3, sbox = T0, T1, T2, T3, SBOX
-        s0, s1, s2, s3 = struct.unpack(">4I", block)
-        s0 ^= words[0]
-        s1 ^= words[1]
-        s2 ^= words[2]
-        s3 ^= words[3]
-        k = 4
-        for _ in range(rounds - 1):
-            u0 = t0[s0 >> 24] ^ t1[(s1 >> 16) & 255] ^ t2[(s2 >> 8) & 255] ^ t3[s3 & 255] ^ words[k]
-            u1 = t0[s1 >> 24] ^ t1[(s2 >> 16) & 255] ^ t2[(s3 >> 8) & 255] ^ t3[s0 & 255] ^ words[k + 1]
-            u2 = t0[s2 >> 24] ^ t1[(s3 >> 16) & 255] ^ t2[(s0 >> 8) & 255] ^ t3[s1 & 255] ^ words[k + 2]
-            u3 = t0[s3 >> 24] ^ t1[(s0 >> 16) & 255] ^ t2[(s1 >> 8) & 255] ^ t3[s2 & 255] ^ words[k + 3]
-            s0, s1, s2, s3 = u0, u1, u2, u3
-            k += 4
-        r0 = ((sbox[s0 >> 24] << 24) | (sbox[(s1 >> 16) & 255] << 16) | (sbox[(s2 >> 8) & 255] << 8) | sbox[s3 & 255]) ^ words[k]
-        r1 = ((sbox[s1 >> 24] << 24) | (sbox[(s2 >> 16) & 255] << 16) | (sbox[(s3 >> 8) & 255] << 8) | sbox[s0 & 255]) ^ words[k + 1]
-        r2 = ((sbox[s2 >> 24] << 24) | (sbox[(s3 >> 16) & 255] << 16) | (sbox[(s0 >> 8) & 255] << 8) | sbox[s1 & 255]) ^ words[k + 2]
-        r3 = ((sbox[s3 >> 24] << 24) | (sbox[(s0 >> 16) & 255] << 16) | (sbox[(s1 >> 8) & 255] << 8) | sbox[s2 & 255]) ^ words[k + 3]
-        return struct.pack(">4I", r0, r1, r2, r3)
 
     def decrypt_block(self, block: bytes) -> bytes:
         if len(block) != BLOCK_SIZE:

@@ -22,7 +22,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 
 from repro.crypto import modes, streamcipher
-from repro.crypto.aes import AES
 from repro.util.errors import ConfigurationError
 
 
@@ -90,7 +89,7 @@ class AES256Cipher(SymmetricCipher):
         # Generating the keystream directly avoids XORing against a zero
         # block (E(K, 0...0) == keystream in CTR mode).
         self.check_key(key)
-        return modes.ctr_keystream(AES(key), modes.ZERO_NONCE, length)
+        return modes.ctr_keystream(key, modes.ZERO_NONCE, length)
 
 
 class Shake256Cipher(SymmetricCipher):

@@ -6,27 +6,20 @@ deterministic encryption for MLE (same key + same message must give the
 same ciphertext, so the nonce is fixed to zero — safe here because MLE
 keys are message-derived and never reused across distinct messages).
 
-Three keystream engines produce bit-identical output (enforced by
+One keystream engine plus one oracle, bit-identical (enforced by
 differential tests; see docs/PERFORMANCE.md):
 
-* ``"reference"`` — the specification-shaped loop: one
+* :func:`ctr_keystream` — the engine: the T-table round function of
+  :mod:`repro.crypto.aes` on the per-key cached word schedule,
+  vectorized with numpy across every counter block of the run (each
+  round is ~16 fancy-indexing gathers over the whole batch).
+* :func:`ctr_keystream_reference` — the specification-shaped loop: one
   :meth:`~repro.crypto.aes.AES.encrypt_block` per counter block.  The
-  correctness oracle.
-* ``"ttable"`` — a single-pass pure-Python loop over the T-tables of
-  :mod:`repro.crypto.aes` with the per-key cached word schedule; all
-  counter blocks are generated in one pass and packed with one
-  :func:`struct.pack` call.
-* ``"numpy"`` — the same T-table round function vectorized across all
-  counter blocks at once (each round is ~16 fancy-indexing gathers over
-  the whole batch).
-
-``ctr_keystream`` picks ``"numpy"`` for runs of 16 blocks or more and
-``"ttable"`` below that; pass ``engine=`` to pin one.
+  correctness oracle, used only by tests.
 """
 
 from __future__ import annotations
 
-import struct
 from functools import cache
 
 import numpy as np
@@ -42,13 +35,6 @@ ZERO_NONCE = b"\x00" * 8
 #: 32 K blocks -> 512 KB of keystream plus working arrays).
 _NUMPY_SLAB_BLOCKS = 1 << 15
 
-#: Below this many blocks the numpy fixed costs (array setup, dtype
-#: conversions) exceed the vector win; the ttable loop is faster.
-_NUMPY_MIN_BLOCKS = 16
-
-#: Every engine, the oracle first.
-ENGINES = ("reference", "ttable", "numpy")
-
 
 def _check_args(nonce: bytes, length: int) -> None:
     if len(nonce) != 8:
@@ -57,52 +43,19 @@ def _check_args(nonce: bytes, length: int) -> None:
         raise ConfigurationError("keystream length must be non-negative")
 
 
-def ctr_keystream_reference(aes: AES, nonce: bytes, length: int) -> bytes:
+def ctr_keystream_reference(key: bytes, nonce: bytes, length: int) -> bytes:
     """Reference keystream: ``E(K, nonce || counter)`` block at a time.
 
     The 16-byte counter block is an 8-byte nonce followed by a 64-bit
     big-endian block counter.
     """
     _check_args(nonce, length)
+    aes = AES(key)
     blocks = (length + BLOCK_SIZE - 1) // BLOCK_SIZE
     out = bytearray()
     for counter in range(blocks):
         out.extend(aes.encrypt_block(nonce + counter.to_bytes(8, "big")))
     return bytes(out[:length])
-
-
-def _ctr_keystream_ttable(key: bytes, nonce: bytes, length: int) -> bytes:
-    """Single-pass T-table keystream: every counter block in one loop,
-    one ``struct.pack`` for the whole output."""
-    words, rounds = encryption_schedule(key)
-    blocks = (length + BLOCK_SIZE - 1) // BLOCK_SIZE
-    t0, t1, t2, t3, sbox = T0, T1, T2, T3, SBOX
-    hi = int.from_bytes(nonce, "big")
-    n0 = (hi >> 32) ^ words[0]
-    n1 = (hi & 0xFFFFFFFF) ^ words[1]
-    w2, w3 = words[2], words[3]
-    inner_rounds = rounds - 1
-    k_final = 4 * rounds
-    out: list[int] = []
-    append = out.append
-    for ctr in range(blocks):
-        s0 = n0
-        s1 = n1
-        s2 = (ctr >> 32) ^ w2
-        s3 = (ctr & 0xFFFFFFFF) ^ w3
-        k = 4
-        for _ in range(inner_rounds):
-            u0 = t0[s0 >> 24] ^ t1[(s1 >> 16) & 255] ^ t2[(s2 >> 8) & 255] ^ t3[s3 & 255] ^ words[k]
-            u1 = t0[s1 >> 24] ^ t1[(s2 >> 16) & 255] ^ t2[(s3 >> 8) & 255] ^ t3[s0 & 255] ^ words[k + 1]
-            u2 = t0[s2 >> 24] ^ t1[(s3 >> 16) & 255] ^ t2[(s0 >> 8) & 255] ^ t3[s1 & 255] ^ words[k + 2]
-            u3 = t0[s3 >> 24] ^ t1[(s0 >> 16) & 255] ^ t2[(s1 >> 8) & 255] ^ t3[s2 & 255] ^ words[k + 3]
-            s0, s1, s2, s3 = u0, u1, u2, u3
-            k += 4
-        append(((sbox[s0 >> 24] << 24) | (sbox[(s1 >> 16) & 255] << 16) | (sbox[(s2 >> 8) & 255] << 8) | sbox[s3 & 255]) ^ words[k_final])
-        append(((sbox[s1 >> 24] << 24) | (sbox[(s2 >> 16) & 255] << 16) | (sbox[(s3 >> 8) & 255] << 8) | sbox[s0 & 255]) ^ words[k_final + 1])
-        append(((sbox[s2 >> 24] << 24) | (sbox[(s3 >> 16) & 255] << 16) | (sbox[(s0 >> 8) & 255] << 8) | sbox[s1 & 255]) ^ words[k_final + 2])
-        append(((sbox[s3 >> 24] << 24) | (sbox[(s0 >> 16) & 255] << 16) | (sbox[(s1 >> 8) & 255] << 8) | sbox[s2 & 255]) ^ words[k_final + 3])
-    return struct.pack(f">{len(out)}I", *out)[:length]
 
 
 @cache
@@ -144,52 +97,30 @@ def _ctr_slab_numpy(words, rounds, nonce_hi: int, start: int, blocks: int):
     return out
 
 
-def _ctr_keystream_numpy(key: bytes, nonce: bytes, length: int) -> bytes:
-    """All counter blocks vectorized across the batch, slab by slab."""
-    words, rounds = encryption_schedule(key)
+def ctr_keystream(key: bytes, nonce: bytes, length: int) -> bytes:
+    """Generate ``length`` keystream bytes: ``E(K, nonce || counter)``.
+
+    Every counter block is vectorized across the batch, slab by slab;
+    the output is identical to :func:`ctr_keystream_reference`.
+    """
+    _check_args(nonce, length)
+    words, rounds = encryption_schedule(bytes(key))
     blocks = (length + BLOCK_SIZE - 1) // BLOCK_SIZE
     hi = int.from_bytes(nonce, "big")
     pieces = []
     for start in range(0, blocks, _NUMPY_SLAB_BLOCKS):
         count = min(_NUMPY_SLAB_BLOCKS, blocks - start)
         pieces.append(_ctr_slab_numpy(words, rounds, hi, start, count).tobytes())
-    return b"".join(pieces)[:length] if pieces else b""
+    return b"".join(pieces)[:length]
 
 
-def ctr_keystream(
-    aes: AES, nonce: bytes, length: int, engine: str | None = None
-) -> bytes:
-    """Generate ``length`` keystream bytes: ``E(K, nonce || counter)``.
-
-    ``engine`` picks the implementation (``"reference"``, ``"ttable"``,
-    ``"numpy"``); ``None`` selects the fastest for ``length``.  All
-    engines return identical bytes.
-    """
-    if engine is None:
-        blocks = (length + BLOCK_SIZE - 1) // BLOCK_SIZE
-        engine = "numpy" if blocks >= _NUMPY_MIN_BLOCKS else "ttable"
-    if engine == "reference":
-        return ctr_keystream_reference(aes, nonce, length)
-    _check_args(nonce, length)
-    if engine == "ttable":
-        return _ctr_keystream_ttable(aes.key, nonce, length)
-    if engine == "numpy":
-        return _ctr_keystream_numpy(aes.key, nonce, length)
-    raise ConfigurationError(f"unknown CTR engine {engine!r}; available: {list(ENGINES)}")
-
-
-def ctr_encrypt(
-    key: bytes, nonce: bytes, plaintext: bytes, engine: str | None = None
-) -> bytes:
+def ctr_encrypt(key: bytes, nonce: bytes, plaintext: bytes) -> bytes:
     """CTR encryption; identical to decryption (XOR with keystream)."""
-    aes = AES(key)
-    return xor_bytes(plaintext, ctr_keystream(aes, nonce, len(plaintext), engine))
+    return xor_bytes(plaintext, ctr_keystream(key, nonce, len(plaintext)))
 
 
-def ctr_decrypt(
-    key: bytes, nonce: bytes, ciphertext: bytes, engine: str | None = None
-) -> bytes:
-    return ctr_encrypt(key, nonce, ciphertext, engine)
+def ctr_decrypt(key: bytes, nonce: bytes, ciphertext: bytes) -> bytes:
+    return ctr_encrypt(key, nonce, ciphertext)
 
 
 def deterministic_encrypt(key: bytes, plaintext: bytes) -> bytes:

@@ -20,9 +20,7 @@ BENCH = os.path.join(REPO_ROOT, "benchmarks", "bench_hotpath.py")
 
 EXPECTED_FAMILIES = {
     "chunking",
-    "ctr",
     "caont",
-    "upload",
     "upload_tcp",
     "download_tcp",
     "replicated_tcp",
@@ -30,16 +28,16 @@ EXPECTED_FAMILIES = {
     "gc_compaction",
 }
 
-#: Diagnostic families report scenario counters, not a reference-vs-fast
-#: pair, so they carry no speedup entry.
-UNPAIRED_FAMILIES = {"gc_compaction"}
+#: Single-row and diagnostic families report one configuration or
+#: scenario counters, not a reference-vs-fast pair, so they carry no
+#: speedup entry.
+UNPAIRED_FAMILIES = {"caont", "gc_compaction"}
 
-#: Per-family baseline row (the oracle each speedup is computed against).
+#: Per-family baseline row (the oracle each speedup is computed against;
+#: an unpaired family's only or first row).
 REFERENCE_ROWS = {
     "chunking": "chunking/reference",
-    "ctr": "ctr/reference",
-    "caont": "caont/reference",
-    "upload": "upload/reference",
+    "caont": "caont/shake256",
     "upload_tcp": "upload_tcp/per_chunk",
     "download_tcp": "download_tcp/serial",
     "replicated_tcp": "replicated_tcp/upload_r1",
@@ -117,7 +115,7 @@ def test_quick_bench_runs_and_writes_valid_report(tmp_path):
     assert "metrics snapshot: well-formed" in proc.stdout
 
     report = json.loads(out.read_text())
-    assert report["schema"] == "reed-bench-hotpath/6"
+    assert report["schema"] == "reed-bench-hotpath/7"
     assert report["quick"] is True
     assert report["seed"] == 3
     # Every reported row has its repeats recorded in the bench histogram
@@ -155,10 +153,11 @@ def test_quick_bench_runs_and_writes_valid_report(tmp_path):
             assert result["seconds"] <= result["p50_s"] <= result["p99_s"]
     families = {r["name"].split("/")[0] for r in report["results"]}
     assert families == EXPECTED_FAMILIES
-    # Every family must include a reference row (the oracle baseline).
+    # Every family must include its baseline row.
     names = {r["name"] for r in report["results"]}
     for family, reference_row in REFERENCE_ROWS.items():
         assert reference_row in names
+    assert {n for n in names if n.startswith("caont/")} == {"caont/shake256"}
     assert isinstance(report["speedups"], dict)
     assert set(report["speedups"]) == EXPECTED_FAMILIES - UNPAIRED_FAMILIES
     # The batched pipeline's defining win: fewer round trips per layer.
