@@ -1,40 +1,48 @@
-"""TCP transport for the RPC layer.
+"""TCP transport for the RPC layer: 4-byte length framing around
+:class:`~repro.net.message.Message`, whose ``message_id`` correlates
+out-of-order responses.
 
-* :class:`TcpServer` — the server, defined in :mod:`repro.net.aio` and
-  re-exported here: an asyncio event loop (single accept loop, one
-  task per connection, handlers dispatched concurrently onto a bounded
-  executor, responses written out of order as they finish).
-* :class:`TcpConnection` — a **multiplexed** client connection: many
-  threads share one persistent socket, each call tagged with a wire
-  ``message_id`` and completed out of order by a background reader
-  thread.  A bounded in-flight window applies backpressure (senders
-  block instead of buffering unboundedly), keepalives detect dead
-  peers, and idempotent methods are transparently retried over a fresh
-  dial when the persistent connection breaks (a server restart no
-  longer fails a pipeline mid-window).
+* :class:`TcpServer` — one accept thread, and per connection one reader
+  thread and one writer thread around a handler pool shared by all
+  connections.
+* :class:`TcpConnection` — a multiplexed client connection: many
+  threads share one persistent socket, and idempotent calls ride out a
+  server restart.
 
-The wire format is 4-byte length framing around
-:class:`~repro.net.message.Message`, which carries the correlation id.
+``docs/ARCHITECTURE.md`` (*Server concurrency*, *Multiplexed
+connections*) describes both; the server's ``tcp_*`` and ``aio_*``
+series are in ``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations
 
+import queue
 import socket
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
-from repro.net.aio import (
-    DEFAULT_CONNECTION_WINDOW,
-    DEFAULT_IDLE_TIMEOUT,
-    DEFAULT_MAX_WORKERS,
-    TcpServer,
-    tune_socket,
-)
-from repro.net.message import Message, frame, read_frame
+from repro.net.message import MAX_MESSAGE_BYTES, Message, frame
 from repro.net.retry import RetryPolicy, is_idempotent_method
-from repro.net.rpc import RpcClient
+from repro.net.rpc import RpcClient, ServiceRegistry, encode_error
 from repro.obs.metrics import MetricsRegistry, default_registry
-from repro.util.errors import ConfigurationError, ProtocolError
+from repro.util.errors import ConfigurationError, CorruptionError, ProtocolError
+
+#: Default size of the handler pool: it bounds concurrently *executing
+#: handlers*, not connections.
+DEFAULT_MAX_WORKERS = 16
+
+#: Default per-connection in-flight request window: how many requests
+#: from one socket may be read and not yet flushed (queued, executing or
+#: waiting for the writer) before the server stops reading that socket.
+DEFAULT_CONNECTION_WINDOW = 32
+
+#: Default idle read timeout: a connection that sends nothing for this
+#: long is dropped (``tcp_idle_drops_total``).  Generous because
+#: pipeline clients legitimately sit idle between operations; TCP
+#: keepalives catch dead peers well before this fires.
+DEFAULT_IDLE_TIMEOUT = 600.0
 
 #: Default client-side in-flight window: how many calls may be awaiting
 #: responses on one multiplexed connection before further senders block.
@@ -45,15 +53,411 @@ DEFAULT_CLIENT_WINDOW = 64
 #: as ProtocolError after three dials.
 DEFAULT_RECONNECT_POLICY = dict(attempts=3, base_delay=0.02, cap=0.25)
 
+#: TCP keepalive cadence (seconds idle before probing, probe interval,
+#: probes before the kernel declares the peer dead).
+KEEPALIVE_IDLE = 60
+KEEPALIVE_INTERVAL = 15
+KEEPALIVE_COUNT = 4
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    out = bytearray()
-    while len(out) < n:
-        piece = sock.recv(n - len(out))
+
+def tune_socket(sock: socket.socket) -> None:
+    """Low-latency + dead-peer options shared by client and server.
+
+    ``TCP_NODELAY`` for small framed RPCs, ``SO_KEEPALIVE`` with an
+    aggressive-ish cadence so a peer that vanished without a FIN (pulled
+    cable, OOM-killed process) is detected in minutes, not hours.  The
+    per-option constants are missing on some platforms; each is applied
+    best-effort.
+    """
+    try:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_KEEPALIVE, 1)
+    except OSError:
+        return
+    for option, value in (
+        ("TCP_KEEPIDLE", KEEPALIVE_IDLE),
+        ("TCP_KEEPINTVL", KEEPALIVE_INTERVAL),
+        ("TCP_KEEPCNT", KEEPALIVE_COUNT),
+    ):
+        if hasattr(socket, option):
+            try:
+                sock.setsockopt(socket.IPPROTO_TCP, getattr(socket, option), value)
+            except OSError:
+                pass
+
+
+def _shutdown(sock: socket.socket) -> None:
+    """Send the FIN and wake every thread blocked on ``sock``.
+
+    A bare ``close()`` while another thread is blocked in ``recv`` or
+    ``accept`` never reaches the kernel socket (the in-progress syscall
+    pins it), so no FIN is sent and the blocked thread sleeps on.
+    """
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+
+
+def _hard_close(sock: socket.socket) -> None:
+    _shutdown(sock)
+    try:
+        sock.close()
+    except OSError:
+        pass
+
+
+def _recv_exact(sock: socket.socket, n: int, *, frame_start: bool = False) -> bytes:
+    """Read exactly ``n`` bytes; EOF raises :class:`ProtocolError`.
+
+    ``frame_start`` marks the first bytes of a frame: an EOF before any
+    of them is a clean close between frames, not a torn frame.
+    """
+    chunks = []
+    got = 0
+    while got < n:
+        piece = sock.recv(n - got)
         if not piece:
-            raise ProtocolError("peer closed the connection mid-frame")
-        out.extend(piece)
-    return bytes(out)
+            if frame_start and not got:
+                raise ProtocolError("peer closed the connection")
+            raise ProtocolError(
+                f"peer closed the connection mid-frame after {got} of {n} bytes"
+            )
+        chunks.append(piece)
+        got += len(piece)
+    return chunks[0] if len(chunks) == 1 else b"".join(chunks)
+
+
+def _read_frame(sock: socket.socket, max_bytes: int = MAX_MESSAGE_BYTES) -> bytes:
+    """One frame body; an oversized length raises before any allocation."""
+    length = int.from_bytes(_recv_exact(sock, 4, frame_start=True), "big")
+    if length > max_bytes:
+        raise CorruptionError(f"frame length {length} exceeds the limit")
+    return _recv_exact(sock, length)
+
+
+class _Connection:
+    """One accepted socket and the state its reader and writer share."""
+
+    __slots__ = ("sock", "window", "outbox", "outstanding", "seq", "threads")
+
+    def __init__(self, sock: socket.socket, window: int) -> None:
+        self.sock = sock
+        #: One slot per request read and not yet flushed.
+        self.window = threading.Semaphore(window)
+        #: Encoded responses for the writer (``b""`` for a request that
+        #: got none); ``None`` tells it the connection is done.
+        self.outbox: queue.SimpleQueue[bytes | None] = queue.SimpleQueue()
+        #: Sequence numbers of requests not yet handed to the writer —
+        #: used to detect (and count) out-of-order completions.  Guarded
+        #: by the server's lock.
+        self.outstanding: set[int] = set()
+        self.seq = 0
+        self.threads: tuple[threading.Thread, ...] = ()
+
+
+class TcpServer:
+    """Serves a :class:`ServiceRegistry` over TCP.
+
+    The accept thread starts a reader and a writer thread per
+    connection.  The reader decodes each frame, takes a slot of the
+    connection's ``connection_window`` (a full window stops it reading,
+    which backs a flooding sender up in the kernel) and submits the
+    request to the ``max_workers`` handler pool, so a slow request does
+    not block the next one on the same socket.  A handler hands its
+    encoded response to the writer and returns to the pool: handlers
+    never block on a peer's socket.  The writer flushes responses in
+    completion order and only then frees their slots.  ``idle_timeout``
+    is the socket timeout, dropping idle peers and frames stalled
+    mid-way.
+    """
+
+    def __init__(
+        self,
+        registry: ServiceRegistry,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        max_workers: int = DEFAULT_MAX_WORKERS,
+        max_message_bytes: int = MAX_MESSAGE_BYTES,
+        metrics: MetricsRegistry | None = None,
+        idle_timeout: float | None = DEFAULT_IDLE_TIMEOUT,
+        connection_window: int = DEFAULT_CONNECTION_WINDOW,
+    ) -> None:
+        if max_workers < 1:
+            raise ConfigurationError("need at least one worker")
+        if max_message_bytes < 1 or max_message_bytes > MAX_MESSAGE_BYTES:
+            raise ConfigurationError(
+                f"max_message_bytes must be in [1, {MAX_MESSAGE_BYTES}]"
+            )
+        if idle_timeout is not None and idle_timeout <= 0:
+            raise ConfigurationError("idle_timeout must be positive (or None)")
+        if connection_window < 1:
+            raise ConfigurationError("connection_window must be at least 1")
+        self._registry = registry
+        self._max_workers = max_workers
+        self._max_message_bytes = max_message_bytes
+        self._idle_timeout = idle_timeout
+        self._connection_window = connection_window
+        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        self._listener.bind((host, port))
+        self._listener.listen(128)
+        self._name = f"reed-tcp:{self._listener.getsockname()[1]}"
+        self._running = False
+        #: Set by :meth:`stop` once draining is over: handlers still
+        #: queued then skip their request instead of running it.
+        self._closing = False
+        self._accept_thread: threading.Thread | None = None
+        self._executor: ThreadPoolExecutor | None = None
+        self._conns: set[_Connection] = set()
+        self._lock = threading.Lock()
+        self._idle = threading.Condition(self._lock)
+        self._in_flight = 0
+        #: Requests handed to the pool but not yet picked up by a
+        #: handler thread (the dispatch backlog inside the process).
+        self._queued = 0
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._connections_accepted = self.metrics.counter(
+            "tcp_connections_accepted_total", "Connections accepted."
+        )
+        self._requests_served = self.metrics.counter(
+            "tcp_requests_total", "Requests served (responses flushed count too)."
+        )
+        self._oversize_drops = self.metrics.counter(
+            "tcp_oversize_drops_total",
+            "Connections dropped for oversized or length-damaged frames.",
+        )
+        self._idle_drops = self.metrics.counter(
+            "tcp_idle_drops_total",
+            "Connections dropped by the idle read timeout (dead peers).",
+        )
+        self._active_connections = self.metrics.gauge(
+            "tcp_active_connections", "Connections currently open."
+        )
+        self._in_flight_gauge = self.metrics.gauge(
+            "tcp_in_flight_requests", "Requests read and not yet flushed."
+        )
+        self._queue_depth = self.metrics.gauge(
+            "tcp_queue_depth",
+            "Requests waiting for a free handler worker.",
+        )
+        self._out_of_order = self.metrics.counter(
+            "aio_out_of_order_responses_total",
+            "Responses written while an earlier request on the same "
+            "connection was still in flight (multiplexing at work).",
+        )
+        self.metrics.gauge(
+            "tcp_max_workers", "Size of the handler executor."
+        ).set(max_workers)
+        self.metrics.gauge(
+            "aio_connection_window",
+            "Per-connection in-flight request window (backpressure bound).",
+        ).set(connection_window)
+
+    @property
+    def address(self) -> tuple[str, int]:
+        return self._listener.getsockname()
+
+    def stats(self) -> dict:
+        """Server-side counters for observability.
+
+        The snapshot is taken under the mutation lock so it is
+        internally consistent.
+        """
+        with self._lock:
+            return {
+                "connections_accepted": int(self._connections_accepted.value),
+                "active_connections": len(self._conns),
+                "in_flight_requests": self._in_flight,
+                "queued_connections": self._queued,
+                "requests_served": int(self._requests_served.value),
+                "oversize_drops": int(self._oversize_drops.value),
+                "idle_drops": int(self._idle_drops.value),
+                "max_workers": self._max_workers,
+            }
+
+    # -- lifecycle ---------------------------------------------------------
+
+    def start(self) -> None:
+        """Start the handler pool and the accept thread.
+
+        The listener is already listening, so a connect made before the
+        accept thread runs waits in the kernel backlog.
+        """
+        self._running = True
+        self._executor = ThreadPoolExecutor(
+            max_workers=self._max_workers, thread_name_prefix=f"{self._name}-handler"
+        )
+        self._accept_thread = threading.Thread(
+            target=self._accept_loop, daemon=True, name=f"{self._name}-accept"
+        )
+        self._accept_thread.start()
+
+    def _accept_loop(self) -> None:
+        while True:
+            try:
+                sock, peer = self._listener.accept()
+            except OSError:
+                if not self._running:
+                    return
+                time.sleep(0.01)  # e.g. out of descriptors: back off, retry
+                continue
+            if not self._running:
+                # A connect raced the shutdown; drop it rather than
+                # serve a stopped server.
+                sock.close()
+                return
+            tune_socket(sock)
+            sock.settimeout(self._idle_timeout)
+            conn = _Connection(sock, self._connection_window)
+            with self._lock:
+                self._conns.add(conn)
+                self._connections_accepted.inc()
+                self._active_connections.set(len(self._conns))
+            name = f"{self._name}-{peer[1]}"
+            conn.threads = (
+                threading.Thread(
+                    target=self._read_loop, args=(conn, self._executor),
+                    daemon=True,
+                    name=f"{name}-reader",
+                ),
+                threading.Thread(
+                    target=self._write_loop, args=(conn,), daemon=True,
+                    name=f"{name}-writer",
+                ),
+            )
+            for thread in conn.threads:
+                thread.start()
+
+    def _read_loop(self, conn: _Connection, executor: ThreadPoolExecutor) -> None:
+        try:
+            while self._running:
+                try:
+                    request = Message.decode(
+                        _read_frame(conn.sock, self._max_message_bytes)
+                    )
+                except TimeoutError:
+                    # Idle, or stalled mid-frame: a dead peer either way.
+                    with self._lock:
+                        self._idle_drops.inc()
+                    return
+                except CorruptionError:
+                    # Oversized (or length-damaged) frame: dropped before
+                    # the body is allocated.
+                    with self._lock:
+                        self._oversize_drops.inc()
+                    return
+                except Exception:
+                    return  # disconnect, or framing damage
+                # Backpressure: with ``connection_window`` requests of
+                # this connection unflushed, stop reading its socket.
+                conn.window.acquire()
+                conn.seq += 1
+                seq = conn.seq
+                with self._lock:
+                    self._in_flight += 1
+                    self._in_flight_gauge.set(self._in_flight)
+                    self._queued += 1
+                    self._queue_depth.set(self._queued)
+                    conn.outstanding.add(seq)
+                try:
+                    executor.submit(self._handle, conn, request, seq)
+                except RuntimeError:
+                    # The pool was shut down by a racing stop().
+                    with self._lock:
+                        self._queued -= 1
+                        self._queue_depth.set(self._queued)
+                        conn.outstanding.discard(seq)
+                    conn.outbox.put(b"")
+                    return
+        finally:
+            # Half-close friendliness: a client that sent its requests
+            # and shut down its write side still gets every response.
+            # With every slot back, every response is flushed.
+            for _ in range(self._connection_window):
+                conn.window.acquire()
+            conn.outbox.put(None)
+
+    def _handle(self, conn: _Connection, request: Message, seq: int) -> None:
+        """Run one request on a pool thread and hand its response over."""
+        with self._lock:
+            self._queued -= 1
+            self._queue_depth.set(self._queued)
+        encoded = b""
+        try:
+            if not self._closing:
+                encoded = frame(self._registry.dispatch(request).encode())
+        except Exception as exc:  # noqa: BLE001 - the caller must hear of it
+            # A result that cannot be sent (not bytes, or over the frame
+            # limit) fails the call now instead of at the caller's timeout.
+            error = Message(request.message_id, request.method, True, encode_error(exc))
+            encoded = frame(error.encode())
+        finally:
+            with self._lock:
+                conn.outstanding.discard(seq)
+                if encoded:
+                    # Counted before the hand-off so the served total is
+                    # already visible when the client reads the response.
+                    self._requests_served.inc()
+                    if conn.outstanding and min(conn.outstanding) < seq:
+                        self._out_of_order.inc()
+            conn.outbox.put(encoded)
+
+    def _write_loop(self, conn: _Connection) -> None:
+        sock = conn.sock
+        alive = True
+        for encoded in iter(conn.outbox.get, None):
+            if alive and encoded:
+                try:
+                    sock.sendall(encoded)
+                except OSError:
+                    # The peer went away (or stopped reading for
+                    # ``idle_timeout``) mid-response: the stream is torn,
+                    # so wake the reader; later responses are discarded.
+                    alive = False
+                    _shutdown(sock)
+            # The slot is released only after the flush, so a drained
+            # stop() has every response on the wire.
+            with self._idle:
+                self._in_flight -= 1
+                self._in_flight_gauge.set(self._in_flight)
+                self._idle.notify_all()
+            conn.window.release()
+        _hard_close(sock)
+        with self._lock:
+            self._conns.discard(conn)
+            self._active_connections.set(len(self._conns))
+
+    def stop(self, drain: bool = False, timeout: float = 5.0) -> None:
+        """Stop the server.
+
+        With ``drain=False`` (the default) every live connection is
+        dropped immediately.  With ``drain=True`` the listener closes at
+        once but requests already being dispatched get up to ``timeout``
+        seconds to finish and flush their responses before connections
+        are torn down.  Either way the connections' threads get up to
+        ``timeout`` seconds to exit.
+        """
+        self._running = False
+        _hard_close(self._listener)
+        if self._accept_thread is not None:
+            self._accept_thread.join(timeout)
+            self._accept_thread = None
+        if drain:
+            with self._idle:
+                self._idle.wait_for(lambda: self._in_flight == 0, timeout=timeout)
+        self._closing = True
+        with self._lock:
+            conns = list(self._conns)
+        for conn in conns:
+            _shutdown(conn.sock)  # wakes its reader and its writer
+        if self._executor is not None:
+            self._executor.shutdown(wait=False)
+            self._executor = None
+        deadline = time.monotonic() + timeout
+        for conn in conns:
+            for thread in conn.threads:
+                thread.join(max(0.0, deadline - time.monotonic()))
 
 
 class _Waiter:
@@ -179,7 +583,7 @@ class TcpConnection:
     def _reader_loop(self, sock: socket.socket, generation: int) -> None:
         try:
             while True:
-                body = read_frame(lambda n: _recv_exact(sock, n))
+                body = _read_frame(sock)
                 response = Message.decode(body)
                 with self._lock:
                     waiter = self._pending.pop(response.message_id, None)
@@ -203,26 +607,10 @@ class TcpConnection:
         for waiter in pending:
             waiter.fail(error)
 
-    @staticmethod
-    def _hard_close(sock: socket.socket) -> None:
-        """Shutdown then close: a bare ``close()`` while the reader
-        thread is blocked in ``recv`` never reaches the kernel socket
-        (the in-progress syscall pins it), so no FIN is sent and the
-        server would hold the connection forever.  ``shutdown`` sends
-        the FIN and wakes the reader immediately."""
-        try:
-            sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            sock.close()
-        except OSError:
-            pass
-
     def _redial_locked(self) -> None:
         """Replace a broken socket (caller holds ``self._lock``)."""
         if self._sock is not None:
-            self._hard_close(self._sock)
+            _hard_close(self._sock)
         self._sock = self._dial()  # raises OSError while the server is down
         self._generation += 1
         self._broken = None
@@ -244,7 +632,7 @@ class TcpConnection:
         for waiter in pending:
             waiter.fail(error)
         if self._sock is not None:
-            self._hard_close(self._sock)
+            _hard_close(self._sock)
 
     # -- the send path -----------------------------------------------------
 

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from repro.net.aio import TcpServer
+from repro.net.tcp import TcpServer
 from repro.net.message import Message, frame, read_frame
 from repro.net.rpc import ServiceRegistry
 from repro.net.tcp import TcpConnection, _recv_exact
