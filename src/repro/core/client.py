@@ -26,9 +26,7 @@ from __future__ import annotations
 
 import io
 import os
-from collections import deque
 from collections.abc import Callable, Iterable, Iterator
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from repro.abe.cpabe import abe_decrypt, abe_encrypt, PrivateAccessKey
@@ -46,6 +44,7 @@ from repro.core.rekeypipe import (
 )
 from repro.core.schemes import EncryptionScheme, SplitPackage, get_scheme
 from repro.core.server import StorageService
+from repro.core.stages import read_ahead
 from repro.core.uploadpipe import UploadPipeline
 from repro.core.stubs import (
     STUB_NONCE_SIZE,
@@ -173,7 +172,6 @@ class REEDClient:
         pipeline_depth: int = 2,
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
-        chunk_cache: ChunkCache | None = None,
         chunk_cache_bytes: int | None = None,
         rekey_workers: int | None = None,
         rekey_batch_size: int = DEFAULT_REKEY_BATCH_SIZE,
@@ -277,12 +275,12 @@ class REEDClient:
             labelnames=("mode",),
         )
         #: Optional client-side read cache of trimmed packages (see
-        #: :mod:`repro.core.chunkcache`).  Pass a :class:`ChunkCache` to
-        #: share one cache across clients, or ``chunk_cache_bytes`` to
-        #: give this client its own.
-        if chunk_cache is None and chunk_cache_bytes is not None:
-            chunk_cache = ChunkCache(chunk_cache_bytes, metrics=self.metrics)
-        self.chunk_cache = chunk_cache
+        #: :mod:`repro.core.chunkcache`), ``chunk_cache_bytes`` in size.
+        self.chunk_cache = (
+            ChunkCache(chunk_cache_bytes, metrics=self.metrics)
+            if chunk_cache_bytes is not None
+            else None
+        )
 
     # ------------------------------------------------------------------
     # helpers
@@ -547,7 +545,8 @@ class REEDClient:
 
         Stages, mirroring the upload pipeline in reverse:
 
-        1. **prefetch** (single worker thread) — cache lookup, then one
+        1. **prefetch** (:func:`~repro.core.stages.read_ahead`, on the
+           ``reed-download`` worker) — cache lookup, then one
            ``chunk_get_batch`` for the window's misses (the sharded
            service scatter-gathers it across shards);
         2. **decrypt** (caller thread) — CAONT inversion fanned out over
@@ -603,8 +602,8 @@ class REEDClient:
         def fetch_window(window: tuple[ChunkRef, ...]) -> list[bytes]:
             """Stage 1: trimmed packages for one window, cache first.
 
-            Runs on the prefetch worker; ``using(scope)`` keeps cache and
-            round-trip counters attributed to this download.
+            ``using(scope)`` keeps cache and round-trip counters
+            attributed to this download.
             """
             with obs_scope.using(scope):
                 packages: list[bytes | None] = [None] * len(window)
@@ -659,62 +658,20 @@ class REEDClient:
             return chunks
 
         windows = [
-            (start, recipe.chunks[start : start + fetch_batch_chunks])
-            for start in range(0, recipe.chunk_count, fetch_batch_chunks)
+            recipe.chunks[offset : offset + fetch_batch_chunks]
+            for offset in range(0, recipe.chunk_count, fetch_batch_chunks)
         ]
-        total = 0
+        start = total = 0
         # One window decrypting on this thread plus (pipeline_depth − 1)
-        # in flight on the prefetch worker keeps exactly pipeline_depth
-        # windows resident — the documented memory bound.
-        max_in_flight = max(1, self.pipeline_depth - 1)
-        executor = (
-            ThreadPoolExecutor(max_workers=1, thread_name_prefix="reed-download")
-            if self.pipeline_depth > 1 and len(windows) > 1
-            else None
-        )
-        in_flight: deque[tuple[int, tuple[ChunkRef, ...], Future]] = deque()
-        try:
-            if executor is None:
-                for start, window in windows:
-                    chunks = decrypt_window(start, window, fetch_window(window))
-                    for chunk in chunks:
-                        total += len(chunk)
-                        yield chunk
-            else:
-                pending = iter(windows)
-
-                def submit() -> None:
-                    item = next(pending, None)
-                    if item is not None:
-                        start, window = item
-                        in_flight.append(
-                            (start, window, executor.submit(fetch_window, window))
-                        )
-
-                while len(in_flight) < max_in_flight:
-                    before = len(in_flight)
-                    submit()
-                    if len(in_flight) == before:
-                        break
-                while in_flight:
-                    start, window, future = in_flight.popleft()
-                    packages = future.result()
-                    # Refill before decrypting so the fetch of window
-                    # N+1 overlaps the decrypt of window N.
-                    while len(in_flight) < max_in_flight:
-                        before = len(in_flight)
-                        submit()
-                        if len(in_flight) == before:
-                            break
-                    chunks = decrypt_window(start, window, packages)
-                    for chunk in chunks:
-                        total += len(chunk)
-                        yield chunk
-        finally:
-            while in_flight:
-                in_flight.popleft()[2].cancel()
-            if executor is not None:
-                executor.shutdown(wait=True)
+        # fetching ahead keeps exactly pipeline_depth windows resident —
+        # the documented memory bound.
+        for window, packages in read_ahead(
+            windows, fetch_window, self.pipeline_depth, "reed-download"
+        ):
+            for chunk in decrypt_window(start, window, packages):
+                total += len(chunk)
+                yield chunk
+            start += len(window)
         if total != recipe.size:
             raise IntegrityError("reassembled file size disagrees with the recipe")
         stats.size = total

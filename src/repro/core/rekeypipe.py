@@ -10,9 +10,10 @@ one batch RPC per stage per window.  A single-file rekey is one window.
 
 Stages, mirroring the upload pipeline:
 
-1. **fetch** (single worker thread) — ``keystore.get_many`` (skipped
-   when the caller already holds the records) plus, for active
-   revocation, one ``file_get_many`` (stub file and recipe per file);
+1. **fetch** (:func:`~repro.core.stages.read_ahead`, on the
+   ``reed-rekey-fetch`` worker) — ``keystore.get_many`` (skipped when
+   the caller already holds the records) plus, for active revocation,
+   one ``file_get_many`` (stub file and recipe per file);
 2. **open → wind → plan → re-encrypt** (caller thread) — an *opener*
    callback opens every key state of the window in file order; the
    *winder* advances them all one version in one call (the client runs
@@ -24,28 +25,31 @@ Stages, mirroring the upload pipeline:
    same pool with caller-drawn nonces.  Winds are deterministic and the
    draw order is the per-file order, so the output does not depend on
    the window size or the pipeline depth;
-3. **ship** (single worker thread) — ``file_commit`` (stub file and
-   recipe per file) → ``keystore.put_many``.  Key states commit *last*:
+3. **ship** (a :class:`~repro.core.stages.Stage`, the
+   ``reed-rekey-ship`` worker) — ``file_commit`` (stub file and recipe
+   per file) → ``keystore.put_many``.  Key states commit *last*:
    until they land, the old record still opens the file, and the
    owner's deterministic wind re-derives the same new key on retry.
 
 Up to ``pipeline_depth`` windows are in flight at once (window N+1
-fetching while window N re-encrypts and window N−1 ships).  The first
-per-item error — in file order within its window — aborts the pipeline
-deterministically: a shared abort flag stops every window behind the
-failing one from shipping anything.
+fetching while window N re-encrypts and window N−1 ships); at depth 1,
+or with one window, everything runs on the caller thread.  The stored
+state after a failure does not depend on the depth either.  The first
+per-item error — in file order within its window — fails its window
+before anything of that window ships; every window before it still
+ships, as it does at depth 1, and none after it does.  A failed ship
+makes the ship stage skip every later window, and because it comes
+first in file order its error is the one the run raises.
 """
 
 from __future__ import annotations
 
-import contextvars
-import threading
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from collections.abc import Callable
+from contextlib import closing
 from dataclasses import dataclass, field
 
 from repro.core.parallel import RekeyPool
+from repro.core.stages import Stage, read_ahead
 from repro.keyreg.rsa_keyreg import KeyState
 from repro.obs.tracing import Tracer
 from repro.storage.keystore import KeyStateRecord
@@ -150,7 +154,8 @@ class RekeyPipeline:
 
     # -- stages --------------------------------------------------------------
 
-    def _fetch(self, window: list[str], records: list | None):
+    def _fetch(self, item: tuple[list[str], list | None]):
+        window, records = item
         with self._tracer.span("rekey.fetch", files=len(window)):
             if records is None:
                 records = self._keystore.get_many(window)
@@ -203,37 +208,19 @@ class RekeyPipeline:
                     stats.stub_bytes += plan.moved_bytes
         return plans
 
-    def _ship(
-        self,
-        plans: list[FileRekeyPlan],
-        abort: threading.Event,
-        stats: RekeyPipelineStats,
-    ) -> None:
-        # A window behind a failed one never ships anything — that is
-        # what makes the abort deterministic under pipelining.
-        if abort.is_set():
-            return
-        try:
-            with self._tracer.span("rekey.ship", files=len(plans)):
-                if self._active:
-                    check_items(
-                        self._storage.file_commit(
-                            [
-                                (p.file_id, p.new_stub_file, p.updated_recipe)
-                                for p in plans
-                            ]
-                        )
-                    )
-                # Key states last: a crash before this line leaves every
-                # file readable under its old record, and the stub-side
-                # recovery (decrypt-under-new-key, wind-forward) converges
-                # on retry.
+    def _ship(self, plans: list[FileRekeyPlan], stats: RekeyPipelineStats) -> None:
+        with self._tracer.span("rekey.ship", files=len(plans)):
+            if self._active:
                 check_items(
-                    self._keystore.put_many([p.new_record for p in plans])
+                    self._storage.file_commit(
+                        [(p.file_id, p.new_stub_file, p.updated_recipe) for p in plans]
+                    )
                 )
-        except BaseException:
-            abort.set()
-            raise
+            # Key states last: a crash before this line leaves every
+            # file readable under its old record, and the stub-side
+            # recovery (decrypt-under-new-key, wind-forward) converges
+            # on retry.
+            check_items(self._keystore.put_many([p.new_record for p in plans]))
         stats.batches += 1
         stats.files += len(plans)
         for plan in plans:
@@ -265,60 +252,19 @@ class RekeyPipeline:
         ]
         if not windows:
             return stats
-        abort = threading.Event()
-        if self._depth <= 1 or len(windows) == 1:
-            for window, known in windows:
-                plans = self._transform(window, self._fetch(window, known), stats)
-                self._ship(plans, abort, stats)
-            return stats
-
-        fetch_executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="reed-rekey-fetch"
-        )
-        ship_executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="reed-rekey-ship"
-        )
-        fetching: deque[tuple[list[str], Future]] = deque()
-        shipping: deque[Future] = deque()
-        pending = iter(windows)
-
-        def submit_fetch() -> None:
-            window, known = next(pending, (None, None))
-            if window is not None:
-                # copy_context: the worker keeps reporting round trips
-                # into this operation's attribution scope.
-                context = contextvars.copy_context()
-                future = fetch_executor.submit(context.run, self._fetch, window, known)
-                fetching.append((window, future))
-
-        try:
-            for _ in range(max(1, self._depth - 1)):
-                submit_fetch()
-            while fetching:
-                window, future = fetching.popleft()
-                fetched = future.result()
-                # Refill before transforming so window N+1 fetches while
-                # window N re-encrypts and window N−1 ships.
-                submit_fetch()
-                plans = self._transform(window, fetched, stats)
-                while len(shipping) >= self._depth:
-                    shipping.popleft().result()
-                context = contextvars.copy_context()
-                shipping.append(
-                    ship_executor.submit(context.run, self._ship, plans, abort, stats)
-                )
-            while shipping:
-                shipping.popleft().result()
-        except BaseException:
-            # Stop queued-but-unstarted ships; in-flight futures that
-            # cannot be cancelled see the abort flag instead.
-            abort.set()
-            raise
-        finally:
-            while fetching:
-                fetching.popleft()[1].cancel()
-            while shipping:
-                shipping.popleft().cancel()
-            fetch_executor.shutdown(wait=True)
-            ship_executor.shutdown(wait=True)
+        threaded = self._depth > 1 and len(windows) > 1
+        with Stage(
+            "reed-rekey-ship" if threaded else None, self._depth
+        ) as ship, closing(
+            read_ahead(windows, self._fetch, self._depth, "reed-rekey-fetch")
+        ) as fetched:
+            try:
+                for (window, _known), window_fetched in fetched:
+                    plans = self._transform(window, window_fetched, stats)
+                    ship.submit(self._ship, plans, stats)
+            finally:
+                # Also after a fetch or transform error: the windows before
+                # the failing one ship, as at depth 1, and an earlier
+                # ship's error wins (it comes first in file order).
+                ship.drain()
         return stats

@@ -25,14 +25,14 @@ order — and with it every byte written — stays that of the serial path::
   segments' packages accumulate and ship as one ``chunk_put_many``.
   The file's last batch ships with ``last`` set, so the store stage can
   fold the upload's flush into it.
-* One worker per stage keeps each stage's calls in file order: blinding
-  factors are drawn, ``refs``/``stubs`` appended and containers filled
-  exactly as without the pipeline.
+* Each stage is a :class:`~repro.core.stages.Stage`, one ordered
+  worker, which keeps its calls in file order: blinding factors are
+  drawn, ``refs``/``stubs`` appended and containers filled exactly as
+  without the pipeline.  After a task fails, the stage skips every later
+  task, so nothing behind the first error does any work, and that error
+  is the one the upload raises.
 * ``depth`` bounds what is in flight: that many segments between the
   chunker and the encrypt stage, that many batches on the wire.
-* Every task first re-raises its predecessor's failure, so after the
-  first error nothing behind it does any work, and that error is the
-  one the upload raises.
 
 A file that ends inside its first key window and first store batch
 never starts a thread: its single segment runs inline on the caller, as
@@ -41,33 +41,16 @@ does everything when ``depth`` is 1.
 
 from __future__ import annotations
 
-import contextvars
-from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 
 from repro.chunking.chunker import Chunk
 from repro.core.schemes import SplitPackage
+from repro.core.stages import Stage
 from repro.obs.tracing import Tracer
 from repro.storage.recipes import ChunkRef
 
 _STAGES = ("key", "encrypt", "ship")
-_KEY, _ENCRYPT, _SHIP = range(3)
-
-
-class _InlineExecutor:
-    """Runs a task on the calling thread; the future is done on return."""
-
-    def submit(self, fn, *args) -> Future:
-        future: Future = Future()
-        try:
-            future.set_result(fn(*args))
-        except Exception as exc:  # noqa: BLE001 - re-raised when the result is read
-            future.set_exception(exc)
-        return future
-
-    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
-        pass
 
 
 class UploadPipeline:
@@ -106,15 +89,13 @@ class UploadPipeline:
         self.trimmed_bytes = 0
         self.upload_batches = 0
         self.chunking_seconds = 0.0
-        #: One executor per stage once the first segment is submitted.
-        self._executors: tuple | None = None
-        #: Last future submitted per stage (the next task's predecessor).
-        self._last: list[Future | None] = [None, None, None]
+        #: The key, encrypt and ship stages, once the first segment closes.
+        self._stages: tuple[Stage, Stage, Stage] | None = None
         #: Whether the next segment continues the last one's store batch.
         self._mid_batch = False
+        #: Fingerprint -> MLE key for the key stage's running store batch.
+        self._keys: dict[bytes, bytes] = {}
         self._payload: list[tuple[bytes, bytes]] = []
-        self._encrypting: deque[Future] = deque()
-        self._storing: deque[Future] = deque()
 
     # -- caller thread -----------------------------------------------------
 
@@ -122,16 +103,15 @@ class UploadPipeline:
         """Consume ``chunks``; returns once every batch is stored."""
         try:
             self._feed(iter(chunks))
-            while self._encrypting:
-                self._encrypting.popleft().result()
-            while self._storing:
-                self.new_chunks += self._storing.popleft().result()
+            if self._stages is not None:
+                # Every key is read by its encrypt task.
+                _key, encrypt, ship = self._stages
+                encrypt.drain()
+                ship.drain()
         finally:
-            # Surface the first failure but never leak futures/threads:
-            # queued tasks are cancelled, running ones fail fast on
-            # their predecessor, and every worker is joined.
-            for executor in self._executors or ():
-                executor.shutdown(wait=True, cancel_futures=True)
+            # Upstream first: the encrypt worker submits to the ship stage.
+            for stage in self._stages or ():
+                stage.close()
             self._tracer.observe("upload.chunk", self.chunking_seconds)
 
     def _feed(self, chunker: Iterator[Chunk]) -> None:
@@ -185,71 +165,38 @@ class UploadPipeline:
     def _submit(
         self, segment: list[Chunk], fresh: list[bytes], batch_end: bool, more: bool
     ) -> None:
-        if self._executors is None:
-            if self._depth > 1 and more:
-                self._executors = tuple(
-                    ThreadPoolExecutor(
-                        max_workers=1, thread_name_prefix=f"reed-upload-{stage}"
-                    )
-                    for stage in _STAGES
-                )
-            else:
-                self._executors = (_InlineExecutor(),) * len(_STAGES)
-        keys = self._stage(_KEY, self._derive_segment, fresh, self._mid_batch)
-        self._mid_batch = not batch_end
-        self._encrypting.append(
-            self._stage(
-                _ENCRYPT, self._encrypt_segment, segment, keys, batch_end, not more
+        if self._stages is None:
+            threaded = self._depth > 1 and more
+            self._stages = tuple(
+                Stage(f"reed-upload-{name}" if threaded else None, self._depth)
+                for name in _STAGES
             )
-        )
-        # Finished work is read at once (an error must not wait for the
-        # pipeline to fill); unfinished work only when the pipeline is full.
-        while self._encrypting and (
-            self._encrypting[0].done() or len(self._encrypting) > self._depth
-        ):
-            self._encrypting.popleft().result()
-
-    def _stage(self, stage: int, fn, *args) -> Future:
-        """Queue ``fn(previous, *args)`` on ``stage``'s worker.
-
-        ``previous`` is the stage's last future, already done when the
-        task starts (one worker per stage).  The task runs in a copy of
-        the caller's context, so it keeps reporting into this upload's
-        attribution scope and trace.
-        """
-        future = self._executors[stage].submit(
-            contextvars.copy_context().run, fn, self._last[stage], *args
-        )
-        self._last[stage] = future
-        return future
+        key, encrypt, _ship = self._stages
+        keys = key.submit(self._derive_segment, fresh, self._mid_batch)
+        self._mid_batch = not batch_end
+        encrypt.submit(self._encrypt_segment, segment, keys, batch_end, not more)
 
     # -- key worker --------------------------------------------------------
 
     def _derive_segment(
-        self, previous: Future | None, fingerprints: list[bytes], mid_batch: bool
+        self, fingerprints: list[bytes], mid_batch: bool
     ) -> dict[bytes, bytes]:
         """Fingerprint → MLE key for the store batch so far."""
-        known = previous.result() if previous is not None else {}
         if not mid_batch:
-            known = {}
-        if not fingerprints:
-            return known
-        with self._tracer.span("upload.key_derive", chunks=len(fingerprints)):
-            keys = self._derive(fingerprints)
-        return {**known, **dict(zip(fingerprints, keys))}
+            self._keys = {}
+        if fingerprints:
+            with self._tracer.span("upload.key_derive", chunks=len(fingerprints)):
+                keys = self._derive(fingerprints)
+            # A new dict: an earlier segment's encrypt task may be reading
+            # the last one.
+            self._keys = {**self._keys, **dict(zip(fingerprints, keys))}
+        return self._keys
 
     # -- encrypt worker ----------------------------------------------------
 
     def _encrypt_segment(
-        self,
-        previous: Future | None,
-        chunks: list[Chunk],
-        keys: Future,
-        batch_end: bool,
-        last: bool,
+        self, chunks: list[Chunk], keys: Future, batch_end: bool, last: bool
     ) -> None:
-        if previous is not None:
-            previous.result()
         with self._tracer.span("upload.key_wait"):
             key_of = keys.result()
         with self._tracer.span("upload.encrypt", chunks=len(chunks)):
@@ -266,17 +213,12 @@ class UploadPipeline:
         if not batch_end:
             return
         self.upload_batches += 1
-        while len(self._storing) >= self._depth:
-            self.new_chunks += self._storing.popleft().result()
         payload, self._payload = self._payload, []
-        self._storing.append(self._stage(_SHIP, self._store_batch, payload, last))
+        _key, _encrypt, ship = self._stages
+        ship.submit(self._store_batch, payload, last)
 
     # -- ship worker -------------------------------------------------------
 
-    def _store_batch(
-        self, previous: Future | None, payload: list[tuple[bytes, bytes]], last: bool
-    ) -> int:
-        if previous is not None:
-            previous.result()
+    def _store_batch(self, payload: list[tuple[bytes, bytes]], last: bool) -> None:
         with self._tracer.span("upload.store", chunks=len(payload)):
-            return self._store(payload, last)
+            self.new_chunks += self._store(payload, last)

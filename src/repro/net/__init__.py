@@ -3,7 +3,6 @@
 from repro.net.message import MAX_MESSAGE_BYTES, Message, frame, read_frame
 from repro.net.retry import (
     IDEMPOTENT_METHOD_SUFFIXES,
-    RetryingRpcClient,
     RetryPolicy,
     is_idempotent_method,
 )
@@ -22,7 +21,6 @@ __all__ = [
     "MAX_MESSAGE_BYTES",
     "Message",
     "RetryPolicy",
-    "RetryingRpcClient",
     "RpcClient",
     "ServiceRegistry",
     "TcpConnection",

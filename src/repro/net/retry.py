@@ -6,12 +6,12 @@ transport.  Idempotent REED operations (every storage/key-state method
 is idempotent: puts overwrite deterministically, gets are reads) can
 simply be retried.
 
-:class:`RetryPolicy` implements capped exponential backoff; ``wrap``
-produces a drop-in replacement for an :class:`RpcClient` whose ``call``
-retries through transient failures and optionally re-establishes the
-connection between attempts.  Library errors that represent *semantic*
-failures (NotFound, AccessDenied, Integrity, RateLimit — which has its
-own backoff protocol) are never retried here.
+:class:`RetryPolicy` implements capped exponential backoff;
+:class:`~repro.net.tcp.TcpConnection` runs every request whose method
+passes :func:`is_idempotent_method` through it, reconnecting between
+attempts.  Library errors that represent *semantic* failures (NotFound,
+AccessDenied, Integrity, RateLimit — which has its own backoff
+protocol) are never retried here.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import random
 import time
 from collections.abc import Callable
 
-from repro.net.rpc import RpcClient
 from repro.util.errors import ConfigurationError, ProtocolError, ReproError
 
 #: Exception types considered transient (safe to retry).
@@ -114,39 +113,3 @@ class RetryPolicy:
             f"operation failed after {self.attempts} attempts: {last}"
         ) from last
 
-
-class RetryingRpcClient:
-    """An RpcClient wrapper that retries transient transport failures.
-
-    ``reconnect`` (optional) is called between attempts to obtain a
-    fresh underlying client — e.g. re-dialing a TCP connection after the
-    server came back.  With ``idempotent_only=True`` only methods that
-    pass :func:`is_idempotent_method` are retried; anything else gets
-    exactly one attempt (a broken persistent connection then surfaces as
-    the original transport error instead of a blind re-send).
-    """
-
-    def __init__(
-        self,
-        client: RpcClient,
-        policy: RetryPolicy | None = None,
-        reconnect: Callable[[], RpcClient] | None = None,
-        idempotent_only: bool = False,
-    ) -> None:
-        self._client = client
-        self._policy = policy or RetryPolicy()
-        self._reconnect = reconnect
-        self._idempotent_only = idempotent_only
-
-    def call(self, method: str, payload: bytes = b"") -> bytes:
-        if self._idempotent_only and not is_idempotent_method(method):
-            return self._client.call(method, payload)
-        first = [True]
-
-        def attempt() -> bytes:
-            if not first[0] and self._reconnect is not None:
-                self._client = self._reconnect()
-            first[0] = False
-            return self._client.call(method, payload)
-
-        return self._policy.run(attempt)

@@ -8,6 +8,8 @@ replay deterministically.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -22,6 +24,24 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("repro")
+
+
+#: Thread-name prefixes of the client's upload, restore and rekey stages.
+PIPELINE_THREADS = ("reed-upload-", "reed-download", "reed-rekey-")
+
+
+@pytest.fixture(autouse=True)
+def no_pipeline_thread_leaks():
+    """Fail a test that leaves a client pipeline thread running."""
+    before = set(threading.enumerate())
+    yield
+    leaked = sorted(
+        thread.name
+        for thread in set(threading.enumerate()) - before
+        if thread.name.startswith(PIPELINE_THREADS)
+    )
+    if leaked:
+        pytest.fail(f"pipeline threads left running: {', '.join(leaked)}")
 
 
 @pytest.fixture()

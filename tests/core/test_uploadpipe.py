@@ -6,6 +6,8 @@ import time
 import pytest
 
 from repro.chunking.chunker import ChunkingSpec, chunk_stream
+from repro.core.policy import FilePolicy
+from repro.core.rekey import RevocationMode
 from repro.core.system import build_system
 from repro.crypto import blindrsa
 from repro.crypto.drbg import HmacDrbg
@@ -161,24 +163,48 @@ class TestBitIdentical:
         _same_bytes(pipelined, reference)
 
     def test_single_window_file_runs_inline(self):
+        """A file of one key window, one store batch and one fetch window
+        starts no pipeline thread to upload, download or rekey it."""
         data = HmacDrbg(b"inline").random_bytes(8 * 1024)
-        started = []
-        original = threading.Thread.start
-
-        def recording_start(thread):
-            started.append(thread.name)
-            original(thread)
-
-        threading.Thread.start = recording_start
-        try:
-            done = _upload(data, bytes)
-        finally:
-            threading.Thread.start = original
+        done, started = _starting_threads(lambda: _upload(data, bytes))
         assert done["result"].upload_batches == 1
         assert done["result"].key_round_trips == 1
         # No pipeline stage thread; the in-process key manager's signer
         # pool starts threads of its own, which are not the upload's.
         assert not [name for name in started if name.startswith("reed-upload")]
+
+        system = build_system(num_data_servers=2, rng=HmacDrbg(b"inline"))
+        client = system.new_client("alice")
+        client.upload("file", data)
+        downloaded, started = _starting_threads(lambda: client.download("file"))
+        assert downloaded.data == data
+        assert downloaded.fetch_batches == 1
+        assert not [name for name in started if name.startswith("reed-download")]
+        policy = FilePolicy.for_users(["alice"])
+        for mode in RevocationMode:
+            rekeyed, started = _starting_threads(
+                lambda: client.rekey("file", policy, mode)
+            )
+            assert rekeyed.new_key_version == rekeyed.old_key_version + 1
+            assert not [name for name in started if name.startswith("reed-rekey")]
+        client.close()
+        system.close()
+
+
+def _starting_threads(operation):
+    """``operation()``'s result and the names of the threads it started."""
+    started = []
+    original = threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread.name)
+        original(thread)
+
+    threading.Thread.start = recording_start
+    try:
+        return operation(), started
+    finally:
+        threading.Thread.start = original
 
 
 def _upload_threads():

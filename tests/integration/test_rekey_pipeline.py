@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing
 import threading
+import time
 
 import pytest
 
@@ -666,6 +667,46 @@ def test_corrupt_key_state_mid_window_raises_its_error_and_ships_nothing():
             client.rekey_many(file_ids, policy, RevocationMode.ACTIVE)
         assert _stored_state(cluster, file_ids) == before
         client.close()
+
+
+def test_failed_pipelined_rekey_leaves_the_depth_1_state():
+    """A window that fails to open leaves the state depth 1 leaves:
+    every window before it ships, even one still queued behind a slow
+    ``put_many``, and none from the failing window on does."""
+    states = {}
+    for depth in (1, 2):
+        cluster, client, file_ids = _wind_cluster(b"partial-failure", 12)
+        with cluster:
+            client.rekey_batch_size = 4
+            client.pipeline_depth = depth
+            record = cluster.keystore.get(file_ids[9])
+            tampered = record.encrypted_state[:-1] + bytes(
+                [record.encrypted_state[-1] ^ 1]
+            )
+            cluster.keystore.put(
+                dataclasses.replace(record, encrypted_state=tampered)
+            )
+            before = _stored_state(cluster, file_ids)
+            put_many = client.keystore.put_many
+
+            def slow_put_many(records):
+                time.sleep(0.3)
+                return put_many(records)
+
+            client.keystore.put_many = slow_put_many
+            with pytest.raises(IntegrityError):
+                client.rekey_many(
+                    file_ids, FilePolicy.for_users(["alice"]), RevocationMode.LAZY
+                )
+            states[depth] = _stored_state(cluster, file_ids)
+            rekeyed = [
+                index
+                for index, file_id in enumerate(file_ids)
+                if states[depth]["keystate", file_id] != before["keystate", file_id]
+            ]
+            assert rekeyed == list(range(8)), depth
+            client.close()
+    assert states[2] == states[1]
 
 
 def test_single_file_and_small_window_start_no_worker():

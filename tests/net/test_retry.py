@@ -1,4 +1,4 @@
-"""Tests for the RPC retry layer, with injected transport faults."""
+"""Tests for the RPC retry policy, with injected transport faults."""
 
 import random
 
@@ -11,7 +11,11 @@ from repro.core.service import (
     register_storage_service,
 )
 from repro.mle.keymanager import KeyManager
-from repro.net.retry import IDEMPOTENT_METHOD_SUFFIXES, RetryingRpcClient, RetryPolicy
+from repro.net.retry import (
+    IDEMPOTENT_METHOD_SUFFIXES,
+    RetryPolicy,
+    is_idempotent_method,
+)
 from repro.net.rpc import LoopbackTransport, ServiceRegistry
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.propagate import register_traces
@@ -41,7 +45,6 @@ class FlakyTransport:
         self._inner = LoopbackTransport(registry).client()
         self.remaining_failures = failures
         self.calls = 0
-        self.reconnects = 0
 
     def call(self, method, payload=b""):
         self.calls += 1
@@ -55,10 +58,25 @@ def no_sleep(_seconds):
     pass
 
 
+class Retrying:
+    """An RPC client whose calls run through ``policy.run`` — only the
+    idempotent ones when ``idempotent_only``, as the TCP transport does."""
+
+    def __init__(self, client, policy, idempotent_only=False):
+        self._client = client
+        self._policy = policy
+        self._idempotent_only = idempotent_only
+
+    def call(self, method, payload=b""):
+        if self._idempotent_only and not is_idempotent_method(method):
+            return self._client.call(method, payload)
+        return self._policy.run(lambda: self._client.call(method, payload))
+
+
 class TestRetryPolicy:
     def test_succeeds_after_transient_failures(self):
         flaky = FlakyTransport(failures=2)
-        client = RetryingRpcClient(
+        client = Retrying(
             flaky, RetryPolicy(attempts=4, sleep=no_sleep)
         )
         assert client.call("echo", b"hello") == b"hello"
@@ -66,7 +84,7 @@ class TestRetryPolicy:
 
     def test_gives_up_after_budget(self):
         flaky = FlakyTransport(failures=10)
-        client = RetryingRpcClient(
+        client = Retrying(
             flaky, RetryPolicy(attempts=3, sleep=no_sleep)
         )
         with pytest.raises(ProtocolError, match="after 3 attempts"):
@@ -75,7 +93,7 @@ class TestRetryPolicy:
 
     def test_semantic_errors_not_retried(self):
         flaky = FlakyTransport(failures=0)
-        client = RetryingRpcClient(
+        client = Retrying(
             flaky, RetryPolicy(attempts=5, sleep=no_sleep)
         )
         with pytest.raises(NotFoundError):
@@ -91,27 +109,11 @@ class TestRetryPolicy:
     def test_sleeps_between_attempts(self):
         slept = []
         flaky = FlakyTransport(failures=2)
-        client = RetryingRpcClient(
+        client = Retrying(
             flaky, RetryPolicy(attempts=3, base_delay=0.01, sleep=slept.append)
         )
         client.call("echo", b"x")
         assert len(slept) == 2
-
-    def test_reconnect_hook(self):
-        flaky = FlakyTransport(failures=1)
-        fresh = FlakyTransport(failures=0)
-        reconnects = []
-
-        def reconnect():
-            reconnects.append(1)
-            return fresh
-
-        client = RetryingRpcClient(
-            flaky, RetryPolicy(attempts=3, sleep=no_sleep), reconnect=reconnect
-        )
-        assert client.call("echo", b"y") == b"y"
-        assert reconnects == [1]
-        assert fresh.calls == 1
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -182,7 +184,7 @@ class TestSemanticErrorsNotRetried:
     def test_rate_limit_not_retried_by_transport_layer(self):
         inner = LoopbackTransport(self._registry()).client()
         slept = []
-        client = RetryingRpcClient(
+        client = Retrying(
             inner, RetryPolicy(attempts=5, sleep=slept.append)
         )
         with pytest.raises(RateLimitExceeded):
@@ -192,7 +194,7 @@ class TestSemanticErrorsNotRetried:
 
     def test_integrity_error_not_retried(self):
         inner = LoopbackTransport(self._registry()).client()
-        client = RetryingRpcClient(inner, RetryPolicy(attempts=5, sleep=no_sleep))
+        client = Retrying(inner, RetryPolicy(attempts=5, sleep=no_sleep))
         with pytest.raises(IntegrityError, match="fingerprint mismatch"):
             client.call("corrupt")
         assert inner.calls == 1
@@ -215,7 +217,7 @@ class TestSemanticErrorsNotRetried:
         registry = ServiceRegistry()
         register_key_manager(registry, manager)
         inner = LoopbackTransport(registry).client()
-        rpc = RetryingRpcClient(inner, RetryPolicy(attempts=3, sleep=no_sleep))
+        rpc = Retrying(inner, RetryPolicy(attempts=3, sleep=no_sleep))
         key_client = ServerAidedKeyClient(
             RemoteKeyManagerChannel(rpc),
             client_id="alice",
@@ -255,7 +257,7 @@ class TestEndToEndWithStorage:
                     raise ProtocolError("flaky network")
                 return inner.call(method, payload)
 
-        client = RetryingRpcClient(
+        client = Retrying(
             EveryOtherCallFails(), RetryPolicy(attempts=3, sleep=no_sleep)
         )
         storage = RemoteStorageService(client)
@@ -286,7 +288,7 @@ class TestEndToEndWithStorage:
                     raise ProtocolError("connection reset")
                 return inner.call(method, payload)
 
-        client = RetryingRpcClient(
+        client = Retrying(
             FirstCallPerMethodFails(),
             RetryPolicy(attempts=2, sleep=no_sleep),
             idempotent_only=True,
