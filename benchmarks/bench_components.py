@@ -10,7 +10,7 @@ import pytest
 
 from benchmarks.common import mbps, save_result
 from repro.abe import access_tree as at
-from repro.abe.cpabe import AttributeAuthority, abe_encrypt
+from repro.abe.cpabe import AbeSealer, AttributeAuthority, abe_encrypt
 from repro.aont.caont import caont_revert, caont_transform
 from repro.chunking.rabin import rabin_chunks
 from repro.core.schemes import get_scheme
@@ -124,6 +124,29 @@ class TestAccessControl:
         save_result(
             "components",
             f"access-tree encrypt {leaves} leaves: "
+            f"{benchmark.stats['mean'] * 1e3:.2f} ms",
+        )
+
+    @pytest.mark.parametrize("layout", ["32 headers", "one header"])
+    def test_abe_seal_rekey_round(self, benchmark, layout):
+        """A ``rekey_storm`` round's seals: 32 key states under one
+        17-leaf policy, one header each or as 32 items of one header."""
+        authority = AttributeAuthority(master_secret=b"\x31" * 32)
+        tree = at.or_of_identifiers([f"u{i}" for i in range(17)])
+        wrap_keys = authority.wrap_keys_for(tree)
+        rng = HmacDrbg(b"abe-round")
+        state = b"\x00" * 160
+
+        def seal_round():
+            if layout == "32 headers":
+                return [abe_encrypt(wrap_keys, tree, state, None, rng) for _ in range(32)]
+            sealer = AbeSealer(wrap_keys, tree, rng=rng)
+            return [sealer.seal(state) for _ in range(32)]
+
+        benchmark(seal_round)
+        save_result(
+            "components",
+            f"access-tree seal 32 key states, 17 leaves, {layout}: "
             f"{benchmark.stats['mean'] * 1e3:.2f} ms",
         )
 

@@ -16,6 +16,8 @@ from repro.abe.access_tree import (
 )
 from repro.abe.cpabe import (
     AbeCiphertext,
+    AbeOpener,
+    AbeSealer,
     AttributeAuthority,
     PrivateAccessKey,
     abe_decrypt,
@@ -24,6 +26,8 @@ from repro.abe.cpabe import (
 
 __all__ = [
     "AbeCiphertext",
+    "AbeOpener",
+    "AbeSealer",
     "AttributeAuthority",
     "Gate",
     "Leaf",

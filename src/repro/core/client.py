@@ -29,7 +29,7 @@ import os
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, replace
 
-from repro.abe.cpabe import abe_decrypt, abe_encrypt, PrivateAccessKey
+from repro.abe.cpabe import AbeOpener, AbeSealer, PrivateAccessKey
 from repro.chunking.chunker import Chunk, ChunkingSpec, chunk_stream
 from repro.core import envelopes
 from repro.core.chunkcache import ChunkCache
@@ -274,6 +274,12 @@ class REEDClient:
             "(parallel: on rekey worker processes; serial: in this process).",
             labelnames=("mode",),
         )
+        self._m_abe_headers = self.metrics.counter(
+            "client_abe_headers_total",
+            "CP-ABE headers sealed and opened (a rekey run seals one and "
+            "opens each distinct header once).",
+            labelnames=("op",),
+        )
         #: Optional client-side read cache of trimmed packages (see
         #: :mod:`repro.core.chunkcache`), ``chunk_cache_bytes`` in size.
         self.chunk_cache = (
@@ -327,30 +333,44 @@ class REEDClient:
         stub_file, recipe = stored
         return stub_file, FileRecipe.decode(recipe)
 
+    def _abe_sealer(self, policy: FilePolicy) -> AbeSealer:
+        """A new CP-ABE header under ``policy``: the per-leaf cost of a
+        seal, paid once for every record sealed with it."""
+        sealer = AbeSealer(
+            self.wrap_keys_provider(policy.tree),
+            policy.tree,
+            cipher=self.scheme.cipher,
+            rng=self.rng,
+        )
+        self._m_abe_headers.labels(op="seal").inc()
+        return sealer
+
+    def _abe_opener(self) -> AbeOpener:
+        """An opener for this user; each header it opens counts once."""
+        return AbeOpener(
+            self.private_access_key,
+            cipher=self.scheme.cipher,
+            on_header=self._m_abe_headers.labels(op="open").inc,
+        )
+
     def _seal_key_state(
         self,
         file_id: str,
         state: KeyState,
         policy: FilePolicy,
-        wrap_keys: dict[str, bytes] | None = None,
+        sealer: AbeSealer | None = None,
     ) -> KeyStateRecord:
-        """ABE-seal ``state`` under ``policy``; pass ``wrap_keys`` (the
-        provider's keys for ``policy``) to reuse them across files."""
+        """ABE-seal ``state`` under ``policy``: as the next item of
+        ``sealer`` (a header under ``policy``) when given, else under a
+        header of its own."""
         owner = self._require_owner()
-        if wrap_keys is None:
-            wrap_keys = self.wrap_keys_provider(policy.tree)
-        ciphertext = abe_encrypt(
-            wrap_keys,
-            policy.tree,
-            state.encode(),
-            cipher=self.scheme.cipher,
-            rng=self.rng,
-        )
+        if sealer is None:
+            sealer = self._abe_sealer(policy)
         return KeyStateRecord(
             file_id=file_id,
             policy_text=policy.text,
             key_version=state.version,
-            encrypted_state=envelopes.seal_abe(ciphertext),
+            encrypted_state=envelopes.seal_abe(sealer.seal(state.encode())),
             owner_public_key=owner.public_key.encode(),
         )
 
@@ -369,18 +389,20 @@ class REEDClient:
             )
         return self._file_key_at(record, state, version)
 
-    def _open_key_state(self, record: KeyStateRecord) -> KeyState:
+    def _open_key_state(
+        self, record: KeyStateRecord, abe: AbeOpener | None = None
+    ) -> KeyState:
         """Open a key-state record with this user's credentials.
 
-        ABE envelopes decrypt with the private access key; group
-        envelopes resolve the group's key state first (itself
-        ABE-protected), so access control composes transparently.
+        ABE envelopes decrypt with the private access key, through
+        ``abe`` when given (a run's opener: each header opens once) and
+        else through an opener of their own; group envelopes resolve the
+        group's key state first (itself ABE-protected), so access
+        control composes transparently.
         """
         tag, payload = envelopes.decode_envelope(record.encrypted_state)
         if tag == envelopes.TAG_ABE:
-            plaintext = abe_decrypt(
-                self.private_access_key, payload, cipher=self.scheme.cipher
-            )
+            plaintext = (abe or self._abe_opener()).open(payload)
         else:
             group_key = self._group_key_at(payload.group_id, payload.group_version)
             plaintext = envelopes.open_group(
@@ -870,8 +892,12 @@ class REEDClient:
             "rekey", mode=mode.value, files=len(file_ids)
         ) as root:
             new_policy, records = resolve()
-            # One policy for the whole run: its wrap keys are fetched once.
-            wrap_keys = self.wrap_keys_provider(new_policy.tree)
+            # One policy for the whole run, so one CP-ABE header: drawn
+            # here, before the first file's stub nonce, and every new
+            # record is an item of it.  The opener opens each old header
+            # once (a previous run's records share theirs).
+            sealer = self._abe_sealer(new_policy)
+            abe = self._abe_opener()
 
             def plan_file(
                 file_id: str,
@@ -884,7 +910,7 @@ class REEDClient:
                 plan = FileRekeyPlan(
                     file_id=file_id,
                     new_record=self._seal_key_state(
-                        file_id, new_state, new_policy, wrap_keys
+                        file_id, new_state, new_policy, sealer
                     ),
                     old_key_version=old_state.version,
                     new_key_version=new_state.version,
@@ -905,7 +931,7 @@ class REEDClient:
             pipeline = RekeyPipeline(
                 self.storage,
                 self.keystore,
-                opener=self._open_key_state,
+                opener=lambda record: self._open_key_state(record, abe),
                 planner=plan_file,
                 tracer=self.tracer,
                 winder=self._wind,

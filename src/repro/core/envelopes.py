@@ -3,7 +3,8 @@
 Two envelope kinds live in the key store:
 
 * **ABE envelopes** — the key state is CP-ABE-encrypted directly under
-  the file's policy (the paper's per-file design, Section IV-C).
+  the file's policy (the paper's per-file design, Section IV-C), as one
+  item of an encapsulation that every record of one rekey run shares.
 * **Group envelopes** — the key state is symmetrically encrypted under a
   *group key* derived from a group-level key state, which is itself
   ABE-protected.  This is the indirection that makes group rekeying
@@ -12,6 +13,8 @@ Two envelope kinds live in the key store:
   :mod:`repro.core.groups`.
 
 Envelopes are tagged so the client can open either transparently.
+Tag 1 was the ABE envelope before items: its ciphertext has no item
+index, so it is refused by name rather than misread.
 """
 
 from __future__ import annotations
@@ -26,8 +29,10 @@ from repro.util.bytesutil import ct_equal
 from repro.util.codec import Decoder, Encoder
 from repro.util.errors import CorruptionError, IntegrityError
 
-TAG_ABE = 1
+TAG_ABE = 3
 TAG_GROUP = 2
+#: The retired per-file ABE envelope (no item index).
+_TAG_ABE_V1 = 1
 
 _NONCE = 16
 _MAC = 32
@@ -118,4 +123,8 @@ def decode_envelope(data: bytes) -> tuple[int, AbeCiphertext | GroupEnvelope]:
         )
         dec.expect_end()
         return TAG_GROUP, envelope
+    if tag == _TAG_ABE_V1:
+        raise CorruptionError(
+            f"unsupported ABE envelope tag {tag} (sealed before item indexes)"
+        )
     raise CorruptionError(f"unknown key-state envelope tag {tag}")

@@ -20,11 +20,13 @@ Stages, mirroring the upload pipeline:
    windows of :data:`~repro.core.parallel.MIN_PARALLEL_WIND` or more on
    its :class:`~repro.core.parallel.RekeyPool` workers, which hold the
    owner's derivation key); a per-file *planner* callback then seals
-   each new record, drawing every random byte **on the caller thread in
-   file order**; the pure stub re-encryption then fans out across the
-   same pool with caller-drawn nonces.  Winds are deterministic and the
-   draw order is the per-file order, so the output does not depend on
-   the window size or the pipeline depth;
+   each new record (the client's as the next item of the run's one
+   CP-ABE header, drawn before the first window), drawing every random
+   byte **on the caller thread in file order**; the pure stub
+   re-encryption then fans out across the same pool with caller-drawn
+   nonces.  Winds are deterministic and the draw order is the per-file
+   order, so the output does not depend on the window size or the
+   pipeline depth;
 3. **ship** (a :class:`~repro.core.stages.Stage`, the
    ``reed-rekey-ship`` worker) — ``file_commit`` (stub file and recipe
    per file) → ``keystore.put_many``.  Key states commit *last*:

@@ -3,7 +3,7 @@
 A storage system's encodings are a compatibility contract — data written
 today must decrypt tomorrow.  These tests pin exact outputs of every
 deterministic transformation (schemes under both ciphers, CAONT, the
-codec) against recorded hex digests; any change to a construction or an
+codec, CP-ABE items and their envelope) against recorded hex digests; any change to a construction or an
 encoding breaks them loudly.
 
 If a break is *intentional* (a format revision), regenerate the vectors
@@ -15,9 +15,13 @@ import hashlib
 
 import pytest
 
+from repro.abe import access_tree as at
+from repro.abe.cpabe import AbeSealer, AttributeAuthority, abe_decrypt
 from repro.aont.caont import caont_transform
+from repro.core import envelopes
 from repro.core.schemes import get_scheme
 from repro.crypto.cipher import get_cipher
+from repro.crypto.drbg import HmacDrbg
 from repro.storage.recipes import ChunkRef, FileRecipe
 from repro.util.codec import Encoder
 from repro.util.errors import CorruptionError
@@ -72,6 +76,38 @@ class TestCaontVector:
         package = caont_transform(CHUNK)
         assert digest(package.head) == "16a3f342c26bdeba8af0014a5518999e"
         assert digest(package.tail) == "cdbce82913f7e325c002eaf76a8462f2"
+
+
+class TestAbeVector:
+    """Items 0 and 1 of one encapsulation under a 3-leaf OR policy."""
+
+    GOLDEN = (
+        "773c82b4bcd156e42394f883965a4a2f",
+        "d3d6607933a47c790ce0e3ea92bad35d",
+    )
+
+    def test_abe_items_frozen(self):
+        authority = AttributeAuthority(master_secret=bytes(range(32)))
+        tree = at.parse_policy("alice or bob or carol")
+        sealer = AbeSealer(
+            authority.wrap_keys_for(tree), tree, rng=HmacDrbg(b"golden-abe")
+        )
+        items = [sealer.seal(f"key state {i}".encode()) for i in range(2)]
+        assert [item.index for item in items] == [0, 1]
+        assert items[0].header == items[1].header
+        assert tuple(digest(item.encode()) for item in items) == self.GOLDEN, (
+            "ABE item encoding changed — on-disk format break! If "
+            "intentional, regenerate golden vectors and bump the envelope tag."
+        )
+        bob = authority.issue_private_key("bob")
+        assert abe_decrypt(bob, items[1]) == b"key state 1"
+
+    def test_old_abe_envelope_tag_refused_by_name(self):
+        # Tag 1 envelopes hold ABE ciphertexts sealed before items had
+        # an index; they are refused, never misread.
+        legacy = Encoder().uint(1).blob(b"\x00" * 64).done()
+        with pytest.raises(CorruptionError, match="unsupported ABE envelope tag 1"):
+            envelopes.decode_envelope(legacy)
 
 
 class TestEncodingVectors:

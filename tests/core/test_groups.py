@@ -133,24 +133,13 @@ class TestGroupRekey:
         result = other.upload("dup-check", project["batch-0"])
         assert result.new_chunks == 0
 
-    def test_amortization_vs_per_file(self, system, groups, project):
+    def test_amortization_vs_per_file(self, pi, groups, project):
         """The design goal: group rekey performs one ABE encryption
         regardless of member count (per-file rekeying would do three)."""
-        from repro.abe import cpabe
 
-        calls = [0]
-        original = cpabe.abe_encrypt
+        def seals() -> float:
+            return pi.metrics.value("client_abe_headers_total", op="seal")
 
-        def counting(*args, **kwargs):
-            calls[0] += 1
-            return original(*args, **kwargs)
-
-        # Count through the client module's imported reference.
-        from repro.core import client as client_module
-
-        client_module.abe_encrypt, saved = counting, client_module.abe_encrypt
-        try:
-            groups.rekey("genomics", FilePolicy.for_users(["pi", "postdoc"]))
-        finally:
-            client_module.abe_encrypt = saved
-        assert calls[0] == 1
+        before = seals()
+        groups.rekey("genomics", FilePolicy.for_users(["pi", "postdoc"]))
+        assert seals() - before == 1

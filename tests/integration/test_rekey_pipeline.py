@@ -34,7 +34,12 @@ from repro.crypto.drbg import HmacDrbg
 from repro.obs import scope as obs_scope
 from repro.obs.tracing import Tracer
 from repro.storage.keystore import KeyStateRecord
-from repro.util.errors import CorruptionError, IntegrityError, NotFoundError
+from repro.util.errors import (
+    AccessDeniedError,
+    CorruptionError,
+    IntegrityError,
+    NotFoundError,
+)
 from repro.workloads.synthetic import unique_data
 
 GROUP = "project"
@@ -113,12 +118,20 @@ def _serial_stub_reencrypt(client, record, old_state, new_state) -> int:
     return len(stub_file) + len(new_stub_file)
 
 
-def _serial_rekey(client, file_id: str, policy: FilePolicy, mode) -> None:
-    """Per-file rekey: open, wind, seal, (active) stub, key state last."""
+def _serial_rekey(
+    client, file_id: str, policy: FilePolicy, mode, sealer=None
+) -> None:
+    """Per-file rekey: open, wind, seal, (active) stub, key state last.
+
+    ``sealer`` is the oracle run's CP-ABE header (``client._abe_sealer``,
+    made before the run's first file, as ``rekey_many`` makes it); the
+    file's record is sealed as its next item.  Without one, the file is
+    a run of one, as a single-file ``rekey`` is.
+    """
     record = client.keystore.get(file_id)
     old_state = client._open_key_state(record)
     (new_state,) = client._wind([old_state])
-    new_record = client._seal_key_state(file_id, new_state, policy)
+    new_record = client._seal_key_state(file_id, new_state, policy, sealer)
     if mode is RevocationMode.ACTIVE:
         _serial_stub_reencrypt(client, record, old_state, new_state)
     client.keystore.put(new_record)
@@ -231,9 +244,10 @@ def test_post_rekey_downloads_round_trip():
 
 def test_rekey_many_bit_identical_to_serial_rekey():
     """``rekey_many`` over ABE-sealed files, and ``rekey`` per file,
-    match the serial oracle byte for byte."""
+    match the serial oracle byte for byte: one header for the run, and
+    one per file for per-file rekeys."""
     states = {}
-    for path in ("oracle", "rekey", "rekey_many"):
+    for path in ("oracle", "per_file_oracle", "rekey", "rekey_many"):
         system = build_system(
             num_data_servers=2,
             chunking=CHUNKING,
@@ -260,12 +274,103 @@ def test_rekey_many_bit_identical_to_serial_rekey():
             for file_id in file_ids:
                 client.rekey(file_id, new_policy, RevocationMode.ACTIVE)
         else:
+            sealer = None
+            if path == "oracle":
+                sealer = client._abe_sealer(new_policy)
             for file_id in file_ids:
-                _serial_rekey(client, file_id, new_policy, RevocationMode.ACTIVE)
+                _serial_rekey(
+                    client, file_id, new_policy, RevocationMode.ACTIVE, sealer
+                )
         states[path] = _stored_state(system, file_ids)
         client.close()
     assert states["rekey_many"] == states["oracle"]
-    assert states["rekey"] == states["oracle"]
+    assert states["rekey"] == states["per_file_oracle"]
+
+
+def test_rekey_many_bytes_do_not_depend_on_window_size_or_depth():
+    """The run's one CP-ABE header is drawn before its first file, so
+    windows of 1, 5 and 64 files at depth 1 and 2 store the same bytes,
+    LAZY then ACTIVE."""
+    states = {}
+    for batch_size in (1, 5, 64):
+        for depth in (1, 2):
+            system = build_system(
+                num_data_servers=2,
+                chunking=CHUNKING,
+                rng=HmacDrbg(b"window-size-system"),
+            )
+            client = system.new_client("alice")
+            client.rekey_batch_size = batch_size
+            client.pipeline_depth = depth
+            file_ids = _member_ids(12)
+            for index, file_id in enumerate(file_ids):
+                client.upload(file_id, _payload(index))
+            client.rekey_many(
+                file_ids, FilePolicy.for_users(["alice", "bob"]), RevocationMode.LAZY
+            )
+            client.rekey_many(
+                file_ids, FilePolicy.for_users(["alice"]), RevocationMode.ACTIVE
+            )
+            states[batch_size, depth] = _stored_state(system, file_ids)
+            client.close()
+    reference = states[64, 1]
+    assert all(state == reference for state in states.values())
+
+
+def _abe_headers(client, op: str) -> float:
+    return client.metrics.value("client_abe_headers_total", op=op)
+
+
+def test_rekey_run_seals_one_header_and_opens_each_once():
+    """A 32-file ``rekey_many`` after another seals one header and opens
+    one (the previous run's, shared by all 32 records); a download opens
+    one."""
+    system = build_system(
+        num_data_servers=2, chunking=CHUNKING, rng=HmacDrbg(b"abe-headers")
+    )
+    client = system.new_client("alice")
+    file_ids = _member_ids(32)
+    for index, file_id in enumerate(file_ids):
+        client.upload(file_id, _payload(index))
+    policy = FilePolicy.for_users(["alice", "bob"])
+    opens = _abe_headers(client, "open")
+    client.rekey_many(file_ids, policy)
+    # The uploads sealed one header each.
+    assert _abe_headers(client, "open") - opens == 32
+    seals, opens = _abe_headers(client, "seal"), _abe_headers(client, "open")
+    client.rekey_many(file_ids, policy)
+    assert _abe_headers(client, "seal") - seals == 1
+    assert _abe_headers(client, "open") - opens == 1
+    opens = _abe_headers(client, "open")
+    assert client.download(file_ids[7]).data == _payload(7)
+    assert _abe_headers(client, "open") - opens == 1
+    client.close()
+
+
+def test_user_dropped_by_a_run_is_denied_every_record_it_wrote():
+    """Records of one run share its header; a user the run dropped opens
+    none of them, although they opened every record of the run before."""
+    system = build_system(
+        num_data_servers=2, chunking=CHUNKING, rng=HmacDrbg(b"dropped-user")
+    )
+    owner = system.new_client("alice")
+    bob = system.new_client("bob", owner=False)
+    file_ids = _member_ids(6)
+    for index, file_id in enumerate(file_ids):
+        owner.upload(file_id, _payload(index))
+    owner.rekey_many(file_ids, FilePolicy.for_users(["alice", "bob"]))
+    for index, file_id in enumerate(file_ids):
+        assert bob.download(file_id).data == _payload(index)
+    owner.rekey_many(file_ids, FilePolicy.for_users(["alice"]))
+    headers = set()
+    for file_id in file_ids:
+        record = system.keystore.get(file_id)
+        _tag, ciphertext = envelopes.decode_envelope(record.encrypted_state)
+        headers.add(ciphertext.header)
+        with pytest.raises(AccessDeniedError):
+            bob.download(file_id)
+    assert len(headers) == 1
+    owner.close()
 
 
 def test_single_file_rekeys_report_the_round_trips_they_make():
@@ -587,8 +692,9 @@ def test_parallel_winds_bit_identical_to_per_file_rekey(files, workers):
                     assert result.files == files
                     assert result.workers == workers
                 else:
+                    sealer = client._abe_sealer(policy)
                     for file_id in file_ids:
-                        _serial_rekey(client, file_id, policy, mode)
+                        _serial_rekey(client, file_id, policy, mode, sealer)
                 states[batched, mode] = _stored_state(cluster, file_ids)
             pool = client._rekey_pool
             # Stub files this small never leave the process, so every
