@@ -49,13 +49,13 @@ from repro.core.service import (
     register_key_manager,
     register_keystate_service,
     register_storage_service,
+    serve_node,
+    start_compaction,
 )
+from repro.core.system import build_client
 from repro.crypto.rsa import RSAPrivateKey, generate_keypair
 from repro.keyreg.rsa_keyreg import KeyRegressionOwner
-from repro.mle.cache import MLEKeyCache
 from repro.mle.keymanager import KeyManager
-from repro.mle.server_aided import ServerAidedKeyClient
-from repro.net.rpc import ServiceRegistry
 from repro.net.tcp import (
     DEFAULT_CLIENT_WINDOW,
     DEFAULT_IDLE_TIMEOUT,
@@ -69,15 +69,13 @@ from repro.obs.propagate import (
     fetch_traces,
     format_merged,
     merge_traces,
-    register_traces,
 )
-from repro.obs.rpc import register_metrics, scrape
+from repro.obs.rpc import scrape
 from repro.obs.tracing import Tracer, default_tracer
 from repro.storage.backend import DirectoryBackend
 from repro.storage.datastore import DataStore
 from repro.storage.keystore import KeyStore
 from repro.storage.sharding import HashRing, ShardedStorageService
-from repro.util.daemon import IntervalDaemon
 from repro.util.errors import ConfigurationError, ReproError
 from repro.util.units import MiB
 
@@ -171,21 +169,14 @@ def _build_client(args, org: OrgState) -> tuple[REEDClient, list[TcpConnection]]
         replicas=args.replicas,
         write_quorum=args.write_quorum or None,
     )
-    authority = org.authority()
-    client = REEDClient(
-        user_id=args.user,
-        key_client=ServerAidedKeyClient(
-            RemoteKeyManagerChannel(connect(args.km)),
-            client_id=args.user,
-            cache=MLEKeyCache(256 * MiB),
-        ),
-        storage=storage,
-        keystore=RemoteKeyStore(connect(args.keystore)),
-        private_access_key=authority.issue_private_key(args.user),
-        wrap_keys_provider=authority.wrap_keys_for,
-        keyreg_owner=KeyRegressionOwner(
-            private_key=org.derivation_key(args.user, args.key_bits)
-        ),
+    client = build_client(
+        args.user,
+        org.authority(),
+        KeyRegressionOwner(private_key=org.derivation_key(args.user, args.key_bits)),
+        RemoteKeyManagerChannel(connect(args.km)),
+        storage,
+        RemoteKeyStore(connect(args.keystore)),
+        cache_bytes=256 * MiB,
         scheme=args.scheme,
         chunking=ChunkingSpec(avg_size=args.chunk_size),
         chunk_cache_bytes=args.chunk_cache_bytes or None,
@@ -280,37 +271,32 @@ def start_service(
     daemon thread dies with the process.
     """
     metrics = MetricsRegistry()
-    tracer = Tracer(metrics=metrics, node=role)
-    registry = ServiceRegistry(metrics=metrics, tracer=tracer)
     if role == "storage":
         backend = DirectoryBackend(data) if data else None
-        store = DataStore(backend, metrics=metrics)
-        reed_server = REEDServer(store, gc_threshold=gc_threshold)
-        register_storage_service(registry, reed_server)
+        service = REEDServer(
+            DataStore(backend, metrics=metrics), gc_threshold=gc_threshold
+        )
+        register = register_storage_service
         if gc_interval is not None:
-            engine = reed_server.gc_engine()
-            IntervalDaemon(
-                engine.run_once,
-                engine.pass_failures,
-                interval=gc_interval,
-                name="reed-compaction",
-            ).start()
+            start_compaction(service, gc_interval)
     elif role == "keystore":
         backend = DirectoryBackend(data) if data else None
-        register_keystate_service(registry, KeyStore(backend))
+        service = KeyStore(backend)
+        register = register_keystate_service
     elif role == "km":
-        register_key_manager(registry, KeyManager(private_key=org.key_manager_key()))
+        service = KeyManager(private_key=org.key_manager_key())
+        register = register_key_manager
     else:
         raise ConfigurationError(f"unknown service role {role!r}")
-    # Every service is scrapeable over its own RPC port (`reed stats`),
-    # and serves its trace-fragment ring (`reed trace` / `reed slow`).
-    register_metrics(registry, metrics)
-    register_traces(registry, tracer)
-    server = TcpServer(
-        registry, host=host, port=port, metrics=metrics, idle_timeout=idle_timeout
+    return serve_node(
+        register,
+        service,
+        metrics,
+        Tracer(metrics=metrics, node=role),
+        host=host,
+        port=port,
+        idle_timeout=idle_timeout,
     )
-    server.start()
-    return server
 
 
 def cmd_serve(args) -> int:

@@ -1,12 +1,11 @@
 """One-call TCP cluster assembly.
 
-``examples/multi_server_cluster.py`` and the integration tests used to
-hand-wire the paper's topology (data-store servers, a key-store server,
-and the key manager, each behind its own :class:`TcpServer`).  This
-module packages that wiring as :class:`TcpCluster`, a context manager
-that serves everything on localhost sockets and builds fully remote
-clients — used by the TCP benchmark scenario, the quickstart, and any
-test that wants a real network between client and servers.
+:class:`TcpCluster` places the paper's topology (data-store servers, a
+key-store server, and the key manager) in one process, each node behind
+its own TCP server (:func:`~repro.core.service.serve_node`), and builds
+fully remote clients (:func:`~repro.core.system.build_client`) — used by
+the claims benchmark, the TCP example, and any test that wants a real
+network between client and servers.
 """
 
 from __future__ import annotations
@@ -22,30 +21,17 @@ from repro.core.service import (
     register_key_manager,
     register_keystate_service,
     register_storage_service,
+    serve_node,
+    start_compaction,
 )
-from repro.core.system import FAST_KEY_BITS
+from repro.core.system import FAST_KEY_BITS, Enrollment, build_client
 from repro.crypto.drbg import SYSTEM_RANDOM, RandomSource
-from repro.keyreg.rsa_keyreg import KeyRegressionOwner
-from repro.mle.cache import MLEKeyCache
 from repro.mle.keymanager import KeyManager
-from repro.mle.server_aided import DEFAULT_BATCH_SIZE, ServerAidedKeyClient
-from repro.net.rpc import ServiceRegistry
-from repro.net.tcp import (
-    DEFAULT_CLIENT_WINDOW,
-    DEFAULT_CONNECTION_WINDOW,
-    DEFAULT_IDLE_TIMEOUT,
-    DEFAULT_MAX_WORKERS,
-    TcpConnection,
-    TcpServer,
-)
+from repro.mle.server_aided import DEFAULT_BATCH_SIZE
+from repro.net.tcp import TcpConnection, TcpServer
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.propagate import (
-    dump_tracer,
-    fetch_traces,
-    merge_traces,
-    register_traces,
-)
-from repro.obs.rpc import register_metrics, scrape
+from repro.obs.propagate import dump_tracer, fetch_traces, merge_traces
+from repro.obs.rpc import scrape
 from repro.obs.tracing import Tracer, default_tracer
 from repro.storage.datastore import DataStore
 from repro.storage.keystore import KeyStore
@@ -68,10 +54,6 @@ class TcpCluster:
         with TcpCluster(num_data_servers=2) as cluster:
             alice = cluster.new_client("alice")
             alice.upload("file", data)
-
-    ``idle_timeout`` / ``connection_window`` tune the servers' dead-peer
-    drop and per-connection request window;
-    ``client_window`` bounds in-flight calls per client connection.
     """
 
     def __init__(
@@ -82,10 +64,6 @@ class TcpCluster:
         chunking: ChunkingSpec | None = None,
         key_batch_size: int = DEFAULT_BATCH_SIZE,
         rng: RandomSource | None = None,
-        max_workers: int = DEFAULT_MAX_WORKERS,
-        idle_timeout: float | None = DEFAULT_IDLE_TIMEOUT,
-        connection_window: int = DEFAULT_CONNECTION_WINDOW,
-        client_window: int = DEFAULT_CLIENT_WINDOW,
         replicas: int = 1,
         write_quorum: int | None = None,
         gc_threshold: float | None = None,
@@ -124,12 +102,7 @@ class TcpCluster:
             self._new_data_server(index) for index in range(num_data_servers)
         ]
         self.keystore = KeyStore()
-        self._keyreg_bits = key_bits
-        self._owners: dict[str, KeyRegressionOwner] = {}
-        self._max_workers = max_workers
-        self._idle_timeout = idle_timeout
-        self._connection_window = connection_window
-        self._client_window = client_window
+        self.enrollment = Enrollment(key_bits, self._rng)
         #: Live TCP servers keyed by node name; a killed data server's
         #: entry is removed until :meth:`restart_data_server` revives it.
         self._node_servers: dict[str, TcpServer] = {}
@@ -161,18 +134,10 @@ class TcpCluster:
         return REEDServer(store, gc_threshold=self.gc_threshold)
 
     def _start_gc_daemon(self, index: int) -> None:
-        if self.gc_interval is None:
-            return
-        node = f"storage-{index}"
-        engine = self.servers[index].gc_engine()
-        daemon = IntervalDaemon(
-            engine.run_once,
-            engine.pass_failures,
-            interval=self.gc_interval,
-            name="reed-compaction",
-        )
-        daemon.start()
-        self._gc_daemons[node] = daemon
+        if self.gc_interval is not None:
+            self._gc_daemons[f"storage-{index}"] = start_compaction(
+                self.servers[index], self.gc_interval
+            )
 
     def _serve(
         self, register, obj, node: str, port: int = 0
@@ -183,26 +148,14 @@ class TcpCluster:
         tracer = self.node_tracers.setdefault(
             node, Tracer(metrics=metrics, node=node)
         )
-        registry = ServiceRegistry(metrics=metrics, tracer=tracer)
-        register(registry, obj)
-        register_metrics(registry, metrics)
-        register_traces(registry, tracer)
-        server = TcpServer(
-            registry,
-            port=port,
-            max_workers=self._max_workers,
-            metrics=metrics,
-            idle_timeout=self._idle_timeout,
-            connection_window=self._connection_window,
-        )
-        server.start()
+        server = serve_node(register, obj, metrics, tracer, port=port)
         self._node_servers[node] = server
         return server.address
 
     # ------------------------------------------------------------------
 
     def _connect(self, address: tuple[str, int]):
-        connection = TcpConnection(*address, max_in_flight=self._client_window)
+        connection = TcpConnection(*address)
         self._connections.append(connection)
         return connection.client()
 
@@ -222,7 +175,8 @@ class TcpCluster:
     ) -> REEDClient:
         """Enroll a user and build a client wired entirely over TCP.
 
-        ``fetch_workers`` bounds the scatter-gather pool the client's
+        An owner enrolled before gets a second client on the same
+        derivation keypair, as for a second device.  ``fetch_workers`` bounds the scatter-gather pool the client's
         sharded storage uses for concurrent per-shard sub-fetches (1
         forces serial fetches); ``chunk_cache_bytes`` enables the
         client-side trimmed-package read cache; ``rekey_workers`` /
@@ -237,40 +191,24 @@ class TcpCluster:
             replicas=self.replicas,
             write_quorum=self.write_quorum,
         )
-        key_client = ServerAidedKeyClient(
+        return build_client(
+            user_id,
+            self.authority,
+            self.enrollment.owner(user_id) if owner else None,
             RemoteKeyManagerChannel(self._connect(self.key_manager_address)),
-            client_id=user_id,
-            cache=MLEKeyCache(cache_bytes) if cache_bytes else None,
-            batch_size=key_batch_size or self.key_batch_size,
+            storage,
+            RemoteKeyStore(self._connect(self.keystore_address)),
+            cache_bytes=cache_bytes,
+            key_batch_size=key_batch_size or self.key_batch_size,
             rng=self._rng,
-        )
-        keyreg_owner = None
-        if owner:
-            keyreg_owner = self._owners.setdefault(
-                user_id,
-                KeyRegressionOwner(key_bits=self._keyreg_bits, rng=self._rng),
-            )
-        kwargs = {}
-        if upload_batch_bytes is not None:
-            kwargs["upload_batch_bytes"] = upload_batch_bytes
-        if rekey_batch_size is not None:
-            kwargs["rekey_batch_size"] = rekey_batch_size
-        return REEDClient(
-            user_id=user_id,
-            key_client=key_client,
-            storage=storage,
-            keystore=RemoteKeyStore(self._connect(self.keystore_address)),
-            private_access_key=self.authority.issue_private_key(user_id),
-            wrap_keys_provider=self.authority.wrap_keys_for,
-            keyreg_owner=keyreg_owner,
             scheme=self.scheme,
             chunking=self.chunking,
+            upload_batch_bytes=upload_batch_bytes,
             pipeline_depth=pipeline_depth,
             encryption_workers=encryption_workers,
             chunk_cache_bytes=chunk_cache_bytes,
             rekey_workers=rekey_workers,
-            rng=self._rng,
-            **kwargs,
+            rekey_batch_size=rekey_batch_size,
         )
 
     def server_stats(self) -> list[dict]:

@@ -15,7 +15,6 @@ use it directly in-process, or behind RPC via
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
 from typing import Protocol
 
 from repro.crypto.hashing import fingerprint as _fingerprint
@@ -62,34 +61,6 @@ class StorageService(Protocol):
     def gc_run(self, threshold: float | None = None) -> dict: ...
 
 
-@dataclass
-class ServerCounters:
-    """Per-server request accounting (used by the evaluation harness).
-
-    Handlers run concurrently — the multiplexed transport dispatches
-    even same-connection requests in parallel — so bumps go through
-    :meth:`add`, which is atomic; plain ``+=`` on the fields would lose
-    increments under contention.
-    """
-
-    put_batches: int = 0
-    get_batches: int = 0
-    bytes_received: int = 0
-    bytes_sent: int = 0
-    #: Batch-level service calls received — one per round trip in a
-    #: networked deployment (the in-process equivalent of an RPC count).
-    requests: int = 0
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
-    def add(self, **deltas: int) -> None:
-        """Atomically bump named counters (``add(requests=1)``)."""
-        with self._lock:
-            for name, delta in deltas.items():
-                setattr(self, name, getattr(self, name) + delta)
-
-
 class REEDServer:
     """Storage-service implementation over one node's data store."""
 
@@ -99,7 +70,6 @@ class REEDServer:
         gc_threshold: float | None = None,
     ) -> None:
         self.store = store if store is not None else DataStore()
-        self.counters = ServerCounters()
         self._gc_threshold = gc_threshold
         self._gc_engine: CompactionGC | None = None
         self._gc_lock = threading.Lock()
@@ -107,7 +77,6 @@ class REEDServer:
     # -- chunks ---------------------------------------------------------------
 
     def chunk_exists_batch(self, fingerprints: list[bytes]) -> list[bool]:
-        self.counters.add(requests=1)
         return self.store.has_many(fingerprints)
 
     def chunk_put_many(
@@ -128,10 +97,8 @@ class REEDServer:
         store right after the batch, failed items or not, so the honest
         chunks are durable when the reply leaves.
         """
-        self.counters.add(requests=1)
         results: list[bool | Exception] = []
         for fp, data in chunks:
-            self.counters.add(bytes_received=len(data))
             try:
                 if _fingerprint(data) != fp:
                     raise IntegrityError(
@@ -140,18 +107,12 @@ class REEDServer:
                 results.append(self.store.put_chunk(fp, data))
             except Exception as exc:  # noqa: BLE001 - carried per item
                 results.append(exc)
-        self.counters.add(put_batches=1)
         if flush:
             self.store.flush()
         return results
 
     def chunk_get_batch(self, fingerprints: list[bytes]) -> list[bytes]:
-        self.counters.add(requests=1)
-        out = self.store.get_many(fingerprints)
-        for data in out:
-            self.counters.add(bytes_sent=len(data))
-        self.counters.add(get_batches=1)
-        return out
+        return self.store.get_many(fingerprints)
 
     def chunk_release_batch(self, fingerprints: list[bytes]) -> None:
         """Drop one reference per fingerprint; releases are idempotent.
@@ -161,13 +122,11 @@ class REEDServer:
         under-replicated chunk (degraded write, post-wipe repair), and
         its release must not block the releases that follow it.
         """
-        self.counters.add(requests=1)
         self.store.release_many(fingerprints)
 
     def chunk_list(self) -> list[bytes]:
         """Every fingerprint this node indexes — the repair daemon's
         inventory scan."""
-        self.counters.add(requests=1)
         return self.store.list_chunks()
 
     def chunk_refcount_batch(self, fingerprints: list[bytes]) -> list[int]:
@@ -176,22 +135,18 @@ class REEDServer:
         Part of the repair surface, not the client protocol: the repair
         daemon clones these counts onto re-replicated copies.
         """
-        self.counters.add(requests=1)
         return self.store.refcount_many(fingerprints)
 
     def chunk_addref_batch(self, refs: list[tuple[bytes, int]]) -> None:
         """Add extra references per ``(fingerprint, count)`` pair."""
-        self.counters.add(requests=1)
         self.store.addref_many(refs)
 
     # -- file metadata (upload, restore, rekey, delete and listing) ------------
 
     def recipe_list(self) -> list[str]:
-        self.counters.add(requests=1)
         return self.store.list_recipes()
 
     def stub_list(self) -> list[str]:
-        self.counters.add(requests=1)
         return self.store.list_stub_files()
 
     @staticmethod
@@ -211,23 +166,16 @@ class REEDServer:
         return results
 
     def recipe_get_many(self, file_ids: list[str]) -> list[bytes | Exception]:
-        self.counters.add(requests=1)
-        results = self._per_item(self.store.get_recipe, file_ids)
-        for data in results:
-            if not isinstance(data, Exception):
-                self.counters.add(bytes_sent=len(data))
-        return results
+        return self._per_item(self.store.get_recipe, file_ids)
 
     def file_commit(
         self, items: list[tuple[str, bytes, bytes]]
     ) -> list[None | Exception]:
         """Store each ``(file_id, stub_file, recipe)``: the stub file,
         then the recipe — one message per owner for a file's metadata."""
-        self.counters.add(requests=1)
 
         def commit(item: tuple[str, bytes, bytes]) -> None:
             file_id, stub_file, recipe = item
-            self.counters.add(bytes_received=len(stub_file))
             self.store.put_stub_file(file_id, stub_file)
             self.store.put_recipe(file_id, recipe)
 
@@ -238,12 +186,12 @@ class REEDServer:
     ) -> list[tuple[bytes, bytes] | Exception]:
         """``(stub_file, recipe)`` per file; an item fails when this node
         lacks either object."""
-        self.counters.add(requests=1)
 
         def fetch(file_id: str) -> tuple[bytes, bytes]:
-            pair = (self.store.get_stub_file(file_id), self.store.get_recipe(file_id))
-            self.counters.add(bytes_sent=len(pair[0]) + len(pair[1]))
-            return pair
+            return (
+                self.store.get_stub_file(file_id),
+                self.store.get_recipe(file_id),
+            )
 
         return self._per_item(fetch, file_ids)
 
@@ -254,7 +202,6 @@ class REEDServer:
         one of them still loses it; an item fails with
         :class:`NotFoundError` only when neither existed.
         """
-        self.counters.add(requests=1)
 
         def drop(file_id: str) -> None:
             found = False
@@ -270,7 +217,6 @@ class REEDServer:
         return self._per_item(drop, file_ids)
 
     def flush(self) -> None:
-        self.counters.add(requests=1)
         self.store.flush()
 
     # -- compaction GC -------------------------------------------------------
@@ -291,13 +237,11 @@ class REEDServer:
 
     def gc_status(self) -> dict:
         """Dead-space accounting and lifetime compaction counters."""
-        self.counters.add(requests=1)
         return self.gc_engine().status()
 
     def gc_run(self, threshold: float | None = None) -> dict:
         """Run one compaction pass (optionally at a one-off threshold)
         and return the post-pass status."""
-        self.counters.add(requests=1)
         gc = self.gc_engine()
         report = gc.run_once(threshold)
         status = gc.status()

@@ -11,6 +11,11 @@ in-process object's methods into a :class:`ServiceRegistry`) and a
 ``Remote*`` stub (client side: same Python interface, calls over any RPC
 client).  A client can therefore be wired to in-process objects in tests
 and to TCP servers in deployments without changing a line.
+
+:func:`serve_node` is the one node server: it puts any of the three
+behind its own :class:`TcpServer`, for :class:`~repro.core.cluster.TcpCluster`
+and ``reed serve`` alike; :func:`start_compaction` runs a data-store
+node's compaction daemon.
 """
 
 from __future__ import annotations
@@ -21,9 +26,15 @@ from repro.core.server import REEDServer
 from repro.crypto.rsa import RSAPublicKey
 from repro.mle.keymanager import KeyManager
 from repro.net.rpc import RpcClient, ServiceRegistry, decode_error, encode_error
+from repro.net.tcp import DEFAULT_IDLE_TIMEOUT, TcpServer
 from repro.obs import scope as obs_scope
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.propagate import register_traces
+from repro.obs.rpc import register_metrics
+from repro.obs.tracing import Tracer
 from repro.storage.keystore import KeyStateRecord, KeyStore
 from repro.util.codec import Decoder, Encoder
+from repro.util.daemon import IntervalDaemon
 
 #: Per-item status codes used by batch responses (``storage.put_many``):
 #: the item deduplicated, stored new bytes, or failed with a wire error.
@@ -536,3 +547,50 @@ class RemoteKeyManagerChannel:
             Encoder().text(client_id).uint(batch_size).done(),
         )
         return struct.unpack(">d", payload)[0]
+
+
+# ---------------------------------------------------------------------------
+# Node server
+# ---------------------------------------------------------------------------
+
+
+def serve_node(
+    register,
+    obj,
+    metrics: MetricsRegistry,
+    tracer: Tracer,
+    host: str = "127.0.0.1",
+    port: int = 0,
+    idle_timeout: float | None = DEFAULT_IDLE_TIMEOUT,
+) -> TcpServer:
+    """Serve one node's service on its own (started) TCP server.
+
+    ``register`` is one of the ``register_*`` functions above and
+    ``obj`` the object it exposes.  Every node is also scrapeable over
+    its ``metrics`` RPC and serves its trace-fragment ring over
+    ``traces``; the node's store, dispatch and transport all report
+    into ``metrics``.
+    """
+    registry = ServiceRegistry(metrics=metrics, tracer=tracer)
+    register(registry, obj)
+    register_metrics(registry, metrics)
+    register_traces(registry, tracer)
+    server = TcpServer(
+        registry, host=host, port=port, metrics=metrics, idle_timeout=idle_timeout
+    )
+    server.start()
+    return server
+
+
+def start_compaction(server: REEDServer, interval: float) -> IntervalDaemon:
+    """Start a data-store node's compaction daemon (one pass per
+    ``interval`` seconds) and return it, running."""
+    engine = server.gc_engine()
+    daemon = IntervalDaemon(
+        engine.run_once,
+        engine.pass_failures,
+        interval=interval,
+        name="reed-compaction",
+    )
+    daemon.start()
+    return daemon

@@ -2,26 +2,29 @@
 
 The paper's testbed (Section VI) runs one key manager, four data-store
 servers, one key-store server, and one or more clients.  This module
-builds that topology either **in-process** (direct calls — the default
-for tests, examples, and experiments) or **over TCP** (see
-``examples/multi_server_cluster.py``), and gives a convenience facade
-(:class:`ReedSystem`) for enrolling users and creating their clients.
+holds the one client builder (:func:`build_client`) and the one owner
+enrollment (:class:`Enrollment`) under every placement of that topology:
+**in-process** here (:func:`build_system`, direct calls — the default
+for tests, examples, and experiments), **over TCP** in one process
+(:class:`~repro.core.cluster.TcpCluster`), or one process per node
+(``reed serve`` and the ``reed`` client commands).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.abe.cpabe import AttributeAuthority
 from repro.chunking.chunker import ChunkingSpec
 from repro.core.client import REEDClient
-from repro.core.server import REEDServer
+from repro.core.server import REEDServer, StorageService
 from repro.crypto.drbg import SYSTEM_RANDOM, RandomSource
 from repro.keyreg.rsa_keyreg import KeyRegressionOwner
 from repro.mle.cache import MLEKeyCache
 from repro.mle.keymanager import KeyManager
 from repro.mle.server_aided import (
     DEFAULT_BATCH_SIZE,
+    KeyManagerChannel,
     LocalKeyManagerChannel,
     ServerAidedKeyClient,
 )
@@ -41,6 +44,71 @@ FAST_KEY_BITS = 512
 DEFAULT_DATA_SERVERS = 4
 
 
+class Enrollment:
+    """The derivation keypairs of enrolled owners, one per user.
+
+    Enrolling an owner again returns the keypair it already holds, as
+    for a second device of the same user: no keypair is generated and
+    thrown away, and a user never ends up with two different ones.
+    """
+
+    def __init__(self, key_bits: int, rng: RandomSource) -> None:
+        self._key_bits = key_bits
+        self._rng = rng
+        self._owners: dict[str, KeyRegressionOwner] = {}
+
+    def owner(self, user_id: str) -> KeyRegressionOwner:
+        """The user's derivation keypair, generated on first enrollment."""
+        owner = self._owners.get(user_id)
+        if owner is None:
+            owner = KeyRegressionOwner(key_bits=self._key_bits, rng=self._rng)
+            self._owners[user_id] = owner
+        return owner
+
+
+def build_client(
+    user_id: str,
+    authority: AttributeAuthority,
+    keyreg_owner: KeyRegressionOwner | None,
+    key_manager: KeyManagerChannel,
+    storage: StorageService,
+    keystore: KeyStore,
+    cache_bytes: int | None = None,
+    key_batch_size: int = DEFAULT_BATCH_SIZE,
+    rng: RandomSource | None = None,
+    **options,
+) -> REEDClient:
+    """Build one user's client over wherever the services were placed.
+
+    ``key_manager``, ``storage`` and ``keystore`` are in-process objects
+    (:func:`build_system`) or ``Remote*`` stubs over TCP
+    (:class:`~repro.core.cluster.TcpCluster`, the ``reed`` CLI); the
+    client cannot tell them apart.  ``keyreg_owner`` is the user's
+    derivation keypair (None for a read-only participant);
+    ``cache_bytes`` sizes the MLE key cache (None disables caching,
+    mirroring the paper's cache on/off experiments).  ``options`` go to
+    :class:`REEDClient`; one set to None keeps the client's default.
+    """
+    key_client = ServerAidedKeyClient(
+        key_manager,
+        client_id=user_id,
+        cache=MLEKeyCache(cache_bytes) if cache_bytes else None,
+        batch_size=key_batch_size,
+        rng=rng,
+    )
+    return REEDClient(
+        user_id=user_id,
+        key_client=key_client,
+        storage=storage,
+        keystore=keystore,
+        private_access_key=authority.issue_private_key(user_id),
+        wrap_keys_provider=authority.wrap_keys_for,
+        keyreg_owner=keyreg_owner,
+        rng=rng,
+        **{name: value for name, value in options.items() if value is not None},
+    )
+
+
 @dataclass
 class ReedSystem:
     """A fully wired REED deployment plus user enrollment.
@@ -55,12 +123,11 @@ class ReedSystem:
     servers: list[REEDServer]
     keystore: KeyStore
     storage: ShardedStorageService
+    enrollment: Enrollment
     scheme: str = "enhanced"
     chunking: ChunkingSpec | None = None
     key_batch_size: int = DEFAULT_BATCH_SIZE
     rng: RandomSource = SYSTEM_RANDOM
-    keyreg_bits: int = FAST_KEY_BITS
-    _owners: dict[str, KeyRegressionOwner] = field(default_factory=dict)
 
     def new_client(
         self,
@@ -74,38 +141,26 @@ class ReedSystem:
         """Enroll a user and build their client.
 
         ``owner=False`` creates a read-only participant (no derivation
-        keypair); ``cache_bytes`` sizes the MLE key cache (None disables
-        caching, mirroring the paper's cache on/off experiments).
-        ``encryption_workers`` defaults to one worker per CPU (capped).
-        ``chunk_cache_bytes`` enables the client-side trimmed-package
-        read cache (None disables it).
+        keypair); an owner enrolled before gets a second client on the
+        same keypair.  ``cache_bytes`` sizes the MLE key cache (None
+        disables it).  ``encryption_workers`` defaults to one worker per
+        CPU (capped).  ``chunk_cache_bytes`` enables the client-side
+        trimmed-package read cache (None disables it).
         """
-        if owner and user_id in self._owners:
-            raise ConfigurationError(f"user {user_id!r} already enrolled as owner")
-        key_client = ServerAidedKeyClient(
+        return build_client(
+            user_id,
+            self.authority,
+            self.enrollment.owner(user_id) if owner else None,
             LocalKeyManagerChannel(self.key_manager),
-            client_id=user_id,
-            cache=MLEKeyCache(cache_bytes) if cache_bytes else None,
-            batch_size=self.key_batch_size,
+            self.storage,
+            self.keystore,
+            cache_bytes=cache_bytes,
+            key_batch_size=self.key_batch_size,
             rng=self.rng,
-        )
-        keyreg_owner = None
-        if owner:
-            keyreg_owner = KeyRegressionOwner(key_bits=self.keyreg_bits, rng=self.rng)
-            self._owners[user_id] = keyreg_owner
-        return REEDClient(
-            user_id=user_id,
-            key_client=key_client,
-            storage=self.storage,
-            keystore=self.keystore,
-            private_access_key=self.authority.issue_private_key(user_id),
-            wrap_keys_provider=self.authority.wrap_keys_for,
-            keyreg_owner=keyreg_owner,
             scheme=scheme or self.scheme,
             chunking=self.chunking,
             encryption_workers=encryption_workers,
             chunk_cache_bytes=chunk_cache_bytes,
-            rng=self.rng,
         )
 
     def close(self) -> None:
@@ -182,9 +237,9 @@ def build_system(
         storage=ShardedStorageService(
             list(servers), replicas=replicas, write_quorum=write_quorum
         ),
+        enrollment=Enrollment(key_bits, rng),
         scheme=scheme,
         chunking=chunking,
         key_batch_size=key_batch_size,
         rng=rng,
-        keyreg_bits=key_bits,
     )

@@ -95,13 +95,3 @@ class TestFileData:
         assert isinstance(result, NotFoundError)
         assert kept is None
         assert server.store.list_recipes() == []
-
-
-class TestCounters:
-    def test_byte_counters(self, server):
-        server.chunk_put_many(batch(b"12345"))
-        server.chunk_get_batch([fingerprint(b"12345")])
-        assert server.counters.bytes_received == 5
-        assert server.counters.bytes_sent == 5
-        assert server.counters.put_batches == 1
-        assert server.counters.get_batches == 1

@@ -2,14 +2,27 @@
 
 import pytest
 
+from repro.core.cluster import TcpCluster
+from repro.core.policy import FilePolicy
+from repro.core.rekey import RevocationMode
 from repro.core.server import REEDServer
 from repro.core.system import build_system
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.hashing import fingerprint
 from repro.storage.backend import DirectoryBackend
 from repro.storage.sharding import ShardedStorageService
-from repro.util.errors import ConfigurationError, ProtocolError
+from repro.util.errors import AccessDeniedError, ConfigurationError, ProtocolError
 from repro.workloads.synthetic import unique_data
+
+
+class CountingDrbg(HmacDrbg):
+    """A seeded DRBG that counts its draws."""
+
+    draws = 0
+
+    def random_bytes(self, n: int) -> bytes:
+        self.draws += 1
+        return super().random_bytes(n)
 
 
 class TestShardedStorageService:
@@ -91,10 +104,20 @@ class TestBuildSystem:
     def test_paper_topology(self, cluster):
         assert len(cluster.servers) == 4
 
-    def test_duplicate_owner_enrollment_rejected(self, system):
-        system.new_client("alice")
-        with pytest.raises(ConfigurationError):
-            system.new_client("alice")
+    def test_second_owner_client_revokes_first_clients_file(self, system):
+        """A re-enrolled owner is a second device on the same keypair: it
+        rekeys what the first one uploaded, and the revocation holds."""
+        first = system.new_client("alice")
+        bob = system.new_client("bob", owner=False)
+        data = unique_data(60_000, seed=3)
+        first.upload("shared", data, policy=FilePolicy.for_users(["alice", "bob"]))
+        assert bob.download("shared").data == data
+        second = system.new_client("alice")
+        result = second.revoke_users("shared", {"bob"}, RevocationMode.ACTIVE)
+        assert result.new_key_version == result.old_key_version + 1
+        with pytest.raises(AccessDeniedError):
+            bob.download("shared")
+        assert first.download("shared").data == data
 
     def test_reader_reenrollment_allowed(self, system):
         system.new_client("alice", owner=False)
@@ -137,3 +160,28 @@ class TestBuildSystem:
         assert client.scheme.name == "basic"
         override = system.new_client("bob", scheme="enhanced")
         assert override.scheme.name == "enhanced"
+
+
+class TestOwnerEnrollment:
+    @pytest.fixture(params=["in-process", "tcp"])
+    def placement(self, request):
+        """The same topology placed in-process and over TCP, both
+        drawing from one counted DRBG."""
+        rng = CountingDrbg(b"reenroll")
+        if request.param == "tcp":
+            with TcpCluster(num_data_servers=1, rng=rng) as cluster:
+                yield cluster, rng
+        else:
+            system = build_system(num_data_servers=1, rng=rng)
+            yield system, rng
+            system.close()
+
+    def test_reenrollment_reuses_keypair_and_draws_nothing(self, placement):
+        deployment, rng = placement
+        first = deployment.new_client("alice")
+        draws = rng.draws
+        second = deployment.new_client("alice")
+        assert rng.draws == draws
+        assert (
+            second.keyreg_owner.derivation_key == first.keyreg_owner.derivation_key
+        )
