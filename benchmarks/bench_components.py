@@ -1,9 +1,9 @@
 """Component microbenchmarks.
 
 Raw throughput of every primitive on the REED data path, to localize
-bottlenecks and to quantify the Python-vs-OpenSSL substrate gap recorded
-in DESIGN.md §3 (pure-Python AES vs SHAKE-256, RSA signing, Rabin
-chunking, access-tree encryption).
+bottlenecks and to quantify the substrate costs recorded in DESIGN.md §3
+(the SHAKE-256 mask, RSA signing, Rabin chunking, access-tree
+encryption).
 """
 
 import pytest
@@ -15,8 +15,7 @@ from repro.aont.caont import caont_revert, caont_transform
 from repro.chunking.rabin import rabin_chunks
 from repro.core.schemes import get_scheme
 from repro.crypto import blindrsa, shamir
-from repro.crypto.aes import AES
-from repro.crypto.cipher import get_cipher
+from repro.crypto.cipher import SHAKE256
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.hashing import sha256
 from repro.crypto.rsa import fdh_sign, generate_keypair
@@ -40,23 +39,10 @@ class TestHashing:
 
 
 class TestCiphers:
-    def test_aes_block(self, benchmark):
-        aes = AES(KEY32)
-        benchmark(aes.encrypt_block, b"\x00" * 16)
-        rate = mbps(16, benchmark.stats["mean"])
-        save_result("components", f"pure-python AES block: {rate:.3f} MB/s")
-
     def test_shake256_mask_8k(self, benchmark):
-        cipher = get_cipher("shake256")
-        benchmark(cipher.mask, KEY32, 8 * KiB)
+        benchmark(SHAKE256.mask, KEY32, 8 * KiB)
         rate = mbps(8 * KiB, benchmark.stats["mean"])
         save_result("components", f"shake256 mask 8KB: {rate:.0f} MB/s")
-
-    def test_aes256_ctr_mask_2k(self, benchmark):
-        cipher = get_cipher("aes256")
-        benchmark(cipher.mask, KEY32, 2 * KiB)
-        rate = mbps(2 * KiB, benchmark.stats["mean"])
-        save_result("components", f"pure-python AES-CTR mask 2KB: {rate:.3f} MB/s")
 
 
 class TestAont:
@@ -139,7 +125,7 @@ class TestAccessControl:
 
         def seal_round():
             if layout == "32 headers":
-                return [abe_encrypt(wrap_keys, tree, state, None, rng) for _ in range(32)]
+                return [abe_encrypt(wrap_keys, tree, state, rng=rng) for _ in range(32)]
             sealer = AbeSealer(wrap_keys, tree, rng=rng)
             return [sealer.seal(state) for _ in range(32)]
 

@@ -6,9 +6,9 @@ enhanced.  Claims: throughput grows with chunk size; basic is ~24 %
 faster than enhanced at 8 KB (the extra MLE encryption pass).
 
 Real measurement: same pipeline over 4 MB of unique chunks with the
-default SHAKE-256 cipher (see DESIGN.md §3 — the from-scratch AES-256 is
-three orders of magnitude below OpenSSL's 200+ MB/s; the *ratio* and the
-chunk-size slope are the reproducible shape).
+SHAKE-256 cipher every client runs (see DESIGN.md §3 — the paper's
+prototype used OpenSSL AES-256; the *ratio* and the chunk-size slope are
+the reproducible shape).
 """
 
 import pytest

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 from repro.abe import access_tree as at
 from repro.crypto import shamir
-from repro.crypto.cipher import SymmetricCipher, get_cipher
+from repro.crypto.cipher import SHAKE256, Shake256Cipher
 from repro.crypto.drbg import SYSTEM_RANDOM, RandomSource
 from repro.crypto.hashing import hmac_sha256, kdf
 from repro.util.bytesutil import ct_equal, xor_bytes
@@ -299,12 +299,12 @@ class AbeSealer:
         self,
         wrap_keys: dict[str, bytes],
         policy: at.Node,
-        cipher: SymmetricCipher | None = None,
+        cipher: Shake256Cipher = SHAKE256,
         rng: RandomSource | None = None,
     ) -> None:
         rng = rng or SYSTEM_RANDOM
         self._policy = policy
-        self._cipher = cipher or get_cipher()
+        self._cipher = cipher
         self._nonce = rng.random_bytes(_NONCE_SIZE)
         root_secret = rng.randint_below(2**256)  # fits in a 32-byte share
         wrapped: list[bytes] = []
@@ -319,9 +319,7 @@ class AbeSealer:
         index = self._items
         self._items += 1
         payload_key, mac_key = _item_keys(self._secret, index)
-        body = self._cipher.encrypt(
-            payload_key, self._nonce[: self._cipher.nonce_size], plaintext
-        )
+        body = self._cipher.encrypt(payload_key, self._nonce, plaintext)
         return AbeCiphertext(
             policy=self._policy,
             wrapped_shares=self._wrapped,
@@ -346,11 +344,11 @@ class AbeOpener:
     def __init__(
         self,
         private_key: PrivateAccessKey,
-        cipher: SymmetricCipher | None = None,
+        cipher: Shake256Cipher = SHAKE256,
         on_header: Callable[[], None] | None = None,
     ) -> None:
         self._key = private_key
-        self._cipher = cipher or get_cipher()
+        self._cipher = cipher
         self._on_header = on_header
         self._secrets: LRUCache[tuple, bytes] = LRUCache(_MEMO_HEADERS)
 
@@ -399,16 +397,14 @@ class AbeOpener:
         )
         if not ct_equal(expected, ciphertext.mac):
             raise IntegrityError("ABE ciphertext failed its integrity check")
-        return self._cipher.decrypt(
-            payload_key, ciphertext.nonce[: self._cipher.nonce_size], ciphertext.body
-        )
+        return self._cipher.decrypt(payload_key, ciphertext.nonce, ciphertext.body)
 
 
 def abe_encrypt(
     wrap_keys: dict[str, bytes],
     policy: at.Node,
     plaintext: bytes,
-    cipher: SymmetricCipher | None = None,
+    cipher: Shake256Cipher = SHAKE256,
     rng: RandomSource | None = None,
 ) -> AbeCiphertext:
     """Encrypt ``plaintext`` so only attribute sets satisfying ``policy``
@@ -419,7 +415,7 @@ def abe_encrypt(
 def abe_decrypt(
     private_key: PrivateAccessKey,
     ciphertext: AbeCiphertext,
-    cipher: SymmetricCipher | None = None,
+    cipher: Shake256Cipher = SHAKE256,
 ) -> bytes:
     """Decrypt a policy ciphertext with a user's private access key: an
     opener used once (see :meth:`AbeOpener.open` for the errors)."""

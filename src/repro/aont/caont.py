@@ -14,35 +14,22 @@ padding: recompute ``H(M)`` and compare with the recovered key.
 from __future__ import annotations
 
 from repro.aont.package import Package, revert, transform_with_key
-from repro.crypto.cipher import SymmetricCipher, get_cipher
 from repro.crypto.hashing import sha256
 from repro.util.bytesutil import ct_equal
 from repro.util.errors import IntegrityError
 
 
-def caont_transform(message: bytes, cipher: SymmetricCipher | None = None) -> Package:
+def caont_transform(message: bytes) -> Package:
     """Deterministically transform ``message`` with key ``H(message)``."""
-    return transform_with_key(message, sha256(message), cipher)
+    return transform_with_key(message, sha256(message))
 
 
-def caont_revert(
-    package: Package,
-    cipher: SymmetricCipher | None = None,
-    verify: bool = True,
-) -> bytes:
+def caont_revert(package: Package, verify: bool = True) -> bytes:
     """Invert CAONT; verifies ``H(message) == recovered key`` by default.
 
     Raises :class:`IntegrityError` if the package was tampered with.
     """
-    message, key = revert(package, cipher)
+    message, key = revert(package)
     if verify and not ct_equal(sha256(message), key):
         raise IntegrityError("CAONT integrity check failed: hash key mismatch")
     return message
-
-
-def is_deterministic(message: bytes, cipher: SymmetricCipher | None = None) -> bool:
-    """Self-check used in tests: two transforms of the same message agree."""
-    cipher = cipher or get_cipher()
-    first = caont_transform(message, cipher)
-    second = caont_transform(message, cipher)
-    return first == second

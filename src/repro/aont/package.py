@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.cipher import SymmetricCipher, get_cipher
+from repro.crypto.cipher import SHAKE256
 from repro.crypto.drbg import SYSTEM_RANDOM, RandomSource
 from repro.crypto.hashing import DIGEST_SIZE, sha256
 from repro.util.bytesutil import split_at, xor_bytes
@@ -66,43 +66,31 @@ class Package:
         return split_at(flat, len(flat) - stub_size)
 
 
-def transform(
-    message: bytes,
-    cipher: SymmetricCipher | None = None,
-    rng: RandomSource | None = None,
-) -> Package:
+def transform(message: bytes, rng: RandomSource | None = None) -> Package:
     """Apply the randomized AONT to ``message``."""
-    cipher = cipher or get_cipher()
     rng = rng or SYSTEM_RANDOM
-    key = rng.random_bytes(KEY_SIZE)
-    return transform_with_key(message, key, cipher)
+    return transform_with_key(message, rng.random_bytes(KEY_SIZE))
 
 
-def transform_with_key(
-    message: bytes,
-    key: bytes,
-    cipher: SymmetricCipher | None = None,
-) -> Package:
+def transform_with_key(message: bytes, key: bytes) -> Package:
     """AONT with an explicit key (the deterministic core both CAONT and
     REED's basic scheme build on)."""
-    cipher = cipher or get_cipher()
     if len(key) != KEY_SIZE:
         raise ConfigurationError(f"AONT key must be {KEY_SIZE} bytes")
-    head = xor_bytes(message, cipher.mask(key, len(message)))
+    head = xor_bytes(message, SHAKE256.mask(key, len(message)))
     tail = xor_bytes(sha256(head), key)
     return Package(head=head, tail=tail)
 
 
-def revert(package: Package, cipher: SymmetricCipher | None = None) -> tuple[bytes, bytes]:
+def revert(package: Package) -> tuple[bytes, bytes]:
     """Invert the AONT, returning ``(message, key)``.
 
     The key is returned so callers can run their own integrity checks
     (CAONT compares it against ``H(message)``; REED's basic scheme uses it
     as the recovered MLE key and checks a canary).
     """
-    cipher = cipher or get_cipher()
     if len(package.tail) != KEY_SIZE:
         raise ConfigurationError(f"AONT tail must be {KEY_SIZE} bytes")
     key = xor_bytes(sha256(package.head), package.tail)
-    message = xor_bytes(package.head, cipher.mask(key, len(package.head)))
+    message = xor_bytes(package.head, SHAKE256.mask(key, len(package.head)))
     return message, key

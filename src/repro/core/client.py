@@ -214,7 +214,6 @@ class REEDClient:
         #: Key-regression winds and stub re-encryption, on worker
         #: processes that hold this owner's derivation key.
         self._rekey_pool = RekeyPool(
-            cipher=self.scheme.cipher,
             workers=rekey_workers,
             default_stub_size=self.scheme.stub_size,
             owner=keyreg_owner,
@@ -339,7 +338,6 @@ class REEDClient:
         sealer = AbeSealer(
             self.wrap_keys_provider(policy.tree),
             policy.tree,
-            cipher=self.scheme.cipher,
             rng=self.rng,
         )
         self._m_abe_headers.labels(op="seal").inc()
@@ -349,7 +347,6 @@ class REEDClient:
         """An opener for this user; each header it opens counts once."""
         return AbeOpener(
             self.private_access_key,
-            cipher=self.scheme.cipher,
             on_header=self._m_abe_headers.labels(op="open").inc,
         )
 
@@ -405,9 +402,7 @@ class REEDClient:
             plaintext = (abe or self._abe_opener()).open(payload)
         else:
             group_key = self._group_key_at(payload.group_id, payload.group_version)
-            plaintext = envelopes.open_group(
-                payload, group_key, cipher=self.scheme.cipher
-            )
+            plaintext = envelopes.open_group(payload, group_key)
         state = KeyState.decode(plaintext)
         if state.version != record.key_version:
             raise CorruptionError(
@@ -487,7 +482,6 @@ class REEDClient:
                     file_key,
                     stubs,
                     stub_size=self.scheme.stub_size,
-                    cipher=self.scheme.cipher,
                     rng=self.rng,
                 )
 
@@ -602,9 +596,7 @@ class REEDClient:
                 )
             file_key = self._stub_source_key(record, state, recipe.key_version)
             with tracer.span("download.stub"):
-                stubs = decrypt_stub_file(
-                    file_key, stub_file, cipher=self.scheme.cipher
-                )
+                stubs = decrypt_stub_file(file_key, stub_file)
         if len(stubs) != recipe.chunk_count:
             raise IntegrityError(
                 f"stub file holds {len(stubs)} stubs but the recipe lists "
@@ -614,7 +606,7 @@ class REEDClient:
         stats.key_version = state.version
         scheme = self.scheme
         if recipe.scheme != scheme.name:
-            scheme = get_scheme(recipe.scheme, cipher=self.scheme.cipher)
+            scheme = get_scheme(recipe.scheme)
         # The transform pool is bound to the client's configured scheme;
         # a recipe written under a different scheme decrypts in-process.
         pooled = scheme is self.scheme

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.abe.cpabe import AbeCiphertext
-from repro.crypto.cipher import SymmetricCipher, get_cipher
+from repro.crypto.cipher import SHAKE256
 from repro.crypto.drbg import SYSTEM_RANDOM, RandomSource
 from repro.crypto.hashing import hmac_sha256, kdf
 from repro.util.bytesutil import ct_equal
@@ -59,17 +59,13 @@ def seal_group(
     group_version: int,
     group_key: bytes,
     key_state_bytes: bytes,
-    cipher: SymmetricCipher | None = None,
     rng: RandomSource | None = None,
 ) -> bytes:
     """Seal a file's key state under a group key."""
-    cipher = cipher or get_cipher()
     rng = rng or SYSTEM_RANDOM
     nonce = rng.random_bytes(_NONCE)
-    body = cipher.encrypt(
-        kdf(group_key, "group-envelope-enc"),
-        nonce[: cipher.nonce_size],
-        key_state_bytes,
+    body = SHAKE256.encrypt(
+        kdf(group_key, "group-envelope-enc"), nonce, key_state_bytes
     )
     header = Encoder().text(group_id).uint(group_version).done()
     mac = hmac_sha256(kdf(group_key, "group-envelope-mac"), header + nonce + body)
@@ -85,23 +81,16 @@ def seal_group(
     )
 
 
-def open_group(
-    envelope: GroupEnvelope,
-    group_key: bytes,
-    cipher: SymmetricCipher | None = None,
-) -> bytes:
+def open_group(envelope: GroupEnvelope, group_key: bytes) -> bytes:
     """Decrypt a group envelope; raises on tampering or a wrong key."""
-    cipher = cipher or get_cipher()
     header = Encoder().text(envelope.group_id).uint(envelope.group_version).done()
     expected = hmac_sha256(
         kdf(group_key, "group-envelope-mac"), header + envelope.nonce + envelope.body
     )
     if not ct_equal(expected, envelope.mac):
         raise IntegrityError("group envelope failed authentication")
-    return cipher.decrypt(
-        kdf(group_key, "group-envelope-enc"),
-        envelope.nonce[: cipher.nonce_size],
-        envelope.body,
+    return SHAKE256.decrypt(
+        kdf(group_key, "group-envelope-enc"), envelope.nonce, envelope.body
     )
 
 

@@ -228,7 +228,6 @@ class GroupManager:
                     group_version,
                     group_key,
                     file_state.encode(),
-                    cipher=self.client.scheme.cipher,
                     rng=self.client.rng,
                 ),
                 owner_public_key=record.owner_public_key,
@@ -375,8 +374,7 @@ class GroupManager:
             if tag != envelopes.TAG_GROUP or payload.group_id != group_id:
                 return client._open_key_state(file_record)
             plaintext = envelopes.open_group(
-                payload, group_key_at(payload.group_version),
-                cipher=client.scheme.cipher,
+                payload, group_key_at(payload.group_version)
             )
             state = KeyState.decode(plaintext)
             if state.version != file_record.key_version:
@@ -418,7 +416,6 @@ class GroupManager:
                     new_group_version,
                     new_key,
                     new_state.encode(),
-                    cipher=client.scheme.cipher,
                     rng=client.rng,
                 ),
                 owner_public_key=file_record.owner_public_key,

@@ -5,8 +5,8 @@ CPU-bound, so the GIL serializes it no matter how many threads run it —
 the journal version of REED reaches its reported throughputs only with
 truly concurrent chunk encryption.  :class:`ChunkTransformPool` runs the
 transform across *processes*: chunk batches are pickled to workers, each
-worker rebuilds the encryption scheme once from its registry names, and
-results are reassembled in submission order.  :class:`RekeyPool` does
+worker rebuilds the encryption scheme once from its name and stub size,
+and results are reassembled in submission order.  :class:`RekeyPool` does
 the same for the two CPU-bound steps of a rekey: key-regression winds
 (one private RSA operation per file) and stub-file re-encryption.
 
@@ -14,8 +14,8 @@ The worker lifecycle, span slicing and the in-process path (small
 batches, single-worker configurations, no process pools, the redo after
 a worker died) live in :class:`~repro.util.spanpool.SpanPool`; the pools
 here add what they transform and when a batch is worth the hand-off.
-Schemes or ciphers that are not registry-reconstructible in a fresh
-process (custom instances) never leave the parent process.
+A scheme whose name would rebuild a different class (a subclass) is
+refused, so workers never run another scheme than the caller's.
 
 Worker processes are started lazily on first use and reused across
 uploads; call :meth:`ChunkTransformPool.close` (or
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from repro.core.schemes import STUB_SIZE, EncryptionScheme, SplitPackage, get_scheme
 from repro.core.stubs import decrypt_stub_file, encrypt_stub_file
-from repro.crypto.cipher import SymmetricCipher, get_cipher
 from repro.crypto.rsa import RSAPrivateKey
 from repro.keyreg.rsa_keyreg import KeyRegressionOwner, KeyState
 from repro.util.errors import ConfigurationError, IntegrityError
@@ -46,35 +45,31 @@ MIN_PARALLEL_WIND = 8
 # -- worker-process side -----------------------------------------------------
 
 #: Per-process scheme cache: workers rebuild the scheme once per
-#: (scheme, cipher, stub size) and reuse it for every batch.
-_WORKER_SCHEMES: dict[tuple[str, str, int], EncryptionScheme] = {}
+#: (scheme name, stub size) and reuse it for every batch.
+_WORKER_SCHEMES: dict[tuple[str, int], EncryptionScheme] = {}
 
 
-def _worker_scheme(spec: tuple[str, str, int]) -> EncryptionScheme:
+def _worker_scheme(spec: tuple[str, int]) -> EncryptionScheme:
     scheme = _WORKER_SCHEMES.get(spec)
     if scheme is None:
-        scheme_name, cipher_name, stub_size = spec
-        scheme = get_scheme(
-            scheme_name, cipher=get_cipher(cipher_name), stub_size=stub_size
-        )
-        _WORKER_SCHEMES[spec] = scheme
+        scheme = _WORKER_SCHEMES[spec] = get_scheme(*spec)
     return scheme
 
 
 def _encrypt_batch(
-    spec: tuple[str, str, int], pairs: list[tuple[bytes, bytes]]
+    spec: tuple[str, int], pairs: list[tuple[bytes, bytes]]
 ) -> list[SplitPackage]:
     """Worker entry point: transform ``(chunk, mle_key)`` pairs.
 
-    Module-level (picklable) by design; the scheme travels as registry
-    names, never as a pickled object graph.
+    Module-level (picklable) by design; the scheme travels as its name
+    and stub size, never as a pickled object graph.
     """
     encrypt = _worker_scheme(spec).encrypt_chunk
     return [encrypt(chunk, mle_key) for chunk, mle_key in pairs]
 
 
 def _decrypt_batch(
-    spec: tuple[str, str, int], pairs: list[tuple[bytes, bytes]]
+    spec: tuple[str, int], pairs: list[tuple[bytes, bytes]]
 ) -> list[bytes]:
     """Worker entry point: invert ``(trimmed_package, stub)`` pairs.
 
@@ -86,12 +81,7 @@ def _decrypt_batch(
     return [decrypt(trimmed, stub) for trimmed, stub in pairs]
 
 
-#: Per-process cipher cache for the stub-rekey worker entry point.
-_WORKER_CIPHERS: dict[str, SymmetricCipher] = {}
-
-
 def _reencrypt_one_stub_file(
-    cipher: SymmetricCipher,
     stub_file: bytes,
     old_key: bytes,
     new_key: bytes,
@@ -106,31 +96,20 @@ def _reencrypt_one_stub_file(
     re-derives the very same new key on retry.
     """
     try:
-        stubs = decrypt_stub_file(old_key, stub_file, cipher=cipher)
+        stubs = decrypt_stub_file(old_key, stub_file)
     except IntegrityError:
         if new_key == old_key:
             raise
-        stubs = decrypt_stub_file(new_key, stub_file, cipher=cipher)
+        stubs = decrypt_stub_file(new_key, stub_file)
     stub_size = len(stubs[0]) if stubs else default_stub_size
-    return encrypt_stub_file(
-        new_key, stubs, stub_size=stub_size, cipher=cipher, nonce=nonce
-    )
+    return encrypt_stub_file(new_key, stubs, stub_size=stub_size, nonce=nonce)
 
 
 def _reencrypt_stub_batch(
-    cipher_name: str,
-    default_stub_size: int,
-    items: list[tuple[bytes, bytes, bytes, bytes]],
+    default_stub_size: int, items: list[tuple[bytes, bytes, bytes, bytes]]
 ) -> list[bytes]:
     """Worker entry point: ``(stub_file, old_key, new_key, nonce)`` items."""
-    cipher = _WORKER_CIPHERS.get(cipher_name)
-    if cipher is None:
-        cipher = get_cipher(cipher_name)
-        _WORKER_CIPHERS[cipher_name] = cipher
-    return [
-        _reencrypt_one_stub_file(cipher, *item, default_stub_size)
-        for item in items
-    ]
+    return [_reencrypt_one_stub_file(*item, default_stub_size) for item in items]
 
 
 #: Worker processes only: the owner's side of key regression, holding
@@ -151,47 +130,13 @@ def _wind_span(states: list[KeyState]) -> list[KeyState]:
 # -- client side -------------------------------------------------------------
 
 
-def _registry_spec(scheme: EncryptionScheme) -> tuple[str, str, int] | None:
-    """Registry names that rebuild ``scheme`` in a fresh process, or None.
-
-    A subclassed scheme or a cipher instance that is not the registry
-    singleton cannot be faithfully reconstructed from names, so such
-    schemes stay on the in-process paths.
-    """
-    cipher_name = _cipher_spec(scheme.cipher)
-    scheme_name = getattr(scheme, "name", None)
-    if not cipher_name or not scheme_name:
-        return None
-    try:
-        rebuilt = get_scheme(
-            scheme_name, cipher=get_cipher(cipher_name), stub_size=scheme.stub_size
-        )
-    except ConfigurationError:
-        return None
-    if type(rebuilt) is not type(scheme):
-        return None
-    return (scheme_name, cipher_name, scheme.stub_size)
-
-
-def _cipher_spec(cipher: SymmetricCipher) -> str | None:
-    """Registry name that rebuilds ``cipher`` in a fresh process, or None."""
-    name = getattr(cipher, "name", None)
-    if not name:
-        return None
-    try:
-        rebuilt = get_cipher(name)
-    except ConfigurationError:
-        return None
-    if type(rebuilt) is not type(cipher):
-        return None
-    return name
-
-
 class ChunkTransformPool(SpanPool):
     """Runs ``scheme.encrypt_chunk`` over batches, in parallel when it pays.
 
     ``workers`` defaults to
-    :func:`~repro.util.spanpool.default_worker_count`.
+    :func:`~repro.util.spanpool.default_worker_count`.  Workers rebuild
+    the scheme from ``(scheme.name, scheme.stub_size)``; a scheme those
+    would not rebuild (a subclass) raises :class:`ConfigurationError`.
     """
 
     def __init__(
@@ -200,8 +145,13 @@ class ChunkTransformPool(SpanPool):
         workers: int | None = None,
         min_parallel_bytes: int = DEFAULT_MIN_PARALLEL_BYTES,
     ) -> None:
-        self._spec = _registry_spec(scheme)
-        super().__init__(workers, use_processes=self._spec is not None)
+        self._spec = (scheme.name, scheme.stub_size)
+        if type(get_scheme(*self._spec)) is not type(scheme):
+            raise ConfigurationError(
+                f"{type(scheme).__name__} is not the {scheme.name!r} scheme "
+                "its workers would rebuild"
+            )
+        super().__init__(workers)
         self.scheme = scheme
         self.min_parallel_bytes = min_parallel_bytes
 
@@ -262,9 +212,7 @@ class RekeyPool(SpanPool):
     under the new one.  Nonces come from the caller (drawn on the client
     thread in file order), so the output is bit-identical to the serial
     path no matter how items are scheduled across workers.  Batches below
-    ``min_parallel_bytes`` and ciphers that cannot be rebuilt from their
-    registry name stay in-process; that does not keep winds off the
-    workers.
+    ``min_parallel_bytes`` stay in-process.
 
     Degrades like :class:`ChunkTransformPool`: in-process when process
     pools are unavailable, a serial redo if the pool breaks mid-batch.
@@ -272,18 +220,14 @@ class RekeyPool(SpanPool):
 
     def __init__(
         self,
-        cipher: SymmetricCipher | None = None,
         workers: int | None = None,
         min_parallel_bytes: int = DEFAULT_MIN_PARALLEL_BYTES,
         default_stub_size: int = STUB_SIZE,
         owner: KeyRegressionOwner | None = None,
     ) -> None:
-        self.cipher = cipher or get_cipher()
-        self._spec = _cipher_spec(self.cipher)
         self.owner = owner
         super().__init__(
             workers,
-            use_processes=self._spec is not None or owner is not None,
             initializer=_hold_derivation_key if owner is not None else None,
             initargs=(owner.derivation_key,) if owner is not None else (),
         )
@@ -311,8 +255,7 @@ class RekeyPool(SpanPool):
         self, items: list[tuple[bytes, bytes, bytes, bytes]]
     ) -> list[bytes]:
         return [
-            _reencrypt_one_stub_file(self.cipher, *item, self.default_stub_size)
-            for item in items
+            _reencrypt_one_stub_file(*item, self.default_stub_size) for item in items
         ]
 
     def reencrypt(
@@ -328,9 +271,6 @@ class RekeyPool(SpanPool):
             items,
             self._reencrypt_serial,
             _reencrypt_stub_batch,
-            self._spec,
             self.default_stub_size,
-            # A worker process needs a cipher it can rebuild and a batch
-            # that repays the hand-off.
-            parallel=self._spec is not None and total >= self.min_parallel_bytes,
+            parallel=total >= self.min_parallel_bytes,
         )[0]

@@ -42,7 +42,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
-from repro.crypto.cipher import SymmetricCipher, get_cipher
+from repro.crypto.cipher import SHAKE256
 from repro.crypto.hashing import DIGEST_SIZE, fingerprint, sha256
 from repro.util.bytesutil import ct_equal, split_at, xor_bytes, xor_fold
 from repro.util.errors import ConfigurationError, IntegrityError
@@ -83,17 +83,14 @@ class EncryptionScheme(ABC):
 
     #: Registry name ("basic" / "enhanced").
     name: str
+    #: The symmetric function ``E`` both schemes mask and encrypt with.
+    cipher = SHAKE256
 
-    def __init__(
-        self,
-        cipher: SymmetricCipher | None = None,
-        stub_size: int = STUB_SIZE,
-    ) -> None:
+    def __init__(self, stub_size: int = STUB_SIZE) -> None:
         if stub_size <= DIGEST_SIZE:
             raise ConfigurationError(
                 f"stub must exceed the {DIGEST_SIZE}-byte package tail"
             )
-        self.cipher = cipher or get_cipher()
         self.stub_size = stub_size
 
     # -- subclass hooks -----------------------------------------------------
@@ -197,18 +194,14 @@ _SCHEMES = {
 }
 
 
-def get_scheme(
-    name: str,
-    cipher: SymmetricCipher | None = None,
-    stub_size: int = STUB_SIZE,
-) -> EncryptionScheme:
+def get_scheme(name: str, stub_size: int = STUB_SIZE) -> EncryptionScheme:
     """Instantiate a scheme by name (``"basic"`` or ``"enhanced"``)."""
     cls = _SCHEMES.get(name)
     if cls is None:
         raise ConfigurationError(
             f"unknown scheme {name!r}; available: {sorted(_SCHEMES)}"
         )
-    return cls(cipher=cipher, stub_size=stub_size)
+    return cls(stub_size=stub_size)
 
 
 def available_schemes() -> list[str]:

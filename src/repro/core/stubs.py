@@ -15,7 +15,7 @@ are ciphertext under per-file renewable keys.
 from __future__ import annotations
 
 from repro.core.schemes import STUB_SIZE
-from repro.crypto.cipher import SymmetricCipher, get_cipher
+from repro.crypto.cipher import SHAKE256, Shake256Cipher
 from repro.crypto.drbg import SYSTEM_RANDOM, RandomSource
 from repro.crypto.hashing import hmac_sha256, kdf
 from repro.util.bytesutil import ct_equal, split_pieces
@@ -56,7 +56,7 @@ def encrypt_stub_file(
     file_key: bytes,
     stubs: list[bytes],
     stub_size: int = STUB_SIZE,
-    cipher: SymmetricCipher | None = None,
+    cipher: Shake256Cipher = SHAKE256,
     rng: RandomSource | None = None,
     nonce: bytes | None = None,
 ) -> bytes:
@@ -68,7 +68,6 @@ def encrypt_stub_file(
     bit-identical to the serial path); by default one is drawn from
     ``rng``.
     """
-    cipher = cipher or get_cipher()
     if nonce is None:
         rng = rng or SYSTEM_RANDOM
         nonce = rng.random_bytes(_NONCE_SIZE)
@@ -76,9 +75,7 @@ def encrypt_stub_file(
         raise ConfigurationError(
             f"stub-file nonce must be {_NONCE_SIZE} bytes, got {len(nonce)}"
         )
-    body = cipher.encrypt(
-        kdf(file_key, "stub-enc"), nonce[: cipher.nonce_size], pack_stubs(stubs, stub_size)
-    )
+    body = cipher.encrypt(kdf(file_key, "stub-enc"), nonce, pack_stubs(stubs, stub_size))
     mac = hmac_sha256(kdf(file_key, "stub-mac"), nonce + body)
     return nonce + body + mac
 
@@ -86,11 +83,10 @@ def encrypt_stub_file(
 def decrypt_stub_file(
     file_key: bytes,
     data: bytes,
-    cipher: SymmetricCipher | None = None,
+    cipher: Shake256Cipher = SHAKE256,
 ) -> list[bytes]:
     """Decrypt a stub file; raises :class:`IntegrityError` on tampering or
     a wrong (e.g. revoked) file key."""
-    cipher = cipher or get_cipher()
     if len(data) < _NONCE_SIZE + _MAC_SIZE:
         raise IntegrityError("stub file too short")
     nonce = data[:_NONCE_SIZE]
@@ -98,9 +94,7 @@ def decrypt_stub_file(
     mac = data[-_MAC_SIZE:]
     if not ct_equal(hmac_sha256(kdf(file_key, "stub-mac"), nonce + body), mac):
         raise IntegrityError("stub file failed authentication")
-    plaintext = cipher.decrypt(
-        kdf(file_key, "stub-enc"), nonce[: cipher.nonce_size], body
-    )
+    plaintext = cipher.decrypt(kdf(file_key, "stub-enc"), nonce, body)
     return unpack_stubs(plaintext)
 
 
@@ -108,7 +102,7 @@ def reencrypt_stub_file(
     old_file_key: bytes,
     new_file_key: bytes,
     data: bytes,
-    cipher: SymmetricCipher | None = None,
+    cipher: Shake256Cipher = SHAKE256,
     rng: RandomSource | None = None,
 ) -> bytes:
     """Re-encrypt a stub file under a new file key (active revocation)."""

@@ -12,7 +12,7 @@ for tests, examples, and experiments), **over TCP** in one process
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.abe.cpabe import AttributeAuthority
 from repro.chunking.chunker import ChunkingSpec
@@ -128,6 +128,8 @@ class ReedSystem:
     chunking: ChunkingSpec | None = None
     key_batch_size: int = DEFAULT_BATCH_SIZE
     rng: RandomSource = SYSTEM_RANDOM
+    #: Every client :meth:`new_client` built, for :meth:`close`.
+    _clients: list[REEDClient] = field(default_factory=list, init=False, repr=False)
 
     def new_client(
         self,
@@ -147,7 +149,7 @@ class ReedSystem:
         CPU (capped).  ``chunk_cache_bytes`` enables the client-side
         trimmed-package read cache (None disables it).
         """
-        return build_client(
+        client = build_client(
             user_id,
             self.authority,
             self.enrollment.owner(user_id) if owner else None,
@@ -162,14 +164,19 @@ class ReedSystem:
             encryption_workers=encryption_workers,
             chunk_cache_bytes=chunk_cache_bytes,
         )
+        self._clients.append(client)
+        return client
 
     def close(self) -> None:
-        """Reap the key manager's signing workers (they restart lazily).
+        """Reap the worker processes of every client :meth:`new_client`
+        built and the key manager's signing workers (all restart lazily).
 
         Call it before the interpreter exits: an executor left to the
         garbage collector just before exit can race the interpreter's
         own shutdown of it.
         """
+        for client in self._clients:
+            client.close()
         self.key_manager.close()
 
     @property

@@ -3,24 +3,15 @@
 Layout:
 
 * :mod:`repro.crypto.hashing` — SHA-256 fingerprints, HMAC, KDF, FDH hash.
-* :mod:`repro.crypto.aes` — pure-Python AES (FIPS-197).
-* :mod:`repro.crypto.modes` — CTR mode, deterministic MLE encryption.
-* :mod:`repro.crypto.streamcipher` — SHAKE-256 fast keystream.
-* :mod:`repro.crypto.cipher` — the :class:`SymmetricCipher` interface.
+* :mod:`repro.crypto.streamcipher` — the SHAKE-256 keystream.
+* :mod:`repro.crypto.cipher` — ``E(.)``: the SHAKE-256 cipher every
+  construction uses, with its key and nonce checks.
 * :mod:`repro.crypto.drbg` — OS randomness + deterministic HMAC-DRBG.
 * :mod:`repro.crypto.rsa` — RSA keygen / FDH signatures.
 * :mod:`repro.crypto.blindrsa` — the DupLESS OPRF (blind RSA).
 * :mod:`repro.crypto.shamir` — secret sharing for the access-tree ABE.
 """
 
-from repro.crypto.cipher import (
-    DEFAULT_CIPHER,
-    AES256Cipher,
-    Shake256Cipher,
-    SymmetricCipher,
-    available_ciphers,
-    get_cipher,
-)
 from repro.crypto.drbg import SYSTEM_RANDOM, HmacDrbg, RandomSource
 from repro.crypto.hashing import (
     DIGEST_SIZE,
@@ -38,8 +29,6 @@ from repro.crypto.rsa import (
 )
 
 __all__ = [
-    "AES256Cipher",
-    "DEFAULT_CIPHER",
     "DEFAULT_KEY_BITS",
     "DIGEST_SIZE",
     "HmacDrbg",
@@ -47,12 +36,8 @@ __all__ = [
     "RSAPublicKey",
     "RandomSource",
     "SYSTEM_RANDOM",
-    "Shake256Cipher",
-    "SymmetricCipher",
-    "available_ciphers",
     "fingerprint",
     "generate_keypair",
-    "get_cipher",
     "hmac_sha256",
     "kdf",
     "sha256",

@@ -1,12 +1,9 @@
-"""Symmetric-cipher abstraction and registry.
+"""The symmetric encryption function ``E(.)``: SHAKE-256.
 
-Every REED construction (AONT, CAONT, the basic/enhanced schemes, stub
-encryption) is written against the :class:`SymmetricCipher` interface so
-that the exact paper construction (AES-256) and the fast SHAKE-256
-substitute are interchangeable.  The registry maps cipher names to
-singleton instances; ``get_cipher()`` returns the process-wide default.
-
-The interface deliberately exposes the two usage patterns REED needs:
+Every REED construction (the basic/enhanced schemes, CAONT, stub files,
+CP-ABE items, group envelopes) encrypts with :data:`SHAKE256`, the one
+instance of :class:`Shake256Cipher`.  It exposes the three usage
+patterns REED needs:
 
 * ``mask(key, length)`` — the AONT pseudo-random mask
   ``G(K) = E(K, S)`` where ``S`` is a publicly known block (all zeros
@@ -15,138 +12,65 @@ The interface deliberately exposes the two usage patterns REED needs:
   (key, message) pairs must give identical ciphertexts.
 * ``encrypt``/``decrypt`` with an explicit nonce — randomized encryption
   for stub files under the (renewable) file key.
+
+The keystream itself lives in :mod:`repro.crypto.streamcipher`; this
+class adds the size checks every caller relies on.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-
-from repro.crypto import modes, streamcipher
+from repro.crypto import streamcipher
 from repro.util.errors import ConfigurationError
 
 
-class SymmetricCipher(ABC):
-    """Interface for the symmetric encryption function ``E(.)``."""
+class Shake256Cipher:
+    """SHAKE-256 keystream cipher (DESIGN.md §3)."""
 
-    #: Registry name, e.g. ``"aes256"``.
-    name: str
     #: Required key length in bytes.
-    key_size: int
+    key_size = 32
     #: Required nonce length in bytes for randomized encryption.
-    nonce_size: int
+    nonce_size = 16
 
     def check_key(self, key: bytes) -> None:
         if len(key) != self.key_size:
             raise ConfigurationError(
-                f"{self.name} requires a {self.key_size}-byte key, got {len(key)}"
+                f"SHAKE-256 requires a {self.key_size}-byte key, got {len(key)}"
             )
-
-    @abstractmethod
-    def encrypt(self, key: bytes, nonce: bytes, plaintext: bytes) -> bytes:
-        """Randomized encryption under (key, nonce)."""
-
-    @abstractmethod
-    def decrypt(self, key: bytes, nonce: bytes, ciphertext: bytes) -> bytes:
-        """Inverse of :meth:`encrypt`."""
-
-    @abstractmethod
-    def deterministic_encrypt(self, key: bytes, plaintext: bytes) -> bytes:
-        """Deterministic encryption (fixed nonce) for MLE."""
-
-    @abstractmethod
-    def deterministic_decrypt(self, key: bytes, ciphertext: bytes) -> bytes:
-        """Inverse of :meth:`deterministic_encrypt`."""
-
-    def mask(self, key: bytes, length: int) -> bytes:
-        """The AONT mask ``G(K) = E(K, S)`` over a public zero block ``S``."""
-        return self.deterministic_encrypt(key, b"\x00" * length)
-
-
-class AES256Cipher(SymmetricCipher):
-    """AES-256 in CTR mode — the paper's exact construction."""
-
-    name = "aes256"
-    key_size = 32
-    nonce_size = 8
-
-    def encrypt(self, key: bytes, nonce: bytes, plaintext: bytes) -> bytes:
-        self.check_key(key)
-        return modes.ctr_encrypt(key, nonce, plaintext)
-
-    def decrypt(self, key: bytes, nonce: bytes, ciphertext: bytes) -> bytes:
-        self.check_key(key)
-        return modes.ctr_decrypt(key, nonce, ciphertext)
-
-    def deterministic_encrypt(self, key: bytes, plaintext: bytes) -> bytes:
-        self.check_key(key)
-        return modes.deterministic_encrypt(key, plaintext)
-
-    def deterministic_decrypt(self, key: bytes, ciphertext: bytes) -> bytes:
-        self.check_key(key)
-        return modes.deterministic_decrypt(key, ciphertext)
-
-    def mask(self, key: bytes, length: int) -> bytes:
-        # Generating the keystream directly avoids XORing against a zero
-        # block (E(K, 0...0) == keystream in CTR mode).
-        self.check_key(key)
-        return modes.ctr_keystream(key, modes.ZERO_NONCE, length)
-
-
-class Shake256Cipher(SymmetricCipher):
-    """SHAKE-256 keystream cipher — the fast default (DESIGN.md §3)."""
-
-    name = "shake256"
-    key_size = 32
-    nonce_size = 16
 
     def check_nonce(self, nonce: bytes) -> None:
         # An empty nonce would yield the deterministic stream (the CAONT mask).
         if len(nonce) != self.nonce_size:
             raise ConfigurationError(
-                f"{self.name} requires a {self.nonce_size}-byte nonce, got {len(nonce)}"
+                f"SHAKE-256 requires a {self.nonce_size}-byte nonce, got {len(nonce)}"
             )
 
     def encrypt(self, key: bytes, nonce: bytes, plaintext: bytes) -> bytes:
+        """Randomized encryption under (key, nonce)."""
         self.check_key(key)
         self.check_nonce(nonce)
         return streamcipher.encrypt(key, nonce, plaintext)
 
     def decrypt(self, key: bytes, nonce: bytes, ciphertext: bytes) -> bytes:
+        """Inverse of :meth:`encrypt`."""
         self.check_key(key)
         self.check_nonce(nonce)
         return streamcipher.decrypt(key, nonce, ciphertext)
 
     def deterministic_encrypt(self, key: bytes, plaintext: bytes) -> bytes:
+        """Deterministic (empty-nonce) encryption for MLE."""
         self.check_key(key)
         return streamcipher.deterministic_encrypt(key, plaintext)
 
     def deterministic_decrypt(self, key: bytes, ciphertext: bytes) -> bytes:
+        """Inverse of :meth:`deterministic_encrypt`."""
         self.check_key(key)
         return streamcipher.deterministic_decrypt(key, ciphertext)
 
     def mask(self, key: bytes, length: int) -> bytes:
+        """The AONT mask ``G(K) = E(K, S)`` over a public zero block ``S``."""
         self.check_key(key)
         return streamcipher.keystream(key, length)
 
 
-_REGISTRY: dict[str, SymmetricCipher] = {
-    AES256Cipher.name: AES256Cipher(),
-    Shake256Cipher.name: Shake256Cipher(),
-}
-
-#: Name of the cipher returned by :func:`get_cipher` with no argument.
-DEFAULT_CIPHER = Shake256Cipher.name
-
-
-def get_cipher(name: str | None = None) -> SymmetricCipher:
-    """Look up a cipher by registry name (default: :data:`DEFAULT_CIPHER`)."""
-    cipher = _REGISTRY.get(name or DEFAULT_CIPHER)
-    if cipher is None:
-        raise ConfigurationError(
-            f"unknown cipher {name!r}; available: {sorted(_REGISTRY)}"
-        )
-    return cipher
-
-
-def available_ciphers() -> list[str]:
-    return sorted(_REGISTRY)
+#: The one cipher every construction uses.
+SHAKE256 = Shake256Cipher()

@@ -15,9 +15,9 @@ SHAKE-256's 512-bit capacity keeps the 256-bit key level.  Encryption is
 XOR with the keystream, so encryption and decryption coincide, exactly
 like CTR mode.
 
-This substitution is recorded in DESIGN.md §3; all REED constructions are
-parametric in the cipher, and the test suite exercises both AES and
-SHAKE-256.
+This substitution is recorded in DESIGN.md §3 and SECURITY.md
+(deviation 1).  Callers use the checked cipher in
+:mod:`repro.crypto.cipher`, never these functions directly.
 """
 
 from __future__ import annotations

@@ -114,8 +114,8 @@ class SpanPool:
         if workers < 1:
             raise ConfigurationError("need at least one worker")
         self.workers = workers
-        #: Cleared by owners whose work cannot be rebuilt in a fresh
-        #: process, and by the pool itself when processes fail.
+        #: False keeps every batch in-process; the pool clears it
+        #: itself when processes fail.
         self.use_processes = use_processes
         self._initializer = initializer
         self._initargs = initargs

@@ -6,27 +6,20 @@ from hypothesis import strategies as st
 
 from repro.aont.caont import caont_revert, caont_transform
 from repro.aont.package import Package
-from repro.crypto.cipher import available_ciphers, get_cipher
 from repro.util.errors import IntegrityError
 
 
-@pytest.mark.parametrize("cipher_name", available_ciphers())
 class TestConvergence:
-    def test_deterministic(self, cipher_name):
+    def test_deterministic(self):
         """Identical messages -> identical packages (dedup-compatible)."""
-        cipher = get_cipher(cipher_name)
-        assert caont_transform(b"chunk", cipher) == caont_transform(b"chunk", cipher)
+        assert caont_transform(b"chunk") == caont_transform(b"chunk")
 
-    def test_distinct_messages_distinct_packages(self, cipher_name):
-        cipher = get_cipher(cipher_name)
-        assert caont_transform(b"chunk-a", cipher) != caont_transform(
-            b"chunk-b", cipher
-        )
+    def test_distinct_messages_distinct_packages(self):
+        assert caont_transform(b"chunk-a") != caont_transform(b"chunk-b")
 
-    def test_roundtrip(self, cipher_name):
-        cipher = get_cipher(cipher_name)
-        package = caont_transform(b"some chunk data", cipher)
-        assert caont_revert(package, cipher) == b"some chunk data"
+    def test_roundtrip(self):
+        package = caont_transform(b"some chunk data")
+        assert caont_revert(package) == b"some chunk data"
 
 
 @given(st.binary(max_size=2048))

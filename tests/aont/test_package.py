@@ -5,34 +5,25 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.aont.package import KEY_SIZE, Package, revert, transform, transform_with_key
-from repro.crypto.cipher import available_ciphers, get_cipher
 from repro.crypto.drbg import HmacDrbg
 from repro.util.errors import ConfigurationError
 
-CIPHERS = available_ciphers()
 
-
-@pytest.mark.parametrize("cipher_name", CIPHERS)
 class TestRoundTrip:
-    def test_transform_revert(self, cipher_name):
-        cipher = get_cipher(cipher_name)
-        package = transform(b"secret message", cipher, HmacDrbg(b"seed"))
-        message, key = revert(package, cipher)
+    def test_transform_revert(self):
+        package = transform(b"secret message", HmacDrbg(b"seed"))
+        message, key = revert(package)
         assert message == b"secret message"
         assert len(key) == KEY_SIZE
 
-    def test_randomized(self, cipher_name):
-        cipher = get_cipher(cipher_name)
-        a = transform(b"same", cipher, HmacDrbg(b"seed-a"))
-        b = transform(b"same", cipher, HmacDrbg(b"seed-b"))
+    def test_randomized(self):
+        a = transform(b"same", HmacDrbg(b"seed-a"))
+        b = transform(b"same", HmacDrbg(b"seed-b"))
         assert a != b  # AONT proper is randomized (prevents dedup)
 
-    def test_explicit_key_deterministic(self, cipher_name):
-        cipher = get_cipher(cipher_name)
+    def test_explicit_key_deterministic(self):
         key = b"\x07" * KEY_SIZE
-        assert transform_with_key(b"msg", key, cipher) == transform_with_key(
-            b"msg", key, cipher
-        )
+        assert transform_with_key(b"msg", key) == transform_with_key(b"msg", key)
 
 
 @given(st.binary(max_size=2048))

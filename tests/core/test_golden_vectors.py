@@ -2,9 +2,9 @@
 
 A storage system's encodings are a compatibility contract — data written
 today must decrypt tomorrow.  These tests pin exact outputs of every
-deterministic transformation (schemes under both ciphers, CAONT, the
-codec, CP-ABE items and their envelope) against recorded hex digests; any change to a construction or an
-encoding breaks them loudly.
+deterministic transformation (both schemes under the SHAKE-256 cipher,
+CAONT, the codec, CP-ABE items and their envelope) against recorded hex
+digests; any change to a construction or an encoding breaks them loudly.
 
 If a break is *intentional* (a format revision), regenerate the vectors
 and bump the recipe/record format constants so old data is detected
@@ -20,7 +20,6 @@ from repro.abe.cpabe import AbeSealer, AttributeAuthority, abe_decrypt
 from repro.aont.caont import caont_transform
 from repro.core import envelopes
 from repro.core.schemes import get_scheme
-from repro.crypto.cipher import get_cipher
 from repro.crypto.drbg import HmacDrbg
 from repro.storage.recipes import ChunkRef, FileRecipe
 from repro.util.codec import Encoder
@@ -35,7 +34,7 @@ def digest(data: bytes) -> str:
 
 
 class TestSchemeVectors:
-    """Trimmed package + stub digests for both schemes and ciphers."""
+    """Trimmed package + stub digests for both schemes."""
 
     GOLDEN = {
         ("basic", "shake256"): (
@@ -46,26 +45,13 @@ class TestSchemeVectors:
             "1b2e3e22b4e50498a21d04be883ac5d1",
             "dd4fb6449de2542e9bea2aad7b6a57b0",
         ),
-        ("basic", "aes256"): (
-            "286d591c815deefc72bbb90d9a672bcb",
-            "9d9f7d776c8023a25932c25c31adb233",
-        ),
-        ("enhanced", "aes256"): (
-            "bc3cb58a646ea02df89e60270bdc8bd7",
-            "4a84129da592d20fb5fd0edd62fb5732",
-        ),
     }
 
     def test_scheme_outputs_frozen(self):
-        observed = {}
         for (scheme_name, cipher_name), expected in self.GOLDEN.items():
-            scheme = get_scheme(scheme_name, cipher=get_cipher(cipher_name))
-            split = scheme.encrypt_chunk(CHUNK, MLE_KEY)
-            observed[(scheme_name, cipher_name)] = (
-                digest(split.trimmed_package),
-                digest(split.stub),
-            )
-            assert observed[(scheme_name, cipher_name)] == expected, (
+            split = get_scheme(scheme_name).encrypt_chunk(CHUNK, MLE_KEY)
+            observed = (digest(split.trimmed_package), digest(split.stub))
+            assert observed == expected, (
                 f"{scheme_name}/{cipher_name} output changed — on-disk "
                 "format break! If intentional, regenerate golden vectors."
             )

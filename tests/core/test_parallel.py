@@ -4,10 +4,9 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from repro.core.parallel import ChunkTransformPool, RekeyPool, _registry_spec
-from repro.core.schemes import get_scheme
-from repro.core.stubs import encrypt_stub_file
-from repro.crypto.cipher import DEFAULT_CIPHER, get_cipher
+from repro.core.parallel import ChunkTransformPool, RekeyPool
+from repro.core.schemes import EnhancedScheme, get_scheme
+from repro.core.stubs import decrypt_stub_file, encrypt_stub_file
 from repro.crypto.drbg import HmacDrbg
 from repro.keyreg.rsa_keyreg import KeyRegressionOwner
 from repro.util.errors import ConfigurationError
@@ -24,18 +23,12 @@ class TestDefaults:
         with pytest.raises(ConfigurationError):
             ChunkTransformPool(get_scheme("enhanced"), workers=0)
 
+    def test_rejects_scheme_workers_would_not_rebuild(self):
+        class CustomScheme(EnhancedScheme):
+            pass
 
-class TestRegistrySpec:
-    def test_registry_scheme_is_reconstructible(self):
-        scheme = get_scheme("enhanced", cipher=get_cipher("aes256"))
-        assert _registry_spec(scheme) == ("enhanced", "aes256", scheme.stub_size)
-
-    def test_custom_cipher_is_not(self):
-        class WeirdCipher(type(get_cipher())):
-            name = DEFAULT_CIPHER  # lies about its registry name
-
-        scheme = get_scheme("basic", cipher=WeirdCipher())
-        assert _registry_spec(scheme) is None
+        with pytest.raises(ConfigurationError, match="CustomScheme"):
+            ChunkTransformPool(CustomScheme(), workers=2)
 
 
 class TestSerialPath:
@@ -73,7 +66,7 @@ class TestProcessPath:
             assert pool.parallel_batches == 1
 
     def test_order_preserved_across_spans(self):
-        scheme = get_scheme("basic", cipher=get_cipher("aes256"))
+        scheme = get_scheme("basic")
         with ChunkTransformPool(scheme, workers=3, min_parallel_bytes=0) as pool:
             chunks, keys = _inputs(10, size=512, seed=7)
             got = pool.encrypt(chunks, keys)
@@ -90,22 +83,29 @@ class TestProcessPath:
         pool.close()
 
 
-class _UnregisteredCipher(type(get_cipher())):
-    name = "not-registered"
-
-
-class TestInProcessFallback:
-    def test_custom_scheme_runs_in_process(self):
-        """A scheme no fresh process can rebuild never starts workers:
-        every batch runs whole in the caller's process."""
-        scheme = get_scheme("enhanced", cipher=_UnregisteredCipher())
+class TestWorkerSpec:
+    def test_stub_size_travels_to_workers(self):
+        """Workers rebuild the scheme from (name, stub size): a 128-byte
+        stub scheme transforms and rekeys on them exactly as in-process."""
+        scheme = get_scheme("enhanced", stub_size=128)
         with ChunkTransformPool(scheme, workers=2, min_parallel_bytes=0) as pool:
             chunks, keys = _inputs(4)
             got = pool.encrypt(chunks, keys)
+            assert pool.parallel_batches == 1
             assert got == [scheme.encrypt_chunk(c, k) for c, k in zip(chunks, keys)]
-            assert pool.decrypt([p.trimmed_package for p in got], [p.stub for p in got]) == chunks
-            assert pool._executor is None
-            assert (pool.parallel_batches, pool.serial_batches) == (0, 2)
+            assert {len(p.stub) for p in got} == {128}
+            trimmed, stubs = [p.trimmed_package for p in got], [p.stub for p in got]
+            assert pool.decrypt(trimmed, stubs) == chunks
+            assert pool.parallel_batches == 2
+
+        old, new = bytes(32), bytes([1]) * 32
+        stub_file = encrypt_stub_file(old, stubs, stub_size=128, nonce=bytes(16))
+        items = [(stub_file, old, new, bytes([n]) * 16) for n in range(3)]
+        with RekeyPool(workers=2, min_parallel_bytes=0) as pool:
+            rekeyed = pool.reencrypt(items)
+            assert pool.parallel_batches == 1
+            assert rekeyed == pool._reencrypt_serial(items)
+        assert all(decrypt_stub_file(new, blob) == stubs for blob in rekeyed)
 
 
 @pytest.fixture()
@@ -139,25 +139,3 @@ class TestRekeyPool:
         assert wound == [owner.wind(s) for s in states]
         member = owner.member()
         assert [member.unwind(s) for s in wound] == states
-
-    def test_unregistered_cipher_keeps_stubs_home_not_winds(self, keyreg_owner):
-        """Winds run on processes whatever the stub cipher is; stub files
-        under a cipher a fresh process cannot rebuild stay in-process."""
-        cipher = _UnregisteredCipher()
-        states = _states(keyreg_owner, 4)
-        old, new = bytes(32), bytes([1]) * 32
-        stub_file = encrypt_stub_file(
-            old, [bytes(64)] * 20_000, cipher=cipher, nonce=bytes(16)
-        )
-        with RekeyPool(cipher=cipher, workers=2, owner=keyreg_owner) as pool:
-            assert pool.wind(states) == ([keyreg_owner.wind(s) for s in states], True)
-            assert isinstance(pool._executor, ProcessPoolExecutor)
-            items = [(stub_file, old, new, bytes([n]) * 16) for n in range(2)]
-            assert pool.reencrypt(items) == pool._reencrypt_serial(items)
-            assert (pool.parallel_batches, pool.serial_batches) == (1, 1)
-
-    def test_reader_with_unregistered_cipher_never_forks(self):
-        """Without a derivation key and with a cipher no fresh process can
-        rebuild, no rekey work could leave the process."""
-        pool = RekeyPool(workers=2, cipher=_UnregisteredCipher())
-        assert pool.use_processes is False

@@ -20,7 +20,6 @@ from repro.core.schemes import (
     available_schemes,
     get_scheme,
 )
-from repro.crypto.cipher import available_ciphers, get_cipher
 from repro.crypto.hashing import DIGEST_SIZE, fingerprint, sha256
 from repro.util.bytesutil import xor_bytes
 from repro.util.errors import ConfigurationError, IntegrityError
@@ -28,63 +27,55 @@ from repro.util.errors import ConfigurationError, IntegrityError
 KEY = bytes(range(32))
 OTHER_KEY = bytes(reversed(range(32)))
 SCHEMES = available_schemes()
-CIPHERS = available_ciphers()
 
 chunks_strategy = st.binary(min_size=1, max_size=4096)
 keys_strategy = st.binary(min_size=32, max_size=32)
 
 
-def all_schemes():
-    for scheme_name in SCHEMES:
-        for cipher_name in CIPHERS:
-            yield get_scheme(scheme_name, cipher=get_cipher(cipher_name))
-
-
 @pytest.mark.parametrize("scheme_name", SCHEMES)
-@pytest.mark.parametrize("cipher_name", CIPHERS)
 class TestContract:
-    """Shared contract for every (scheme, cipher) combination."""
+    """Shared contract for both schemes."""
 
-    def make(self, scheme_name, cipher_name):
-        return get_scheme(scheme_name, cipher=get_cipher(cipher_name))
+    def make(self, scheme_name):
+        return get_scheme(scheme_name)
 
-    def test_roundtrip(self, scheme_name, cipher_name):
-        scheme = self.make(scheme_name, cipher_name)
+    def test_roundtrip(self, scheme_name):
+        scheme = self.make(scheme_name)
         chunk = b"\x37" * 1000
         split = scheme.encrypt_chunk(chunk, KEY)
         assert scheme.decrypt_chunk(split.trimmed_package, split.stub) == chunk
 
-    def test_trimmed_package_size_equals_chunk(self, scheme_name, cipher_name):
+    def test_trimmed_package_size_equals_chunk(self, scheme_name):
         """Both schemes add exactly 64 bytes (canary/key + tail), all of
         which land in the stub: the deduplicated bytes match the chunk
         size, so dedup effectiveness is preserved."""
-        scheme = self.make(scheme_name, cipher_name)
+        scheme = self.make(scheme_name)
         for size in (1, 100, 8192):
             split = scheme.encrypt_chunk(b"\x01" * size, KEY)
             assert len(split.trimmed_package) == size
             assert len(split.stub) == STUB_SIZE
 
-    def test_deterministic_for_dedup(self, scheme_name, cipher_name):
-        scheme = self.make(scheme_name, cipher_name)
+    def test_deterministic_for_dedup(self, scheme_name):
+        scheme = self.make(scheme_name)
         a = scheme.encrypt_chunk(b"same chunk" * 100, KEY)
         b = scheme.encrypt_chunk(b"same chunk" * 100, KEY)
         assert a.trimmed_package == b.trimmed_package
         assert a.stub == b.stub
         assert a.fingerprint == b.fingerprint
 
-    def test_fingerprint_is_trimmed_package_hash(self, scheme_name, cipher_name):
-        scheme = self.make(scheme_name, cipher_name)
+    def test_fingerprint_is_trimmed_package_hash(self, scheme_name):
+        scheme = self.make(scheme_name)
         split = scheme.encrypt_chunk(b"chunk", KEY)
         assert split.fingerprint == fingerprint(split.trimmed_package)
 
-    def test_different_keys_different_packages(self, scheme_name, cipher_name):
-        scheme = self.make(scheme_name, cipher_name)
+    def test_different_keys_different_packages(self, scheme_name):
+        scheme = self.make(scheme_name)
         a = scheme.encrypt_chunk(b"chunk" * 50, KEY)
         b = scheme.encrypt_chunk(b"chunk" * 50, OTHER_KEY)
         assert a.trimmed_package != b.trimmed_package
 
-    def test_trimmed_package_tamper_detected(self, scheme_name, cipher_name):
-        scheme = self.make(scheme_name, cipher_name)
+    def test_trimmed_package_tamper_detected(self, scheme_name):
+        scheme = self.make(scheme_name)
         split = scheme.encrypt_chunk(b"\x00" * 500, KEY)
         for position in (0, 250, 499):
             damaged = bytearray(split.trimmed_package)
@@ -92,8 +83,8 @@ class TestContract:
             with pytest.raises(IntegrityError):
                 scheme.decrypt_chunk(bytes(damaged), split.stub)
 
-    def test_stub_tamper_detected(self, scheme_name, cipher_name):
-        scheme = self.make(scheme_name, cipher_name)
+    def test_stub_tamper_detected(self, scheme_name):
+        scheme = self.make(scheme_name)
         split = scheme.encrypt_chunk(b"\x00" * 500, KEY)
         for position in (0, 32, 63):
             damaged = bytearray(split.stub)
@@ -101,22 +92,22 @@ class TestContract:
             with pytest.raises(IntegrityError):
                 scheme.decrypt_chunk(split.trimmed_package, bytes(damaged))
 
-    def test_wrong_stub_size_rejected(self, scheme_name, cipher_name):
-        scheme = self.make(scheme_name, cipher_name)
+    def test_wrong_stub_size_rejected(self, scheme_name):
+        scheme = self.make(scheme_name)
         split = scheme.encrypt_chunk(b"\x00" * 100, KEY)
         with pytest.raises(IntegrityError):
             scheme.decrypt_chunk(split.trimmed_package, split.stub[:-1])
 
-    def test_empty_chunk_rejected(self, scheme_name, cipher_name):
+    def test_empty_chunk_rejected(self, scheme_name):
         with pytest.raises(ConfigurationError):
-            self.make(scheme_name, cipher_name).encrypt_chunk(b"", KEY)
+            self.make(scheme_name).encrypt_chunk(b"", KEY)
 
-    def test_bad_key_size_rejected(self, scheme_name, cipher_name):
+    def test_bad_key_size_rejected(self, scheme_name):
         with pytest.raises(ConfigurationError):
-            self.make(scheme_name, cipher_name).encrypt_chunk(b"x", b"short")
+            self.make(scheme_name).encrypt_chunk(b"x", b"short")
 
-    def test_one_byte_chunk(self, scheme_name, cipher_name):
-        scheme = self.make(scheme_name, cipher_name)
+    def test_one_byte_chunk(self, scheme_name):
+        scheme = self.make(scheme_name)
         split = scheme.encrypt_chunk(b"\x42", KEY)
         assert scheme.decrypt_chunk(split.trimmed_package, split.stub) == b"\x42"
 
@@ -182,7 +173,8 @@ class TestMleKeyRecovery:
     that is why REED never uploads MLE keys (paper footnote 1)."""
 
     def test_decrypt_needs_no_key_argument(self):
-        for scheme in all_schemes():
+        for name in SCHEMES:
+            scheme = get_scheme(name)
             chunk = b"no key needed" * 20
             split = scheme.encrypt_chunk(chunk, KEY)
             # decrypt_chunk's signature takes no MLE key at all.

@@ -154,6 +154,19 @@ class TestBuildSystem:
         with pytest.raises(ConfigurationError):
             build_system(num_data_servers=2, backends=[DirectoryBackend(str(tmp_path))])
 
+    def test_close_reaps_every_clients_workers(self):
+        system = build_system(num_data_servers=1, rng=HmacDrbg(b"close"))
+        alice = system.new_client("alice", encryption_workers=2)
+        bob = system.new_client("bob", owner=False)
+        alice._transform_pool.min_parallel_bytes = 0
+        alice.upload("f", unique_data(60_000, seed=4))
+        assert alice._transform_pool.parallel_batches == 1
+        assert alice._transform_pool._executor is not None
+        system.close()
+        for client in (alice, bob):
+            assert client._transform_pool._executor is None
+            assert client._rekey_pool._executor is None
+
     def test_scheme_selection(self):
         system = build_system(num_data_servers=1, scheme="basic", rng=HmacDrbg(b"s"))
         client = system.new_client("alice")

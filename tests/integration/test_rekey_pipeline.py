@@ -172,7 +172,6 @@ def _serial_group_revoke(groups, revoked: set[str], mode) -> dict:
                         new_group.version,
                         group_key,
                         state.encode(),
-                        cipher=client.scheme.cipher,
                         rng=client.rng,
                     ),
                     owner_public_key=file_record.owner_public_key,
