@@ -4,7 +4,6 @@ Not figures from the paper — these quantify the *why* behind REED's
 parameter choices using this implementation:
 
 * **stub size** (paper fixes 64 B): storage overhead vs rekey cost trade;
-* **key-generation batch size** (paper fixes 256): round-trip savings;
 * **MLE key cache** (paper fixes 512 MB): hit-rate impact on uploads;
 * **container size** (paper fixes 4 MB): backend object count trade.
 """
@@ -16,7 +15,6 @@ from repro.chunking.chunker import ChunkingSpec
 from repro.core.schemes import get_scheme
 from repro.core.system import build_system
 from repro.crypto.drbg import HmacDrbg
-from repro.sim.costmodel import PAPER_TESTBED
 from repro.util.units import GiB, KiB, MiB
 from repro.workloads.synthetic import unique_data
 
@@ -40,30 +38,6 @@ class TestStubSizeAblation:
             f"active-rekey payload for 8GB file = {rekey_bytes_8g / MiB:.0f} MiB, "
             f"trimmed={len(split.trimmed_package)}B",
         )
-
-    def test_stub_size_model_tradeoff(self):
-        """Model-scale: doubling the stub doubles active-rekey transfer."""
-        import dataclasses
-
-        base = PAPER_TESTBED.rekey_time(500, 0.2, 8 * GiB, active=True)
-        doubled_model = dataclasses.replace(PAPER_TESTBED, stub_size=128)
-        doubled = doubled_model.rekey_time(500, 0.2, 8 * GiB, active=True)
-        assert doubled > base
-        save_result(
-            "ablations",
-            f"model: active rekey 8GB, stub 64B -> {base:.2f}s, 128B -> {doubled:.2f}s",
-        )
-
-
-class TestBatchSizeAblation:
-    @pytest.mark.parametrize("batch", [1, 64, 1024])
-    def test_model_keygen_vs_batch(self, benchmark, batch):
-        rate = benchmark(PAPER_TESTBED.keygen_rate, 8 * KiB, batch)
-        benchmark.extra_info["model_MBps"] = round(rate / MiB, 2)
-        save_result(
-            "ablations", f"model keygen batch={batch}: {rate / MiB:.2f} MB/s"
-        )
-
 
 class TestCacheAblation:
     @pytest.mark.parametrize("cached", [False, True])
@@ -170,26 +144,4 @@ class TestGroupRekeyAblation:
             f"group rekey over {files} files (100-user policy): "
             f"{benchmark.stats['mean'] * 1e3:.1f} ms, 1 ABE op "
             f"(per-file design would need {files})",
-        )
-
-    def test_model_scale_amortization(self):
-        """At paper scale: rekeying a 500-file project with 400 remaining
-        users costs ~2s grouped vs ~17min per-file."""
-        per_file_abe = 400 * PAPER_TESTBED.abe_encrypt_per_leaf_seconds
-        per_file_total = 500 * (
-            PAPER_TESTBED.rekey_fixed_seconds
-            + PAPER_TESTBED.abe_decrypt_seconds
-            + per_file_abe
-        )
-        grouped_total = (
-            PAPER_TESTBED.rekey_fixed_seconds
-            + PAPER_TESTBED.abe_decrypt_seconds
-            + per_file_abe
-            + 500 * 0.001  # symmetric re-wraps
-        )
-        assert per_file_total / grouped_total > 100
-        save_result(
-            "ablations",
-            f"model: project of 500 files, 400-user policy: per-file rekey "
-            f"{per_file_total:.0f}s vs grouped {grouped_total:.1f}s",
         )

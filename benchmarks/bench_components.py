@@ -8,7 +8,7 @@ encryption).
 
 import pytest
 
-from benchmarks.common import mbps, save_result
+from benchmarks.common import mib_per_s, save_result
 from repro.abe import access_tree as at
 from repro.abe.cpabe import AbeSealer, AttributeAuthority, abe_encrypt
 from repro.aont.caont import caont_revert, caont_transform
@@ -34,14 +34,14 @@ def rsa1024():
 class TestHashing:
     def test_sha256_8k(self, benchmark):
         benchmark(sha256, CHUNK_8K)
-        rate = mbps(len(CHUNK_8K), benchmark.stats["mean"])
+        rate = mib_per_s(len(CHUNK_8K), benchmark.stats["mean"])
         save_result("components", f"sha256 8KB: {rate:.0f} MB/s")
 
 
 class TestCiphers:
     def test_shake256_mask_8k(self, benchmark):
         benchmark(SHAKE256.mask, KEY32, 8 * KiB)
-        rate = mbps(8 * KiB, benchmark.stats["mean"])
+        rate = mib_per_s(8 * KiB, benchmark.stats["mean"])
         save_result("components", f"shake256 mask 8KB: {rate:.0f} MB/s")
 
 
@@ -59,7 +59,7 @@ class TestSchemes:
     def test_encrypt_8k(self, benchmark, scheme_name):
         scheme = get_scheme(scheme_name)
         benchmark(scheme.encrypt_chunk, CHUNK_8K, KEY32)
-        rate = mbps(8 * KiB, benchmark.stats["mean"])
+        rate = mib_per_s(8 * KiB, benchmark.stats["mean"])
         save_result("components", f"{scheme_name} encrypt 8KB: {rate:.1f} MB/s")
 
     @pytest.mark.parametrize("scheme_name", ["basic", "enhanced"])
@@ -94,7 +94,7 @@ class TestChunking:
     def test_rabin_throughput(self, benchmark):
         data = unique_data(256 * KiB, seed=91)
         benchmark.pedantic(lambda: list(rabin_chunks(data)), rounds=3)
-        rate = mbps(len(data), benchmark.stats["mean"])
+        rate = mib_per_s(len(data), benchmark.stats["mean"])
         save_result("components", f"rabin chunking: {rate:.2f} MB/s")
 
 
@@ -105,7 +105,7 @@ class TestAccessControl:
         tree = at.or_of_identifiers([f"u{i}" for i in range(leaves)])
         wrap_keys = authority.wrap_keys_for(tree)
         rng = HmacDrbg(b"abe")
-        benchmark(abe_encrypt, wrap_keys, tree, b"\x00" * 64, None, rng)
+        benchmark(abe_encrypt, wrap_keys, tree, b"\x00" * 64, rng=rng)
         benchmark.extra_info["leaves"] = leaves
         save_result(
             "components",

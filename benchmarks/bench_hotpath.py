@@ -53,10 +53,10 @@ import sys
 import time
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+sys.path[:0] = [os.path.join(REPO_ROOT, "src"), REPO_ROOT]
 
+from benchmarks.common import mib_per_s, seed_rng  # noqa: E402
 from repro.chunking import rabin  # noqa: E402
-from repro.crypto.drbg import HmacDrbg  # noqa: E402
 from repro.obs.expo import parse_prometheus, render_prometheus  # noqa: E402
 from repro.obs.metrics import MetricsRegistry  # noqa: E402
 
@@ -80,17 +80,6 @@ def _bench_histogram():
         buckets=_BENCH_BUCKETS,
         labelnames=("bench",),
     )
-
-
-def _seed_rng(tag: str, seed: int) -> HmacDrbg:
-    """A deterministic byte stream bound to (tag, --seed)."""
-    return HmacDrbg(f"{tag}/{seed}".encode())
-
-
-def _mib_per_s(num_bytes: int, seconds: float) -> float:
-    if seconds <= 0:
-        return float("inf")
-    return num_bytes / (1024 * 1024) / seconds
 
 
 def _time(fn, repeats: int, name: str) -> float:
@@ -139,7 +128,7 @@ def bench_chunking(data: bytes, repeats: int) -> list[dict]:
                 "name": f"chunking/{engine}",
                 "bytes": len(data),
                 "seconds": seconds,
-                "mib_per_s": _mib_per_s(len(data), seconds),
+                "mib_per_s": mib_per_s(len(data), seconds),
             }
         )
     return results
@@ -149,7 +138,7 @@ def bench_caont(chunk_size: int, chunk_count: int, repeats: int, seed: int) -> l
     """CAONT transform under the default cipher (``caont/shake256``)."""
     from repro.core.schemes import get_scheme
 
-    rng = _seed_rng("bench-caont", seed)
+    rng = seed_rng("bench-caont", seed)
     chunks = [rng.random_bytes(chunk_size) for _ in range(chunk_count)]
     keys = [rng.random_bytes(32) for _ in range(chunk_count)]
     scheme = get_scheme("enhanced")
@@ -165,7 +154,7 @@ def bench_caont(chunk_size: int, chunk_count: int, repeats: int, seed: int) -> l
             "name": "caont/shake256",
             "bytes": total,
             "seconds": seconds,
-            "mib_per_s": _mib_per_s(total, seconds),
+            "mib_per_s": mib_per_s(total, seconds),
         }
     ]
 
@@ -181,7 +170,7 @@ def bench_upload_tcp(file_bytes: int, repeats: int, seed: int) -> list[dict]:
     from repro.chunking.chunker import ChunkingSpec
     from repro.core.cluster import TcpCluster
 
-    rng = _seed_rng("bench-upload-tcp", seed)
+    rng = seed_rng("bench-upload-tcp", seed)
     chunking = ChunkingSpec(method="fixed", avg_size=4096)
     configs = (
         # Per-chunk: one fingerprint per key RPC, one chunk per store
@@ -212,7 +201,7 @@ def bench_upload_tcp(file_bytes: int, repeats: int, seed: int) -> list[dict]:
                     "name": f"upload_tcp/{label}",
                     "bytes": file_bytes,
                     "seconds": seconds,
-                    "mib_per_s": _mib_per_s(file_bytes, seconds),
+                    "mib_per_s": mib_per_s(file_bytes, seconds),
                     "chunks": upload.chunk_count,
                     "key_round_trips": upload.key_round_trips,
                     "store_round_trips": upload.store_round_trips,
@@ -252,7 +241,7 @@ def bench_download_tcp(file_bytes: int, repeats: int, seed: int) -> list[dict]:
     from repro.chunking.chunker import ChunkingSpec
     from repro.core.cluster import TcpCluster
 
-    rng = _seed_rng("bench-download-tcp", seed)
+    rng = seed_rng("bench-download-tcp", seed)
     chunking = ChunkingSpec(method="fixed", avg_size=4096)
     data = rng.random_bytes(file_bytes)
     file_id = "bench-download-file"
@@ -290,7 +279,7 @@ def bench_download_tcp(file_bytes: int, repeats: int, seed: int) -> list[dict]:
                     "name": f"download_tcp/{label}",
                     "bytes": file_bytes,
                     "seconds": seconds,
-                    "mib_per_s": _mib_per_s(file_bytes, seconds),
+                    "mib_per_s": mib_per_s(file_bytes, seconds),
                     "chunks": download.chunk_count,
                     "store_round_trips": download.store_round_trips,
                     "fetch_batches": download.fetch_batches,
@@ -322,7 +311,7 @@ def bench_replicated_tcp(file_bytes: int, repeats: int, seed: int) -> list[dict]
     from repro.chunking.chunker import ChunkingSpec
     from repro.core.cluster import TcpCluster
 
-    rng = _seed_rng("bench-replicated-tcp", seed)
+    rng = seed_rng("bench-replicated-tcp", seed)
     chunking = ChunkingSpec(method="fixed", avg_size=4096)
     results = []
     baseline: dict[str, float] = {}
@@ -351,7 +340,7 @@ def bench_replicated_tcp(file_bytes: int, repeats: int, seed: int) -> list[dict]
                 "name": f"replicated_tcp/upload_{label}",
                 "bytes": file_bytes,
                 "seconds": seconds,
-                "mib_per_s": _mib_per_s(file_bytes, seconds),
+                "mib_per_s": mib_per_s(file_bytes, seconds),
                 "replicas": replicas,
                 "chunks": upload.chunk_count,
                 "store_round_trips": upload.store_round_trips,
@@ -385,7 +374,7 @@ def bench_replicated_tcp(file_bytes: int, repeats: int, seed: int) -> list[dict]
                 "name": f"replicated_tcp/download_{label}",
                 "bytes": file_bytes,
                 "seconds": seconds,
-                "mib_per_s": _mib_per_s(file_bytes, seconds),
+                "mib_per_s": mib_per_s(file_bytes, seconds),
                 "replicas": replicas,
                 "chunks": download.chunk_count,
                 "store_round_trips": download.store_round_trips,
@@ -431,7 +420,7 @@ def bench_rekey_tcp(
     from repro.core.policy import FilePolicy
     from repro.core.rekey import RevocationMode
 
-    rng = _seed_rng("bench-rekey-tcp", seed)
+    rng = seed_rng("bench-rekey-tcp", seed)
     chunking = ChunkingSpec(method="fixed", avg_size=4096)
     group_id = "bench-rekey-group"
     user = "bench-rekey-owner"
@@ -468,7 +457,7 @@ def bench_rekey_tcp(
                     "name": f"rekey_tcp/{label}",
                     "bytes": rekey.stub_bytes_reencrypted,
                     "seconds": seconds,
-                    "mib_per_s": _mib_per_s(rekey.stub_bytes_reencrypted, seconds),
+                    "mib_per_s": mib_per_s(rekey.stub_bytes_reencrypted, seconds),
                     "files": rekey.files_rewrapped,
                     "store_round_trips": rekey.store_round_trips,
                     "keystore_round_trips": rekey.keystore_round_trips,
@@ -506,7 +495,7 @@ def bench_gc_compaction(file_bytes: int, repeats: int, seed: int) -> list[dict]:
     from repro.chunking.chunker import ChunkingSpec
     from repro.core.cluster import TcpCluster
 
-    rng = _seed_rng("bench-gc-compaction", seed)
+    rng = seed_rng("bench-gc-compaction", seed)
     chunking = ChunkingSpec(method="fixed", avg_size=4096)
     results = []
     with TcpCluster(
@@ -546,7 +535,7 @@ def bench_gc_compaction(file_bytes: int, repeats: int, seed: int) -> list[dict]:
                 "name": "gc_compaction/cold_restore",
                 "bytes": file_bytes,
                 "seconds": seconds,
-                "mib_per_s": _mib_per_s(file_bytes, seconds),
+                "mib_per_s": mib_per_s(file_bytes, seconds),
                 "chunks": state["last"].chunk_count,
                 "containers": containers,
                 "container_fetches": cold_fetches,
@@ -587,7 +576,7 @@ def bench_gc_compaction(file_bytes: int, repeats: int, seed: int) -> list[dict]:
                 "name": "gc_compaction/reclaim",
                 "bytes": reclaimed,
                 "seconds": seconds,
-                "mib_per_s": _mib_per_s(reclaimed, seconds),
+                "mib_per_s": mib_per_s(reclaimed, seconds),
                 "dead_bytes": churn["dead"],
                 "reclaimed_bytes": reclaimed,
                 "reclaim_fraction": round(reclaimed / churn["dead"], 4)
@@ -628,7 +617,7 @@ def compute_speedups(results: list[dict]) -> dict[str, float]:
 def run(quick: bool, seed: int = 0, only: list[str] | None = None) -> dict:
     global BENCH_METRICS
     BENCH_METRICS = MetricsRegistry()  # each run reports only its own repeats
-    rng = _seed_rng("bench-hotpath", seed)
+    rng = seed_rng("bench-hotpath", seed)
     if quick:
         chunk_data = rng.random_bytes(96 * 1024)
         caont = (4096, 4)

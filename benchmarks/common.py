@@ -1,22 +1,17 @@
-"""Shared helpers for the figure benchmarks.
+"""Shared helpers for the benchmark scripts.
 
-Every ``bench_fig*.py`` produces three kinds of output:
-
-1. **pytest-benchmark timings** of the real implementation at reduced
-   scale (pure-Python absolute numbers — see DESIGN.md §3 on why these
-   are not the paper's absolute numbers);
-2. a **derived throughput/ratio** for the real run, attached to the
-   benchmark's ``extra_info`` and appended to ``benchmarks/results/``;
-3. the **calibrated-model series at paper scale** (via
-   :mod:`repro.sim.figures`), printed next to the values the paper
-   quotes so shape and crossover comparisons are one glance away.
+* :func:`seed_rng` and :func:`mib_per_s` — the seeded input stream and
+  the throughput unit of ``bench_figs.py`` and ``bench_hotpath.py``;
+* :func:`save_result` — appends a pytest-benchmark run's derived numbers
+  to ``benchmarks/results/<name>.txt`` (``bench_components``,
+  ``bench_ablations`` and ``bench_baselines``).
 """
 
 from __future__ import annotations
 
 import os
 
-from repro.sim.figures import Series, format_series_table
+from repro.crypto.drbg import HmacDrbg
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -30,15 +25,13 @@ def save_result(name: str, text: str) -> str:
     return path
 
 
-def record_series(name: str, series_list: list[Series], preamble: str = "") -> None:
-    """Persist a model-series table for a figure and echo it."""
-    text = (preamble + "\n" if preamble else "") + format_series_table(series_list)
-    save_result(name, text)
-    print("\n" + text)
+def seed_rng(tag: str, seed: int) -> HmacDrbg:
+    """A deterministic byte stream bound to ``(tag, seed)``."""
+    return HmacDrbg(f"{tag}/{seed}".encode())
 
 
-def mbps(num_bytes: int, seconds: float) -> float:
-    """Throughput in MB/s (binary), guarded against zero timings."""
+def mib_per_s(num_bytes: int, seconds: float) -> float:
+    """Throughput in MiB/s, guarded against zero timings."""
     if seconds <= 0:
         return float("inf")
     return num_bytes / (1024 * 1024) / seconds

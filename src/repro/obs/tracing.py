@@ -32,11 +32,11 @@ Slow-span sampling: any finished span whose duration reaches
 a bounded ring served by ``reed slow`` — the "what was slow lately and
 in which trace" view.
 
-The clock is injectable: ``Tracer(clock=sim_clock)`` lets
-:mod:`repro.sim` (or any deterministic test) drive span timings from a
-:class:`~repro.sim.clock.SimClock` instead of ``time.perf_counter``, so
-simulated pipelines reuse the same span names and histograms as the real
-one.  ``wall_clock`` (default ``time.time``) supplies the absolute
+The clock is injectable: ``Tracer(clock=sim_clock)`` lets a
+deterministic test drive span timings from a
+:class:`~repro.util.clock.SimClock` instead of ``time.perf_counter`` and
+pin exact durations on the same span names and histograms as a real
+run.  ``wall_clock`` (default ``time.time``) supplies the absolute
 ``start_time``/``end_time`` stamps used for cross-node merge ordering;
 an injected ``clock`` doubles as the wall clock unless one is given,
 keeping simulated traces fully deterministic.

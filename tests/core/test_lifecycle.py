@@ -5,7 +5,7 @@ import pytest
 from repro.core.lifecycle import KeyRotationScheduler, RotationPolicy
 from repro.core.policy import FilePolicy
 from repro.core.rekey import RevocationMode
-from repro.sim.clock import SimClock
+from repro.util.clock import SimClock
 from repro.util.errors import ConfigurationError
 from repro.workloads.synthetic import unique_data
 

@@ -11,7 +11,7 @@ from repro.core.rekey import RevocationMode
 from repro.core.system import build_system
 from repro.crypto import blindrsa
 from repro.crypto.drbg import HmacDrbg
-from repro.sim.clock import SimClock
+from repro.util.clock import SimClock
 from repro.util.errors import KeyManagerError, NotFoundError, RateLimitExceeded
 
 KEY_WINDOW = 16

@@ -13,7 +13,7 @@ from repro.crypto.drbg import HmacDrbg
 from repro.mle.keymanager import DEFAULT_BURST, KeyManager
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
-from repro.sim.clock import SimClock
+from repro.util.clock import SimClock
 from repro.util.errors import ConfigurationError, KeyManagerError, RateLimitExceeded
 
 

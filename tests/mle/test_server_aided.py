@@ -11,7 +11,7 @@ from repro.mle.server_aided import (
     ServerAidedKeyClient,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.sim.clock import SimClock
+from repro.util.clock import SimClock
 from repro.util.errors import ConfigurationError, KeyManagerError, RateLimitExceeded
 
 

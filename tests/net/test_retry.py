@@ -208,7 +208,7 @@ class TestSemanticErrorsNotRetried:
         from repro.crypto.drbg import HmacDrbg
         from repro.mle.keymanager import KeyManager
         from repro.mle.server_aided import ServerAidedKeyClient
-        from repro.sim.clock import SimClock
+        from repro.util.clock import SimClock
 
         clock = SimClock()
         manager = KeyManager(

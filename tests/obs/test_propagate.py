@@ -20,7 +20,7 @@ from repro.obs.propagate import (
     register_traces,
 )
 from repro.obs.tracing import Tracer
-from repro.sim.clock import SimClock
+from repro.util.clock import SimClock
 
 
 def _tracer(node: str | None = None) -> tuple[Tracer, SimClock]:

@@ -10,7 +10,7 @@ from repro.obs.tracing import (
     current_trace_context,
     format_trace,
 )
-from repro.sim.clock import SimClock
+from repro.util.clock import SimClock
 
 
 def _tracer(ring: int = 32) -> tuple[Tracer, MetricsRegistry, SimClock]:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.clock import SimClock
+from repro.util.clock import SimClock
 from repro.util.errors import ConfigurationError
 
 
