@@ -79,7 +79,7 @@ HEALTHY_CEILINGS = {
 REQUIRED_METHODS = {
     "storage-0": ("storage.put_many", "storage.get"),
     "storage-1": ("storage.put_many", "storage.get"),
-    "keystore": ("keystore.put", "keystore.get_many", "keystore.put_many"),
+    "keystore": ("keystore.get_many", "keystore.put_many"),
     "key-manager": ("km.public_key", "km.derive_batch"),
 }
 

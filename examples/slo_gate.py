@@ -61,8 +61,6 @@ HANDLER_P99_BUDGETS = {
     "storage.get": 0.08,
     "storage.file_commit": 0.05,
     "storage.file_get_many": 0.05,
-    "keystore.put": 0.05,
-    "keystore.get": 0.05,
     "keystore.put_many": 0.05,
     "keystore.get_many": 0.05,
     "km.derive_batch": 0.30,

@@ -326,10 +326,7 @@ class REEDClient:
 
     def _fetch_file(self, file_id: str) -> tuple[bytes, FileRecipe]:
         """A file's stub file and recipe: one ``file_get_many``."""
-        (stored,) = self.storage.file_get_many([file_id])
-        if isinstance(stored, Exception):
-            raise stored
-        stub_file, recipe = stored
+        [(stub_file, recipe)] = check_items(self.storage.file_get_many([file_id]))
         return stub_file, FileRecipe.decode(recipe)
 
     def _abe_sealer(self, policy: FilePolicy) -> AbeSealer:
@@ -378,7 +375,9 @@ class REEDClient:
     def _group_key_at(self, group_id: str, version: int) -> bytes:
         """Resolve a group key: open the group's (ABE-sealed) key state
         and unwind it to the requested version."""
-        record = self.keystore.get(self.group_record_id(group_id))
+        [record] = check_items(
+            self.keystore.get_many([self.group_record_id(group_id)])
+        )
         state = self._open_key_state(record)
         if version > state.version:
             raise CorruptionError(
@@ -500,7 +499,8 @@ class REEDClient:
             with tracer.span("upload.commit"):
                 self._commit_file(file_id, stub_file, recipe)
             with tracer.span("upload.keystate"):
-                self.keystore.put(self._seal_key_state(file_id, state, policy))
+                record = self._seal_key_state(file_id, state, policy)
+                check_items(self.keystore.put_many([record]))
 
         self._m_uploads.inc()
         self._m_upload_bytes.inc(total_size)
@@ -580,7 +580,7 @@ class REEDClient:
         tracer = self.tracer
         with obs_scope.using(scope):
             with tracer.span("download.keystate"):
-                record = self.keystore.get(file_id)
+                [record] = check_items(self.keystore.get_many([file_id]))
                 state = self._open_key_state(record)
                 stub_file, recipe = self._fetch_file(file_id)
             if recipe.file_id != file_id or record.file_id != file_id:
@@ -862,7 +862,7 @@ class REEDClient:
         """
 
         def resolve() -> tuple[FilePolicy, list[KeyStateRecord]]:
-            record = self.keystore.get(file_id)
+            [record] = check_items(self.keystore.get_many([file_id]))
             current = FilePolicy.parse(record.policy_text)
             return current.without_users(revoked), [record]
 

@@ -43,7 +43,7 @@ from repro.storage.keystore import KeyStateRecord
 from repro.storage.recipes import FileRecipe
 from repro.util.bytesutil import ct_equal
 from repro.util.codec import Decoder, Encoder
-from repro.util.errors import ConfigurationError, CorruptionError, IntegrityError
+from repro.util.errors import ConfigurationError, CorruptionError, IntegrityError, NotFoundError
 
 
 @dataclass(frozen=True)
@@ -115,8 +115,9 @@ class GroupManager:
         return files
 
     def _manifest_blob(self, group_id: str) -> bytes:
-        [blob] = self.client.storage.recipe_get_many([self._manifest_id(group_id)])
-        check_items([blob])
+        [blob] = check_items(
+            self.client.storage.recipe_get_many([self._manifest_id(group_id)])
+        )
         return blob
 
     def _read_manifest(self, group_id: str, group_key: bytes) -> list[str]:
@@ -152,16 +153,20 @@ class GroupManager:
     # -- group state ------------------------------------------------------------
 
     def _group_record(self, group_id: str) -> KeyStateRecord:
-        return self.client.keystore.get(self.client.group_record_id(group_id))
+        [record] = check_items(
+            self.client.keystore.get_many([self.client.group_record_id(group_id)])
+        )
+        return record
 
     def create_group(self, group_id: str, policy: FilePolicy) -> None:
         """Create a group: a fresh key-regression chain under ``policy``."""
         record_id = self.client.group_record_id(group_id)
-        if self.client.keystore.exists(record_id):
+        [existing] = self.client.keystore.get_many([record_id])
+        if not isinstance(existing, NotFoundError):
             raise ConfigurationError(f"group {group_id!r} already exists")
         state = self.client.keyreg_owner.initial_state()
         record = self.client._seal_key_state(record_id, state, policy)
-        self.client.keystore.put(record)
+        check_items(self.client.keystore.put_many([record]))
         self._write_manifest(group_id, state.derive_key(), [])
 
     def group_key(self, group_id: str) -> tuple[KeyState, bytes]:
@@ -216,23 +221,22 @@ class GroupManager:
         self, file_id: str, group_id: str, group_version: int, group_key: bytes
     ) -> None:
         """Replace a file's envelope with a group envelope (same state)."""
-        record = self.client.keystore.get(file_id)
+        [record] = check_items(self.client.keystore.get_many([file_id]))
         file_state = self.client._open_key_state(record)
-        self.client.keystore.put(
-            KeyStateRecord(
-                file_id=file_id,
-                policy_text=f"@group:{group_id}",
-                key_version=file_state.version,
-                encrypted_state=envelopes.seal_group(
-                    group_id,
-                    group_version,
-                    group_key,
-                    file_state.encode(),
-                    rng=self.client.rng,
-                ),
-                owner_public_key=record.owner_public_key,
-            )
+        resealed = KeyStateRecord(
+            file_id=file_id,
+            policy_text=f"@group:{group_id}",
+            key_version=file_state.version,
+            encrypted_state=envelopes.seal_group(
+                group_id,
+                group_version,
+                group_key,
+                file_state.encode(),
+                rng=self.client.rng,
+            ),
+            owner_public_key=record.owner_public_key,
         )
+        check_items(self.client.keystore.put_many([resealed]))
 
     # -- rekeying ------------------------------------------------------------
 
@@ -307,9 +311,8 @@ class GroupManager:
             new_state = owner.wind(old_state)
             new_key = new_state.derive_key()
             record_id = client.group_record_id(group_id)
-            client.keystore.put(
-                client._seal_key_state(record_id, new_state, new_policy)
-            )
+            new_record = client._seal_key_state(record_id, new_state, new_policy)
+            check_items(client.keystore.put_many([new_record]))
             stats = self._rekey_members(
                 group_id, files, record, old_state, new_state.version,
                 new_key, mode,

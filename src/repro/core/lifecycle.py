@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from repro.core.client import REEDClient
 from repro.core.policy import FilePolicy
 from repro.core.rekey import RekeyResult, RevocationMode
+from repro.core.rekeypipe import check_items
 from repro.util.errors import ConfigurationError
 
 #: NIST-style default: rotate file keys at least every 90 days.
@@ -57,8 +58,7 @@ class RotationReport:
 class KeyRotationScheduler:
     """Tracks file-key ages for one owning client and rotates on expiry.
 
-    The clock is injectable so tests (and simulations) can drive time
-    explicitly.
+    The clock is injectable so tests can drive time explicitly.
     """
 
     def __init__(
@@ -101,7 +101,8 @@ class KeyRotationScheduler:
         )
 
     def _current_policy(self, file_id: str) -> FilePolicy:
-        return FilePolicy.parse(self.client.keystore.get(file_id).policy_text)
+        [record] = check_items(self.client.keystore.get_many([file_id]))
+        return FilePolicy.parse(record.policy_text)
 
     def rotate_due(self) -> RotationReport:
         """Rekey every expired file under its current access policy."""

@@ -43,10 +43,21 @@ class FilePolicy:
     def without_users(self, revoked: set[str]) -> "FilePolicy":
         """Derive the post-revocation policy by dropping identifiers.
 
-        Only meaningful for OR-of-identifiers policies; revoking every
-        authorized user is rejected (a file must keep at least one
-        reader, its owner).
+        Only a single leaf or a 1-of-n gate over leaves is accepted:
+        rebuilding any other tree as an OR of its attributes would widen
+        access (``(alice or bob) and dept:eng`` minus bob is not
+        ``alice or dept:eng``).  Revoking every authorized user is
+        rejected (a file must keep at least one reader, its owner).
         """
+        tree = self.tree
+        if isinstance(tree, at.Gate) and (
+            tree.threshold != 1
+            or not all(isinstance(child, at.Leaf) for child in tree.children)
+        ):
+            raise ConfigurationError(
+                f"cannot revoke users from {self.text!r}: only an OR over "
+                "identifiers drops users without widening access"
+            )
         remaining = [uid for uid in self.authorized_users if uid not in revoked]
         if not remaining:
             raise ConfigurationError("cannot revoke every authorized user")

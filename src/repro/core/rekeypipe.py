@@ -111,11 +111,13 @@ class RekeyPipelineStats:
     shipped: list[tuple[str, int, int, int]] = field(default_factory=list)
 
 
-def check_items(results: list) -> None:
-    """Raise the first per-item error, in item (= file) order."""
+def check_items(results: list) -> list:
+    """Raise the first per-item error, in item (= file) order; else
+    return ``results``."""
     for status in results:
         if isinstance(status, Exception):
             raise status
+    return results
 
 
 class RekeyPipeline:

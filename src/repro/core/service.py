@@ -376,24 +376,6 @@ class RemoteStorageService:
 def register_keystate_service(
     registry: ServiceRegistry, keystore: KeyStore, prefix: str = "keystore."
 ) -> None:
-    def put(payload: bytes) -> bytes:
-        keystore.put(KeyStateRecord.decode(payload))
-        return b""
-
-    def get(payload: bytes) -> bytes:
-        return keystore.get(Decoder(payload).text()).encode()
-
-    def delete(payload: bytes) -> bytes:
-        keystore.delete(Decoder(payload).text())
-        return b""
-
-    def exists(payload: bytes) -> bytes:
-        return b"\x01" if keystore.exists(Decoder(payload).text()) else b"\x00"
-
-    def list_files(_payload: bytes) -> bytes:
-        names = [name.encode("utf-8") for name in keystore.list_files()]
-        return Encoder().list_of(names).done()
-
     def put_many(payload: bytes) -> bytes:
         records = [
             KeyStateRecord.decode(blob) for blob in Decoder(payload).list_of()
@@ -412,11 +394,6 @@ def register_keystate_service(
     def delete_many(payload: bytes) -> bytes:
         return _encode_item_acks(keystore.delete_many(_decode_ids(payload)))
 
-    registry.register(prefix + "put", put)
-    registry.register(prefix + "get", get)
-    registry.register(prefix + "delete", delete)
-    registry.register(prefix + "exists", exists)
-    registry.register(prefix + "list", list_files)
     registry.register(prefix + "put_many", put_many)
     registry.register(prefix + "get_many", get_many)
     registry.register(prefix + "delete_many", delete_many)
@@ -426,35 +403,18 @@ class RemoteKeyStore:
     """Client stub with the same interface as :class:`KeyStore`.
 
     Every RPC is reported into the active attribution scope
-    (``keystore_round_trips``), so rekey results can report exact
-    key-store traffic per operation.
+    (``keystore_round_trips``), as :class:`KeyStore` reports each call in
+    process, so rekey results report exact key-store traffic in either
+    placement.
     """
 
     def __init__(self, rpc: RpcClient, prefix: str = "keystore.") -> None:
         self._rpc = rpc
         self._prefix = prefix
 
-    def _call(self, method: str, payload: bytes = b"") -> bytes:
+    def _call(self, method: str, payload: bytes) -> bytes:
         obs_scope.add("keystore_round_trips")
         return self._rpc.call(self._prefix + method, payload)
-
-    def put(self, record: KeyStateRecord) -> None:
-        self._call("put", record.encode())
-
-    def get(self, file_id: str) -> KeyStateRecord:
-        payload = self._call("get", Encoder().text(file_id).done())
-        return KeyStateRecord.decode(payload)
-
-    def delete(self, file_id: str) -> None:
-        self._call("delete", Encoder().text(file_id).done())
-
-    def exists(self, file_id: str) -> bool:
-        payload = self._call("exists", Encoder().text(file_id).done())
-        return payload == b"\x01"
-
-    def list_files(self) -> list[str]:
-        payload = self._call("list")
-        return [name.decode("utf-8") for name in Decoder(payload).list_of()]
 
     def put_many(
         self, records: list[KeyStateRecord]

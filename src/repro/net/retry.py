@@ -34,7 +34,6 @@ TRANSIENT_ERRORS: tuple[type[BaseException], ...] = (ProtocolError, OSError)
 #: only auto-retries these.
 IDEMPOTENT_METHOD_SUFFIXES: frozenset[str] = frozenset(
     {
-        "exists",
         "has_many",
         "get",
         "get_many",
@@ -45,7 +44,6 @@ IDEMPOTENT_METHOD_SUFFIXES: frozenset[str] = frozenset(
         "refcounts",
         "stub_list",
         "gc_status",
-        "list",
         "public_key",
         "backoff_hint",
         "metrics",

@@ -24,6 +24,7 @@ from collections.abc import Callable
 from contextlib import nullcontext
 
 from repro.net.message import Message
+from repro.obs import scope as obs_scope
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.obs.tracing import Tracer, current_trace_context, default_tracer
 from repro.util import errors
@@ -142,7 +143,10 @@ class ServiceRegistry:
             )
         # A request carrying trace context gets a handler span continuing
         # the caller's trace (the distributed half of the span tree);
-        # untraced requests stay span-free, exactly as before.
+        # untraced requests stay span-free, exactly as before.  The
+        # handler runs outside the caller's attribution scope, as it does
+        # on a server thread, so an in-process dispatch counts nothing
+        # its caller's stub has not already counted.
         if request.trace_id:
             span = self.tracer.remote_span(
                 f"rpc.{method}", request.trace_id, request.parent_span_id
@@ -151,7 +155,7 @@ class ServiceRegistry:
             span = nullcontext()
         started = self._clock()
         try:
-            with span:
+            with span, obs_scope.using(None):
                 payload = handler(request.payload)
         except Exception as exc:  # noqa: BLE001 - faults must cross the wire
             self._handler_seconds.labels(method=method).observe(
@@ -267,11 +271,11 @@ class RpcClient:
 class LoopbackTransport:
     """Zero-copy in-process transport: dispatch straight into a registry.
 
-    An optional ``on_message(request_bytes, response_bytes)`` hook lets
-    the simulation layer account for the bytes that *would* have crossed
-    the network.  ``messages`` counts dispatches always; the byte
-    counters are maintained only when a hook forces encoding anyway (the
-    zero-copy fast path never serializes).
+    An optional ``on_message(request_bytes, response_bytes)`` hook
+    accounts for the bytes that *would* have crossed the network.
+    ``messages`` counts dispatches always; the byte counters are
+    maintained only when a hook forces encoding anyway (the zero-copy
+    fast path never serializes).
     """
 
     def __init__(

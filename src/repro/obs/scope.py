@@ -87,8 +87,9 @@ def attribution():
 
 
 @contextmanager
-def using(scope: AttributionScope):
-    """Install an *existing* scope as the active one for a block.
+def using(scope: AttributionScope | None):
+    """Install an *existing* scope as the active one for a block
+    (``None``: no scope, so the block attributes nothing).
 
     :func:`attribution` covers the common case — one ``with`` block, one
     operation.  Generator-driven pipelines cannot use it: a ContextVar

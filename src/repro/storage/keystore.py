@@ -9,8 +9,10 @@ for the stub file.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
+from repro.obs import scope as obs_scope
 from repro.storage.backend import BlobBackend, MemoryBackend
 from repro.util.codec import Decoder, Encoder
 from repro.util.errors import CorruptionError
@@ -66,66 +68,54 @@ class KeyStateRecord:
 class KeyStore:
     """Per-file key-state records over a blob backend.
 
-    The ``*_many`` variants carry *per-item* status — each item resolves
+    Every call is a batch with *per-item* status: each item resolves
     independently to its value (or ``None`` for writes) or to the
     exception that failed it, so one bad record never poisons a batch.
-    They are what the batched key-state RPCs bind to
-    (:func:`repro.core.service.register_keystate_service`).
+    The three calls are the key-state RPCs
+    (:func:`repro.core.service.register_keystate_service`), and each
+    reports one ``keystore_round_trips`` into the active attribution
+    scope, as :class:`~repro.core.service.RemoteKeyStore` does for the
+    same call over the wire.
     """
 
     def __init__(self, backend: BlobBackend | None = None) -> None:
         self.backend = backend if backend is not None else MemoryBackend()
 
-    def put(self, record: KeyStateRecord) -> None:
-        self.backend.put(_KEYSTATE_PREFIX + record.file_id, record.encode())
-
-    def get(self, file_id: str) -> KeyStateRecord:
-        return KeyStateRecord.decode(self.backend.get(_KEYSTATE_PREFIX + file_id))
-
-    def delete(self, file_id: str) -> None:
-        self.backend.delete(_KEYSTATE_PREFIX + file_id)
-
     def put_many(
         self, records: list[KeyStateRecord]
     ) -> list[None | Exception]:
-        results: list[None | Exception] = []
-        for record in records:
-            try:
-                self.put(record)
-                results.append(None)
-            except Exception as exc:  # noqa: BLE001 - carried per item
-                results.append(exc)
-        return results
+        return _per_item(
+            records,
+            lambda record: self.backend.put(
+                _KEYSTATE_PREFIX + record.file_id, record.encode()
+            ),
+        )
 
     def get_many(
         self, file_ids: list[str]
     ) -> list[KeyStateRecord | Exception]:
-        results: list[KeyStateRecord | Exception] = []
-        for file_id in file_ids:
-            try:
-                results.append(self.get(file_id))
-            except Exception as exc:  # noqa: BLE001 - carried per item
-                results.append(exc)
-        return results
+        return _per_item(
+            file_ids,
+            lambda file_id: KeyStateRecord.decode(
+                self.backend.get(_KEYSTATE_PREFIX + file_id)
+            ),
+        )
 
     def delete_many(self, file_ids: list[str]) -> list[None | Exception]:
-        results: list[None | Exception] = []
-        for file_id in file_ids:
-            try:
-                self.delete(file_id)
-                results.append(None)
-            except Exception as exc:  # noqa: BLE001 - carried per item
-                results.append(exc)
-        return results
+        return _per_item(
+            file_ids,
+            lambda file_id: self.backend.delete(_KEYSTATE_PREFIX + file_id),
+        )
 
-    def exists(self, file_id: str) -> bool:
-        return self.backend.exists(_KEYSTATE_PREFIX + file_id)
 
-    def list_files(self) -> list[str]:
-        return [
-            name[len(_KEYSTATE_PREFIX):]
-            for name in self.backend.list(_KEYSTATE_PREFIX)
-        ]
-
-    def stored_bytes(self) -> int:
-        return self.backend.total_bytes(_KEYSTATE_PREFIX)
+def _per_item(items: list, apply: Callable) -> list:
+    """One key-store round trip: ``apply`` each item, carrying its
+    exception in its own slot."""
+    obs_scope.add("keystore_round_trips")
+    results: list = []
+    for item in items:
+        try:
+            results.append(apply(item))
+        except Exception as exc:  # noqa: BLE001 - carried per item
+            results.append(exc)
+    return results

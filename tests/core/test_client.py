@@ -217,6 +217,17 @@ class TestRekey:
         with pytest.raises(AccessDeniedError):
             bob.download("f1")
 
+    def test_revoke_users_refuses_to_widen_a_non_or_policy(
+        self, system, alice, data
+    ):
+        policy = FilePolicy.parse("(alice or bob) and dept:eng")
+        alice.upload("f1", data, policy=policy)
+        before = system.keystore.get_many(["f1"])
+        with pytest.raises(ConfigurationError):
+            alice.revoke_users("f1", {"bob"}, RevocationMode.ACTIVE)
+        assert system.keystore.get_many(["f1"]) == before
+        assert before[0].key_version == 0
+
     def test_non_owner_cannot_rekey(self, system, alice, data):
         alice.upload("f1", data, policy=FilePolicy.for_users(["alice", "bob"]))
         bob = system.new_client("bob", owner=False)

@@ -104,14 +104,14 @@ class TestGroupRekey:
             assert pi.download(file_id).data == expected
 
     def test_active_rekey_changes_file_keys(self, system, pi, groups, project):
-        before = {fid: system.keystore.get(fid).key_version for fid in project}
+        before = [r.key_version for r in system.keystore.get_many(list(project))]
         groups.rekey(
             "genomics",
             FilePolicy.for_users(["pi", "postdoc"]),
             RevocationMode.ACTIVE,
         )
-        after = {fid: system.keystore.get(fid).key_version for fid in project}
-        assert all(after[fid] == before[fid] + 1 for fid in project)
+        after = [r.key_version for r in system.keystore.get_many(list(project))]
+        assert after == [version + 1 for version in before]
 
     def test_repeated_group_rekeys(self, system, pi, groups, project):
         for version in range(1, 4):

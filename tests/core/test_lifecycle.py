@@ -47,15 +47,16 @@ class TestScheduling:
         assert report.checked == 3
         assert [r.file_id for r in report.rotated] == ["f0"]
         assert report.skipped_fresh == 2
-        assert system.keystore.get("f0").key_version == 1
-        assert system.keystore.get("f1").key_version == 0
+        f0, f1 = system.keystore.get_many(["f0", "f1"])
+        assert (f0.key_version, f1.key_version) == (1, 0)
         assert alice.download("f0").data == data
 
     def test_rotation_preserves_policy(self, setup):
         system, _alice, scheduler, _clock, _data = setup
-        before = system.keystore.get("f0").policy_text
+        [before] = system.keystore.get_many(["f0"])
         scheduler.rotate_due()
-        assert system.keystore.get("f0").policy_text == before
+        [after] = system.keystore.get_many(["f0"])
+        assert after.policy_text == before.policy_text
 
     def test_rotation_resets_age(self, setup):
         _system, _alice, scheduler, clock, _data = setup
@@ -77,7 +78,8 @@ class TestEmergency:
         results = scheduler.emergency_rekey(["f1", "f2"])  # not yet expired
         assert all(r.mode is RevocationMode.ACTIVE for r in results)
         assert all(r.stub_bytes_reencrypted > 0 for r in results)
-        assert system.keystore.get("f2").key_version == 1
+        [f2] = system.keystore.get_many(["f2"])
+        assert f2.key_version == 1
         assert alice.download("f2").data == data
 
     def test_emergency_resets_schedule(self, setup):

@@ -44,6 +44,24 @@ class TestRevocation:
         with pytest.raises(ConfigurationError):
             policy.without_users({"alice"})
 
+    def test_single_leaf(self):
+        policy = FilePolicy.parse("alice")
+        assert policy.without_users({"bob"}).authorized_users == ["alice"]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(alice or bob) and dept:eng",
+            "(alice and bob)",
+            "(alice or (bob and dept:eng))",
+        ],
+    )
+    def test_refuses_to_widen_a_non_or_policy(self, text):
+        """Rebuilding such a tree as an OR of its attributes would let
+        alice alone, or anyone holding ``dept:eng``, read."""
+        with pytest.raises(ConfigurationError):
+            FilePolicy.parse(text).without_users({"bob"})
+
 
 class TestParse:
     def test_rich_policy(self):

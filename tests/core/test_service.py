@@ -16,8 +16,13 @@ from repro.crypto.drbg import HmacDrbg
 from repro.crypto.hashing import fingerprint
 from repro.mle.keymanager import KeyManager
 from repro.mle.server_aided import ServerAidedKeyClient
+from repro.net.retry import IDEMPOTENT_METHOD_SUFFIXES
 from repro.net.rpc import LoopbackTransport, ServiceRegistry
+from repro.obs import scope as obs_scope
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.propagate import register_traces
+from repro.obs.rpc import register_metrics
+from repro.obs.tracing import Tracer
 from repro.storage.datastore import DataStore
 from repro.storage.keystore import KeyStateRecord, KeyStore
 from repro.util.errors import (
@@ -46,20 +51,32 @@ def wired(rsa_512):
 
 
 class TestRemoteStorage:
-    def test_registered_methods(self):
-        """One batch RPC per operation: no single-item metadata calls,
-        no count-reply put, no second name for ``has_many``."""
-        registry = ServiceRegistry(metrics=MetricsRegistry())
+    def test_registered_methods(self, rsa_512):
+        """The whole wire surface, one batch RPC per operation: no
+        single-item metadata or key-state calls, no count-reply put, no
+        second name for ``has_many``; and every blind-retry suffix names
+        a bound method, so a dead one cannot linger."""
+        metrics = MetricsRegistry()
+        registry = ServiceRegistry(metrics=metrics)
         register_storage_service(registry, REEDServer())
-        assert registry.methods() == sorted(
-            "storage." + name
-            for name in (
-                "has_many", "put_many", "get", "release", "refcounts",
-                "addref", "recipe_list", "stub_list", "recipe_get_many",
-                "file_commit", "file_get_many", "meta_delete_many", "flush",
-                "chunk_list", "gc_status", "gc_run",
-            )
+        register_keystate_service(registry, KeyStore())
+        register_key_manager(registry, KeyManager(private_key=rsa_512))
+        register_metrics(registry, metrics)
+        register_traces(registry, Tracer(metrics=metrics))
+        storage = (
+            "has_many", "put_many", "get", "release", "refcounts", "addref",
+            "recipe_list", "stub_list", "recipe_get_many", "file_commit",
+            "file_get_many", "meta_delete_many", "flush", "chunk_list",
+            "gc_status", "gc_run",
         )
+        assert registry.methods() == sorted(
+            [f"storage.{name}" for name in storage]
+            + [f"keystore.{name}" for name in ("put_many", "get_many", "delete_many")]
+            + [f"km.{name}" for name in ("public_key", "derive_batch", "backoff_hint")]
+            + ["metrics", "traces"]
+        )
+        served = {method.rsplit(".", 1)[-1] for method in registry.methods()}
+        assert IDEMPOTENT_METHOD_SUFFIXES <= served
 
     def test_chunk_roundtrip(self, wired):
         _server, _ks, _km, rpc = wired
@@ -163,6 +180,10 @@ class TestGcRpc:
 
 class TestRemoteKeyStore:
     def test_roundtrip(self, wired):
+        """All three batch RPCs carry per-item status over the wire: a
+        missing id fails in its own slot and its neighbour succeeds; each
+        call is one round trip, counted once even though loopback
+        dispatches the server's handler on the caller's thread."""
         _server, _ks, _km, rpc = wired
         remote = RemoteKeyStore(rpc)
         record = KeyStateRecord(
@@ -172,12 +193,17 @@ class TestRemoteKeyStore:
             encrypted_state=b"\x01",
             owner_public_key=b"\x02",
         )
-        remote.put(record)
-        assert remote.get("f") == record
-        assert remote.exists("f")
-        assert remote.list_files() == ["f"]
-        remote.delete("f")
-        assert not remote.exists("f")
+        with obs_scope.attribution() as scope:
+            assert remote.put_many([record]) == [None]
+            stored, missing = remote.get_many(["f", "nope"])
+            deleted, absent = remote.delete_many(["f", "nope"])
+            [gone] = remote.get_many(["f"])
+        assert stored == record
+        assert isinstance(missing, NotFoundError)
+        assert deleted is None
+        assert isinstance(absent, NotFoundError)
+        assert isinstance(gone, NotFoundError)
+        assert scope.get_int("keystore_round_trips") == 4
 
 
 class TestRemoteKeyManager:

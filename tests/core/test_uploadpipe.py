@@ -232,8 +232,8 @@ class TestAbort:
         assert isinstance(recipe, NotFoundError)
         for server in system.servers:
             assert "file" not in server.store.list_stub_files()
-        with pytest.raises(NotFoundError):
-            system.keystore.get("file")
+        [record] = system.keystore.get_many(["file"])
+        assert isinstance(record, NotFoundError)
         assert _upload_threads() == []
         client.close()
 

@@ -104,6 +104,8 @@ class TestParallelUploads:
                 for i in range(4)
             ]
         )
-        for i in range(4):
-            assert owner.download(f"rk-{i}").data == data
-            assert cluster.keystore.get(f"rk-{i}").key_version == 1
+        file_ids = [f"rk-{i}" for i in range(4)]
+        for file_id in file_ids:
+            assert owner.download(file_id).data == data
+        records = cluster.keystore.get_many(file_ids)
+        assert [record.key_version for record in records] == [1] * 4

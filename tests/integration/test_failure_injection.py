@@ -66,7 +66,7 @@ class TestStoredDataCorruption:
 
     def test_corrupted_key_state_detected(self, loaded):
         system, alice, _data, _backend = loaded
-        record = system.keystore.get("victim")
+        [record] = system.keystore.get_many(["victim"])
         damaged = type(record)(
             file_id=record.file_id,
             policy_text=record.policy_text,
@@ -75,7 +75,7 @@ class TestStoredDataCorruption:
             + bytes([record.encrypted_state[-1] ^ 1]),
             owner_public_key=record.owner_public_key,
         )
-        system.keystore.put(damaged)
+        system.keystore.put_many([damaged])
         with pytest.raises(ReproError):
             alice.download("victim")
 
@@ -83,7 +83,7 @@ class TestStoredDataCorruption:
         """A tampered record claiming the wrong version must not silently
         yield a wrong file key."""
         system, alice, _data, _backend = loaded
-        record = system.keystore.get("victim")
+        [record] = system.keystore.get_many(["victim"])
         relabeled = type(record)(
             file_id=record.file_id,
             policy_text=record.policy_text,
@@ -91,7 +91,7 @@ class TestStoredDataCorruption:
             encrypted_state=record.encrypted_state,
             owner_public_key=record.owner_public_key,
         )
-        system.keystore.put(relabeled)
+        system.keystore.put_many([relabeled])
         with pytest.raises(CorruptionError):
             alice.download("victim")
 

@@ -205,13 +205,13 @@ def _fail_commit_on_primary(system, client):
 
 
 def _fail_keystate(system, client):
-    real = system.keystore.put
+    real = system.keystore.put_many
 
-    def put(record):
-        raise RuntimeError("injected crash")
+    def put_many(records):
+        return [RuntimeError("injected crash") for _ in records]
 
-    system.keystore.put = put
-    return lambda: setattr(system.keystore, "put", real)
+    system.keystore.put_many = put_many
+    return lambda: setattr(system.keystore, "put_many", real)
 
 
 @pytest.mark.parametrize(

@@ -57,8 +57,9 @@ def _member_ids(count: int) -> list[str]:
 def _stored_state(cluster, file_ids: list[str]) -> dict:
     """Every byte of rekey-relevant server state, keyed for comparison."""
     state: dict = {}
-    for file_id in file_ids:
-        state[("keystate", file_id)] = cluster.keystore.get(file_id).encode()
+    records = cluster.keystore.get_many(file_ids)
+    for file_id, record in zip(file_ids, records):
+        state[("keystate", file_id)] = record.encode()
         for server in cluster.servers:
             try:
                 state[("stub", file_id)] = server.get_stub_file(file_id)
@@ -128,13 +129,13 @@ def _serial_rekey(
     file's record is sealed as its next item.  Without one, the file is
     a run of one, as a single-file ``rekey`` is.
     """
-    record = client.keystore.get(file_id)
+    [record] = client.keystore.get_many([file_id])
     old_state = client._open_key_state(record)
     (new_state,) = client._wind([old_state])
     new_record = client._seal_key_state(file_id, new_state, policy, sealer)
     if mode is RevocationMode.ACTIVE:
         _serial_stub_reencrypt(client, record, old_state, new_state)
-    client.keystore.put(new_record)
+    assert client.keystore.put_many([new_record]) == [None]
 
 
 def _serial_group_revoke(groups, revoked: set[str], mode) -> dict:
@@ -149,12 +150,13 @@ def _serial_group_revoke(groups, revoked: set[str], mode) -> dict:
         files = groups._read_manifest_at(GROUP, record, old_group)
         new_group = client.keyreg_owner.wind(old_group)
         group_key = new_group.derive_key()
-        client.keystore.put(
-            client._seal_key_state(client.group_record_id(GROUP), new_group, policy)
+        group_record = client._seal_key_state(
+            client.group_record_id(GROUP), new_group, policy
         )
+        assert client.keystore.put_many([group_record]) == [None]
         stub_bytes = 0
         for file_id in files:
-            file_record = client.keystore.get(file_id)
+            [file_record] = client.keystore.get_many([file_id])
             state = client._open_key_state(file_record)
             if mode is RevocationMode.ACTIVE:
                 old_state = state
@@ -162,21 +164,20 @@ def _serial_group_revoke(groups, revoked: set[str], mode) -> dict:
                 stub_bytes += _serial_stub_reencrypt(
                     client, file_record, old_state, state
                 )
-            client.keystore.put(
-                KeyStateRecord(
-                    file_id=file_id,
-                    policy_text=f"@group:{GROUP}",
-                    key_version=state.version,
-                    encrypted_state=envelopes.seal_group(
-                        GROUP,
-                        new_group.version,
-                        group_key,
-                        state.encode(),
-                        rng=client.rng,
-                    ),
-                    owner_public_key=file_record.owner_public_key,
-                )
+            resealed = KeyStateRecord(
+                file_id=file_id,
+                policy_text=f"@group:{GROUP}",
+                key_version=state.version,
+                encrypted_state=envelopes.seal_group(
+                    GROUP,
+                    new_group.version,
+                    group_key,
+                    state.encode(),
+                    rng=client.rng,
+                ),
+                owner_public_key=file_record.owner_public_key,
             )
+            assert client.keystore.put_many([resealed]) == [None]
         groups._write_manifest(GROUP, group_key, files)
     return {
         "files": len(files),
@@ -204,9 +205,8 @@ def test_group_active_rekey_pipelined_bit_identical_to_serial():
                 )
             states[pipelined] = _stored_state(cluster, file_ids)
             # The group record and manifest live outside per-file state.
-            states[pipelined]["group-record"] = cluster.keystore.get(
-                owner.group_record_id(GROUP)
-            ).encode()
+            [group_record] = cluster.keystore.get_many([owner.group_record_id(GROUP)])
+            states[pipelined]["group-record"] = group_record.encode()
             for server in cluster.servers:
                 try:
                     states[pipelined]["manifest"] = server.get_recipe(
@@ -362,8 +362,7 @@ def test_user_dropped_by_a_run_is_denied_every_record_it_wrote():
         assert bob.download(file_id).data == _payload(index)
     owner.rekey_many(file_ids, FilePolicy.for_users(["alice"]))
     headers = set()
-    for file_id in file_ids:
-        record = system.keystore.get(file_id)
+    for file_id, record in zip(file_ids, system.keystore.get_many(file_ids)):
         _tag, ciphertext = envelopes.decode_envelope(record.encrypted_state)
         headers.add(ciphertext.header)
         with pytest.raises(AccessDeniedError):
@@ -372,18 +371,24 @@ def test_user_dropped_by_a_run_is_denied_every_record_it_wrote():
     owner.close()
 
 
-def test_single_file_rekeys_report_the_round_trips_they_make():
-    """A single-file rekey is one pipeline window: on a 4-node TCP
-    cluster LAZY costs one keystore get and one put, ACTIVE adds one
-    ``file_get_many`` and one ``file_commit``.  ``revoke_users`` reads
-    the record that names its policy inside the rekey's scope and hands
-    it to the pipeline, so it makes and reports the same two keystore
-    round trips.  Each call records exactly one root span, ``rekey``."""
-    cluster = TcpCluster(
+@pytest.mark.parametrize(
+    "deploy, shut_down",
+    [(build_system, "close"), (TcpCluster, "stop")],
+    ids=["in-process", "tcp"],
+)
+def test_single_file_rekeys_report_the_round_trips_they_make(deploy, shut_down):
+    """A single-file rekey is one pipeline window: on 4 data nodes, in
+    process or over TCP, LAZY costs one keystore get and one put, ACTIVE
+    adds one ``file_get_many`` and one ``file_commit``.  ``revoke_users``
+    reads the record that names its policy inside the rekey's scope and
+    hands it to the pipeline, so it makes and reports the same two
+    keystore round trips.  Each call records exactly one root span,
+    ``rekey``."""
+    deployment = deploy(
         num_data_servers=4, chunking=CHUNKING, rng=HmacDrbg(b"single-file-rtts")
     )
-    with cluster:
-        client = cluster.new_client("alice")
+    try:
+        client = deployment.new_client("alice")
         # A tracer of its own: the default one's ring is shared and full.
         client.tracer = Tracer(client.metrics)
         calls = [
@@ -410,6 +415,8 @@ def test_single_file_rekeys_report_the_round_trips_they_make():
             assert root.trace_id == result.trace_id
         assert counts == [(2, 0), (2, 2), (2, 0), (2, 2)]
         client.close()
+    finally:
+        getattr(deployment, shut_down)()
 
 
 def test_shard_down_aborts_with_no_partial_rekey():
@@ -418,10 +425,7 @@ def test_shard_down_aborts_with_no_partial_rekey():
     and the manifest recovers under the old group key."""
     cluster, owner, groups, file_ids = _group_cluster(batch_size=2, files=6)
     with cluster:
-        before = {
-            file_id: cluster.keystore.get(file_id).encode()
-            for file_id in file_ids
-        }
+        before = cluster.keystore.get_many(file_ids)
         # Shard that serves the first member file: its recipe/stub fetch
         # is in the very first window, so the abort fires before any
         # window ships key states.
@@ -432,11 +436,7 @@ def test_shard_down_aborts_with_no_partial_rekey():
             groups.revoke_users(GROUP, {"mallory"}, RevocationMode.ACTIVE)
         # Key states commit last: the abort left every member record
         # byte-identical, so no file is partially rekeyed.
-        after = {
-            file_id: cluster.keystore.get(file_id).encode()
-            for file_id in file_ids
-        }
-        assert after == before
+        assert cluster.keystore.get_many(file_ids) == before
         # The group record advanced (its ABE op commits first), but the
         # manifest — still MAC'd under the old group key — recovers via
         # key regression rather than failing authentication.
@@ -457,22 +457,24 @@ def test_interrupted_rekey_recovers_on_retry():
     )
     client = system.new_client("alice")
     client.upload("doc", _payload(7))
-    record_before = system.keystore.get("doc").encode()
+    record_before = system.keystore.get_many(["doc"])
     new_policy = FilePolicy.for_users(["alice"])
 
-    real_put = system.keystore.put
-    def failing_put(record):
-        raise RuntimeError("injected keystore crash")
-    system.keystore.put = failing_put
+    real_put_many = system.keystore.put_many
+
+    def failing_put_many(records):
+        return [RuntimeError("injected keystore crash") for _ in records]
+
+    system.keystore.put_many = failing_put_many
     try:
         with pytest.raises(RuntimeError, match="injected keystore crash"):
             client.rekey("doc", new_policy, RevocationMode.ACTIVE)
     finally:
-        system.keystore.put = real_put
+        system.keystore.put_many = real_put_many
 
     # Stub + recipe shipped, key state did not: the old record is intact
     # and the owner still reads the file via wind-forward recovery.
-    assert system.keystore.get("doc").encode() == record_before
+    assert system.keystore.get_many(["doc"]) == record_before
     assert client.download("doc").data == _payload(7)
 
     # A non-owner cannot bridge the gap — the key state is authoritative.
@@ -502,7 +504,7 @@ def test_pipeline_crash_after_file_commit_recovers_on_retry():
     file_ids = _member_ids(5)
     for index, file_id in enumerate(file_ids):
         client.upload(file_id, _payload(index))
-    records_before = {f: system.keystore.get(f).encode() for f in file_ids}
+    records_before = system.keystore.get_many(file_ids)
     policy = FilePolicy.for_users(["alice"])
 
     real_commit = client.storage.file_commit
@@ -518,7 +520,7 @@ def test_pipeline_crash_after_file_commit_recovers_on_retry():
     finally:
         client.storage.file_commit = real_commit
 
-    assert {f: system.keystore.get(f).encode() for f in file_ids} == records_before
+    assert system.keystore.get_many(file_ids) == records_before
     for index, file_id in enumerate(file_ids):
         assert client.download(file_id).data == _payload(index)
 
@@ -739,9 +741,8 @@ def test_group_active_parallel_winds_bit_identical_to_serial():
                 )
                 assert serial["files"] == files
             states[pipelined] = _stored_state(cluster, file_ids)
-            states[pipelined]["group-record"] = cluster.keystore.get(
-                owner.group_record_id(GROUP)
-            ).encode()
+            [group_record] = cluster.keystore.get_many([owner.group_record_id(GROUP)])
+            states[pipelined]["group-record"] = group_record.encode()
             assert owner._rekey_pool.parallel_batches == (1 if pipelined else 0)
             owner.close()
     assert states[True] == states[False]
@@ -753,11 +754,13 @@ def test_corrupt_key_state_mid_window_raises_its_error_and_ships_nothing():
     planning error (a corrupt recipe) still comes first in file order."""
     cluster, client, file_ids = _wind_cluster(b"corrupt-mid-window", 12)
     with cluster:
-        record = cluster.keystore.get(file_ids[6])
+        [record] = cluster.keystore.get_many([file_ids[6]])
         tampered = record.encrypted_state[:-1] + bytes(
             [record.encrypted_state[-1] ^ 1]
         )
-        cluster.keystore.put(dataclasses.replace(record, encrypted_state=tampered))
+        cluster.keystore.put_many(
+            [dataclasses.replace(record, encrypted_state=tampered)]
+        )
         before = _stored_state(cluster, file_ids)
         policy = FilePolicy.for_users(["alice"])
         for mode in (RevocationMode.LAZY, RevocationMode.ACTIVE):
@@ -784,12 +787,12 @@ def test_failed_pipelined_rekey_leaves_the_depth_1_state():
         with cluster:
             client.rekey_batch_size = 4
             client.pipeline_depth = depth
-            record = cluster.keystore.get(file_ids[9])
+            [record] = cluster.keystore.get_many([file_ids[9]])
             tampered = record.encrypted_state[:-1] + bytes(
                 [record.encrypted_state[-1] ^ 1]
             )
-            cluster.keystore.put(
-                dataclasses.replace(record, encrypted_state=tampered)
+            cluster.keystore.put_many(
+                [dataclasses.replace(record, encrypted_state=tampered)]
             )
             before = _stored_state(cluster, file_ids)
             put_many = client.keystore.put_many

@@ -184,9 +184,7 @@ def _records_after_two_rekeys(kill_winders: bool, monkeypatch) -> dict:
             # too small to leave the process.
             assert (pool.parallel_batches, pool.serial_batches) == (2, 2)
             assert wound == {"serial": 0, "parallel": 2}
-        records = {
-            file_id: cluster.keystore.get(file_id).encode() for file_id in file_ids
-        }
+        records = cluster.keystore.get_many(file_ids)
         for file_id in file_ids[:2]:
             assert client.download(file_id).key_version == 2
         client.close()

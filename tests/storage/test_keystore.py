@@ -1,7 +1,6 @@
 """Tests for the key store."""
 
-import pytest
-
+from repro.obs import scope as obs_scope
 from repro.storage.keystore import KeyStateRecord, KeyStore
 from repro.util.errors import NotFoundError
 
@@ -25,32 +24,34 @@ class TestRecord:
 class TestKeyStore:
     def test_put_get(self):
         store = KeyStore()
-        store.put(record())
-        assert store.get("f1") == record()
+        assert store.put_many([record()]) == [None]
+        assert store.get_many(["f1"]) == [record()]
 
     def test_replace_on_rekey(self):
         store = KeyStore()
-        store.put(record(version=0))
-        store.put(record(version=1))
-        assert store.get("f1").key_version == 1
+        store.put_many([record(version=0)])
+        store.put_many([record(version=1)])
+        [stored] = store.get_many(["f1"])
+        assert stored.key_version == 1
 
     def test_missing(self):
-        with pytest.raises(NotFoundError):
-            KeyStore().get("nope")
+        [missing] = KeyStore().get_many(["nope"])
+        assert isinstance(missing, NotFoundError)
 
     def test_delete(self):
         store = KeyStore()
-        store.put(record())
-        store.delete("f1")
-        assert not store.exists("f1")
+        store.put_many([record("a"), record("b")])
+        deleted, absent = store.delete_many(["a", "nope"])
+        assert deleted is None
+        assert isinstance(absent, NotFoundError)
+        gone, kept = store.get_many(["a", "b"])
+        assert isinstance(gone, NotFoundError)
+        assert kept == record("b")
 
-    def test_list(self):
+    def test_each_call_is_one_round_trip(self):
         store = KeyStore()
-        store.put(record("b"))
-        store.put(record("a"))
-        assert store.list_files() == ["a", "b"]
-
-    def test_stored_bytes(self):
-        store = KeyStore()
-        store.put(record())
-        assert store.stored_bytes() == len(record().encode())
+        with obs_scope.attribution() as scope:
+            store.put_many([record("a"), record("b")])
+            store.get_many(["a", "b", "nope"])
+            store.delete_many(["a"])
+        assert scope.get_int("keystore_round_trips") == 3
