@@ -58,8 +58,8 @@ REQUIRED_ON_EVERY_NODE = (
     "tcp_max_workers",
     "tcp_idle_drops_total",
     "tcp_oversize_drops_total",
-    "aio_connection_window",
-    "aio_out_of_order_responses_total",
+    "tcp_connection_window",
+    "tcp_out_of_order_responses_total",
 )
 
 #: Transport gauges/counters that must read ZERO on a healthy node while

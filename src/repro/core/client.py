@@ -72,6 +72,16 @@ from repro.util.units import MiB
 #: (Section V-B sets the in-memory buffer to 4 MB).
 DEFAULT_UPLOAD_BATCH_BYTES = 4 * MiB
 
+#: Work allowed in flight per pipeline stage: upload key windows
+#: awaiting encryption and store batches on the wire (see
+#: repro.core.uploadpipe), restore fetch windows and rekey windows.
+#: Depth 1 disables the overlap: every stage runs on the caller thread.
+PIPELINE_DEPTH = 2
+
+#: Chunk references per restore fetch window: one ``chunk_get_batch``
+#: each, and ``PIPELINE_DEPTH`` windows resident at most.
+FETCH_BATCH_CHUNKS = 512
+
 
 @dataclass(frozen=True)
 class UploadResult:
@@ -165,16 +175,13 @@ class REEDClient:
         keyreg_owner: KeyRegressionOwner | None = None,
         scheme: str | EncryptionScheme = "enhanced",
         chunking: ChunkingSpec | None = None,
-        upload_batch_bytes: int = DEFAULT_UPLOAD_BATCH_BYTES,
         rng: RandomSource | None = None,
         pathname_salt: bytes | None = None,
         encryption_workers: int | None = None,
-        pipeline_depth: int = 2,
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         chunk_cache_bytes: int | None = None,
         rekey_workers: int | None = None,
-        rekey_batch_size: int = DEFAULT_REKEY_BATCH_SIZE,
     ) -> None:
         # Unset -> one worker per CPU (capped).
         if encryption_workers is None:
@@ -194,23 +201,18 @@ class REEDClient:
             scheme = get_scheme(scheme)
         self.scheme = scheme
         self.chunking = chunking or ChunkingSpec()
-        self.upload_batch_bytes = upload_batch_bytes
-        if pipeline_depth < 1:
-            raise ConfigurationError("pipeline depth must be at least 1")
-        #: Work allowed in flight per pipeline stage: upload key windows
-        #: awaiting encryption and store batches on the wire (see
-        #: repro.core.uploadpipe), restore fetch windows.  Depth 1
-        #: disables the overlap: every stage runs on the caller thread.
-        self.pipeline_depth = pipeline_depth
+        #: The pipelines' knobs: constants, kept per instance so a test
+        #: can run a serial oracle (depth 1, small windows).
+        self.upload_batch_bytes = DEFAULT_UPLOAD_BATCH_BYTES
+        self.pipeline_depth = PIPELINE_DEPTH
+        self.fetch_batch_chunks = FETCH_BATCH_CHUNKS
+        #: Files per rekey-pipeline window — one batch RPC per stage per
+        #: window (see :mod:`repro.core.rekeypipe`).
+        self.rekey_batch_size = DEFAULT_REKEY_BATCH_SIZE
         self.encryption_workers = encryption_workers
         self._transform_pool = ChunkTransformPool(
             self.scheme, workers=encryption_workers
         )
-        if rekey_batch_size < 1:
-            raise ConfigurationError("rekey batch size must be at least 1")
-        #: Files per rekey-pipeline window — one batch RPC per stage per
-        #: window (see :mod:`repro.core.rekeypipe`).
-        self.rekey_batch_size = rekey_batch_size
         #: Key-regression winds and stub re-encryption, on worker
         #: processes that hold this owner's derivation key.
         self._rekey_pool = RekeyPool(
@@ -553,7 +555,6 @@ class REEDClient:
     def _restore(
         self,
         file_id: str,
-        fetch_batch_chunks: int,
         stats: _DownloadStats,
         scope: obs_scope.AttributionScope,
     ) -> Iterator[bytes]:
@@ -671,9 +672,10 @@ class REEDClient:
                     )
             return chunks
 
+        step = self.fetch_batch_chunks
         windows = [
-            recipe.chunks[offset : offset + fetch_batch_chunks]
-            for offset in range(0, recipe.chunk_count, fetch_batch_chunks)
+            recipe.chunks[offset : offset + step]
+            for offset in range(0, recipe.chunk_count, step)
         ]
         start = total = 0
         # One window decrypting on this thread plus (pipeline_depth − 1)
@@ -690,9 +692,7 @@ class REEDClient:
             raise IntegrityError("reassembled file size disagrees with the recipe")
         stats.size = total
 
-    def download_iter(
-        self, file_id: str, fetch_batch_chunks: int = 512
-    ) -> Iterator[bytes]:
+    def download_iter(self, file_id: str) -> Iterator[bytes]:
         """Stream a file's verified plaintext chunks in recipe order.
 
         Memory stays bounded by ``pipeline_depth × fetch_batch_chunks``
@@ -703,17 +703,15 @@ class REEDClient:
         """
         stats = _DownloadStats()
         scope = obs_scope.AttributionScope(parent=obs_scope.current())
-        yield from self._restore(file_id, fetch_batch_chunks, stats, scope)
+        yield from self._restore(file_id, stats, scope)
 
-    def download(self, file_id: str, fetch_batch_chunks: int = 512) -> DownloadResult:
+    def download(self, file_id: str) -> DownloadResult:
         """Retrieve and decrypt a file; aborts on any tampered chunk."""
         sink = io.BytesIO()
-        result = self.download_to(file_id, sink, fetch_batch_chunks)
+        result = self.download_to(file_id, sink)
         return replace(result, data=sink.getvalue())
 
-    def download_to(
-        self, file_id: str, sink, fetch_batch_chunks: int = 512
-    ) -> DownloadResult:
+    def download_to(self, file_id: str, sink) -> DownloadResult:
         """Stream a file into a writable ``sink`` (``write(bytes)``).
 
         Chunks are written out as they verify instead of accumulating,
@@ -725,7 +723,7 @@ class REEDClient:
         stats = _DownloadStats()
         scope = obs_scope.AttributionScope(parent=obs_scope.current())
         with tracer.span("download") as root:
-            for chunk in self._restore(file_id, fetch_batch_chunks, stats, scope):
+            for chunk in self._restore(file_id, stats, scope):
                 sink.write(chunk)
         self._m_downloads.inc()
         self._m_download_bytes.inc(stats.size)
@@ -742,9 +740,7 @@ class REEDClient:
             trace_id=root.trace_id,
         )
 
-    def download_path(
-        self, file_id: str, path: str, fetch_batch_chunks: int = 512
-    ) -> DownloadResult:
+    def download_path(self, file_id: str, path: str) -> DownloadResult:
         """Download a file to ``path`` without materializing it in RAM.
 
         Writes through :meth:`download_to` into ``path + ".part"`` and
@@ -754,9 +750,7 @@ class REEDClient:
         partial = path + ".part"
         try:
             with open(partial, "wb") as handle:
-                result = self.download_to(
-                    file_id, handle, fetch_batch_chunks=fetch_batch_chunks
-                )
+                result = self.download_to(file_id, handle)
         except BaseException:
             try:
                 os.remove(partial)

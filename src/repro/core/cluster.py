@@ -165,29 +165,22 @@ class TcpCluster:
         owner: bool = True,
         cache_bytes: int | None = None,
         key_batch_size: int | None = None,
-        upload_batch_bytes: int | None = None,
-        pipeline_depth: int = 2,
         encryption_workers: int | None = None,
         chunk_cache_bytes: int | None = None,
-        fetch_workers: int | None = None,
         rekey_workers: int | None = None,
-        rekey_batch_size: int | None = None,
     ) -> REEDClient:
         """Enroll a user and build a client wired entirely over TCP.
 
         An owner enrolled before gets a second client on the same
-        derivation keypair, as for a second device.  ``fetch_workers`` bounds the scatter-gather pool the client's
-        sharded storage uses for concurrent per-shard sub-fetches (1
-        forces serial fetches); ``chunk_cache_bytes`` enables the
-        client-side trimmed-package read cache; ``rekey_workers`` /
-        ``rekey_batch_size`` size the batched rekeying pipeline.
+        derivation keypair, as for a second device.
+        ``chunk_cache_bytes`` enables the client-side trimmed-package
+        read cache; ``rekey_workers`` sizes the rekey pipeline's pool.
         """
         storage = ShardedStorageService(
             [
                 RemoteStorageService(self._connect(address))
                 for address in self.storage_addresses
             ],
-            fetch_workers=fetch_workers,
             replicas=self.replicas,
             write_quorum=self.write_quorum,
         )
@@ -203,12 +196,9 @@ class TcpCluster:
             rng=self._rng,
             scheme=self.scheme,
             chunking=self.chunking,
-            upload_batch_bytes=upload_batch_bytes,
-            pipeline_depth=pipeline_depth,
             encryption_workers=encryption_workers,
             chunk_cache_bytes=chunk_cache_bytes,
             rekey_workers=rekey_workers,
-            rekey_batch_size=rekey_batch_size,
         )
 
     def server_stats(self) -> list[dict]:

@@ -73,10 +73,6 @@ class SplitPackage:
     stub: bytes
     fingerprint: bytes
 
-    @property
-    def package_size(self) -> int:
-        return len(self.trimmed_package) + len(self.stub)
-
 
 class EncryptionScheme(ABC):
     """Interface shared by the basic and enhanced schemes."""

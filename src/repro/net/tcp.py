@@ -10,8 +10,8 @@ out-of-order responses.
   server restart.
 
 ``docs/ARCHITECTURE.md`` (*Server concurrency*, *Multiplexed
-connections*) describes both; the server's ``tcp_*`` and ``aio_*``
-series are in ``docs/OBSERVABILITY.md``.
+connections*) describes both; the server's ``tcp_*`` series are in
+``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations
@@ -242,7 +242,7 @@ class TcpServer:
             "Requests waiting for a free handler worker.",
         )
         self._out_of_order = self.metrics.counter(
-            "aio_out_of_order_responses_total",
+            "tcp_out_of_order_responses_total",
             "Responses written while an earlier request on the same "
             "connection was still in flight (multiplexing at work).",
         )
@@ -250,7 +250,7 @@ class TcpServer:
             "tcp_max_workers", "Size of the handler executor."
         ).set(max_workers)
         self.metrics.gauge(
-            "aio_connection_window",
+            "tcp_connection_window",
             "Per-connection in-flight request window (backpressure bound).",
         ).set(connection_window)
 
@@ -496,9 +496,8 @@ class TcpConnection:
       unboundedly, and give up with :class:`ProtocolError` after
       ``timeout`` seconds;
     * ``timeout`` also bounds each call's wait for its response; a
-      timed-out id is simply abandoned (a late response is discarded by
-      id — the stream stays consistent, unlike the old one-in-flight
-      client where a timeout poisoned the framing);
+      timed-out id is simply abandoned: a late response is discarded by
+      id, so the stream stays consistent;
     * TCP keepalives detect peers that vanished without a FIN;
     * when the connection breaks, every pending call fails, and the
       next call transparently re-dials; **idempotent** methods
@@ -506,10 +505,6 @@ class TcpConnection:
       mid-flight are retried over the fresh connection under
       ``retry_policy``, so a server restart does not fail a read
       pipeline mid-window.  Non-idempotent methods still raise.
-
-    The constructor's first four parameters match the old signature, so
-    every existing call site (``TcpCluster``, the ``reed`` CLI, the
-    examples) runs unmodified.
     """
 
     def __init__(

@@ -108,9 +108,6 @@ class HashRing:
         """All member nodes, up or down, sorted."""
         return sorted(self._up)
 
-    def live_nodes(self) -> list[str]:
-        return sorted(node for node, up in self._up.items() if up)
-
     def down_nodes(self) -> list[str]:
         return sorted(node for node, up in self._up.items() if not up)
 
@@ -257,7 +254,6 @@ class ShardedStorageService:
         self,
         services: list[StorageService],
         metrics: MetricsRegistry | None = None,
-        fetch_workers: int | None = None,
         replicas: int = 1,
         write_quorum: int | None = None,
         vnodes: int = DEFAULT_VNODES,
@@ -287,11 +283,9 @@ class ShardedStorageService:
         self.ring = HashRing(vnodes=vnodes)
         for service in services:
             self._attach(service)
-        if fetch_workers is None:
-            fetch_workers = min(len(services), DEFAULT_FETCH_WORKERS)
-        if fetch_workers < 1:
-            raise ConfigurationError("need at least one fetch worker")
-        self.fetch_workers = fetch_workers
+        #: Threads of the scatter-gather pool: one per shard, capped
+        #: (1 fetches serially).
+        self.fetch_workers = min(len(services), DEFAULT_FETCH_WORKERS)
         self._fetch_pool: ThreadPoolExecutor | None = None
         self._pool_lock = threading.Lock()
         #: Nodes whose chunk writes or releases may not be sealed and

@@ -25,6 +25,15 @@ def make_data(chunks, seed=b"batch-upload"):
     return HmacDrbg(seed).random_bytes(chunks * CHUNK)
 
 
+def per_chunk_client(cluster, user):
+    """The per-chunk reference configuration: one fingerprint per key
+    RPC, one chunk per store batch, no stage overlap."""
+    client = cluster.new_client(user, key_batch_size=1)
+    client.upload_batch_bytes = 1
+    client.pipeline_depth = 1
+    return client
+
+
 class TestRoundTripBounds:
     def test_key_round_trips_bounded(self):
         system = build_system(
@@ -88,12 +97,16 @@ class TestBitIdenticalToPerChunkPath:
     """Same seed, same data: the batched pipeline and the per-chunk
     configuration must leave identical bytes behind."""
 
-    def _upload_with(self, client_kwargs, n=24):
+    def _upload_with(self, per_chunk: bool, n=24):
         cluster = TcpCluster(
             num_data_servers=2, chunking=FIXED, rng=HmacDrbg(b"equivalence")
         )
         try:
-            client = cluster.new_client("alice", **client_kwargs)
+            client = (
+                per_chunk_client(cluster, "alice")
+                if per_chunk
+                else cluster.new_client("alice")
+            )
             result = client.upload("file", make_data(n))
             [recipe] = client.storage.recipe_get_many(["file"])
             fingerprints = [
@@ -114,10 +127,8 @@ class TestBitIdenticalToPerChunkPath:
 
     def test_stored_bytes_identical(self):
         n = 24
-        batched = self._upload_with({}, n)
-        per_chunk = self._upload_with(
-            {"key_batch_size": 1, "upload_batch_bytes": 1, "pipeline_depth": 1}, n
-        )
+        batched = self._upload_with(False, n)
+        per_chunk = self._upload_with(True, n)
         assert batched["fingerprints"] == per_chunk["fingerprints"]
         assert batched["chunks"] == per_chunk["chunks"]
         assert batched["recipe"] == per_chunk["recipe"]
@@ -128,6 +139,10 @@ class TestBitIdenticalToPerChunkPath:
         assert per_chunk["result"].key_round_trips == n
         assert batched["result"].upload_batches == 1
         assert per_chunk["result"].upload_batches == n
+        assert (
+            batched["result"].store_round_trips
+            < per_chunk["result"].store_round_trips
+        )
 
     def test_cross_client_dedup_between_paths(self):
         """A per-chunk uploader and a batched uploader of the same file
@@ -137,9 +152,7 @@ class TestBitIdenticalToPerChunkPath:
             num_data_servers=2, chunking=FIXED, rng=HmacDrbg(b"dedup")
         ) as cluster:
             data = make_data(16)
-            first = cluster.new_client(
-                "alice", key_batch_size=1, upload_batch_bytes=1, pipeline_depth=1
-            )
+            first = per_chunk_client(cluster, "alice")
             first.upload("alice-file", data)
             first.close()
             second = cluster.new_client("bob")

@@ -1,5 +1,7 @@
 """Tests for the REED client (upload/download/rekey/delete mechanics)."""
 
+import math
+
 import pytest
 
 from repro.chunking.chunker import ChunkingSpec
@@ -163,8 +165,16 @@ class TestDownload:
             alice.download("f1")
 
     def test_small_fetch_batches(self, alice, data):
+        """A restore pays one batched fetch per window of chunks, so
+        small windows cost more store round trips for the same bytes."""
         alice.upload("f1", data)
-        assert alice.download("f1", fetch_batch_chunks=3).data == data
+        whole = alice.download("f1")
+        alice.fetch_batch_chunks = 3
+        windowed = alice.download("f1")
+        assert windowed.data == whole.data == data
+        assert whole.fetch_batches == 1
+        assert windowed.fetch_batches == math.ceil(whole.chunk_count / 3) > 1
+        assert windowed.store_round_trips > whole.store_round_trips
 
 
 class TestRekey:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.chunking.chunker import ChunkingSpec
 from repro.core.cluster import TcpCluster
 from repro.core.policy import FilePolicy
 from repro.core.rekey import RevocationMode
@@ -98,6 +99,29 @@ class TestReplicatedRelease:
         assert not sharded.ring.is_up(victim)
         for service in survivors.values():
             assert service.chunk_exists_batch(fps) == [False] * len(fps)
+
+
+class TestReplicatedUpload:
+    def test_r2_ships_every_chunk_to_two_owners(self):
+        """R=2 uploads the same chunks as R=1, keeps each on exactly two
+        nodes, and pays more store round trips to reach second owners."""
+        data = unique_data(24 * 4096, seed=44)
+        uploads = {}
+        for replicas in (1, 2):
+            system = build_system(
+                num_data_servers=3,
+                chunking=ChunkingSpec(method="fixed", avg_size=4096),
+                rng=HmacDrbg(b"replicated-upload"),
+                replicas=replicas,
+            )
+            client = system.new_client("alice")
+            uploads[replicas] = client.upload("doc", data)
+            assert client.download("doc").data == data
+            held = sum(len(server.chunk_list()) for server in system.servers)
+            assert held == replicas * uploads[replicas].new_chunks
+            system.close()
+        assert uploads[1].chunk_count == uploads[2].chunk_count == 24
+        assert uploads[2].store_round_trips > uploads[1].store_round_trips
 
 
 class TestBuildSystem:

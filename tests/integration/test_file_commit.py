@@ -54,7 +54,9 @@ def test_folded_flush_survives_a_restart_of_every_node():
     """One chunk per batch: nodes only an earlier batch touched get a bare
     flush, nodes nobody touched none, and everything survives a restart."""
     with TcpCluster(num_data_servers=4, chunking=FIXED, rng=HmacDrbg(b"fold")) as cluster:
-        alice = cluster.new_client("alice", upload_batch_bytes=CHUNK, fetch_workers=1)
+        alice = cluster.new_client("alice")
+        alice.upload_batch_bytes = CHUNK
+        alice.storage.fetch_workers = 1
         files = {"solo": _data(b"solo")}
         result = alice.upload("solo", files["solo"])
 

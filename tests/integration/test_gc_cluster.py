@@ -35,6 +35,13 @@ def shared_payloads():
     return block_a + block_b, block_b
 
 
+def serial_reader(cluster, user: str):
+    """A client of ``user`` whose reads visit one shard at a time."""
+    client = cluster.new_client(user)
+    client.storage.fetch_workers = 1
+    return client
+
+
 @pytest.fixture()
 def cluster():
     with TcpCluster(
@@ -48,7 +55,7 @@ def cluster():
 class TestGcOverRpc:
     def test_delete_then_compact_reclaims_dead_space(self, cluster):
         doomed, kept = shared_payloads()
-        alice = cluster.new_client("alice", fetch_workers=1)
+        alice = serial_reader(cluster, "alice")
         alice.upload("doomed", doomed)
         assert alice.upload("kept", kept).new_chunks == 0  # B dedups
         alice.delete("doomed")
@@ -70,13 +77,11 @@ class TestGcOverRpc:
         # The surviving file is bit-identical after relocation — both
         # for this client and for a cold one with an empty chunk cache.
         assert alice.download("kept").data == kept
-        assert cluster.new_client("alice", fetch_workers=1).download(
-            "kept"
-        ).data == kept
+        assert serial_reader(cluster, "alice").download("kept").data == kept
 
     def test_gc_status_per_node_stub(self, cluster):
         doomed, kept = shared_payloads()
-        alice = cluster.new_client("alice", fetch_workers=1)
+        alice = serial_reader(cluster, "alice")
         alice.upload("doomed", doomed)
         alice.upload("kept", kept)
         alice.delete("doomed")
@@ -95,7 +100,7 @@ class TestGcOverRpc:
 
     def test_gc_metrics_scraped_over_tcp(self, cluster):
         doomed, kept = shared_payloads()
-        alice = cluster.new_client("alice", fetch_workers=1)
+        alice = serial_reader(cluster, "alice")
         alice.upload("doomed", doomed)
         alice.upload("kept", kept)
         alice.delete("doomed")
@@ -117,7 +122,7 @@ class TestBackgroundDaemons:
             gc_interval=0.05,
         ) as cluster:
             doomed, kept = shared_payloads()
-            alice = cluster.new_client("alice", fetch_workers=1)
+            alice = serial_reader(cluster, "alice")
             alice.upload("doomed", doomed)
             alice.upload("kept", kept)
             alice.delete("doomed")
@@ -139,7 +144,7 @@ class TestRestartPersistence:
             num_data_servers=1,
             chunking=ChunkingSpec(method="fixed", avg_size=CHUNK),
         ) as cluster:
-            alice = cluster.new_client("alice", fetch_workers=1)
+            alice = serial_reader(cluster, "alice")
             data = unique_data(60_000, seed=43)
             result = alice.upload("durable", data)
             assert result.new_chunks > 0
@@ -164,7 +169,7 @@ class TestRestartPersistence:
             gc_threshold=0.2,
         ) as cluster:
             doomed, kept = shared_payloads()
-            alice = cluster.new_client("alice", fetch_workers=1)
+            alice = serial_reader(cluster, "alice")
             alice.upload("doomed", doomed)
             alice.upload("kept", kept)
             alice.delete("doomed")

@@ -80,9 +80,8 @@ def _group_cluster(batch_size: int = 2, files: int = 5, shards: int = 4):
         rng=HmacDrbg(b"rekey-pipeline-cluster"),
     )
     try:
-        owner = cluster.new_client(
-            "owner", rekey_workers=2, rekey_batch_size=batch_size
-        )
+        owner = cluster.new_client("owner", rekey_workers=2)
+        owner.rekey_batch_size = batch_size
         groups = GroupManager(owner)
         groups.create_group(GROUP, FilePolicy.for_users(["owner", "mallory"]))
         file_ids = _member_ids(files)
@@ -543,7 +542,8 @@ def test_concurrent_rekey_and_upload_attribution_exact():
         rng=HmacDrbg(b"rekey-attribution"),
     )
     with cluster:
-        alice = cluster.new_client("alice", rekey_batch_size=2)
+        alice = cluster.new_client("alice")
+        alice.rekey_batch_size = 2
         file_ids = _member_ids(4)
         for index, file_id in enumerate(file_ids):
             alice.upload(file_id, _payload(index))
@@ -658,9 +658,7 @@ def _wind_cluster(seed: bytes, files: int, workers: int = 2):
     """A TCP cluster whose owner uploaded ``files`` small files."""
     cluster = TcpCluster(num_data_servers=2, chunking=CHUNKING, rng=HmacDrbg(seed))
     try:
-        client = cluster.new_client(
-            "alice", rekey_workers=workers, rekey_batch_size=64
-        )
+        client = cluster.new_client("alice", rekey_workers=workers)
         file_ids = _member_ids(files)
         for index, file_id in enumerate(file_ids):
             client.upload(file_id, _payload(index))

@@ -30,11 +30,17 @@ def cluster():
         yield cluster
 
 
+def serial_reader(cluster, user: str):
+    """A client of ``user`` whose reads visit one shard at a time."""
+    client = cluster.new_client(user)
+    client.storage.fetch_workers = 1
+    return client
+
+
 class TestKillMidUpload:
     def test_zero_loss_and_repair_after_node_kill(self, cluster):
-        alice = cluster.new_client(
-            "alice", upload_batch_bytes=16 * 1024, fetch_workers=1
-        )
+        alice = serial_reader(cluster, "alice")
+        alice.upload_batch_bytes = 16 * 1024
         data = unique_data(400_000, seed=7)  # ~200 chunks, many batches
 
         # Kill storage-1 after the first few batches have shipped.
@@ -62,7 +68,7 @@ class TestKillMidUpload:
 
         # A fresh client (whose ring still lists the dead node) also
         # reads the file intact — failures are discovered, not shared.
-        fresh = cluster.new_client("alice", fetch_workers=1)
+        fresh = serial_reader(cluster, "alice")
         assert fresh.download("victim").data == data
 
         # Node returns with the data it held at kill time; the repair
@@ -96,7 +102,7 @@ class TestKillMidUpload:
         assert alice.download("victim").data == data
 
     def test_wiped_node_is_refilled_by_repair(self, cluster):
-        alice = cluster.new_client("alice", fetch_workers=1)
+        alice = serial_reader(cluster, "alice")
         data = unique_data(150_000, seed=8)
         alice.upload("precious", data)
 
@@ -121,7 +127,7 @@ class TestDegradedWrites:
     def test_upload_against_downed_node_then_repair(self, cluster):
         """Writes land at quorum W=1 with a node down; repair completes
         replication once it returns."""
-        alice = cluster.new_client("alice", fetch_workers=1)
+        alice = serial_reader(cluster, "alice")
         cluster.kill_data_server(0)
         data = unique_data(120_000, seed=9)
         alice.upload("degraded", data)  # first batch marks node-0 down

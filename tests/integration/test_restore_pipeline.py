@@ -45,13 +45,15 @@ class TestPipelineEquivalence:
         cluster, _alice, data = stored
         serial = cluster.new_client("alice", owner=False, encryption_workers=1)
         serial.pipeline_depth = 1
+        serial.fetch_batch_chunks = 8
         cluster.storage.fetch_workers = 1
         try:
-            serial_result = serial.download("doc", fetch_batch_chunks=8)
+            serial_result = serial.download("doc")
         finally:
             cluster.storage.fetch_workers = min(len(cluster.servers), 8)
         pipelined = cluster.new_client("alice", owner=False)
-        pipelined_result = pipelined.download("doc", fetch_batch_chunks=8)
+        pipelined.fetch_batch_chunks = 8
+        pipelined_result = pipelined.download("doc")
         assert serial_result.data == data
         assert pipelined_result.data == data
         assert serial_result.chunk_count == pipelined_result.chunk_count
@@ -61,14 +63,16 @@ class TestPipelineEquivalence:
     def test_download_iter_streams_in_order(self, stored):
         cluster, _alice, data = stored
         reader = cluster.new_client("alice", owner=False)
-        pieces = list(reader.download_iter("doc", fetch_batch_chunks=8))
+        reader.fetch_batch_chunks = 8
+        pieces = list(reader.download_iter("doc"))
         assert len(pieces) > 1
         assert b"".join(pieces) == data
 
     def test_download_iter_early_close_is_clean(self, stored):
         cluster, _alice, data = stored
         reader = cluster.new_client("alice", owner=False)
-        iterator = reader.download_iter("doc", fetch_batch_chunks=8)
+        reader.fetch_batch_chunks = 8
+        iterator = reader.download_iter("doc")
         first = next(iterator)
         assert data.startswith(first)
         iterator.close()  # must not raise (no size-mismatch complaint)
@@ -121,10 +125,10 @@ class TestStreamingMemoryBound:
         reader = cluster.new_client("alice", owner=False)
         spy = _CountingStorage(reader.storage)
         reader.storage = spy
-        fetch_batch = 8
-        bound = reader.pipeline_depth * fetch_batch * max_len
+        reader.fetch_batch_chunks = 8
+        bound = reader.pipeline_depth * reader.fetch_batch_chunks * max_len
         sink = _BoundCheckingSink(spy, bound)
-        result = reader.download_to("doc", sink, fetch_batch_chunks=fetch_batch)
+        result = reader.download_to("doc", sink)
         assert result.size == len(data)
         assert result.data == b""
         assert sink.written == len(data)
@@ -216,9 +220,10 @@ class TestAttribution:
         other = unique_data(400_000, seed=31)
         alice.upload("other", other)
         reader = cluster.new_client("alice", owner=False)
+        reader.fetch_batch_chunks = 16
         # Serial oracle: per-download counters with nothing else running.
-        solo_doc = reader.download("doc", fetch_batch_chunks=16)
-        solo_other = reader.download("other", fetch_batch_chunks=16)
+        solo_doc = reader.download("doc")
+        solo_other = reader.download("other")
 
         results = {}
         errors = []
@@ -227,9 +232,7 @@ class TestAttribution:
         def run(file_id):
             try:
                 barrier.wait(timeout=30)
-                results[file_id] = reader.download(
-                    file_id, fetch_batch_chunks=16
-                )
+                results[file_id] = reader.download(file_id)
             except BaseException as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
 
@@ -260,11 +263,12 @@ class TestChunkCache:
         reader = cluster.new_client(
             "alice", owner=False, chunk_cache_bytes=8 * 1024 * 1024
         )
-        cold = reader.download("doc", fetch_batch_chunks=16)
+        reader.fetch_batch_chunks = 16
+        cold = reader.download("doc")
         assert cold.data == data
         assert cold.fetch_batches > 0
         assert cold.chunk_cache_misses == cold.chunk_count
-        warm = reader.download("doc", fetch_batch_chunks=16)
+        warm = reader.download("doc")
         assert warm.data == data
         assert warm.fetch_batches == 0
         assert warm.chunk_cache_hits == warm.chunk_count

@@ -75,7 +75,7 @@ class TestSameSocketConcurrency:
             release.set()
             sock.close()
         value = server.metrics.counter(
-            "aio_out_of_order_responses_total", ""
+            "tcp_out_of_order_responses_total", ""
         ).value
         assert value >= 1
 

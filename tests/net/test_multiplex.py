@@ -80,7 +80,7 @@ class TestOutOfOrderMultiplexing:
             assert out == bytes([key >> 8, key & 0xFF])
         # The server observed genuine same-connection overlap.
         out_of_order = server.metrics.counter(
-            "aio_out_of_order_responses_total", ""
+            "tcp_out_of_order_responses_total", ""
         ).value
         assert out_of_order > 0
 
