@@ -459,12 +459,13 @@ class REEDClient:
             return new
 
         tracer = self.tracer
-        # Chunking, key derivation, the chunk transform and the store RPC
-        # overlap stage by stage (see repro.core.uploadpipe); a file of
-        # one key window and one store batch runs inline, as does
+        # Chunking, blinding, key derivation, the chunk transform and the
+        # store RPC overlap stage by stage (see repro.core.uploadpipe); a
+        # file of one key window and one store batch runs inline, as does
         # everything at pipeline depth 1.
         pipeline = UploadPipeline(
-            derive=key_client.derive_keys,
+            blind=key_client.blind,
+            finish=key_client.finish,
             encrypt=self._encrypt_chunks,
             store=store,
             tracer=tracer,

@@ -37,8 +37,10 @@ from repro.util.spanpool import SpanPool
 DEFAULT_MIN_PARALLEL_BYTES = 1 << 20
 
 #: Rekey windows of fewer key states wind on the caller thread: a wind
-#: is ~1.4 ms of CPU, so a handful of them does not repay the hand-off,
-#: and a single-file rekey never starts the workers at all.
+#: is ~0.7 ms of CPU (one 1024-bit three-prime private-key operation at
+#: reference host speed), and handing a window to two workers costs
+#: about two winds, so a handful of them does not repay the hand-off.
+#: A single-file rekey never starts the workers at all.
 MIN_PARALLEL_WIND = 8
 
 

@@ -34,7 +34,9 @@ MLE_KEY_SIZE = 32
 class BlindingState:
     """Client-side state kept between blind and unblind for one request."""
 
-    fingerprint: bytes
+    #: ``H(fp)``: the fingerprint hashed into the RSA domain, which the
+    #: unblinded signature is checked against.
+    hashed: int
     r_inverse: int
 
 
@@ -50,8 +52,9 @@ def blind(
     """
     n = public_key.n
     r = _draw_blinding_factor(n, rng or SYSTEM_RANDOM)
-    blinded = (hash_to_int(fingerprint, n) * pow(r, public_key.e, n)) % n
-    return blinded, BlindingState(fingerprint=fingerprint, r_inverse=pow(r, -1, n))
+    hashed = hash_to_int(fingerprint, n)
+    blinded = (hashed * pow(r, public_key.e, n)) % n
+    return blinded, BlindingState(hashed=hashed, r_inverse=pow(r, -1, n))
 
 
 def _draw_blinding_factor(n: int, rng: RandomSource) -> int:
@@ -78,10 +81,8 @@ def blind_many(
     rng = rng or SYSTEM_RANDOM
     n, e = public_key.n, public_key.e
     factors = [_draw_blinding_factor(n, rng) for _ in fingerprints]
-    blinded = [
-        (hash_to_int(fingerprint, n) * pow(r, e, n)) % n
-        for fingerprint, r in zip(fingerprints, factors)
-    ]
+    hashed = [hash_to_int(fingerprint, n) for fingerprint in fingerprints]
+    blinded = [(h * pow(r, e, n)) % n for h, r in zip(hashed, factors)]
     # prefix[i] = r_0 * ... * r_(i-1); walking back from the inverse of
     # the full product peels off one factor's inverse per step.
     prefix = [1]
@@ -93,8 +94,8 @@ def blind_many(
         inverses.append((running * before) % n)
         running = (running * r) % n
     states = [
-        BlindingState(fingerprint=fingerprint, r_inverse=r_inverse)
-        for fingerprint, r_inverse in zip(fingerprints, reversed(inverses))
+        BlindingState(hashed=h, r_inverse=r_inverse)
+        for h, r_inverse in zip(hashed, reversed(inverses))
     ]
     return blinded, states
 
@@ -124,8 +125,7 @@ def unblind(
     silently yielding a bad MLE key.
     """
     signature = (blinded_signature * state.r_inverse) % public_key.n
-    expected = hash_to_int(state.fingerprint, public_key.n)
-    if pow(signature, public_key.e, public_key.n) != expected:
+    if pow(signature, public_key.e, public_key.n) != state.hashed:
         raise KeyManagerError("key manager returned an invalid blind signature")
     return signature
 

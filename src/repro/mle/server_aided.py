@@ -5,7 +5,10 @@ key manager (Section V-A):
 
     blind -> send batch -> unblind -> verify -> hash into the MLE key
 
-with three performance measures from Section V-B layered on top:
+split in two — :meth:`ServerAidedKeyClient.blind`, which makes no RPC,
+and :meth:`~ServerAidedKeyClient.finish`, the rest — so that a pipelined
+caller can blind one key window while the key manager signs the last.
+Three performance measures from Section V-B are layered on top:
 
 * **batching** — up to ``batch_size`` per-chunk requests per round trip
   (the paper finds the key manager saturates around batch size 256);
@@ -19,8 +22,10 @@ tests and experiments, or an RPC stub over TCP (:mod:`repro.net`).
 
 from __future__ import annotations
 
+import threading
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Collection, Sequence
+from dataclasses import dataclass
 from typing import Protocol
 
 from repro.crypto import blindrsa
@@ -72,6 +77,21 @@ class LocalKeyManagerChannel:
         return self._manager.seconds_until_allowed(client_id, batch_size)
 
 
+@dataclass
+class PendingKeys:
+    """One key request between :meth:`ServerAidedKeyClient.blind` and
+    :meth:`ServerAidedKeyClient.finish`."""
+
+    #: The request as given, repeats included: the order keys come back in.
+    fingerprints: tuple[bytes, ...]
+    #: Keys known already (cache hits); ``finish`` adds the rest.
+    keys: dict[bytes, bytes]
+    #: Awaited fingerprints, looked up in the cache by ``finish``.
+    deferred: list[bytes]
+    #: One ``(fingerprints, blinded values, blinding states)`` per round trip.
+    batches: list[tuple[list[bytes], list[int], list[blindrsa.BlindingState]]]
+
+
 class ServerAidedKeyClient:
     """Obtains MLE keys from the key manager via the blind-RSA OPRF.
 
@@ -112,6 +132,9 @@ class ServerAidedKeyClient:
         #: derive-batch RPCs issued to the key manager (including attempts
         #: rejected by rate limiting — they did cross the wire).
         self.round_trips = 0
+        #: Guards the three counters above: a pipelined upload blinds and
+        #: finishes on two threads, and uploads may share a client.
+        self._counts_lock = threading.Lock()
         # The per-instance integers above stay the exact per-client
         # record; every bump is mirrored into the registry (process
         # totals, labeled by client) and the active attribution scope
@@ -161,7 +184,8 @@ class ServerAidedKeyClient:
         for attempt in range(self._max_retries + 1):
             started = self._clock()
             try:
-                self.round_trips += 1
+                with self._counts_lock:
+                    self.round_trips += 1
                 self._m_trips.inc()
                 obs_scope.add("key_round_trips")
                 result = self._channel.derive_batch(self._client_id, blinded)
@@ -177,26 +201,75 @@ class ServerAidedKeyClient:
                 self._sleep(max(delay, 1e-4) * 1.05)
         raise AssertionError("unreachable")
 
-    def _fetch_batch(self, fingerprints: list[bytes]) -> list[bytes]:
-        """One OPRF round trip for up to ``batch_size`` fingerprints."""
+    def blind(
+        self, fingerprints: Sequence[bytes], awaited: Collection[bytes] = ()
+    ) -> PendingKeys:
+        """The client's first OPRF step for ``fingerprints``; no RPC.
+
+        Consults the cache, drops repeated fingerprints and blinds the
+        misses, ``batch_size`` to a slice: every blinding factor is drawn
+        here, in order.  ``awaited`` names fingerprints whose keys an
+        earlier, unfinished request will put in the cache: unless cached
+        already, they are looked up by :meth:`finish` instead of blinded.
+        """
+        keys: dict[bytes, bytes] = {}
+        deferred: list[bytes] = []
+        missing: list[bytes] = []
+        for fp in dict.fromkeys(fingerprints):
+            cached = self.cache.get(fp) if self.cache is not None else None
+            if cached is not None:
+                keys[fp] = cached
+                self._count_hit()
+            elif fp in awaited and self.cache is not None:
+                deferred.append(fp)
+            else:
+                missing.append(fp)
+        batches = []
+        for start in range(0, len(missing), self.batch_size):
+            batch = missing[start : start + self.batch_size]
+            blinded, states = blindrsa.blind_many(self.public_key, batch, self._rng)
+            batches.append((batch, blinded, states))
+        return PendingKeys(tuple(fingerprints), keys, deferred, batches)
+
+    def finish(self, pending: PendingKeys) -> list[bytes]:
+        """The rest of the OPRF: the keys of ``pending.fingerprints``.
+
+        Ships each blinded slice through ``km.derive_batch``, one round
+        trip apiece, then unblinds and verifies it before the next goes
+        out, so no request follows a forged response.  A deferred
+        fingerprint whose key has left the cache by now is evaluated
+        here.
+        """
+        keys = pending.keys
+        late = []
+        for fp in pending.deferred:
+            cached = self.cache.get(fp)
+            if cached is not None:
+                keys[fp] = cached
+                self._count_hit()
+            else:
+                late.append(fp)
         public_key = self.public_key
-        blinded_values, states = blindrsa.blind_many(
-            public_key, fingerprints, self._rng
-        )
-        signatures = self._send_with_backoff(blinded_values)
-        if len(signatures) != len(blinded_values):
-            raise KeyManagerError(
-                f"key manager returned {len(signatures)} signatures for "
-                f"{len(blinded_values)} requests"
-            )
-        keys = []
-        for state, signature in zip(states, signatures):
-            unblinded = blindrsa.unblind(public_key, state, signature)
-            keys.append(blindrsa.signature_to_key(unblinded, public_key.byte_size))
-        self.oprf_evaluations += len(keys)
-        self._m_oprf.inc(len(keys))
-        obs_scope.add("key_oprf_evaluations", len(keys))
-        return keys
+        for batch, blinded, states in pending.batches:
+            signatures = self._send_with_backoff(blinded)
+            if len(signatures) != len(blinded):
+                raise KeyManagerError(
+                    f"key manager returned {len(signatures)} signatures for "
+                    f"{len(blinded)} requests"
+                )
+            for fp, state, signature in zip(batch, states, signatures):
+                unblinded = blindrsa.unblind(public_key, state, signature)
+                key = blindrsa.signature_to_key(unblinded, public_key.byte_size)
+                keys[fp] = key
+                if self.cache is not None:
+                    self.cache.put(fp, key)
+            with self._counts_lock:
+                self.oprf_evaluations += len(batch)
+            self._m_oprf.inc(len(batch))
+            obs_scope.add("key_oprf_evaluations", len(batch))
+        if late:
+            keys.update(zip(late, self.finish(self.blind(late))))
+        return [keys[fp] for fp in pending.fingerprints]
 
     def derive_keys(self, fingerprints: Sequence[bytes]) -> list[bytes]:
         """Return MLE keys for ``fingerprints`` (order-preserving).
@@ -209,25 +282,10 @@ class ServerAidedKeyClient:
         to ``batch_size`` unique chunks).  Unblinding strips the only
         randomness, so the keys do not depend on the batching.
         """
-        results: dict[bytes, bytes] = {}
-        missing: list[bytes] = []
-        seen: set[bytes] = set()
-        for fp in fingerprints:
-            if fp in seen:
-                continue
-            seen.add(fp)
-            cached = self.cache.get(fp) if self.cache is not None else None
-            if cached is not None:
-                results[fp] = cached
-                self.cache_hits += 1
-                self._m_hits.inc()
-                obs_scope.add("key_cache_hits")
-            else:
-                missing.append(fp)
-        for start in range(0, len(missing), self.batch_size):
-            batch = missing[start : start + self.batch_size]
-            for fp, key in zip(batch, self._fetch_batch(batch)):
-                results[fp] = key
-                if self.cache is not None:
-                    self.cache.put(fp, key)
-        return [results[fp] for fp in fingerprints]
+        return self.finish(self.blind(fingerprints))
+
+    def _count_hit(self) -> None:
+        with self._counts_lock:
+            self.cache_hits += 1
+        self._m_hits.inc()
+        obs_scope.add("key_cache_hits")

@@ -18,17 +18,44 @@ KEY_WINDOW = 16
 SMALL_CHUNKS = ChunkingSpec(avg_size=256, min_size=64, max_size=1024)
 
 
-def _lagging(inner):
-    """The same key client, each derive call starting late: the chunker
-    is always windows ahead of the keys."""
-    derive = inner.derive_keys
+def _on_derive_batch(wrap):
+    """A ``key_client`` argument for :func:`_upload`: the same key client,
+    its channel's ``derive_batch`` replaced by ``wrap(derive_batch)``."""
 
-    def late(fingerprints):
-        time.sleep(0.02)
-        return derive(fingerprints)
+    def install(inner):
+        channel = inner._channel
+        channel.derive_batch = wrap(channel.derive_batch)
+        return inner
 
-    inner.derive_keys = late
-    return inner
+    return install
+
+
+def _lagging(calls):
+    """Each key-manager round trip starts late, so the chunker is always
+    windows ahead of the keys; each is recorded in ``calls``."""
+
+    def wrap(send):
+        def late(client_id, blinded):
+            calls.append(len(blinded))
+            time.sleep(0.02)
+            return send(client_id, blinded)
+
+        return late
+
+    return _on_derive_batch(wrap)
+
+
+def _recording(blinded_values):
+    """Each round trip's blinded values are appended to ``blinded_values``."""
+
+    def wrap(send):
+        def record(client_id, blinded):
+            blinded_values.append(list(blinded))
+            return send(client_id, blinded)
+
+        return record
+
+    return _on_derive_batch(wrap)
 
 
 def _upload(
@@ -49,14 +76,14 @@ def _upload(
     if key_client is not None:
         client.key_client = key_client(client.key_client)
     keys = []
-    derive = client.key_client.derive_keys
+    finish = client.key_client.finish
 
-    def spy(fingerprints):
-        got = derive(fingerprints)
-        keys.extend(zip(fingerprints, got))
+    def spy(pending):
+        got = finish(pending)
+        keys.extend(zip(pending.fingerprints, got))
         return got
 
-    client.key_client.derive_keys = spy
+    client.key_client.finish = spy
     result = client.upload("file", feed(data))
     client.close()
     system.close()
@@ -158,9 +185,52 @@ class TestBitIdentical:
         reference = _upload(data, bytes, depth=1, **shape)
         assert reference["result"].upload_batches == 4
         assert reference["result"].key_cache_hits == 3 * 12
-        pipelined = _upload(data, bytes, key_client=_lagging, **shape)
+        calls = []
+        pipelined = _upload(data, bytes, key_client=_lagging(calls), **shape)
+        assert len(calls) == pipelined["result"].key_round_trips > 0
         assert pipelined["result"].key_cache_hits == 3 * 12
         _same_bytes(pipelined, reference)
+
+    def test_blinded_values_do_not_depend_on_depth(self):
+        """Blinding factors are drawn in file order on one stage: a
+        3-window file sends the key manager the same values at depth 2
+        as at depth 1."""
+        fixed = ChunkingSpec(method="fixed", avg_size=4096)
+        data = HmacDrbg(b"blinded").random_bytes(3 * KEY_WINDOW * 4096)
+        serial, pipelined = [], []
+        _upload(data, bytes, chunking=fixed, depth=1, key_client=_recording(serial))
+        _upload(data, bytes, chunking=fixed, key_client=_recording(pipelined))
+        assert [len(values) for values in serial] == [KEY_WINDOW] * 3
+        assert pipelined == serial
+
+    def test_next_window_is_blinded_while_the_key_manager_signs(self, monkeypatch):
+        """The first round trip holds until window 2's blinding starts:
+        the upload completes only if the two overlap."""
+        blinding = threading.Event()
+        blind_many = blindrsa.blind_many
+        blinds = []
+
+        def counting(*args):
+            blinds.append(len(args[1]))
+            if len(blinds) == 2:
+                blinding.set()
+            return blind_many(*args)
+
+        monkeypatch.setattr(blindrsa, "blind_many", counting)
+
+        def wrap(send):
+            def first_waits(client_id, blinded):
+                if not blinding.wait(timeout=10):
+                    raise TimeoutError("window 2 was not blinded during window 1")
+                return send(client_id, blinded)
+
+            return first_waits
+
+        fixed = ChunkingSpec(method="fixed", avg_size=4096)
+        data = HmacDrbg(b"overlap").random_bytes(3 * KEY_WINDOW * 4096)
+        done = _upload(data, bytes, chunking=fixed, key_client=_on_derive_batch(wrap))
+        assert done["result"].key_round_trips == 3
+        assert blinds == [KEY_WINDOW] * 3
 
     def test_single_window_file_runs_inline(self):
         """A file of one key window, one store batch and one fetch window

@@ -107,6 +107,7 @@ def test_scrape_all_nodes_after_128_chunk_upload(fresh_registry, cluster):
     spans = parse_prometheus(render_prometheus(default_registry()))
     for stage in (
         "upload",
+        "upload.key_blind",
         "upload.key_derive",
         "upload.encrypt",
         "upload.store",

@@ -84,7 +84,12 @@ def test_upload_produces_one_merged_cross_node_trace(fresh_telemetry, cluster):
     spans = list(_walk(tree))
     # Client pipeline spans are in the tree...
     names = {span["name"] for span in spans}
-    assert {"upload.key_derive", "upload.encrypt", "upload.store"} <= names
+    assert {
+        "upload.key_blind",
+        "upload.key_derive",
+        "upload.encrypt",
+        "upload.store",
+    } <= names
     # ...alongside handler spans attributed to >= 2 distinct server
     # nodes (4 shards, 64 chunks: the sharder spreads the batches).
     handler_nodes = {

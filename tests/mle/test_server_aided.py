@@ -1,5 +1,8 @@
 """Tests for the server-aided MLE key client (batching, caching, retry)."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.crypto import blindrsa
@@ -95,6 +98,72 @@ class TestCaching:
         client.derive_keys([fp])
         client.derive_keys([fp])
         assert manager.stats.signatures == 2
+
+
+class TestBlindFinish:
+    """``derive_keys`` split in two, as the upload pipeline calls it."""
+
+    def test_awaited_key_is_a_cache_hit_in_finish(self, manager, rsa_512):
+        """Window 2 is blinded before window 1 is finished; a fingerprint
+        window 1 is deriving is looked up in finish, not blinded again."""
+        client = make_client(manager, cache=MLEKeyCache(1 << 20))
+        fps = [bytes([i]) * 32 for i in range(6)]
+        first = client.blind(fps[:4])
+        second = client.blind(fps[2:], awaited=set(fps[2:4]))
+        assert [len(batch) for batch, _, _ in second.batches] == [2]
+        assert manager.stats.batches == 0  # blinding sends nothing
+        keys = client.finish(first) + client.finish(second)
+        assert keys == [
+            blindrsa.derive_mle_key_directly(rsa_512, fp) for fp in fps[:4] + fps[2:]
+        ]
+        assert (client.round_trips, client.oprf_evaluations) == (2, 6)
+        assert client.cache_hits == 2
+
+    def test_awaited_key_gone_from_the_cache_is_evaluated(self, manager, rsa_512):
+        client = make_client(manager, cache=MLEKeyCache(1 << 20))
+        fps = [bytes([i]) * 32 for i in range(3)]
+        pending = client.blind(fps, awaited={fps[0]})
+        assert pending.deferred == [fps[0]]
+        keys = client.finish(pending)
+        assert keys == [blindrsa.derive_mle_key_directly(rsa_512, fp) for fp in fps]
+        assert (client.round_trips, client.oprf_evaluations) == (2, 3)
+
+    def test_counters_lose_no_update_across_threads(self, manager):
+        """The key and derive stages of an upload, and concurrent uploads,
+        bump one client's counters from several threads."""
+        client = make_client(manager, cache=MLEKeyCache(1 << 20))
+        threads, rounds = 4, 200
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+
+        def derive(worker):
+            for i in range(rounds):
+                fp = bytes([worker]) + i.to_bytes(2, "big") + bytes(29)
+                client.finish(client.blind([fp, fp]))
+                client.derive_keys([fp])
+
+        try:
+            workers = [
+                threading.Thread(target=derive, args=(w,)) for w in range(threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        total = threads * rounds
+        assert client.oprf_evaluations == client.round_trips == total
+        assert client.cache_hits == total
+
+    def test_awaited_is_ignored_without_a_cache(self, manager):
+        client = make_client(manager, cache=None)
+        fp = b"\x04" * 32
+        pending = client.blind([fp], awaited={fp})
+        assert pending.deferred == []
+        client.finish(pending)
+        assert client.round_trips == 1
 
 
 class TestDeriveKeys:
