@@ -1,4 +1,4 @@
-"""Hot-path benchmark: the client's per-chunk compute kernels.
+"""Hot-path benchmark: the per-chunk and per-key compute kernels.
 
 Measures the two kernels every upload runs on each chunk —
 
@@ -6,6 +6,15 @@ Measures the two kernels every upload runs on each chunk —
   (``reference`` / ``numpy``);
 * **caont** — the CAONT chunk transform (enhanced scheme) under the
   default (SHAKE-256) cipher every client runs (``caont/shake256``) —
+
+and the RSA operations under every OPRF evaluation and key-regression
+step, on a 1024-bit three-prime key (the key manager's size):
+
+* **rsa/private** — ``x^d mod n`` through the CRT (a signature, a wind);
+* **rsa/public** — ``x^e mod n`` (a blinding factor, a check, an unwind),
+
+each in µs per operation on the running engine
+(:func:`repro.crypto.modexp.engine`) next to ``pow``, its reference —
 
 and writes machine-readable ``BENCH_hotpath.json`` at the repo root.
 End-to-end operations over a real ``TcpCluster`` are measured by the
@@ -39,7 +48,7 @@ from repro.chunking import rabin  # noqa: E402
 from repro.obs.expo import parse_prometheus, render_prometheus  # noqa: E402
 from repro.obs.metrics import MetricsRegistry  # noqa: E402
 
-SCHEMA = "reed-bench-hotpath/8"
+SCHEMA = "reed-bench-hotpath/9"
 
 #: Every timed repeat lands in ``bench_seconds{bench=...}`` here, so the
 #: numbers the report prints are the same ones a scrape would export.
@@ -127,11 +136,66 @@ def bench_caont(chunk_size: int, chunk_count: int, repeats: int, seed: int) -> l
     ]
 
 
+def bench_rsa(private_ops: int, public_ops: int, repeats: int, seed: int) -> list[dict]:
+    """µs per RSA operation, engine against ``pow`` (``rsa/*``).
+
+    The reference runs the very CRT recombination of
+    :meth:`RSAPrivateKey.apply <repro.crypto.rsa.RSAPrivateKey.apply>`
+    with ``pow`` for each prime's exponentiation; both sides must agree
+    on every value.
+    """
+    from repro.crypto import modexp
+    from repro.crypto.rsa import generate_keypair
+
+    key = generate_keypair(1024, rng=seed_rng("bench-rsa", seed))
+    draw = seed_rng("bench-rsa-values", seed).randint_below
+    values = [draw(key.n) for _ in range(64)]
+    first, first_power, steps = key._crt
+
+    def reference_private(x: int) -> int:
+        m = pow(x % first, first_power.exponent, first)
+        for prime, power, coefficient, prefix in steps:
+            m += prefix * ((pow(x % prime, power.exponent, prime) - m) * coefficient % prime)
+        return m
+
+    def reference_public(x: int) -> int:
+        return pow(x, key.e, key.n)
+
+    rows = []
+    for name, engine, reference, operations in (
+        ("rsa/private", key.apply, reference_private, private_ops),
+        ("rsa/public", key.public.apply, reference_public, public_ops),
+    ):
+        inputs = [values[index % len(values)] for index in range(operations)]
+        if [engine(x) for x in values] != [reference(x) for x in values]:
+            raise AssertionError(f"{name}: the engine disagrees with pow")
+        seconds = _time(lambda: [engine(x) for x in inputs], repeats, name)
+        reference_seconds = _time(
+            lambda: [reference(x) for x in inputs], repeats, f"{name}/reference"
+        )
+        rows.append(
+            {
+                "name": name,
+                "engine": modexp.engine(),
+                "operations": operations,
+                "seconds": seconds,
+                "us_per_op": seconds / operations * 1e6,
+                "reference_us_per_op": reference_seconds / operations * 1e6,
+            }
+        )
+    return rows
+
+
 def compute_speedups(results: list[dict]) -> dict[str, float]:
-    """The numpy chunker's speedup over the reference engine."""
+    """The numpy chunker's and the RSA engine's speedups over their
+    references."""
     by_name = {r["name"]: r for r in results}
     ref, fast = by_name["chunking/reference"], by_name["chunking/numpy"]
-    return {"chunking": round(ref["seconds"] / fast["seconds"], 2)}
+    speedups = {"chunking": round(ref["seconds"] / fast["seconds"], 2)}
+    for name in ("rsa/private", "rsa/public"):
+        row = by_name[name]
+        speedups[name] = round(row["reference_us_per_op"] / row["us_per_op"], 2)
+    return speedups
 
 
 def run(quick: bool, seed: int = 0) -> dict:
@@ -141,12 +205,18 @@ def run(quick: bool, seed: int = 0) -> dict:
     if quick:
         chunk_data = rng.random_bytes(96 * 1024)
         caont = (4096, 4)
+        rsa = (16, 64)
         repeats = 1
     else:
         chunk_data = rng.random_bytes(4 * 1024 * 1024)
         caont = (8192, 64)
+        rsa = (256, 2048)
         repeats = 3
-    results = bench_chunking(chunk_data, repeats) + bench_caont(*caont, repeats, seed)
+    results = (
+        bench_chunking(chunk_data, repeats)
+        + bench_caont(*caont, repeats, seed)
+        + bench_rsa(*rsa, repeats, seed)
+    )
     return {
         "schema": SCHEMA,
         "quick": quick,
@@ -208,7 +278,13 @@ def main(argv: list[str] | None = None) -> int:
         json.dump(report, handle, indent=2)
         handle.write("\n")
     for result in report["results"]:
-        print(f"{result['name']:24s} {result['mib_per_s']:10.2f} MiB/s")
+        if "us_per_op" in result:
+            print(
+                f"{result['name']:24s} {result['us_per_op']:10.1f} us/op "
+                f"({result['engine']}; pow {result['reference_us_per_op']:.1f} us/op)"
+            )
+        else:
+            print(f"{result['name']:24s} {result['mib_per_s']:10.2f} MiB/s")
     print("speedups:", report["speedups"])
     if args.smoke:
         check_metrics_snapshot(report)

@@ -37,10 +37,13 @@ from repro.util.spanpool import SpanPool
 DEFAULT_MIN_PARALLEL_BYTES = 1 << 20
 
 #: Rekey windows of fewer key states wind on the caller thread: a wind
-#: is ~0.7 ms of CPU (one 1024-bit three-prime private-key operation at
-#: reference host speed), and handing a window to two workers costs
-#: about two winds, so a handful of them does not repay the hand-off.
-#: A single-file rekey never starts the workers at all.
+#: is ~0.14 ms (one 1024-bit three-prime private-key operation on
+#: OpenSSL's kernel), and handing a window to two workers costs several
+#: winds, so a handful of them does not repay the hand-off.  Re-timed
+#: at 4-32 states (docs/PERFORMANCE.md, *One Montgomery kernel*): the
+#: in-process path won up to 16 in both runs, the two runs split at 32,
+#: so the bound stays where it was.  A single-file rekey never starts
+#: the workers at all.
 MIN_PARALLEL_WIND = 8
 
 

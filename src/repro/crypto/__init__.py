@@ -7,6 +7,8 @@ Layout:
 * :mod:`repro.crypto.cipher` — ``E(.)``: the SHAKE-256 cipher every
   construction uses, with its key and nonce checks.
 * :mod:`repro.crypto.drbg` — OS randomness + deterministic HMAC-DRBG.
+* :mod:`repro.crypto.modexp` — modular exponentiation on OpenSSL's
+  Montgomery kernel (``pow`` where ``libcrypto`` cannot be loaded).
 * :mod:`repro.crypto.rsa` — RSA keygen / FDH signatures.
 * :mod:`repro.crypto.blindrsa` — the DupLESS OPRF (blind RSA).
 * :mod:`repro.crypto.shamir` — secret sharing for the access-tree ABE.

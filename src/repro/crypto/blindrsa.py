@@ -53,7 +53,7 @@ def blind(
     n = public_key.n
     r = _draw_blinding_factor(n, rng or SYSTEM_RANDOM)
     hashed = hash_to_int(fingerprint, n)
-    blinded = (hashed * pow(r, public_key.e, n)) % n
+    blinded = (hashed * public_key.apply(r)) % n
     return blinded, BlindingState(hashed=hashed, r_inverse=pow(r, -1, n))
 
 
@@ -79,10 +79,10 @@ def blind_many(
     is invertible.
     """
     rng = rng or SYSTEM_RANDOM
-    n, e = public_key.n, public_key.e
+    n, power = public_key.n, public_key.apply
     factors = [_draw_blinding_factor(n, rng) for _ in fingerprints]
     hashed = [hash_to_int(fingerprint, n) for fingerprint in fingerprints]
-    blinded = [(h * pow(r, e, n)) % n for h, r in zip(hashed, factors)]
+    blinded = [(h * power(r)) % n for h, r in zip(hashed, factors)]
     # prefix[i] = r_0 * ... * r_(i-1); walking back from the inverse of
     # the full product peels off one factor's inverse per step.
     prefix = [1]
@@ -125,7 +125,7 @@ def unblind(
     silently yielding a bad MLE key.
     """
     signature = (blinded_signature * state.r_inverse) % public_key.n
-    if pow(signature, public_key.e, public_key.n) != state.hashed:
+    if public_key.apply(signature) != state.hashed:
         raise KeyManagerError("key manager returned an invalid blind signature")
     return signature
 

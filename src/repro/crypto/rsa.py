@@ -1,4 +1,4 @@
-"""RSA from scratch: prime generation, keypairs, and FDH signatures.
+"""RSA: prime generation, keypairs, the raw operations and FDH signatures.
 
 REED uses RSA in two places:
 
@@ -7,8 +7,11 @@ REED uses RSA in two places:
 * RSA key regression for deriving file-key states (Section IV-C).
 
 This module provides Miller–Rabin probabilistic primality testing with a
-small-prime sieve, keypair generation, raw modular exponentiation with a
+small-prime sieve, keypair generation, the raw RSA operations with a
 CRT-accelerated private operation, and full-domain-hash (FDH) signatures.
+Every exponentiation of those operations runs on
+:class:`~repro.crypto.modexp.ModExp` — OpenSSL's Montgomery kernel, the
+constant-time ladder for the private exponents — built once per key.
 Key sizes are configurable; tests use small keys (512 bits) for speed
 while the defaults match the paper (1024 bits).
 
@@ -31,6 +34,7 @@ from functools import cached_property
 
 from repro.crypto.drbg import SYSTEM_RANDOM, RandomSource
 from repro.crypto.hashing import hash_to_int, sha256
+from repro.crypto.modexp import ModExp
 from repro.util.codec import Decoder, Encoder
 from repro.util.errors import ConfigurationError
 
@@ -124,11 +128,15 @@ class RSAPublicKey:
     def byte_size(self) -> int:
         return (self.n.bit_length() + 7) // 8
 
+    @cached_property
+    def _power(self) -> ModExp:
+        return ModExp(self.e, self.n)
+
     def apply(self, x: int) -> int:
         """The public RSA operation ``x^e mod n`` (verify / unwind)."""
         if not 0 <= x < self.n:
             raise ConfigurationError("RSA input out of range")
-        return pow(x, self.e, self.n)
+        return self._power(x)
 
     def encode(self) -> bytes:
         return Encoder().bigint(self.n).bigint(self.e).done()
@@ -159,35 +167,39 @@ class RSAPrivateKey:
     d: int
     primes: tuple[int, ...]
 
-    @property
+    @cached_property
     def public(self) -> RSAPublicKey:
         return RSAPublicKey(n=self.n, e=self.e)
 
     @cached_property
-    def _crt(self) -> tuple[int, int, tuple[tuple[int, int, int, int], ...]]:
+    def _crt(self) -> tuple[int, ModExp, tuple[tuple[int, ModExp, int, int], ...]]:
         """Garner's constants, computed once per key.
 
-        The first prime ``r_1`` with ``d mod r_1-1``, then for each later
-        prime ``r_i``: ``(r_i, d mod r_i-1, R^-1 mod r_i, R)`` where ``R``
-        is the product of the primes before it (RFC 8017 §3.2).
+        The first prime ``r_1`` with its power ``x -> x^(d mod r_1-1) mod
+        r_1``, then for each later prime ``r_i``: ``(r_i, its power,
+        R^-1 mod r_i, R)`` where ``R`` is the product of the primes before
+        it (RFC 8017 §3.2).
         """
         first, *rest = self.primes
         steps = []
         prefix = first
         for prime in rest:
-            steps.append((prime, self.d % (prime - 1), pow(prefix, -1, prime), prefix))
+            steps.append((prime, self._prime_power(prime), pow(prefix, -1, prime), prefix))
             prefix *= prime
-        return first, self.d % (first - 1), tuple(steps)
+        return first, self._prime_power(first), tuple(steps)
+
+    def _prime_power(self, prime: int) -> ModExp:
+        return ModExp(self.d % (prime - 1), prime, secret=True)
 
     def apply(self, x: int) -> int:
         """The private RSA operation ``x^d mod n`` via the CRT."""
         if not 0 <= x < self.n:
             raise ConfigurationError("RSA input out of range")
-        first, first_exponent, steps = self._crt
+        first, first_power, steps = self._crt
         # After each step m < R * r_i and m = x^d modulo every prime so far.
-        m = pow(x % first, first_exponent, first)
-        for prime, exponent, coefficient, prefix in steps:
-            m += prefix * ((pow(x % prime, exponent, prime) - m) * coefficient % prime)
+        m = first_power(x % first)
+        for prime, power, coefficient, prefix in steps:
+            m += prefix * ((power(x % prime) - m) * coefficient % prime)
         return m
 
     def encode(self) -> bytes:

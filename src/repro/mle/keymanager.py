@@ -11,9 +11,13 @@ rate-limited per client with a token bucket (Section II-A).  The manager
 also keeps per-client accounting used by the evaluation harness.
 
 Signing is the one CPU-heavy step of an upload that the client cannot
-parallelise for itself, and a 1024-bit CRT ``pow`` holds the GIL, so
-every admitted batch, a small file's few values included, is signed in
-contiguous spans on worker *processes*
+parallelise for itself.  Each signature is one private RSA operation:
+three exponentiations on OpenSSL's Montgomery kernel
+(:mod:`repro.crypto.modexp`, about 0.15 ms for a 1024-bit three-prime
+key), which run without the GIL, but the reductions, conversions and
+CRT recombination around them hold it.  So every admitted batch, a small
+file's few values included, is signed in contiguous spans on worker
+*processes*
 (:class:`~repro.util.spanpool.SpanPool`).  Workers receive the private
 key once, when they start; per batch only blinded values go out and
 signatures come back.  Admission — size cap, domain check, rate limit —

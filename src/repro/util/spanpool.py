@@ -1,10 +1,12 @@
 """A lazily started process pool that maps a batch over contiguous spans.
 
-Chunk transforms, stub re-encryption and blind-RSA signing are pure
-Python and CPU-bound, so only *processes* run them concurrently.  They
-share one shape: a batch of independent items, a picklable module-level
-function that handles a contiguous span of them, and a result that must
-come back in submission order.  :class:`SpanPool` is that shape, once:
+Chunk transforms, stub re-encryption, blind-RSA signing and
+key-regression winds are CPU-bound batches.  The first two are Python
+under the GIL; the RSA operations let it go only for their
+exponentiations (:mod:`repro.crypto.modexp`).  *Processes* run all of
+them concurrently.  They share one shape: a batch of independent items,
+a picklable module-level function that handles a contiguous span of
+them, and a result that must come back in submission order.  :class:`SpanPool` is that shape, once:
 
 * workers start on first parallel use and are reused until
   :meth:`SpanPool.close` (the pool restarts lazily afterwards);

@@ -13,13 +13,18 @@ import sys
 
 import pytest
 
+from repro.crypto import modexp
+
 REPO_ROOT = os.path.dirname(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 )
 BENCH = os.path.join(REPO_ROOT, "benchmarks", "bench_hotpath.py")
 
-EXPECTED_ROWS = {"chunking/reference", "chunking/numpy", "caont/shake256"}
+THROUGHPUT_ROWS = {"chunking/reference", "chunking/numpy", "caont/shake256"}
+RSA_ROWS = {"rsa/private", "rsa/public"}
+EXPECTED_ROWS = THROUGHPUT_ROWS | RSA_ROWS
 THROUGHPUT_KEYS = {"name", "bytes", "seconds", "mib_per_s"}
+RSA_KEYS = {"name", "engine", "operations", "seconds", "us_per_op", "reference_us_per_op"}
 
 
 @pytest.mark.slow
@@ -40,7 +45,7 @@ def test_quick_bench_runs_and_writes_valid_report(tmp_path):
     assert "metrics snapshot: well-formed" in proc.stdout
 
     report = json.loads(out.read_text())
-    assert report["schema"] == "reed-bench-hotpath/8"
+    assert report["schema"] == "reed-bench-hotpath/9"
     assert report["quick"] is True
     assert report["seed"] == 3
     assert {r["name"] for r in report["results"]} == EXPECTED_ROWS
@@ -48,11 +53,22 @@ def test_quick_bench_runs_and_writes_valid_report(tmp_path):
     # (the report's seconds are derived from that histogram's minimum).
     bench_series = report["metrics"]["bench_seconds"]["series"]
     recorded = {series["labels"]["bench"] for series in bench_series}
-    assert recorded == EXPECTED_ROWS
-    for result in report["results"]:
+    assert recorded == EXPECTED_ROWS | {f"{name}/reference" for name in RSA_ROWS}
+    rows = {result["name"]: result for result in report["results"]}
+    for name in THROUGHPUT_ROWS:
+        result = rows[name]
         assert set(result) == THROUGHPUT_KEYS
         assert result["bytes"] > 0
         assert result["seconds"] > 0
         assert result["mib_per_s"] > 0
-    assert set(report["speedups"]) == {"chunking"}
+    for name in RSA_ROWS:
+        result = rows[name]
+        assert set(result) == RSA_KEYS
+        assert result["engine"] == modexp.engine()
+        assert result["operations"] > 0
+        assert 0 < result["us_per_op"]
+        if result["engine"] == "libcrypto":
+            # The kernel exists to be faster than its reference.
+            assert result["us_per_op"] < result["reference_us_per_op"]
+    assert set(report["speedups"]) == {"chunking"} | RSA_ROWS
     assert report["speedups"]["chunking"] > 0
