@@ -8,10 +8,10 @@ weakness the paper identifies: **the chunk ciphertext itself is never
 re-keyed**.  If a chunk's MLE key leaks, that chunk is recoverable
 forever, no matter how many times the master key rotates.
 
-This module exists as an executable baseline for the comparison bench
-(`benchmarks/bench_baselines.py`): it shares the dedup substrate with
-REED so the storage numbers are directly comparable, and its documented
-weakness is demonstrated in the tests.
+This module exists as an executable baseline: it shares the dedup
+substrate with REED so the storage numbers are directly comparable, and
+its documented weakness is demonstrated in
+`tests/baselines/test_layered.py`.
 """
 
 from __future__ import annotations

@@ -8,10 +8,10 @@ gives genuine protection — old keys become useless — but
 * the re-encrypted chunks no longer deduplicate against copies still
   encrypted under the old derivation function.
 
-Both costs are modeled here (and measured at small scale in the
-baselines bench) so the comparison against REED's stub-only rekeying is
-quantitative: the paper quotes >= 64 s just to move an 8 GB file over a
-1 Gb/s link, vs REED's 3.4 s active rekey.
+Both costs are modeled here (and asserted at small scale in
+`tests/baselines/test_reencrypt.py`) so the comparison against REED's
+stub-only rekeying is quantitative: the paper quotes >= 64 s just to
+move an 8 GB file over a 1 Gb/s link, vs REED's 3.4 s active rekey.
 """
 
 from __future__ import annotations

@@ -716,7 +716,10 @@ def cmd_ring(args) -> int:
             f"{report.files_repaired} files "
             f"({report.unrepaired} unrepaired)"
         )
-        return 1 if report.unrepaired else 0
+        if report.failed_nodes:
+            # The pass skipped these nodes, so it is incomplete.
+            print(f"failed mid-scan: {', '.join(report.failed_nodes)}")
+        return 1 if report.unrepaired or report.failed_nodes else 0
     finally:
         for conn in connections:
             conn.close()

@@ -1,13 +1,5 @@
-"""Deduplicating storage backend: blobs, containers, index, stores,
-auditing, and fragmentation analysis."""
+"""Deduplicating storage backend: blobs, containers, index and stores."""
 
-from repro.storage.analysis import (
-    FragmentationReport,
-    analyze_file,
-    analyze_sharded,
-    fragmentation_over_generations,
-)
-from repro.storage.audit import FileAuditor, merkle_root
 from repro.storage.backend import BlobBackend, DirectoryBackend, MemoryBackend
 from repro.storage.container import DEFAULT_CONTAINER_BYTES, ContainerStore
 from repro.storage.datastore import DataStore, DataStoreStats
@@ -24,16 +16,10 @@ __all__ = [
     "DataStore",
     "DataStoreStats",
     "DirectoryBackend",
-    "FileAuditor",
     "FileRecipe",
-    "FragmentationReport",
     "FingerprintIndex",
     "KeyStateRecord",
     "KeyStore",
     "MemoryBackend",
-    "analyze_file",
-    "analyze_sharded",
-    "fragmentation_over_generations",
-    "merkle_root",
     "obfuscate_pathname",
 ]

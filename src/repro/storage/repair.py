@@ -19,8 +19,7 @@ a node holds a file only when it lists both objects.  Corruption detection
 runs :func:`repro.storage.fsck.fsck` when a node is an in-process
 :class:`~repro.core.server.REEDServer` (its
 :class:`~repro.storage.datastore.DataStore` is directly reachable), and
-re-hashes fetched replicas over RPC (the same integrity check
-:mod:`repro.storage.audit` performs).
+re-hashes fetched replicas over RPC.
 
 :func:`rebalance` pays the second: given the ring as it was *before* a
 membership change, it migrates exactly the keys whose ownership moved —
@@ -49,7 +48,7 @@ from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.storage.datastore import DataStore
 from repro.storage.fsck import fsck
 from repro.storage.sharding import ShardedStorageService
-from repro.util.errors import ConfigurationError, NotFoundError
+from repro.util.errors import ConfigurationError, NotFoundError, StorageError
 
 #: Keys per batched copy (one ``get_many``/``put_many`` or
 #: ``file_get_many``/``file_commit`` pair).
@@ -203,7 +202,10 @@ class ReplicaRepairer:
 
         Runs a real :func:`fsck` pass (index-vs-container cross-check)
         when the node is an in-process server; over RPC it re-hashes the
-        fetched replicas, which is the audit module's detection primitive.
+        fetched replicas.  A read the node answers with a
+        :class:`StorageError` marks the chunk corrupt; a transport error
+        (``ProtocolError``, ``OSError``) propagates, and the scan counts
+        the node as failed.
         """
         local = _local_store(self.store, node)
         if local is not None:
@@ -213,13 +215,14 @@ class ReplicaRepairer:
             batch = fingerprints[start : start + REPAIR_BATCH]
             try:
                 blobs = self.store.node_get_many(node, batch)
-            except NotFoundError:
-                # Indexed but unreadable: every chunk of the batch is
-                # suspect; re-check one by one.
+            except StorageError:
+                # Indexed but unreadable (missing, or a damaged container
+                # frame): every chunk of the batch is suspect; re-check
+                # one by one.
                 for fp in batch:
                     try:
                         blob = self.store.node_get_many(node, [fp])[0]
-                    except NotFoundError:
+                    except StorageError:
                         corrupt.add(fp)
                         continue
                     if _fingerprint(blob) != fp:

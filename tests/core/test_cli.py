@@ -412,6 +412,13 @@ class TestRingRepair:
             assert remote_call(
                 servers[1], lambda remote: remote.file_get_many(["lonely"])
             ) == [(b"stub", b"recipe")]
+
+            # A node that cannot be scanned leaves the pass incomplete.
+            servers[1].stop()
+            assert main([
+                "ring", "repair", "--storage", endpoints, "--replicas", "2",
+            ]) == 1
+            assert "failed mid-scan: node-1" in capsys.readouterr().out
         finally:
             for server in servers:
                 server.stop()

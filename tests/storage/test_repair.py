@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from repro.core.cluster import TcpCluster
 from repro.core.server import REEDServer
 from repro.crypto.hashing import fingerprint
 from repro.obs.metrics import MetricsRegistry
@@ -187,6 +188,61 @@ class TestReplicaRepairer:
     def test_requires_ring_store(self):
         with pytest.raises(ConfigurationError):
             ReplicaRepairer(DataStore())
+
+
+class TestRemoteRehash:
+    """``verify_hashes`` over RPC: a node whose store is out of reach
+    re-hashes the replicas it serves instead of running fsck."""
+
+    def _corrupted(self, cluster, damage):
+        store = ShardedStorageService(
+            [cluster.connect_storage(i) for i in range(2)], replicas=2
+        )
+        fp, data = payloads(1, tag=b"remote")[0]
+        store.chunk_put_many([(fp, data)], flush=True)
+        victim = cluster.servers[0].store
+        location = victim.index.lookup(fp)
+        name = f"container/{location.container_id:012d}"
+        blob = bytearray(victim.backend.get(name))
+        damage(blob)
+        victim.backend.put(name, bytes(blob))
+        return store, fp, data
+
+    def _check(self, store, fp, data):
+        report = ReplicaRepairer(store, verify_hashes=True).run_once()
+        assert report.corrupt_replicas == 1
+        assert report.failed_nodes == []
+        assert report.nodes_scanned == 2
+        assert store.chunk_get_batch([fp]) == [data]  # the intact replica
+
+    def test_corrupt_container_header_is_corruption_not_node_failure(self):
+        def smash_magic(blob):
+            blob[:4] = b"XXXX"
+
+        with TcpCluster(num_data_servers=2, replicas=2) as cluster:
+            self._check(*self._corrupted(cluster, smash_magic))
+
+    def test_flipped_payload_byte_fails_the_rehash(self):
+        def flip(blob):
+            blob[-1] ^= 0xFF
+
+        with TcpCluster(num_data_servers=2, replicas=2) as cluster:
+            self._check(*self._corrupted(cluster, flip))
+
+    def test_transport_error_during_rehash_is_node_failure(self):
+        with TcpCluster(num_data_servers=2, replicas=2) as cluster:
+            store, _fp, _data = self._corrupted(cluster, lambda blob: None)
+            original = store.node_get_many
+
+            def reset(node, fingerprints):
+                if node == "node-0":
+                    raise ProtocolError("connection reset by peer")
+                return original(node, fingerprints)
+
+            store.node_get_many = reset
+            report = ReplicaRepairer(store, verify_hashes=True).run_once()
+            assert report.failed_nodes == ["node-0"]
+            assert report.corrupt_replicas == 0
 
 
 class TestFileRepair:
