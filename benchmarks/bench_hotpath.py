@@ -4,8 +4,8 @@ Measures the two kernels every upload runs on each chunk —
 
 * **chunking** — Rabin content-defined chunking, per engine
   (``reference`` / ``numpy``);
-* **caont** — the CAONT chunk transform (enhanced scheme) under the
-  default (SHAKE-256) cipher every client runs (``caont/shake256``) —
+* **caont** — the CAONT chunk transform (enhanced scheme) under
+  ``E``, OpenSSL's AES-256-CTR (``caont/aes256ctr``) —
 
 and the RSA operations under every OPRF evaluation and key-regression
 step, on a 1024-bit three-prime key (the key manager's size):
@@ -48,7 +48,7 @@ from repro.chunking import rabin  # noqa: E402
 from repro.obs.expo import parse_prometheus, render_prometheus  # noqa: E402
 from repro.obs.metrics import MetricsRegistry  # noqa: E402
 
-SCHEMA = "reed-bench-hotpath/9"
+SCHEMA = "reed-bench-hotpath/10"
 
 #: Every timed repeat lands in ``bench_seconds{bench=...}`` here, so the
 #: numbers the report prints are the same ones a scrape would export.
@@ -112,7 +112,7 @@ def bench_chunking(data: bytes, repeats: int) -> list[dict]:
 
 
 def bench_caont(chunk_size: int, chunk_count: int, repeats: int, seed: int) -> list[dict]:
-    """CAONT transform under the default cipher (``caont/shake256``)."""
+    """CAONT transform under AES-256-CTR (``caont/aes256ctr``)."""
     from repro.core.schemes import get_scheme
 
     rng = seed_rng("bench-caont", seed)
@@ -125,10 +125,10 @@ def bench_caont(chunk_size: int, chunk_count: int, repeats: int, seed: int) -> l
         for chunk, key in zip(chunks, keys):
             scheme.encrypt_chunk(chunk, key)
 
-    seconds = _time(run, repeats, "caont/shake256")
+    seconds = _time(run, repeats, "caont/aes256ctr")
     return [
         {
-            "name": "caont/shake256",
+            "name": "caont/aes256ctr",
             "bytes": total,
             "seconds": seconds,
             "mib_per_s": mib_per_s(total, seconds),

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 from repro.abe import access_tree as at
 from repro.crypto import shamir
-from repro.crypto.cipher import SHAKE256, Shake256Cipher
+from repro.crypto.cipher import AES256CTR, Aes256CtrCipher
 from repro.crypto.drbg import SYSTEM_RANDOM, RandomSource
 from repro.crypto.hashing import hmac_sha256, kdf
 from repro.util.bytesutil import ct_equal, xor_bytes
@@ -299,7 +299,7 @@ class AbeSealer:
         self,
         wrap_keys: dict[str, bytes],
         policy: at.Node,
-        cipher: Shake256Cipher = SHAKE256,
+        cipher: Aes256CtrCipher = AES256CTR,
         rng: RandomSource | None = None,
     ) -> None:
         rng = rng or SYSTEM_RANDOM
@@ -344,7 +344,7 @@ class AbeOpener:
     def __init__(
         self,
         private_key: PrivateAccessKey,
-        cipher: Shake256Cipher = SHAKE256,
+        cipher: Aes256CtrCipher = AES256CTR,
         on_header: Callable[[], None] | None = None,
     ) -> None:
         self._key = private_key
@@ -404,7 +404,7 @@ def abe_encrypt(
     wrap_keys: dict[str, bytes],
     policy: at.Node,
     plaintext: bytes,
-    cipher: Shake256Cipher = SHAKE256,
+    cipher: Aes256CtrCipher = AES256CTR,
     rng: RandomSource | None = None,
 ) -> AbeCiphertext:
     """Encrypt ``plaintext`` so only attribute sets satisfying ``policy``
@@ -415,7 +415,7 @@ def abe_encrypt(
 def abe_decrypt(
     private_key: PrivateAccessKey,
     ciphertext: AbeCiphertext,
-    cipher: Shake256Cipher = SHAKE256,
+    cipher: Aes256CtrCipher = AES256CTR,
 ) -> bytes:
     """Decrypt a policy ciphertext with a user's private access key: an
     opener used once (see :meth:`AbeOpener.open` for the errors)."""

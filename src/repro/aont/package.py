@@ -6,7 +6,8 @@ message ``M`` to a package ``(C, t)`` such that recovering any part of
 
 * pick a random key ``K``;
 * ``C = M XOR G(K)`` where ``G(K) = E(K, S)`` masks the message with a
-  pseudo-random stream over a public block ``S``;
+  pseudo-random stream over a public block ``S`` (all zeros, so under
+  CTR mode ``C`` is the one-call encryption ``E(K, M)``);
 * ``t = H(C) XOR K`` hides the key behind a digest of all of ``C``.
 
 Reversal recomputes ``K = H(C) XOR t`` and unmasks.  Because ``H(C)``
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.cipher import SHAKE256
+from repro.crypto.cipher import AES256CTR
 from repro.crypto.drbg import SYSTEM_RANDOM, RandomSource
 from repro.crypto.hashing import DIGEST_SIZE, sha256
 from repro.util.bytesutil import split_at, xor_bytes
@@ -77,7 +78,7 @@ def transform_with_key(message: bytes, key: bytes) -> Package:
     REED's basic scheme build on)."""
     if len(key) != KEY_SIZE:
         raise ConfigurationError(f"AONT key must be {KEY_SIZE} bytes")
-    head = xor_bytes(message, SHAKE256.mask(key, len(message)))
+    head = AES256CTR.deterministic_encrypt(key, message)
     tail = xor_bytes(sha256(head), key)
     return Package(head=head, tail=tail)
 
@@ -92,5 +93,5 @@ def revert(package: Package) -> tuple[bytes, bytes]:
     if len(package.tail) != KEY_SIZE:
         raise ConfigurationError(f"AONT tail must be {KEY_SIZE} bytes")
     key = xor_bytes(sha256(package.head), package.tail)
-    message = xor_bytes(package.head, SHAKE256.mask(key, len(package.head)))
+    message = AES256CTR.deterministic_decrypt(key, package.head)
     return message, key

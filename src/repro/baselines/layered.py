@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.cipher import SHAKE256
+from repro.crypto.cipher import AES256CTR
 from repro.crypto.drbg import SYSTEM_RANDOM, RandomSource
 from repro.crypto.hashing import hmac_sha256, kdf, sha256
 from repro.util.bytesutil import ct_equal
@@ -69,14 +69,14 @@ class LayeredEncryption:
         rng: RandomSource | None = None,
     ) -> tuple[bytes, bytes, WrappedKey]:
         """Returns (ciphertext, fingerprint, wrapped key)."""
-        ciphertext = SHAKE256.deterministic_encrypt(mle_key, chunk)
+        ciphertext = AES256CTR.deterministic_encrypt(mle_key, chunk)
         return ciphertext, sha256(ciphertext), self.wrap_key(mle_key, master_key, rng)
 
     def decrypt_chunk(
         self, ciphertext: bytes, wrapped: WrappedKey, master_key: bytes
     ) -> bytes:
         mle_key = self.unwrap_key(wrapped, master_key)
-        return SHAKE256.deterministic_decrypt(mle_key, ciphertext)
+        return AES256CTR.deterministic_decrypt(mle_key, ciphertext)
 
     def wrap_key(
         self,
@@ -86,7 +86,7 @@ class LayeredEncryption:
     ) -> WrappedKey:
         rng = rng or SYSTEM_RANDOM
         nonce = rng.random_bytes(_NONCE)
-        body = SHAKE256.encrypt(kdf(master_key, "wrap-enc"), nonce, mle_key)
+        body = AES256CTR.encrypt(kdf(master_key, "wrap-enc"), nonce, mle_key)
         mac = hmac_sha256(kdf(master_key, "wrap-mac"), nonce + body)
         return WrappedKey(nonce=nonce, body=body, mac=mac)
 
@@ -96,7 +96,7 @@ class LayeredEncryption:
         )
         if not ct_equal(expected, wrapped.mac):
             raise IntegrityError("wrapped key failed authentication (wrong master?)")
-        return SHAKE256.decrypt(kdf(master_key, "wrap-enc"), wrapped.nonce, wrapped.body)
+        return AES256CTR.decrypt(kdf(master_key, "wrap-enc"), wrapped.nonce, wrapped.body)
 
     def rekey_wrapped(
         self,

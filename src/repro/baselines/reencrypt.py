@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.cipher import SHAKE256
+from repro.crypto.cipher import AES256CTR
 from repro.crypto.hashing import hmac_sha256, sha256
 from repro.util.errors import ConfigurationError
 
@@ -52,7 +52,7 @@ class EpochedConvergentEncryption:
 
     def encrypt_chunk(self, epoch_secret: bytes, chunk: bytes) -> tuple[bytes, bytes]:
         """Returns (ciphertext, fingerprint-of-ciphertext)."""
-        ciphertext = SHAKE256.deterministic_encrypt(
+        ciphertext = AES256CTR.deterministic_encrypt(
             self.chunk_key(epoch_secret, chunk), chunk
         )
         return ciphertext, sha256(ciphertext)
@@ -63,7 +63,7 @@ class EpochedConvergentEncryption:
         """Decrypt using the stored key record (the chunk's plaintext
         hash), re-deriving the epoch-bound chunk key."""
         key = hmac_sha256(epoch_secret, plain_hash)
-        chunk = SHAKE256.deterministic_decrypt(key, ciphertext)
+        chunk = AES256CTR.deterministic_decrypt(key, ciphertext)
         if sha256(chunk) != plain_hash:
             raise ConfigurationError(
                 "decrypted chunk does not match its key record"
@@ -89,7 +89,7 @@ class EpochedConvergentEncryption:
         for ciphertext, plain_hash in ciphertexts_and_plain_hashes:
             downloaded += len(ciphertext)
             old_key = hmac_sha256(old_secret, plain_hash)
-            chunk = SHAKE256.deterministic_decrypt(old_key, ciphertext)
+            chunk = AES256CTR.deterministic_decrypt(old_key, ciphertext)
             if sha256(chunk) != plain_hash:
                 raise ConfigurationError("key record does not match ciphertext")
             new_ciphertext, fingerprint = self.encrypt_chunk(new_secret, chunk)

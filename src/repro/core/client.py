@@ -16,7 +16,7 @@ III-A).  It implements the four operations of Section IV-D:
 
 Performance measures from Section V-B are built in: MLE-key batching and
 caching (in :class:`~repro.mle.server_aided.ServerAidedKeyClient`),
-4 MB upload batches, process-parallel chunk encryption
+4 MB upload batches, chunk encryption on OpenSSL's AES-256-CTR
 (:mod:`repro.core.parallel`), and an upload pipeline that overlaps
 chunking, key generation, encryption and shipping
 (:mod:`repro.core.uploadpipe`).
@@ -65,7 +65,6 @@ from repro.util.errors import (
     CorruptionError,
     IntegrityError,
 )
-from repro.util.spanpool import default_worker_count
 from repro.util.units import MiB
 
 #: Client-side upload batch: trimmed packages buffered before one RPC
@@ -177,17 +176,11 @@ class REEDClient:
         chunking: ChunkingSpec | None = None,
         rng: RandomSource | None = None,
         pathname_salt: bytes | None = None,
-        encryption_workers: int | None = None,
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         chunk_cache_bytes: int | None = None,
         rekey_workers: int | None = None,
     ) -> None:
-        # Unset -> one worker per CPU (capped).
-        if encryption_workers is None:
-            encryption_workers = default_worker_count()
-        if encryption_workers < 1:
-            raise ConfigurationError("need at least one encryption worker")
         self.user_id = user_id
         self.key_client = key_client
         self.storage = storage
@@ -209,10 +202,7 @@ class REEDClient:
         #: Files per rekey-pipeline window — one batch RPC per stage per
         #: window (see :mod:`repro.core.rekeypipe`).
         self.rekey_batch_size = DEFAULT_REKEY_BATCH_SIZE
-        self.encryption_workers = encryption_workers
-        self._transform_pool = ChunkTransformPool(
-            self.scheme, workers=encryption_workers
-        )
+        self._transform_pool = ChunkTransformPool(self.scheme)
         #: Key-regression winds and stub re-encryption, on worker
         #: processes that hold this owner's derivation key.
         self._rekey_pool = RekeyPool(
@@ -304,18 +294,13 @@ class REEDClient:
     def _encrypt_chunks(
         self, chunks: list[Chunk], mle_keys: list[bytes]
     ) -> list[SplitPackage]:
-        """Encrypt a batch of chunks on the transform pool.
-
-        The pool decides serial vs. process-parallel per batch (see
-        :mod:`repro.core.parallel`); order is always preserved.
-        """
+        """Encrypt a batch of chunks, in order, in this process."""
         return self._transform_pool.encrypt(
             [chunk.data for chunk in chunks], mle_keys
         )
 
     def close(self) -> None:
-        """Reap encryption and rekey worker processes (they restart lazily)."""
-        self._transform_pool.close()
+        """Reap the rekey worker processes (they restart lazily)."""
         self._rekey_pool.close()
 
     def _commit_file(
@@ -567,9 +552,8 @@ class REEDClient:
            ``reed-download`` worker) — cache lookup, then one
            ``chunk_get_batch`` for the window's misses (the sharded
            service scatter-gathers it across shards);
-        2. **decrypt** (caller thread) — CAONT inversion fanned out over
-           the process pool, then per-chunk length verification against
-           the recipe.
+        2. **decrypt** (caller thread) — CAONT inversion, then per-chunk
+           length verification against the recipe.
 
         Up to ``pipeline_depth`` fetch windows are resident at once (one
         decrypting plus ``pipeline_depth − 1`` in flight), which is what
@@ -606,12 +590,9 @@ class REEDClient:
             )
         stats.chunk_count = recipe.chunk_count
         stats.key_version = state.version
-        scheme = self.scheme
-        if recipe.scheme != scheme.name:
-            scheme = get_scheme(recipe.scheme)
-        # The transform pool is bound to the client's configured scheme;
-        # a recipe written under a different scheme decrypts in-process.
-        pooled = scheme is self.scheme
+        transform = self._transform_pool
+        if recipe.scheme != self.scheme.name:
+            transform = ChunkTransformPool(get_scheme(recipe.scheme))
         cache = self.chunk_cache
         storage = self.storage
 
@@ -657,15 +638,7 @@ class REEDClient:
             with obs_scope.using(scope), tracer.span(
                 "download.decrypt", chunks=len(window)
             ):
-                if pooled:
-                    chunks = self._transform_pool.decrypt(
-                        list(packages), window_stubs
-                    )
-                else:
-                    chunks = [
-                        scheme.decrypt_chunk(trimmed, stub)
-                        for trimmed, stub in zip(packages, window_stubs)
-                    ]
+                chunks = transform.decrypt(packages, window_stubs)
             for ref, chunk in zip(window, chunks):
                 if len(chunk) != ref.length:
                     raise IntegrityError(
@@ -967,15 +940,22 @@ class REEDClient:
     def delete_many(self, file_ids: list[str]) -> None:
         """Remove files with batched round trips: one ``recipe_get_many``,
         one chunk release, one ``meta_delete_many`` (stub + recipe) and
-        one ``keystore.delete_many``."""
-        recipes = self.storage.recipe_get_many(list(file_ids))
-        check_items(recipes)
-        fingerprints = [
-            ref.fingerprint
-            for blob in recipes
-            for ref in FileRecipe.decode(blob).chunks
-        ]
-        if fingerprints:
-            self.storage.chunk_release_batch(fingerprints)
-        check_items(self.storage.meta_delete_many(list(file_ids)))
-        check_items(self.keystore.delete_many(list(file_ids)))
+        one ``keystore.delete_many``, each under its span below the
+        ``delete`` root."""
+        file_ids = list(file_ids)
+        tracer = self.tracer
+        with tracer.span("delete", files=len(file_ids)):
+            with tracer.span("delete.recipes"):
+                recipes = check_items(self.storage.recipe_get_many(file_ids))
+                fingerprints = [
+                    ref.fingerprint
+                    for blob in recipes
+                    for ref in FileRecipe.decode(blob).chunks
+                ]
+            if fingerprints:
+                with tracer.span("delete.release", chunks=len(fingerprints)):
+                    self.storage.chunk_release_batch(fingerprints)
+            with tracer.span("delete.meta"):
+                check_items(self.storage.meta_delete_many(file_ids))
+            with tracer.span("delete.keystate"):
+                check_items(self.keystore.delete_many(file_ids))

@@ -165,7 +165,6 @@ class TcpCluster:
         owner: bool = True,
         cache_bytes: int | None = None,
         key_batch_size: int | None = None,
-        encryption_workers: int | None = None,
         chunk_cache_bytes: int | None = None,
         rekey_workers: int | None = None,
     ) -> REEDClient:
@@ -196,7 +195,6 @@ class TcpCluster:
             rng=self._rng,
             scheme=self.scheme,
             chunking=self.chunking,
-            encryption_workers=encryption_workers,
             chunk_cache_bytes=chunk_cache_bytes,
             rekey_workers=rekey_workers,
         )

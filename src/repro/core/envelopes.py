@@ -13,8 +13,10 @@ Two envelope kinds live in the key store:
   :mod:`repro.core.groups`.
 
 Envelopes are tagged so the client can open either transparently.
-Tag 1 was the ABE envelope before items: its ciphertext has no item
-index, so it is refused by name rather than misread.
+Retired tags are refused by name rather than misread: tag 1 was the ABE
+envelope before items (no item index), and tags 2 (group) and 3 (ABE)
+were sealed under the SHAKE-256 keystream, which would open under
+AES-256-CTR with a valid MAC into garbage.
 """
 
 from __future__ import annotations
@@ -22,17 +24,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.abe.cpabe import AbeCiphertext
-from repro.crypto.cipher import SHAKE256
+from repro.crypto.cipher import AES256CTR
 from repro.crypto.drbg import SYSTEM_RANDOM, RandomSource
 from repro.crypto.hashing import hmac_sha256, kdf
 from repro.util.bytesutil import ct_equal
 from repro.util.codec import Decoder, Encoder
 from repro.util.errors import CorruptionError, IntegrityError
 
-TAG_ABE = 3
-TAG_GROUP = 2
-#: The retired per-file ABE envelope (no item index).
-_TAG_ABE_V1 = 1
+TAG_ABE = 4
+TAG_GROUP = 5
+#: Retired tags: what they sealed, and why they no longer open.
+_RETIRED_TAGS = {
+    1: "ABE envelope tag 1 (sealed before item indexes)",
+    2: "group envelope tag 2 (sealed under SHAKE-256)",
+    3: "ABE envelope tag 3 (sealed under SHAKE-256)",
+}
 
 _NONCE = 16
 _MAC = 32
@@ -64,7 +70,7 @@ def seal_group(
     """Seal a file's key state under a group key."""
     rng = rng or SYSTEM_RANDOM
     nonce = rng.random_bytes(_NONCE)
-    body = SHAKE256.encrypt(
+    body = AES256CTR.encrypt(
         kdf(group_key, "group-envelope-enc"), nonce, key_state_bytes
     )
     header = Encoder().text(group_id).uint(group_version).done()
@@ -89,7 +95,7 @@ def open_group(envelope: GroupEnvelope, group_key: bytes) -> bytes:
     )
     if not ct_equal(expected, envelope.mac):
         raise IntegrityError("group envelope failed authentication")
-    return SHAKE256.decrypt(
+    return AES256CTR.decrypt(
         kdf(group_key, "group-envelope-enc"), envelope.nonce, envelope.body
     )
 
@@ -112,8 +118,6 @@ def decode_envelope(data: bytes) -> tuple[int, AbeCiphertext | GroupEnvelope]:
         )
         dec.expect_end()
         return TAG_GROUP, envelope
-    if tag == _TAG_ABE_V1:
-        raise CorruptionError(
-            f"unsupported ABE envelope tag {tag} (sealed before item indexes)"
-        )
+    if tag in _RETIRED_TAGS:
+        raise CorruptionError(f"unsupported {_RETIRED_TAGS[tag]}")
     raise CorruptionError(f"unknown key-state envelope tag {tag}")

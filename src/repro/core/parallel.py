@@ -1,39 +1,35 @@
-"""Client worker pools: chunk transforms and rekeying.
+"""Client-side chunk transforms and rekey worker pools.
 
-The chunk transform (MLE encryption + CAONT packaging) is pure Python and
-CPU-bound, so the GIL serializes it no matter how many threads run it —
-the journal version of REED reaches its reported throughputs only with
-truly concurrent chunk encryption.  :class:`ChunkTransformPool` runs the
-transform across *processes*: chunk batches are pickled to workers, each
-worker rebuilds the encryption scheme once from its name and stub size,
-and results are reassembled in submission order.  :class:`RekeyPool` does
-the same for the two CPU-bound steps of a rekey: key-regression winds
-(one private RSA operation per file) and stub-file re-encryption.
+:class:`ChunkTransformPool` runs the chunk transform (MLE encryption +
+CAONT packaging) over a batch, in order, in the calling process.  The
+transform is two AES-256-CTR calls on OpenSSL and two SHA-256 digests
+per chunk, about 20 µs for 8 KiB, so handing batches to worker processes
+cost more in pickling and forks than it saved (docs/PERFORMANCE.md,
+*The paper's cipher*).
 
-The worker lifecycle, span slicing and the in-process path (small
-batches, single-worker configurations, no process pools, the redo after
-a worker died) live in :class:`~repro.util.spanpool.SpanPool`; the pools
-here add what they transform and when a batch is worth the hand-off.
-A scheme whose name would rebuild a different class (a subclass) is
-refused, so workers never run another scheme than the caller's.
-
-Worker processes are started lazily on first use and reused across
-uploads; call :meth:`ChunkTransformPool.close` (or
-:meth:`REEDClient.close <repro.core.client.REEDClient.close>`) to reap
-them deterministically.
+:class:`RekeyPool` runs the two CPU-bound steps of a rekey on worker
+processes: key-regression winds (one private RSA operation per file)
+and stub-file re-encryption.  The worker lifecycle, span slicing and
+the in-process path (small batches, single-worker configurations, no
+process pools, the redo after a worker died) live in
+:class:`~repro.util.spanpool.SpanPool`; the pool here adds what it
+transforms and when a batch is worth the hand-off.  Workers start
+lazily on first use and are reused across rekeys; call
+:meth:`RekeyPool.close` (or :meth:`REEDClient.close
+<repro.core.client.REEDClient.close>`) to reap them deterministically.
 """
 
 from __future__ import annotations
 
-from repro.core.schemes import STUB_SIZE, EncryptionScheme, SplitPackage, get_scheme
+from repro.core.schemes import STUB_SIZE, EncryptionScheme, SplitPackage
 from repro.core.stubs import decrypt_stub_file, encrypt_stub_file
 from repro.crypto.rsa import RSAPrivateKey
 from repro.keyreg.rsa_keyreg import KeyRegressionOwner, KeyState
 from repro.util.errors import ConfigurationError, IntegrityError
 from repro.util.spanpool import SpanPool
 
-#: Below this many bytes per batch the fork/pickle overhead exceeds the
-#: parallel win and the transform runs serially in-process.
+#: Below this many stub-file bytes per batch the pickling overhead
+#: exceeds the parallel win and re-encryption runs in-process.
 DEFAULT_MIN_PARALLEL_BYTES = 1 << 20
 
 #: Rekey windows of fewer key states wind on the caller thread: a wind
@@ -48,42 +44,6 @@ MIN_PARALLEL_WIND = 8
 
 
 # -- worker-process side -----------------------------------------------------
-
-#: Per-process scheme cache: workers rebuild the scheme once per
-#: (scheme name, stub size) and reuse it for every batch.
-_WORKER_SCHEMES: dict[tuple[str, int], EncryptionScheme] = {}
-
-
-def _worker_scheme(spec: tuple[str, int]) -> EncryptionScheme:
-    scheme = _WORKER_SCHEMES.get(spec)
-    if scheme is None:
-        scheme = _WORKER_SCHEMES[spec] = get_scheme(*spec)
-    return scheme
-
-
-def _encrypt_batch(
-    spec: tuple[str, int], pairs: list[tuple[bytes, bytes]]
-) -> list[SplitPackage]:
-    """Worker entry point: transform ``(chunk, mle_key)`` pairs.
-
-    Module-level (picklable) by design; the scheme travels as its name
-    and stub size, never as a pickled object graph.
-    """
-    encrypt = _worker_scheme(spec).encrypt_chunk
-    return [encrypt(chunk, mle_key) for chunk, mle_key in pairs]
-
-
-def _decrypt_batch(
-    spec: tuple[str, int], pairs: list[tuple[bytes, bytes]]
-) -> list[bytes]:
-    """Worker entry point: invert ``(trimmed_package, stub)`` pairs.
-
-    Integrity failures (tampered package) raise
-    :class:`~repro.util.errors.IntegrityError`, which pickles back to the
-    client intact.
-    """
-    decrypt = _worker_scheme(spec).decrypt_chunk
-    return [decrypt(trimmed, stub) for trimmed, stub in pairs]
 
 
 def _reencrypt_one_stub_file(
@@ -135,34 +95,18 @@ def _wind_span(states: list[KeyState]) -> list[KeyState]:
 # -- client side -------------------------------------------------------------
 
 
-class ChunkTransformPool(SpanPool):
-    """Runs ``scheme.encrypt_chunk`` over batches, in parallel when it pays.
+class ChunkTransformPool:
+    """Runs ``scheme.encrypt_chunk``/``decrypt_chunk`` over batches, in
+    order, in the calling process."""
 
-    ``workers`` defaults to
-    :func:`~repro.util.spanpool.default_worker_count`.  Workers rebuild
-    the scheme from ``(scheme.name, scheme.stub_size)``; a scheme those
-    would not rebuild (a subclass) raises :class:`ConfigurationError`.
-    """
-
-    def __init__(
-        self,
-        scheme: EncryptionScheme,
-        workers: int | None = None,
-        min_parallel_bytes: int = DEFAULT_MIN_PARALLEL_BYTES,
-    ) -> None:
-        self._spec = (scheme.name, scheme.stub_size)
-        if type(get_scheme(*self._spec)) is not type(scheme):
-            raise ConfigurationError(
-                f"{type(scheme).__name__} is not the {scheme.name!r} scheme "
-                "its workers would rebuild"
-            )
-        super().__init__(workers)
+    def __init__(self, scheme: EncryptionScheme) -> None:
         self.scheme = scheme
-        self.min_parallel_bytes = min_parallel_bytes
 
-    def _encrypt_serial(self, pairs: list[tuple[bytes, bytes]]) -> list[SplitPackage]:
-        encrypt = self.scheme.encrypt_chunk
-        return [encrypt(chunk, key) for chunk, key in pairs]
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        pass
 
     def encrypt(
         self, chunks: list[bytes], mle_keys: list[bytes]
@@ -172,35 +116,18 @@ class ChunkTransformPool(SpanPool):
             raise ConfigurationError(
                 f"{len(chunks)} chunks but {len(mle_keys)} MLE keys"
             )
-        return self.map_spans_where(
-            list(zip(chunks, mle_keys)),
-            self._encrypt_serial,
-            _encrypt_batch,
-            self._spec,
-            parallel=sum(map(len, chunks)) >= self.min_parallel_bytes,
-        )[0]
-
-    def _decrypt_serial(self, pairs: list[tuple[bytes, bytes]]) -> list[bytes]:
-        decrypt = self.scheme.decrypt_chunk
-        return [decrypt(package, stub) for package, stub in pairs]
+        encrypt = self.scheme.encrypt_chunk
+        return [encrypt(chunk, key) for chunk, key in zip(chunks, mle_keys)]
 
     def decrypt(self, trimmed: list[bytes], stubs: list[bytes]) -> list[bytes]:
-        """Invert split packages back to plaintext chunks, preserving order.
-
-        Mirrors :meth:`encrypt`; the earliest tampered chunk raises first,
-        so the abort is deterministic regardless of worker scheduling.
-        """
+        """Invert split packages back to plaintext chunks, preserving
+        order; the earliest tampered chunk raises."""
         if len(trimmed) != len(stubs):
             raise ConfigurationError(
                 f"{len(trimmed)} trimmed packages but {len(stubs)} stubs"
             )
-        return self.map_spans_where(
-            list(zip(trimmed, stubs)),
-            self._decrypt_serial,
-            _decrypt_batch,
-            self._spec,
-            parallel=sum(map(len, trimmed)) >= self.min_parallel_bytes,
-        )[0]
+        decrypt = self.scheme.decrypt_chunk
+        return [decrypt(package, stub) for package, stub in zip(trimmed, stubs)]
 
 
 class RekeyPool(SpanPool):
@@ -219,8 +146,8 @@ class RekeyPool(SpanPool):
     path no matter how items are scheduled across workers.  Batches below
     ``min_parallel_bytes`` stay in-process.
 
-    Degrades like :class:`ChunkTransformPool`: in-process when process
-    pools are unavailable, a serial redo if the pool breaks mid-batch.
+    Degrades like every :class:`SpanPool`: in-process when process pools
+    are unavailable, a serial redo if the pool breaks mid-batch.
     """
 
     def __init__(

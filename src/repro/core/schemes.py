@@ -33,6 +33,10 @@ depends on every bit of ``C2`` — and 64 bytes of ``C2`` live in the stub
 under the file key.  The tail uses the cheap self-XOR fold instead of a
 second hash because ``h`` itself already provides integrity.
 
+Both masks are ``E`` under an all-zero IV: with AES-256-CTR,
+``X XOR G(K)`` is the one-call encryption ``E(K, X)``, so no mask is
+ever materialised.
+
 Both decryptors recover ``K_M`` from the package, which is why REED never
 uploads MLE keys (paper footnote 1).
 """
@@ -42,7 +46,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
-from repro.crypto.cipher import SHAKE256
+from repro.crypto.cipher import AES256CTR
 from repro.crypto.hashing import DIGEST_SIZE, fingerprint, sha256
 from repro.util.bytesutil import ct_equal, split_at, xor_bytes, xor_fold
 from repro.util.errors import ConfigurationError, IntegrityError
@@ -80,7 +84,7 @@ class EncryptionScheme(ABC):
     #: Registry name ("basic" / "enhanced").
     name: str
     #: The symmetric function ``E`` both schemes mask and encrypt with.
-    cipher = SHAKE256
+    cipher = AES256CTR
 
     def __init__(self, stub_size: int = STUB_SIZE) -> None:
         if stub_size <= DIGEST_SIZE:
@@ -138,8 +142,7 @@ class BasicScheme(EncryptionScheme):
     name = "basic"
 
     def _package(self, chunk: bytes, mle_key: bytes) -> bytes:
-        padded = chunk + CANARY
-        head = xor_bytes(padded, self.cipher.mask(mle_key, len(padded)))
+        head = self.cipher.deterministic_encrypt(mle_key, chunk + CANARY)
         tail = xor_bytes(mle_key, sha256(head))
         return head + tail
 
@@ -148,7 +151,7 @@ class BasicScheme(EncryptionScheme):
             raise IntegrityError("package too short for the basic scheme")
         head, tail = split_at(package, len(package) - DIGEST_SIZE)
         mle_key = xor_bytes(tail, sha256(head))
-        padded = xor_bytes(head, self.cipher.mask(mle_key, len(head)))
+        padded = self.cipher.deterministic_decrypt(mle_key, head)
         chunk, canary = split_at(padded, len(padded) - CANARY_SIZE)
         if not ct_equal(canary, CANARY):
             raise IntegrityError("basic scheme canary mismatch: chunk tampered")
@@ -168,7 +171,7 @@ class EnhancedScheme(EncryptionScheme):
         c1 = self.cipher.deterministic_encrypt(mle_key, chunk)
         payload = c1 + mle_key
         hash_key = sha256(payload)
-        head = xor_bytes(payload, self.cipher.mask(hash_key, len(payload)))
+        head = self.cipher.deterministic_encrypt(hash_key, payload)
         tail = xor_bytes(xor_fold(head, DIGEST_SIZE), hash_key)
         return head + tail
 
@@ -177,7 +180,7 @@ class EnhancedScheme(EncryptionScheme):
             raise IntegrityError("package too short for the enhanced scheme")
         head, tail = split_at(package, len(package) - DIGEST_SIZE)
         hash_key = xor_bytes(xor_fold(head, DIGEST_SIZE), tail)
-        payload = xor_bytes(head, self.cipher.mask(hash_key, len(head)))
+        payload = self.cipher.deterministic_decrypt(hash_key, head)
         if not ct_equal(sha256(payload), hash_key):
             raise IntegrityError("enhanced scheme hash-key mismatch: chunk tampered")
         c1, mle_key = split_at(payload, len(payload) - MLE_KEY_SIZE)

@@ -15,7 +15,7 @@ are ciphertext under per-file renewable keys.
 from __future__ import annotations
 
 from repro.core.schemes import STUB_SIZE
-from repro.crypto.cipher import SHAKE256, Shake256Cipher
+from repro.crypto.cipher import AES256CTR, Aes256CtrCipher
 from repro.crypto.drbg import SYSTEM_RANDOM, RandomSource
 from repro.crypto.hashing import hmac_sha256, kdf
 from repro.util.bytesutil import ct_equal, split_pieces
@@ -56,7 +56,7 @@ def encrypt_stub_file(
     file_key: bytes,
     stubs: list[bytes],
     stub_size: int = STUB_SIZE,
-    cipher: Shake256Cipher = SHAKE256,
+    cipher: Aes256CtrCipher = AES256CTR,
     rng: RandomSource | None = None,
     nonce: bytes | None = None,
 ) -> bytes:
@@ -83,7 +83,7 @@ def encrypt_stub_file(
 def decrypt_stub_file(
     file_key: bytes,
     data: bytes,
-    cipher: Shake256Cipher = SHAKE256,
+    cipher: Aes256CtrCipher = AES256CTR,
 ) -> list[bytes]:
     """Decrypt a stub file; raises :class:`IntegrityError` on tampering or
     a wrong (e.g. revoked) file key."""
@@ -102,7 +102,7 @@ def reencrypt_stub_file(
     old_file_key: bytes,
     new_file_key: bytes,
     data: bytes,
-    cipher: Shake256Cipher = SHAKE256,
+    cipher: Aes256CtrCipher = AES256CTR,
     rng: RandomSource | None = None,
 ) -> bytes:
     """Re-encrypt a stub file under a new file key (active revocation)."""

@@ -137,7 +137,6 @@ class ReedSystem:
         owner: bool = True,
         cache_bytes: int | None = None,
         scheme: str | None = None,
-        encryption_workers: int | None = None,
         chunk_cache_bytes: int | None = None,
     ) -> REEDClient:
         """Enroll a user and build their client.
@@ -145,8 +144,7 @@ class ReedSystem:
         ``owner=False`` creates a read-only participant (no derivation
         keypair); an owner enrolled before gets a second client on the
         same keypair.  ``cache_bytes`` sizes the MLE key cache (None
-        disables it).  ``encryption_workers`` defaults to one worker per
-        CPU (capped).  ``chunk_cache_bytes`` enables the client-side
+        disables it).  ``chunk_cache_bytes`` enables the client-side
         trimmed-package read cache (None disables it).
         """
         client = build_client(
@@ -161,7 +159,6 @@ class ReedSystem:
             rng=self.rng,
             scheme=scheme or self.scheme,
             chunking=self.chunking,
-            encryption_workers=encryption_workers,
             chunk_cache_bytes=chunk_cache_bytes,
         )
         self._clients.append(client)

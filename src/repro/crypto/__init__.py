@@ -1,11 +1,13 @@
-"""Cryptographic substrate, built from scratch for the REED reproduction.
+"""Cryptographic substrate for the REED reproduction.
 
 Layout:
 
 * :mod:`repro.crypto.hashing` — SHA-256 fingerprints, HMAC, KDF, FDH hash.
-* :mod:`repro.crypto.streamcipher` — the SHAKE-256 keystream.
-* :mod:`repro.crypto.cipher` — ``E(.)``: the SHAKE-256 cipher every
-  construction uses, with its key and nonce checks.
+* :mod:`repro.crypto.libcrypto` — OpenSSL's ``libcrypto`` through
+  :mod:`ctypes`, loaded once for the two kernels below.
+* :mod:`repro.crypto.streamcipher` — AES-256-CTR on OpenSSL.
+* :mod:`repro.crypto.cipher` — ``E(.)``: the AES-256-CTR cipher every
+  construction uses.
 * :mod:`repro.crypto.drbg` — OS randomness + deterministic HMAC-DRBG.
 * :mod:`repro.crypto.modexp` — modular exponentiation on OpenSSL's
   Montgomery kernel (``pow`` where ``libcrypto`` cannot be loaded).

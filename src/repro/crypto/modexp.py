@@ -6,10 +6,8 @@ prime), blinding factors, signature checks and unwinds (public, ``e =
 65537``).  CPython's ``pow`` computes them on 30-bit digits without
 Montgomery reduction, about six times slower at these sizes, and holds
 the GIL throughout.  The REED prototype does this arithmetic on OpenSSL;
-so does this module.
-``libcrypto`` is already mapped into every CPython process that imports
-``hashlib`` (``_hashlib`` links it), and :class:`ModExp` binds two of
-its functions through :mod:`ctypes`:
+so does :class:`ModExp`, with two functions of the ``libcrypto`` that
+:mod:`repro.crypto.libcrypto` loads:
 
 * ``BN_mod_exp_mont_consttime`` for secret exponents (the private key's
   CRT exponents): a fixed-window ladder whose memory access pattern does
@@ -34,85 +32,24 @@ reports which one runs.
 from __future__ import annotations
 
 import ctypes
-import ctypes.util
-import functools
 import threading
 import weakref
 
-from repro.util.errors import ConfigurationError, ReproError
+from repro.crypto import libcrypto
+from repro.crypto.libcrypto import check as _check
+from repro.util.errors import ConfigurationError
 
 #: ``BN_FLG_CONSTTIME`` from ``openssl/bn.h``.
 _BN_FLG_CONSTTIME = 0x04
-
-_P = ctypes.c_void_p
-_SIGNATURES = {
-    "BN_CTX_new": ([], _P),
-    "BN_CTX_free": ([_P], None),
-    "BN_new": ([], _P),
-    "BN_clear_free": ([_P], None),
-    "BN_set_flags": ([_P, ctypes.c_int], None),
-    "BN_bin2bn": ([ctypes.c_char_p, ctypes.c_int, _P], _P),
-    "BN_bn2binpad": ([_P, ctypes.c_char_p, ctypes.c_int], ctypes.c_int),
-    "BN_MONT_CTX_new": ([], _P),
-    "BN_MONT_CTX_set": ([_P, _P, _P], ctypes.c_int),
-    "BN_MONT_CTX_free": ([_P], None),
-    "BN_mod_exp_mont": ([_P, _P, _P, _P, _P, _P], ctypes.c_int),
-    "BN_mod_exp_mont_consttime": ([_P, _P, _P, _P, _P, _P], ctypes.c_int),
-}
 
 
 class EvenModulusError(ConfigurationError):
     """Montgomery exponentiation needs an odd modulus; this one is even."""
 
 
-class LibcryptoError(ReproError):
-    """A ``libcrypto`` call reported failure."""
-
-
-def _candidate_paths() -> list[str]:
-    """Where to look for ``libcrypto``: first through ``_hashlib``, whose
-    dependency tree holds the copy this interpreter already loaded, then
-    by name."""
-    paths = []
-    try:
-        import _hashlib
-
-        paths.append(_hashlib.__file__)
-    except (ImportError, AttributeError):
-        pass
-    name = ctypes.util.find_library("crypto")
-    if name:
-        paths.append(name)
-    return paths
-
-
-def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
-    for name, (argtypes, restype) in _SIGNATURES.items():
-        function = getattr(lib, name)
-        function.argtypes = argtypes
-        function.restype = restype
-    return lib
-
-
-@functools.cache
-def _libcrypto() -> ctypes.CDLL | None:
-    """The bound ``libcrypto``, or None where no copy has every symbol."""
-    for path in _candidate_paths():
-        try:
-            return _bind(ctypes.CDLL(path))
-        except (OSError, AttributeError):
-            continue
-    return None
-
-
 def engine() -> str:
     """``"libcrypto"`` where the kernel runs, ``"pow"`` where it cannot."""
-    return "pow" if _libcrypto() is None else "libcrypto"
-
-
-def _check(ok: bool, call: str) -> None:
-    if not ok:
-        raise LibcryptoError(f"{call} failed")
+    return "pow" if libcrypto.load() is None else "libcrypto"
 
 
 class _Scratch:
@@ -170,7 +107,7 @@ class ModExp:
             raise ConfigurationError("modulus must exceed 1 and exponent be >= 0")
         self.exponent, self.modulus, self.secret = exponent, modulus, secret
         self._size = (modulus.bit_length() + 7) // 8
-        self._lib = lib = _libcrypto()
+        self._lib = lib = libcrypto.load()
         self._state = None
         if lib is None:
             return

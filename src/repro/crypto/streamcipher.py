@@ -1,57 +1,105 @@
-"""SHAKE-256 keystream: an extendable-output function used as a stream cipher.
+"""AES-256 in CTR mode on OpenSSL: the keystream behind ``E(.)``.
 
-The paper's prototype generates AONT masks with OpenSSL AES-256 at
-hundreds of MB/s.  Pure-Python AES runs at ~100 KB/s, which would make
-every experiment keystream-bound for the wrong reason.  This module keeps
-the same abstraction — a deterministic keystream expanded from a 32-byte
-key — but draws it from :mod:`hashlib`'s SHAKE-256 (FIPS 202), which
-produces the whole stream in one C call.
+The REED prototype encrypts with OpenSSL's AES-256 (Section V-A); so
+does this module, through ``EVP_EncryptInit_ex``/``EVP_EncryptUpdate``
+of the ``libcrypto`` that :mod:`repro.crypto.libcrypto` loads.  CTR
+mode XORs the data with the keystream inside the same call, so one
+encryption is one pass over the data and decryption is the same call.
 
-Construction: the keystream is ``SHAKE-256(key || nonce)`` cut to the
-requested length, i.e. a keyed sponge used as a PRG.  The key is always
-32 bytes and the nonce is empty (deterministic MLE stream, CAONT mask) or
-16 bytes (randomized encryption), so the input encoding is injective.
-SHAKE-256's 512-bit capacity keeps the 256-bit key level.  Encryption is
-XOR with the keystream, so encryption and decryption coincide, exactly
-like CTR mode.
+The 16-byte IV is the initial counter block, incremented as one 128-bit
+big-endian integer per block.  Deterministic uses (the MLE encryption
+``E(K_M, M)``, the AONT masks) pass an all-zero IV: each of their keys
+encrypts one message.  Randomized uses (stub files, CP-ABE items,
+envelopes) pass their random 16-byte nonce.
 
-This substitution is recorded in DESIGN.md §3 and SECURITY.md
-(deviation 1).  Callers use the checked cipher in
-:mod:`repro.crypto.cipher`, never these functions directly.
+Each thread keeps one ``EVP_CIPHER_CTX``, created on first use and freed
+by a finalizer; later calls on it only load a new key and IV.  Where
+``libcrypto`` cannot be loaded, every call raises
+:class:`~repro.crypto.libcrypto.LibcryptoUnavailableError`: there is no
+second cipher, because data written under one would not read under the
+other.  Callers use the checked cipher in :mod:`repro.crypto.cipher`.
 """
 
 from __future__ import annotations
 
-import hashlib
+import ctypes
+import threading
+import weakref
 
-from repro.util.bytesutil import xor_bytes
+from repro.crypto import libcrypto
+from repro.crypto.libcrypto import LibcryptoUnavailableError, check
 from repro.util.errors import ConfigurationError
 
 KEY_SIZE = 32
+IV_SIZE = 16
+#: The deterministic uses' initial counter block.
+ZERO_IV = bytes(IV_SIZE)
+#: Longest input of one call: ``EVP_EncryptUpdate`` takes a C ``int``.
+_MAX_LENGTH = (1 << 31) - 1
+
+#: The cipher calls are a few microseconds each, so they run on the
+#: handle that keeps the GIL rather than hand it over twice per call
+#: (docs/PERFORMANCE.md, *The paper's cipher*, measures both handles).
+_DLL = ctypes.PyDLL
 
 
-def keystream(key: bytes, length: int, nonce: bytes = b"") -> bytes:
-    """Expand ``key`` (and optional nonce) into ``length`` keystream bytes."""
+class _Context:
+    """One thread's cipher context and the length its updates report."""
+
+    __slots__ = ("ctx", "written", "written_ref", "__weakref__")
+
+    def __init__(self, lib: ctypes.CDLL) -> None:
+        self.ctx = lib.EVP_CIPHER_CTX_new()
+        check(bool(self.ctx), "EVP_CIPHER_CTX_new")
+        weakref.finalize(self, lib.EVP_CIPHER_CTX_free, self.ctx)
+        # Fix the cipher once; every call after only loads a key and IV.
+        check(
+            lib.EVP_EncryptInit_ex(self.ctx, lib.EVP_aes_256_ctr(), None, None, None)
+            == 1,
+            "EVP_EncryptInit_ex",
+        )
+        self.written = ctypes.c_int()
+        self.written_ref = ctypes.byref(self.written)
+
+
+_THREAD = threading.local()
+
+
+def _context(lib: ctypes.CDLL) -> _Context:
+    context = getattr(_THREAD, "context", None)
+    if context is None:
+        context = _THREAD.context = _Context(lib)
+    return context
+
+
+def encrypt(key: bytes, iv: bytes, data: bytes) -> bytes:
+    """AES-256-CTR of ``data`` under ``key`` from counter block ``iv``."""
     if len(key) != KEY_SIZE:
-        raise ConfigurationError(f"SHAKE-256 stream key must be {KEY_SIZE} bytes")
-    if length < 0:
-        raise ConfigurationError("keystream length must be non-negative")
-    return hashlib.shake_256(key + nonce).digest(length)
+        raise ConfigurationError(f"AES-256 key must be {KEY_SIZE} bytes")
+    if len(iv) != IV_SIZE:
+        raise ConfigurationError(f"AES-256-CTR IV must be {IV_SIZE} bytes")
+    lib = libcrypto.load(_DLL)
+    if lib is None:
+        raise LibcryptoUnavailableError(
+            "AES-256-CTR needs OpenSSL's libcrypto, which could not be "
+            "loaded; REED has no other cipher"
+        )
+    if not isinstance(data, bytes):
+        data = bytes(data)
+    size = len(data)
+    if size > _MAX_LENGTH:
+        raise ConfigurationError(f"one AES-256-CTR call takes at most {_MAX_LENGTH} bytes")
+    context = _context(lib)
+    ctx = context.ctx
+    check(lib.EVP_EncryptInit_ex(ctx, None, None, key, iv) == 1, "EVP_EncryptInit_ex")
+    out = ctypes.create_string_buffer(size)
+    check(
+        lib.EVP_EncryptUpdate(ctx, out, context.written_ref, data, size) == 1
+        and context.written.value == size,
+        "EVP_EncryptUpdate",
+    )
+    return out.raw
 
 
-def encrypt(key: bytes, nonce: bytes, plaintext: bytes) -> bytes:
-    """XOR the plaintext with the (key, nonce) keystream."""
-    return xor_bytes(plaintext, keystream(key, len(plaintext), nonce))
-
-
-def decrypt(key: bytes, nonce: bytes, ciphertext: bytes) -> bytes:
-    return encrypt(key, nonce, ciphertext)
-
-
-def deterministic_encrypt(key: bytes, plaintext: bytes) -> bytes:
-    """Deterministic (empty-nonce) encryption for MLE use."""
-    return encrypt(key, b"", plaintext)
-
-
-def deterministic_decrypt(key: bytes, ciphertext: bytes) -> bytes:
-    return encrypt(key, b"", ciphertext)
+#: CTR decryption is encryption.
+decrypt = encrypt

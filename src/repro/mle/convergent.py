@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.cipher import SHAKE256
+from repro.crypto.cipher import AES256CTR
 from repro.crypto.hashing import sha256
 from repro.util.bytesutil import ct_equal
 from repro.util.errors import IntegrityError
@@ -46,14 +46,14 @@ class ConvergentEncryption:
     def encrypt(self, message: bytes) -> tuple[ConvergentCiphertext, bytes]:
         """Encrypt, returning the ciphertext record and the CE key."""
         key = convergent_key(message)
-        ciphertext = SHAKE256.deterministic_encrypt(key, message)
+        ciphertext = AES256CTR.deterministic_encrypt(key, message)
         return ConvergentCiphertext(ciphertext=ciphertext, tag=sha256(ciphertext)), key
 
     def decrypt(self, record: ConvergentCiphertext, key: bytes) -> bytes:
         """Decrypt and verify both the tag and the key-message binding."""
         if not ct_equal(sha256(record.ciphertext), record.tag):
             raise IntegrityError("convergent ciphertext does not match its tag")
-        message = SHAKE256.deterministic_decrypt(key, record.ciphertext)
+        message = AES256CTR.deterministic_decrypt(key, record.ciphertext)
         if not ct_equal(convergent_key(message), key):
             raise IntegrityError("decrypted message does not match the CE key")
         return message

@@ -16,8 +16,11 @@ from repro.crypto.hashing import sha256
 from repro.util.codec import Decoder, Encoder
 from repro.util.errors import CorruptionError
 
-#: Recipe format version (for forward compatibility on disk).
-RECIPE_FORMAT = 2
+#: Recipe format version (for forward compatibility on disk): format 3
+#: recipes point at chunks written under AES-256-CTR.
+RECIPE_FORMAT = 3
+#: Retired formats, refused by the cipher their chunks were written under.
+_RETIRED_FORMATS = {1: "HashCTR", 2: "SHAKE-256"}
 
 
 @dataclass(frozen=True)
@@ -64,7 +67,9 @@ class FileRecipe:
         dec = Decoder(data)
         version = dec.uint()
         if version != RECIPE_FORMAT:
-            raise CorruptionError(f"unsupported recipe format {version}")
+            retired = _RETIRED_FORMATS.get(version)
+            cipher = f" ({retired} chunks)" if retired else ""
+            raise CorruptionError(f"unsupported recipe format {version}{cipher}")
         file_id = dec.text()
         pathname = dec.text()
         size = dec.uint()

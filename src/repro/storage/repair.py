@@ -240,7 +240,8 @@ class ReplicaRepairer:
         chunk must leave the index before re-replication overwrites it.
         Only possible on an in-process server; over RPC the corrupt
         replicas are reported but kept (the read path already routes
-        around them via fallback).  Returns the fingerprints purged.
+        around them via fallback), and :meth:`_plan` sends no copy to
+        them.  Returns the fingerprints purged.
         """
         store = _local_store(self.store, node)
         if store is None:
@@ -279,6 +280,8 @@ class ReplicaRepairer:
 
         # Chunk inventory: fingerprint -> nodes holding an intact copy.
         holders: dict[bytes, set[str]] = {}
+        #: Corrupt replicas left in place: no copy can land over them.
+        stuck: dict[bytes, set[str]] = {}
         live: list[str] = []
         for node in self._live_nodes():
             try:
@@ -295,7 +298,8 @@ class ReplicaRepairer:
             live.append(node)
             if corrupt:
                 report.corrupt_replicas += len(corrupt)
-                self._purge_corrupt(node, corrupt)
+                for fp in corrupt - self._purge_corrupt(node, corrupt):
+                    stuck.setdefault(fp, set()).add(node)
             for fp in inventory:
                 if fp not in corrupt:
                     holders.setdefault(fp, set()).add(node)
@@ -303,7 +307,7 @@ class ReplicaRepairer:
                 holders.setdefault(fp, set())
         report.nodes_scanned = len(live)
         report.chunks_checked = len(holders)
-        plans = self._plan(holders, set(report.failed_nodes), report)
+        plans = self._plan(holders, set(report.failed_nodes), report, stuck)
         report.chunks_repaired = self._copy(plans, _copy_chunks, report)
         report.files_repaired = self._repair_files(live, report)
         self._m_missing.set(float(report.unrepaired))
@@ -311,9 +315,18 @@ class ReplicaRepairer:
         return report
 
     def _plan(
-        self, holders: dict, failed: set[str], report: RepairReport
+        self,
+        holders: dict,
+        failed: set[str],
+        report: RepairReport,
+        stuck: dict | None = None,
     ) -> dict[str, dict[str, list]]:
-        """Target node -> source node -> keys its owners lack."""
+        """Target node -> source node -> keys its owners lack.
+
+        An owner in ``stuck[key]`` holds a corrupt copy that could not
+        be purged: a copy would deduplicate against it (and add a
+        reference), so it is counted unrepaired instead.
+        """
         plans: dict[str, dict[str, list]] = {}
         for key, holding in holders.items():
             lacking = [
@@ -322,6 +335,11 @@ class ReplicaRepairer:
             if not lacking:
                 continue
             report.missing_replicas += len(lacking)
+            blocked = stuck.get(key, set()) if stuck else set()
+            report.unrepaired += sum(node in blocked for node in lacking)
+            lacking = [node for node in lacking if node not in blocked]
+            if not lacking:
+                continue
             if not holding:
                 report.unrepaired += len(lacking)
                 continue

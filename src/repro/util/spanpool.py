@@ -1,10 +1,11 @@
 """A lazily started process pool that maps a batch over contiguous spans.
 
-Chunk transforms, stub re-encryption, blind-RSA signing and
-key-regression winds are CPU-bound batches.  The first two are Python
-under the GIL; the RSA operations let it go only for their
-exponentiations (:mod:`repro.crypto.modexp`).  *Processes* run all of
-them concurrently.  They share one shape: a batch of independent items,
+Stub re-encryption, blind-RSA signing and key-regression winds are
+CPU-bound batches: the first is Python under the GIL, and the RSA
+operations let it go only for their exponentiations
+(:mod:`repro.crypto.modexp`).  *Processes* run all of them concurrently.
+(The chunk transform runs in the caller's process: on OpenSSL's AES it
+is too cheap per chunk to repay a hand-off.)  They share one shape: a batch of independent items,
 a picklable module-level function that handles a contiguous span of
 them, and a result that must come back in submission order.  :class:`SpanPool` is that shape, once:
 

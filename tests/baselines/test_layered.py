@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.baselines.layered import LayeredEncryption, WrappedKey, rekey_bytes_moved
-from repro.crypto.cipher import SHAKE256
+from repro.crypto.cipher import AES256CTR
 from repro.crypto.drbg import HmacDrbg
 from repro.util.errors import IntegrityError
 
@@ -76,7 +76,7 @@ class TestDocumentedWeakness:
                 wrapped, MASTER if i == 0 else bytes([i - 1]) * 32, new_master
             )
         # Adversary with the leaked MLE key ignores the wrapping entirely.
-        recovered = SHAKE256.deterministic_decrypt(MLE_KEY, ciphertext)
+        recovered = AES256CTR.deterministic_decrypt(MLE_KEY, ciphertext)
         assert recovered == chunk
 
     def test_reed_does_not_have_this_weakness(self):

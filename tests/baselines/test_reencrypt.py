@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.baselines.reencrypt import EpochedConvergentEncryption
-from repro.crypto.cipher import SHAKE256
+from repro.crypto.cipher import AES256CTR
 from repro.crypto.hashing import sha256
 from repro.util.errors import ConfigurationError
 
@@ -55,7 +55,7 @@ class TestFullReencryption:
         assert cost.chunks == len(plain)
         for chunk, (ciphertext, _fp) in zip(plain, renewed):
             key = epoched.chunk_key(NEW, chunk)
-            assert SHAKE256.deterministic_decrypt(key, ciphertext) == chunk
+            assert AES256CTR.deterministic_decrypt(key, ciphertext) == chunk
 
     def test_cost_is_full_data_movement(self, epoched):
         _plain, stored = self.chunks(epoched, n=10, size=1000)

@@ -7,6 +7,8 @@ import pytest
 from repro.chunking.chunker import ChunkingSpec
 from repro.core.policy import FilePolicy
 from repro.core.rekey import RevocationMode
+from repro.core.system import build_client
+from repro.mle.server_aided import LocalKeyManagerChannel
 from repro.storage.recipes import FileRecipe
 from repro.util.errors import (
     AccessDeniedError,
@@ -94,32 +96,37 @@ class TestUploadObservability:
         )
 
 
+def _client(system, user_id, **options):
+    """A client over ``system`` with ``options`` passed to REEDClient."""
+    return build_client(
+        user_id,
+        system.authority,
+        system.enrollment.owner(user_id),
+        LocalKeyManagerChannel(system.key_manager),
+        system.storage,
+        system.keystore,
+        rng=system.rng,
+        **options,
+    )
+
+
 class TestWorkerConfiguration:
+    """The client's one worker pool is its rekey pool."""
+
     def test_default_workers_track_cpu_count(self, system):
         import os as _os
 
         client = system.new_client("worker-default")
         expected = max(1, min(_os.cpu_count() or 1, 8))
-        assert client.encryption_workers == expected
+        assert client.rekey_workers == expected
 
     def test_explicit_workers_override(self, system):
-        client = system.new_client("worker-explicit", encryption_workers=3)
-        assert client.encryption_workers == 3
+        client = _client(system, "worker-explicit", rekey_workers=3)
+        assert client.rekey_workers == 3
 
     def test_zero_workers_rejected(self, system):
         with pytest.raises(ConfigurationError):
-            system.new_client("worker-zero", encryption_workers=0)
-
-    def test_parallel_upload_roundtrips(self, system, data):
-        client = system.new_client("worker-parallel", encryption_workers=2)
-        # Force the process pool even for this small file.
-        client._transform_pool.min_parallel_bytes = 0
-        try:
-            client.upload("fpar", data)
-            assert client.download("fpar").data == data
-            assert client._transform_pool.parallel_batches > 0
-        finally:
-            client.close()
+            _client(system, "worker-zero", rekey_workers=0)
 
 
 class TestDownload:

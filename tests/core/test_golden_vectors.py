@@ -2,7 +2,7 @@
 
 A storage system's encodings are a compatibility contract — data written
 today must decrypt tomorrow.  These tests pin exact outputs of every
-deterministic transformation (both schemes under the SHAKE-256 cipher,
+deterministic transformation (both schemes under the AES-256-CTR cipher,
 CAONT, the codec, CP-ABE items and their envelope) against recorded hex
 digests; any change to a construction or an encoding breaks them loudly.
 
@@ -37,13 +37,13 @@ class TestSchemeVectors:
     """Trimmed package + stub digests for both schemes."""
 
     GOLDEN = {
-        ("basic", "shake256"): (
-            "9b0af91c8638b877eb628d15ed4ef678",
-            "dfd06dad9db5a091d1c7b84ee3520e25",
+        ("basic", "aes256ctr"): (
+            "286d591c815deefc72bbb90d9a672bcb",
+            "9d9f7d776c8023a25932c25c31adb233",
         ),
-        ("enhanced", "shake256"): (
-            "1b2e3e22b4e50498a21d04be883ac5d1",
-            "dd4fb6449de2542e9bea2aad7b6a57b0",
+        ("enhanced", "aes256ctr"): (
+            "bc3cb58a646ea02df89e60270bdc8bd7",
+            "4a84129da592d20fb5fd0edd62fb5732",
         ),
     }
 
@@ -60,16 +60,16 @@ class TestSchemeVectors:
 class TestCaontVector:
     def test_caont_frozen(self):
         package = caont_transform(CHUNK)
-        assert digest(package.head) == "16a3f342c26bdeba8af0014a5518999e"
-        assert digest(package.tail) == "cdbce82913f7e325c002eaf76a8462f2"
+        assert digest(package.head) == "8e544f08de929124e2f128fb56410a8b"
+        assert digest(package.tail) == "27ab635afb9ae209c6d5f4641a9607d8"
 
 
 class TestAbeVector:
     """Items 0 and 1 of one encapsulation under a 3-leaf OR policy."""
 
     GOLDEN = (
-        "773c82b4bcd156e42394f883965a4a2f",
-        "d3d6607933a47c790ce0e3ea92bad35d",
+        "8021269d8f30fd9a032e8715539f1a20",
+        "7ef1a69ddd490795ca74f9c925b49383",
     )
 
     def test_abe_items_frozen(self):
@@ -95,6 +95,17 @@ class TestAbeVector:
         with pytest.raises(CorruptionError, match="unsupported ABE envelope tag 1"):
             envelopes.decode_envelope(legacy)
 
+    @pytest.mark.parametrize("tag, kind", [(2, "group"), (3, "ABE")])
+    def test_shake256_envelope_tags_refused_by_name(self, tag, kind):
+        # Key states sealed under SHAKE-256 would pass their MAC under
+        # AES-256-CTR and decrypt to garbage; their tags are refused.
+        legacy = Encoder().uint(tag).blob(b"\x00" * 64).done()
+        with pytest.raises(
+            CorruptionError,
+            match=f"unsupported {kind} envelope tag {tag} \\(sealed under SHAKE-256",
+        ):
+            envelopes.decode_envelope(legacy)
+
 
 class TestEncodingVectors:
     def test_recipe_encoding_frozen(self):
@@ -109,14 +120,13 @@ class TestEncodingVectors:
                 ChunkRef(fingerprint=bytes(reversed(range(32))), length=200),
             ),
         )
-        assert digest(recipe.encode()) == "28d69911a9cb4a55199b990d704984b8"
+        assert digest(recipe.encode()) == "07944d9a798ba3f5ab3521720e28dd76"
 
-    def test_format_1_recipe_refused_by_name(self):
-        # Format 1 recipes point at chunks written under the retired
-        # HashCTR default cipher; they are refused, never misread.
-        legacy = (
+    @staticmethod
+    def _legacy_recipe(version: int) -> bytes:
+        return (
             Encoder()
-            .uint(1)
+            .uint(version)
             .text("golden")
             .text("/tmp/file")
             .uint(100)
@@ -127,8 +137,19 @@ class TestEncodingVectors:
             .uint(100)
             .done()
         )
+
+    def test_format_1_recipe_refused_by_name(self):
+        # Format 1 recipes point at chunks written under the retired
+        # HashCTR default cipher; they are refused, never misread.
         with pytest.raises(CorruptionError, match="unsupported recipe format 1"):
-            FileRecipe.decode(legacy)
+            FileRecipe.decode(self._legacy_recipe(1))
+
+    def test_format_2_recipe_refused_by_name(self):
+        # Format 2 recipes point at chunks written under SHAKE-256.
+        with pytest.raises(
+            CorruptionError, match=r"unsupported recipe format 2 \(SHAKE-256"
+        ):
+            FileRecipe.decode(self._legacy_recipe(2))
 
     def test_codec_primitives_frozen(self):
         data = (

@@ -1,11 +1,11 @@
-"""Tests for the client worker pools: chunk transforms and rekeying."""
+"""Tests for the client's chunk transforms and rekey worker pools."""
 
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from repro.core.parallel import ChunkTransformPool, RekeyPool
-from repro.core.schemes import EnhancedScheme, get_scheme
+from repro.core.schemes import get_scheme
 from repro.core.stubs import decrypt_stub_file, encrypt_stub_file
 from repro.crypto.drbg import HmacDrbg
 from repro.keyreg.rsa_keyreg import KeyRegressionOwner
@@ -21,82 +21,82 @@ def _inputs(count, size=2048, seed=0):
 class TestDefaults:
     def test_rejects_zero_workers(self):
         with pytest.raises(ConfigurationError):
-            ChunkTransformPool(get_scheme("enhanced"), workers=0)
+            RekeyPool(workers=0)
 
-    def test_rejects_scheme_workers_would_not_rebuild(self):
-        class CustomScheme(EnhancedScheme):
-            pass
 
-        with pytest.raises(ConfigurationError, match="CustomScheme"):
-            ChunkTransformPool(CustomScheme(), workers=2)
+def _stub_items(count, stub_size=64):
+    """``count`` re-encryptions of one stub file, each with its nonce."""
+    stubs = [bytes([n]) * stub_size for n in range(8)]
+    old, new = bytes(32), bytes([1]) * 32
+    stub_file = encrypt_stub_file(old, stubs, stub_size=stub_size, nonce=bytes(16))
+    return [(stub_file, old, new, bytes([n]) * 16) for n in range(count)], stubs
 
 
 class TestSerialPath:
     def test_single_worker_runs_serial(self):
+        # The chunk transform runs in the calling process: exactly the scheme.
         scheme = get_scheme("enhanced")
-        pool = ChunkTransformPool(scheme, workers=1)
-        chunks, keys = _inputs(4)
-        got = pool.encrypt(chunks, keys)
-        assert got == [scheme.encrypt_chunk(c, k) for c, k in zip(chunks, keys)]
-        assert pool.serial_batches == 1 and pool.parallel_batches == 0
-        pool.close()
+        with ChunkTransformPool(scheme) as pool:
+            chunks, keys = _inputs(4)
+            got = pool.encrypt(chunks, keys)
+            assert got == [scheme.encrypt_chunk(c, k) for c, k in zip(chunks, keys)]
+            trimmed, stubs = [p.trimmed_package for p in got], [p.stub for p in got]
+            assert pool.decrypt(trimmed, stubs) == chunks
 
     def test_small_batches_stay_serial(self):
-        scheme = get_scheme("enhanced")
-        pool = ChunkTransformPool(scheme, workers=4)
-        chunks, keys = _inputs(3, size=100)  # well under min_parallel_bytes
-        pool.encrypt(chunks, keys)
+        items, _stubs = _stub_items(3)  # well under min_parallel_bytes
+        pool = RekeyPool(workers=4)
+        pool.reencrypt(items)
         assert pool.serial_batches == 1
         assert pool._executor is None  # never spawned workers
         pool.close()
 
     def test_mismatched_lengths_rejected(self):
-        pool = ChunkTransformPool(get_scheme("enhanced"), workers=1)
+        pool = ChunkTransformPool(get_scheme("enhanced"))
         with pytest.raises(ConfigurationError):
             pool.encrypt([b"x" * 100], [])
+        with pytest.raises(ConfigurationError):
+            pool.decrypt([b"x" * 100], [])
 
 
 class TestProcessPath:
     def test_process_pool_matches_serial(self):
-        scheme = get_scheme("enhanced")
-        with ChunkTransformPool(scheme, workers=2, min_parallel_bytes=0) as pool:
-            chunks, keys = _inputs(7)
-            got = pool.encrypt(chunks, keys)
-            assert got == [scheme.encrypt_chunk(c, k) for c, k in zip(chunks, keys)]
+        items, stubs = _stub_items(5)
+        with RekeyPool(workers=2, min_parallel_bytes=0) as pool:
+            rekeyed = pool.reencrypt(items)
+            assert rekeyed == pool._reencrypt_serial(items)
             assert pool.parallel_batches == 1
+        assert all(decrypt_stub_file(bytes([1]) * 32, blob) == stubs for blob in rekeyed)
 
     def test_order_preserved_across_spans(self):
         scheme = get_scheme("basic")
-        with ChunkTransformPool(scheme, workers=3, min_parallel_bytes=0) as pool:
-            chunks, keys = _inputs(10, size=512, seed=7)
-            got = pool.encrypt(chunks, keys)
-            for package, chunk, key in zip(got, chunks, keys):
-                assert package == scheme.encrypt_chunk(chunk, key)
+        pool = ChunkTransformPool(scheme)
+        chunks, keys = _inputs(10, size=512, seed=7)
+        got = pool.encrypt(chunks, keys)
+        for package, chunk, key in zip(got, chunks, keys):
+            assert package == scheme.encrypt_chunk(chunk, key)
 
     def test_pool_restarts_after_close(self):
-        scheme = get_scheme("enhanced")
-        pool = ChunkTransformPool(scheme, workers=2, min_parallel_bytes=0)
-        chunks, keys = _inputs(4)
-        first = pool.encrypt(chunks, keys)
+        items, _stubs = _stub_items(4)
+        pool = RekeyPool(workers=2, min_parallel_bytes=0)
+        first = pool.reencrypt(items)
         pool.close()
-        assert pool.encrypt(chunks, keys) == first
+        assert pool.reencrypt(items) == first
+        assert pool.parallel_batches == 2
         pool.close()
 
 
 class TestWorkerSpec:
     def test_stub_size_travels_to_workers(self):
-        """Workers rebuild the scheme from (name, stub size): a 128-byte
-        stub scheme transforms and rekeys on them exactly as in-process."""
+        """A 128-byte stub scheme transforms in-process and rekeys on the
+        rekey workers exactly as in-process."""
         scheme = get_scheme("enhanced", stub_size=128)
-        with ChunkTransformPool(scheme, workers=2, min_parallel_bytes=0) as pool:
-            chunks, keys = _inputs(4)
-            got = pool.encrypt(chunks, keys)
-            assert pool.parallel_batches == 1
-            assert got == [scheme.encrypt_chunk(c, k) for c, k in zip(chunks, keys)]
-            assert {len(p.stub) for p in got} == {128}
-            trimmed, stubs = [p.trimmed_package for p in got], [p.stub for p in got]
-            assert pool.decrypt(trimmed, stubs) == chunks
-            assert pool.parallel_batches == 2
+        pool = ChunkTransformPool(scheme)
+        chunks, keys = _inputs(4)
+        got = pool.encrypt(chunks, keys)
+        assert {len(p.stub) for p in got} == {128}
+        trimmed, stubs = [p.trimmed_package for p in got], [p.stub for p in got]
+        assert pool.decrypt(trimmed, stubs) == chunks
 
         old, new = bytes(32), bytes([1]) * 32
         stub_file = encrypt_stub_file(old, stubs, stub_size=128, nonce=bytes(16))

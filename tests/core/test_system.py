@@ -4,6 +4,7 @@ import pytest
 
 from repro.chunking.chunker import ChunkingSpec
 from repro.core.cluster import TcpCluster
+from repro.core.parallel import MIN_PARALLEL_WIND
 from repro.core.policy import FilePolicy
 from repro.core.rekey import RevocationMode
 from repro.core.server import REEDServer
@@ -180,15 +181,17 @@ class TestBuildSystem:
 
     def test_close_reaps_every_clients_workers(self):
         system = build_system(num_data_servers=1, rng=HmacDrbg(b"close"))
-        alice = system.new_client("alice", encryption_workers=2)
+        alice = system.new_client("alice")
         bob = system.new_client("bob", owner=False)
-        alice._transform_pool.min_parallel_bytes = 0
-        alice.upload("f", unique_data(60_000, seed=4))
-        assert alice._transform_pool.parallel_batches == 1
-        assert alice._transform_pool._executor is not None
+        alice._rekey_pool.workers = 2  # processes even on a one-CPU host
+        files = [f"f{index}" for index in range(MIN_PARALLEL_WIND)]
+        for index, file_id in enumerate(files):
+            alice.upload(file_id, unique_data(6_000, seed=index))
+        alice.rekey_many(files, FilePolicy.for_users(["alice"]), RevocationMode.ACTIVE)
+        assert alice._rekey_pool.parallel_batches >= 1
+        assert alice._rekey_pool._executor is not None
         system.close()
         for client in (alice, bob):
-            assert client._transform_pool._executor is None
             assert client._rekey_pool._executor is None
 
     def test_scheme_selection(self):

@@ -1,139 +1,188 @@
-"""Tests for the SHAKE-256 stream cipher."""
+"""Tests for the AES-256-CTR kernel behind ``E(.)``."""
 
-import hashlib
-import importlib
 import sys
 import threading
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.parallel import RekeyPool
+from repro.core.stubs import encrypt_stub_file
 from repro.crypto import streamcipher
 from repro.util.errors import ConfigurationError
 
 KEY = bytes(range(32))
-NONCES = (b"", b"\x10" * 16)
-# Around SHAKE-256's 136-byte rate, plus one enhanced-scheme 8 KiB payload.
-LENGTHS = (0, 1, 135, 136, 137, 8224)
-# The ciphers pass an empty or a 16-byte nonce; the keystream takes any.
-ORACLE_NONCES = (b"", b"\x08" * 8, b"\x10" * 16, bytes(range(48)))
-# Around 128 KiB, where the format-1 (HashCTR) keystream's counter table ended.
-TABLE_EDGE_LENGTHS = (131_071, 131_072, 131_073, 131_104)
+IV = bytes(range(16))
 
-
-@pytest.fixture(params=["builtin", "hashlib"])
-def constructor(request):
-    """The oracle's SHAKE-256: CPython's own Keccak, or hashlib's (OpenSSL when linked)."""
-    if request.param == "builtin":
-        return importlib.import_module("_sha3").shake_256
-    return hashlib.shake_256
-
-
-def oracle_keystream(constructor, key: bytes, length: int, nonce: bytes = b"") -> bytes:
-    """The construction spelled out on a given SHAKE-256 implementation."""
-    return constructor(key + nonce).digest(length)
+# NIST SP 800-38A, F.5.5 CTR-AES256.Encrypt (F.5.6 decrypts the same).
+NIST_KEY = bytes.fromhex(
+    "603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4"
+)
+NIST_COUNTER = bytes.fromhex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff")
+NIST_PLAINTEXT = bytes.fromhex(
+    "6bc1bee22e409f96e93d7e117393172a"
+    "ae2d8a571e03ac9c9eb76fac45af8e51"
+    "30c81c46a35ce411e5fbc1191a0a52ef"
+    "f69f2445df4f9b17ad2b417be66c3710"
+)
+NIST_CIPHERTEXT = bytes.fromhex(
+    "601ec313775789a5b7a7f504bbf3d228"
+    "f443e3ca4d62b59aca84e990cacaf5c5"
+    "2b0930daa23de94ce87017ba2d84988d"
+    "dfc9c58db67aada613c2dd08457941a6"
+)
 
 
 class TestKeystream:
-    def test_construction_pinned(self):
-        # The keystream is SHAKE-256(key || nonce) cut to length.
-        expected = hashlib.shake_256(KEY + NONCES[1]).digest(32)
-        assert streamcipher.keystream(KEY, 32, NONCES[1]) == expected
+    """The keystream is the encryption of zeros."""
 
-    @pytest.mark.parametrize("length", LENGTHS)
-    @pytest.mark.parametrize("nonce", NONCES, ids=lambda nonce: f"nonce{len(nonce)}")
-    def test_matches_shake_256(self, length, nonce):
-        expected = hashlib.shake_256(KEY + nonce).digest(length)
-        assert streamcipher.keystream(KEY, length, nonce) == expected
+    def test_construction_pinned(self):
+        # AES-256-CTR from the IV as a 128-bit big-endian counter.
+        keystream = streamcipher.encrypt(NIST_KEY, NIST_COUNTER, bytes(64))
+        assert bytes(a ^ b for a, b in zip(keystream, NIST_PLAINTEXT)) == (
+            NIST_CIPHERTEXT
+        )
 
     def test_length_exact(self):
-        for n in (0, 1, 31, 32, 33, 100):
-            assert len(streamcipher.keystream(KEY, n)) == n
+        for n in (0, 1, 15, 16, 17, 31, 32, 33, 100, 8224):
+            assert len(streamcipher.encrypt(KEY, IV, bytes(n))) == n
 
     def test_prefix_property(self):
-        assert streamcipher.keystream(KEY, 100)[:50] == streamcipher.keystream(KEY, 50)
+        assert streamcipher.encrypt(KEY, IV, bytes(100))[:50] == (
+            streamcipher.encrypt(KEY, IV, bytes(50))
+        )
 
     def test_nonce_separates(self):
-        assert streamcipher.keystream(KEY, 64, b"a") != streamcipher.keystream(
-            KEY, 64, b"b"
+        assert streamcipher.encrypt(KEY, b"a" * 16, bytes(64)) != (
+            streamcipher.encrypt(KEY, b"b" * 16, bytes(64))
         )
 
     def test_key_size_enforced(self):
-        with pytest.raises(ConfigurationError):
-            streamcipher.keystream(b"short", 16)
+        for key in (b"", b"short", bytes(16), bytes(33)):
+            with pytest.raises(ConfigurationError, match="32 bytes"):
+                streamcipher.encrypt(key, IV, b"data")
 
-    def test_negative_length_rejected(self):
-        with pytest.raises(ConfigurationError):
-            streamcipher.keystream(KEY, -1)
+    def test_iv_size_enforced(self):
+        for iv in (b"", bytes(8), bytes(17)):
+            with pytest.raises(ConfigurationError, match="16 bytes"):
+                streamcipher.encrypt(KEY, iv, b"data")
 
 
-class TestAgainstOracle:
-    # The fixture only picks the oracle, so sharing it across examples is fine.
-    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
+class TestKnownAnswers:
+    """NIST SP 800-38A F.5.5 and F.5.6, also cut inside a block."""
+
+    def test_nist_ctr_aes256_encrypt(self):
+        assert streamcipher.encrypt(NIST_KEY, NIST_COUNTER, NIST_PLAINTEXT) == (
+            NIST_CIPHERTEXT
+        )
+
+    def test_nist_ctr_aes256_decrypt(self):
+        assert streamcipher.decrypt(NIST_KEY, NIST_COUNTER, NIST_CIPHERTEXT) == (
+            NIST_PLAINTEXT
+        )
+
+    @pytest.mark.parametrize("length", [1, 15, 17, 33, 63])
+    def test_unaligned_tail(self, length):
+        # A message that ends inside a block uses a prefix of its keystream.
+        assert streamcipher.encrypt(
+            NIST_KEY, NIST_COUNTER, NIST_PLAINTEXT[:length]
+        ) == NIST_CIPHERTEXT[:length]
+
+    def test_context_reused_after_a_tail(self):
+        # A call that ended mid-block leaves no state for the next one.
+        streamcipher.encrypt(NIST_KEY, NIST_COUNTER, NIST_PLAINTEXT[:7])
+        assert streamcipher.encrypt(NIST_KEY, NIST_COUNTER, NIST_PLAINTEXT) == (
+            NIST_CIPHERTEXT
+        )
+
+    def test_input_longer_than_one_update_refused(self, monkeypatch):
+        # EVP_EncryptUpdate takes its length as a C int.
+        monkeypatch.setattr(streamcipher, "_MAX_LENGTH", 63)
+        with pytest.raises(ConfigurationError, match="at most 63 bytes"):
+            streamcipher.encrypt(NIST_KEY, NIST_COUNTER, NIST_PLAINTEXT)
+        assert streamcipher.encrypt(NIST_KEY, NIST_COUNTER, NIST_PLAINTEXT[:63]) == (
+            NIST_CIPHERTEXT[:63]
+        )
+
+
+class TestAgainstCryptography:
+    @settings(deadline=None)
     @given(
         key=st.binary(min_size=32, max_size=32),
-        nonce=st.sampled_from(ORACLE_NONCES),
-        length=st.integers(min_value=0, max_value=140_000),
+        iv=st.one_of(
+            st.binary(min_size=16, max_size=16),
+            st.just(b"\xff" * 16),  # the counter wraps to zero
+            st.just(streamcipher.ZERO_IV),
+        ),
+        data=st.binary(max_size=3000),
     )
-    def test_matches_oracle(self, constructor, key, nonce, length):
-        assert streamcipher.keystream(key, length, nonce) == oracle_keystream(
-            constructor, key, length, nonce
-        )
-
-    @pytest.mark.parametrize("length", TABLE_EDGE_LENGTHS)
-    @pytest.mark.parametrize(
-        "nonce", ORACLE_NONCES, ids=lambda nonce: f"nonce{len(nonce)}"
-    )
-    def test_counter_table_edge(self, constructor, length, nonce):
-        # SHAKE-256 has no counter table: the stream has no seam at the old edge.
-        assert streamcipher.keystream(KEY, length, nonce) == oracle_keystream(
-            constructor, KEY, length, nonce
-        )
-
-    def test_concurrent_callers_past_table_edge(self, constructor):
-        # Eight threads at once, alternating the nonce-free and the nonced stream.
-        calls = [(131_104 + 4096 * i, NONCES[i % 2]) for i in range(8)]
-        results = [None] * len(calls)
-        barrier = threading.Barrier(len(calls))
-
-        def draw(slot):
-            length, nonce = calls[slot]
-            barrier.wait(timeout=60)
-            results[slot] = streamcipher.keystream(KEY, length, nonce)
-
-        threads = [threading.Thread(target=draw, args=(i,)) for i in range(len(calls))]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        for (length, nonce), got in zip(calls, results):
-            assert got == oracle_keystream(constructor, KEY, length, nonce)
+    def test_matches_cryptography(self, key, iv, data):
+        ciphers = pytest.importorskip("cryptography.hazmat.primitives.ciphers")
+        oracle = ciphers.Cipher(ciphers.algorithms.AES(key), ciphers.modes.CTR(iv))
+        assert streamcipher.encrypt(key, iv, data) == oracle.encryptor().update(data)
 
 
 class TestEncryption:
     @given(st.binary(max_size=2000))
     def test_roundtrip(self, data):
-        nonce = b"\x07" * 16
-        assert streamcipher.decrypt(
-            KEY, nonce, streamcipher.encrypt(KEY, nonce, data)
-        ) == data
+        assert streamcipher.decrypt(KEY, IV, streamcipher.encrypt(KEY, IV, data)) == data
 
     @given(st.binary(max_size=500))
     def test_deterministic_roundtrip(self, data):
-        ct = streamcipher.deterministic_encrypt(KEY, data)
-        assert streamcipher.deterministic_encrypt(KEY, data) == ct
-        assert streamcipher.deterministic_decrypt(KEY, ct) == data
+        zero = streamcipher.ZERO_IV
+        ct = streamcipher.encrypt(KEY, zero, data)
+        assert streamcipher.encrypt(KEY, zero, data) == ct
+        assert streamcipher.decrypt(KEY, zero, ct) == data
 
     def test_distinct_keys_distinct_streams(self):
-        other = bytes(reversed(KEY))
-        data = b"\x00" * 64
-        assert streamcipher.deterministic_encrypt(
-            KEY, data
-        ) != streamcipher.deterministic_encrypt(other, data)
+        zeros = bytes(64)
+        assert streamcipher.encrypt(KEY, IV, zeros) != streamcipher.encrypt(
+            bytes(reversed(KEY)), IV, zeros
+        )
+
+    def test_accepts_bytes_like(self):
+        data = bytes(range(100))
+        assert streamcipher.encrypt(KEY, IV, bytearray(data)) == (
+            streamcipher.encrypt(KEY, IV, data)
+        )
+
+
+def test_four_threads_on_one_key():
+    # Each thread has its own cipher context; none sees another's counter.
+    messages = [bytes([index]) * (4096 + 17 * index) for index in range(4)]
+    expected = [streamcipher.encrypt(KEY, IV, message) for message in messages]
+    results = [[] for _ in messages]
+    barrier = threading.Barrier(len(messages))
+
+    def run(slot):
+        barrier.wait(timeout=60)
+        for _ in range(200):
+            results[slot].append(streamcipher.encrypt(KEY, IV, messages[slot]))
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(messages))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for slot, got in enumerate(results):
+        assert got == [expected[slot]] * 200
+
+
+def test_forked_rekey_worker_reencrypts_identically():
+    # The worker inherits this thread's cipher context across the fork.
+    streamcipher.encrypt(KEY, IV, b"warm the context before the fork")
+    stubs = [bytes([n]) * 64 for n in range(40)]
+    old, new = bytes(32), bytes([7]) * 32
+    stub_file = encrypt_stub_file(old, stubs, nonce=bytes(16))
+    items = [(stub_file, old, new, bytes([n]) * 16) for n in range(4)]
+    with RekeyPool(workers=2, min_parallel_bytes=0) as pool:
+        on_workers = pool.reencrypt(items)
+        assert pool.parallel_batches == 1
+    assert on_workers == RekeyPool(workers=1)._reencrypt_serial(items)

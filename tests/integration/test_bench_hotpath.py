@@ -20,7 +20,7 @@ REPO_ROOT = os.path.dirname(
 )
 BENCH = os.path.join(REPO_ROOT, "benchmarks", "bench_hotpath.py")
 
-THROUGHPUT_ROWS = {"chunking/reference", "chunking/numpy", "caont/shake256"}
+THROUGHPUT_ROWS = {"chunking/reference", "chunking/numpy", "caont/aes256ctr"}
 RSA_ROWS = {"rsa/private", "rsa/public"}
 EXPECTED_ROWS = THROUGHPUT_ROWS | RSA_ROWS
 THROUGHPUT_KEYS = {"name", "bytes", "seconds", "mib_per_s"}
@@ -45,7 +45,7 @@ def test_quick_bench_runs_and_writes_valid_report(tmp_path):
     assert "metrics snapshot: well-formed" in proc.stdout
 
     report = json.loads(out.read_text())
-    assert report["schema"] == "reed-bench-hotpath/9"
+    assert report["schema"] == "reed-bench-hotpath/10"
     assert report["quick"] is True
     assert report["seed"] == 3
     assert {r["name"] for r in report["results"]} == EXPECTED_ROWS

@@ -43,7 +43,7 @@ def stored(cluster):
 class TestPipelineEquivalence:
     def test_pipelined_bit_identical_to_serial(self, stored):
         cluster, _alice, data = stored
-        serial = cluster.new_client("alice", owner=False, encryption_workers=1)
+        serial = cluster.new_client("alice", owner=False)
         serial.pipeline_depth = 1
         serial.fetch_batch_chunks = 8
         cluster.storage.fetch_workers = 1
@@ -173,9 +173,6 @@ class TestIntegrityAbort:
         for name in containers:
             corrupt_blob(backend, name)
         reader = system.new_client("alice", owner=False)
-        # Force the process-pool decrypt path regardless of file size so
-        # the error crosses a worker boundary before surfacing.
-        reader._transform_pool.min_parallel_bytes = 0
         with pytest.raises(IntegrityError):
             reader.download("victim")
         reader.close()

@@ -21,6 +21,7 @@ from repro.core.cluster import TcpCluster
 from repro.crypto.drbg import HmacDrbg
 from repro.obs.expo import parse_prometheus
 from repro.obs.metrics import reset_default_registry
+from repro.obs.profile import profile
 from repro.obs.tracing import reset_default_tracer
 
 REPO_ROOT = os.path.dirname(
@@ -138,6 +139,37 @@ def test_small_upload_is_signed_on_the_signer_workers(fresh_telemetry, cluster):
     for span in signs:
         assert span["node"] == "key-manager"
         assert by_id[span["parent_span_id"]]["name"] == "rpc.km.derive_batch"
+    client.close()
+
+
+def test_delete_leaves_its_own_trace(fresh_telemetry, cluster):
+    """A delete is one root with a child per round trip, and its RPCs
+    carry its trace context to the nodes."""
+    client = cluster.new_client("alice")
+    upload = client.upload("doomed", cluster.rng.random_bytes(16 * CHUNK_SIZE))
+    client.delete("doomed")
+    root = client.tracer.last_trace()
+    assert root.name == "delete"
+    assert root.trace_id != upload.trace_id
+
+    (entry,) = cluster.merged_traces(trace_id=root.trace_id)
+    tree = entry["root"]
+    assert tree["name"] == "delete" and entry["orphans"] == []
+    spans = list(_walk(tree))
+    by_id = {span["span_id"]: span for span in spans}
+    children = [child["name"] for child in tree["children"]]
+    assert children == ["delete.recipes", "delete.release", "delete.meta", "delete.keystate"]
+    handler_parents = {
+        by_id[span["parent_span_id"]]["name"]
+        for span in spans
+        if span["name"].startswith("rpc.")
+    }
+    assert handler_parents == set(children)
+    times = profile(tree)
+    assert sum(times.values()) == pytest.approx(
+        tree["end_time"] - tree["start_time"], rel=0.02
+    )
+    assert set(children) <= set(times)
     client.close()
 
 

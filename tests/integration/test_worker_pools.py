@@ -1,6 +1,6 @@
-"""Worker processes next to live servers: the client's transform and
-rekey pools and the key manager's signers share a process with every TCP
-listener of an in-process ``TcpCluster``."""
+"""Worker processes next to live servers: the client's rekey pool and
+the key manager's signers share a process with every TCP listener of an
+in-process ``TcpCluster``."""
 
 import multiprocessing
 import os
@@ -37,13 +37,14 @@ def test_data_server_restarts_while_worker_pools_are_alive():
     with TcpCluster(
         num_data_servers=2, replicas=2, rng=HmacDrbg(b"pools")
     ) as cluster:
-        client = cluster.new_client("alice", encryption_workers=2)
+        client = cluster.new_client("alice", rekey_workers=2)
         data = HmacDrbg(b"pools-data").random_bytes(3 * MiB // 2)
         result = client.upload("file", data)
         assert result.key_round_trips >= 1
-        # Both kinds of worker are up: the transform pool (>= 1 MiB
-        # batch) and the signers (every key window).
-        assert client._transform_pool.parallel_batches >= 1
+        # Both kinds of worker are up: the signers (every key window)
+        # and the client's rekey workers.
+        states = [client.keyreg_owner.initial_state() for _ in range(4)]
+        assert client._rekey_pool.wind(states)[1]  # wound on the workers
         assert cluster.key_manager._signers.parallel_batches >= 1
         assert len(workers()) >= 3
 

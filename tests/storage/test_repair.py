@@ -214,6 +214,7 @@ class TestRemoteRehash:
         assert report.failed_nodes == []
         assert report.nodes_scanned == 2
         assert store.chunk_get_batch([fp]) == [data]  # the intact replica
+        return report
 
     def test_corrupt_container_header_is_corruption_not_node_failure(self):
         def smash_magic(blob):
@@ -227,7 +228,16 @@ class TestRemoteRehash:
             blob[-1] ^= 0xFF
 
         with TcpCluster(num_data_servers=2, replicas=2) as cluster:
-            self._check(*self._corrupted(cluster, flip))
+            store, fp, data = self._corrupted(cluster, flip)
+            for _ in range(2):
+                # Over RPC the corrupt replica cannot be purged: it is
+                # reported unrepaired, never "healed" by a deduplicated
+                # copy that only adds a reference.
+                report = self._check(store, fp, data)
+                assert report.unrepaired == 1
+                assert report.chunks_repaired == 0
+                counts = [store.node_refcounts(node, [fp]) for node in ("node-0", "node-1")]
+                assert counts[0] == counts[1] == [1]
 
     def test_transport_error_during_rehash_is_node_failure(self):
         with TcpCluster(num_data_servers=2, replicas=2) as cluster:
