@@ -128,6 +128,23 @@ class TestWorkerConfiguration:
         with pytest.raises(ConfigurationError):
             _client(system, "worker-zero", rekey_workers=0)
 
+    def test_parallel_upload_roundtrips(self, system, data):
+        # Uploads whose stub files are re-encrypted on two rekey workers read back intact.
+        client = _client(system, "worker-parallel", rekey_workers=2)
+        client._rekey_pool.min_parallel_bytes = 0  # force the worker processes
+        files = {"fpar": data, "fpar2": data[::-1]}
+        try:
+            for file_id, content in files.items():
+                client.upload(file_id, content)
+            client.rekey_many(
+                list(files), FilePolicy.for_users(["worker-parallel"]), RevocationMode.ACTIVE
+            )
+            assert client._rekey_pool.parallel_batches > 0
+            for file_id, content in files.items():
+                assert client.download(file_id).data == content
+        finally:
+            client.close()
+
 
 class TestDownload:
     def test_roundtrip(self, alice, data):

@@ -1,5 +1,6 @@
 """Tests for the AES-256-CTR kernel behind ``E(.)``."""
 
+import hashlib
 import sys
 import threading
 
@@ -14,6 +15,26 @@ from repro.util.errors import ConfigurationError
 
 KEY = bytes(range(32))
 IV = bytes(range(16))
+# Deterministic uses have no nonce (the all-zero IV); randomized ones a 16-byte one.
+NONCES = (b"", b"\x10" * 16)
+# Empty, one byte, three tails inside the ninth block, one enhanced-scheme 8 KiB payload.
+LENGTHS = (0, 1, 135, 136, 137, 8224)
+# The SHAKE-256 digest (16 bytes) of each (nonce length, length) keystream.
+# AES-256-CTR is the format-3 cipher: a changed pin is a format revision.
+KEYSTREAM_PINS = {
+    (0, 0): "46b9dd2b0ba88d13233b3feb743eeb24",
+    (0, 1): "70549d185c6af5cadded4931c0fa8fea",
+    (0, 135): "60300c9c0eaef98e636a0e2d5a5a4f86",
+    (0, 136): "003735ea74ac69729a2214368c116d6e",
+    (0, 137): "514d33dd12f7f67f47c21b679a651d4e",
+    (0, 8224): "f975411035d9b78d19bd5c9d6f9c2adc",
+    (16, 0): "46b9dd2b0ba88d13233b3feb743eeb24",
+    (16, 1): "9f78897cbc7b68c2c6a6cdca113c6e98",
+    (16, 135): "f289142752921e9f70d5d4d2e8126757",
+    (16, 136): "6c65ff3410b0426f6262f5a0a8b1cf97",
+    (16, 137): "33ee6534be55980df6de33601ae03eec",
+    (16, 8224): "4199dc56d21fdf0a715fd5af4a22ca23",
+}
 
 # NIST SP 800-38A, F.5.5 CTR-AES256.Encrypt (F.5.6 decrypts the same).
 NIST_KEY = bytes.fromhex(
@@ -44,6 +65,16 @@ class TestKeystream:
             NIST_CIPHERTEXT
         )
 
+    @pytest.mark.parametrize("length", LENGTHS)
+    @pytest.mark.parametrize("nonce", NONCES, ids=lambda nonce: f"nonce{len(nonce)}")
+    def test_matches_shake_256(self, length, nonce):
+        # The keystream matches the SHAKE-256 digest pinned for it.
+        keystream = streamcipher.encrypt(KEY, nonce or streamcipher.ZERO_IV, bytes(length))
+        assert len(keystream) == length
+        assert hashlib.shake_256(keystream).hexdigest(16) == (
+            KEYSTREAM_PINS[len(nonce), length]
+        )
+
     def test_length_exact(self):
         for n in (0, 1, 15, 16, 17, 31, 32, 33, 100, 8224):
             assert len(streamcipher.encrypt(KEY, IV, bytes(n))) == n
@@ -67,6 +98,16 @@ class TestKeystream:
         for iv in (b"", bytes(8), bytes(17)):
             with pytest.raises(ConfigurationError, match="16 bytes"):
                 streamcipher.encrypt(KEY, iv, b"data")
+
+    def test_negative_length_rejected(self):
+        # 2**31 bytes would reach EVP_EncryptUpdate's C int as a negative
+        # length; the kernel refuses it before any C call.
+        class LongBytes(bytes):
+            def __len__(self):
+                return 1 << 31
+
+        with pytest.raises(ConfigurationError, match="at most"):
+            streamcipher.encrypt(KEY, IV, LongBytes(b"x"))
 
 
 class TestKnownAnswers:
