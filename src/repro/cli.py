@@ -180,7 +180,6 @@ def _build_client(args, org: OrgState) -> tuple[REEDClient, list[TcpConnection]]
         scheme=args.scheme,
         chunking=ChunkingSpec(avg_size=args.chunk_size),
         chunk_cache_bytes=args.chunk_cache_bytes or None,
-        rekey_workers=args.rekey_workers or None,
     )
     return client, connections
 
@@ -201,13 +200,6 @@ def _add_client_args(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=0,
         help="client-side trimmed-package read cache budget (0 disables)",
-    )
-    parser.add_argument(
-        "--rekey-workers",
-        type=int,
-        default=0,
-        help="stub re-encryption workers for batched rekeying "
-        "(0 = one per CPU, capped)",
     )
     parser.add_argument(
         "--replicas",

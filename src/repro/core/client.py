@@ -33,7 +33,7 @@ from repro.abe.cpabe import AbeOpener, AbeSealer, PrivateAccessKey
 from repro.chunking.chunker import Chunk, ChunkingSpec, chunk_stream
 from repro.core import envelopes
 from repro.core.chunkcache import ChunkCache
-from repro.core.parallel import MIN_PARALLEL_WIND, ChunkTransformPool, RekeyPool
+from repro.core.parallel import ChunkTransformPool
 from repro.core.policy import FilePolicy
 from repro.core.rekey import RekeyManyResult, RekeyResult, RevocationMode
 from repro.core.rekeypipe import (
@@ -179,7 +179,6 @@ class REEDClient:
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         chunk_cache_bytes: int | None = None,
-        rekey_workers: int | None = None,
     ) -> None:
         self.user_id = user_id
         self.key_client = key_client
@@ -203,14 +202,6 @@ class REEDClient:
         #: window (see :mod:`repro.core.rekeypipe`).
         self.rekey_batch_size = DEFAULT_REKEY_BATCH_SIZE
         self._transform_pool = ChunkTransformPool(self.scheme)
-        #: Key-regression winds and stub re-encryption, on worker
-        #: processes that hold this owner's derivation key.
-        self._rekey_pool = RekeyPool(
-            workers=rekey_workers,
-            default_stub_size=self.scheme.stub_size,
-            owner=keyreg_owner,
-        )
-        self.rekey_workers = self._rekey_pool.workers
         self.rng = rng or SYSTEM_RANDOM
         #: When set, pathnames are obfuscated with this salt before they
         #: reach the recipe (paper Section IV-D: "we can obfuscate
@@ -259,12 +250,6 @@ class REEDClient:
             "client_rekey_stub_bytes_total",
             "Stub-file bytes moved by active rekeys (down + up).",
         )
-        self._m_rekey_wind_batches = self.metrics.counter(
-            "client_rekey_wind_batches_total",
-            "Key-regression wind batches, by where they were wound "
-            "(parallel: on rekey worker processes; serial: in this process).",
-            labelnames=("mode",),
-        )
         self._m_abe_headers = self.metrics.counter(
             "client_abe_headers_total",
             "CP-ABE headers sealed and opened (a rekey run seals one and "
@@ -300,8 +285,7 @@ class REEDClient:
         )
 
     def close(self) -> None:
-        """Reap the rekey worker processes (they restart lazily)."""
-        self._rekey_pool.close()
+        """Nothing to reap: the client starts no worker processes."""
 
     def _commit_file(
         self, file_id: str, stub_file: bytes, recipe: FileRecipe
@@ -754,22 +738,11 @@ class REEDClient:
         return self._require_owner().wind_to(state, version).derive_key()
 
     def _wind(self, states: list[KeyState]) -> list[KeyState]:
-        """The rekey wind stage: advance each key state one version.
-
-        Windows of :data:`~repro.core.parallel.MIN_PARALLEL_WIND` states
-        or more wind on the rekey workers, which hold the derivation key
-        from start-up; smaller ones (every single-file rekey) wind on
-        this thread.  A wind is deterministic, so the output does not
-        depend on where it ran.
-        """
+        """The rekey wind stage: advance each key state one version, on
+        this thread (one private-key operation each)."""
+        wind = self._require_owner().wind
         with self.tracer.span("rekey.wind", files=len(states)):
-            wound, on_workers = self._rekey_pool.wind(
-                states, parallel=len(states) >= MIN_PARALLEL_WIND
-            )
-        self._m_rekey_wind_batches.labels(
-            mode="parallel" if on_workers else "serial"
-        ).inc()
-        return wound
+            return [wind(state) for state in states]
 
     def rekey(
         self,
@@ -805,10 +778,8 @@ class REEDClient:
 
         Files move through the :class:`~repro.core.rekeypipe.RekeyPipeline`
         in windows of :attr:`rekey_batch_size`, with one batch RPC per
-        stage per window instead of ~5 round trips per file,
-        key-regression winds and stub re-encryption fanned out across
-        :attr:`rekey_workers`, and up to :attr:`pipeline_depth` windows
-        in flight.  Output does not depend on the window size (winds are
+        stage per window instead of ~5 round trips per file, and up to
+        :attr:`pipeline_depth` windows in flight.  Output does not depend on the window size (winds are
         deterministic and every random draw happens on this thread in
         file order), key states still commit last within each window,
         and the first failing file aborts the run deterministically — no
@@ -895,7 +866,6 @@ class REEDClient:
                 planner=plan_file,
                 tracer=self.tracer,
                 winder=self._wind,
-                stub_pool=self._rekey_pool,
                 active=active,
                 batch_size=self.rekey_batch_size,
                 pipeline_depth=self.pipeline_depth,
@@ -925,7 +895,6 @@ class REEDClient:
             store_round_trips=scope.get_int("store_round_trips"),
             keystore_round_trips=scope.get_int("keystore_round_trips"),
             batches=stats.batches,
-            workers=self.rekey_workers,
             trace_id=root.trace_id,
         )
 

@@ -166,14 +166,13 @@ class TcpCluster:
         cache_bytes: int | None = None,
         key_batch_size: int | None = None,
         chunk_cache_bytes: int | None = None,
-        rekey_workers: int | None = None,
     ) -> REEDClient:
         """Enroll a user and build a client wired entirely over TCP.
 
         An owner enrolled before gets a second client on the same
         derivation keypair, as for a second device.
         ``chunk_cache_bytes`` enables the client-side trimmed-package
-        read cache; ``rekey_workers`` sizes the rekey pipeline's pool.
+        read cache.
         """
         storage = ShardedStorageService(
             [
@@ -196,7 +195,6 @@ class TcpCluster:
             scheme=self.scheme,
             chunking=self.chunking,
             chunk_cache_bytes=chunk_cache_bytes,
-            rekey_workers=rekey_workers,
         )
 
     def server_stats(self) -> list[dict]:

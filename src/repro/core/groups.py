@@ -66,9 +66,6 @@ class GroupRekeyResult:
     keystore_round_trips: int = 0
     #: Rekey pipeline windows shipped.
     batches: int = 0
-    #: Rekey workers configured for member winds and stub re-encryption
-    #: (0 when lazy: lazy group rekeying winds no member file).
-    workers: int = 0
 
 
 class GroupManager:
@@ -256,9 +253,9 @@ class GroupManager:
 
         Member files ride the batched
         :class:`~repro.core.rekeypipe.RekeyPipeline` — one batch RPC per
-        stage per window instead of ~5 round trips per file, with stub
-        re-encryption fanned out across the client's rekey workers.
-        Every random draw happens on this thread in file order, so the
+        stage per window instead of ~5 round trips per file, with member
+        winds and stub re-encryption in the client's process.  Every
+        random draw happens on this thread in file order, so the
         stored bytes do not depend on the window size.
 
         The group record commits first (it *is* the single ABE
@@ -319,7 +316,6 @@ class GroupManager:
             )
             self._write_manifest(group_id, new_key, files)
 
-        active = mode is RevocationMode.ACTIVE
         client._m_rekey_files.labels(mode=mode.value).inc(len(files))
         client._m_rekey_batches.inc(stats.batches)
         client._m_rekey_stub_bytes.inc(stats.stub_bytes)
@@ -334,7 +330,6 @@ class GroupManager:
             store_round_trips=scope.get_int("store_round_trips"),
             keystore_round_trips=scope.get_int("keystore_round_trips"),
             batches=stats.batches,
-            workers=client.rekey_workers if active else 0,
         )
 
     def _rekey_members(
@@ -440,7 +435,6 @@ class GroupManager:
             planner=plan_file,
             tracer=client.tracer,
             winder=client._wind if active else None,
-            stub_pool=client._rekey_pool,
             active=active,
             batch_size=client.rekey_batch_size,
             pipeline_depth=client.pipeline_depth,

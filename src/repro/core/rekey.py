@@ -27,7 +27,7 @@ class RekeyResult:
     """What a rekey operation did (returned by ``REEDClient.rekey``).
 
     The per-file entries of a :class:`RekeyManyResult` leave the round
-    trips, ``batches``, ``workers`` and ``trace_id`` at their defaults:
+    trips, ``batches`` and ``trace_id`` at their defaults:
     those belong to the whole operation.
     """
 
@@ -45,8 +45,6 @@ class RekeyResult:
     keystore_round_trips: int = 0
     #: Pipeline windows shipped (1 for a single-file rekey).
     batches: int = 0
-    #: Rekey workers configured.
-    workers: int = 0
     #: Distributed trace id of the rekey's root span.
     trace_id: str = ""
 
@@ -71,9 +69,6 @@ class RekeyManyResult:
     keystore_round_trips: int = 0
     #: Pipeline windows shipped (≈ ``ceil(files / batch_size)``).
     batches: int = 0
-    #: Rekey workers configured: they wind key states in both modes and
-    #: re-encrypt stub files in active mode.
-    workers: int = 0
     #: Distributed trace id of the operation's ``rekey`` root span.
     trace_id: str = ""
 
@@ -85,7 +80,6 @@ class RekeyManyResult:
             store_round_trips=self.store_round_trips,
             keystore_round_trips=self.keystore_round_trips,
             batches=self.batches,
-            workers=self.workers,
             trace_id=self.trace_id,
         )
 

@@ -16,17 +16,18 @@ Stages, mirroring the upload pipeline:
    one ``file_get_many`` (stub file and recipe per file);
 2. **open → wind → plan → re-encrypt** (caller thread) — an *opener*
    callback opens every key state of the window in file order; the
-   *winder* advances them all one version in one call (the client runs
-   windows of :data:`~repro.core.parallel.MIN_PARALLEL_WIND` or more on
-   its :class:`~repro.core.parallel.RekeyPool` workers, which hold the
-   owner's derivation key); a per-file *planner* callback then seals
-   each new record (the client's as the next item of the run's one
-   CP-ABE header, drawn before the first window), drawing every random
-   byte **on the caller thread in file order**; the pure stub
-   re-encryption then fans out across the same pool with caller-drawn
-   nonces.  Winds are deterministic and the draw order is the per-file
+   *winder* advances them all one version in one call; a per-file
+   *planner* callback then seals each new record (the client's as the
+   next item of the run's one CP-ABE header, drawn before the first
+   window), drawing every random byte **on the caller thread in file
+   order**; then each stub file is re-encrypted with its pre-drawn
+   nonce.  Winds are deterministic and the draw order is the per-file
    order, so the output does not depend on the window size or the
-   pipeline depth;
+   pipeline depth.  All of it runs in the client's process: a wind is
+   about 0.07 ms and a stub file of a few KiB about 20 µs, too little
+   to repay a hand-off to worker processes (docs/PERFORMANCE.md,
+   *Rekeys in the client's process*), and the owner's derivation key
+   never leaves the process;
 3. **ship** (a :class:`~repro.core.stages.Stage`, the
    ``reed-rekey-ship`` worker) — ``file_commit`` (stub file and recipe
    per file) → ``keystore.put_many``.  Key states commit *last*:
@@ -50,11 +51,12 @@ from collections.abc import Callable
 from contextlib import closing
 from dataclasses import dataclass, field
 
-from repro.core.parallel import RekeyPool
 from repro.core.stages import Stage, read_ahead
+from repro.core.stubs import reencrypt_stub_file
 from repro.keyreg.rsa_keyreg import KeyState
 from repro.obs.tracing import Tracer
 from repro.storage.keystore import KeyStateRecord
+from repro.util.errors import IntegrityError
 
 #: Files per pipeline window — one batch RPC per stage per window.
 DEFAULT_REKEY_BATCH_SIZE = 64
@@ -120,6 +122,26 @@ def check_items(results: list) -> list:
     return results
 
 
+def _reencrypt_stub(plan: FileRekeyPlan) -> bytes:
+    """The plan's stub file under its new file key, with its nonce.
+
+    If the old key no longer opens the stub file, the new key is tried:
+    an interrupted earlier rekey may have shipped this stub file already
+    (key state commits last), and the owner's deterministic wind
+    re-derives the very same new key on retry.
+    """
+    try:
+        return reencrypt_stub_file(
+            plan.old_file_key, plan.new_file_key, plan.stub_file, nonce=plan.nonce
+        )
+    except IntegrityError:
+        if plan.new_file_key == plan.old_file_key:
+            raise
+        return reencrypt_stub_file(
+            plan.new_file_key, plan.new_file_key, plan.stub_file, nonce=plan.nonce
+        )
+
+
 class RekeyPipeline:
     """One batched rekey run over a fixed list of file ids.
 
@@ -140,7 +162,6 @@ class RekeyPipeline:
         planner: Planner,
         tracer: Tracer,
         winder: Winder | None = None,
-        stub_pool: RekeyPool | None = None,
         active: bool = False,
         batch_size: int = DEFAULT_REKEY_BATCH_SIZE,
         pipeline_depth: int = 2,
@@ -151,7 +172,6 @@ class RekeyPipeline:
         self._planner = planner
         self._tracer = tracer
         self._winder = winder
-        self._stub_pool = stub_pool
         self._active = active
         self._batch_size = max(1, batch_size)
         self._depth = max(1, pipeline_depth)
@@ -200,15 +220,9 @@ class RekeyPipeline:
             if failure is not None:
                 raise failure
             if self._active:
-                items = [
-                    (p.stub_file, p.old_file_key, p.new_file_key, p.nonce)
-                    for p in plans
-                ]
-                pool = self._stub_pool
-                new_stub_files = pool.reencrypt(items)
-                for plan, new_stub_file in zip(plans, new_stub_files):
-                    plan.new_stub_file = new_stub_file
-                    plan.moved_bytes = len(plan.stub_file) + len(new_stub_file)
+                for plan in plans:
+                    plan.new_stub_file = _reencrypt_stub(plan)
+                    plan.moved_bytes = len(plan.stub_file) + len(plan.new_stub_file)
                     stats.stub_bytes += plan.moved_bytes
         return plans
 

@@ -63,10 +63,9 @@ def encrypt_stub_file(
     """Encrypt and authenticate a file's stubs under the file key.
 
     ``nonce`` may be supplied by the caller (the rekeying pipeline draws
-    nonces on the client thread in file order, then fans the pure
-    re-encryption out to workers — that keeps pipelined output
-    bit-identical to the serial path); by default one is drawn from
-    ``rng``.
+    every file's nonce while it plans the window, in file order, which
+    keeps pipelined output bit-identical to the serial path); by default
+    one is drawn from ``rng``.
     """
     if nonce is None:
         rng = rng or SYSTEM_RANDOM
@@ -104,8 +103,14 @@ def reencrypt_stub_file(
     data: bytes,
     cipher: Aes256CtrCipher = AES256CTR,
     rng: RandomSource | None = None,
+    *,
+    nonce: bytes | None = None,
 ) -> bytes:
-    """Re-encrypt a stub file under a new file key (active revocation)."""
+    """Re-encrypt a stub file under a new file key (active revocation).
+
+    ``nonce`` is the caller's pre-drawn nonce, as for
+    :func:`encrypt_stub_file`; by default one is drawn from ``rng``.
+    """
     stubs = decrypt_stub_file(old_file_key, data, cipher)
     stub_size = len(stubs[0]) if stubs else STUB_SIZE
-    return encrypt_stub_file(new_file_key, stubs, stub_size, cipher, rng)
+    return encrypt_stub_file(new_file_key, stubs, stub_size, cipher, rng, nonce)

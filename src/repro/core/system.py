@@ -12,7 +12,7 @@ for tests, examples, and experiments), **over TCP** in one process
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.abe.cpabe import AttributeAuthority
 from repro.chunking.chunker import ChunkingSpec
@@ -128,8 +128,6 @@ class ReedSystem:
     chunking: ChunkingSpec | None = None
     key_batch_size: int = DEFAULT_BATCH_SIZE
     rng: RandomSource = SYSTEM_RANDOM
-    #: Every client :meth:`new_client` built, for :meth:`close`.
-    _clients: list[REEDClient] = field(default_factory=list, init=False, repr=False)
 
     def new_client(
         self,
@@ -147,7 +145,7 @@ class ReedSystem:
         disables it).  ``chunk_cache_bytes`` enables the client-side
         trimmed-package read cache (None disables it).
         """
-        client = build_client(
+        return build_client(
             user_id,
             self.authority,
             self.enrollment.owner(user_id) if owner else None,
@@ -161,19 +159,16 @@ class ReedSystem:
             chunking=self.chunking,
             chunk_cache_bytes=chunk_cache_bytes,
         )
-        self._clients.append(client)
-        return client
 
     def close(self) -> None:
-        """Reap the worker processes of every client :meth:`new_client`
-        built and the key manager's signing workers (all restart lazily).
+        """Reap the key manager's signing workers (they restart lazily),
+        the only worker processes a deployment starts: clients run in
+        their caller's process.
 
         Call it before the interpreter exits: an executor left to the
         garbage collector just before exit can race the interpreter's
         own shutdown of it.
         """
-        for client in self._clients:
-            client.close()
         self.key_manager.close()
 
     @property

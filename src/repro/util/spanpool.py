@@ -1,13 +1,14 @@
 """A lazily started process pool that maps a batch over contiguous spans.
 
-Stub re-encryption, blind-RSA signing and key-regression winds are
-CPU-bound batches: the first is Python under the GIL, and the RSA
-operations let it go only for their exponentiations
-(:mod:`repro.crypto.modexp`).  *Processes* run all of them concurrently.
-(The chunk transform runs in the caller's process: on OpenSSL's AES it
-is too cheap per chunk to repay a hand-off.)  They share one shape: a batch of independent items,
-a picklable module-level function that handles a contiguous span of
-them, and a result that must come back in submission order.  :class:`SpanPool` is that shape, once:
+Its one user is the key manager's blind-RSA signing: a CPU-bound batch
+whose RSA operations let the GIL go only for their exponentiations
+(:mod:`repro.crypto.modexp`), so *processes* sign a batch concurrently
+while the handler threads keep serving.  (The client forks nothing: the
+chunk transform, key-regression winds and stub re-encryption are too
+cheap per item to repay a hand-off.)  The shape is a batch of
+independent items, a picklable module-level function that handles a
+contiguous span of them, and a result that must come back in submission
+order.  :class:`SpanPool` is that shape, once:
 
 * workers start on first parallel use and are reused until
   :meth:`SpanPool.close` (the pool restarts lazily afterwards);
@@ -15,7 +16,7 @@ them, and a result that must come back in submission order.  :class:`SpanPool` i
   submission order, so the earliest failing item raises first no matter
   how the workers were scheduled;
 * everything else runs the caller's in-process function over the whole
-  batch: batches that cannot repay the IPC, pools whose processes are
+  batch: one-item batches, one-worker pools, pools whose processes are
   switched off or cannot start, and the redo of a batch whose worker
   died (OOM kill, signal) — a dead worker poisons the whole executor,
   so the pool stays off processes from then on.  Threads would only take
@@ -191,29 +192,25 @@ class SpanPool:
         self,
         items: list,
         serial: Callable[[list], list],
-        task: Callable[..., list],
-        *task_args,
-        parallel: bool = True,
+        task: Callable[[list], list],
     ) -> tuple[list, bool]:
         """``serial(items)``, computed span by span on the workers, and
         whether the batch really ran on them.
 
-        Worker processes run ``task(*task_args, span)`` (module-level
-        and picklable).  Every other batch runs ``serial(items)`` here:
-        ``parallel=False`` (the caller's verdict that the batch is too
-        small to repay the hand-off), a one-item batch (nothing to split,
-        and the round trip would only add to the caller's wait), a
-        one-worker pool, a pool whose processes are off, and the redo of
-        a batch whose worker died.
+        Worker processes run ``task(span)`` (module-level and
+        picklable).  Every other batch runs ``serial(items)`` here: a
+        one-item batch (nothing to split, and the round trip would only
+        add to the caller's wait), a one-worker pool, a pool whose
+        processes are off, and the redo of a batch whose worker died.
         """
         executor = None
-        if parallel and self.workers > 1 and len(items) >= 2:
+        if self.workers > 1 and len(items) >= 2:
             executor = self._get_executor()
         if executor is not None:
             size = -(-len(items) // self.workers)
             try:
                 futures = [
-                    executor.submit(task, *task_args, items[start : start + size])
+                    executor.submit(task, items[start : start + size])
                     for start in range(0, len(items), size)
                 ]
                 results = [future.result() for future in futures]

@@ -7,8 +7,6 @@ import pytest
 from repro.chunking.chunker import ChunkingSpec
 from repro.core.policy import FilePolicy
 from repro.core.rekey import RevocationMode
-from repro.core.system import build_client
-from repro.mle.server_aided import LocalKeyManagerChannel
 from repro.storage.recipes import FileRecipe
 from repro.util.errors import (
     AccessDeniedError,
@@ -96,54 +94,21 @@ class TestUploadObservability:
         )
 
 
-def _client(system, user_id, **options):
-    """A client over ``system`` with ``options`` passed to REEDClient."""
-    return build_client(
-        user_id,
-        system.authority,
-        system.enrollment.owner(user_id),
-        LocalKeyManagerChannel(system.key_manager),
-        system.storage,
-        system.keystore,
-        rng=system.rng,
-        **options,
-    )
-
-
 class TestWorkerConfiguration:
-    """The client's one worker pool is its rekey pool."""
-
-    def test_default_workers_track_cpu_count(self, system):
-        import os as _os
-
-        client = system.new_client("worker-default")
-        expected = max(1, min(_os.cpu_count() or 1, 8))
-        assert client.rekey_workers == expected
-
-    def test_explicit_workers_override(self, system):
-        client = _client(system, "worker-explicit", rekey_workers=3)
-        assert client.rekey_workers == 3
-
-    def test_zero_workers_rejected(self, system):
-        with pytest.raises(ConfigurationError):
-            _client(system, "worker-zero", rekey_workers=0)
+    """The client runs in its caller's process: it has no worker pool."""
 
     def test_parallel_upload_roundtrips(self, system, data):
-        # Uploads whose stub files are re-encrypted on two rekey workers read back intact.
-        client = _client(system, "worker-parallel", rekey_workers=2)
-        client._rekey_pool.min_parallel_bytes = 0  # force the worker processes
+        # Two uploads whose stub files an ACTIVE rekey_many re-encrypted read back intact.
+        client = system.new_client("worker-parallel")
         files = {"fpar": data, "fpar2": data[::-1]}
-        try:
-            for file_id, content in files.items():
-                client.upload(file_id, content)
-            client.rekey_many(
-                list(files), FilePolicy.for_users(["worker-parallel"]), RevocationMode.ACTIVE
-            )
-            assert client._rekey_pool.parallel_batches > 0
-            for file_id, content in files.items():
-                assert client.download(file_id).data == content
-        finally:
-            client.close()
+        for file_id, content in files.items():
+            client.upload(file_id, content)
+        result = client.rekey_many(
+            list(files), FilePolicy.for_users(["worker-parallel"]), RevocationMode.ACTIVE
+        )
+        assert result.files == 2 and result.stub_bytes_reencrypted > 0
+        for file_id, content in files.items():
+            assert client.download(file_id).data == content
 
 
 class TestDownload:

@@ -1,10 +1,11 @@
 """Tests for system assembly and client-side sharding."""
 
+import multiprocessing
+
 import pytest
 
 from repro.chunking.chunker import ChunkingSpec
 from repro.core.cluster import TcpCluster
-from repro.core.parallel import MIN_PARALLEL_WIND
 from repro.core.policy import FilePolicy
 from repro.core.rekey import RevocationMode
 from repro.core.server import REEDServer
@@ -179,20 +180,19 @@ class TestBuildSystem:
         with pytest.raises(ConfigurationError):
             build_system(num_data_servers=2, backends=[DirectoryBackend(str(tmp_path))])
 
-    def test_close_reaps_every_clients_workers(self):
+    def test_close_reaps_the_key_managers_signers(self):
+        before = {child.pid for child in multiprocessing.active_children()}
         system = build_system(num_data_servers=1, rng=HmacDrbg(b"close"))
+        system.key_manager._signers.workers = 2  # processes even on a one-CPU host
         alice = system.new_client("alice")
-        bob = system.new_client("bob", owner=False)
-        alice._rekey_pool.workers = 2  # processes even on a one-CPU host
-        files = [f"f{index}" for index in range(MIN_PARALLEL_WIND)]
+        files = [f"f{index}" for index in range(8)]
         for index, file_id in enumerate(files):
-            alice.upload(file_id, unique_data(6_000, seed=index))
+            alice.upload(file_id, unique_data(60_000, seed=index))
+        assert system.key_manager._signers.parallel_batches >= 1
         alice.rekey_many(files, FilePolicy.for_users(["alice"]), RevocationMode.ACTIVE)
-        assert alice._rekey_pool.parallel_batches >= 1
-        assert alice._rekey_pool._executor is not None
         system.close()
-        for client in (alice, bob):
-            assert client._rekey_pool._executor is None
+        assert system.key_manager._signers._executor is None
+        assert {child.pid for child in multiprocessing.active_children()} <= before
 
     def test_scheme_selection(self):
         system = build_system(num_data_servers=1, scheme="basic", rng=HmacDrbg(b"s"))
@@ -223,5 +223,5 @@ class TestOwnerEnrollment:
         second = deployment.new_client("alice")
         assert rng.draws == draws
         assert (
-            second.keyreg_owner.derivation_key == first.keyreg_owner.derivation_key
+            second.keyreg_owner.public_key == first.keyreg_owner.public_key
         )

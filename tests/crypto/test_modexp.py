@@ -23,12 +23,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.parallel import RekeyPool
 from repro.crypto import modexp
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.modexp import EvenModulusError, ModExp
 from repro.crypto.rsa import PUBLIC_EXPONENT, RSAPrivateKey, RSAPublicKey, generate_prime
-from repro.keyreg.rsa_keyreg import KeyRegressionOwner, KeyState
 from repro.mle.keymanager import KeyManager
 from repro.util import spanpool
 from repro.util.errors import ConfigurationError
@@ -161,7 +159,7 @@ def spawned_workers(monkeypatch):
     monkeypatch.setattr(spanpool, "default_worker_count", lambda cap=8: 2)
 
 
-def test_warm_key_pickles_into_signers_and_winders(spawned_workers):
+def test_warm_key_pickles_into_signers(spawned_workers):
     private = key(1024, 3)
     values = [pow(11, index + 5, private.n) for index in range(6)]
     private.apply(values[0])  # the engines exist before the key travels
@@ -177,15 +175,6 @@ def test_warm_key_pickles_into_signers_and_winders(spawned_workers):
         assert manager._signers.parallel_batches == 1
     finally:
         manager.close()
-
-    states = [KeyState(version=index, value=value) for index, value in enumerate(values)]
-    with RekeyPool(workers=2, owner=KeyRegressionOwner(private)) as pool:
-        wound, on_workers = pool.wind(states)
-    assert on_workers
-    assert wound == [
-        KeyState(version=state.version + 1, value=pow(state.value, private.d, private.n))
-        for state in states
-    ]
 
 
 def test_suites_pass_without_libcrypto():

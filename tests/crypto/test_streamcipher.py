@@ -8,8 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.parallel import RekeyPool
-from repro.core.stubs import encrypt_stub_file
 from repro.crypto import streamcipher
 from repro.util.errors import ConfigurationError
 
@@ -214,16 +212,3 @@ def test_four_threads_on_one_key():
     assert not any(thread.is_alive() for thread in threads)
     for slot, got in enumerate(results):
         assert got == [expected[slot]] * 200
-
-
-def test_forked_rekey_worker_reencrypts_identically():
-    # The worker inherits this thread's cipher context across the fork.
-    streamcipher.encrypt(KEY, IV, b"warm the context before the fork")
-    stubs = [bytes([n]) * 64 for n in range(40)]
-    old, new = bytes(32), bytes([7]) * 32
-    stub_file = encrypt_stub_file(old, stubs, nonce=bytes(16))
-    items = [(stub_file, old, new, bytes([n]) * 16) for n in range(4)]
-    with RekeyPool(workers=2, min_parallel_bytes=0) as pool:
-        on_workers = pool.reencrypt(items)
-        assert pool.parallel_batches == 1
-    assert on_workers == RekeyPool(workers=1)._reencrypt_serial(items)

@@ -7,9 +7,8 @@ a time; a dead shard aborts the run deterministically without a
 partially-rekeyed manifest, every member file still round-trips after
 the rekey, attribution stays exact under concurrent traffic, and an
 injected mid-rekey crash recovers on retry (key states commit last).
-Key-regression winds of windows of ``MIN_PARALLEL_WIND`` files or more
-run on the client's rekey worker processes; their output is
-bit-identical to the oracle's.
+Key-regression winds and stub re-encryption run in the client's
+process: no rekey, however many files it covers, starts a process.
 """
 
 from __future__ import annotations
@@ -25,10 +24,9 @@ from repro.chunking.chunker import ChunkingSpec
 from repro.core import envelopes
 from repro.core.cluster import TcpCluster
 from repro.core.groups import GroupManager
-from repro.core.parallel import MIN_PARALLEL_WIND
 from repro.core.policy import FilePolicy
 from repro.core.rekey import RevocationMode
-from repro.core.stubs import STUB_NONCE_SIZE
+from repro.core.stubs import STUB_NONCE_SIZE, reencrypt_stub_file
 from repro.core.system import build_system
 from repro.crypto.drbg import HmacDrbg
 from repro.obs import scope as obs_scope
@@ -80,7 +78,7 @@ def _group_cluster(batch_size: int = 2, files: int = 5, shards: int = 4):
         rng=HmacDrbg(b"rekey-pipeline-cluster"),
     )
     try:
-        owner = cluster.new_client("owner", rekey_workers=2)
+        owner = cluster.new_client("owner")
         owner.rekey_batch_size = batch_size
         groups = GroupManager(owner)
         groups.create_group(GROUP, FilePolicy.for_users(["owner", "mallory"]))
@@ -107,8 +105,8 @@ def _serial_stub_reencrypt(client, record, old_state, new_state) -> int:
     stub_file, recipe = client._fetch_file(record.file_id)
     old_file_key = client._stub_source_key(record, old_state, recipe.key_version)
     nonce = client.rng.random_bytes(STUB_NONCE_SIZE)
-    (new_stub_file,) = client._rekey_pool.reencrypt(
-        [(stub_file, old_file_key, new_state.derive_key(), nonce)]
+    new_stub_file = reencrypt_stub_file(
+        old_file_key, new_state.derive_key(), stub_file, nonce=nonce
     )
     client._commit_file(
         record.file_id,
@@ -223,7 +221,6 @@ def test_group_active_rekey_pipelined_bit_identical_to_serial():
     # 5 files in windows of 2 -> 3 shipped batches, and strictly fewer
     # keystore round trips than ~2 per file on the serial path.
     assert piped.batches == 3
-    assert piped.workers == 2
     assert 0 < piped.keystore_round_trips < serial["keystore_round_trips"]
 
 
@@ -639,26 +636,17 @@ def test_interrupted_group_rekey_manifest_recovers():
         owner.close()
 
 
-# -- parallel key-regression winds -------------------------------------------
+# -- windowed key-regression winds --------------------------------------------
 
-#: (files, rekey_workers): windows of 64 around the wind threshold and the
-#: batch size, plus a single-worker client.
-WIND_CASES = [
-    (1, 2),
-    (MIN_PARALLEL_WIND - 1, 2),
-    (MIN_PARALLEL_WIND, 2),
-    (63, 2),
-    (64, 2),
-    (65, 2),
-    (65, 1),
-]
+#: Files per run: one, and windows of 64 around the batch size.
+WIND_CASES = [1, 63, 64, 65]
 
 
-def _wind_cluster(seed: bytes, files: int, workers: int = 2):
+def _wind_cluster(seed: bytes, files: int):
     """A TCP cluster whose owner uploaded ``files`` small files."""
     cluster = TcpCluster(num_data_servers=2, chunking=CHUNKING, rng=HmacDrbg(seed))
     try:
-        client = cluster.new_client("alice", rekey_workers=workers)
+        client = cluster.new_client("alice")
         file_ids = _member_ids(files)
         for index, file_id in enumerate(file_ids):
             client.upload(file_id, _payload(index))
@@ -668,62 +656,38 @@ def _wind_cluster(seed: bytes, files: int, workers: int = 2):
     return cluster, client, file_ids
 
 
-@pytest.mark.parametrize("files, workers", WIND_CASES)
-def test_parallel_winds_bit_identical_to_per_file_rekey(files, workers):
-    """``rekey_many`` in windows of 64 — winds on the rekey workers where a
-    window reaches the threshold — against the per-file serial oracle,
-    LAZY then ACTIVE: every key state, stub file and recipe byte for
-    byte."""
+@pytest.mark.parametrize("files", WIND_CASES)
+def test_windowed_winds_bit_identical_to_per_file_rekey(files):
+    """``rekey_many`` in windows of 64, each window wound in one call,
+    against the per-file serial oracle, LAZY then ACTIVE: every key
+    state, stub file and recipe byte for byte."""
     rounds = (
         (RevocationMode.LAZY, FilePolicy.for_users(["alice", "bob"])),
         (RevocationMode.ACTIVE, FilePolicy.for_users(["alice"])),
     )
     states = {}
     for batched in (False, True):
-        cluster, client, file_ids = _wind_cluster(b"parallel-winds", files, workers)
+        cluster, client, file_ids = _wind_cluster(b"parallel-winds", files)
         with cluster:
-            wound_before = client.metrics.value(
-                "client_rekey_wind_batches_total", mode="parallel"
-            )
             for mode, policy in rounds:
                 if batched:
                     result = client.rekey_many(file_ids, policy, mode)
                     assert result.files == files
-                    assert result.workers == workers
+                    assert result.batches == -(-files // 64)
                 else:
                     sealer = client._abe_sealer(policy)
                     for file_id in file_ids:
                         _serial_rekey(client, file_id, policy, mode, sealer)
                 states[batched, mode] = _stored_state(cluster, file_ids)
-            pool = client._rekey_pool
-            # Stub files this small never leave the process, so every
-            # parallel batch is a wind: one per window at the threshold.
-            windows = [len(file_ids[i : i + 64]) for i in range(0, files, 64)]
-            parallel = (
-                2 * sum(size >= MIN_PARALLEL_WIND for size in windows)
-                if batched and workers > 1
-                else 0
-            )
-            assert pool.parallel_batches == parallel
-            assert (
-                client.metrics.value(
-                    "client_rekey_wind_batches_total", mode="parallel"
-                )
-                - wound_before
-                == parallel
-            )
-            if not parallel:
-                assert pool._executor is None  # no worker process started
-            client.close()
     for mode, _policy in rounds:
         assert states[True, mode] == states[False, mode]
 
 
-def test_group_active_parallel_winds_bit_identical_to_serial():
-    """A group with a window above the wind threshold: the pipelined
-    ACTIVE rekey winds member states on the workers, the serial oracle
-    one by one, and both store the same bytes."""
-    files = MIN_PARALLEL_WIND + 1
+def test_group_active_one_window_bit_identical_to_serial():
+    """A group whose nine member files fit one window: the pipelined
+    ACTIVE rekey winds their states in one call, the serial oracle one
+    by one, and both store the same bytes."""
+    files = 9
     states = {}
     for pipelined in (False, True):
         cluster, owner, groups, file_ids = _group_cluster(batch_size=64, files=files)
@@ -733,6 +697,7 @@ def test_group_active_parallel_winds_bit_identical_to_serial():
                     GROUP, {"mallory"}, RevocationMode.ACTIVE
                 )
                 assert result.files_rewrapped == files
+                assert result.batches == 1
             else:
                 serial = _serial_group_revoke(
                     groups, {"mallory"}, RevocationMode.ACTIVE
@@ -741,8 +706,6 @@ def test_group_active_parallel_winds_bit_identical_to_serial():
             states[pipelined] = _stored_state(cluster, file_ids)
             [group_record] = cluster.keystore.get_many([owner.group_record_id(GROUP)])
             states[pipelined]["group-record"] = group_record.encode()
-            assert owner._rekey_pool.parallel_batches == (1 if pipelined else 0)
-            owner.close()
     assert states[True] == states[False]
 
 
@@ -815,27 +778,37 @@ def test_failed_pipelined_rekey_leaves_the_depth_1_state():
     assert states[2] == states[1]
 
 
+def _children() -> set[int]:
+    return {child.pid for child in multiprocessing.active_children()}
+
+
 def test_single_file_and_small_window_start_no_worker():
-    """A single-file ``rekey`` and a window below the wind threshold wind
-    on the caller thread: no rekey worker process is ever started."""
-    cluster, client, file_ids = _wind_cluster(
-        b"no-workers", MIN_PARALLEL_WIND - 1
-    )
+    """A single-file ``rekey`` and a small window wind on the caller
+    thread: no process is started."""
+    cluster, client, file_ids = _wind_cluster(b"no-workers", 7)
     with cluster:
         # The uploads have started the key manager's signers by now.
-        before = {child.pid for child in multiprocessing.active_children()}
-        serial_before = client.metrics.value(
-            "client_rekey_wind_batches_total", mode="serial"
-        )
+        before = _children()
         policy = FilePolicy.for_users(["alice"])
         for mode in (RevocationMode.LAZY, RevocationMode.ACTIVE):
             client.rekey(file_ids[0], policy, mode)
             client.rekey_many(file_ids, policy, mode)
-        assert client._rekey_pool._executor is None
-        assert {c.pid for c in multiprocessing.active_children()} == before
-        assert (
-            client.metrics.value("client_rekey_wind_batches_total", mode="serial")
-            - serial_before
-            == 4
+        assert _children() == before
+
+
+def test_a_client_never_forks():
+    """Full windows of member winds and stub re-encryption, through an
+    ACTIVE group revocation and an ACTIVE ``rekey_many`` over 64 files,
+    run in the client's process: the only children are the key
+    manager's signers, started by the uploads."""
+    cluster, owner, groups, file_ids = _group_cluster(batch_size=64, files=64)
+    with cluster:
+        before = _children()
+        result = groups.revoke_users(GROUP, {"mallory"}, RevocationMode.ACTIVE)
+        assert result.files_rewrapped == 64 and result.stub_bytes_reencrypted > 0
+        result = owner.rekey_many(
+            file_ids, FilePolicy.for_users(["owner"]), RevocationMode.ACTIVE
         )
-        client.close()
+        assert result.files == 64 and result.batches == 1
+        assert _children() == before
+        assert owner.download(file_ids[-1]).data == _payload(63)

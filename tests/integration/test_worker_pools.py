@@ -1,6 +1,5 @@
-"""Worker processes next to live servers: the client's rekey pool and
-the key manager's signers share a process with every TCP listener of an
-in-process ``TcpCluster``."""
+"""Worker processes next to live servers: the key manager's signers
+share a process with every TCP listener of an in-process ``TcpCluster``."""
 
 import multiprocessing
 import os
@@ -11,10 +10,7 @@ import time
 from pathlib import Path
 
 import repro
-from repro.core import parallel
 from repro.core.cluster import TcpCluster
-from repro.core.policy import FilePolicy
-from repro.core.rekey import RevocationMode
 from repro.crypto.drbg import HmacDrbg
 from repro.obs.expo import parse_prometheus
 
@@ -37,16 +33,13 @@ def test_data_server_restarts_while_worker_pools_are_alive():
     with TcpCluster(
         num_data_servers=2, replicas=2, rng=HmacDrbg(b"pools")
     ) as cluster:
-        client = cluster.new_client("alice", rekey_workers=2)
+        client = cluster.new_client("alice")
         data = HmacDrbg(b"pools-data").random_bytes(3 * MiB // 2)
         result = client.upload("file", data)
         assert result.key_round_trips >= 1
-        # Both kinds of worker are up: the signers (every key window)
-        # and the client's rekey workers.
-        states = [client.keyreg_owner.initial_state() for _ in range(4)]
-        assert client._rekey_pool.wind(states)[1]  # wound on the workers
+        # The signers are up: every key window starts them.
         assert cluster.key_manager._signers.parallel_batches >= 1
-        assert len(workers()) >= 3
+        assert workers()
 
         for index in range(2):
             cluster.kill_data_server(index)
@@ -54,8 +47,7 @@ def test_data_server_restarts_while_worker_pools_are_alive():
 
         client.storage.probe_nodes()
         assert client.download("file").data == data
-        client.close()
-    # stop() reaped the signers, close() the client's pools.
+    # stop() reaped the signers.
     assert workers() == set()
 
 
@@ -139,67 +131,6 @@ def test_serve_km_reaps_its_signers_on_sigterm(tmp_path):
         if server.poll() is None:
             server.kill()
             server.wait()
-
-
-def _die_winding(states):
-    """Stands in for the wind span on a worker: the worker is SIGKILLed
-    while it holds a window's key states."""
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
-def _records_after_two_rekeys(kill_winders: bool, monkeypatch) -> dict:
-    """Two ACTIVE rekey rounds of 16 files (windows above the wind
-    threshold) and the bytes they leave in the key store."""
-    with TcpCluster(num_data_servers=2, rng=HmacDrbg(b"wind-kill")) as cluster:
-        client = cluster.new_client("alice", rekey_workers=2)
-        file_ids = [f"file-{index}" for index in range(16)]
-        for index, file_id in enumerate(file_ids):
-            client.upload(file_id, HmacDrbg(b"%d" % index).random_bytes(3000))
-        if kill_winders:
-            monkeypatch.setattr(parallel, "_wind_span", _die_winding)
-
-        def wind_batches():
-            return {
-                mode: client.metrics.value("client_rekey_wind_batches_total", mode=mode)
-                for mode in ("serial", "parallel")
-            }
-
-        before = wind_batches()
-        for users in (["alice", "bob"], ["alice"]):
-            result = client.rekey_many(
-                file_ids, FilePolicy.for_users(users), RevocationMode.ACTIVE
-            )
-            assert result.files == len(file_ids)
-        pool = client._rekey_pool
-        wound = {mode: count - before[mode] for mode, count in wind_batches().items()}
-        if kill_winders:
-            # The first window's workers died mid-wind: its winds were
-            # redone in-process, and the pool runs everything after that
-            # in-process too (two windows and two stub batches) — none of
-            # which counts as a parallel wind.
-            assert (pool.parallel_batches, pool.serial_batches) == (0, 4)
-            assert pool.use_processes is False
-            assert wound == {"serial": 2, "parallel": 0}
-        else:
-            # Two windows wound on the workers; the stub files are far
-            # too small to leave the process.
-            assert (pool.parallel_batches, pool.serial_batches) == (2, 2)
-            assert wound == {"serial": 0, "parallel": 2}
-        records = cluster.keystore.get_many(file_ids)
-        for file_id in file_ids[:2]:
-            assert client.download(file_id).key_version == 2
-        client.close()
-    return records
-
-
-def test_killed_wind_worker_redoes_the_window_in_process(monkeypatch):
-    """A rekey worker killed while winding costs the window nothing but
-    time: the winds are redone in-process and every record is the one a
-    healthy pool produces."""
-    before = {child.pid for child in multiprocessing.active_children()}
-    healthy = _records_after_two_rekeys(False, monkeypatch)
-    assert _records_after_two_rekeys(True, monkeypatch) == healthy
-    assert {c.pid for c in multiprocessing.active_children()} <= before
 
 
 def _children_of(pid: int) -> list[int]:

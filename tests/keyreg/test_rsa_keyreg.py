@@ -19,6 +19,17 @@ class TestWindUnwind:
         member = owner.member()
         assert member.unwind(s1) == s0
 
+    def test_three_prime_winds_match_pow_and_unwind(self, rsa_1024):
+        assert len(rsa_1024.primes) == 3
+        owner = KeyRegressionOwner(private_key=rsa_1024, rng=HmacDrbg(b"three"))
+        states = [owner.initial_state()]
+        for _ in range(8):
+            states.append(owner.wind(states[-1]))
+        for before, after in zip(states, states[1:]):
+            assert after.value == pow(before.value, rsa_1024.d, rsa_1024.n)
+        member = owner.member()
+        assert [member.unwind(state) for state in states[1:]] == states[:-1]
+
     def test_long_chain(self, owner):
         member = owner.member()
         state = owner.initial_state()

@@ -19,10 +19,6 @@ def _hold(value):
     _HELD = value
 
 
-def _scale_span(factor, span):
-    return [factor * item for item in span]
-
-
 def _held_plus_span(span):
     return [_HELD + item for item in span]
 
@@ -45,12 +41,12 @@ class TestPaths:
             SpanPool(workers=0)
 
     @pytest.mark.parametrize(
-        "workers, items, parallel",
+        "workers, items, use_processes",
         [(1, [1, 2, 3], True), (2, [1], True), (2, [1, 2, 3], False)],
     )
-    def test_in_process_paths_never_start_workers(self, workers, items, parallel):
-        pool = SpanPool(workers=workers)
-        got = pool.map_spans_where(items, _double, _scale_span, 2, parallel=parallel)
+    def test_in_process_paths_never_start_workers(self, workers, items, use_processes):
+        pool = SpanPool(workers=workers, use_processes=use_processes)
+        got = pool.map_spans_where(items, _double, _double)
         assert got == (_double(items), False)
         assert (pool.serial_batches, pool.parallel_batches) == (1, 0)
         assert pool._executor is None
@@ -58,7 +54,7 @@ class TestPaths:
     def test_processes_match_serial_in_order(self):
         items = list(range(11))
         with SpanPool(workers=3) as pool:
-            assert pool.map_spans_where(items, _double, _scale_span, 2)[0] == _double(items)
+            assert pool.map_spans_where(items, _double, _double)[0] == _double(items)
             pids, on_processes = pool.map_spans_where(items, _pid_span, _pid_span)
             assert on_processes and pool.parallel_batches == 2
         assert os.getpid() not in pids
@@ -81,11 +77,11 @@ class TestPaths:
 
     def test_restarts_after_close(self):
         pool = SpanPool(workers=2)
-        first = pool.map_spans_where([1, 2, 3, 4], _double, _scale_span, 2)[0]
+        first = pool.map_spans_where([1, 2, 3, 4], _double, _double)[0]
         pool.close()
         pool.close()
         assert pool._executor is None
-        assert pool.map_spans_where([1, 2, 3, 4], _double, _scale_span, 2)[0] == first
+        assert pool.map_spans_where([1, 2, 3, 4], _double, _double)[0] == first
         pool.close()
 
     def test_earliest_failing_span_raises_first(self):
@@ -111,7 +107,7 @@ class TestWorkerHygiene:
         with SpanPool(workers=2) as pool:
             # Forks both workers; whichever serves the batch, neither may
             # still be on its way to dropping the listener afterwards.
-            pool.map_spans_where([1, 2, 3, 4], _double, _scale_span, 2)
+            pool.map_spans_where([1, 2, 3, 4], _double, _double)
             listener.close()
             again = socket.socket()
             try:
@@ -119,7 +115,7 @@ class TestWorkerHygiene:
             finally:
                 again.close()
             # The workers still work after losing their inherited sockets.
-            assert pool.map_spans_where([5, 6], _double, _scale_span, 2)[0] == [10, 12]
+            assert pool.map_spans_where([5, 6], _double, _double)[0] == [10, 12]
 
     def test_killed_worker_redoes_the_batch_in_process(self):
         pool = SpanPool(workers=2)
@@ -130,7 +126,7 @@ class TestWorkerHygiene:
         deadline = time.monotonic() + 30
         while not pool._executor._broken and time.monotonic() < deadline:
             time.sleep(0.01)
-        assert pool.map_spans_where([1, 2, 3, 4], _double, _scale_span, 2) == (
+        assert pool.map_spans_where([1, 2, 3, 4], _double, _double) == (
             [2, 4, 6, 8],
             False,
         )
