@@ -5,7 +5,10 @@ Measures the two kernels every upload runs on each chunk —
 * **chunking** — Rabin content-defined chunking, per engine
   (``reference`` / ``numpy``);
 * **caont** — the CAONT chunk transform (enhanced scheme) under
-  ``E``, OpenSSL's AES-256-CTR (``caont/aes256ctr``) —
+  ``E``, OpenSSL's AES-256-CTR: chunk by chunk (``caont/aes256ctr``,
+  the Fig. 3 reference) and a window at a time through the scheme's
+  window engine, which the client runs (``caont/aes256ctr-window`` and
+  ``caont/aes256ctr-window-decrypt``) —
 
 and the RSA operations under every OPRF evaluation and key-regression
 step, on a 1024-bit three-prime key (the key manager's size):
@@ -48,7 +51,7 @@ from repro.chunking import rabin  # noqa: E402
 from repro.obs.expo import parse_prometheus, render_prometheus  # noqa: E402
 from repro.obs.metrics import MetricsRegistry  # noqa: E402
 
-SCHEMA = "reed-bench-hotpath/10"
+SCHEMA = "reed-bench-hotpath/11"
 
 #: Every timed repeat lands in ``bench_seconds{bench=...}`` here, so the
 #: numbers the report prints are the same ones a scrape would export.
@@ -112,7 +115,12 @@ def bench_chunking(data: bytes, repeats: int) -> list[dict]:
 
 
 def bench_caont(chunk_size: int, chunk_count: int, repeats: int, seed: int) -> list[dict]:
-    """CAONT transform under AES-256-CTR (``caont/aes256ctr``)."""
+    """CAONT transform under AES-256-CTR, per chunk (``caont/aes256ctr``)
+    and per window, both ways (``caont/aes256ctr-window*``).
+
+    The window rows first check that the engine's output equals the
+    per-chunk path's, chunk for chunk.
+    """
     from repro.core.schemes import get_scheme
 
     rng = seed_rng("bench-caont", seed)
@@ -121,19 +129,34 @@ def bench_caont(chunk_size: int, chunk_count: int, repeats: int, seed: int) -> l
     scheme = get_scheme("enhanced")
     total = chunk_size * chunk_count
 
+    packages = [scheme.encrypt_chunk(chunk, key) for chunk, key in zip(chunks, keys)]
+    trimmed = [package.trimmed_package for package in packages]
+    stubs = [package.stub for package in packages]
+    if scheme.encrypt_chunks(chunks, keys) != packages:
+        raise AssertionError("caont/aes256ctr-window: the engine disagrees per chunk")
+    if scheme.decrypt_chunks(trimmed, stubs) != chunks:
+        raise AssertionError("caont/aes256ctr-window-decrypt: the engine disagrees")
+
     def run():
         for chunk, key in zip(chunks, keys):
             scheme.encrypt_chunk(chunk, key)
 
-    seconds = _time(run, repeats, "caont/aes256ctr")
-    return [
-        {
-            "name": "caont/aes256ctr",
-            "bytes": total,
-            "seconds": seconds,
-            "mib_per_s": mib_per_s(total, seconds),
-        }
-    ]
+    rows = []
+    for name, fn in (
+        ("caont/aes256ctr", run),
+        ("caont/aes256ctr-window", lambda: scheme.encrypt_chunks(chunks, keys)),
+        ("caont/aes256ctr-window-decrypt", lambda: scheme.decrypt_chunks(trimmed, stubs)),
+    ):
+        seconds = _time(fn, repeats, name)
+        rows.append(
+            {
+                "name": name,
+                "bytes": total,
+                "seconds": seconds,
+                "mib_per_s": mib_per_s(total, seconds),
+            }
+        )
+    return rows
 
 
 def bench_rsa(private_ops: int, public_ops: int, repeats: int, seed: int) -> list[dict]:
@@ -187,11 +210,13 @@ def bench_rsa(private_ops: int, public_ops: int, repeats: int, seed: int) -> lis
 
 
 def compute_speedups(results: list[dict]) -> dict[str, float]:
-    """The numpy chunker's and the RSA engine's speedups over their
-    references."""
+    """The numpy chunker's, the window engine's and the RSA engine's
+    speedups over their references."""
     by_name = {r["name"]: r for r in results}
     ref, fast = by_name["chunking/reference"], by_name["chunking/numpy"]
     speedups = {"chunking": round(ref["seconds"] / fast["seconds"], 2)}
+    per_chunk, window = by_name["caont/aes256ctr"], by_name["caont/aes256ctr-window"]
+    speedups["caont/window"] = round(per_chunk["seconds"] / window["seconds"], 2)
     for name in ("rsa/private", "rsa/public"):
         row = by_name[name]
         speedups[name] = round(row["reference_us_per_op"] / row["us_per_op"], 2)
@@ -280,11 +305,11 @@ def main(argv: list[str] | None = None) -> int:
     for result in report["results"]:
         if "us_per_op" in result:
             print(
-                f"{result['name']:24s} {result['us_per_op']:10.1f} us/op "
+                f"{result['name']:30s} {result['us_per_op']:10.1f} us/op "
                 f"({result['engine']}; pow {result['reference_us_per_op']:.1f} us/op)"
             )
         else:
-            print(f"{result['name']:24s} {result['mib_per_s']:10.2f} MiB/s")
+            print(f"{result['name']:30s} {result['mib_per_s']:10.2f} MiB/s")
     print("speedups:", report["speedups"])
     if args.smoke:
         check_metrics_snapshot(report)

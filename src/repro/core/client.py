@@ -16,10 +16,11 @@ III-A).  It implements the four operations of Section IV-D:
 
 Performance measures from Section V-B are built in: MLE-key batching and
 caching (in :class:`~repro.mle.server_aided.ServerAidedKeyClient`),
-4 MB upload batches, chunk encryption on OpenSSL's AES-256-CTR
-(:mod:`repro.core.parallel`), and an upload pipeline that overlaps
-chunking, key generation, encryption and shipping
-(:mod:`repro.core.uploadpipe`).
+4 MB upload batches, chunk encryption on OpenSSL's AES-256-CTR, a
+window of chunks at a time
+(:meth:`~repro.core.schemes.EncryptionScheme.encrypt_chunks`), and an
+upload pipeline that overlaps chunking, key generation, encryption and
+shipping (:mod:`repro.core.uploadpipe`).
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from repro.abe.cpabe import AbeOpener, AbeSealer, PrivateAccessKey
 from repro.chunking.chunker import Chunk, ChunkingSpec, chunk_stream
 from repro.core import envelopes
 from repro.core.chunkcache import ChunkCache
-from repro.core.parallel import ChunkTransformPool
 from repro.core.policy import FilePolicy
 from repro.core.rekey import RekeyManyResult, RekeyResult, RevocationMode
 from repro.core.rekeypipe import (
@@ -201,7 +201,6 @@ class REEDClient:
         #: Files per rekey-pipeline window — one batch RPC per stage per
         #: window (see :mod:`repro.core.rekeypipe`).
         self.rekey_batch_size = DEFAULT_REKEY_BATCH_SIZE
-        self._transform_pool = ChunkTransformPool(self.scheme)
         self.rng = rng or SYSTEM_RANDOM
         #: When set, pathnames are obfuscated with this salt before they
         #: reach the recipe (paper Section IV-D: "we can obfuscate
@@ -280,9 +279,7 @@ class REEDClient:
         self, chunks: list[Chunk], mle_keys: list[bytes]
     ) -> list[SplitPackage]:
         """Encrypt a batch of chunks, in order, in this process."""
-        return self._transform_pool.encrypt(
-            [chunk.data for chunk in chunks], mle_keys
-        )
+        return self.scheme.encrypt_chunks([chunk.data for chunk in chunks], mle_keys)
 
     def close(self) -> None:
         """Nothing to reap: the client starts no worker processes."""
@@ -522,6 +519,22 @@ class REEDClient:
     # download
     # ------------------------------------------------------------------
 
+    def _restore_scheme(self, name: str, stubs: list[bytes]) -> EncryptionScheme:
+        """The scheme that inverts a file's chunks: the recipe's scheme,
+        with the stub size of the file's authenticated stub file, which
+        need not be this client's."""
+        scheme = self.scheme if name == self.scheme.name else get_scheme(name)
+        stub_size = len(stubs[0]) if stubs else scheme.stub_size
+        if stub_size == scheme.stub_size:
+            return scheme
+        try:
+            return get_scheme(name, stub_size=stub_size)
+        except ConfigurationError as error:
+            raise IntegrityError(
+                f"stub file declares {stub_size}-byte stubs, which the "
+                f"{name} scheme cannot take: {error}"
+            ) from None
+
     def _restore(
         self,
         file_id: str,
@@ -574,9 +587,7 @@ class REEDClient:
             )
         stats.chunk_count = recipe.chunk_count
         stats.key_version = state.version
-        transform = self._transform_pool
-        if recipe.scheme != self.scheme.name:
-            transform = ChunkTransformPool(get_scheme(recipe.scheme))
+        scheme = self._restore_scheme(recipe.scheme, stubs)
         cache = self.chunk_cache
         storage = self.storage
 
@@ -622,7 +633,7 @@ class REEDClient:
             with obs_scope.using(scope), tracer.span(
                 "download.decrypt", chunks=len(window)
             ):
-                chunks = transform.decrypt(packages, window_stubs)
+                chunks = scheme.decrypt_chunks(packages, window_stubs)
             for ref, chunk in zip(window, chunks):
                 if len(chunk) != ref.length:
                     raise IntegrityError(

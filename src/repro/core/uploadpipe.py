@@ -4,7 +4,8 @@ An upload has five steps, each with its own bottleneck: chunking
 (caller thread), blinding a key window's fingerprints (client CPU), the
 rest of the OPRF — a round trip to the key manager per window, then
 unblinding and verifying — the chunk transform (CAONT on OpenSSL's
-AES-256-CTR, :class:`~repro.core.parallel.ChunkTransformPool`) and the
+AES-256-CTR, a segment at a time through the scheme's window engine,
+:meth:`~repro.core.schemes.EncryptionScheme.encrypt_chunks`) and the
 store RPC.  Run back to back, every step idles while another works;
 here each step after chunking runs on its own single worker thread, so
 they overlap while order — and with it every byte written — stays that

@@ -6,6 +6,9 @@ of the ``libcrypto`` that :mod:`repro.crypto.libcrypto` loads.  CTR
 mode XORs the data with the keystream inside the same call, so one
 encryption is one pass over the data and decryption is the same call.
 
+:func:`encrypt` returns a new buffer; :func:`encrypt_into` writes into
+the caller's, in place if asked.
+
 The 16-byte IV is the initial counter block, incremented as one 128-bit
 big-endian integer per block.  Deterministic uses (the MLE encryption
 ``E(K_M, M)``, the AONT masks) pass an all-zero IV: each of their keys
@@ -72,8 +75,14 @@ def _context(lib: ctypes.CDLL) -> _Context:
     return context
 
 
-def encrypt(key: bytes, iv: bytes, data: bytes) -> bytes:
-    """AES-256-CTR of ``data`` under ``key`` from counter block ``iv``."""
+def _check_size(size: int) -> None:
+    if size > _MAX_LENGTH:
+        raise ConfigurationError(f"one AES-256-CTR call takes at most {_MAX_LENGTH} bytes")
+
+
+def _prepare(key: bytes, iv: bytes) -> tuple[ctypes.CDLL, _Context]:
+    """Check a call's key and IV; the library and this thread's context,
+    loaded with them."""
     if len(key) != KEY_SIZE:
         raise ConfigurationError(f"AES-256 key must be {KEY_SIZE} bytes")
     if len(iv) != IV_SIZE:
@@ -84,21 +93,61 @@ def encrypt(key: bytes, iv: bytes, data: bytes) -> bytes:
             "AES-256-CTR needs OpenSSL's libcrypto, which could not be "
             "loaded; REED has no other cipher"
         )
-    if not isinstance(data, bytes):
-        data = bytes(data)
-    size = len(data)
-    if size > _MAX_LENGTH:
-        raise ConfigurationError(f"one AES-256-CTR call takes at most {_MAX_LENGTH} bytes")
     context = _context(lib)
-    ctx = context.ctx
-    check(lib.EVP_EncryptInit_ex(ctx, None, None, key, iv) == 1, "EVP_EncryptInit_ex")
-    out = ctypes.create_string_buffer(size)
     check(
-        lib.EVP_EncryptUpdate(ctx, out, context.written_ref, data, size) == 1
+        lib.EVP_EncryptInit_ex(context.ctx, None, None, key, iv) == 1,
+        "EVP_EncryptInit_ex",
+    )
+    return lib, context
+
+
+def _update(lib: ctypes.CDLL, context: _Context, out, data, size: int) -> None:
+    check(
+        lib.EVP_EncryptUpdate(context.ctx, out, context.written_ref, data, size) == 1
         and context.written.value == size,
         "EVP_EncryptUpdate",
     )
+
+
+def encrypt(key: bytes, iv: bytes, data: bytes) -> bytes:
+    """AES-256-CTR of ``data`` under ``key`` from counter block ``iv``."""
+    if not isinstance(data, bytes):
+        data = bytes(data)
+    size = len(data)
+    _check_size(size)
+    lib, context = _prepare(key, iv)
+    out = ctypes.create_string_buffer(size)
+    _update(lib, context, out, data, size)
     return out.raw
+
+
+def encrypt_into(key: bytes, iv: bytes, data, out) -> None:
+    """Write AES-256-CTR of ``data`` into ``out``, a writable buffer of
+    the same length; ``data`` may be ``out`` itself (in place).
+
+    Nothing is allocated for the output: the chunk-window engine of
+    :mod:`repro.core.schemes` runs both of a chunk's passes in place on
+    slices of one window buffer.
+    """
+    target = memoryview(out)
+    if data is out:
+        size = target.nbytes
+    else:
+        if not isinstance(data, bytes):
+            data = bytes(data)
+        size = len(data)
+    _check_size(size)
+    if target.readonly:
+        raise ConfigurationError("AES-256-CTR output buffer must be writable")
+    if target.nbytes != size:
+        raise ConfigurationError(
+            f"AES-256-CTR output has {target.nbytes} bytes for {size} of input"
+        )
+    lib, context = _prepare(key, iv)
+    if not size:
+        return
+    pointer = ctypes.byref(ctypes.c_char.from_buffer(target))
+    _update(lib, context, pointer, pointer if data is out else data, size)
 
 
 #: CTR decryption is encryption.

@@ -41,6 +41,26 @@ def xor_fold(data: bytes, piece_size: int) -> bytes:
     return np.bitwise_xor.reduce(pieces.reshape(count, piece_size), axis=0).tobytes()
 
 
+def xor_fold_slots(buffer, starts: list[int], piece_size: int) -> np.ndarray:
+    """:func:`xor_fold` of every slot of ``buffer`` in one vectorized pass.
+
+    Slot ``i`` runs from ``starts[i]`` to ``starts[i + 1]`` (the last to
+    the end of ``buffer``); every start and the buffer's length are
+    multiples of ``piece_size``.  Row ``i`` of the returned
+    ``(len(starts), piece_size)`` array is ``xor_fold`` of slot ``i``'s
+    data when the slot's bytes past its data are zero, which is
+    ``xor_fold``'s right padding.
+    """
+    if piece_size <= 0:
+        raise ConfigurationError("piece_size must be positive")
+    # XOR is bytewise, so the rows fold as the widest words that tile
+    # them: 64-bit words fold 32-byte rows several times faster than bytes.
+    word = next(size for size in (8, 4, 2, 1) if piece_size % size == 0)
+    rows = np.frombuffer(buffer, f"u{word}").reshape(-1, piece_size // word)
+    indices = np.asarray(starts, dtype=np.intp) // piece_size
+    return np.bitwise_xor.reduceat(rows, indices, axis=0).view(np.uint8)
+
+
 def split_at(data: bytes, index: int) -> tuple[bytes, bytes]:
     """Split ``data`` into ``(data[:index], data[index:])`` with bounds checks."""
     if index < 0 or index > len(data):

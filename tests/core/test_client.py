@@ -5,8 +5,10 @@ import math
 import pytest
 
 from repro.chunking.chunker import ChunkingSpec
+from repro.core import client as client_module
 from repro.core.policy import FilePolicy
 from repro.core.rekey import RevocationMode
+from repro.core.schemes import STUB_SIZE, get_scheme
 from repro.storage.recipes import FileRecipe
 from repro.util.errors import (
     AccessDeniedError,
@@ -151,6 +153,26 @@ class TestDownload:
         )
         system.storage.file_commit([("f1", stub_file, truncated.encode())])
         with pytest.raises(IntegrityError):
+            alice.download("f1")
+
+    def test_restore_takes_stub_size_from_stub_file(self, system, data):
+        """A reader whose own scheme has 64-byte stubs restores a file
+        written with 128-byte stubs: the stub file declares its size."""
+        wide = system.new_client("wide", scheme=get_scheme("enhanced", stub_size=128))
+        wide.upload("f1", data, policy=FilePolicy.for_users(["wide", "bob"]))
+        bob = system.new_client("bob", owner=False)
+        assert bob.scheme.stub_size == STUB_SIZE
+        assert bob.download("f1").data == data
+
+    def test_stub_size_no_scheme_takes_refused(self, system, alice, data, monkeypatch):
+        alice.upload("f1", data)
+        real = client_module.decrypt_stub_file
+        monkeypatch.setattr(
+            client_module,
+            "decrypt_stub_file",
+            lambda *args: [stub[:16] for stub in real(*args)],
+        )
+        with pytest.raises(IntegrityError, match="declares 16-byte stubs"):
             alice.download("f1")
 
     def test_small_fetch_batches(self, alice, data):

@@ -108,6 +108,67 @@ class TestKeystream:
             streamcipher.encrypt(KEY, IV, LongBytes(b"x"))
 
 
+class TestEncryptInto:
+    """``encrypt_into`` writes ``encrypt``'s output into a caller's buffer."""
+
+    def test_nist_block_in_place_and_out_of_place(self):
+        block = bytearray(NIST_PLAINTEXT)
+        streamcipher.encrypt_into(NIST_KEY, NIST_COUNTER, block, block)
+        assert block == NIST_CIPHERTEXT
+        out = bytearray(len(NIST_PLAINTEXT))
+        streamcipher.encrypt_into(NIST_KEY, NIST_COUNTER, NIST_PLAINTEXT, out)
+        assert out == NIST_CIPHERTEXT
+
+    @given(data=st.binary(max_size=3000), head=st.integers(0, 40), tail=st.integers(0, 40))
+    def test_in_place_equals_out_of_place(self, data, head, tail):
+        # On a slice of a larger buffer, as the chunk-window engine runs
+        # it; the bytes around the slice stay as they were.
+        expected = streamcipher.encrypt(KEY, IV, data)
+        window = bytearray(b"\xaa" * head + data + b"\x55" * tail)
+        piece = memoryview(window)[head : head + len(data)]
+        streamcipher.encrypt_into(KEY, IV, piece, piece)
+        assert window == b"\xaa" * head + expected + b"\x55" * tail
+        for source in (data, bytearray(data), memoryview(data)):
+            out = bytearray(len(data))
+            streamcipher.encrypt_into(KEY, IV, source, out)
+            assert out == expected
+
+    def test_wrong_length_out_refused_before_any_call(self, monkeypatch):
+        monkeypatch.setattr(streamcipher, "_prepare", _no_c_call)
+        for size in (0, 15, 17):
+            with pytest.raises(ConfigurationError, match=f"output has {size} bytes"):
+                streamcipher.encrypt_into(KEY, IV, bytes(16), bytearray(size))
+
+    def test_read_only_out_refused_before_any_call(self, monkeypatch):
+        monkeypatch.setattr(streamcipher, "_prepare", _no_c_call)
+        for out in (bytes(16), memoryview(bytearray(16)).toreadonly()):
+            with pytest.raises(ConfigurationError, match="writable"):
+                streamcipher.encrypt_into(KEY, IV, bytes(16), out)
+
+    def test_negative_length_rejected(self, monkeypatch):
+        # As for encrypt: 2**31 bytes would reach the C int as a negative
+        # length, and nothing of that size is allocated to find out.
+        class LongBytes(bytes):
+            def __len__(self):
+                return 1 << 31
+
+        monkeypatch.setattr(streamcipher, "_prepare", _no_c_call)
+        with pytest.raises(ConfigurationError, match="at most"):
+            streamcipher.encrypt_into(KEY, IV, LongBytes(b"x"), bytearray(1))
+
+    def test_key_and_iv_sizes_enforced(self):
+        out = bytearray(4)
+        with pytest.raises(ConfigurationError, match="32 bytes"):
+            streamcipher.encrypt_into(bytes(16), IV, b"data", out)
+        with pytest.raises(ConfigurationError, match="16 bytes"):
+            streamcipher.encrypt_into(KEY, bytes(8), b"data", out)
+        assert out == bytes(4)
+
+
+def _no_c_call(*args):
+    raise AssertionError("reached libcrypto")
+
+
 class TestKnownAnswers:
     """NIST SP 800-38A F.5.5 and F.5.6, also cut inside a block."""
 

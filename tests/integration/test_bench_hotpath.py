@@ -20,7 +20,13 @@ REPO_ROOT = os.path.dirname(
 )
 BENCH = os.path.join(REPO_ROOT, "benchmarks", "bench_hotpath.py")
 
-THROUGHPUT_ROWS = {"chunking/reference", "chunking/numpy", "caont/aes256ctr"}
+THROUGHPUT_ROWS = {
+    "chunking/reference",
+    "chunking/numpy",
+    "caont/aes256ctr",
+    "caont/aes256ctr-window",
+    "caont/aes256ctr-window-decrypt",
+}
 RSA_ROWS = {"rsa/private", "rsa/public"}
 EXPECTED_ROWS = THROUGHPUT_ROWS | RSA_ROWS
 THROUGHPUT_KEYS = {"name", "bytes", "seconds", "mib_per_s"}
@@ -45,7 +51,7 @@ def test_quick_bench_runs_and_writes_valid_report(tmp_path):
     assert "metrics snapshot: well-formed" in proc.stdout
 
     report = json.loads(out.read_text())
-    assert report["schema"] == "reed-bench-hotpath/10"
+    assert report["schema"] == "reed-bench-hotpath/11"
     assert report["quick"] is True
     assert report["seed"] == 3
     assert {r["name"] for r in report["results"]} == EXPECTED_ROWS
@@ -70,5 +76,6 @@ def test_quick_bench_runs_and_writes_valid_report(tmp_path):
         if result["engine"] == "libcrypto":
             # The kernel exists to be faster than its reference.
             assert result["us_per_op"] < result["reference_us_per_op"]
-    assert set(report["speedups"]) == {"chunking"} | RSA_ROWS
+    assert set(report["speedups"]) == {"chunking", "caont/window"} | RSA_ROWS
     assert report["speedups"]["chunking"] > 0
+    assert report["speedups"]["caont/window"] > 0

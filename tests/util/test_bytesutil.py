@@ -4,7 +4,14 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from repro.util.bytesutil import ct_equal, split_at, split_pieces, xor_bytes, xor_fold
+from repro.util.bytesutil import (
+    ct_equal,
+    split_at,
+    split_pieces,
+    xor_bytes,
+    xor_fold,
+    xor_fold_slots,
+)
 from repro.util.errors import ConfigurationError
 
 
@@ -138,6 +145,29 @@ class TestXorFold:
         data[0] ^= 0x80
         data[32] ^= 0x80
         assert xor_fold(bytes(data), 32) == xor_fold(b"\x00" * 64, 32)
+
+
+class TestXorFoldSlots:
+    @given(
+        pieces=st.lists(st.binary(max_size=300), min_size=1, max_size=20),
+        piece=st.sampled_from([1, 3, 8, 12, 32, 64]),
+    )
+    def test_each_slot_folds_as_xor_fold(self, pieces, piece):
+        # Each slot: its data, then zeros up to a whole number of pieces
+        # (at least one zero piece, as a window slot's tail).
+        buffer, starts = bytearray(), []
+        for data in pieces:
+            starts.append(len(buffer))
+            buffer += data + bytes(piece + -len(data) % piece)
+        folds = xor_fold_slots(buffer, starts, piece)
+        assert folds.shape == (len(pieces), piece)
+        assert [row.tobytes() for row in folds] == [
+            _xor_fold_by_piece(data, piece) for data in pieces
+        ]
+
+    def test_bad_piece_size(self):
+        with pytest.raises(ConfigurationError):
+            xor_fold_slots(bytearray(32), [0], 0)
 
 
 class TestSplitters:
