@@ -419,11 +419,10 @@ def fig7c(seed: int) -> tuple[list[dict], list[dict]]:
 # -- Fig. 8: rekeying ----------------------------------------------------
 
 
-def _rekey_target(stack, rng, users: int, file_bytes: int):
+def _rekey_target(rng, users: int, file_bytes: int):
     """An in-process system whose owner stored one file readable by
-    ``users`` users (owner included); ``stack`` closes the system."""
+    ``users`` users (owner included)."""
     system = build_system(num_data_servers=1, chunking=fixed_chunks(8), rng=rng)
-    stack.callback(system.close)
     owner = system.new_client("owner", cache_bytes=32 * MiB)
     policy = FilePolicy.for_users(["owner"] + [f"user{i}" for i in range(users - 1)])
     owner.upload("target", rng.random_bytes(file_bytes), policy=policy)
@@ -457,22 +456,21 @@ def fig8(seed: int) -> tuple[list[dict], list[dict]]:
     against the file size, 50 users with 10 revoked."""
     rng = seed_rng("fig8", seed)
     rows, wrong_policy = [], []
-    with contextlib.ExitStack() as stack:
-        for users in USER_COUNTS:
-            owner, policy = _rekey_target(stack, rng, users, REKEY_BYTES)
-            revoked = {f"user{i}" for i in range(int((users - 1) * 0.2))}
-            rows += _rekey_rows(owner, "8a", f"users={users}",
-                                policy.without_users(revoked), wrong_policy)
-        owner, policy = _rekey_target(stack, rng, 500, REKEY_BYTES)
-        for ratio in REVOCATION_RATIOS:
-            revoked = {f"user{i}" for i in range(int(499 * ratio))}
-            rows += _rekey_rows(owner, "8b", f"ratio={ratio}",
-                                policy.without_users(revoked), wrong_policy)
-        for file_mib in FILE_MIB:
-            owner, policy = _rekey_target(stack, rng, 50, file_mib * MiB)
-            revoked = {f"user{i}" for i in range(10)}
-            rows += _rekey_rows(owner, "8c", f"file_mib={file_mib}",
-                                policy.without_users(revoked), wrong_policy)
+    for users in USER_COUNTS:
+        owner, policy = _rekey_target(rng, users, REKEY_BYTES)
+        revoked = {f"user{i}" for i in range(int((users - 1) * 0.2))}
+        rows += _rekey_rows(owner, "8a", f"users={users}",
+                            policy.without_users(revoked), wrong_policy)
+    owner, policy = _rekey_target(rng, 500, REKEY_BYTES)
+    for ratio in REVOCATION_RATIOS:
+        revoked = {f"user{i}" for i in range(int(499 * ratio))}
+        rows += _rekey_rows(owner, "8b", f"ratio={ratio}",
+                            policy.without_users(revoked), wrong_policy)
+    for file_mib in FILE_MIB:
+        owner, policy = _rekey_target(rng, 50, file_mib * MiB)
+        revoked = {f"user{i}" for i in range(10)}
+        rows += _rekey_rows(owner, "8c", f"file_mib={file_mib}",
+                            policy.without_users(revoked), wrong_policy)
     lazy_delay = lambda point: at(rows, f"{point} mode=lazy")["median_s"]
     users_50, users_400 = lazy_delay("users=50"), lazy_delay("users=400")
     few, half = lazy_delay("ratio=0.05"), lazy_delay("ratio=0.5")
@@ -580,36 +578,33 @@ def _replay_trace(params: FslParameters) -> list[dict]:
     system = build_system(num_data_servers=4, chunking=fixed_chunks(8),
                           rng=seed_rng("fig10-system", params.seed),
                           container_bytes=64 * KiB)
-    try:
-        clients = {user: system.new_client(user, cache_bytes=64 * MiB)
-                   for user in generator.users()}
-        days = []
-        for day, snapshots in enumerate(generator.days()):
-            payloads = [
-                (clients[s.user], f"{s.user}-d{day}", b"".join(
-                    chunk_bytes_from_fingerprint(c.fingerprint, c.size) for c in s.chunks))
-                for s in snapshots
-            ]
-            start = time.perf_counter()
-            uploads = [client.upload(file_id, data) for client, file_id, data in payloads]
-            up_seconds = time.perf_counter() - start
-            fetches = container_fetches(system.servers)
-            start = time.perf_counter()
-            for client, file_id, _data in payloads:
-                client.download(file_id)
-            down_seconds = time.perf_counter() - start
-            days.append({
-                "up_s": up_seconds,
-                "down_s": down_seconds,
-                "bytes": sum(len(data) for _c, _f, data in payloads),
-                "new_chunks": sum(u.new_chunks for u in uploads),
-                "oprf_evaluations": sum(u.key_oprf_evaluations for u in uploads),
-                "key_round_trips": sum(u.key_round_trips for u in uploads),
-                "container_fetches": container_fetches(system.servers) - fetches,
-            })
-        return days
-    finally:
-        system.close()
+    clients = {user: system.new_client(user, cache_bytes=64 * MiB)
+               for user in generator.users()}
+    days = []
+    for day, snapshots in enumerate(generator.days()):
+        payloads = [
+            (clients[s.user], f"{s.user}-d{day}", b"".join(
+                chunk_bytes_from_fingerprint(c.fingerprint, c.size) for c in s.chunks))
+            for s in snapshots
+        ]
+        start = time.perf_counter()
+        uploads = [client.upload(file_id, data) for client, file_id, data in payloads]
+        up_seconds = time.perf_counter() - start
+        fetches = container_fetches(system.servers)
+        start = time.perf_counter()
+        for client, file_id, _data in payloads:
+            client.download(file_id)
+        down_seconds = time.perf_counter() - start
+        days.append({
+            "up_s": up_seconds,
+            "down_s": down_seconds,
+            "bytes": sum(len(data) for _c, _f, data in payloads),
+            "new_chunks": sum(u.new_chunks for u in uploads),
+            "oprf_evaluations": sum(u.key_oprf_evaluations for u in uploads),
+            "key_round_trips": sum(u.key_round_trips for u in uploads),
+            "container_fetches": container_fetches(system.servers) - fetches,
+        })
+    return days
 
 
 def fig10(seed: int) -> tuple[list[dict], list[dict]]:

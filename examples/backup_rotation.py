@@ -72,7 +72,6 @@ def main() -> None:
     restored = client.download(f"backup-week{WEEKS - 1}")
     assert restored.data == last_uploaded
     print("Latest snapshot restores cleanly. Done.")
-    system.close()
 
 
 if __name__ == "__main__":

@@ -64,7 +64,6 @@ def main() -> None:
     print("    postdoc still reads every file")
 
     print("Done.")
-    system.close()
 
 
 if __name__ == "__main__":

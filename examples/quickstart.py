@@ -73,7 +73,6 @@ def main() -> None:
 
     assert alice.download("quarterly-report").data == data
     print("    Alice still reads the file fine.\n\nQuickstart complete.")
-    system.close()  # reap the key manager's signing processes
 
 
 if __name__ == "__main__":

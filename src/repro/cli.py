@@ -307,9 +307,8 @@ def cmd_serve(args) -> int:
     print(f"{args.role} serving on {host}:{port}", flush=True)
     if args.once:  # test hook: do not block; the caller owns the lifetime
         return 0
-    # SIGTERM takes the same exit as Ctrl-C: a normal interpreter exit,
-    # at which worker processes a service started (the key manager's
-    # signers) are told to finish and joined rather than orphaned.
+    # SIGTERM takes the same exit as Ctrl-C: the server drains and the
+    # interpreter exits normally.
     stopped = threading.Event()
     if threading.current_thread() is threading.main_thread():
         signal.signal(signal.SIGTERM, lambda *_: stopped.set())
@@ -754,25 +753,22 @@ def cmd_demo(_args) -> int:
     from repro.util.errors import AccessDeniedError
 
     system = build_system()
+    alice = system.new_client("alice", cache_bytes=64 * MiB)
+    bob = system.new_client("bob", owner=False)
+    data = unique_data(500_000, seed=1)
+    alice.upload("demo", data, policy=FilePolicy.for_users(["alice", "bob"]))
+    assert bob.download("demo").data == data
+    print("upload + shared download: OK")
+    alice.revoke_users("demo", {"bob"}, RevocationMode.ACTIVE)
     try:
-        alice = system.new_client("alice", cache_bytes=64 * MiB)
-        bob = system.new_client("bob", owner=False)
-        data = unique_data(500_000, seed=1)
-        alice.upload("demo", data, policy=FilePolicy.for_users(["alice", "bob"]))
-        assert bob.download("demo").data == data
-        print("upload + shared download: OK")
-        alice.revoke_users("demo", {"bob"}, RevocationMode.ACTIVE)
-        try:
-            bob.download("demo")
-            print("ERROR: revocation failed")
-            return 1
-        except AccessDeniedError:
-            print("active revocation: OK")
-        assert alice.download("demo").data == data
-        print("owner access after rekey: OK")
-        return 0
-    finally:
-        system.close()
+        bob.download("demo")
+        print("ERROR: revocation failed")
+        return 1
+    except AccessDeniedError:
+        print("active revocation: OK")
+    assert alice.download("demo").data == data
+    print("owner access after rekey: OK")
+    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -160,17 +160,6 @@ class ReedSystem:
             chunk_cache_bytes=chunk_cache_bytes,
         )
 
-    def close(self) -> None:
-        """Reap the key manager's signing workers (they restart lazily),
-        the only worker processes a deployment starts: clients run in
-        their caller's process.
-
-        Call it before the interpreter exits: an executor left to the
-        garbage collector just before exit can race the interpreter's
-        own shutdown of it.
-        """
-        self.key_manager.close()
-
     @property
     def storage_stats(self) -> DataStoreStats:
         """Aggregate storage accounting across all data servers."""

@@ -16,12 +16,11 @@ so does :class:`ModExp`, with two functions of the ``libcrypto`` that
 
 One :class:`ModExp` fixes one ``(exponent, modulus)`` pair and builds its
 Montgomery context once.  Each thread gets its own ``BN_CTX`` scratch
-space, because the key manager's handlers, the upload pipeline's stages
-and the forked worker processes exponentiate concurrently; ``ctypes``
-releases the GIL for the duration of every call.  The C objects are
-freed by finalizers, and a :class:`ModExp` pickles as the numbers it
-was built from, so a key holding one can still travel to a worker
-process.
+space, because the key manager's handler and signer threads and the
+upload pipeline's stages exponentiate concurrently; ``ctypes`` releases
+the GIL for the duration of every call.  Nothing forks a worker
+process: every exponentiation runs on a thread of the process that
+holds the key.  The C objects are freed by finalizers.
 
 Where ``libcrypto`` cannot be loaded, :class:`ModExp` computes the same
 values with ``pow`` — the bit-identical reference the tests compare the
@@ -94,9 +93,7 @@ class ModExp:
     reduced first, exactly as ``pow`` would.
     """
 
-    __slots__ = (
-        "exponent", "modulus", "secret", "_size", "_lib", "_state", "__weakref__"
-    )
+    __slots__ = ("exponent", "modulus", "_size", "_lib", "_state", "__weakref__")
 
     def __init__(self, exponent: int, modulus: int, secret: bool = False) -> None:
         if modulus % 2 == 0:
@@ -105,7 +102,7 @@ class ModExp:
             )
         if modulus < 3 or exponent < 0:
             raise ConfigurationError("modulus must exceed 1 and exponent be >= 0")
-        self.exponent, self.modulus, self.secret = exponent, modulus, secret
+        self.exponent, self.modulus = exponent, modulus
         self._size = (modulus.bit_length() + 7) // 8
         self._lib = lib = libcrypto.load()
         self._state = None
@@ -144,9 +141,6 @@ class ModExp:
         out = ctypes.create_string_buffer(size)
         _check(lib.BN_bn2binpad(scratch.result, out, size) == size, "BN_bn2binpad")
         return int.from_bytes(out.raw, "big")
-
-    def __reduce__(self):
-        return (ModExp, (self.exponent, self.modulus, self.secret))
 
 
 def _bignum(lib: ctypes.CDLL, value: int):

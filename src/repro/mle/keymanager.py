@@ -14,24 +14,21 @@ Signing is the one CPU-heavy step of an upload that the client cannot
 parallelise for itself.  Each signature is one private RSA operation:
 three exponentiations on OpenSSL's Montgomery kernel
 (:mod:`repro.crypto.modexp`, about 0.15 ms for a 1024-bit three-prime
-key), which run without the GIL, but the reductions, conversions and
-CRT recombination around them hold it.  So every admitted batch, a small
-file's few values included, is signed in contiguous spans on worker
-*processes*
-(:class:`~repro.util.spanpool.SpanPool`).  Workers receive the private
-key once, when they start; per batch only blinded values go out and
-signatures come back.  Admission — size cap, domain check, rate limit —
-happens on the handler thread before any worker sees a value; after it,
-the handler thread only hands off and waits.  It signs a batch itself
-only where no second process can help: a single value (nothing to
-split), a one-worker host, a host without process pools, and the redo
-of a batch whose worker died (after which the pool stays off processes).
+key), which release the GIL while they run.  So a batch of two values or
+more is cut into one contiguous span per signer *thread* and the
+signatures are reassembled in order.  Admission — size cap, domain
+check, rate limit — happens on the handler thread before any signer sees
+a value.  A single value (nothing to split), and any batch on a one-CPU
+host, is signed on the handler thread itself.  The private key never
+leaves the key manager's process.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.crypto import blindrsa
@@ -40,7 +37,6 @@ from repro.crypto.rsa import DEFAULT_KEY_BITS, RSAPrivateKey, RSAPublicKey, gene
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.obs.tracing import Tracer, default_tracer
 from repro.util.errors import ConfigurationError, RateLimitExceeded
-from repro.util.spanpool import SpanPool
 from repro.util.tokenbucket import TokenBucket
 
 #: Default per-client sustained request rate (chunk keys per second).
@@ -51,18 +47,8 @@ DEFAULT_RATE_LIMIT = 8192.0
 #: Default burst: one maximum-size batch.
 DEFAULT_BURST = 16384.0
 
-#: Worker processes only: the key installed when the worker started.
-_SIGNING_KEY: RSAPrivateKey | None = None
-
-
-def _hold_signing_key(private_key: RSAPrivateKey) -> None:
-    global _SIGNING_KEY
-    _SIGNING_KEY = private_key
-
-
-def _sign_span(blinded_values: list[int]) -> list[int]:
-    """Worker entry point: sign one span with the key held since start-up."""
-    return [_SIGNING_KEY.apply(value) for value in blinded_values]
+#: Upper bound on the signer threads; a host with fewer CPUs gets fewer.
+MAX_SIGNER_THREADS = 8
 
 
 @dataclass
@@ -111,8 +97,14 @@ class KeyManager:
         self._quotas: dict[str, ClientQuota] = {}
         self._lock = threading.Lock()
         self.stats = KeyManagerStats()
-        self._signers = SpanPool(
-            initializer=_hold_signing_key, initargs=(private_key,)
+        self._threads = max(1, min(os.cpu_count() or 1, MAX_SIGNER_THREADS))
+        # Threads start on the first split batch and need no reaping: an
+        # idle pool's threads exit when the manager is collected or the
+        # interpreter exits.
+        self._signers = (
+            ThreadPoolExecutor(self._threads, thread_name_prefix="reed-km-sign")
+            if self._threads > 1
+            else None
         )
         self.observe_on(default_registry(), default_tracer())
 
@@ -127,13 +119,9 @@ class KeyManager:
         self._sign_batches = metrics.counter(
             "km_sign_batches_total",
             "Admitted signing batches, by where they were signed "
-            "(parallel: on worker processes; serial: on the handler thread).",
+            "(parallel: split over the signer threads; serial: on the handler thread).",
             labelnames=("mode",),
         )
-
-    def close(self) -> None:
-        """Reap the signing workers (they restart on the next batch)."""
-        self._signers.close()
 
     @property
     def public_key(self) -> RSAPublicKey:
@@ -177,11 +165,22 @@ class KeyManager:
             )
         started = self._clock()
         with self._tracer.span("km.sign", values=len(blinded_values)):
-            signatures, on_workers = self._signers.map_spans_where(
-                blinded_values, self._sign_here, _sign_span
-            )
+            parallel = self._signers is not None and len(blinded_values) >= 2
+            if parallel:
+                size = -(-len(blinded_values) // self._threads)
+                spans = [
+                    blinded_values[start : start + size]
+                    for start in range(0, len(blinded_values), size)
+                ]
+                signatures = [
+                    signature
+                    for span in self._signers.map(self._sign, spans)
+                    for signature in span
+                ]
+            else:
+                signatures = self._sign(blinded_values)
         elapsed = self._clock() - started
-        self._sign_batches.labels(mode="parallel" if on_workers else "serial").inc()
+        self._sign_batches.labels(mode="parallel" if parallel else "serial").inc()
         with self._lock:
             quota.requests += len(blinded_values)
             self.stats.signatures += len(blinded_values)
@@ -189,7 +188,7 @@ class KeyManager:
             self.stats.busy_seconds += elapsed
         return signatures
 
-    def _sign_here(self, blinded_values: list[int]) -> list[int]:
+    def _sign(self, blinded_values: list[int]) -> list[int]:
         sign = self._private_key.apply
         return [sign(value) for value in blinded_values]
 

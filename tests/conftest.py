@@ -86,14 +86,10 @@ def two_prime_blob():
 @pytest.fixture()
 def system():
     """A small in-process REED deployment (one data server)."""
-    built = build_system(num_data_servers=1, rng=HmacDrbg(b"system-fixture"))
-    yield built
-    built.close()
+    return build_system(num_data_servers=1, rng=HmacDrbg(b"system-fixture"))
 
 
 @pytest.fixture()
 def cluster():
     """The paper's topology: four data servers plus a key store."""
-    built = build_system(num_data_servers=4, rng=HmacDrbg(b"cluster-fixture"))
-    yield built
-    built.close()
+    return build_system(num_data_servers=4, rng=HmacDrbg(b"cluster-fixture"))

@@ -175,9 +175,8 @@ class TestParser:
         assert main(["demo"]) == 0
 
     def test_demo_exits_cleanly_in_a_fresh_interpreter(self):
-        """The demo's key manager signs on worker processes; they are
-        reaped before exit instead of being left to the garbage
-        collector, whose shutdown of them races the interpreter's."""
+        """The demo leaves nothing for the interpreter's shutdown to trip
+        over: its key manager signs on threads of its own process."""
         env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
         done = subprocess.run(
             [sys.executable, "-m", "repro.cli", "demo"],

@@ -1,7 +1,5 @@
 """Tests for system assembly and client-side sharding."""
 
-import multiprocessing
-
 import pytest
 
 from repro.chunking.chunker import ChunkingSpec
@@ -121,7 +119,6 @@ class TestReplicatedUpload:
             assert client.download("doc").data == data
             held = sum(len(server.chunk_list()) for server in system.servers)
             assert held == replicas * uploads[replicas].new_chunks
-            system.close()
         assert uploads[1].chunk_count == uploads[2].chunk_count == 24
         assert uploads[2].store_round_trips > uploads[1].store_round_trips
 
@@ -180,20 +177,6 @@ class TestBuildSystem:
         with pytest.raises(ConfigurationError):
             build_system(num_data_servers=2, backends=[DirectoryBackend(str(tmp_path))])
 
-    def test_close_reaps_the_key_managers_signers(self):
-        before = {child.pid for child in multiprocessing.active_children()}
-        system = build_system(num_data_servers=1, rng=HmacDrbg(b"close"))
-        system.key_manager._signers.workers = 2  # processes even on a one-CPU host
-        alice = system.new_client("alice")
-        files = [f"f{index}" for index in range(8)]
-        for index, file_id in enumerate(files):
-            alice.upload(file_id, unique_data(60_000, seed=index))
-        assert system.key_manager._signers.parallel_batches >= 1
-        alice.rekey_many(files, FilePolicy.for_users(["alice"]), RevocationMode.ACTIVE)
-        system.close()
-        assert system.key_manager._signers._executor is None
-        assert {child.pid for child in multiprocessing.active_children()} <= before
-
     def test_scheme_selection(self):
         system = build_system(num_data_servers=1, scheme="basic", rng=HmacDrbg(b"s"))
         client = system.new_client("alice")
@@ -212,9 +195,7 @@ class TestOwnerEnrollment:
             with TcpCluster(num_data_servers=1, rng=rng) as cluster:
                 yield cluster, rng
         else:
-            system = build_system(num_data_servers=1, rng=rng)
-            yield system, rng
-            system.close()
+            yield build_system(num_data_servers=1, rng=rng), rng
 
     def test_reenrollment_reuses_keypair_and_draws_nothing(self, placement):
         deployment, rng = placement

@@ -86,7 +86,6 @@ def _upload(
     client.key_client.finish = spy
     result = client.upload("file", feed(data))
     client.close()
-    system.close()
     containers = {}
     for index, server in enumerate(system.servers):
         backend = server.store.backend
@@ -258,7 +257,6 @@ class TestBitIdentical:
             assert rekeyed.new_key_version == rekeyed.old_key_version + 1
             assert not [name for name in started if name.startswith("reed-rekey")]
         client.close()
-        system.close()
 
 
 def _starting_threads(operation):

@@ -2,19 +2,16 @@
 
 Every RSA operation runs on :class:`~repro.crypto.modexp.ModExp`, so
 these tests pin it to ``pow`` at the key sizes REED uses, at the edges
-of the domain, across threads and across the pickling that carries a
-key into worker processes — and run the RSA, OPRF and key-regression
-suites once more with ``libcrypto`` unloadable, so the ``pow`` leg that
-such hosts run stays tested too.
+of the domain and across threads — and run the RSA, OPRF and
+key-regression suites once more with ``libcrypto`` unloadable, so the
+``pow`` leg that such hosts run stays tested too.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import multiprocessing
 import os
-import pickle
 import subprocess
 import sys
 import threading
@@ -27,8 +24,6 @@ from repro.crypto import modexp
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.modexp import EvenModulusError, ModExp
 from repro.crypto.rsa import PUBLIC_EXPONENT, RSAPrivateKey, RSAPublicKey, generate_prime
-from repro.mle.keymanager import KeyManager
-from repro.util import spanpool
 from repro.util.errors import ConfigurationError
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -148,33 +143,6 @@ def test_four_threads_share_one_key():
     assert not any(thread.is_alive() for thread in threads)
     assert not failures
     assert [results[index] for index in range(len(values))] == expected
-
-
-@pytest.fixture()
-def spawned_workers(monkeypatch):
-    """Worker pools of two processes that receive their start-up state by
-    pickling (``spawn``) instead of inheriting it (``fork``)."""
-    spawn = multiprocessing.get_context("spawn")
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: spawn)
-    monkeypatch.setattr(spanpool, "default_worker_count", lambda cap=8: 2)
-
-
-def test_warm_key_pickles_into_signers(spawned_workers):
-    private = key(1024, 3)
-    values = [pow(11, index + 5, private.n) for index in range(6)]
-    private.apply(values[0])  # the engines exist before the key travels
-    private.public.apply(values[0])
-    copy = pickle.loads(pickle.dumps(private))
-    assert copy == private and copy.apply(values[1]) == private.apply(values[1])
-
-    manager = KeyManager(private_key=private, rate_limit=100, burst=100)
-    try:
-        assert manager.sign_batch("alice", values) == [
-            pow(value, private.d, private.n) for value in values
-        ]
-        assert manager._signers.parallel_batches == 1
-    finally:
-        manager.close()
 
 
 def test_suites_pass_without_libcrypto():

@@ -368,11 +368,9 @@ def test_user_dropped_by_a_run_is_denied_every_record_it_wrote():
 
 
 @pytest.mark.parametrize(
-    "deploy, shut_down",
-    [(build_system, "close"), (TcpCluster, "stop")],
-    ids=["in-process", "tcp"],
+    "deploy", [build_system, TcpCluster], ids=["in-process", "tcp"]
 )
-def test_single_file_rekeys_report_the_round_trips_they_make(deploy, shut_down):
+def test_single_file_rekeys_report_the_round_trips_they_make(deploy):
     """A single-file rekey is one pipeline window: on 4 data nodes, in
     process or over TCP, LAZY costs one keystore get and one put, ACTIVE
     adds one ``file_get_many`` and one ``file_commit``.  ``revoke_users``
@@ -412,7 +410,8 @@ def test_single_file_rekeys_report_the_round_trips_they_make(deploy, shut_down):
         assert counts == [(2, 0), (2, 2), (2, 0), (2, 2)]
         client.close()
     finally:
-        getattr(deployment, shut_down)()
+        if isinstance(deployment, TcpCluster):
+            deployment.stop()
 
 
 def test_shard_down_aborts_with_no_partial_rekey():
@@ -787,7 +786,6 @@ def test_single_file_and_small_window_start_no_worker():
     thread: no process is started."""
     cluster, client, file_ids = _wind_cluster(b"no-workers", 7)
     with cluster:
-        # The uploads have started the key manager's signers by now.
         before = _children()
         policy = FilePolicy.for_users(["alice"])
         for mode in (RevocationMode.LAZY, RevocationMode.ACTIVE):
@@ -797,18 +795,34 @@ def test_single_file_and_small_window_start_no_worker():
 
 
 def test_a_client_never_forks():
-    """Full windows of member winds and stub re-encryption, through an
-    ACTIVE group revocation and an ACTIVE ``rekey_many`` over 64 files,
-    run in the client's process: the only children are the key
-    manager's signers, started by the uploads."""
-    cluster, owner, groups, file_ids = _group_cluster(batch_size=64, files=64)
-    with cluster:
-        before = _children()
-        result = groups.revoke_users(GROUP, {"mallory"}, RevocationMode.ACTIVE)
-        assert result.files_rewrapped == 64 and result.stub_bytes_reencrypted > 0
-        result = owner.rekey_many(
-            file_ids, FilePolicy.for_users(["owner"]), RevocationMode.ACTIVE
-        )
-        assert result.files == 64 and result.batches == 1
-        assert _children() == before
-        assert owner.download(file_ids[-1]).data == _payload(63)
+    """Nothing in the system forks, at any point: a fresh cluster's
+    uploads (their keys signed by the key manager), full windows of
+    member winds and stub re-encryption through an ACTIVE group
+    revocation and an ACTIVE ``rekey_many`` over 64 files, and a
+    restore.  The key manager signs on threads and every client works
+    in its caller's process."""
+    seen: set[int] = set()
+    done = threading.Event()
+
+    def watch() -> None:
+        while not done.wait(0.005):
+            seen.update(_children())
+
+    watcher = threading.Thread(target=watch, daemon=True)
+    watcher.start()
+    try:
+        cluster, owner, groups, file_ids = _group_cluster(batch_size=64, files=64)
+        with cluster:
+            assert _children() == set()
+            result = groups.revoke_users(GROUP, {"mallory"}, RevocationMode.ACTIVE)
+            assert result.files_rewrapped == 64 and result.stub_bytes_reencrypted > 0
+            result = owner.rekey_many(
+                file_ids, FilePolicy.for_users(["owner"]), RevocationMode.ACTIVE
+            )
+            assert result.files == 64 and result.batches == 1
+            assert _children() == set()
+            assert owner.download(file_ids[-1]).data == _payload(63)
+    finally:
+        done.set()
+        watcher.join()
+    assert seen == set() and _children() == set()

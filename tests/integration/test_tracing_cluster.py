@@ -119,8 +119,8 @@ def test_upload_produces_one_merged_cross_node_trace(fresh_telemetry, cluster):
 
 
 def test_small_upload_is_signed_on_the_signer_workers(fresh_telemetry, cluster):
-    """A 64 KiB file is one small signing batch; the key manager hands
-    it to its worker processes all the same, inside the handler span."""
+    """A 64 KiB file is one small signing batch; the key manager splits
+    it over its signer threads all the same, inside the handler span."""
     client = cluster.new_client("alice")
     result = client.upload("small", cluster.rng.random_bytes(16 * CHUNK_SIZE))
     samples = parse_prometheus(cluster.scrape_node("key-manager"))

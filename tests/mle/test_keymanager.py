@@ -1,8 +1,8 @@
 """Tests for the key manager: signing, rate limiting, accounting."""
 
 import os
-import signal
-from concurrent.futures import ProcessPoolExecutor
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -108,16 +108,37 @@ class TestAccounting:
         assert manager.client_stats("alice")["rejected"] == 1
 
 
+def _observed(manager: KeyManager) -> MetricsRegistry:
+    """Bind ``manager``'s telemetry to a fresh registry and return it."""
+    metrics = MetricsRegistry()
+    manager.observe_on(metrics, Tracer(metrics=metrics, node="key-manager"))
+    return metrics
+
+
+def _modes(metrics: MetricsRegistry) -> tuple[float, float]:
+    """(serial, parallel) admitted batches, as the mode counter reads."""
+    return tuple(
+        metrics.value("km_sign_batches_total", mode=mode)
+        for mode in ("serial", "parallel")
+    )
+
+
 class TestParallelSigning:
-    """Every admitted batch of two values or more is signed on worker
-    processes, however small; admission and results are those of the
-    in-process path."""
+    """Every admitted batch of two values or more is split over the
+    signer threads, however small; admission and results are those of
+    signing on the handler thread.  ``os.cpu_count`` reads 2 here, so
+    the split happens on any host."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
     @pytest.fixture(scope="class")
     def signer(self, rsa_512):
-        manager = KeyManager(private_key=rsa_512, rate_limit=1e9, burst=1e9)
-        yield manager
-        manager.close()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(os, "cpu_count", lambda: 2)
+            manager = KeyManager(private_key=rsa_512, rate_limit=1e9, burst=1e9)
+        return manager, _observed(manager)
 
     @settings(max_examples=25)
     @given(
@@ -125,33 +146,31 @@ class TestParallelSigning:
         seed=st.binary(min_size=1, max_size=8),
     )
     def test_parallel_equals_in_process(self, signer, rsa_512, count, seed):
+        manager, metrics = signer
         draw = HmacDrbg(seed)
         values = [draw.randint_below(rsa_512.n) for _ in range(count)]
-        pool = signer._signers
-        before = (pool.parallel_batches, pool.serial_batches)
-        assert signer.sign_batch("alice", values) == [
+        before = _modes(metrics)
+        assert manager.sign_batch("alice", values) == [
             rsa_512.apply(value) for value in values
         ]
         # A single value has nothing to split and stays on the handler
-        # thread; anything more goes to the workers.
-        on_workers = count >= 2
-        assert (pool.parallel_batches, pool.serial_batches) == (
-            before[0] + on_workers,
-            before[1] + (not on_workers),
+        # thread; anything more goes to the signer threads.
+        on_threads = count >= 2
+        assert _modes(metrics) == (
+            before[0] + (not on_threads),
+            before[1] + on_threads,
         )
-        if on_workers:
-            assert isinstance(pool._executor, ProcessPoolExecutor)
 
     def test_three_prime_key_round_trips_through_the_signers(self, rsa_1024, rng):
-        """blind_many -> signing on the workers -> unblind, with the
-        three-prime key every 1024-bit key manager now holds."""
+        """blind_many -> signing on the signer threads -> unblind, with
+        the three-prime key every 1024-bit key manager now holds."""
         assert len(rsa_1024.primes) == 3
         manager = KeyManager(private_key=rsa_1024)
+        metrics = _observed(manager)
         fps = [bytes([i]) * 32 for i in range(6)]
         blinded, states = blindrsa.blind_many(manager.public_key, fps, rng)
         signatures = manager.sign_batch("alice", blinded)
-        assert manager._signers.parallel_batches == 1
-        manager.close()
+        assert _modes(metrics) == (0, 1)
         keys = [
             blindrsa.signature_to_key(
                 blindrsa.unblind(manager.public_key, state, signature),
@@ -164,60 +183,84 @@ class TestParallelSigning:
     def test_one_worker_manager_signs_in_process(self, rsa_512, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         manager = KeyManager(private_key=rsa_512)
+        metrics = _observed(manager)
         assert manager.sign_batch("alice", [5] * 100) == [rsa_512.apply(5)] * 100
-        assert manager._signers._executor is None
-        assert manager._signers.serial_batches == 1
+        assert _modes(metrics) == (1, 0)
+
+    def test_concurrent_callers_get_the_serial_signatures(self, rsa_512):
+        """Four handler threads share one manager's signer threads; each
+        gets its own batch's signatures, in order, and no update to the
+        accounting is lost."""
+        manager = KeyManager(private_key=rsa_512, rate_limit=1e9, burst=1e9)
+        metrics = _observed(manager)
+        batches = [
+            [pow(7 + caller, index + 3, rsa_512.n) for index in range(40)]
+            for caller in range(4)
+        ]
+        expected = [[rsa_512.apply(value) for value in batch] for batch in batches]
+        barrier = threading.Barrier(len(batches))
+        results = {}
+
+        def call(caller: int) -> None:
+            barrier.wait()
+            for _ in range(5):
+                got = manager.sign_batch(f"client{caller}", batches[caller])
+                results.setdefault(caller, []).append(got)
+
+        threads = [
+            threading.Thread(target=call, args=(caller,)) for caller in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # hand the interpreter over as often as it can
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == {caller: [expected[caller]] * 5 for caller in range(4)}
+        assert _modes(metrics) == (0, 20)
+        assert (manager.stats.batches, manager.stats.signatures) == (20, 20 * 40)
 
     def test_rejected_batches_reach_no_worker_and_cost_no_tokens(self, rsa_512):
         clock = SimClock()
         manager = KeyManager(private_key=rsa_512, rate_limit=1, burst=8, clock=clock)
+        metrics = _observed(manager)
         with pytest.raises(ConfigurationError):
             manager.sign_batch("alice", [5] * 9)  # oversize
-        # The oversize batch started no worker and took no token...
-        assert manager._signers._executor is None
+        # The oversize batch reached no signer and took no token...
+        assert _modes(metrics) == (0, 0)
         assert manager.seconds_until_allowed("alice", 8) == 0
         # ...and once the burst is spent, a rate-limited batch neither
-        # reaches a worker (reaped here, none restarts) nor charges
-        # anything: two refilled tokens are still two tokens afterwards.
+        # reaches a signer nor charges anything: two refilled tokens are
+        # still two tokens afterwards.
         assert len(manager.sign_batch("alice", [5] * 8)) == 8
-        manager.close()
         clock.advance(2.0)
         with pytest.raises(RateLimitExceeded):
             manager.sign_batch("alice", [5] * 3)
-        assert manager._signers._executor is None
+        assert _modes(metrics) == (0, 1)
         assert len(manager.sign_batch("alice", [5] * 2)) == 2
-        assert manager._signers.parallel_batches == 2  # only admitted batches
+        assert _modes(metrics) == (0, 2)  # only admitted batches
         assert manager.stats.batches == 2
         assert manager.stats.rejected == 3
-        manager.close()
 
     @pytest.mark.parametrize("bad", [-1, "n"])
     def test_out_of_domain_value_is_refused_before_signing(self, rsa_512, bad):
         manager = KeyManager(private_key=rsa_512)
+        metrics = _observed(manager)
         batch = [5, 6, rsa_512.n if bad == "n" else bad]
         with pytest.raises(KeyManagerError):
             manager.sign_batch("alice", batch)
-        assert manager._signers._executor is None
+        assert _modes(metrics) == (0, 0)
         assert manager.stats.signatures == 0
         assert manager.seconds_until_allowed("alice", int(DEFAULT_BURST)) == 0
 
-    def test_killed_worker_degrades_to_in_process_signing(self, rsa_512):
-        manager = KeyManager(private_key=rsa_512)
-        values = list(range(2, 10))
-        expected = [rsa_512.apply(value) for value in values]
-        assert manager.sign_batch("alice", values) == expected
-        signers = list(manager._signers._executor._processes.values())
-        os.kill(signers[0].pid, signal.SIGKILL)
-        assert manager.sign_batch("alice", values) == expected
-        manager.close()
-        assert not any(signer.is_alive() for signer in signers)
-
     def test_sign_telemetry_lands_on_the_bound_registry(self, rsa_512):
-        metrics = MetricsRegistry()
         manager = KeyManager(private_key=rsa_512)
-        manager.observe_on(metrics, Tracer(metrics=metrics, node="key-manager"))
+        metrics = _observed(manager)
         manager.sign_batch("alice", [5] * 3)
-        manager.close()
         assert metrics.value("km_sign_batches_total", mode="serial") == 0
         assert metrics.value("km_sign_batches_total", mode="parallel") == 1
         assert metrics.get("span_seconds").labels(span="km.sign").count == 1

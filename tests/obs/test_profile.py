@@ -93,12 +93,9 @@ def test_a_pipelined_upload_sums_to_its_root():
     )
     client = system.new_client("alice")
     client.upload_batch_bytes = 4096
-    try:
-        client.upload("file", HmacDrbg(b"profile-data").random_bytes(40_000))
-        root = client.tracer.last_trace()
-    finally:
-        client.close()
-        system.close()
+    client.upload("file", HmacDrbg(b"profile-data").random_bytes(40_000))
+    root = client.tracer.last_trace()
+    client.close()
     assert root.name == "upload"
     tree = root.tree()
     times = profile(tree)
