@@ -20,7 +20,7 @@ from typing import Protocol
 from repro.crypto.hashing import fingerprint as _fingerprint
 from repro.storage.datastore import DataStore, DataStoreStats
 from repro.storage.gc import CompactionGC
-from repro.util.errors import IntegrityError, NotFoundError
+from repro.util.errors import IntegrityError, NotFoundError, outcome
 
 
 class StorageService(Protocol):
@@ -97,16 +97,13 @@ class REEDServer:
         store right after the batch, failed items or not, so the honest
         chunks are durable when the reply leaves.
         """
-        results: list[bool | Exception] = []
-        for fp, data in chunks:
-            try:
-                if _fingerprint(data) != fp:
-                    raise IntegrityError(
-                        "uploaded chunk does not match its declared fingerprint"
-                    )
-                results.append(self.store.put_chunk(fp, data))
-            except Exception as exc:  # noqa: BLE001 - carried per item
-                results.append(exc)
+
+        def put(fp: bytes, data: bytes) -> bool:
+            if _fingerprint(data) != fp:
+                raise IntegrityError("uploaded chunk does not match its declared fingerprint")
+            return self.store.put_chunk(fp, data)
+
+        results = [outcome(put, fp, data) for fp, data in chunks]
         if flush:
             self.store.flush()
         return results
@@ -149,24 +146,10 @@ class REEDServer:
     def stub_list(self) -> list[str]:
         return self.store.list_stub_files()
 
-    @staticmethod
-    def _per_item(fn, items) -> list:
-        """Apply ``fn`` per item, carrying failures as values.
-
-        Same contract as :meth:`chunk_put_many`: one missing or corrupt
-        file fails alone instead of aborting its whole batch, and the
-        wire layer ships the per-item errors back verbatim.
-        """
-        results = []
-        for item in items:
-            try:
-                results.append(fn(item))
-            except Exception as exc:  # noqa: BLE001 - carried per item
-                results.append(exc)
-        return results
-
     def recipe_get_many(self, file_ids: list[str]) -> list[bytes | Exception]:
-        return self._per_item(self.store.get_recipe, file_ids)
+        """Each file's recipe; as with every metadata batch, one missing
+        or corrupt file fails alone (:func:`~repro.util.errors.outcome`)."""
+        return [outcome(self.store.get_recipe, file_id) for file_id in file_ids]
 
     def file_commit(
         self, items: list[tuple[str, bytes, bytes]]
@@ -179,7 +162,7 @@ class REEDServer:
             self.store.put_stub_file(file_id, stub_file)
             self.store.put_recipe(file_id, recipe)
 
-        return self._per_item(commit, items)
+        return [outcome(commit, item) for item in items]
 
     def file_get_many(
         self, file_ids: list[str]
@@ -193,7 +176,7 @@ class REEDServer:
                 self.store.get_recipe(file_id),
             )
 
-        return self._per_item(fetch, file_ids)
+        return [outcome(fetch, file_id) for file_id in file_ids]
 
     def meta_delete_many(self, file_ids: list[str]) -> list[None | Exception]:
         """Drop a file's stub file *and* recipe in one message (delete path).
@@ -214,7 +197,7 @@ class REEDServer:
             if not found:
                 raise NotFoundError(f"no stub file or recipe for {file_id!r}")
 
-        return self._per_item(drop, file_ids)
+        return [outcome(drop, file_id) for file_id in file_ids]
 
     def flush(self) -> None:
         self.store.flush()

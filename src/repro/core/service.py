@@ -6,11 +6,14 @@ Three services cross the network in a REED deployment (Fig. 1):
 * the **key-state service** (the key-store server), and
 * the **key manager** (blind-RSA OPRF).
 
-For each, this module provides ``register_*`` (server side: binds the
-in-process object's methods into a :class:`ServiceRegistry`) and a
-``Remote*`` stub (client side: same Python interface, calls over any RPC
-client).  A client can therefore be wired to in-process objects in tests
-and to TCP servers in deployments without changing a line.
+Each service's wire format is written once, as a table
+(:data:`STORAGE_RPCS`, :data:`KEYSTATE_RPCS`, :data:`KEY_MANAGER_RPCS`)
+that gives every method's wire name, argument fields and reply field.
+``register_*`` binds a table to the in-process object it serves (server
+side), and each ``Remote*`` stub calls through the same entries with the
+object's Python interface (client side).  A client can therefore be
+wired to in-process objects in tests and to TCP servers in deployments
+without changing a line.
 
 :func:`serve_node` is the one node server: it puts any of the three
 behind its own :class:`TcpServer`, for :class:`~repro.core.cluster.TcpCluster`
@@ -21,11 +24,14 @@ node's compaction daemon.
 from __future__ import annotations
 
 import struct
+from collections.abc import Callable
+from typing import Any, NamedTuple
 
 from repro.core.server import REEDServer
 from repro.crypto.rsa import RSAPublicKey
 from repro.mle.keymanager import KeyManager
-from repro.net.rpc import RpcClient, ServiceRegistry, decode_error, encode_error
+from repro.mle.server_aided import LocalKeyManagerChannel
+from repro.net.rpc import Handler, RpcClient, ServiceRegistry, decode_error, encode_error
 from repro.net.tcp import DEFAULT_IDLE_TIMEOUT, TcpServer
 from repro.obs import scope as obs_scope
 from repro.obs.metrics import MetricsRegistry
@@ -35,6 +41,7 @@ from repro.obs.tracing import Tracer
 from repro.storage.keystore import KeyStateRecord, KeyStore
 from repro.util.codec import Decoder, Encoder
 from repro.util.daemon import IntervalDaemon
+from repro.util.errors import CorruptionError
 
 #: Per-item status codes used by batch responses (``storage.put_many``):
 #: the item deduplicated, stored new bytes, or failed with a wire error.
@@ -44,6 +51,112 @@ ITEM_DUP, ITEM_NEW, ITEM_ERROR = 0, 1, 2
 #: dup/new distinction (metadata puts/gets/deletes).
 ITEM_OK = 0
 
+# ---------------------------------------------------------------------------
+# Field codecs
+# ---------------------------------------------------------------------------
+
+
+class Field(NamedTuple):
+    """How one value crosses the wire: ``put`` appends it to an
+    :class:`Encoder`, ``take`` reads it back from a :class:`Decoder`."""
+
+    put: Callable[[Encoder, Any], object]
+    take: Callable[[Decoder], Any]
+
+
+BLOB = Field(Encoder.blob, Decoder.blob)
+TEXT = Field(Encoder.text, Decoder.text)
+UINT = Field(Encoder.uint, Decoder.uint)
+BOOL = Field(Encoder.boolean, Decoder.boolean)
+#: No bytes at all: the reply of a method that returns nothing.
+NOTHING = Field(lambda _enc, _value: None, lambda _dec: None)
+
+
+def list_of(item: Field) -> Field:
+    """A count, then each item."""
+    put_item, take_item = item
+
+    def put(enc: Encoder, values) -> None:
+        enc.uint(len(values))
+        for value in values:
+            put_item(enc, value)
+
+    def take(dec: Decoder) -> list:
+        return [take_item(dec) for _ in range(dec.uint())]
+
+    return Field(put, take)
+
+
+def row(*fields: Field) -> Field:
+    """A tuple: each of ``fields`` in turn."""
+    puts, takes = zip(*fields)
+
+    def put(enc: Encoder, values) -> None:
+        for put_field, value in zip(puts, values, strict=True):
+            put_field(enc, value)
+
+    def take(dec: Decoder) -> tuple:
+        return tuple([take_field(dec) for take_field in takes])
+
+    return Field(put, take)
+
+
+def _status(put_ok, take_ok) -> Field:
+    """One batch item's result: ``ITEM_ERROR`` and the wire error that
+    failed the item alone, or the success ``put_ok``/``take_ok`` frame
+    (``take_ok`` gets the status code already read)."""
+
+    def put(enc: Encoder, item) -> None:
+        if isinstance(item, Exception):
+            enc.uint(ITEM_ERROR).blob(encode_error(item))
+        else:
+            put_ok(enc, item)
+
+    def take(dec: Decoder):
+        code = dec.uint()
+        return decode_error(dec.blob()) if code == ITEM_ERROR else take_ok(dec, code)
+
+    return Field(put, take)
+
+
+def per_item(value: Field = NOTHING) -> Field:
+    """Per item: ``ITEM_OK`` and its value, or its error."""
+    return _status(
+        lambda enc, item: value.put(enc.uint(ITEM_OK), item),
+        lambda dec, _code: value.take(dec),
+    )
+
+
+#: ``storage.put_many``'s per-item status: new, deduplicated or failed.
+STORED = _status(
+    lambda enc, new: enc.uint(ITEM_NEW if new else ITEM_DUP),
+    lambda _dec, code: code == ITEM_NEW,
+)
+
+
+#: ``storage.has_many``'s reply: one byte per fingerprint and no count.
+FLAGS = Field(
+    lambda enc, flags: enc.raw(bytes(1 if flag else 0 for flag in flags)),
+    lambda dec: [bool(byte) for byte in dec.raw(dec.remaining)],
+)
+
+_DOUBLE = struct.Struct(">d")
+#: ``km.backoff_hint``'s reply: a bare big-endian double.
+FLOAT = Field(
+    lambda enc, value: enc.raw(_DOUBLE.pack(value)),
+    lambda dec: _DOUBLE.unpack(dec.raw(_DOUBLE.size))[0],
+)
+
+#: ``storage.gc_run``'s optional threshold: 0, or 1 and a blob holding
+#: the double.
+THRESHOLD = Field(
+    lambda enc, value: (
+        enc.uint(0) if value is None else enc.uint(1).blob(_DOUBLE.pack(value))
+    ),
+    lambda dec: _DOUBLE.unpack(dec.blob())[0] if dec.uint() else None,
+)
+
+_GC_RATIOS = struct.Struct(">dd")
 #: Integer fields of the ``storage.gc_status``/``storage.gc_run`` reply,
 #: in wire order (the two float fields — threshold and dead-space ratio —
 #: travel as a packed ``>dd`` blob ahead of them).
@@ -60,206 +173,137 @@ _GC_UINT_FIELDS = (
 )
 
 
-def _encode_item_acks(results: list) -> bytes:
-    """Encode write/delete batch results: per item, OK or a wire error."""
-    enc = Encoder().uint(len(results))
-    for status in results:
-        if isinstance(status, Exception):
-            enc.uint(ITEM_ERROR).blob(encode_error(status))
-        else:
-            enc.uint(ITEM_OK)
-    return enc.done()
-
-
-def _decode_item_acks(payload: bytes) -> list[None | Exception]:
-    dec = Decoder(payload)
-    results: list[None | Exception] = []
-    for _ in range(dec.uint()):
-        if dec.uint() == ITEM_ERROR:
-            results.append(decode_error(dec.blob()))
-        else:
-            results.append(None)
-    dec.expect_end()
-    return results
-
-
-def _encode_item_blobs(results: list) -> bytes:
-    """Encode read batch results: per item, the blob or a wire error."""
-    enc = Encoder().uint(len(results))
-    for item in results:
-        if isinstance(item, Exception):
-            enc.uint(ITEM_ERROR).blob(encode_error(item))
-        else:
-            enc.uint(ITEM_OK).blob(item)
-    return enc.done()
-
-
-def _decode_item_blobs(payload: bytes) -> list[bytes | Exception]:
-    dec = Decoder(payload)
-    results: list[bytes | Exception] = []
-    for _ in range(dec.uint()):
-        if dec.uint() == ITEM_ERROR:
-            results.append(decode_error(dec.blob()))
-        else:
-            results.append(dec.blob())
-    dec.expect_end()
-    return results
-
-
-def _encode_gc_status(status: dict) -> bytes:
-    enc = Encoder().blob(
-        struct.pack(">dd", status["threshold"], status["dead_space_ratio"])
-    )
+def _put_gc_status(enc: Encoder, status: dict) -> None:
+    enc.blob(_GC_RATIOS.pack(status["threshold"], status["dead_space_ratio"]))
     for name in _GC_UINT_FIELDS:
         enc.uint(int(status[name]))
-    return enc.done()
 
 
-def _decode_gc_status(payload: bytes) -> dict:
-    dec = Decoder(payload)
-    threshold, ratio = struct.unpack(">dd", dec.blob())
+def _take_gc_status(dec: Decoder) -> dict:
+    threshold, ratio = _GC_RATIOS.unpack(dec.blob())
     status: dict = {"threshold": threshold, "dead_space_ratio": ratio}
     for name in _GC_UINT_FIELDS:
         status[name] = dec.uint()
-    dec.expect_end()
     return status
 
 
-def _encode_ids(file_ids: list[str]) -> bytes:
-    return Encoder().list_of([fid.encode("utf-8") for fid in file_ids]).done()
+#: A node's dead-space accounting and compaction counters.
+GC_STATUS = Field(_put_gc_status, _take_gc_status)
+
+#: A key-state record, in a blob.
+RECORD = Field(
+    lambda enc, record: enc.blob(record.encode()),
+    lambda dec: KeyStateRecord.decode(dec.blob()),
+)
+
+#: ``km.public_key``'s reply: the whole payload is the encoded key.
+PUBLIC_KEY = Field(
+    lambda enc, key: enc.raw(key.encode()),
+    lambda dec: RSAPublicKey.decode(dec.raw(dec.remaining)),
+)
+
+FINGERPRINTS = list_of(BLOB)
+FILE_IDS = list_of(TEXT)
+ACKS = list_of(per_item())
 
 
-def _decode_ids(payload: bytes) -> list[str]:
-    return [blob.decode("utf-8") for blob in Decoder(payload).list_of()]
+class Rpc(NamedTuple):
+    """One method's wire format: its wire name, its arguments' fields in
+    order, and its reply's field."""
+
+    wire: str
+    args: tuple[Field, ...] = ()
+    reply: Field = NOTHING
+
+
+def _pack(fields, values) -> bytes:
+    enc = Encoder()
+    for field, value in zip(fields, values, strict=True):
+        field.put(enc, value)
+    return enc.done()
+
+
+def _unpack(fields, payload: bytes) -> list:
+    """Decode ``fields`` from ``payload``, which must end with them."""
+    dec = Decoder(payload)
+    values = [field.take(dec) for field in fields]
+    dec.expect_end()
+    return values
+
+
+def _serve(registry: ServiceRegistry, rpcs: dict[str, Rpc], target: object) -> None:
+    """Register a handler per entry of ``rpcs``, each serving the
+    same-named method of ``target``."""
+    for name, rpc in rpcs.items():
+        registry.register(rpc.wire, _handler(rpc, target, name))
+
+
+def _handler(rpc: Rpc, target: object, name: str) -> Handler:
+    def handle(payload: bytes) -> bytes:
+        # Looked up on every call: a method patched onto ``target`` after
+        # binding is the one served.
+        result = getattr(target, name)(*_unpack(rpc.args, payload))
+        return _pack((rpc.reply,), (result,))
+
+    return handle
+
+
+class _Stub:
+    """Calls the methods of one table over an RPC client."""
+
+    _rpcs: dict[str, Rpc]
+
+    def __init__(self, rpc: RpcClient) -> None:
+        self._rpc = rpc
+
+    def _call(self, name: str, *args):
+        rpc = self._rpcs[name]
+        [reply] = _unpack((rpc.reply,), self._rpc.call(rpc.wire, _pack(rpc.args, args)))
+        return reply
+
 
 # ---------------------------------------------------------------------------
 # Storage service
 # ---------------------------------------------------------------------------
 
+STORAGE_RPCS: dict[str, Rpc] = {
+    "chunk_exists_batch": Rpc("storage.has_many", (FINGERPRINTS,), FLAGS),
+    "chunk_put_many": Rpc("storage.put_many", (list_of(row(BLOB, BLOB)), BOOL), list_of(STORED)),
+    "chunk_get_batch": Rpc("storage.get", (FINGERPRINTS,), FINGERPRINTS),
+    "chunk_release_batch": Rpc("storage.release", (FINGERPRINTS,)),
+    "chunk_refcount_batch": Rpc("storage.refcounts", (FINGERPRINTS,), list_of(UINT)),
+    "chunk_addref_batch": Rpc("storage.addref", (list_of(row(BLOB, UINT)),)),
+    "recipe_list": Rpc("storage.recipe_list", (), FILE_IDS),
+    "stub_list": Rpc("storage.stub_list", (), FILE_IDS),
+    "recipe_get_many": Rpc("storage.recipe_get_many", (FILE_IDS,), list_of(per_item(BLOB))),
+    "file_commit": Rpc("storage.file_commit", (list_of(row(TEXT, BLOB, BLOB)),), ACKS),
+    "file_get_many": Rpc(
+        "storage.file_get_many", (FILE_IDS,), list_of(per_item(row(BLOB, BLOB)))
+    ),
+    "meta_delete_many": Rpc("storage.meta_delete_many", (FILE_IDS,), ACKS),
+    "flush": Rpc("storage.flush"),
+    "chunk_list": Rpc("storage.chunk_list", (), FINGERPRINTS),
+    "gc_status": Rpc("storage.gc_status", (), GC_STATUS),
+    "gc_run": Rpc("storage.gc_run", (THRESHOLD,), GC_STATUS),
+}
 
-def register_storage_service(
-    registry: ServiceRegistry, server: REEDServer, prefix: str = "storage."
-) -> None:
+
+def register_storage_service(registry: ServiceRegistry, server: REEDServer) -> None:
     """Expose a :class:`REEDServer` through an RPC registry."""
-
-    def has_many(payload: bytes) -> bytes:
-        fps = Decoder(payload).list_of()
-        flags = server.chunk_exists_batch(fps)
-        return bytes(1 if flag else 0 for flag in flags)
-
-    def put_many(payload: bytes) -> bytes:
-        dec = Decoder(payload)
-        count = dec.uint()
-        chunks = [(dec.blob(), dec.blob()) for _ in range(count)]
-        flush = dec.boolean()
-        dec.expect_end()
-        enc = Encoder().uint(count)
-        for status in server.chunk_put_many(chunks, flush=flush):
-            if isinstance(status, Exception):
-                enc.uint(ITEM_ERROR).blob(encode_error(status))
-            else:
-                enc.uint(ITEM_NEW if status else ITEM_DUP)
-        return enc.done()
-
-    def get(payload: bytes) -> bytes:
-        fps = Decoder(payload).list_of()
-        return Encoder().list_of(server.chunk_get_batch(fps)).done()
-
-    def release(payload: bytes) -> bytes:
-        server.chunk_release_batch(Decoder(payload).list_of())
-        return b""
-
-    def refcounts(payload: bytes) -> bytes:
-        counts = server.chunk_refcount_batch(Decoder(payload).list_of())
-        enc = Encoder().uint(len(counts))
-        for count in counts:
-            enc.uint(count)
-        return enc.done()
-
-    def addref(payload: bytes) -> bytes:
-        dec = Decoder(payload)
-        refs = [(dec.blob(), dec.uint()) for _ in range(dec.uint())]
-        dec.expect_end()
-        server.chunk_addref_batch(refs)
-        return b""
-
-    def recipe_list(_payload: bytes) -> bytes:
-        names = [name.encode("utf-8") for name in server.recipe_list()]
-        return Encoder().list_of(names).done()
-
-    def recipe_get_many(payload: bytes) -> bytes:
-        return _encode_item_blobs(server.recipe_get_many(_decode_ids(payload)))
-
-    def file_commit(payload: bytes) -> bytes:
-        dec = Decoder(payload)
-        items = [(dec.text(), dec.blob(), dec.blob()) for _ in range(dec.uint())]
-        dec.expect_end()
-        return _encode_item_acks(server.file_commit(items))
-
-    def file_get_many(payload: bytes) -> bytes:
-        results = server.file_get_many(_decode_ids(payload))
-        enc = Encoder().uint(len(results))
-        for item in results:
-            if isinstance(item, Exception):
-                enc.uint(ITEM_ERROR).blob(encode_error(item))
-            else:
-                enc.uint(ITEM_OK).blob(item[0]).blob(item[1])
-        return enc.done()
-
-    def meta_delete_many(payload: bytes) -> bytes:
-        return _encode_item_acks(server.meta_delete_many(_decode_ids(payload)))
-
-    def flush(_payload: bytes) -> bytes:
-        server.flush()
-        return b""
-
-    def chunk_list(_payload: bytes) -> bytes:
-        return Encoder().list_of(server.chunk_list()).done()
-
-    def stub_list(_payload: bytes) -> bytes:
-        names = [name.encode("utf-8") for name in server.stub_list()]
-        return Encoder().list_of(names).done()
-
-    def gc_status(_payload: bytes) -> bytes:
-        return _encode_gc_status(server.gc_status())
-
-    def gc_run(payload: bytes) -> bytes:
-        dec = Decoder(payload)
-        threshold = struct.unpack(">d", dec.blob())[0] if dec.uint() else None
-        dec.expect_end()
-        return _encode_gc_status(server.gc_run(threshold))
-
-    registry.register(prefix + "has_many", has_many)
-    registry.register(prefix + "put_many", put_many)
-    registry.register(prefix + "get", get)
-    registry.register(prefix + "release", release)
-    registry.register(prefix + "refcounts", refcounts)
-    registry.register(prefix + "addref", addref)
-    registry.register(prefix + "recipe_list", recipe_list)
-    registry.register(prefix + "stub_list", stub_list)
-    registry.register(prefix + "recipe_get_many", recipe_get_many)
-    registry.register(prefix + "file_commit", file_commit)
-    registry.register(prefix + "file_get_many", file_get_many)
-    registry.register(prefix + "meta_delete_many", meta_delete_many)
-    registry.register(prefix + "flush", flush)
-    registry.register(prefix + "chunk_list", chunk_list)
-    registry.register(prefix + "gc_status", gc_status)
-    registry.register(prefix + "gc_run", gc_run)
+    _serve(registry, STORAGE_RPCS, server)
 
 
-class RemoteStorageService:
+class RemoteStorageService(_Stub):
     """Client stub implementing the StorageService protocol over RPC."""
 
-    def __init__(self, rpc: RpcClient, prefix: str = "storage.") -> None:
-        self._rpc = rpc
-        self._prefix = prefix
-
-    def _call(self, method: str, payload: bytes = b"") -> bytes:
-        return self._rpc.call(self._prefix + method, payload)
+    _rpcs = STORAGE_RPCS
 
     def chunk_exists_batch(self, fingerprints: list[bytes]) -> list[bool]:
-        flags = self._call("has_many", Encoder().list_of(fingerprints).done())
-        return [bool(b) for b in flags]
+        flags = self._call("chunk_exists_batch", fingerprints)
+        # The flag string has no count of its own to decode against.
+        if len(flags) != len(fingerprints):
+            raise CorruptionError(f"{len(flags)} flags answer {len(fingerprints)} fingerprints")
+        return flags
 
     def chunk_put_many(
         self, chunks: list[tuple[bytes, bytes]], flush: bool = False
@@ -271,135 +315,69 @@ class RemoteStorageService:
         neighbours in the batch are unaffected.  ``flush`` travels as a
         trailing flag: the node seals and journals after the batch.
         """
-        enc = Encoder().uint(len(chunks))
-        for fp, data in chunks:
-            enc.blob(fp).blob(data)
-        enc.boolean(flush)
-        dec = Decoder(self._call("put_many", enc.done()))
-        count = dec.uint()
-        results: list[bool | Exception] = []
-        for _ in range(count):
-            status = dec.uint()
-            if status == ITEM_ERROR:
-                results.append(decode_error(dec.blob()))
-            else:
-                results.append(status == ITEM_NEW)
-        dec.expect_end()
-        return results
+        return self._call("chunk_put_many", chunks, flush)
 
     def chunk_get_batch(self, fingerprints: list[bytes]) -> list[bytes]:
-        payload = self._call("get", Encoder().list_of(fingerprints).done())
-        return Decoder(payload).list_of()
+        return self._call("chunk_get_batch", fingerprints)
 
     def chunk_release_batch(self, fingerprints: list[bytes]) -> None:
-        self._call("release", Encoder().list_of(fingerprints).done())
+        self._call("chunk_release_batch", fingerprints)
 
     def chunk_refcount_batch(self, fingerprints: list[bytes]) -> list[int]:
-        payload = self._call(
-            "refcounts", Encoder().list_of(fingerprints).done()
-        )
-        dec = Decoder(payload)
-        counts = [dec.uint() for _ in range(dec.uint())]
-        dec.expect_end()
-        return counts
+        return self._call("chunk_refcount_batch", fingerprints)
 
     def chunk_addref_batch(self, refs: list[tuple[bytes, int]]) -> None:
-        enc = Encoder().uint(len(refs))
-        for fp, count in refs:
-            enc.blob(fp).uint(count)
-        self._call("addref", enc.done())
+        self._call("chunk_addref_batch", refs)
 
     def recipe_list(self) -> list[str]:
-        payload = self._call("recipe_list")
-        return [name.decode("utf-8") for name in Decoder(payload).list_of()]
+        return self._call("recipe_list")
 
     def stub_list(self) -> list[str]:
-        payload = self._call("stub_list")
-        return [name.decode("utf-8") for name in Decoder(payload).list_of()]
+        return self._call("stub_list")
 
     def recipe_get_many(self, file_ids: list[str]) -> list[bytes | Exception]:
-        return _decode_item_blobs(
-            self._call("recipe_get_many", _encode_ids(file_ids))
-        )
+        return self._call("recipe_get_many", file_ids)
 
-    def file_commit(
-        self, items: list[tuple[str, bytes, bytes]]
-    ) -> list[None | Exception]:
-        enc = Encoder().uint(len(items))
-        for file_id, stub_file, recipe in items:
-            enc.text(file_id).blob(stub_file).blob(recipe)
-        return _decode_item_acks(self._call("file_commit", enc.done()))
+    def file_commit(self, items: list[tuple[str, bytes, bytes]]) -> list[None | Exception]:
+        return self._call("file_commit", items)
 
-    def file_get_many(
-        self, file_ids: list[str]
-    ) -> list[tuple[bytes, bytes] | Exception]:
-        dec = Decoder(self._call("file_get_many", _encode_ids(file_ids)))
-        results: list[tuple[bytes, bytes] | Exception] = []
-        for _ in range(dec.uint()):
-            if dec.uint() == ITEM_ERROR:
-                results.append(decode_error(dec.blob()))
-            else:
-                results.append((dec.blob(), dec.blob()))
-        dec.expect_end()
-        return results
+    def file_get_many(self, file_ids: list[str]) -> list[tuple[bytes, bytes] | Exception]:
+        return self._call("file_get_many", file_ids)
 
     def meta_delete_many(self, file_ids: list[str]) -> list[None | Exception]:
-        return _decode_item_acks(
-            self._call("meta_delete_many", _encode_ids(file_ids))
-        )
+        return self._call("meta_delete_many", file_ids)
 
     def flush(self) -> None:
         self._call("flush")
 
     def gc_status(self) -> dict:
         """Dead-space accounting and compaction counters of the node."""
-        return _decode_gc_status(self._call("gc_status"))
+        return self._call("gc_status")
 
     def gc_run(self, threshold: float | None = None) -> dict:
         """Run one compaction pass on the node; returns post-pass status."""
-        enc = Encoder()
-        if threshold is None:
-            enc.uint(0)
-        else:
-            enc.uint(1).blob(struct.pack(">d", threshold))
-        return _decode_gc_status(self._call("gc_run", enc.done()))
+        return self._call("gc_run", threshold)
 
     def chunk_list(self) -> list[bytes]:
-        return Decoder(self._call("chunk_list")).list_of()
+        return self._call("chunk_list")
 
 
 # ---------------------------------------------------------------------------
 # Key-state service (key store)
 # ---------------------------------------------------------------------------
 
-
-def register_keystate_service(
-    registry: ServiceRegistry, keystore: KeyStore, prefix: str = "keystore."
-) -> None:
-    def put_many(payload: bytes) -> bytes:
-        records = [
-            KeyStateRecord.decode(blob) for blob in Decoder(payload).list_of()
-        ]
-        return _encode_item_acks(keystore.put_many(records))
-
-    def get_many(payload: bytes) -> bytes:
-        results = keystore.get_many(_decode_ids(payload))
-        return _encode_item_blobs(
-            [
-                item if isinstance(item, Exception) else item.encode()
-                for item in results
-            ]
-        )
-
-    def delete_many(payload: bytes) -> bytes:
-        return _encode_item_acks(keystore.delete_many(_decode_ids(payload)))
-
-    registry.register(prefix + "put_many", put_many)
-    registry.register(prefix + "get_many", get_many)
-    registry.register(prefix + "delete_many", delete_many)
+KEYSTATE_RPCS: dict[str, Rpc] = {
+    "put_many": Rpc("keystore.put_many", (list_of(RECORD),), ACKS),
+    "get_many": Rpc("keystore.get_many", (FILE_IDS,), list_of(per_item(RECORD))),
+    "delete_many": Rpc("keystore.delete_many", (FILE_IDS,), ACKS),
+}
 
 
-class RemoteKeyStore:
+def register_keystate_service(registry: ServiceRegistry, keystore: KeyStore) -> None:
+    _serve(registry, KEYSTATE_RPCS, keystore)
+
+
+class RemoteKeyStore(_Stub):
     """Client stub with the same interface as :class:`KeyStore`.
 
     Every RPC is reported into the active attribution scope
@@ -408,105 +386,79 @@ class RemoteKeyStore:
     placement.
     """
 
-    def __init__(self, rpc: RpcClient, prefix: str = "keystore.") -> None:
-        self._rpc = rpc
-        self._prefix = prefix
+    _rpcs = KEYSTATE_RPCS
 
-    def _call(self, method: str, payload: bytes) -> bytes:
+    def _call(self, name: str, *args):
         obs_scope.add("keystore_round_trips")
-        return self._rpc.call(self._prefix + method, payload)
+        return super()._call(name, *args)
 
-    def put_many(
-        self, records: list[KeyStateRecord]
-    ) -> list[None | Exception]:
-        payload = Encoder().list_of([r.encode() for r in records]).done()
-        return _decode_item_acks(self._call("put_many", payload))
+    def put_many(self, records: list[KeyStateRecord]) -> list[None | Exception]:
+        return self._call("put_many", records)
 
-    def get_many(
-        self, file_ids: list[str]
-    ) -> list[KeyStateRecord | Exception]:
-        results = _decode_item_blobs(
-            self._call("get_many", _encode_ids(file_ids))
-        )
-        return [
-            item if isinstance(item, Exception) else KeyStateRecord.decode(item)
-            for item in results
-        ]
+    def get_many(self, file_ids: list[str]) -> list[KeyStateRecord | Exception]:
+        return self._call("get_many", file_ids)
 
     def delete_many(self, file_ids: list[str]) -> list[None | Exception]:
-        return _decode_item_acks(self._call("delete_many", _encode_ids(file_ids)))
+        return self._call("delete_many", file_ids)
 
 
 # ---------------------------------------------------------------------------
 # Key manager
 # ---------------------------------------------------------------------------
 
+KEY_MANAGER_RPCS: dict[str, Rpc] = {
+    "public_key": Rpc("km.public_key", (), PUBLIC_KEY),
+    "derive_batch": Rpc("km.derive_batch", (TEXT, list_of(BLOB)), list_of(BLOB)),
+    "backoff_hint": Rpc("km.backoff_hint", (TEXT, UINT), FLOAT),
+}
 
-def register_key_manager(
-    registry: ServiceRegistry, manager: KeyManager, prefix: str = "km."
-) -> None:
+
+def _blobs(values: list[int], key: RSAPublicKey) -> list[bytes]:
+    """Blinded values and signatures, which are uniform in Z_n, travel as
+    ``km.derive_batch``'s blobs at the modulus width; both ends convert
+    with this and :func:`_ints`."""
+    return [value.to_bytes(key.byte_size, "big") for value in values]
+
+
+def _ints(blobs: list[bytes]) -> list[int]:
+    return [int.from_bytes(blob, "big") for blob in blobs]
+
+
+class _KeyManagerEndpoint(LocalKeyManagerChannel):
+    """The key manager as :data:`KEY_MANAGER_RPCS` serves it."""
+
+    def derive_batch(self, client_id: str, blinded: list[bytes]) -> list[bytes]:
+        return _blobs(super().derive_batch(client_id, _ints(blinded)), self.public_key())
+
+
+def register_key_manager(registry: ServiceRegistry, manager: KeyManager) -> None:
     # The manager's signing span and batch counters belong in the scrape
     # of the node that serves it.
     manager.observe_on(registry.metrics, registry.tracer)
-
-    def public_key(_payload: bytes) -> bytes:
-        return manager.public_key.encode()
-
-    def derive_batch(payload: bytes) -> bytes:
-        dec = Decoder(payload)
-        client_id = dec.text()
-        blinded = [int.from_bytes(blob, "big") for blob in dec.list_of()]
-        dec.expect_end()
-        signatures = manager.sign_batch(client_id, blinded)
-        byte_size = manager.public_key.byte_size
-        return (
-            Encoder()
-            .list_of([sig.to_bytes(byte_size, "big") for sig in signatures])
-            .done()
-        )
-
-    def backoff_hint(payload: bytes) -> bytes:
-        dec = Decoder(payload)
-        client_id = dec.text()
-        batch_size = dec.uint()
-        dec.expect_end()
-        return struct.pack(">d", manager.seconds_until_allowed(client_id, batch_size))
-
-    registry.register(prefix + "public_key", public_key)
-    registry.register(prefix + "derive_batch", derive_batch)
-    registry.register(prefix + "backoff_hint", backoff_hint)
+    _serve(registry, KEY_MANAGER_RPCS, _KeyManagerEndpoint(manager))
 
 
-class RemoteKeyManagerChannel:
+class RemoteKeyManagerChannel(_Stub):
     """Client stub implementing the KeyManagerChannel protocol over RPC."""
 
-    def __init__(self, rpc: RpcClient, prefix: str = "km.") -> None:
-        self._rpc = rpc
-        self._prefix = prefix
+    _rpcs = KEY_MANAGER_RPCS
+
+    def __init__(self, rpc: RpcClient) -> None:
+        super().__init__(rpc)
         self._cached_key: RSAPublicKey | None = None
 
     def public_key(self) -> RSAPublicKey:
         if self._cached_key is None:
-            self._cached_key = RSAPublicKey.decode(
-                self._rpc.call(self._prefix + "public_key")
-            )
+            self._cached_key = self._call("public_key")
         return self._cached_key
 
     def derive_batch(self, client_id: str, blinded_values: list[int]) -> list[int]:
         """One key-derivation round trip for a batch of blinded values."""
-        enc = Encoder().text(client_id)
-        # Blinded values are uniform in Z_n; encode at the modulus width.
-        byte_size = self.public_key().byte_size
-        enc.list_of([value.to_bytes(byte_size, "big") for value in blinded_values])
-        payload = self._rpc.call(self._prefix + "derive_batch", enc.done())
-        return [int.from_bytes(blob, "big") for blob in Decoder(payload).list_of()]
+        blobs = _blobs(blinded_values, self.public_key())
+        return _ints(self._call("derive_batch", client_id, blobs))
 
     def backoff_hint(self, client_id: str, batch_size: int) -> float:
-        payload = self._rpc.call(
-            self._prefix + "backoff_hint",
-            Encoder().text(client_id).uint(batch_size).done(),
-        )
-        return struct.unpack(">d", payload)[0]
+        return self._call("backoff_hint", client_id, batch_size)
 
 
 # ---------------------------------------------------------------------------

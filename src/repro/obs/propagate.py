@@ -59,11 +59,7 @@ def _fill_node(tree: dict, node: str) -> None:
         _fill_node(child, node)
 
 
-def register_traces(
-    registry: ServiceRegistry,
-    tracer: Tracer,
-    method: str = TRACES_METHOD,
-) -> None:
+def register_traces(registry: ServiceRegistry, tracer: Tracer) -> None:
     """Serve one node's trace ring and slow-span ring over RPC.
 
     The (optional) request payload is a JSON object; ``{"trace_id": id}``
@@ -84,19 +80,15 @@ def register_traces(
             ]
         return json.dumps(dump).encode("utf-8")
 
-    registry.register(method, handler)
+    registry.register(TRACES_METHOD, handler)
 
 
-def fetch_traces(
-    rpc: RpcClient,
-    trace_id: str | None = None,
-    method: str = TRACES_METHOD,
-) -> dict:
+def fetch_traces(rpc: RpcClient, trace_id: str | None = None) -> dict:
     """Pull one node's trace dump over an RPC client."""
     payload = b""
     if trace_id:
         payload = json.dumps({"trace_id": trace_id}).encode("utf-8")
-    return json.loads(rpc.call(method, payload).decode("utf-8"))
+    return json.loads(rpc.call(TRACES_METHOD, payload).decode("utf-8"))
 
 
 def _walk(tree: dict):

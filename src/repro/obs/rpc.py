@@ -26,11 +26,7 @@ FORMAT_PROMETHEUS = "prometheus"
 FORMAT_JSON = "json"
 
 
-def register_metrics(
-    registry: ServiceRegistry,
-    metrics: MetricsRegistry,
-    method: str = METRICS_METHOD,
-) -> None:
+def register_metrics(registry: ServiceRegistry, metrics: MetricsRegistry) -> None:
     """Serve ``metrics`` exposition for one node's registry."""
 
     def handler(payload: bytes) -> bytes:
@@ -41,13 +37,9 @@ def register_metrics(
             return render_json(metrics).encode("utf-8")
         raise ProtocolError(f"unknown metrics format {fmt!r}")
 
-    registry.register(method, handler)
+    registry.register(METRICS_METHOD, handler)
 
 
-def scrape(
-    rpc: RpcClient,
-    fmt: str = FORMAT_PROMETHEUS,
-    method: str = METRICS_METHOD,
-) -> str:
+def scrape(rpc: RpcClient, fmt: str = FORMAT_PROMETHEUS) -> str:
     """Fetch one node's exposition body over an RPC client."""
-    return rpc.call(method, fmt.encode("utf-8")).decode("utf-8")
+    return rpc.call(METRICS_METHOD, fmt.encode("utf-8")).decode("utf-8")

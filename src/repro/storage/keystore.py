@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from repro.obs import scope as obs_scope
 from repro.storage.backend import BlobBackend, MemoryBackend
 from repro.util.codec import Decoder, Encoder
-from repro.util.errors import CorruptionError
+from repro.util.errors import CorruptionError, outcome
 
 _KEYSTATE_PREFIX = "keystate/"
 
@@ -112,10 +112,4 @@ def _per_item(items: list, apply: Callable) -> list:
     """One key-store round trip: ``apply`` each item, carrying its
     exception in its own slot."""
     obs_scope.add("keystore_round_trips")
-    results: list = []
-    for item in items:
-        try:
-            results.append(apply(item))
-        except Exception as exc:  # noqa: BLE001 - carried per item
-            results.append(exc)
-    return results
+    return [outcome(apply, item) for item in items]

@@ -41,6 +41,7 @@ from repro.util.errors import (
     NotFoundError,
     ProtocolError,
     StorageError,
+    outcome,
 )
 
 if TYPE_CHECKING:
@@ -217,14 +218,6 @@ _NODE_FAILURES = (ProtocolError, OSError)
 #: Sentinel distinguishing "no replica answered yet" from a real ``None``
 #: status in the per-item quorum fold.
 _UNSET = object()
-
-
-def _outcome(fn, *args):
-    """``fn(*args)``, or the exception it raised."""
-    try:
-        return fn(*args)
-    except Exception as exc:  # noqa: BLE001 - the caller classifies it
-        return exc
 
 
 class ShardedStorageService:
@@ -470,7 +463,7 @@ class ShardedStorageService:
         for node, positions in per_node.items():
             self._trip(node)
             batch = [items[p] for p in positions]
-            reply = _outcome(call, self._services[node], batch)
+            reply = outcome(call, self._services[node], batch)
             if reached is not None and not isinstance(reply, Exception):
                 reached.add(node)
             answers[node] = dict(
@@ -555,9 +548,9 @@ class ShardedStorageService:
                     )
                     for node, positions in ordered
                 ]
-                replies = [_outcome(future.result) for future in futures]
+                replies = [outcome(future.result) for future in futures]
             else:
-                replies = [_outcome(fetch, *group) for group in ordered]
+                replies = [outcome(fetch, *group) for group in ordered]
             unresolved = []
             for (node, positions), reply in zip(ordered, replies):
                 answers = self._per_item(node, reply, len(positions))

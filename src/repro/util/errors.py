@@ -52,3 +52,15 @@ class NotFoundError(StorageError):
 
 class ProtocolError(ReproError):
     """An RPC peer sent a malformed or unexpected message."""
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the exception it raised.
+
+    Batch calls carry each item's failure in the item's own slot, so one
+    bad item fails alone instead of aborting its batch.
+    """
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - carried as a value
+        return exc

@@ -11,12 +11,14 @@ Two drills for the locality-aware container engine:
   ``flush()`` brings dedup state and chunk locations back.
 """
 
+import secrets
 import time
 
 import pytest
 
 from repro.chunking.chunker import ChunkingSpec
 from repro.core.cluster import TcpCluster
+from repro.crypto.drbg import HmacDrbg
 from repro.workloads.synthetic import unique_data
 
 CHUNK = 2048
@@ -44,10 +46,15 @@ def serial_reader(cluster, user: str):
 
 @pytest.fixture()
 def cluster():
+    """A fresh seed every run, printed so a failing placement replays:
+    pass it to ``HmacDrbg(bytes.fromhex(...))`` in place of the draw."""
+    seed = secrets.token_bytes(16)
+    print(f"cluster rng seed: {seed.hex()}")
     with TcpCluster(
         num_data_servers=2,
         chunking=ChunkingSpec(method="fixed", avg_size=CHUNK),
         gc_threshold=0.2,
+        rng=HmacDrbg(seed),
     ) as cluster:
         yield cluster
 
