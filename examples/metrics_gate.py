@@ -323,7 +323,6 @@ def replication_stage() -> list[str]:
                 problems.append(f"replication: client {required} is {value}")
         if storage.metrics.value("store_nodes_down") != 0:
             problems.append("replication: store_nodes_down nonzero after repair")
-        client.close()
     return problems
 
 
@@ -410,7 +409,6 @@ def gc_compaction_stage() -> list[str]:
             for required in REQUIRED_GC_SERIES:
                 if required not in names:
                     problems.append(f"gc: {node} missing series {required}")
-        client.close()
     return problems
 
 

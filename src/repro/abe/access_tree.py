@@ -102,20 +102,6 @@ def satisfies(node: Node, attributes: set[str]) -> bool:
     return satisfied >= node.threshold
 
 
-def satisfying_children(gate: Gate, attributes: set[str]) -> list[int] | None:
-    """Indexes of ``threshold`` satisfied children, or None if unsatisfied.
-
-    Decryption reconstructs a gate's secret from exactly ``threshold``
-    child shares; this picks the first satisfiable subset.
-    """
-    chosen = [
-        i for i, child in enumerate(gate.children) if satisfies(child, attributes)
-    ]
-    if len(chosen) < gate.threshold:
-        return None
-    return chosen[: gate.threshold]
-
-
 # ---------------------------------------------------------------------------
 # Serialization (deterministic; stored inside ABE ciphertexts)
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ from repro.core.client import (
     UploadResult,
 )
 from repro.core.groups import GroupManager, GroupRekeyResult
-from repro.core.lifecycle import KeyRotationScheduler, RotationPolicy
 from repro.core.policy import FilePolicy
 from repro.core.rekey import RekeyResult, RevocationMode
 from repro.core.schemes import (
@@ -33,8 +32,6 @@ __all__ = [
     "FilePolicy",
     "GroupManager",
     "GroupRekeyResult",
-    "KeyRotationScheduler",
-    "RotationPolicy",
     "REEDClient",
     "REEDServer",
     "ReedSystem",

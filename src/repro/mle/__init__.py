@@ -1,11 +1,6 @@
-"""Message-locked encryption: convergent encryption and server-aided MLE."""
+"""Message-locked encryption: server-aided MLE key derivation and its key cache."""
 
 from repro.mle.cache import DEFAULT_CACHE_BYTES, MLEKeyCache
-from repro.mle.convergent import (
-    ConvergentCiphertext,
-    ConvergentEncryption,
-    convergent_key,
-)
 from repro.mle.keymanager import KeyManager, KeyManagerStats
 from repro.mle.server_aided import (
     DEFAULT_BATCH_SIZE,
@@ -15,8 +10,6 @@ from repro.mle.server_aided import (
 )
 
 __all__ = [
-    "ConvergentCiphertext",
-    "ConvergentEncryption",
     "DEFAULT_BATCH_SIZE",
     "DEFAULT_CACHE_BYTES",
     "KeyManager",
@@ -25,5 +18,4 @@ __all__ = [
     "LocalKeyManagerChannel",
     "MLEKeyCache",
     "ServerAidedKeyClient",
-    "convergent_key",
 ]

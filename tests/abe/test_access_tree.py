@@ -1,7 +1,6 @@
 """Tests for access trees: construction, evaluation, grammar, encoding."""
 
 import pytest
-from hypothesis import strategies as st
 
 from repro.abe import access_tree as at
 from repro.util.errors import ConfigurationError, CorruptionError
@@ -64,11 +63,6 @@ class TestEvaluation:
         assert at.satisfies(tree, {"alice", "dept:genomics"})
         assert not at.satisfies(tree, {"alice"})
         assert not at.satisfies(tree, {"dept:genomics", "carol"})
-
-    def test_satisfying_children(self):
-        tree = at.threshold_of(2, at.Leaf("a"), at.Leaf("b"), at.Leaf("c"))
-        assert at.satisfying_children(tree, {"a", "c"}) == [0, 2]
-        assert at.satisfying_children(tree, {"a"}) is None
 
     def test_attributes_and_leaf_count(self):
         tree = at.and_of(at.Leaf("a"), at.or_of(at.Leaf("b"), at.Leaf("a")))

@@ -45,7 +45,6 @@ class TestRoundTripBounds:
         result = client.upload("file", make_data(n))
         assert result.chunk_count == n
         assert result.key_round_trips <= math.ceil(n / 16)
-        client.close()
 
     def test_store_round_trips_bounded(self, monkeypatch):
         shards = 4
@@ -68,7 +67,6 @@ class TestRoundTripBounds:
         # Whole upload (puts + bare flushes + file commit): bounded by a
         # constant number of per-shard fan-outs, not by N.
         assert result.store_round_trips <= shards * (2 * result.upload_batches + 3)
-        client.close()
 
     def test_single_batch_for_small_file(self):
         system = build_system(
@@ -78,7 +76,6 @@ class TestRoundTripBounds:
         result = client.upload("file", make_data(8))  # 32 KiB < 4 MiB batch
         assert result.upload_batches == 1
         assert result.key_round_trips == 1
-        client.close()
 
     def test_dedup_upload_skips_key_and_put_traffic(self):
         system = build_system(
@@ -90,7 +87,6 @@ class TestRoundTripBounds:
         result = client.upload("second", data)
         assert result.key_round_trips == 0  # all keys came from the cache
         assert result.new_chunks == 0
-        client.close()
 
 
 class TestBitIdenticalToPerChunkPath:
@@ -114,7 +110,6 @@ class TestBitIdenticalToPerChunkPath:
             ]
             chunks = client.storage.chunk_get_batch(fingerprints)
             roundtrip = client.download("file")
-            client.close()
             return {
                 "result": result,
                 "fingerprints": fingerprints,
@@ -154,10 +149,8 @@ class TestBitIdenticalToPerChunkPath:
             data = make_data(16)
             first = per_chunk_client(cluster, "alice")
             first.upload("alice-file", data)
-            first.close()
             second = cluster.new_client("bob")
             result = second.upload("bob-file", data)
-            second.close()
             assert result.new_chunks == 0  # every chunk was already there
 
 
@@ -170,7 +163,6 @@ class TestTcpRoundTripAccounting:
             n = 32
             client = cluster.new_client("alice")
             result = client.upload("file", make_data(n))
-            client.close()
             assert result.chunk_count == n
             assert result.key_round_trips == 1
             # ≤ shards × (put per batch) + bare flushes + file commit.

@@ -2,8 +2,8 @@
 
 A storage system's encodings are a compatibility contract — data written
 today must decrypt tomorrow.  These tests pin exact outputs of every
-deterministic transformation (both schemes under the AES-256-CTR cipher,
-CAONT, the codec, CP-ABE items and their envelope) against recorded hex
+deterministic transformation (both schemes' CAONT under the AES-256-CTR
+cipher, the codec, CP-ABE items and their envelope) against recorded hex
 digests; any change to a construction or an encoding breaks them loudly.
 
 If a break is *intentional* (a format revision), regenerate the vectors
@@ -17,7 +17,6 @@ import pytest
 
 from repro.abe import access_tree as at
 from repro.abe.cpabe import AbeSealer, AttributeAuthority, abe_decrypt
-from repro.aont.caont import caont_transform
 from repro.core import envelopes
 from repro.core.schemes import get_scheme
 from repro.crypto.drbg import HmacDrbg
@@ -55,13 +54,6 @@ class TestSchemeVectors:
                 f"{scheme_name}/{cipher_name} output changed — on-disk "
                 "format break! If intentional, regenerate golden vectors."
             )
-
-
-class TestCaontVector:
-    def test_caont_frozen(self):
-        package = caont_transform(CHUNK)
-        assert digest(package.head) == "8e544f08de929124e2f128fb56410a8b"
-        assert digest(package.tail) == "27ab635afb9ae209c6d5f4641a9607d8"
 
 
 class TestAbeVector:

@@ -85,7 +85,6 @@ def _upload(
 
     client.key_client.finish = spy
     result = client.upload("file", feed(data))
-    client.close()
     containers = {}
     for index, server in enumerate(system.servers):
         backend = server.store.backend
@@ -256,7 +255,6 @@ class TestBitIdentical:
             )
             assert rekeyed.new_key_version == rekeyed.old_key_version + 1
             assert not [name for name in started if name.startswith("reed-rekey")]
-        client.close()
 
 
 def _starting_threads(operation):
@@ -295,7 +293,7 @@ class TestAbort:
         client.upload_batch_bytes = 4096
         return system, client
 
-    def _assert_nothing_written(self, system, client):
+    def _assert_nothing_written(self, system):
         [recipe] = system.storage.recipe_get_many(["file"])
         assert isinstance(recipe, NotFoundError)
         for server in system.servers:
@@ -303,7 +301,6 @@ class TestAbort:
         [record] = system.keystore.get_many(["file"])
         assert isinstance(record, NotFoundError)
         assert _upload_threads() == []
-        client.close()
 
     def test_rate_limit_exhausted_mid_file(self):
         # The bucket holds 40 tokens and (frozen clock) never refills:
@@ -315,7 +312,7 @@ class TestAbort:
         with pytest.raises(RateLimitExceeded):
             client.upload("file", data)
         assert client.key_client.oprf_evaluations == 2 * KEY_WINDOW
-        self._assert_nothing_written(system, client)
+        self._assert_nothing_written(system)
 
     def test_bad_signature_in_window_k(self):
         system, client = self._system()
@@ -336,7 +333,7 @@ class TestAbort:
             client.upload("file", data)
         # Nothing behind the failing window went to the key manager.
         assert len(calls) == 3
-        self._assert_nothing_written(system, client)
+        self._assert_nothing_written(system)
 
     def test_first_error_wins(self):
         """Window 2 and every later window fail; the upload reports window 2."""
@@ -355,7 +352,7 @@ class TestAbort:
         with pytest.raises(KeyManagerError, match="window 2 refused"):
             client.upload("file", data)
         assert len(calls) == 2
-        self._assert_nothing_written(system, client)
+        self._assert_nothing_written(system)
 
 
 class TestConcurrentAttribution:
@@ -405,7 +402,6 @@ class TestConcurrentAttribution:
             ).new_client("alice")
             solo.upload_batch_bytes = 4096
             alone = solo.upload(name, data)
-            solo.close()
             got = results[name]
             assert got.key_oprf_evaluations == len({c.fingerprint for c in chunks})
             assert got.key_round_trips == alone.key_round_trips
@@ -413,7 +409,6 @@ class TestConcurrentAttribution:
             assert got.upload_batches == alone.upload_batches
         assert client.download("a").data == files["a"]
         assert client.download("b").data == files["b"]
-        client.close()
 
 
 def test_blind_many_matches_per_item_blinding(rsa_512):

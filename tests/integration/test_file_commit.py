@@ -99,7 +99,6 @@ def test_folded_flush_survives_a_restart_of_every_node():
         for server in cluster.servers:
             report = fsck(server.store)
             assert report.clean and report.segment_gaps == []
-        alice.close()
 
 
 def test_forged_chunk_in_a_flushing_batch_keeps_its_neighbours_durable():
@@ -251,7 +250,6 @@ def test_interrupted_upload_leaves_no_partial_file(inject, replicas, write_quoru
 
     client.upload("doc", data)
     assert client.download("doc").data == data
-    client.close()
 
 
 def test_commit_that_misses_one_owner_is_still_whole_at_w1():
@@ -269,7 +267,6 @@ def test_commit_that_misses_one_owner_is_still_whole_at_w1():
         undo()
     assert client.download("doc").data == data
     assert client.storage.metrics.value("store_degraded_writes_total") > 0
-    client.close()
 
 
 # -- transport retry: reads ride out a restart, commits are never re-sent -----
@@ -341,7 +338,6 @@ def test_restore_retries_file_get_across_a_restart():
         assert outcome.get("value") == data, outcome.get("error")
         assert connection.stats()["idempotent_retries"] >= 1
         connection.close()
-        alice.close()
 
 
 def test_interrupted_file_commit_is_never_resent():
@@ -372,4 +368,3 @@ def test_interrupted_file_commit_is_never_resent():
         assert alice.download("doc").data == data
         assert len(resent) == 1
         connection.close()
-        alice.close()

@@ -211,7 +211,6 @@ def test_group_active_rekey_pipelined_bit_identical_to_serial():
                     )
                 except Exception:  # noqa: BLE001
                     pass
-            owner.close()
     assert states[True] == states[False]
 
     serial, piped = results[False], results[True]
@@ -234,7 +233,6 @@ def test_post_rekey_downloads_round_trip():
         for index, file_id in enumerate(file_ids):
             downloaded = owner.download(file_id)
             assert downloaded.data == _payload(index)
-        owner.close()
 
 
 def test_rekey_many_bit_identical_to_serial_rekey():
@@ -277,7 +275,6 @@ def test_rekey_many_bit_identical_to_serial_rekey():
                     client, file_id, new_policy, RevocationMode.ACTIVE, sealer
                 )
         states[path] = _stored_state(system, file_ids)
-        client.close()
     assert states["rekey_many"] == states["oracle"]
     assert states["rekey"] == states["per_file_oracle"]
 
@@ -307,7 +304,6 @@ def test_rekey_many_bytes_do_not_depend_on_window_size_or_depth():
                 file_ids, FilePolicy.for_users(["alice"]), RevocationMode.ACTIVE
             )
             states[batch_size, depth] = _stored_state(system, file_ids)
-            client.close()
     reference = states[64, 1]
     assert all(state == reference for state in states.values())
 
@@ -339,7 +335,6 @@ def test_rekey_run_seals_one_header_and_opens_each_once():
     opens = _abe_headers(client, "open")
     assert client.download(file_ids[7]).data == _payload(7)
     assert _abe_headers(client, "open") - opens == 1
-    client.close()
 
 
 def test_user_dropped_by_a_run_is_denied_every_record_it_wrote():
@@ -364,7 +359,6 @@ def test_user_dropped_by_a_run_is_denied_every_record_it_wrote():
         with pytest.raises(AccessDeniedError):
             bob.download(file_id)
     assert len(headers) == 1
-    owner.close()
 
 
 @pytest.mark.parametrize(
@@ -408,7 +402,6 @@ def test_single_file_rekeys_report_the_round_trips_they_make(deploy):
             assert root.name == "rekey"
             assert root.trace_id == result.trace_id
         assert counts == [(2, 0), (2, 2), (2, 0), (2, 2)]
-        client.close()
     finally:
         if isinstance(deployment, TcpCluster):
             deployment.stop()
@@ -436,7 +429,6 @@ def test_shard_down_aborts_with_no_partial_rekey():
         # manifest — still MAC'd under the old group key — recovers via
         # key regression rather than failing authentication.
         assert sorted(groups.members(GROUP)) == sorted(file_ids)
-        owner.close()
 
 
 def test_interrupted_rekey_recovers_on_retry():
@@ -484,7 +476,6 @@ def test_interrupted_rekey_recovers_on_retry():
     downloaded = client.download("doc")
     assert downloaded.data == _payload(7)
     assert downloaded.key_version == result.new_key_version
-    client.close()
 
 
 def test_pipeline_crash_after_file_commit_recovers_on_retry():
@@ -526,7 +517,6 @@ def test_pipeline_crash_after_file_commit_recovers_on_retry():
         downloaded = client.download(file_id)
         assert downloaded.data == _payload(index)
         assert downloaded.key_version == rekeyed.new_key_version
-    client.close()
 
 
 def test_concurrent_rekey_and_upload_attribution_exact():
@@ -572,8 +562,6 @@ def test_concurrent_rekey_and_upload_attribution_exact():
         assert busy.store_round_trips == solo.store_round_trips
         assert busy.batches == solo.batches == 2
         assert busy.files == solo.files == 4
-        alice.close()
-        bob.close()
 
 
 def test_remote_batch_rpcs_carry_per_item_errors():
@@ -602,14 +590,13 @@ def test_remote_batch_rpcs_carry_per_item_errors():
         assert client.storage.file_get_many(["extra"]) == [(b"x" * 64, b"recipe")]
         deletes = client.storage.meta_delete_many(["present", "absent"])
         assert not isinstance(deletes[0], Exception)
-        client.close()
 
 
 def test_interrupted_group_rekey_manifest_recovers():
     """Abort a group rekey after the group record commits but before the
     manifest rewrite: reads recover by probing older group keys, and the
     next rekey heals the manifest."""
-    cluster, owner, groups, file_ids = _group_cluster(files=3)
+    cluster, _owner, groups, file_ids = _group_cluster(files=3)
     with cluster:
         # Fail the manifest rewrite (the last write of the rekey).
         original = groups._write_manifest
@@ -632,7 +619,6 @@ def test_interrupted_group_rekey_manifest_recovers():
         state, key = groups.group_key(GROUP)
         assert sorted(groups._read_manifest(GROUP, key)) == sorted(file_ids)
         assert state.version == result.new_group_version
-        owner.close()
 
 
 # -- windowed key-regression winds --------------------------------------------
@@ -734,7 +720,6 @@ def test_corrupt_key_state_mid_window_raises_its_error_and_ships_nothing():
         with pytest.raises(CorruptionError):
             client.rekey_many(file_ids, policy, RevocationMode.ACTIVE)
         assert _stored_state(cluster, file_ids) == before
-        client.close()
 
 
 def test_failed_pipelined_rekey_leaves_the_depth_1_state():
@@ -773,7 +758,6 @@ def test_failed_pipelined_rekey_leaves_the_depth_1_state():
                 if states[depth]["keystate", file_id] != before["keystate", file_id]
             ]
             assert rekeyed == list(range(8)), depth
-            client.close()
     assert states[2] == states[1]
 
 

@@ -175,7 +175,6 @@ class TestIntegrityAbort:
         reader = system.new_client("alice", owner=False)
         with pytest.raises(IntegrityError):
             reader.download("victim")
-        reader.close()
 
 
 class TestShardFailure:

@@ -139,7 +139,6 @@ def test_small_upload_is_signed_on_the_signer_workers(fresh_telemetry, cluster):
     for span in signs:
         assert span["node"] == "key-manager"
         assert by_id[span["parent_span_id"]]["name"] == "rpc.km.derive_batch"
-    client.close()
 
 
 def test_delete_leaves_its_own_trace(fresh_telemetry, cluster):
@@ -170,7 +169,6 @@ def test_delete_leaves_its_own_trace(fresh_telemetry, cluster):
         tree["end_time"] - tree["start_time"], rel=0.02
     )
     assert set(children) <= set(times)
-    client.close()
 
 
 @pytest.mark.slow

@@ -95,7 +95,6 @@ def test_a_pipelined_upload_sums_to_its_root():
     client.upload_batch_bytes = 4096
     client.upload("file", HmacDrbg(b"profile-data").random_bytes(40_000))
     root = client.tracer.last_trace()
-    client.close()
     assert root.name == "upload"
     tree = root.tree()
     times = profile(tree)
