@@ -38,7 +38,7 @@ import threading
 
 from repro.abe.cpabe import AttributeAuthority
 from repro.chunking.chunker import ChunkingSpec
-from repro.core.client import REEDClient
+from repro.core.client import REEDClient, file_blocks
 from repro.core.policy import FilePolicy
 from repro.core.rekey import RevocationMode
 from repro.core.server import REEDServer
@@ -325,14 +325,12 @@ def cmd_upload(args) -> int:
     org = _load_org(args)
     client, connections = _build_client(args, org)
     try:
-        with open(args.file, "rb") as handle:
-            data = handle.read()
         policy = (
             FilePolicy.parse(args.policy)
             if args.policy
             else FilePolicy.for_users([args.user])
         )
-        result = client.upload(args.id, data, policy=policy, pathname=args.file)
+        result = client.upload_path(args.id, args.file, policy=policy)
         print(
             f"uploaded {result.size:,} bytes as {args.id!r}: "
             f"{result.chunk_count} chunks, {result.new_chunks} new, "
@@ -411,9 +409,9 @@ def cmd_group(args) -> int:
             groups.create_group(args.group, FilePolicy.parse(args.policy))
             print(f"group {args.group!r} created with policy {args.policy}")
         elif args.group_command == "upload":
-            with open(args.file, "rb") as handle:
-                data = handle.read()
-            result = groups.upload(args.group, args.id, data, pathname=args.file)
+            result = groups.upload(
+                args.group, args.id, file_blocks(args.file), pathname=args.file
+            )
             print(
                 f"uploaded {result.size:,} bytes as {args.id!r} into group "
                 f"{args.group!r} ({result.new_chunks} new chunks)"

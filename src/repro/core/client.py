@@ -40,6 +40,7 @@ from repro.core.rekeypipe import (
     DEFAULT_REKEY_BATCH_SIZE,
     FileRekeyPlan,
     RekeyPipeline,
+    RekeyPipelineStats,
     check_items,
 )
 from repro.core.schemes import EncryptionScheme, SplitPackage, get_scheme
@@ -80,6 +81,22 @@ PIPELINE_DEPTH = 2
 #: Chunk references per restore fetch window: one ``chunk_get_batch``
 #: each, and ``PIPELINE_DEPTH`` windows resident at most.
 FETCH_BATCH_CHUNKS = 512
+
+#: seal(file_id, state) -> the state's new key-state record.  Called on
+#: the caller thread in file order: a rekey plan seals before it draws
+#: the file's stub nonce.
+SealStep = Callable[[str, KeyState], KeyStateRecord]
+
+#: A group's key-state record and its opened state.
+GroupState = tuple[KeyStateRecord, KeyState]
+
+
+def file_blocks(path: str, block_size: int = 4 * MiB) -> Iterator[bytes]:
+    """A file's bytes from disk in ``block_size`` pieces, for a
+    streaming upload: memory stays bounded by one block."""
+    with open(path, "rb") as handle:
+        while block := handle.read(block_size):
+            yield block
 
 
 @dataclass(frozen=True)
@@ -232,10 +249,6 @@ class REEDClient:
         self._m_download_bytes = self.metrics.counter(
             "client_download_bytes_total", "Plaintext bytes downloaded."
         )
-        self._m_rekeys = self.metrics.counter(
-            "client_rekeys_total", "Rekey operations, by revocation mode.",
-            labelnames=("mode",),
-        )
         self._m_rekey_files = self.metrics.counter(
             "client_rekey_files_total",
             "Files rekeyed (per file, including pipelined batches).",
@@ -336,39 +349,92 @@ class REEDClient:
             owner_public_key=owner.public_key.encode(),
         )
 
+    def _abe_seal_step(self, policy: FilePolicy) -> SealStep:
+        """A per-file run's seal step: every record is the next item of
+        one CP-ABE header under ``policy``, drawn at the first seal."""
+        sealer: AbeSealer | None = None
+
+        def seal(file_id: str, state: KeyState) -> KeyStateRecord:
+            nonlocal sealer
+            if sealer is None:
+                sealer = self._abe_sealer(policy)
+            return self._seal_key_state(file_id, state, policy, sealer)
+
+        return seal
+
+    def _group_seal_step(self, group_id: str, group_state: KeyState) -> SealStep:
+        """A group run's seal step: every record is a group envelope
+        under ``group_state``'s key; no CP-ABE work at all."""
+        owner_public_key = self._require_owner().public_key.encode()
+        group_key = group_state.derive_key()
+
+        def seal(file_id: str, state: KeyState) -> KeyStateRecord:
+            return KeyStateRecord(
+                file_id=file_id,
+                policy_text=f"@group:{group_id}",
+                key_version=state.version,
+                encrypted_state=envelopes.seal_group(
+                    group_id,
+                    group_state.version,
+                    group_key,
+                    state.encode(),
+                    rng=self.rng,
+                ),
+                owner_public_key=owner_public_key,
+            )
+
+        return seal
+
     def group_record_id(self, group_id: str) -> str:
         """Key-store identifier for a group's own key-state record."""
         return f"@group/{group_id}"
 
-    def _group_key_at(self, group_id: str, version: int) -> bytes:
-        """Resolve a group key: open the group's (ABE-sealed) key state
-        and unwind it to the requested version."""
+    def _group_state(self, group_id: str) -> GroupState:
+        """A group's record and its opened (ABE-sealed) key state."""
         [record] = check_items(
             self.keystore.get_many([self.group_record_id(group_id)])
         )
-        state = self._open_key_state(record)
-        if version > state.version:
-            raise CorruptionError(
-                f"envelope references future group version {version}"
-            )
-        return self._file_key_at(record, state, version)
+        return record, self._open_key_state(record)
 
     def _open_key_state(
-        self, record: KeyStateRecord, abe: AbeOpener | None = None
+        self,
+        record: KeyStateRecord,
+        abe: AbeOpener | None = None,
+        held: dict[str, GroupState] | None = None,
     ) -> KeyState:
         """Open a key-state record with this user's credentials.
 
         ABE envelopes decrypt with the private access key, through
-        ``abe`` when given (a run's opener: each header opens once) and
-        else through an opener of their own; group envelopes resolve the
-        group's key state first (itself ABE-protected), so access
-        control composes transparently.
+        ``abe`` when given (a run's opener: each header opens once).  A
+        group envelope opens under its group's key: a read resolves the
+        group's (ABE-sealed) state from the key store; a rekey run passes
+        ``held``, the group states it holds (none for a per-file run),
+        and refuses any other group's member, whose access changes only
+        through its group.
         """
         tag, payload = envelopes.decode_envelope(record.encrypted_state)
         if tag == envelopes.TAG_ABE:
             plaintext = (abe or self._abe_opener()).open(payload)
         else:
-            group_key = self._group_key_at(payload.group_id, payload.group_version)
+            group = (
+                self._group_state(payload.group_id)
+                if held is None
+                else held.get(payload.group_id)
+            )
+            if group is None:
+                raise ConfigurationError(
+                    f"{record.file_id!r} is a member of group "
+                    f"{payload.group_id!r}: change its access through the group"
+                )
+            group_record, group_state = group
+            if payload.group_version > group_state.version:
+                raise CorruptionError(
+                    "envelope references future group version "
+                    f"{payload.group_version}"
+                )
+            group_key = self._file_key_at(
+                group_record, group_state, payload.group_version
+            )
             plaintext = envelopes.open_group(payload, group_key)
         state = KeyState.decode(plaintext)
         if state.version != record.key_version:
@@ -402,9 +468,20 @@ class REEDClient:
         ``policy`` defaults to "only this user".  ``data`` may be a byte
         string or an iterable of byte blocks (streaming upload).
         """
-        owner = self._require_owner()
         if policy is None:
             policy = FilePolicy.for_users([self.user_id])
+        return self._upload(file_id, data, self._abe_seal_step(policy), pathname)
+
+    def _upload(
+        self,
+        file_id: str,
+        data: bytes | Iterable[bytes],
+        seal: SealStep,
+        pathname: str,
+    ) -> UploadResult:
+        """Every upload: ``seal`` makes the file's first key-state record
+        (its own CP-ABE header, or a group envelope)."""
+        owner = self._require_owner()
         state = owner.initial_state()
         file_key = state.derive_key()
 
@@ -468,8 +545,7 @@ class REEDClient:
             with tracer.span("upload.commit"):
                 self._commit_file(file_id, stub_file, recipe)
             with tracer.span("upload.keystate"):
-                record = self._seal_key_state(file_id, state, policy)
-                check_items(self.keystore.put_many([record]))
+                check_items(self.keystore.put_many([seal(file_id, state)]))
 
         self._m_uploads.inc()
         self._m_upload_bytes.inc(total_size)
@@ -504,16 +580,9 @@ class REEDClient:
         Memory use stays bounded by the read block plus one upload
         batch, so GB-scale files never materialize in memory.
         """
-
-        def blocks():
-            with open(path, "rb") as handle:
-                while True:
-                    block = handle.read(read_block)
-                    if not block:
-                        return
-                    yield block
-
-        return self.upload(file_id, blocks(), policy=policy, pathname=path)
+        return self.upload(
+            file_id, file_blocks(path, read_block), policy=policy, pathname=path
+        )
 
     # ------------------------------------------------------------------
     # download
@@ -818,6 +887,71 @@ class REEDClient:
 
         return self._rekey_run([file_id], mode, resolve).single()
 
+    def _rekey_files(
+        self,
+        file_ids: list[str],
+        mode: RevocationMode,
+        seal: SealStep,
+        records: list[KeyStateRecord] | None = None,
+        held: dict[str, GroupState] | None = None,
+        wind: bool = True,
+    ) -> RekeyPipelineStats:
+        """The one planner behind every rekey run.  A per-file run
+        (:meth:`_abe_seal_step`) and a group run
+        (:meth:`_group_seal_step`, with the group's state ``held``)
+        differ only in ``seal`` and ``wind``: a LAZY group run re-wraps
+        member states without winding them.  ``records`` are the files'
+        current key-state records when the caller already read them.
+        The opener opens each old CP-ABE header once (a previous run's
+        records share theirs)."""
+        active = mode is RevocationMode.ACTIVE
+        abe = self._abe_opener()
+        held = held or {}
+
+        def plan_file(
+            file_id: str,
+            record: KeyStateRecord,
+            old_state: KeyState,
+            new_state: KeyState,
+            recipe_bytes: bytes | None,
+            stub_file: bytes | None,
+        ) -> FileRekeyPlan:
+            plan = FileRekeyPlan(
+                file_id=file_id,
+                new_record=seal(file_id, new_state),
+                old_key_version=old_state.version,
+                new_key_version=new_state.version,
+            )
+            if active:
+                recipe = FileRecipe.decode(recipe_bytes)
+                plan.stub_file = stub_file
+                plan.old_file_key = self._stub_source_key(
+                    record, old_state, recipe.key_version
+                )
+                plan.new_file_key = new_state.derive_key()
+                plan.nonce = self.rng.random_bytes(STUB_NONCE_SIZE)
+                plan.updated_recipe = replace(
+                    recipe, key_version=new_state.version
+                ).encode()
+            return plan
+
+        pipeline = RekeyPipeline(
+            self.storage,
+            self.keystore,
+            opener=lambda record: self._open_key_state(record, abe, held),
+            planner=plan_file,
+            tracer=self.tracer,
+            winder=self._wind if wind else None,
+            active=active,
+            batch_size=self.rekey_batch_size,
+            pipeline_depth=self.pipeline_depth,
+        )
+        stats = pipeline.run(file_ids, records)
+        self._m_rekey_files.labels(mode=mode.value).inc(stats.files)
+        self._m_rekey_batches.inc(stats.batches)
+        self._m_rekey_stub_bytes.inc(stats.stub_bytes)
+        return stats
+
     def _rekey_run(
         self,
         file_ids: list[str],
@@ -829,64 +963,15 @@ class REEDClient:
         returns the new policy and, when already read, the files'
         current key-state records."""
         self._require_owner()
-        active = mode is RevocationMode.ACTIVE
         with obs_scope.attribution() as scope, self.tracer.span(
             "rekey", mode=mode.value, files=len(file_ids)
         ) as root:
             new_policy, records = resolve()
-            # One policy for the whole run, so one CP-ABE header: drawn
-            # here, before the first file's stub nonce, and every new
-            # record is an item of it.  The opener opens each old header
-            # once (a previous run's records share theirs).
-            sealer = self._abe_sealer(new_policy)
-            abe = self._abe_opener()
-
-            def plan_file(
-                file_id: str,
-                record: KeyStateRecord,
-                old_state: KeyState,
-                new_state: KeyState,
-                recipe_bytes: bytes | None,
-                stub_file: bytes | None,
-            ) -> FileRekeyPlan:
-                plan = FileRekeyPlan(
-                    file_id=file_id,
-                    new_record=self._seal_key_state(
-                        file_id, new_state, new_policy, sealer
-                    ),
-                    old_key_version=old_state.version,
-                    new_key_version=new_state.version,
-                )
-                if active:
-                    recipe = FileRecipe.decode(recipe_bytes)
-                    plan.stub_file = stub_file
-                    plan.old_file_key = self._stub_source_key(
-                        record, old_state, recipe.key_version
-                    )
-                    plan.new_file_key = new_state.derive_key()
-                    plan.nonce = self.rng.random_bytes(STUB_NONCE_SIZE)
-                    plan.updated_recipe = replace(
-                        recipe, key_version=new_state.version
-                    ).encode()
-                return plan
-
-            pipeline = RekeyPipeline(
-                self.storage,
-                self.keystore,
-                opener=lambda record: self._open_key_state(record, abe),
-                planner=plan_file,
-                tracer=self.tracer,
-                winder=self._wind,
-                active=active,
-                batch_size=self.rekey_batch_size,
-                pipeline_depth=self.pipeline_depth,
+            # One policy for the whole run, so one CP-ABE header, and
+            # every new record is an item of it.
+            stats = self._rekey_files(
+                file_ids, mode, self._abe_seal_step(new_policy), records=records
             )
-            stats = pipeline.run(file_ids, records)
-
-        self._m_rekeys.labels(mode=mode.value).inc(stats.files)
-        self._m_rekey_files.labels(mode=mode.value).inc(stats.files)
-        self._m_rekey_batches.inc(stats.batches)
-        self._m_rekey_stub_bytes.inc(stats.stub_bytes)
         results = tuple(
             RekeyResult(
                 file_id=file_id,

@@ -22,28 +22,30 @@ Clients open group-enveloped files transparently
 (:meth:`REEDClient._open_key_state` resolves the group), so downloads,
 lazy access to old versions, and revocation semantics all match the
 per-file design.
+
+:class:`GroupManager` owns only what is group-specific: the group
+record, the manifest and :class:`GroupRekeyResult`.  Member files ride
+the client's own upload and rekey run (:meth:`REEDClient._rekey_files`),
+which seals them with the group seal step.  A member's access changes
+only through its group: the client refuses a per-file rekey of one.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from repro.core import envelopes
 from repro.core.client import REEDClient, UploadResult
 from repro.core.policy import FilePolicy
 from repro.core.rekey import RevocationMode
-from repro.core.rekeypipe import FileRekeyPlan, RekeyPipeline, check_items
-from repro.core.stubs import STUB_NONCE_SIZE
+from repro.core.rekeypipe import check_items
 from repro.crypto.hashing import hmac_sha256, kdf
-from repro.crypto.rsa import RSAPublicKey
-from repro.keyreg.rsa_keyreg import KeyRegressionMember, KeyState
+from repro.keyreg.rsa_keyreg import KeyState
 from repro.obs import scope as obs_scope
 from repro.storage.keystore import KeyStateRecord
-from repro.storage.recipes import FileRecipe
 from repro.util.bytesutil import ct_equal
 from repro.util.codec import Decoder, Encoder
-from repro.util.errors import ConfigurationError, CorruptionError, IntegrityError, NotFoundError
+from repro.util.errors import ConfigurationError, IntegrityError, NotFoundError
 
 
 @dataclass(frozen=True)
@@ -117,9 +119,6 @@ class GroupManager:
         )
         return blob
 
-    def _read_manifest(self, group_id: str, group_key: bytes) -> list[str]:
-        return self._decode_manifest(self._manifest_blob(group_id), group_key)
-
     def _read_manifest_at(
         self, group_id: str, record: KeyStateRecord, state: KeyState
     ) -> list[str]:
@@ -132,13 +131,8 @@ class GroupManager:
         until the MAC verifies.
         """
         blob = self._manifest_blob(group_id)
-        try:
-            return self._decode_manifest(blob, state.derive_key())
-        except IntegrityError:
-            pass
-        member = KeyRegressionMember(RSAPublicKey.decode(record.owner_public_key))
-        for version in range(state.version - 1, -1, -1):
-            key = member.unwind_to(state, version).derive_key()
+        for version in range(state.version, -1, -1):
+            key = self.client._file_key_at(record, state, version)
             try:
                 return self._decode_manifest(blob, key)
             except IntegrityError:
@@ -168,13 +162,11 @@ class GroupManager:
 
     def group_key(self, group_id: str) -> tuple[KeyState, bytes]:
         """The group's current key state and derived group key."""
-        record = self._group_record(group_id)
-        state = self.client._open_key_state(record)
+        _record, state = self.client._group_state(group_id)
         return state, state.derive_key()
 
     def members(self, group_id: str) -> list[str]:
-        record = self._group_record(group_id)
-        state = self.client._open_key_state(record)
+        record, state = self.client._group_state(group_id)
         return self._read_manifest_at(group_id, record, state)
 
     # -- file membership ------------------------------------------------------
@@ -185,55 +177,38 @@ class GroupManager:
         """Upload a file into the group.
 
         The file's chunks and stub file are produced exactly as in a
-        normal upload; only the key-state envelope differs (sealed under
-        the group key instead of per-file ABE).
+        normal upload; only its key-state record differs: the upload
+        seals it straight into a group envelope, with no CP-ABE work.
         """
-        record = self._group_record(group_id)
-        state = self.client._open_key_state(record)
-        group_key = state.derive_key()
-        result = self.client.upload(
-            file_id, data, policy=FilePolicy.for_users([self.client.user_id]),
-            pathname=pathname,
+        client = self.client
+        record, state = client._group_state(group_id)
+        result = client._upload(
+            file_id, data, client._group_seal_step(group_id, state), pathname
         )
-        self._reseal_file(file_id, group_id, state.version, group_key)
-        files = self._read_manifest_at(group_id, record, state)
-        if file_id not in files:
-            files.append(file_id)
-        self._write_manifest(group_id, group_key, files)
+        self._add_member(group_id, file_id, record, state)
         return result
 
     def adopt(self, group_id: str, file_id: str) -> None:
-        """Move an existing (ABE-sealed) file of this owner into the group."""
-        record = self._group_record(group_id)
-        state = self.client._open_key_state(record)
-        group_key = state.derive_key()
-        self._reseal_file(file_id, group_id, state.version, group_key)
-        files = self._read_manifest_at(group_id, record, state)
-        if file_id in files:
-            raise ConfigurationError(f"{file_id!r} already in group {group_id!r}")
-        files.append(file_id)
-        self._write_manifest(group_id, group_key, files)
+        """Move an existing (ABE-sealed) file of this owner into the group.
 
-    def _reseal_file(
-        self, file_id: str, group_id: str, group_version: int, group_key: bytes
+        A member of any group, this one included, is refused before
+        anything is written: its access changes only through its group.
+        """
+        client = self.client
+        record, state = client._group_state(group_id)
+        [file_record] = check_items(client.keystore.get_many([file_id]))
+        file_state = client._open_key_state(file_record, held={})
+        resealed = client._group_seal_step(group_id, state)(file_id, file_state)
+        check_items(client.keystore.put_many([resealed]))
+        self._add_member(group_id, file_id, record, state)
+
+    def _add_member(
+        self, group_id: str, file_id: str, record: KeyStateRecord, state: KeyState
     ) -> None:
-        """Replace a file's envelope with a group envelope (same state)."""
-        [record] = check_items(self.client.keystore.get_many([file_id]))
-        file_state = self.client._open_key_state(record)
-        resealed = KeyStateRecord(
-            file_id=file_id,
-            policy_text=f"@group:{group_id}",
-            key_version=file_state.version,
-            encrypted_state=envelopes.seal_group(
-                group_id,
-                group_version,
-                group_key,
-                file_state.encode(),
-                rng=self.client.rng,
-            ),
-            owner_public_key=record.owner_public_key,
-        )
-        check_items(self.client.keystore.put_many([resealed]))
+        files = self._read_manifest_at(group_id, record, state)
+        if file_id not in files:
+            files.append(file_id)
+        self._write_manifest(group_id, state.derive_key(), files)
 
     # -- rekeying ------------------------------------------------------------
 
@@ -251,12 +226,8 @@ class GroupManager:
         re-encrypts its stub file, exactly like per-file active
         revocation.
 
-        Member files ride the batched
-        :class:`~repro.core.rekeypipe.RekeyPipeline` — one batch RPC per
-        stage per window instead of ~5 round trips per file, with member
-        winds and stub re-encryption in the client's process.  Every
-        random draw happens on this thread in file order, so the
-        stored bytes do not depend on the window size.
+        Member files ride the client's own batched rekey run
+        (:meth:`REEDClient._rekey_files`) with the group seal step.
 
         The group record commits first (it *is* the single ABE
         operation); member records and the manifest follow, and an
@@ -295,9 +266,7 @@ class GroupManager:
         """One group rekey; ``policy_of(record)`` names the new policy
         from the group's current record."""
         client = self.client
-        owner = client.keyreg_owner
-        tracer = client.tracer
-        with obs_scope.attribution() as scope, tracer.span(
+        with obs_scope.attribution() as scope, client.tracer.span(
             "rekey.group", mode=mode.value
         ):
             record = self._group_record(group_id)
@@ -305,20 +274,23 @@ class GroupManager:
             old_state = client._open_key_state(record)
             files = self._read_manifest_at(group_id, record, old_state)
 
-            new_state = owner.wind(old_state)
-            new_key = new_state.derive_key()
-            record_id = client.group_record_id(group_id)
-            new_record = client._seal_key_state(record_id, new_state, new_policy)
-            check_items(client.keystore.put_many([new_record]))
-            stats = self._rekey_members(
-                group_id, files, record, old_state, new_state.version,
-                new_key, mode,
+            new_state = client.keyreg_owner.wind(old_state)
+            new_record = client._seal_key_state(
+                client.group_record_id(group_id), new_state, new_policy
             )
-            self._write_manifest(group_id, new_key, files)
+            check_items(client.keystore.put_many([new_record]))
+            # Member envelopes reference group versions up to the old
+            # one, which the run opens from the state held here: one
+            # keystore get_many per window, no group record re-fetch.
+            stats = client._rekey_files(
+                files,
+                mode,
+                client._group_seal_step(group_id, new_state),
+                held={group_id: (record, old_state)},
+                wind=mode is RevocationMode.ACTIVE,
+            )
+            self._write_manifest(group_id, new_state.derive_key(), files)
 
-        client._m_rekey_files.labels(mode=mode.value).inc(len(files))
-        client._m_rekey_batches.inc(stats.batches)
-        client._m_rekey_stub_bytes.inc(stats.stub_bytes)
         return GroupRekeyResult(
             group_id=group_id,
             mode=mode,
@@ -331,112 +303,3 @@ class GroupManager:
             keystore_round_trips=scope.get_int("keystore_round_trips"),
             batches=stats.batches,
         )
-
-    def _rekey_members(
-        self,
-        group_id: str,
-        files: list[str],
-        record: KeyStateRecord,
-        old_state: KeyState,
-        new_group_version: int,
-        new_key: bytes,
-        mode: RevocationMode,
-    ):
-        """Re-wrap (and actively rekey) member files through the pipeline."""
-        client = self.client
-        active = mode is RevocationMode.ACTIVE
-
-        # Member envelopes reference group versions <= old_state.version.
-        # Opening them through client._open_key_state would re-fetch and
-        # ABE-open the group record once per file; deriving old group
-        # keys from the state we already hold keeps the keystore cost at
-        # one batch RPC per window.
-        member_view = KeyRegressionMember(
-            RSAPublicKey.decode(record.owner_public_key)
-        )
-        group_keys: dict[int, bytes] = {old_state.version: old_state.derive_key()}
-
-        def group_key_at(version: int) -> bytes:
-            key = group_keys.get(version)
-            if key is None:
-                if version > old_state.version:
-                    raise CorruptionError(
-                        f"envelope references future group version {version}"
-                    )
-                key = member_view.unwind_to(old_state, version).derive_key()
-                group_keys[version] = key
-            return key
-
-        def open_member_state(file_record: KeyStateRecord) -> KeyState:
-            tag, payload = envelopes.decode_envelope(file_record.encrypted_state)
-            if tag != envelopes.TAG_GROUP or payload.group_id != group_id:
-                return client._open_key_state(file_record)
-            plaintext = envelopes.open_group(
-                payload, group_key_at(payload.group_version)
-            )
-            state = KeyState.decode(plaintext)
-            if state.version != file_record.key_version:
-                raise CorruptionError(
-                    "key-state version disagrees with its record metadata"
-                )
-            return state
-
-        def plan_file(
-            file_id: str,
-            file_record: KeyStateRecord,
-            old_state: KeyState,
-            new_state: KeyState,
-            recipe_bytes: bytes | None,
-            stub_file: bytes | None,
-        ) -> FileRekeyPlan:
-            stub_fields = {}
-            if active:
-                recipe = FileRecipe.decode(recipe_bytes)
-                # Draw order per file: stub nonce first, then the group
-                # envelope's nonce (in seal_group).
-                stub_fields = dict(
-                    stub_file=stub_file,
-                    old_file_key=client._stub_source_key(
-                        file_record, old_state, recipe.key_version
-                    ),
-                    new_file_key=new_state.derive_key(),
-                    nonce=client.rng.random_bytes(STUB_NONCE_SIZE),
-                    updated_recipe=replace(
-                        recipe, key_version=new_state.version
-                    ).encode(),
-                )
-            new_record = KeyStateRecord(
-                file_id=file_id,
-                policy_text=f"@group:{group_id}",
-                key_version=new_state.version,
-                encrypted_state=envelopes.seal_group(
-                    group_id,
-                    new_group_version,
-                    new_key,
-                    new_state.encode(),
-                    rng=client.rng,
-                ),
-                owner_public_key=file_record.owner_public_key,
-            )
-            return FileRekeyPlan(
-                file_id=file_id,
-                new_record=new_record,
-                old_key_version=old_state.version,
-                new_key_version=new_state.version,
-                **stub_fields,
-            )
-
-        # Lazy group rekeying re-wraps member states as they are; only
-        # active mode winds them.
-        pipeline = RekeyPipeline(
-            client.storage,
-            client.keystore,
-            opener=open_member_state,
-            planner=plan_file,
-            tracer=client.tracer,
-            winder=client._wind if active else None,
-            active=active,
-            batch_size=client.rekey_batch_size,
-            pipeline_depth=client.pipeline_depth,
-        )
-        return pipeline.run(list(files))

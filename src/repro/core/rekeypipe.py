@@ -17,11 +17,14 @@ Stages, mirroring the upload pipeline:
 2. **open → wind → plan → re-encrypt** (caller thread) — an *opener*
    callback opens every key state of the window in file order; the
    *winder* advances them all one version in one call; a per-file
-   *planner* callback then seals each new record (the client's as the
-   next item of the run's one CP-ABE header, drawn before the first
-   window), drawing every random byte **on the caller thread in file
-   order**; then each stub file is re-encrypted with its pre-drawn
-   nonce.  Winds are deterministic and the draw order is the per-file
+   *planner* callback then seals each new record and, in active mode,
+   draws its stub nonce, every random byte **on the caller thread in
+   file order**; then each stub file is re-encrypted with its pre-drawn
+   nonce.  The client writes the one planner
+   (:meth:`REEDClient._rekey_files`), with two seal steps: a per-file
+   run seals each record as the next item of the run's one CP-ABE
+   header, and a group run seals each member in a group envelope under
+   the new group key.  Winds are deterministic and the draw order is the per-file
    order, so the output does not depend on the window size or the
    pipeline depth.  All of it runs in the client's process: a wind is
    about 0.07 ms and a stub file of a few KiB about 20 µs, too little
@@ -146,12 +149,9 @@ class RekeyPipeline:
     """One batched rekey run over a fixed list of file ids.
 
     The pipeline is policy-agnostic: the *opener* and *planner* decide
-    how each key state opens and how its new record is sealed (per-file
-    ABE for :class:`REEDClient`'s rekeys, symmetric group envelopes for
-    :meth:`GroupManager.rekey`), so both ride the same fetch/wind/
-    re-encrypt/ship machinery.  Without a *winder* the states are
-    resealed as they are (lazy group rekeying re-wraps, it never winds
-    member files).
+    how each key state opens and how its new record is sealed.  Without
+    a *winder* the states are resealed as they are (lazy group rekeying
+    re-wraps, it never winds member files).
     """
 
     def __init__(

@@ -112,7 +112,8 @@ class REEDServer:
         return self.store.get_many(fingerprints)
 
     def chunk_release_batch(self, fingerprints: list[bytes]) -> None:
-        """Drop one reference per fingerprint; releases are idempotent.
+        """Drop one reference per fingerprint.  Not idempotent: a
+        repeated release drops a reference twice (ROADMAP item 18).
 
         A fingerprint this node never held is tolerated per item rather
         than aborting the batch: with replication a replica can lack an

@@ -2,9 +2,13 @@
 
 Transient faults — a dropped TCP connection, a server restarting, a
 timeout — surface as :class:`ProtocolError`/:class:`OSError` from the
-transport.  Idempotent REED operations (every storage/key-state method
-is idempotent: puts overwrite deterministically, gets are reads) can
-simply be retried.
+transport.  Only the reads and info calls listed in
+:data:`IDEMPOTENT_METHOD_SUFFIXES` are retried: repeating one changes
+nothing on the server.  Writes are not retried, because they are not
+idempotent: a repeated ``storage.put_many`` counts each chunk's
+reference twice, and a repeated ``storage.release`` drops a reference
+twice (ROADMAP item 18).  After a fault, whether a write landed is unknown, so the fault
+reaches the caller.
 
 :class:`RetryPolicy` implements capped exponential backoff;
 :class:`~repro.net.tcp.TcpConnection` runs every request whose method
@@ -27,11 +31,8 @@ TRANSIENT_ERRORS: tuple[type[BaseException], ...] = (ProtocolError, OSError)
 
 #: Wire-method name suffixes (the part after the service prefix, e.g.
 #: ``storage.has_many`` → ``has_many``) that are safe to retry blind on a
-#: broken connection: pure reads plus side-effect-free info calls.  The
-#: deliberately-excluded deterministic writes (``put_many`` and
-#: ``file_commit`` overwrite identically) would also be safe data-wise,
-#: but retrying them skews dedup/rate-limit accounting, so the transport
-#: only auto-retries these.
+#: broken connection: pure reads plus side-effect-free info calls.  No
+#: write is listed (see the module docstring).
 IDEMPOTENT_METHOD_SUFFIXES: frozenset[str] = frozenset(
     {
         "has_many",

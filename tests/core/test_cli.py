@@ -9,6 +9,7 @@ import pytest
 
 import repro
 from repro.cli import OrgState, build_parser, main, start_service
+from repro.core.client import REEDClient
 from repro.workloads.synthetic import unique_data
 
 
@@ -124,6 +125,43 @@ class TestFileLifecycle:
         assert main([
             "download", *client_args(org_dir, cluster, "bob"),
             "--id", "cli-file", "--out", str(out),
+        ]) == 0
+        assert out.read_bytes() == data
+
+    @pytest.mark.parametrize("command", [["upload"], ["group", "upload"]])
+    def test_upload_streams_the_file_in_blocks(
+        self, org_dir, cluster, tmp_path, monkeypatch, command
+    ):
+        """A CLI upload hands the client the file block by block, never
+        whole: a file one block and a bit long arrives as two blocks."""
+        args = client_args(org_dir, cluster, "alice")
+        file_id = "-".join(["streamed", *command])
+        if command[0] == "group":
+            main(["group", "create", *args, "--group", "sg", "--policy", "alice"])
+            args = [*args, "--group", "sg"]
+        data = unique_data(4 * 1024 * 1024 + 4096, seed=79)
+        source = tmp_path / "streamed.bin"
+        source.write_bytes(data)
+        blocks: list[int] = []
+        upload = REEDClient._upload
+
+        def spy(self, file_id, data, seal, pathname):
+            assert not isinstance(data, bytes)
+
+            def counted():
+                for block in data:
+                    blocks.append(len(block))
+                    yield block
+
+            return upload(self, file_id, counted(), seal, pathname)
+
+        monkeypatch.setattr(REEDClient, "_upload", spy)
+        assert main([*command, *args, "--id", file_id, "--file", str(source)]) == 0
+        assert blocks == [4 * 1024 * 1024, 4096]
+        out = tmp_path / "streamed-out.bin"
+        assert main([
+            "download", *client_args(org_dir, cluster, "alice"),
+            "--id", file_id, "--out", str(out),
         ]) == 0
         assert out.read_bytes() == data
 
@@ -315,6 +353,32 @@ class TestGroupCommands:
             "download", *client_args(org_dir, cluster, "postdoc"),
             "--id", "grp-file", "--out", str(out),
         ]) == 0
+
+    def test_revoke_of_a_group_member_is_refused(
+        self, org_dir, cluster, tmp_path, capsys
+    ):
+        """``reed revoke`` on a group member exits 2 naming the group; the
+        member's access changes only through ``reed group revoke``."""
+        args = client_args(org_dir, cluster, "pi")
+        main(["group", "create", *args, "--group", "lab3", "--policy", "pi or bob"])
+        source = tmp_path / "g3.bin"
+        data = unique_data(20_000, seed=83)
+        source.write_bytes(data)
+        main([
+            "group", "upload", *args,
+            "--group", "lab3", "--id", "g3-file", "--file", str(source),
+        ])
+        capsys.readouterr()
+        assert main([
+            "revoke", *args, "--id", "g3-file", "--users", "bob",
+        ]) == 2
+        assert "'lab3'" in capsys.readouterr().err
+        out = tmp_path / "g3-out.bin"
+        assert main([
+            "download", *client_args(org_dir, cluster, "bob"),
+            "--id", "g3-file", "--out", str(out),
+        ]) == 0
+        assert out.read_bytes() == data
 
     def test_group_members_listing(self, org_dir, cluster, tmp_path, capsys):
         args = client_args(org_dir, cluster, "owner2")

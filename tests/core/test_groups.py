@@ -5,6 +5,9 @@ import pytest
 from repro.core.groups import GroupManager
 from repro.core.policy import FilePolicy
 from repro.core.rekey import RevocationMode
+from repro.core.system import build_system
+from repro.crypto.drbg import HmacDrbg
+from repro.obs import scope as obs_scope
 from repro.util.errors import AccessDeniedError, ConfigurationError
 from repro.workloads.synthetic import unique_data
 
@@ -143,3 +146,94 @@ class TestGroupRekey:
         before = seals()
         groups.rekey("genomics", FilePolicy.for_users(["pi", "postdoc"]))
         assert seals() - before == 1
+
+
+class TestGroupUploadCost:
+    def test_upload_seals_straight_into_the_group(self, pi, groups):
+        """A group upload reads the group record and writes the member's
+        group envelope: two keystore round trips, one CP-ABE open (the
+        group's) and no CP-ABE seal."""
+        groups.create_group("g", FilePolicy.for_users(["pi", "postdoc"]))
+
+        def headers(op: str) -> float:
+            return pi.metrics.value("client_abe_headers_total", op=op)
+
+        seals, opens = headers("seal"), headers("open")
+        with obs_scope.attribution() as scope:
+            groups.upload("g", "f", unique_data(30_000, seed=610))
+        assert scope.get_int("keystore_round_trips") == 2
+        assert headers("seal") - seals == 0
+        assert headers("open") - opens == 1
+
+
+class TestMembersChangeOnlyThroughTheirGroup:
+    """A per-file rekey of a group member is refused, naming the group,
+    before anything is written."""
+
+    @pytest.fixture()
+    def system(self):
+        return build_system(num_data_servers=2, rng=HmacDrbg(b"group-member"))
+
+    @pytest.fixture()
+    def alice(self, system):
+        return system.new_client("alice")
+
+    def _stored(self, system, file_id: str) -> bytes:
+        [record] = system.keystore.get_many([file_id])
+        return record.encode()
+
+    def test_revoke_users_on_a_member_cannot_lock_everyone_out(
+        self, system, alice
+    ):
+        groups = GroupManager(alice)
+        groups.create_group("G", FilePolicy.for_users(["alice", "bob"]))
+        data = unique_data(20_000, seed=620)
+        groups.upload("G", "f", data)
+        before = self._stored(system, "f")
+        for mode in RevocationMode:
+            with pytest.raises(ConfigurationError, match="'G'"):
+                alice.revoke_users("f", {"bob"}, mode)
+        assert self._stored(system, "f") == before
+        bob = system.new_client("bob", owner=False)
+        assert alice.download("f").data == data
+        assert bob.download("f").data == data
+        # The group still rekeys, and that is how bob loses access.
+        groups.revoke_users("G", {"bob"}, RevocationMode.ACTIVE)
+        assert alice.download("f").data == data
+        with pytest.raises(AccessDeniedError):
+            bob.download("f")
+
+    def test_rekey_many_on_a_member_cannot_widen_access_later(
+        self, system, alice
+    ):
+        groups = GroupManager(alice)
+        groups.create_group("G", FilePolicy.for_users(["alice", "bob", "carol"]))
+        data = unique_data(20_000, seed=621)
+        groups.upload("G", "h", data)
+        before = self._stored(system, "h")
+        with pytest.raises(ConfigurationError, match="'G'"):
+            alice.rekey_many(
+                ["h"], FilePolicy.for_users(["alice"]), RevocationMode.ACTIVE
+            )
+        with pytest.raises(ConfigurationError, match="'G'"):
+            alice.rekey("h", FilePolicy.for_users(["alice"]))
+        assert self._stored(system, "h") == before
+        groups.revoke_users("G", {"carol"})
+        bob = system.new_client("bob", owner=False)
+        carol = system.new_client("carol", owner=False)
+        assert bob.download("h").data == data
+        with pytest.raises(AccessDeniedError):
+            carol.download("h")
+
+    def test_adopting_a_member_of_another_group_writes_nothing(
+        self, system, alice
+    ):
+        groups = GroupManager(alice)
+        groups.create_group("G", FilePolicy.for_users(["alice"]))
+        groups.create_group("H", FilePolicy.for_users(["alice", "bob"]))
+        groups.upload("G", "f", unique_data(10_000, seed=622))
+        before = self._stored(system, "f")
+        with pytest.raises(ConfigurationError, match="'G'"):
+            groups.adopt("H", "f")
+        assert self._stored(system, "f") == before
+        assert groups.members("H") == []

@@ -137,8 +137,8 @@ def _serial_rekey(
 
 def _serial_group_revoke(groups, revoked: set[str], mode) -> dict:
     """Group revocation, member by member: one ABE seal for the group
-    record, then per member a fetch, an open, (active) a wind and a stub
-    re-encryption, and a group-envelope seal."""
+    record, then per member a fetch, an open, (active) a wind, a
+    group-envelope seal and (active) a stub re-encryption."""
     client = groups.client
     with obs_scope.attribution() as scope:
         record = groups._group_record(GROUP)
@@ -154,13 +154,9 @@ def _serial_group_revoke(groups, revoked: set[str], mode) -> dict:
         stub_bytes = 0
         for file_id in files:
             [file_record] = client.keystore.get_many([file_id])
-            state = client._open_key_state(file_record)
+            old_state = state = client._open_key_state(file_record)
             if mode is RevocationMode.ACTIVE:
-                old_state = state
                 (state,) = client._wind([old_state])
-                stub_bytes += _serial_stub_reencrypt(
-                    client, file_record, old_state, state
-                )
             resealed = KeyStateRecord(
                 file_id=file_id,
                 policy_text=f"@group:{GROUP}",
@@ -174,6 +170,10 @@ def _serial_group_revoke(groups, revoked: set[str], mode) -> dict:
                 ),
                 owner_public_key=file_record.owner_public_key,
             )
+            if mode is RevocationMode.ACTIVE:
+                stub_bytes += _serial_stub_reencrypt(
+                    client, file_record, old_state, state
+                )
             assert client.keystore.put_many([resealed]) == [None]
         groups._write_manifest(GROUP, group_key, files)
     return {
@@ -617,7 +617,8 @@ def test_interrupted_group_rekey_manifest_recovers():
         result = groups.revoke_users(GROUP, {"mallory"}, RevocationMode.LAZY)
         assert result.files_rewrapped == len(file_ids)
         state, key = groups.group_key(GROUP)
-        assert sorted(groups._read_manifest(GROUP, key)) == sorted(file_ids)
+        manifest = groups._manifest_blob(GROUP)
+        assert sorted(groups._decode_manifest(manifest, key)) == sorted(file_ids)
         assert state.version == result.new_group_version
 
 
@@ -782,8 +783,8 @@ def test_a_client_never_forks():
     """Nothing in the system forks, at any point: a fresh cluster's
     uploads (their keys signed by the key manager), full windows of
     member winds and stub re-encryption through an ACTIVE group
-    revocation and an ACTIVE ``rekey_many`` over 64 files, and a
-    restore.  The key manager signs on threads and every client works
+    revocation and an ACTIVE ``rekey_many`` over 64 other files, and
+    restores.  The key manager signs on threads and every client works
     in its caller's process."""
     seen: set[int] = set()
     done = threading.Event()
@@ -800,12 +801,18 @@ def test_a_client_never_forks():
             assert _children() == set()
             result = groups.revoke_users(GROUP, {"mallory"}, RevocationMode.ACTIVE)
             assert result.files_rewrapped == 64 and result.stub_bytes_reencrypted > 0
+            # A group member's access changes only through its group, so
+            # the per-file run covers copies of the members outside it.
+            plain_ids = [f"plain-{index}" for index in range(64)]
+            for index, file_id in enumerate(plain_ids):
+                owner.upload(file_id, _payload(index))
             result = owner.rekey_many(
-                file_ids, FilePolicy.for_users(["owner"]), RevocationMode.ACTIVE
+                plain_ids, FilePolicy.for_users(["owner"]), RevocationMode.ACTIVE
             )
             assert result.files == 64 and result.batches == 1
             assert _children() == set()
             assert owner.download(file_ids[-1]).data == _payload(63)
+            assert owner.download(plain_ids[-1]).data == _payload(63)
     finally:
         done.set()
         watcher.join()
