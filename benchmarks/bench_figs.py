@@ -58,6 +58,8 @@ from repro.core.rekey import RevocationMode  # noqa: E402
 from repro.core.schemes import STUB_SIZE, get_scheme  # noqa: E402
 from repro.core.system import build_system  # noqa: E402
 from repro.crypto.hashing import sha256  # noqa: E402
+from repro.obs import scope as obs_scope  # noqa: E402
+from repro.obs.metrics import MetricsRegistry  # noqa: E402
 from repro.storage.datastore import DataStore  # noqa: E402
 from repro.util.units import KiB, MiB  # noqa: E402
 from repro.workloads.fsl import (  # noqa: E402
@@ -178,7 +180,10 @@ def open_client(stack: contextlib.ExitStack, cluster: TcpCluster, user: str, **k
 
 
 def container_fetches(servers) -> int:
-    return sum(server.store.containers.container_fetches for server in servers)
+    """Container fetches so far, read once per distinct registry: the
+    servers of ``build_system`` share the process default."""
+    registries = {id(server.store.metrics): server.store.metrics for server in servers}
+    return int(sum(r.value("container_fetch_total") for r in registries.values()))
 
 
 # -- Fig. 5: MLE key generation ------------------------------------------
@@ -189,12 +194,12 @@ def _derive_counts(key_client):
     trips of that one call."""
 
     def derive(fingerprints):
-        oprf, trips = key_client.oprf_evaluations, key_client.round_trips
-        keys = key_client.derive_keys(fingerprints)
+        with obs_scope.attribution() as scope:
+            keys = key_client.derive_keys(fingerprints)
         return {
             "keys_derived": len(keys),
-            "oprf_evaluations": key_client.oprf_evaluations - oprf,
-            "key_round_trips": key_client.round_trips - trips,
+            "oprf_evaluations": scope.get_int("key_oprf_evaluations"),
+            "key_round_trips": scope.get_int("key_round_trips"),
         }
 
     return derive
@@ -518,7 +523,7 @@ def fig9(seed: int) -> tuple[list[dict], list[dict]]:
                 saving=saving, physical_to_stub=ratio)]
 
     def engine():
-        store = DataStore()
+        store = DataStore(metrics=MetricsRegistry())
         for snapshots in FslhomesGenerator(engine_params).days():
             for snapshot in snapshots:
                 for chunk in snapshot.chunks:
@@ -538,7 +543,7 @@ def fig9(seed: int) -> tuple[list[dict], list[dict]]:
     rows.append(row("9", f"engine days={engine_params.days}", seconds, {
         "physical_bytes": stats.physical_bytes,
         "stub_bytes": stats.stub_bytes,
-        "containers_sealed": store.containers.sealed_containers,
+        "containers_sealed": int(store.metrics.value("container_seals_total")),
     }))
     engine_accounting = accounting(engine_params)[-1]
 

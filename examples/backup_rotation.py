@@ -36,16 +36,14 @@ def main() -> None:
     snapshot = unique_data(SNAPSHOT_BYTES, seed=2026)
     last_uploaded = snapshot
     for week in range(WEEKS):
-        oprf_before = client.key_client.oprf_evaluations
-        hits_before = client.key_client.cache_hits
         last_uploaded = snapshot
         result = client.upload(f"backup-week{week}", snapshot)
         stats = system.storage_stats
         print(
             f"{week:>4} {format_bytes(result.size):>10} "
             f"{result.new_chunks:>10} "
-            f"{client.key_client.oprf_evaluations - oprf_before:>10} "
-            f"{client.key_client.cache_hits - hits_before:>10} "
+            f"{result.key_oprf_evaluations:>10} "
+            f"{result.key_cache_hits:>10} "
             f"{format_bytes(stats.physical_bytes):>10}"
         )
         snapshot = mutate(snapshot, WEEKLY_CHURN, seed=3000 + week, unit=8192)

@@ -4,7 +4,11 @@ Boots a real :class:`~repro.core.cluster.TcpCluster` (two data-store
 servers, the key store, the key manager — all on localhost TCP), uploads
 a small file, then scrapes the ``metrics`` RPC of **every** node and
 fails if any required series is missing or any sample is NaN (the
-parser rejects NaN outright).
+parser rejects NaN outright).  The key-manager node must also report
+what it signed (``km_signatures_total``, non-zero after the upload) and
+what its rate limiter refused (``km_rejected_total``).  After the
+drained stop, every node's ``tcp_in_flight_requests`` and
+``tcp_idle_drops_total`` must read zero.
 
 A second stage boots an R=2 replicated cluster (three data servers,
 every chunk on two ring owners), kills one node, uploads through the
@@ -73,6 +77,10 @@ HEALTHY_CEILINGS = {
     "tcp_idle_drops_total": 0.0,
     "tcp_oversize_drops_total": 0.0,
 }
+
+#: Key-manager series: what it signed (non-zero after the upload) and
+#: what its rate limiter refused (present, at zero on a healthy run).
+REQUIRED_ON_KEY_MANAGER = ("km_signatures_total", "km_rejected_total")
 
 #: Per-node RPC methods whose request counters must have fired during
 #: the upload and the downloads (beyond the ``metrics`` scrape itself).
@@ -162,6 +170,15 @@ def check_node(node: str, text: str) -> list[str]:
             problems.append(
                 f"{node}: {name} is {value} (healthy ceiling {ceiling})"
             )
+    if node == "key-manager":
+        for required in REQUIRED_ON_KEY_MANAGER:
+            if required not in names:
+                problems.append(f"{node}: missing series {required}")
+        signed = sum(
+            value for (name, _), value in series.items() if name == "km_signatures_total"
+        )
+        if signed <= 0:
+            problems.append(f"{node}: km_signatures_total is {signed} after an upload")
     for method in REQUIRED_METHODS.get(node, ()):
         key = ("rpc_requests_total", frozenset({("method", method)}))
         count = series.get(key, 0.0)
@@ -491,22 +508,21 @@ def main() -> int:
             print(f"scrape {node}: {len(text.splitlines())} lines [{status}]")
             problems.extend(node_problems)
         problems.extend(check_any_storage(scraped))
-        servers = list(cluster._node_servers.values())
 
     # After the drained stop: nothing may remain in flight on any node
     # (the drain flushed every response), nothing dropped for idling,
     # and no client call may still be awaiting a response.
-    for server in servers:
-        stats = server.stats()
-        if stats["in_flight_requests"] != 0:
+    for node, metrics in cluster.node_metrics.items():
+        in_flight = metrics.value("tcp_in_flight_requests")
+        if in_flight != 0:
             problems.append(
-                f"post-drain: {stats['in_flight_requests']} requests "
-                f"still in flight on {server.address}"
+                f"post-drain: {in_flight:.0f} requests still in flight on {node}"
             )
-        if stats["idle_drops"] != 0:
+        idle_drops = metrics.value("tcp_idle_drops_total")
+        if idle_drops != 0:
             problems.append(
-                f"post-drain: {stats['idle_drops']} idle drops on "
-                f"{server.address} (healthy runs drop nobody)"
+                f"post-drain: {idle_drops:.0f} idle drops on {node} "
+                "(healthy runs drop nobody)"
             )
     client_in_flight = default_registry().gauge(
         "tcp_client_in_flight_requests", ""
@@ -516,8 +532,8 @@ def main() -> int:
             f"post-drain: client in-flight gauge reads {client_in_flight}"
         )
     print(
-        f"post-drain: {len(servers)} nodes idle, client in-flight gauge "
-        f"{client_in_flight:.0f}"
+        f"post-drain: {len(cluster.node_metrics)} nodes idle, client in-flight "
+        f"gauge {client_in_flight:.0f}"
     )
 
     problems.extend(replication_stage())

@@ -61,9 +61,9 @@ def main() -> None:
             print("  Bob is locked out; Alice still reads fine")
         assert alice.download("tcp-file").data == data
 
-        stats = cluster.key_manager.stats
-        print(f"\nKey manager served {stats.signatures} OPRF signatures in "
-              f"{stats.batches} batches.")
+        km = cluster.node_metrics["key-manager"]
+        print(f"\nKey manager served {km.value('km_signatures_total'):.0f} OPRF "
+              f"signatures in {km.value('km_sign_batches_total'):.0f} batches.")
     print("Cluster stopped. Done.")
 
 

@@ -10,15 +10,13 @@ trip.  Only *trimmed packages* are cached — they are ciphertext under
 the MLE key, so the cache holds nothing a stolen client disk would not
 already reveal; plaintext never lands here.
 
-Hit/miss/eviction counts are mirrored into the metrics registry
-(``chunk_cache_*`` series) and into the active
+Hit/miss/eviction counts go to the metrics registry
+(``chunk_cache_*`` series) and to the active
 :class:`~repro.obs.scope.AttributionScope`, so per-download cache
 efficiency is exact even with concurrent downloads on a shared client.
 """
 
 from __future__ import annotations
-
-import threading
 
 from repro.obs import scope as obs_scope
 from repro.obs.metrics import MetricsRegistry, default_registry
@@ -39,8 +37,6 @@ class ChunkCache:
         self._cache: LRUCache[bytes, bytes] = LRUCache(
             capacity_bytes, size_of=len
         )
-        self._lock = threading.Lock()
-        self._reported_evictions = 0
         registry = metrics if metrics is not None else default_registry()
         self._hits = registry.counter(
             "chunk_cache_hits_total",
@@ -85,19 +81,11 @@ class ChunkCache:
 
     def put(self, fingerprint: bytes, data: bytes) -> None:
         """Insert a trimmed package, evicting LRU entries as needed."""
-        self._cache.put(fingerprint, data)
-        # Evictions happen inside the LRU; report the delta since the
-        # last put under a lock so concurrent puts do not double-count.
-        with self._lock:
-            evicted = self._cache.evictions - self._reported_evictions
-            if evicted:
-                self._reported_evictions = self._cache.evictions
-                self._evictions.inc(evicted)
+        evicted = self._cache.put(fingerprint, data)
+        if evicted:
+            self._evictions.inc(evicted)
         self._used_bytes.set(self._cache.used)
 
     def clear(self) -> None:
         self._cache.clear()
         self._used_bytes.set(0)
-
-    def stats(self) -> dict[str, int]:
-        return self._cache.stats()

@@ -197,10 +197,6 @@ class TcpCluster:
             chunk_cache_bytes=chunk_cache_bytes,
         )
 
-    def server_stats(self) -> list[dict]:
-        """Per-TCP-server counters (connections, requests, in-flight)."""
-        return [server.stats() for server in self._node_servers.values()]
-
     # -- node lifecycle -------------------------------------------------
 
     def kill_data_server(self, index: int) -> None:

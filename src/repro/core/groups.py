@@ -35,6 +35,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
+from repro.core import envelopes
 from repro.core.client import REEDClient, UploadResult
 from repro.core.policy import FilePolicy
 from repro.core.rekey import RevocationMode
@@ -212,6 +213,24 @@ class GroupManager:
 
     # -- rekeying ------------------------------------------------------------
 
+    def _current_members(
+        self, group_id: str, listed: list[str]
+    ) -> tuple[list[str], list[KeyStateRecord]]:
+        """The listed files still sealed in a group envelope of
+        ``group_id``, with their key-state records (one keystore
+        round trip, which the rekey run's fetch stage then skips)."""
+        if not listed:
+            return [], []
+        members = {}
+        for file_id, item in zip(listed, self.client.keystore.get_many(listed)):
+            if isinstance(item, NotFoundError):
+                continue  # deleted
+            check_items([item])
+            tag, payload = envelopes.decode_envelope(item.encrypted_state)
+            if tag == envelopes.TAG_GROUP and payload.group_id == group_id:
+                members[file_id] = item
+        return list(members), list(members.values())
+
     def rekey(
         self,
         group_id: str,
@@ -235,6 +254,10 @@ class GroupManager:
         group keys (:meth:`_read_manifest_at`) and the stub
         re-encryption recovers files whose recipes ran ahead of their
         key states.
+
+        A listed file whose record is no longer a group envelope of this
+        group — deleted, re-uploaded with a policy of its own, or moved
+        into another group — is dropped from the manifest, not rekeyed.
         """
         return self._rekey(group_id, mode, lambda record: new_policy)
 
@@ -272,7 +295,9 @@ class GroupManager:
             record = self._group_record(group_id)
             new_policy = policy_of(record)
             old_state = client._open_key_state(record)
-            files = self._read_manifest_at(group_id, record, old_state)
+            files, records = self._current_members(
+                group_id, self._read_manifest_at(group_id, record, old_state)
+            )
 
             new_state = client.keyreg_owner.wind(old_state)
             new_record = client._seal_key_state(
@@ -286,6 +311,7 @@ class GroupManager:
                 files,
                 mode,
                 client._group_seal_step(group_id, new_state),
+                records=records,
                 held={group_id: (record, old_state)},
                 wind=mode is RevocationMode.ACTIVE,
             )

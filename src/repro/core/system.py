@@ -171,8 +171,6 @@ class ReedSystem:
             total.stub_bytes += stats.stub_bytes
             total.chunks_received += stats.chunks_received
             total.chunks_stored += stats.chunks_stored
-            total.container_payload_bytes += stats.container_payload_bytes
-            total.container_compressed_bytes += stats.container_compressed_bytes
         return total
 
 

@@ -1,7 +1,7 @@
 """Message-locked encryption: server-aided MLE key derivation and its key cache."""
 
 from repro.mle.cache import DEFAULT_CACHE_BYTES, MLEKeyCache
-from repro.mle.keymanager import KeyManager, KeyManagerStats
+from repro.mle.keymanager import KeyManager
 from repro.mle.server_aided import (
     DEFAULT_BATCH_SIZE,
     KeyManagerChannel,
@@ -14,7 +14,6 @@ __all__ = [
     "DEFAULT_CACHE_BYTES",
     "KeyManager",
     "KeyManagerChannel",
-    "KeyManagerStats",
     "LocalKeyManagerChannel",
     "MLEKeyCache",
     "ServerAidedKeyClient",

@@ -45,8 +45,5 @@ class MLEKeyCache:
         return len(self._cache)
 
     def __contains__(self, fingerprint: bytes) -> bool:
-        """Membership without touching recency or the hit/miss counters."""
+        """Membership without touching recency."""
         return fingerprint in self._cache
-
-    def stats(self) -> dict[str, int]:
-        return self._cache.stats()

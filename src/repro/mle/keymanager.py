@@ -7,8 +7,10 @@ operation per chunk — without ever learning the fingerprints (oblivious
 key generation, Section III-B).
 
 To slow online brute-force attacks from compromised clients, requests are
-rate-limited per client with a token bucket (Section II-A).  The manager
-also keeps per-client accounting used by the evaluation harness.
+rate-limited per client with a token bucket (Section II-A).  What the
+manager signed and refused, per client, is on the registry that
+:meth:`KeyManager.observe_on` binds (``km_*`` series), so a scrape of
+the key-manager node answers it.
 
 Signing is the one CPU-heavy step of an upload that the client cannot
 parallelise for itself.  Each signature is one private RSA operation:
@@ -29,7 +31,6 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 from repro.crypto import blindrsa
 from repro.crypto.drbg import RandomSource
@@ -49,26 +50,6 @@ DEFAULT_BURST = 16384.0
 
 #: Upper bound on the signer threads; a host with fewer CPUs gets fewer.
 MAX_SIGNER_THREADS = 8
-
-
-@dataclass
-class ClientQuota:
-    """Per-client rate-limit state and accounting."""
-
-    bucket: TokenBucket
-    requests: int = 0
-    rejected: int = 0
-
-
-@dataclass
-class KeyManagerStats:
-    """Counters exposed for the evaluation harness."""
-
-    clients: int = 0
-    signatures: int = 0
-    batches: int = 0
-    rejected: int = 0
-    busy_seconds: float = 0.0
 
 
 class KeyManager:
@@ -94,9 +75,9 @@ class KeyManager:
         self._rate_limit = rate_limit
         self._burst = burst
         self._clock = clock
-        self._quotas: dict[str, ClientQuota] = {}
+        #: One rate-limit bucket per client seen.
+        self._buckets: dict[str, TokenBucket] = {}
         self._lock = threading.Lock()
-        self.stats = KeyManagerStats()
         self._threads = max(1, min(os.cpu_count() or 1, MAX_SIGNER_THREADS))
         # Threads start on the first split batch and need no reaping: an
         # idle pool's threads exit when the manager is collected or the
@@ -122,22 +103,43 @@ class KeyManager:
             "(parallel: split over the signer threads; serial: on the handler thread).",
             labelnames=("mode",),
         )
+        self._signatures = metrics.counter(
+            "km_signatures_total",
+            "Blind signatures issued, by client.",
+            labelnames=("client",),
+        )
+        self._rejected = metrics.counter(
+            "km_rejected_total",
+            "Blinded values refused by the rate limiter, by client.",
+            labelnames=("client",),
+        )
+        self._clients = metrics.gauge(
+            "km_clients", "Clients with a rate-limit bucket."
+        )
+        with self._lock:
+            for client_id in self._buckets:
+                self._publish_client_locked(client_id)
+
+    def _publish_client_locked(self, client_id: str) -> None:
+        """Count a client and give its series a sample (at zero until
+        it signs or is refused), so a scrape lists every client seen."""
+        self._signatures.labels(client=client_id)
+        self._rejected.labels(client=client_id)
+        self._clients.set(len(self._buckets))
 
     @property
     def public_key(self) -> RSAPublicKey:
         """The system-wide public key clients blind against."""
         return self._private_key.public
 
-    def _quota_for(self, client_id: str) -> ClientQuota:
+    def _bucket_for(self, client_id: str) -> TokenBucket:
         with self._lock:
-            quota = self._quotas.get(client_id)
-            if quota is None:
-                quota = ClientQuota(
-                    bucket=TokenBucket(self._rate_limit, self._burst, clock=self._clock)
-                )
-                self._quotas[client_id] = quota
-                self.stats.clients += 1
-            return quota
+            bucket = self._buckets.get(client_id)
+            if bucket is None:
+                bucket = TokenBucket(self._rate_limit, self._burst, clock=self._clock)
+                self._buckets[client_id] = bucket
+                self._publish_client_locked(client_id)
+            return bucket
 
     def sign_batch(self, client_id: str, blinded_values: list[int]) -> list[int]:
         """Sign a batch of blinded fingerprints for ``client_id``.
@@ -156,14 +158,11 @@ class KeyManager:
                 f"size {int(self._burst)}"
             )
         blindrsa.require_in_domain(self._private_key.n, blinded_values)
-        quota = self._quota_for(client_id)
-        if not quota.bucket.try_take(len(blinded_values)):
-            quota.rejected += len(blinded_values)
-            self.stats.rejected += len(blinded_values)
+        if not self._bucket_for(client_id).try_take(len(blinded_values)):
+            self._rejected.labels(client=client_id).inc(len(blinded_values))
             raise RateLimitExceeded(
                 f"client {client_id!r} exceeded the key-generation rate limit"
             )
-        started = self._clock()
         with self._tracer.span("km.sign", values=len(blinded_values)):
             parallel = self._signers is not None and len(blinded_values) >= 2
             if parallel:
@@ -179,13 +178,8 @@ class KeyManager:
                 ]
             else:
                 signatures = self._sign(blinded_values)
-        elapsed = self._clock() - started
         self._sign_batches.labels(mode="parallel" if parallel else "serial").inc()
-        with self._lock:
-            quota.requests += len(blinded_values)
-            self.stats.signatures += len(blinded_values)
-            self.stats.batches += 1
-            self.stats.busy_seconds += elapsed
+        self._signatures.labels(client=client_id).inc(len(signatures))
         return signatures
 
     def _sign(self, blinded_values: list[int]) -> list[int]:
@@ -194,8 +188,4 @@ class KeyManager:
 
     def seconds_until_allowed(self, client_id: str, batch_size: int) -> float:
         """Back-off hint: seconds until a batch of ``batch_size`` is allowed."""
-        return self._quota_for(client_id).bucket.seconds_until(batch_size)
-
-    def client_stats(self, client_id: str) -> dict[str, int]:
-        quota = self._quota_for(client_id)
-        return {"requests": quota.requests, "rejected": quota.rejected}
+        return self._bucket_for(client_id).seconds_until(batch_size)

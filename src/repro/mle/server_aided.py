@@ -22,7 +22,6 @@ tests and experiments, or an RPC stub over TCP (:mod:`repro.net`).
 
 from __future__ import annotations
 
-import threading
 import time
 from collections.abc import Callable, Collection, Sequence
 from dataclasses import dataclass
@@ -125,20 +124,9 @@ class ServerAidedKeyClient:
         self._sleep = sleep
         self._max_retries = max_retries
         self._public_key: RSAPublicKey | None = None
-        #: OPRF evaluations actually performed (cache misses), for stats.
-        self.oprf_evaluations = 0
-        #: Requests answered from the cache.
-        self.cache_hits = 0
-        #: derive-batch RPCs issued to the key manager (including attempts
-        #: rejected by rate limiting — they did cross the wire).
-        self.round_trips = 0
-        #: Guards the three counters above: a pipelined upload blinds and
-        #: finishes on two threads, and uploads may share a client.
-        self._counts_lock = threading.Lock()
-        # The per-instance integers above stay the exact per-client
-        # record; every bump is mirrored into the registry (process
-        # totals, labeled by client) and the active attribution scope
-        # (per-upload deltas — see repro.obs.scope).
+        # Every count goes to the registry (process totals, labeled by
+        # client) and to the active attribution scope (one operation's
+        # deltas — see repro.obs.scope).
         self._clock = clock
         self.metrics = metrics if metrics is not None else default_registry()
         labels = {"client": client_id}
@@ -184,8 +172,6 @@ class ServerAidedKeyClient:
         for attempt in range(self._max_retries + 1):
             started = self._clock()
             try:
-                with self._counts_lock:
-                    self.round_trips += 1
                 self._m_trips.inc()
                 obs_scope.add("key_round_trips")
                 result = self._channel.derive_batch(self._client_id, blinded)
@@ -263,8 +249,6 @@ class ServerAidedKeyClient:
                 keys[fp] = key
                 if self.cache is not None:
                     self.cache.put(fp, key)
-            with self._counts_lock:
-                self.oprf_evaluations += len(batch)
             self._m_oprf.inc(len(batch))
             obs_scope.add("key_oprf_evaluations", len(batch))
         if late:
@@ -285,7 +269,5 @@ class ServerAidedKeyClient:
         return self.finish(self.blind(fingerprints))
 
     def _count_hit(self) -> None:
-        with self._counts_lock:
-            self.cache_hits += 1
         self._m_hits.inc()
         obs_scope.add("key_cache_hits")

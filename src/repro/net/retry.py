@@ -20,7 +20,6 @@ protocol) are never retried here.
 
 from __future__ import annotations
 
-import random
 import time
 from collections.abc import Callable
 
@@ -59,14 +58,7 @@ def is_idempotent_method(method: str) -> bool:
 
 
 class RetryPolicy:
-    """Capped exponential backoff: ``base * 2^attempt``, up to ``cap``.
-
-    ``jitter`` spreads the capped delay uniformly over
-    ``[delay * (1 - jitter), delay]`` so a fleet of clients retrying the
-    same outage does not stampede the server in lockstep.  The jitter
-    source is injectable (``rng``) so tests can seed it and assert the
-    exact delay sequence.
-    """
+    """Capped exponential backoff: ``base * 2^attempt``, up to ``cap``."""
 
     def __init__(
         self,
@@ -74,27 +66,18 @@ class RetryPolicy:
         base_delay: float = 0.05,
         cap: float = 2.0,
         sleep: Callable[[float], None] = time.sleep,
-        jitter: float = 0.0,
-        rng: random.Random | None = None,
     ) -> None:
         if attempts < 1:
             raise ConfigurationError("need at least one attempt")
         if base_delay < 0 or cap < 0:
             raise ConfigurationError("delays must be non-negative")
-        if not 0.0 <= jitter <= 1.0:
-            raise ConfigurationError("jitter must be a fraction in [0, 1]")
         self.attempts = attempts
         self.base_delay = base_delay
         self.cap = cap
-        self.jitter = jitter
-        self._rng = rng or random.Random()
         self._sleep = sleep
 
     def delay(self, attempt: int) -> float:
-        delay = min(self.cap, self.base_delay * (2**attempt))
-        if self.jitter:
-            delay *= 1.0 - self.jitter * self._rng.random()
-        return delay
+        return min(self.cap, self.base_delay * (2**attempt))
 
     def run(self, operation: Callable[[], bytes]) -> bytes:
         """Run ``operation``, retrying transient failures."""

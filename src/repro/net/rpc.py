@@ -196,10 +196,6 @@ class RpcClient:
         self._next_id = 0
         self._lock = threading.Lock()
         self._clock = clock
-        #: Round trips issued through this client.
-        self.calls = 0
-        #: Calls that came back as (decoded) error replies.
-        self.errors = 0
         self.metrics = metrics if metrics is not None else default_registry()
         self._requests = self.metrics.counter(
             "rpc_client_requests_total",
@@ -231,7 +227,6 @@ class RpcClient:
         with self._lock:
             self._next_id += 1
             message_id = self._next_id
-            self.calls += 1
         # Stamp the active span's trace context (empty outside a span)
         # onto the request, so the server's handler span joins this
         # operation's trace.
@@ -260,8 +255,6 @@ class RpcClient:
                 f"response id {response.message_id} does not match request {message_id}"
             )
         if response.is_error:
-            with self._lock:
-                self.errors += 1
             self._client_errors.labels(method=method).inc()
             raise decode_error(response.payload)
         self._response_bytes.labels(method=method).inc(len(response.payload))
@@ -272,10 +265,8 @@ class LoopbackTransport:
     """Zero-copy in-process transport: dispatch straight into a registry.
 
     An optional ``on_message(request_bytes, response_bytes)`` hook
-    accounts for the bytes that *would* have crossed the network.
-    ``messages`` counts dispatches always; the byte counters are
-    maintained only when a hook forces encoding anyway (the zero-copy
-    fast path never serializes).
+    receives the encoded bytes that *would* have crossed the network
+    (the zero-copy path without a hook never serializes).
     """
 
     def __init__(
@@ -287,31 +278,12 @@ class LoopbackTransport:
         self._registry = registry
         self._on_message = on_message
         self._metrics = metrics
-        #: Messages dispatched through this transport (all clients).
-        self.messages = 0
-        #: Encoded request/response bytes (only counted when encoding
-        #: happens, i.e. an ``on_message`` hook is installed).
-        self.request_bytes = 0
-        self.response_bytes = 0
 
     def client(self) -> RpcClient:
         def send(request: Message) -> Message:
             response = self._registry.dispatch(request)
-            self.messages += 1
             if self._on_message is not None:
-                request_encoded = request.encode()
-                response_encoded = response.encode()
-                self.request_bytes += len(request_encoded)
-                self.response_bytes += len(response_encoded)
-                self._on_message(request_encoded, response_encoded)
+                self._on_message(request.encode(), response.encode())
             return response
 
         return RpcClient(send, metrics=self._metrics)
-
-    def stats(self) -> dict:
-        """Transport-level counters for observability."""
-        return {
-            "messages": self.messages,
-            "request_bytes": self.request_bytes,
-            "response_bytes": self.response_bytes,
-        }

@@ -51,7 +51,7 @@ DEFAULT_CLIENT_WINDOW = 64
 #: Snappy reconnect policy for transparent idempotent retries: a server
 #: restart is ridden out in ~100 ms of backoff, a hard outage surfaces
 #: as ProtocolError after three dials.
-DEFAULT_RECONNECT_POLICY = dict(attempts=3, base_delay=0.02, cap=0.25)
+RECONNECT_POLICY = dict(attempts=3, base_delay=0.02, cap=0.25)
 
 #: TCP keepalive cadence (seconds idle before probing, probe interval,
 #: probes before the kernel declares the peer dead).
@@ -257,24 +257,6 @@ class TcpServer:
     @property
     def address(self) -> tuple[str, int]:
         return self._listener.getsockname()
-
-    def stats(self) -> dict:
-        """Server-side counters for observability.
-
-        The snapshot is taken under the mutation lock so it is
-        internally consistent.
-        """
-        with self._lock:
-            return {
-                "connections_accepted": int(self._connections_accepted.value),
-                "active_connections": len(self._conns),
-                "in_flight_requests": self._in_flight,
-                "queued_connections": self._queued,
-                "requests_served": int(self._requests_served.value),
-                "oversize_drops": int(self._oversize_drops.value),
-                "idle_drops": int(self._idle_drops.value),
-                "max_workers": self._max_workers,
-            }
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -503,7 +485,7 @@ class TcpConnection:
       next call transparently re-dials; **idempotent** methods
       (:func:`repro.net.retry.is_idempotent_method`) that failed
       mid-flight are retried over the fresh connection under
-      ``retry_policy``, so a server restart does not fail a read
+      :data:`RECONNECT_POLICY`, so a server restart does not fail a read
       pipeline mid-window.  Non-idempotent methods still raise.
     """
 
@@ -516,7 +498,6 @@ class TcpConnection:
         *,
         max_in_flight: int = DEFAULT_CLIENT_WINDOW,
         auto_retry: bool = True,
-        retry_policy: RetryPolicy | None = None,
     ) -> None:
         if max_in_flight < 1:
             raise ConfigurationError("max_in_flight must be at least 1")
@@ -525,7 +506,7 @@ class TcpConnection:
         self._timeout = timeout
         self._metrics = metrics
         self._auto_retry = auto_retry
-        self._retry_policy = retry_policy or RetryPolicy(**DEFAULT_RECONNECT_POLICY)
+        self._retry_policy = RetryPolicy(**RECONNECT_POLICY)
         self._lock = threading.Lock()
         self._send_lock = threading.Lock()
         self._window = threading.BoundedSemaphore(max_in_flight)
@@ -702,17 +683,6 @@ class TcpConnection:
         connection and their calls interleave on the wire.
         """
         return RpcClient(self._send, metrics=self._metrics)
-
-    def stats(self) -> dict:
-        """Connection-level counters for observability."""
-        with self._lock:
-            return {
-                "in_flight": len(self._pending),
-                "reconnects": int(self._reconnects.value),
-                "idempotent_retries": int(self._retries.value),
-                "broken": self._broken is not None,
-                "closed": self._closed,
-            }
 
 
 def connect(

@@ -365,12 +365,15 @@ class MetricsRegistry:
             return self._families.get(name)
 
     def value(self, name: str, **labels: str) -> float:
-        """Convenience: current value of one counter/gauge child (0 if absent)."""
+        """Convenience: current value of one counter/gauge child (0 if
+        absent).  Without labels, a labeled family's children summed."""
         family = self.get(name)
         if family is None:
             return 0.0
+        if not labels and family.labelnames:
+            return sum(child.value for child in family.children().values())
         try:
-            child = family.labels(**labels) if labels or family.labelnames else family._sole_child()
+            child = family.labels(**labels) if labels else family._sole_child()
         except ConfigurationError:
             return 0.0
         return child.value

@@ -28,7 +28,7 @@ that caused it.  Plain ``threading.Thread`` workers still start fresh
 roots — each thread begins with an empty context.
 
 Slow-span sampling: any finished span whose duration reaches
-``slow_threshold`` is recorded (as a plain dict, trace ids included) in
+:data:`SLOW_THRESHOLD` is recorded (as a plain dict, trace ids included) in
 a bounded ring served by ``reed slow`` — the "what was slow lately and
 in which trace" view.
 
@@ -36,10 +36,10 @@ The clock is injectable: ``Tracer(clock=sim_clock)`` lets a
 deterministic test drive span timings from a
 :class:`~repro.util.clock.SimClock` instead of ``time.perf_counter`` and
 pin exact durations on the same span names and histograms as a real
-run.  ``wall_clock`` (default ``time.time``) supplies the absolute
-``start_time``/``end_time`` stamps used for cross-node merge ordering;
-an injected ``clock`` doubles as the wall clock unless one is given,
-keeping simulated traces fully deterministic.
+run.  ``time.time`` supplies the absolute ``start_time``/``end_time``
+stamps used for cross-node merge ordering; an injected ``clock``
+doubles as the wall clock, keeping simulated traces fully
+deterministic.
 """
 
 from __future__ import annotations
@@ -56,12 +56,12 @@ from repro.obs.metrics import MetricsRegistry, default_registry
 #: Histogram recording every span's duration, labeled by span name.
 SPAN_HISTOGRAM = "span_seconds"
 
-#: Default number of completed root traces retained per tracer.
-DEFAULT_TRACE_RING = 32
+#: Completed root traces retained per tracer.
+TRACE_RING = 32
 
-#: Default slow-span sampling threshold (seconds) and ring size.
-DEFAULT_SLOW_THRESHOLD = 0.1
-DEFAULT_SLOW_RING = 64
+#: Slow-span sampling threshold (seconds) and ring size.
+SLOW_THRESHOLD = 0.1
+SLOW_RING = 64
 
 #: The active span for the current context (shared across tracers so the
 #: RPC layer can read it without knowing which tracer opened it; span
@@ -212,28 +212,20 @@ class Tracer:
         self,
         metrics: MetricsRegistry | None = None,
         clock: Callable[[], float] | None = None,
-        trace_ring: int = DEFAULT_TRACE_RING,
         node: str | None = None,
-        wall_clock: Callable[[], float] | None = None,
-        slow_threshold: float = DEFAULT_SLOW_THRESHOLD,
-        slow_ring: int = DEFAULT_SLOW_RING,
     ) -> None:
         self._metrics = metrics if metrics is not None else default_registry()
         self._clock = clock if clock is not None else time.perf_counter
         # An injected (e.g. simulated) clock doubles as the wall clock so
         # deterministic traces get deterministic absolute stamps.
-        if wall_clock is not None:
-            self._wall_clock = wall_clock
-        else:
-            self._wall_clock = self._clock if clock is not None else time.time
+        self._wall_clock = time.time if clock is None else clock
         self._histogram = self._metrics.histogram(
             SPAN_HISTOGRAM, "Span wall time by span name.", labelnames=("span",)
         )
         self.node = node
-        self.slow_threshold = slow_threshold
         self._lock = threading.Lock()
-        self._recent: deque[Span] = deque(maxlen=trace_ring)
-        self._slow: deque[dict] = deque(maxlen=slow_ring)
+        self._recent: deque[Span] = deque(maxlen=TRACE_RING)
+        self._slow: deque[dict] = deque(maxlen=SLOW_RING)
 
     # -- span lifecycle ----------------------------------------------------
 
@@ -309,7 +301,7 @@ class Tracer:
             _ACTIVE_SPAN.set(span.parent)
         duration = span.duration or 0.0
         self._histogram.labels(span=span.name).observe(duration)
-        record_slow = duration >= self.slow_threshold
+        record_slow = duration >= SLOW_THRESHOLD
         if span.parent is None or record_slow:
             with self._lock:
                 if span.parent is None:

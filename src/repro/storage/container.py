@@ -35,10 +35,10 @@ from repro.util.units import MiB
 DEFAULT_CONTAINER_BYTES = 4 * MiB
 
 #: Containers cached on the read path.
-DEFAULT_READ_CACHE_CONTAINERS = 16
+READ_CACHE_CONTAINERS = 16
 
 #: Distinct containers fetched concurrently by one ``read_many`` call.
-DEFAULT_FETCH_CONCURRENCY = 4
+FETCH_CONCURRENCY = 4
 
 _PREFIX = "container/"
 
@@ -89,21 +89,16 @@ class ContainerStore:
         self,
         backend: BlobBackend,
         container_bytes: int = DEFAULT_CONTAINER_BYTES,
-        read_cache_containers: int = DEFAULT_READ_CACHE_CONTAINERS,
-        fetch_concurrency: int = DEFAULT_FETCH_CONCURRENCY,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         if container_bytes <= 0:
             raise ConfigurationError("container size must be positive")
-        if fetch_concurrency <= 0:
-            raise ConfigurationError("fetch concurrency must be positive")
         self._backend = backend
         self._capacity = container_bytes
-        self._fetch_concurrency = fetch_concurrency
         self._lock = threading.Lock()
         self._open_id = self._next_container_id()
         self._open_buffer = bytearray()
-        self._read_cache: LRUCache[int, bytes] = LRUCache(read_cache_containers)
+        self._read_cache: LRUCache[int, bytes] = LRUCache(READ_CACHE_CONTAINERS)
         # Single-flight state: per-container-id events readers wait on
         # while one leader performs the backend fetch.
         self._fetch_lock = threading.Lock()
@@ -113,10 +108,6 @@ class ContainerStore:
         # instance (restart support).
         self._payload_lens: dict[int, int] = {}
         self._stored_lens: dict[int, int] = {}
-        #: Number of sealed containers written (for stats/experiments).
-        self.sealed_containers = 0
-        #: Container fetches that missed the read cache.
-        self.container_fetches = 0
         self.metrics = metrics if metrics is not None else default_registry()
         self._m_fetches = self.metrics.counter(
             "container_fetch_total",
@@ -181,7 +172,6 @@ class ContainerStore:
         self._m_seal_seconds.observe(time.perf_counter() - started)
         self._m_seals.labels(codec="stored").inc()
         self._record_lens_locked(self._open_id, len(payload), len(blob))
-        self.sealed_containers += 1
         self._open_id += 1
         self._open_buffer = bytearray()
 
@@ -263,16 +253,21 @@ class ContainerStore:
             raise NotFoundError("location beyond the open container")
         return bytes(self._open_buffer[location.offset:end])
 
-    def _get_container(self, container_id: int) -> bytes:
-        """Cached container payload; single-flighted backend fetch on miss."""
+    def _get_container(self, container_id: int) -> tuple[bytes, int]:
+        """Cached container payload; single-flighted backend fetch on miss.
+
+        Also returns the backend fetches this call made itself: 1 when
+        it led the fetch, 0 when it was served by the cache or by
+        another reader's fetch.
+        """
         while True:
             payload = self._read_cache.get(container_id)
             if payload is not None:
-                return payload
+                return payload, 0
             with self._fetch_lock:
                 payload = self._read_cache.get(container_id)
                 if payload is not None:
-                    return payload
+                    return payload, 0
                 waiter = self._in_flight.get(container_id)
                 if waiter is None:
                     waiter = threading.Event()
@@ -290,11 +285,10 @@ class ContainerStore:
                 blob = self._backend.get(self._name(container_id))
                 payload = _decode_container(blob)
                 with self._lock:
-                    self.container_fetches += 1
                     self._record_lens_locked(container_id, len(payload), len(blob))
                 self._m_fetches.inc()
                 self._read_cache.put(container_id, payload)
-                return payload
+                return payload, 1
             finally:
                 with self._fetch_lock:
                     self._in_flight.pop(container_id, None)
@@ -313,16 +307,19 @@ class ContainerStore:
             buffered = self._read_open_locked(location)
         if buffered is not None:
             return buffered
-        return self._slice(self._get_container(location.container_id), location)
+        payload, _fetched = self._get_container(location.container_id)
+        return self._slice(payload, location)
 
-    def read_many(self, locations: list[ChunkLocation]) -> list[bytes]:
+    def read_many(self, locations: list[ChunkLocation]) -> tuple[list[bytes], int]:
         """Fetch many chunks, hitting each distinct container exactly once.
 
         Groups the requested locations by container id; cache misses are
         fetched from the backend with bounded concurrency, then every
         chunk is sliced out of its (now cached) container — the coalesced
         read path that turns a fragmented restore from one fetch per
-        chunk into one fetch per container.
+        chunk into one fetch per container.  Returns the chunks and the
+        backend fetches this call made (a concurrent reader's fetches are
+        its own).
         """
         out: list[bytes | None] = [None] * len(locations)
         by_container: dict[int, list[int]] = {}
@@ -334,18 +331,22 @@ class ContainerStore:
                 else:
                     by_container.setdefault(location.container_id, []).append(i)
         missing = [cid for cid in by_container if cid not in self._read_cache]
+        fetches = 0
         if len(missing) > 1:
-            workers = min(self._fetch_concurrency, len(missing))
+            workers = min(FETCH_CONCURRENCY, len(missing))
             with ThreadPoolExecutor(
                 max_workers=workers, thread_name_prefix="reed-container-fetch"
             ) as pool:
-                # Surface the first fetch error (list() re-raises).
-                list(pool.map(self._get_container, missing))
+                # Surface the first fetch error (iterating re-raises).
+                fetches += sum(
+                    fetched for _payload, fetched in pool.map(self._get_container, missing)
+                )
         for cid, indexes in by_container.items():
-            payload = self._get_container(cid)
+            payload, fetched = self._get_container(cid)
+            fetches += fetched
             for i in indexes:
                 out[i] = self._slice(payload, locations[i])
-        return out  # type: ignore[return-value]
+        return out, fetches  # type: ignore[return-value]
 
     def delete_container(self, container_id: int) -> None:
         """Drop a sealed container (garbage collection)."""
@@ -364,12 +365,3 @@ class ContainerStore:
                 self._learn_lens(container_id)
         with self._lock:
             return sum(self._payload_lens.values()) + len(self._open_buffer)
-
-    def sealed_payload_bytes(self) -> int:
-        """Payload bytes across known sealed containers."""
-        with self._lock:
-            return sum(self._payload_lens.values())
-
-    def compressed_bytes(self) -> int:
-        """On-disk bytes of sealed containers (headers included)."""
-        return self._backend.total_bytes(_PREFIX)

@@ -49,9 +49,6 @@ class DataStoreStats:
     #: Chunks received / unique chunks stored.
     chunks_received: int = 0
     chunks_stored: int = 0
-    #: Payload vs on-disk (framed) bytes of sealed containers.
-    container_payload_bytes: int = 0
-    container_compressed_bytes: int = 0
 
     @property
     def dedup_saving(self) -> float:
@@ -84,7 +81,10 @@ class DataStore:
         self.containers = ContainerStore(
             self.backend, container_bytes, metrics=self.metrics
         )
-        self._stats = DataStoreStats()
+        #: Byte accounting; the sealed-container byte totals are the
+        #: ``container_payload_bytes`` / ``container_compressed_bytes``
+        #: gauges.
+        self.stats = DataStoreStats()
         self._lock = threading.Lock()
         self._m_read_amp = self.metrics.gauge(
             "container_read_amplification",
@@ -100,13 +100,6 @@ class DataStore:
         )
         self.load_index_snapshot()
 
-    @property
-    def stats(self) -> DataStoreStats:
-        """Byte accounting, with the sealed-container fields refreshed."""
-        self._stats.container_payload_bytes = self.containers.sealed_payload_bytes()
-        self._stats.container_compressed_bytes = self.containers.compressed_bytes()
-        return self._stats
-
     # -- chunks --------------------------------------------------------------
 
     def has_chunk(self, fingerprint: bytes) -> bool:
@@ -119,15 +112,15 @@ class DataStore:
         on a dedup hit (only a reference was added).
         """
         with self._lock:
-            self._stats.logical_bytes += len(data)
-            self._stats.chunks_received += 1
+            self.stats.logical_bytes += len(data)
+            self.stats.chunks_received += 1
             if self.index.contains(fingerprint):
                 self.index.addref(fingerprint)
                 return False
             location = self.containers.append(data)
             self.index.add(fingerprint, location)
-            self._stats.physical_bytes += len(data)
-            self._stats.chunks_stored += 1
+            self.stats.physical_bytes += len(data)
+            self.stats.chunks_stored += 1
             return True
 
     def has_many(self, fingerprints: list[bytes]) -> list[bool]:
@@ -170,17 +163,16 @@ class DataStore:
         fingerprint, like per-chunk reads.
 
         Locations are grouped by container and each needed container is
-        fetched exactly once (``ContainerStore.read_many``); the fetch
-        count per chunk served is published as
+        fetched exactly once (``ContainerStore.read_many``); this call's
+        own fetches per chunk served are published as
         ``container_read_amplification``.
         """
         if not fingerprints:
             return []
-        fetches_before = self.containers.container_fetches
         locations = [self.index.lookup(fp) for fp in fingerprints]
         while True:
             try:
-                chunks = self.containers.read_many(locations)
+                chunks, fetched = self.containers.read_many(locations)
                 break
             except NotFoundError:
                 # Concurrent compaction may have relocated some chunks;
@@ -190,7 +182,6 @@ class DataStore:
                 if fresh == locations:
                     raise
                 locations = fresh
-        fetched = self.containers.container_fetches - fetches_before
         self._m_read_amp.set(fetched / len(fingerprints))
         return chunks
 
@@ -247,8 +238,8 @@ class DataStore:
         location = self.index.lookup(fingerprint)
         if not self.index.release(fingerprint):
             return False
-        self._stats.physical_bytes -= location.length
-        self._stats.chunks_stored -= 1
+        self.stats.physical_bytes -= location.length
+        self.stats.chunks_stored -= 1
         cid = location.container_id
         if self.index.usage_for(cid).live_chunks == 0 and (
             cid != self.containers.open_container_id
@@ -316,9 +307,9 @@ class DataStore:
             location = self.index.lookup(fp)
             physical += location.length
             chunks += 1
-        self._stats.physical_bytes = physical
-        self._stats.chunks_stored = chunks
-        self._stats.stub_bytes = self.backend.total_bytes(_STUB_PREFIX)
+        self.stats.physical_bytes = physical
+        self.stats.chunks_stored = chunks
+        self.stats.stub_bytes = self.backend.total_bytes(_STUB_PREFIX)
         for cid in self.containers.sealed_container_ids():
             payload = self.containers.payload_length(cid)
             live = self.index.usage_for(cid).live_bytes
@@ -352,9 +343,9 @@ class DataStore:
         name = _STUB_PREFIX + file_id
         with self._lock:
             if self.backend.exists(name):
-                self._stats.stub_bytes -= self.backend.size(name)
+                self.stats.stub_bytes -= self.backend.size(name)
             self.backend.put(name, data)
-            self._stats.stub_bytes += len(data)
+            self.stats.stub_bytes += len(data)
 
     def get_stub_file(self, file_id: str) -> bytes:
         return self.backend.get(_STUB_PREFIX + file_id)
@@ -369,5 +360,5 @@ class DataStore:
         with self._lock:
             if not self.backend.exists(name):
                 raise NotFoundError(f"no stub file for {file_id!r}")
-            self._stats.stub_bytes -= self.backend.size(name)
+            self.stats.stub_bytes -= self.backend.size(name)
             self.backend.delete(name)

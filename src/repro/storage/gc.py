@@ -165,7 +165,9 @@ class CompactionGC:
         survivors = store.index.entries_in_container(cid)
         # A fully dead container has no survivors: nothing is read or
         # rewritten, and it is just dropped.
-        chunks = store.containers.read_many([location for _, location in survivors])
+        chunks, _fetched = store.containers.read_many(
+            [location for _, location in survivors]
+        )
         moves = []
         for (fingerprint, old), data in zip(survivors, chunks):
             new = store.containers.append(data)

@@ -45,8 +45,6 @@ class IntervalDaemon:
         #: Exception that aborted the most recent pass (None after a
         #: pass completes) — the daemon's health surface.
         self.last_error: Exception | None = None
-        self.passes = 0
-        self.failed_passes = 0
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self._lock = threading.Lock()
@@ -57,7 +55,6 @@ class IntervalDaemon:
                 self.run_now()
             except Exception as exc:  # noqa: BLE001 - keep the loop alive
                 self.last_error = exc
-                self.failed_passes += 1
                 self.failures.inc()
             self._stop.wait(self.interval)
 
@@ -67,7 +64,6 @@ class IntervalDaemon:
             report = self.run_pass()
             self.last_report = report
             self.last_error = None
-            self.passes += 1
             return report
 
     def start(self) -> None:

@@ -40,9 +40,6 @@ class LRUCache(Generic[K, V]):
         self._entries: OrderedDict[K, tuple[V, int]] = OrderedDict()
         self._used = 0
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
     @property
     def capacity(self) -> int:
@@ -64,19 +61,19 @@ class LRUCache(Generic[K, V]):
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                self.misses += 1
                 return None
             self._entries.move_to_end(key)
-            self.hits += 1
             return entry[0]
 
-    def put(self, key: K, value: V) -> None:
-        """Insert or refresh an entry, evicting LRU entries as needed."""
+    def put(self, key: K, value: V) -> int:
+        """Insert or refresh an entry, evicting LRU entries as needed;
+        returns the number of entries evicted."""
         cost = self._size_of(value)
         if cost > self._capacity:
             # An oversized value can never fit; caching it would evict
             # everything for no benefit.
-            return
+            return 0
+        evicted = 0
         with self._lock:
             existing = self._entries.pop(key, None)
             if existing is not None:
@@ -86,7 +83,8 @@ class LRUCache(Generic[K, V]):
             while self._used > self._capacity:
                 _old_key, (_old_value, old_cost) = self._entries.popitem(last=False)
                 self._used -= old_cost
-                self.evictions += 1
+                evicted += 1
+        return evicted
 
     def pop(self, key: K) -> V | None:
         with self._lock:
@@ -101,14 +99,3 @@ class LRUCache(Generic[K, V]):
         with self._lock:
             self._entries.clear()
             self._used = 0
-
-    def stats(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "used_bytes": self._used,
-                "capacity_bytes": self._capacity,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-            }

@@ -167,5 +167,8 @@ class TestTcpRoundTripAccounting:
             assert result.key_round_trips == 1
             # ≤ shards × (put per batch) + bare flushes + file commit.
             assert result.store_round_trips <= 2 * (2 * result.upload_batches + 3)
-            served = sum(s["requests_served"] for s in cluster.server_stats())
+            served = sum(
+                metrics.value("tcp_requests_total")
+                for metrics in cluster.node_metrics.values()
+            )
             assert served < n  # far fewer RPCs than chunks

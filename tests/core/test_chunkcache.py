@@ -64,9 +64,8 @@ def test_clear_resets_gauge():
 
 
 def test_stats_passthrough():
-    cache = ChunkCache(1024, metrics=MetricsRegistry())
+    metrics = MetricsRegistry()
+    cache = ChunkCache(1024, metrics=metrics)
     cache.put(b"k" * 32, b"v" * 8)
-    stats = cache.stats()
-    assert stats["entries"] == 1
-    assert stats["used_bytes"] == 8
-    assert stats["capacity_bytes"] == 1024
+    assert metrics.value("chunk_cache_bytes") == cache.used_bytes == 8
+    assert metrics.value("chunk_cache_capacity_bytes") == cache.capacity_bytes == 1024

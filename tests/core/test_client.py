@@ -9,6 +9,7 @@ from repro.core import client as client_module
 from repro.core.policy import FilePolicy
 from repro.core.rekey import RevocationMode
 from repro.core.schemes import STUB_SIZE, get_scheme
+from repro.obs import scope as obs_scope
 from repro.storage.recipes import FileRecipe
 from repro.util.errors import (
     AccessDeniedError,
@@ -86,12 +87,13 @@ class TestUploadObservability:
         assert result.key_round_trips == 0
 
     def test_counters_are_per_upload_deltas(self, alice, data):
-        first = alice.upload("f1", data)
-        second = alice.upload("f2", data + b"tail-changes-last-chunk")
+        with obs_scope.attribution() as both:
+            first = alice.upload("f1", data)
+            second = alice.upload("f2", data + b"tail-changes-last-chunk")
         # Most chunks repeat; only the delta shows up on the second result.
         assert second.key_cache_hits > 0
         assert second.key_oprf_evaluations < first.key_oprf_evaluations
-        assert alice.key_client.oprf_evaluations == (
+        assert both.get_int("key_oprf_evaluations") == (
             first.key_oprf_evaluations + second.key_oprf_evaluations
         )
 

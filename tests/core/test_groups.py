@@ -237,3 +237,93 @@ class TestMembersChangeOnlyThroughTheirGroup:
             groups.adopt("H", "f")
         assert self._stored(system, "f") == before
         assert groups.members("H") == []
+
+
+class TestListedFilesThatLeftTheGroup:
+    """A group rekey drops from the manifest every listed file whose
+    key state is no longer one of the group's envelopes, and rekeys only
+    the rest."""
+
+    @pytest.fixture()
+    def system(self):
+        return build_system(num_data_servers=2, rng=HmacDrbg(b"group-left"))
+
+    @pytest.fixture()
+    def alice(self, system):
+        return system.new_client("alice")
+
+    @pytest.fixture()
+    def groups(self, alice):
+        groups = GroupManager(alice)
+        groups.create_group("G", FilePolicy.for_users(["alice", "bob"]))
+        return groups
+
+    @pytest.fixture()
+    def members(self, groups):
+        payloads = {
+            file_id: unique_data(20_000, seed=630 + index)
+            for index, file_id in enumerate(("f", "h"))
+        }
+        for file_id, data in payloads.items():
+            groups.upload("G", file_id, data)
+        return payloads
+
+    def test_reuploaded_file_is_not_pulled_back_into_the_group(
+        self, system, alice, groups, members
+    ):
+        private = b"private" * 1000
+        alice.upload("f", private)  # owner-only now
+        result = groups.rekey(
+            "G", FilePolicy.for_users(["alice", "bob"]), RevocationMode.LAZY
+        )
+        assert result.files_rewrapped == 1
+        assert groups.members("G") == ["h"]
+        bob = system.new_client("bob", owner=False)
+        with pytest.raises(AccessDeniedError):
+            bob.download("f")
+        assert alice.download("f").data == private
+        assert bob.download("h").data == members["h"]
+
+    @pytest.mark.parametrize("mode", list(RevocationMode))
+    def test_deleted_member_does_not_block_revocation(
+        self, system, alice, groups, members, mode
+    ):
+        alice.delete("h")
+        result = groups.revoke_users("G", {"bob"}, mode)
+        assert result.files_rewrapped == 1
+        assert groups.members("G") == ["f"]
+        bob = system.new_client("bob", owner=False)
+        with pytest.raises(AccessDeniedError):
+            bob.download("f")
+        assert alice.download("f").data == members["f"]
+
+    def test_member_moved_into_another_group_is_dropped(
+        self, system, alice, groups, members
+    ):
+        groups.create_group("H", FilePolicy.for_users(["alice", "carol"]))
+        moved = unique_data(20_000, seed=640)
+        groups.upload("H", "f", moved)
+        groups.revoke_users("G", {"bob"})
+        assert groups.members("G") == ["h"]
+        assert groups.members("H") == ["f"]
+        carol = system.new_client("carol", owner=False)
+        assert carol.download("f").data == moved
+        with pytest.raises(AccessDeniedError):
+            system.new_client("bob", owner=False).download("f")
+
+    @pytest.mark.parametrize(
+        ("mode", "store_round_trips"),
+        [(RevocationMode.LAZY, 2), (RevocationMode.ACTIVE, 6)],
+    )
+    def test_one_window_group_rekey_round_trips(
+        self, groups, members, mode, store_round_trips
+    ):
+        """The member records are read once, and the run's fetch stage
+        skips its own read: a group that fits one window makes four
+        keystore round trips (group record read and write, member
+        records read and write)."""
+        result = groups.revoke_users("G", {"bob"}, mode)
+        assert result.files_rewrapped == 2
+        assert result.batches == 1
+        assert result.keystore_round_trips == 4
+        assert result.store_round_trips == store_round_trips

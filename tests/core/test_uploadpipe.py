@@ -1,5 +1,6 @@
 """The pipelined upload: same bytes as the serial path, clean aborts."""
 
+import contextvars
 import threading
 import time
 
@@ -11,6 +12,7 @@ from repro.core.rekey import RevocationMode
 from repro.core.system import build_system
 from repro.crypto import blindrsa
 from repro.crypto.drbg import HmacDrbg
+from repro.obs import scope as obs_scope
 from repro.util.clock import SimClock
 from repro.util.errors import KeyManagerError, NotFoundError, RateLimitExceeded
 
@@ -309,9 +311,9 @@ class TestAbort:
         system.key_manager._clock = SimClock()
         client.key_client._max_retries = 0
         data = HmacDrbg(b"limited").random_bytes(20_000)
-        with pytest.raises(RateLimitExceeded):
+        with obs_scope.attribution() as scope, pytest.raises(RateLimitExceeded):
             client.upload("file", data)
-        assert client.key_client.oprf_evaluations == 2 * KEY_WINDOW
+        assert scope.get_int("key_oprf_evaluations") == 2 * KEY_WINDOW
         self._assert_nothing_written(system)
 
     def test_bad_signature_in_window_k(self):
@@ -378,18 +380,27 @@ class TestConcurrentAttribution:
             except Exception as exc:  # noqa: BLE001 - reported by the assert below
                 errors.append(exc)
 
-        threads = [threading.Thread(target=upload, args=(name,)) for name in files]
+        # Both uploads run under one enclosing scope, which rolls up
+        # everything the shared client did.
+        with obs_scope.attribution() as both:
+            threads = [
+                threading.Thread(
+                    target=contextvars.copy_context().run, args=(upload, name)
+                )
+                for name in files
+            ]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join(timeout=60)
             assert not thread.is_alive()
         assert errors == []
-        key_client = client.key_client
         assert sum(r.key_oprf_evaluations for r in results.values()) == (
-            key_client.oprf_evaluations
+            both.get_int("key_oprf_evaluations")
         )
-        assert sum(r.key_round_trips for r in results.values()) == key_client.round_trips
+        assert sum(r.key_round_trips for r in results.values()) == (
+            both.get_int("key_round_trips")
+        )
         for name, data in files.items():
             chunks = list(chunk_stream(data, SMALL_CHUNKS))
             # The same seed gives the same key manager key, hence the same

@@ -53,11 +53,11 @@ class TestMultiUserDedup:
     def test_mle_cache_eliminates_key_traffic(self, cluster):
         alice = cluster.new_client("alice", cache_bytes=1 << 22)
         data = unique_data(200_000, seed=23)
-        alice.upload("first", data)
-        oprf_after_first = alice.key_client.oprf_evaluations
-        alice.upload("second", data)
-        assert alice.key_client.oprf_evaluations == oprf_after_first
-        assert alice.key_client.cache_hits > 0
+        first = alice.upload("first", data)
+        second = alice.upload("second", data)
+        assert first.key_oprf_evaluations > 0
+        assert second.key_oprf_evaluations == second.key_round_trips == 0
+        assert second.key_cache_hits == first.key_oprf_evaluations
 
 
 class TestSchemesInterop:

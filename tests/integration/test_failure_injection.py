@@ -11,6 +11,8 @@ import pytest
 from repro.core.policy import FilePolicy
 from repro.core.system import build_system
 from repro.crypto.drbg import HmacDrbg
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracing import Tracer
 from repro.storage.backend import DirectoryBackend
 from repro.util.errors import (
     CorruptionError,
@@ -108,12 +110,14 @@ class TestKeyManagerFailures:
             key_batch_size=32,
             rng=HmacDrbg(b"rl"),
         )
+        metrics = MetricsRegistry()
+        system.key_manager.observe_on(metrics, Tracer(metrics))
         alice = system.new_client("alice")
         data = unique_data(600_000, seed=42)  # ~75 chunks at 8 KB average
         result = alice.upload("slow", data)  # must retry internally
         assert alice.download("slow").data == data
         assert result.chunk_count > 64  # actually exceeded one burst
-        assert system.key_manager.stats.rejected > 0  # the limiter fired
+        assert metrics.value("km_rejected_total", client="alice") > 0  # the limiter fired
 
     def test_key_manager_outage_fails_upload_cleanly(self, system):
         alice = system.new_client("alice")

@@ -31,8 +31,9 @@ from repro.core.service import RemoteStorageService
 from repro.core.system import build_system
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.hashing import fingerprint
-from repro.net.retry import RetryPolicy
+from repro.net import tcp
 from repro.net.tcp import TcpConnection
+from repro.obs.metrics import MetricsRegistry
 from repro.storage.datastore import DataStore
 from repro.storage.fsck import fsck
 from repro.storage.recipes import FileRecipe
@@ -289,14 +290,18 @@ def _park_first(server, name: str):
     return entered, release
 
 
-def _patient_storage(cluster) -> tuple[ShardedStorageService, TcpConnection]:
+def _patient_storage(
+    cluster, monkeypatch
+) -> tuple[ShardedStorageService, TcpConnection, MetricsRegistry]:
     """One node's engine over a connection that retries long enough to
-    span a restart."""
-    connection = TcpConnection(
-        *cluster.storage_addresses[0],
-        retry_policy=RetryPolicy(attempts=60, base_delay=0.01, cap=0.1),
+    span a restart, and the registry that connection reports on."""
+    monkeypatch.setattr(
+        tcp, "RECONNECT_POLICY", dict(attempts=60, base_delay=0.01, cap=0.1)
     )
-    return ShardedStorageService([RemoteStorageService(connection.client())]), connection
+    metrics = MetricsRegistry()
+    connection = TcpConnection(*cluster.storage_addresses[0], metrics=metrics)
+    storage = ShardedStorageService([RemoteStorageService(connection.client())])
+    return storage, connection, metrics
 
 
 def _run(fn) -> tuple[threading.Thread, dict]:
@@ -321,12 +326,12 @@ def _restart_under(cluster, entered: threading.Event) -> REEDServer:
     return cluster.servers[0]
 
 
-def test_restore_retries_file_get_across_a_restart():
+def test_restore_retries_file_get_across_a_restart(monkeypatch):
     with TcpCluster(num_data_servers=1, chunking=FIXED, rng=HmacDrbg(b"reread")) as cluster:
         alice = cluster.new_client("alice")
         data = _data(b"doc")
         alice.upload("doc", data)
-        alice.storage, connection = _patient_storage(cluster)
+        alice.storage, connection, metrics = _patient_storage(cluster, monkeypatch)
 
         entered, release = _park_first(cluster.servers[0], "file_get_many")
         thread, outcome = _run(lambda: alice.download("doc").data)
@@ -336,14 +341,14 @@ def test_restore_retries_file_get_across_a_restart():
         assert not thread.is_alive()
 
         assert outcome.get("value") == data, outcome.get("error")
-        assert connection.stats()["idempotent_retries"] >= 1
+        assert metrics.value("tcp_client_idempotent_retries_total") >= 1
         connection.close()
 
 
-def test_interrupted_file_commit_is_never_resent():
+def test_interrupted_file_commit_is_never_resent(monkeypatch):
     with TcpCluster(num_data_servers=1, chunking=FIXED, rng=HmacDrbg(b"recommit")) as cluster:
         alice = cluster.new_client("alice")
-        alice.storage, connection = _patient_storage(cluster)
+        alice.storage, connection, _metrics = _patient_storage(cluster, monkeypatch)
         data = _data(b"doc")
 
         entered, release = _park_first(cluster.servers[0], "file_commit")

@@ -4,9 +4,10 @@ The acceptance scenario for the telemetry layer: upload a 128-chunk file
 through a :class:`TcpCluster`, then scrape the key manager and both
 storage nodes over the ``metrics`` RPC and check the series are present,
 well-formed, and consistent with what the upload reported.  Also proves
-the legacy :class:`UploadResult` counters bit-match the registry-derived
+the :class:`UploadResult` counters bit-match the registry-derived
 values, including under concurrent uploads on a shared client (the
-attribution-scope fix).
+attribution-scope fix), and that the key manager's signature and
+rate-limit counts agree with its clients' across the wire.
 """
 
 import threading
@@ -15,10 +16,17 @@ import pytest
 
 from repro.chunking.chunker import ChunkingSpec
 from repro.core.cluster import TcpCluster
+from repro.core.service import RemoteKeyManagerChannel, register_key_manager, serve_node
 from repro.crypto.drbg import HmacDrbg
+from repro.mle.keymanager import KeyManager
+from repro.mle.server_aided import ServerAidedKeyClient
+from repro.net.tcp import TcpConnection
 from repro.obs.expo import parse_prometheus, render_prometheus
-from repro.obs.metrics import default_registry, reset_default_registry
-from repro.obs.tracing import reset_default_tracer
+from repro.obs.metrics import MetricsRegistry, default_registry, reset_default_registry
+from repro.obs.rpc import scrape
+from repro.obs.tracing import Tracer, reset_default_tracer
+from repro.util.clock import SimClock
+from repro.util.errors import RateLimitExceeded
 
 #: 512 KiB of fixed-size 4 KiB chunks -> exactly 128 chunks.
 CHUNK_SIZE = 4096
@@ -52,6 +60,11 @@ def _series(cluster, node):
 
 def _method_count(series, name, method):
     return series.get((name, frozenset({("method", method)})), 0.0)
+
+
+def _total(series, name):
+    """One family's samples summed over their labels."""
+    return sum(value for (sample, _labels), value in series.items() if sample == name)
 
 
 @pytest.mark.slow
@@ -164,11 +177,6 @@ def test_upload_result_matches_registry_deltas(fresh_registry, cluster):
     assert result2.key_cache_hits == int(after["hits"] - before["hits"]) == 128
     assert result2.key_oprf_evaluations == int(after["oprf"] - before["oprf"]) == 0
 
-    # Legacy per-instance attribute views agree with the registry totals.
-    key_client = client.key_client
-    assert key_client.oprf_evaluations == int(after["oprf"])
-    assert key_client.cache_hits == int(after["hits"])
-    assert key_client.round_trips == int(after["trips"])
 
 
 @pytest.mark.slow
@@ -203,5 +211,58 @@ def test_concurrent_uploads_do_not_cross_contaminate(fresh_registry, cluster):
     assert a.key_round_trips == 1 and b.key_round_trips == 1
     assert a.store_round_trips >= 1 and b.store_round_trips >= 1
     # The shared client's lifetime totals hold the sum.
-    assert client.key_client.oprf_evaluations == 96
     assert fresh_registry.value("key_oprf_evaluations_total", client="alice") == 96
+
+
+def test_key_manager_signatures_match_client_evaluations(fresh_registry, cluster):
+    """The key-manager node's scrape counts every OPRF evaluation the
+    clients paid for, per client."""
+    alice = cluster.new_client("alice")
+    bob = cluster.new_client("bob")
+    alice.upload("file-a", cluster.rng.random_bytes(64 * CHUNK_SIZE))
+    bob.upload("file-b", cluster.rng.random_bytes(32 * CHUNK_SIZE))
+
+    km = _series(cluster, "key-manager")
+    client = parse_prometheus(render_prometheus(fresh_registry))
+    assert _total(km, "km_signatures_total") == 96
+    assert _total(client, "key_oprf_evaluations_total") == 96
+    for user, chunks in (("alice", 64), ("bob", 32)):
+        labels = frozenset({("client", user)})
+        assert km[("km_signatures_total", labels)] == chunks
+        assert client[("key_oprf_evaluations_total", labels)] == chunks
+    assert km[("km_clients", frozenset())] == 2
+    assert _total(km, "km_rejected_total") == 0
+
+
+def test_rate_limited_batch_counted_on_both_ends():
+    """A batch the key manager refuses for rate shows as
+    ``km_rejected_total`` in its node's scrape and as
+    ``key_rate_limited_total`` on the client's registry."""
+    node_metrics = MetricsRegistry()
+    # A frozen clock: the bucket holds 8 tokens and never refills.
+    manager = KeyManager(key_bits=512, rate_limit=1, burst=8, clock=SimClock())
+    server = serve_node(
+        register_key_manager, manager, node_metrics, Tracer(node_metrics)
+    )
+    connection = TcpConnection(*server.address, metrics=MetricsRegistry())
+    try:
+        client_metrics = MetricsRegistry()
+        key_client = ServerAidedKeyClient(
+            RemoteKeyManagerChannel(connection.client()),
+            client_id="alice",
+            rng=HmacDrbg(b"rate-limited"),
+            max_retries=0,
+            metrics=client_metrics,
+        )
+        key_client.derive_keys([bytes([i]) * 32 for i in range(8)])  # the burst
+        with pytest.raises(RateLimitExceeded):
+            key_client.derive_keys([bytes([i + 100]) * 32 for i in range(3)])
+        km = parse_prometheus(scrape(connection.client()))
+    finally:
+        connection.close()
+        server.stop()
+    alice = frozenset({("client", "alice")})
+    assert km[("km_signatures_total", alice)] == 8
+    assert km[("km_rejected_total", alice)] == 3
+    assert client_metrics.value("key_rate_limited_total", client="alice") == 1
+    assert client_metrics.value("key_round_trips_total", client="alice") == 2

@@ -82,7 +82,7 @@ class TestKillMidUpload:
         )
         with daemon:
             deadline = time.monotonic() + 30
-            while daemon.passes == 0 and time.monotonic() < deadline:
+            while daemon.last_report is None and time.monotonic() < deadline:
                 time.sleep(0.02)
             report = daemon.last_report
         assert report is not None

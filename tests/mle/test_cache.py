@@ -31,13 +31,3 @@ class TestMleCache:
         cache.clear()
         assert len(cache) == 0
         assert cache.get(b"\x01" * 32) is None
-
-    def test_stats(self):
-        cache = MLEKeyCache(1 << 16)
-        cache.put(b"\x01" * 32, b"\x02" * 32)
-        cache.get(b"\x01" * 32)
-        cache.get(b"\x03" * 32)
-        stats = cache.stats()
-        assert stats["hits"] == 1
-        assert stats["misses"] == 1
-        assert stats["used_bytes"] == ENTRY_BYTES

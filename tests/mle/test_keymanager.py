@@ -91,21 +91,29 @@ class TestRateLimiting:
 
 class TestAccounting:
     def test_stats(self, manager):
+        metrics = _observed(manager)
         manager.sign_batch("alice", [1, 2, 3])
         manager.sign_batch("bob", [4])
-        assert manager.stats.signatures == 4
-        assert manager.stats.batches == 2
-        assert manager.stats.clients == 2
-        assert manager.client_stats("alice")["requests"] == 3
+        assert metrics.value("km_signatures_total") == 4
+        assert metrics.value("km_sign_batches_total") == 2
+        assert metrics.value("km_clients") == 2
+        assert metrics.value("km_signatures_total", client="alice") == 3
 
     def test_rejections_counted(self, rsa_512):
         clock = SimClock()
         manager = KeyManager(private_key=rsa_512, rate_limit=1, burst=2, clock=clock)
+        metrics = _observed(manager)
         manager.sign_batch("alice", [1, 2])
         with pytest.raises(RateLimitExceeded):
             manager.sign_batch("alice", [1])
-        assert manager.stats.rejected == 1
-        assert manager.client_stats("alice")["rejected"] == 1
+        assert metrics.value("km_rejected_total") == 1
+        assert metrics.value("km_rejected_total", client="alice") == 1
+
+    def test_rebinding_carries_the_client_count(self, manager):
+        manager.sign_batch("alice", [1])
+        metrics = _observed(manager)
+        assert metrics.value("km_clients") == 1
+        assert metrics.value("km_signatures_total") == 0  # counted where bound
 
 
 def _observed(manager: KeyManager) -> MetricsRegistry:
@@ -222,7 +230,7 @@ class TestParallelSigning:
         assert not any(thread.is_alive() for thread in threads)
         assert results == {caller: [expected[caller]] * 5 for caller in range(4)}
         assert _modes(metrics) == (0, 20)
-        assert (manager.stats.batches, manager.stats.signatures) == (20, 20 * 40)
+        assert metrics.value("km_signatures_total") == 20 * 40
 
     def test_rejected_batches_reach_no_worker_and_cost_no_tokens(self, rsa_512):
         clock = SimClock()
@@ -243,8 +251,7 @@ class TestParallelSigning:
         assert _modes(metrics) == (0, 1)
         assert len(manager.sign_batch("alice", [5] * 2)) == 2
         assert _modes(metrics) == (0, 2)  # only admitted batches
-        assert manager.stats.batches == 2
-        assert manager.stats.rejected == 3
+        assert metrics.value("km_rejected_total", client="alice") == 3
 
     @pytest.mark.parametrize("bad", [-1, "n"])
     def test_out_of_domain_value_is_refused_before_signing(self, rsa_512, bad):
@@ -254,7 +261,7 @@ class TestParallelSigning:
         with pytest.raises(KeyManagerError):
             manager.sign_batch("alice", batch)
         assert _modes(metrics) == (0, 0)
-        assert manager.stats.signatures == 0
+        assert metrics.value("km_signatures_total") == 0
         assert manager.seconds_until_allowed("alice", int(DEFAULT_BURST)) == 0
 
     def test_sign_telemetry_lands_on_the_bound_registry(self, rsa_512):

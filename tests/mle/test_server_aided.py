@@ -14,19 +14,41 @@ from repro.mle.server_aided import (
     ServerAidedKeyClient,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracing import Tracer
 from repro.util.clock import SimClock
 from repro.util.errors import ConfigurationError, KeyManagerError, RateLimitExceeded
 
 
 @pytest.fixture()
-def manager(rsa_512):
-    return KeyManager(private_key=rsa_512, rate_limit=10_000, burst=16_384)
+def metrics():
+    """The test's own registry: the manager's and the clients' series."""
+    return MetricsRegistry()
+
+
+def observed(manager, metrics):
+    manager.observe_on(metrics, Tracer(metrics))
+    return manager
+
+
+@pytest.fixture()
+def manager(rsa_512, metrics):
+    return observed(
+        KeyManager(private_key=rsa_512, rate_limit=10_000, burst=16_384), metrics
+    )
 
 
 def make_client(manager, **kwargs):
     kwargs.setdefault("rng", HmacDrbg(b"client"))
     return ServerAidedKeyClient(
         LocalKeyManagerChannel(manager), client_id="alice", **kwargs
+    )
+
+
+def counts(metrics) -> tuple[int, int, int]:
+    """The client's (round trips, OPRF evaluations, cache hits)."""
+    return tuple(
+        int(metrics.value(f"key_{name}_total", client="alice"))
+        for name in ("round_trips", "oprf_evaluations", "cache_hits")
     )
 
 
@@ -56,18 +78,18 @@ class TestCorrectness:
 
 
 class TestBatching:
-    def test_requests_split_into_batches(self, manager):
+    def test_requests_split_into_batches(self, manager, metrics):
         client = make_client(manager, batch_size=4)
         client.derive_keys([bytes([i]) * 32 for i in range(10)])
-        assert manager.stats.batches == 3  # 4 + 4 + 2
-        assert manager.stats.signatures == 10
+        assert metrics.value("km_sign_batches_total") == 3  # 4 + 4 + 2
+        assert metrics.value("km_signatures_total") == 10
 
-    def test_duplicates_within_call_deduplicated(self, manager):
+    def test_duplicates_within_call_deduplicated(self, manager, metrics):
         client = make_client(manager)
         fp = b"\x01" * 32
         keys = client.derive_keys([fp, fp, fp])
         assert keys[0] == keys[1] == keys[2]
-        assert manager.stats.signatures == 1
+        assert metrics.value("km_signatures_total") == 1
 
     def test_bad_batch_size(self, manager):
         with pytest.raises(ConfigurationError):
@@ -75,63 +97,62 @@ class TestBatching:
 
 
 class TestCaching:
-    def test_cache_hit_skips_key_manager(self, manager):
-        client = make_client(manager, cache=MLEKeyCache(1 << 20))
+    def test_cache_hit_skips_key_manager(self, manager, metrics):
+        client = make_client(manager, cache=MLEKeyCache(1 << 20), metrics=metrics)
         fps = [bytes([i]) * 32 for i in range(5)]
         client.derive_keys(fps)
-        before = manager.stats.signatures
+        before = metrics.value("km_signatures_total")
         client.derive_keys(fps)
-        assert manager.stats.signatures == before
-        assert client.cache_hits == 5
+        assert metrics.value("km_signatures_total") == before
+        assert counts(metrics)[2] == 5
 
-    def test_clear_cache_forces_regeneration(self, manager):
+    def test_clear_cache_forces_regeneration(self, manager, metrics):
         client = make_client(manager, cache=MLEKeyCache(1 << 20))
         fps = [bytes([i]) * 32 for i in range(3)]
         client.derive_keys(fps)
         client.clear_cache()
         client.derive_keys(fps)
-        assert manager.stats.signatures == 6
+        assert metrics.value("km_signatures_total") == 6
 
-    def test_no_cache_configured(self, manager):
+    def test_no_cache_configured(self, manager, metrics):
         client = make_client(manager, cache=None)
         fp = b"\x02" * 32
         client.derive_keys([fp])
         client.derive_keys([fp])
-        assert manager.stats.signatures == 2
+        assert metrics.value("km_signatures_total") == 2
 
 
 class TestBlindFinish:
     """``derive_keys`` split in two, as the upload pipeline calls it."""
 
-    def test_awaited_key_is_a_cache_hit_in_finish(self, manager, rsa_512):
+    def test_awaited_key_is_a_cache_hit_in_finish(self, manager, metrics, rsa_512):
         """Window 2 is blinded before window 1 is finished; a fingerprint
         window 1 is deriving is looked up in finish, not blinded again."""
-        client = make_client(manager, cache=MLEKeyCache(1 << 20))
+        client = make_client(manager, cache=MLEKeyCache(1 << 20), metrics=metrics)
         fps = [bytes([i]) * 32 for i in range(6)]
         first = client.blind(fps[:4])
         second = client.blind(fps[2:], awaited=set(fps[2:4]))
         assert [len(batch) for batch, _, _ in second.batches] == [2]
-        assert manager.stats.batches == 0  # blinding sends nothing
+        assert metrics.value("km_sign_batches_total") == 0  # blinding sends nothing
         keys = client.finish(first) + client.finish(second)
         assert keys == [
             blindrsa.derive_mle_key_directly(rsa_512, fp) for fp in fps[:4] + fps[2:]
         ]
-        assert (client.round_trips, client.oprf_evaluations) == (2, 6)
-        assert client.cache_hits == 2
+        assert counts(metrics) == (2, 6, 2)
 
-    def test_awaited_key_gone_from_the_cache_is_evaluated(self, manager, rsa_512):
-        client = make_client(manager, cache=MLEKeyCache(1 << 20))
+    def test_awaited_key_gone_from_the_cache_is_evaluated(self, manager, metrics, rsa_512):
+        client = make_client(manager, cache=MLEKeyCache(1 << 20), metrics=metrics)
         fps = [bytes([i]) * 32 for i in range(3)]
         pending = client.blind(fps, awaited={fps[0]})
         assert pending.deferred == [fps[0]]
         keys = client.finish(pending)
         assert keys == [blindrsa.derive_mle_key_directly(rsa_512, fp) for fp in fps]
-        assert (client.round_trips, client.oprf_evaluations) == (2, 3)
+        assert counts(metrics)[:2] == (2, 3)
 
-    def test_counters_lose_no_update_across_threads(self, manager):
+    def test_counters_lose_no_update_across_threads(self, manager, metrics):
         """The key and derive stages of an upload, and concurrent uploads,
         bump one client's counters from several threads."""
-        client = make_client(manager, cache=MLEKeyCache(1 << 20))
+        client = make_client(manager, cache=MLEKeyCache(1 << 20), metrics=metrics)
         threads, rounds = 4, 200
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -154,16 +175,15 @@ class TestBlindFinish:
         finally:
             sys.setswitchinterval(interval)
         total = threads * rounds
-        assert client.oprf_evaluations == client.round_trips == total
-        assert client.cache_hits == total
+        assert counts(metrics) == (total, total, total)
 
-    def test_awaited_is_ignored_without_a_cache(self, manager):
-        client = make_client(manager, cache=None)
+    def test_awaited_is_ignored_without_a_cache(self, manager, metrics):
+        client = make_client(manager, cache=None, metrics=metrics)
         fp = b"\x04" * 32
         pending = client.blind([fp], awaited={fp})
         assert pending.deferred == []
         client.finish(pending)
-        assert client.round_trips == 1
+        assert counts(metrics)[0] == 1
 
 
 class TestDeriveKeys:
@@ -177,38 +197,41 @@ class TestDeriveKeys:
         for fp, key in zip(fps, batched):
             assert key == blindrsa.derive_mle_key_directly(rsa_512, fp)
 
-    def test_one_round_trip_per_file(self, manager):
-        client = make_client(manager)
+    def test_one_round_trip_per_file(self, manager, metrics):
+        client = make_client(manager, metrics=metrics)
         client.derive_keys([bytes([i]) * 32 for i in range(50)])
-        assert client.round_trips == 1
-        assert manager.stats.batches == 1
-        assert manager.stats.signatures == 50
+        assert counts(metrics)[0] == 1
+        assert metrics.value("km_sign_batches_total") == 1
+        assert metrics.value("km_signatures_total") == 50
 
-    def test_round_trips_bounded_by_batch_size(self, manager):
-        client = make_client(manager, batch_size=8)
+    def test_round_trips_bounded_by_batch_size(self, manager, metrics):
+        client = make_client(manager, batch_size=8, metrics=metrics)
         count = 50
         client.derive_keys([bytes([i]) * 32 for i in range(count)])
-        assert client.round_trips == -(-count // 8)  # ceil(50/8) == 7
+        assert counts(metrics)[0] == -(-count // 8)  # ceil(50/8) == 7
 
-    def test_cache_consulted_before_the_wire(self, manager):
-        client = make_client(manager, cache=MLEKeyCache(1 << 20))
+    def test_cache_consulted_before_the_wire(self, manager, metrics):
+        client = make_client(manager, cache=MLEKeyCache(1 << 20), metrics=metrics)
         fps = [bytes([i]) * 32 for i in range(5)]
         client.derive_keys(fps)
-        assert client.round_trips == 1
+        assert counts(metrics)[0] == 1
         client.derive_keys(fps)  # fully warm: nothing crosses the wire
-        assert client.round_trips == 1
-        assert client.cache_hits == 5
+        assert counts(metrics)[0] == 1
+        assert counts(metrics)[2] == 5
 
-    def test_rate_limiter_charged_per_fingerprint(self, rsa_512):
+    def test_rate_limiter_charged_per_fingerprint(self, rsa_512, metrics):
         # A frozen clock: no wall-clock stall can refill a token mid-test.
-        manager = KeyManager(
-            private_key=rsa_512, rate_limit=10, burst=10, clock=SimClock()
+        manager = observed(
+            KeyManager(private_key=rsa_512, rate_limit=10, burst=10, clock=SimClock()),
+            metrics,
         )
-        client = make_client(manager, max_retries=0)
+        client = make_client(manager, max_retries=0, metrics=metrics)
         client.derive_keys([bytes([i]) * 32 for i in range(10)])  # drains bucket
         with pytest.raises(RateLimitExceeded):
             client.derive_keys([b"\xee" * 32])
-        assert manager.client_stats("alice")["requests"] == 10
+        assert metrics.value("km_signatures_total", client="alice") == 10
+        assert metrics.value("km_rejected_total", client="alice") == 1
+        assert metrics.value("key_rate_limited_total", client="alice") == 1
 
 
 class TestRateLimitBackoff:
@@ -274,28 +297,21 @@ class TestRobustness:
 
 
 class TestStats:
-    def test_round_trips_counted(self, manager):
-        client = make_client(manager, batch_size=4)
+    def test_round_trips_counted(self, manager, metrics):
+        client = make_client(manager, batch_size=4, metrics=metrics)
         client.derive_keys([bytes([i]) * 32 for i in range(10)])
-        assert client.round_trips == 3  # 4 + 4 + 2
+        assert counts(metrics)[0] == 3  # 4 + 4 + 2
 
-    def test_stats_snapshot(self, manager):
-        registry = MetricsRegistry()
-        client = make_client(manager, cache=MLEKeyCache(1 << 20), metrics=registry)
+    def test_stats_snapshot(self, manager, metrics):
+        client = make_client(manager, cache=MLEKeyCache(1 << 20), metrics=metrics)
         fps = [bytes([i]) * 32 for i in range(5)]
         client.derive_keys(fps)
         client.derive_keys(fps)
-        assert client.oprf_evaluations == 5
-        assert client.cache_hits == 5
-        assert client.round_trips == 1
-        assert client.cache.stats()["entries"] == 5
-        # The registry series carry the same per-client totals.
-        assert registry.value("key_oprf_evaluations_total", client="alice") == 5
-        assert registry.value("key_cache_hits_total", client="alice") == 5
-        assert registry.value("key_round_trips_total", client="alice") == 1
+        assert counts(metrics) == (1, 5, 5)
+        assert len(client.cache) == 5
 
-    def test_stats_without_cache(self, manager):
-        client = make_client(manager, cache=None)
+    def test_stats_without_cache(self, manager, metrics):
+        client = make_client(manager, cache=None, metrics=metrics)
         client.derive_keys([b"\x07" * 32])
         assert client.cache is None
-        assert client.round_trips == 1
+        assert counts(metrics)[0] == 1

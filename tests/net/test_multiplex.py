@@ -8,7 +8,7 @@ import time
 import pytest
 
 from repro.net.rpc import LoopbackTransport, ServiceRegistry
-from repro.net.retry import RetryPolicy, is_idempotent_method
+from repro.net.retry import is_idempotent_method
 from repro.net.tcp import TcpConnection, TcpServer
 from repro.obs.metrics import MetricsRegistry
 from repro.util.errors import ConfigurationError, ProtocolError
@@ -88,12 +88,13 @@ class TestOutOfOrderMultiplexing:
         """RpcClients are cheap cursors over one shared connection; each
         keeps its own correlation ids."""
         server = server_factory(make_registry())
-        connection = TcpConnection(*server.address)
+        metrics = MetricsRegistry()
+        connection = TcpConnection(*server.address, metrics=metrics)
         try:
             clients = [connection.client() for _ in range(5)]
             for i, client in enumerate(clients):
                 assert client.call("echo", bytes([i])) == bytes([i])
-            assert all(client.calls == 1 for client in clients)
+            assert metrics.value("rpc_client_requests_total", method="echo") == 5
         finally:
             connection.close()
 
@@ -116,7 +117,8 @@ class TestClientWindow:
             return payload
 
         server = server_factory(make_registry({"block": block}), max_workers=8)
-        connection = TcpConnection(*server.address, max_in_flight=2)
+        metrics = MetricsRegistry()
+        connection = TcpConnection(*server.address, metrics=metrics, max_in_flight=2)
         results = []
 
         def one(i):
@@ -131,7 +133,7 @@ class TestClientWindow:
             # Third sender is parked in the client window: its request
             # has not reached the server.
             assert not entered.acquire(timeout=0.3)
-            assert connection.stats()["in_flight"] == 2
+            assert metrics.value("tcp_client_in_flight_requests") == 2
             release.set()
             assert entered.acquire(timeout=5.0)
             for thread in threads:
@@ -180,8 +182,7 @@ class TestReconnectRetry:
             replacement = server_factory(registry, host=host, port=port)
             assert replacement.address == (host, port)
             assert connection.client().call("svc.get", b"k") == b"value:k"
-            stats = connection.stats()
-            assert stats["reconnects"] >= 1
+            assert metrics.value("tcp_client_reconnects_total") >= 1
         finally:
             connection.close()
 
@@ -215,22 +216,6 @@ class TestReconnectRetry:
             server.stop()
             with pytest.raises((ProtocolError, OSError)):
                 connection.client().call("svc.get", b"x")
-        finally:
-            connection.close()
-
-    def test_custom_retry_policy_used(self, server_factory):
-        """A caller-supplied policy drives the attempt count."""
-        sleeps = []
-        policy = RetryPolicy(attempts=2, base_delay=0.01, sleep=sleeps.append)
-        server = server_factory(make_registry())
-        connection = TcpConnection(
-            *server.address, timeout=1.0, retry_policy=policy
-        )
-        try:
-            server.stop()
-            with pytest.raises((ProtocolError, OSError)):
-                connection.client().call("svc.get", b"x")
-            assert len(sleeps) == 1  # attempts=2 -> exactly one backoff
         finally:
             connection.close()
 
@@ -281,28 +266,31 @@ class TestExactAttribution:
         assert errors == []
         deadline = time.monotonic() + 5.0
         while time.monotonic() < deadline:
-            stats = server.stats()
-            if stats["in_flight_requests"] == 0 and stats["active_connections"] == 0:
+            if (
+                metrics.value("tcp_in_flight_requests") == 0
+                and metrics.value("tcp_active_connections") == 0
+            ):
                 break
             time.sleep(0.01)
-        stats = server.stats()
-        assert stats["connections_accepted"] == 100
-        assert stats["requests_served"] == 100 * 5
-        assert stats["in_flight_requests"] == 0
-        assert stats["active_connections"] == 0
-        assert stats["oversize_drops"] == 0
-        assert stats["idle_drops"] == 0
+        assert metrics.value("tcp_connections_accepted_total") == 100
+        assert metrics.value("tcp_requests_total") == 100 * 5
+        assert metrics.value("tcp_in_flight_requests") == 0
+        assert metrics.value("tcp_active_connections") == 0
+        assert metrics.value("tcp_oversize_drops_total") == 0
+        assert metrics.value("tcp_idle_drops_total") == 0
         gauge = client_metrics.gauge("tcp_client_in_flight_requests", "")
         assert gauge.value == 0
 
 
 class TestSharedRpcClientCounters:
     def test_legacy_counters_exact_under_contention(self):
-        """`calls`/`errors` are bumped under the client lock now; a
-        shared client hammered by 16 threads must not lose increments."""
+        """The client's request and error series (which replaced its
+        ``calls``/``errors`` attributes): a shared client hammered by 16
+        threads must not lose increments."""
         registry = ServiceRegistry()
         registry.register("echo", lambda p: p)
-        client = LoopbackTransport(registry).client()
+        metrics = MetricsRegistry()
+        client = LoopbackTransport(registry, metrics=metrics).client()
 
         def hammer():
             for _ in range(200):
@@ -313,5 +301,5 @@ class TestSharedRpcClientCounters:
             thread.start()
         for thread in threads:
             thread.join(timeout=30.0)
-        assert client.calls == 16 * 200
-        assert client.errors == 0
+        assert metrics.value("rpc_client_requests_total") == 16 * 200
+        assert metrics.value("rpc_client_errors_total") == 0

@@ -9,6 +9,7 @@ from repro.net.rpc import (
     decode_error,
     encode_error,
 )
+from repro.obs.metrics import MetricsRegistry
 from repro.util.errors import (
     NotFoundError,
     ProtocolError,
@@ -100,27 +101,32 @@ class TestLoopback:
 
 class TestCounters:
     def test_client_counts_calls_and_errors(self, registry):
-        client = LoopbackTransport(registry).client()
+        metrics = MetricsRegistry()
+        client = LoopbackTransport(registry, metrics=metrics).client()
         client.call("echo", b"a")
         client.call("upper", b"b")
         with pytest.raises(NotFoundError):
             client.call("fail")
-        assert (client.calls, client.errors) == (3, 1)
+        assert metrics.value("rpc_client_requests_total") == 3
+        assert metrics.value("rpc_client_errors_total") == 1
+        assert metrics.value("rpc_client_errors_total", method="fail") == 1
 
     def test_transport_counts_messages(self, registry):
-        transport = LoopbackTransport(registry)
+        metrics = MetricsRegistry()
+        transport = LoopbackTransport(registry, metrics=metrics)
         first = transport.client()
         second = transport.client()
         first.call("echo", b"x")
         second.call("echo", b"y")
-        stats = transport.stats()
-        assert stats["messages"] == 2
-        # Fast path never encodes, so byte counters stay zero.
-        assert stats["request_bytes"] == 0 and stats["response_bytes"] == 0
+        # Every client of one transport reports on its registry.
+        assert metrics.value("rpc_client_requests_total", method="echo") == 2
 
     def test_transport_counts_bytes_with_hook(self, registry):
-        transport = LoopbackTransport(registry, on_message=lambda req, resp: None)
+        wire = []
+        transport = LoopbackTransport(
+            registry, on_message=lambda req, resp: wire.append((req, resp))
+        )
         transport.client().call("echo", b"payload")
-        stats = transport.stats()
-        assert stats["messages"] == 1
-        assert stats["request_bytes"] > 0 and stats["response_bytes"] > 0
+        [(request, response)] = wire
+        assert Message.decode(request).payload == b"payload"
+        assert Message.decode(response).payload == b"payload"

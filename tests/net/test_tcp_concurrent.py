@@ -1,5 +1,5 @@
 """Concurrency behaviour of the TCP server: worker pool, graceful
-shutdown, oversize-frame guard, and the stats surface."""
+shutdown, oversize-frame guard, and the ``tcp_*`` series."""
 
 import socket
 import struct
@@ -62,7 +62,7 @@ class TestConcurrency:
                 thread.start()
             for _ in range(4):  # all four are inside the handler at once
                 assert inside.acquire(timeout=5.0)
-            assert server.stats()["in_flight_requests"] == 4
+            assert server.metrics.value("tcp_in_flight_requests") == 4
             release.set()
             for thread in threads:
                 thread.join(timeout=5.0)
@@ -93,7 +93,7 @@ class TestConcurrency:
         for thread in threads:
             thread.join(timeout=10.0)
         assert sorted(results) == [bytes([i]) for i in range(5)]
-        assert server.stats()["connections_accepted"] == 5
+        assert server.metrics.value("tcp_connections_accepted_total") == 5
 
     def test_responses_in_request_order_per_connection(self, server_factory):
         server = server_factory(make_registry(), max_workers=4)
@@ -164,10 +164,10 @@ class TestMaxMessageSize:
             sock.close()
         deadline = time.monotonic() + 5.0
         while time.monotonic() < deadline:
-            if server.stats()["oversize_drops"] == 1:
+            if server.metrics.value("tcp_oversize_drops_total") == 1:
                 break
             time.sleep(0.01)
-        assert server.stats()["oversize_drops"] == 1
+        assert server.metrics.value("tcp_oversize_drops_total") == 1
 
     def test_frames_at_the_limit_pass(self, server_factory):
         limit = 4096
@@ -221,18 +221,18 @@ class TestValidationAndStats:
             client = connection.client()
             client.call("echo", b"one")
             client.call("echo", b"two")
-            stats = server.stats()
-            assert stats["connections_accepted"] == 1
-            assert stats["active_connections"] == 1
-            assert stats["requests_served"] == 2
-            assert stats["oversize_drops"] == 0
-            assert stats["max_workers"] == 3
+            value = server.metrics.value
+            assert value("tcp_connections_accepted_total") == 1
+            assert value("tcp_active_connections") == 1
+            assert value("tcp_requests_total") == 2
+            assert value("tcp_oversize_drops_total") == 0
+            assert value("tcp_max_workers") == 3
             # A request stays in flight until its response flush returns,
             # which can trail the client's read by a moment.
             deadline = time.monotonic() + 5.0
-            while server.stats()["in_flight_requests"] and time.monotonic() < deadline:
+            while value("tcp_in_flight_requests") and time.monotonic() < deadline:
                 time.sleep(0.001)
-            assert server.stats()["in_flight_requests"] == 0
+            assert value("tcp_in_flight_requests") == 0
         finally:
             connection.close()
 

@@ -137,7 +137,7 @@ class TestNonReadingPeer:
 
         def watch():
             while not watching.is_set():
-                peaks.append(server.stats()["in_flight_requests"])
+                peaks.append(server.metrics.value("tcp_in_flight_requests"))
                 time.sleep(0.002)
 
         watcher = threading.Thread(target=watch)
@@ -152,7 +152,7 @@ class TestNonReadingPeer:
                 hog.sendall(frame(request.encode()))
             # Every request was read; give the handlers time to finish
             # and the responses time to back up.
-            assert wait_until(lambda: server.stats()["in_flight_requests"] > 0)
+            assert wait_until(lambda: server.metrics.value("tcp_in_flight_requests") > 0)
             time.sleep(0.2)
             connection = TcpConnection(*server.address, timeout=2.0)
             started = time.monotonic()
@@ -182,7 +182,7 @@ class TestServerThreads:
             for connection in connections:
                 connection.close()
         assert wait_until(lambda: not server_threads(port)), server_threads(port)
-        assert server.stats()["active_connections"] == 0
+        assert server.metrics.value("tcp_active_connections") == 0
 
     def test_stop_with_a_peer_stalled_mid_frame(self):
         server = TcpServer(make_registry())  # the default 600 s idle timeout
@@ -194,7 +194,7 @@ class TestServerThreads:
             # A served call first, so the handler pool has a thread too.
             assert connection.client().call("echo", b"x") == b"x"
             stalled.sendall((100).to_bytes(4, "big") + b"part")
-            assert wait_until(lambda: server.stats()["active_connections"] == 2)
+            assert wait_until(lambda: server.metrics.value("tcp_active_connections") == 2)
             assert server_threads(port, kinds=None)
             started = time.monotonic()
             server.stop(timeout=2.0)
@@ -239,11 +239,11 @@ class TestSharedCounters:
             for connection in connections:
                 connection.close()
         assert errors == []
-        assert wait_until(lambda: server.stats()["active_connections"] == 0)
-        stats = server.stats()
-        assert stats["requests_served"] == 16 * 40
-        assert stats["in_flight_requests"] == 0
-        assert stats["queued_connections"] == 0
+        assert wait_until(lambda: server.metrics.value("tcp_active_connections") == 0)
+        value = server.metrics.value
+        assert value("tcp_requests_total") == 16 * 40
+        assert value("tcp_in_flight_requests") == 0
+        assert value("tcp_queue_depth") == 0
 
 
 class TestSameSocketConcurrency:
@@ -303,7 +303,7 @@ class TestSameSocketConcurrency:
             # The third request must NOT be dispatched while the window
             # is full.
             assert not entered.acquire(timeout=0.3)
-            assert server.stats()["in_flight_requests"] == 2
+            assert server.metrics.value("tcp_in_flight_requests") == 2
             release.set()
             # Once a slot frees, the third request dispatches after all.
             assert entered.acquire(timeout=5.0)
@@ -325,10 +325,10 @@ class TestDeadPeerProtection:
             sock.close()
         deadline = time.monotonic() + 5.0
         while time.monotonic() < deadline:
-            if server.stats()["idle_drops"] == 1:
+            if server.metrics.value("tcp_idle_drops_total") == 1:
                 break
             time.sleep(0.01)
-        assert server.stats()["idle_drops"] == 1
+        assert server.metrics.value("tcp_idle_drops_total") == 1
 
     def test_stall_mid_frame_dropped(self, server_factory):
         server = server_factory(make_registry(), idle_timeout=0.2)
@@ -340,10 +340,10 @@ class TestDeadPeerProtection:
             sock.close()
         deadline = time.monotonic() + 5.0
         while time.monotonic() < deadline:
-            if server.stats()["idle_drops"] == 1:
+            if server.metrics.value("tcp_idle_drops_total") == 1:
                 break
             time.sleep(0.01)
-        assert server.stats()["idle_drops"] == 1
+        assert server.metrics.value("tcp_idle_drops_total") == 1
 
     def test_disconnect_mid_frame_is_clean(self, server_factory):
         """A peer that dies halfway through a frame must not wedge the
@@ -354,10 +354,10 @@ class TestDeadPeerProtection:
         sock.close()
         deadline = time.monotonic() + 5.0
         while time.monotonic() < deadline:
-            if server.stats()["active_connections"] == 0:
+            if server.metrics.value("tcp_active_connections") == 0:
                 break
             time.sleep(0.01)
-        assert server.stats()["active_connections"] == 0
+        assert server.metrics.value("tcp_active_connections") == 0
         # And the server still serves new clients.
         connection = TcpConnection(*server.address)
         try:
@@ -410,4 +410,4 @@ class TestDrain:
             thread.join(timeout=5.0)
         connection.close()
         assert sorted(results) == [bytes([i]) for i in range(8)]
-        assert server.stats()["in_flight_requests"] == 0
+        assert server.metrics.value("tcp_in_flight_requests") == 0

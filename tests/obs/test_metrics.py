@@ -108,6 +108,16 @@ def test_registry_value_of_missing_metric_is_zero():
     assert registry.value("present", wrong="label") == 0.0
 
 
+def test_registry_value_without_labels_sums_a_labeled_family():
+    registry = MetricsRegistry()
+    family = registry.counter("rpc_total", labelnames=("method",))
+    assert registry.value("rpc_total") == 0.0
+    family.labels(method="a").inc(2)
+    family.labels(method="b").inc(5)
+    assert registry.value("rpc_total") == 7.0
+    assert registry.value("rpc_total", method="a") == 2.0
+
+
 def test_snapshot_shape():
     registry = MetricsRegistry()
     registry.counter("c_total", "help!", labelnames=("k",)).labels(k="v").inc()

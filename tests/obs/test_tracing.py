@@ -3,6 +3,7 @@ deterministic timing through an injected SimClock."""
 
 import threading
 
+from repro.obs import tracing
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import (
     SPAN_HISTOGRAM,
@@ -13,11 +14,11 @@ from repro.obs.tracing import (
 from repro.util.clock import SimClock
 
 
-def _tracer(ring: int = 32) -> tuple[Tracer, MetricsRegistry, SimClock]:
+def _tracer() -> tuple[Tracer, MetricsRegistry, SimClock]:
     clock = SimClock()
     registry = MetricsRegistry()
     # SimClock is itself the callable clock (calling it reads the time).
-    return Tracer(registry, clock=clock, trace_ring=ring), registry, clock
+    return Tracer(registry, clock=clock), registry, clock
 
 
 def test_span_durations_from_sim_clock():
@@ -63,8 +64,9 @@ def test_observe_records_without_tree_node():
     assert tracer.recent_traces() == []
 
 
-def test_trace_ring_is_bounded():
-    tracer, _, clock = _tracer(ring=3)
+def test_trace_ring_is_bounded(monkeypatch):
+    monkeypatch.setattr(tracing, "TRACE_RING", 3)
+    tracer, _, clock = _tracer()
     for index in range(5):
         with tracer.span(f"op-{index}"):
             clock.advance(0.01)
@@ -170,11 +172,11 @@ def test_remote_span_continues_propagated_context():
     assert inner.parent_span_id == span.span_id
 
 
-def test_slow_ring_samples_by_threshold():
+def test_slow_ring_samples_by_threshold(monkeypatch):
+    monkeypatch.setattr(tracing, "SLOW_THRESHOLD", 1.0)
+    monkeypatch.setattr(tracing, "SLOW_RING", 2)
     clock = SimClock()
-    tracer = Tracer(
-        MetricsRegistry(), clock=clock, slow_threshold=1.0, slow_ring=2, node="n1"
-    )
+    tracer = Tracer(MetricsRegistry(), clock=clock, node="n1")
     with tracer.span("fast"):
         clock.advance(0.5)
     with tracer.span("slow-1", key="v"):

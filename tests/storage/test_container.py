@@ -25,6 +25,14 @@ def backend():
     return MemoryBackend()
 
 
+def seals(store: ContainerStore) -> float:
+    return store.metrics.value("container_seals_total")
+
+
+def fetches(store: ContainerStore) -> float:
+    return store.metrics.value("container_fetch_total")
+
+
 def incompressible(nbytes: int, seed: int = 0) -> bytes:
     """Deterministic pseudorandom bytes zlib cannot shrink."""
     out = bytearray()
@@ -37,16 +45,16 @@ def incompressible(nbytes: int, seed: int = 0) -> bytes:
 
 class TestAppendRead:
     def test_read_from_open_container(self, backend):
-        store = ContainerStore(backend, container_bytes=1024)
+        store = ContainerStore(backend, metrics=MetricsRegistry(), container_bytes=1024)
         loc = store.append(b"chunk-one")
         assert store.read(loc) == b"chunk-one"
-        assert store.sealed_containers == 0  # still buffered
+        assert seals(store) == 0  # still buffered
 
     def test_read_after_seal(self, backend):
-        store = ContainerStore(backend, container_bytes=1024)
+        store = ContainerStore(backend, metrics=MetricsRegistry(), container_bytes=1024)
         loc = store.append(b"chunk-one")
         store.flush()
-        assert store.sealed_containers == 1
+        assert seals(store) == 1
         assert store.read(loc) == b"chunk-one"
 
     def test_locations_within_container(self, backend):
@@ -60,11 +68,11 @@ class TestAppendRead:
         assert store.read(b) == b"bbbb"
 
     def test_seal_on_capacity(self, backend):
-        store = ContainerStore(backend, container_bytes=100)
+        store = ContainerStore(backend, metrics=MetricsRegistry(), container_bytes=100)
         first = store.append(b"x" * 60)
         second = store.append(b"y" * 60)  # would exceed 100 -> new container
         assert second.container_id == first.container_id + 1
-        assert store.sealed_containers == 1
+        assert seals(store) == 1
         assert store.read(first) == b"x" * 60
         assert store.read(second) == b"y" * 60
 
@@ -79,24 +87,24 @@ class TestAppendRead:
             ContainerStore(backend).append(b"")
 
     def test_flush_idempotent(self, backend):
-        store = ContainerStore(backend, container_bytes=100)
+        store = ContainerStore(backend, metrics=MetricsRegistry(), container_bytes=100)
         store.append(b"data")
         store.flush()
         store.flush()
-        assert store.sealed_containers == 1
+        assert seals(store) == 1
 
 
 class TestReadCache:
     def test_cache_avoids_refetch(self, backend):
-        store = ContainerStore(backend, container_bytes=64)
+        store = ContainerStore(backend, metrics=MetricsRegistry(), container_bytes=64)
         locs = [store.append(bytes([i]) * 32) for i in range(4)]
         store.flush()
         for loc in locs:
             store.read(loc)
-        fetches = store.container_fetches
+        before = fetches(store)
         for loc in locs:
             store.read(loc)
-        assert store.container_fetches == fetches  # served from cache
+        assert fetches(store) == before  # served from cache
 
     def test_out_of_range_read(self, backend):
         from repro.storage.index import ChunkLocation
@@ -153,10 +161,10 @@ class TestLifecycle:
         store = ContainerStore(backend, container_bytes=64)
         loc = store.append(b"a" * 40)
         store.flush()
-        restarted = ContainerStore(backend, container_bytes=64)
+        restarted = ContainerStore(backend, metrics=MetricsRegistry(), container_bytes=64)
         # Learned from the framed header without a full fetch.
         assert restarted.payload_length(loc.container_id) == 40
-        assert restarted.container_fetches == 0
+        assert fetches(restarted) == 0
 
 
 def _frame_codec(backend, loc) -> int:
@@ -262,7 +270,6 @@ class TestCompression:
         assert registry.value("container_payload_bytes") == 4096
         # The gauge keeps its name; it counts framed on-disk bytes.
         assert registry.value("container_compressed_bytes") == 4096 + _HEADER.size
-        assert store.compressed_bytes() == 4096 + _HEADER.size
         assert registry.get("container_compression_ratio") is None
 
     def test_incompressible_sample_stores_the_whole_payload_raw(self, backend):
@@ -319,33 +326,33 @@ class TestCoalescedReads:
         registry = MetricsRegistry()
         store = ContainerStore(backend, container_bytes=64, metrics=registry)
         locs = self._fill(store)  # 8 x 32 B -> 4 sealed containers
-        assert store.sealed_containers == 4
-        out = store.read_many(locs)
+        assert seals(store) == 4
+        out, fetched = store.read_many(locs)
         assert out == [bytes([i]) * 32 for i in range(8)]
-        assert store.container_fetches == 4
+        assert fetched == fetches(store) == 4
         assert backend.container_gets == 4
         assert registry.value("container_fetch_total") == 4
 
     def test_read_many_served_from_cache(self):
         backend = _CountingBackend()
-        store = ContainerStore(backend, container_bytes=64)
+        store = ContainerStore(backend, metrics=MetricsRegistry(), container_bytes=64)
         locs = self._fill(store)
         store.read_many(locs)
-        fetches = store.container_fetches
-        assert store.read_many(locs) == [bytes([i]) * 32 for i in range(8)]
-        assert store.container_fetches == fetches
+        before = fetches(store)
+        assert store.read_many(locs) == ([bytes([i]) * 32 for i in range(8)], 0)
+        assert fetches(store) == before
 
     def test_read_many_includes_open_buffer(self):
         store = ContainerStore(MemoryBackend(), container_bytes=1024)
         sealed = store.append(b"a" * 512)
         store.flush()
         buffered = store.append(b"b" * 100)  # still open
-        out = store.read_many([sealed, buffered, sealed])
+        out, _fetched = store.read_many([sealed, buffered, sealed])
         assert out == [b"a" * 512, b"b" * 100, b"a" * 512]
 
     def test_read_many_empty(self):
         store = ContainerStore(MemoryBackend(), container_bytes=64)
-        assert store.read_many([]) == []
+        assert store.read_many([]) == ([], 0)
 
     def test_read_many_missing_container_raises(self):
         store = ContainerStore(MemoryBackend(), container_bytes=64)
@@ -355,15 +362,11 @@ class TestCoalescedReads:
         with pytest.raises(NotFoundError):
             store.read_many([loc])
 
-    def test_fetch_concurrency_validated(self):
-        with pytest.raises(ConfigurationError):
-            ContainerStore(MemoryBackend(), fetch_concurrency=0)
-
 
 class TestSingleFlight:
     def test_concurrent_reads_share_one_fetch(self):
         backend = _CountingBackend(delay=0.05)
-        store = ContainerStore(backend, container_bytes=64)
+        store = ContainerStore(backend, metrics=MetricsRegistry(), container_bytes=64)
         loc = store.append(b"a" * 64)
         store.flush()
 
@@ -387,7 +390,7 @@ class TestSingleFlight:
         assert results == [b"a" * 64] * 8
         # All eight readers were served by a single backend fetch.
         assert backend.container_gets == 1
-        assert store.container_fetches == 1
+        assert fetches(store) == 1
 
     def test_followers_refetch_after_leader_failure(self):
         backend = _CountingBackend(delay=0.02)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.crypto.hashing import fingerprint
 from repro.obs.metrics import MetricsRegistry
+from repro.storage.backend import MemoryBackend
 from repro.storage.container import _HEADER
 from repro.storage.datastore import DataStore
 from repro.util.errors import NotFoundError, StorageError
@@ -14,6 +15,22 @@ from repro.util.errors import NotFoundError, StorageError
 
 def put(store, data):
     return store.put_chunk(fingerprint(data), data)
+
+
+class _GatedBackend(MemoryBackend):
+    """Holds every read of the blob named ``gated`` until ``release``."""
+
+    def __init__(self):
+        super().__init__()
+        self.gated = None
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def get(self, name):
+        if name == self.gated:
+            self.entered.set()
+            assert self.release.wait(10)
+        return super().get(name)
 
 
 class TestDeduplication:
@@ -126,10 +143,33 @@ class TestBatchReads:
         fps = [fingerprint(data) for data in datas]
         assert store.get_many(fps) == datas
         # One cold fetch per container, not per chunk.
-        assert store.containers.container_fetches == 4
+        assert registry.value("container_fetch_total") == 4
         assert registry.value("container_read_amplification") == pytest.approx(
             4 / 8
         )
+
+    def test_read_amplification_counts_only_the_calls_own_fetches(self):
+        backend = _GatedBackend()
+        registry = MetricsRegistry()
+        store = DataStore(backend, container_bytes=64, metrics=registry)
+        datas = self._fill(store)  # 4 containers of 2 chunks each
+        fps = [fingerprint(data) for data in datas]
+        backend.gated = f"container/{store.index.lookup(fps[0]).container_id:012d}"
+        restored = []
+        slow = threading.Thread(target=lambda: restored.append(store.get_many(fps[:2])))
+        slow.start()
+        try:
+            assert backend.entered.wait(10)
+            # While the first call waits on its one fetch, a second call
+            # fetches the other three containers.
+            assert store.get_many(fps[2:]) == datas[2:]
+            assert registry.value("container_read_amplification") == pytest.approx(3 / 6)
+        finally:
+            backend.release.set()
+            slow.join(10)
+        assert restored == [datas[:2]]
+        assert registry.value("container_fetch_total") == 4
+        assert registry.value("container_read_amplification") == pytest.approx(1 / 2)
 
     def test_get_many_warm_cache_zero_amplification(self):
         registry = MetricsRegistry()
@@ -150,13 +190,13 @@ class TestBatchReads:
             store.get_many([fingerprint(b"present"), fingerprint(b"absent")])
 
     def test_compression_reported_in_stats(self):
-        store = DataStore(container_bytes=4096)
+        registry = MetricsRegistry()
+        store = DataStore(container_bytes=4096, metrics=registry)
         put(store, b"abcd" * 1024)
         store.flush()
-        stats = store.stats
-        assert stats.container_payload_bytes == 4096
+        assert registry.value("container_payload_bytes") == 4096
         # Compressible or not, the payload is stored raw behind its frame.
-        assert stats.container_compressed_bytes == 4096 + _HEADER.size
+        assert registry.value("container_compressed_bytes") == 4096 + _HEADER.size
 
 
 class TestFlushSnapshot:

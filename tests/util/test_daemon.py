@@ -40,12 +40,12 @@ class TestIntervalDaemon:
 
         daemon = IntervalDaemon(boom, failure_counter(registry), interval=0.01)
         with daemon:
-            assert wait_for(lambda: daemon.failed_passes >= 2)
+            assert wait_for(lambda: registry.value("pass_failures_total") >= 2)
             assert daemon._thread.is_alive()
         assert len(calls) >= 2  # the loop outlived the first failure
-        assert daemon.passes == 0
+        assert daemon.last_report is None  # no pass completed
         assert isinstance(daemon.last_error, ProtocolError)
-        assert registry.value("pass_failures_total") == daemon.failed_passes
+        assert registry.value("pass_failures_total") == len(calls)
 
     def test_next_good_pass_clears_last_error(self):
         registry = MetricsRegistry()
@@ -59,19 +59,26 @@ class TestIntervalDaemon:
 
         daemon = IntervalDaemon(flaky, failure_counter(registry), interval=0.01)
         with daemon:
-            assert wait_for(lambda: daemon.passes >= 1)
-        assert daemon.failed_passes == 1
+            assert wait_for(lambda: daemon.last_report == "report")
         assert daemon.last_error is None  # cleared by the good pass
         assert daemon.last_report == "report"
         assert registry.value("pass_failures_total") == 1
 
     def test_run_now_counts_a_pass(self):
+        """One ``run_now`` is one pass; the pass counts itself on its own
+        series (``gc_passes_total``, ``repair_scans_total``)."""
         report = object()
+        passes = MetricsRegistry().counter("passes_total")
+
+        def run_pass():
+            passes.inc()
+            return report
+
         daemon = IntervalDaemon(
-            lambda: report, failure_counter(MetricsRegistry()), interval=30.0
+            run_pass, failure_counter(MetricsRegistry()), interval=30.0
         )
         assert daemon.run_now() is report
-        assert daemon.passes == 1
+        assert passes.value == 1
         assert daemon.last_report is report
 
     def test_start_and_stop_are_idempotent(self):
