@@ -3,7 +3,9 @@
 Measures the two kernels every upload runs on each chunk —
 
 * **chunking** — Rabin content-defined chunking, per engine
-  (``reference`` / ``numpy``);
+  (``reference`` / ``numpy``), and the numpy engine at the client's
+  spec (``chunking/numpy-client``: 2/8/16 KiB sizes, 1 MiB feeds, a
+  2 MiB input, as a ``backup_generations`` upload chunks);
 * **caont** — the CAONT chunk transform (enhanced scheme) under
   ``E``, OpenSSL's AES-256-CTR: chunk by chunk (``caont/aes256ctr``,
   the Fig. 3 reference) and a window at a time through the scheme's
@@ -51,7 +53,7 @@ from repro.chunking import rabin  # noqa: E402
 from repro.obs.expo import parse_prometheus, render_prometheus  # noqa: E402
 from repro.obs.metrics import MetricsRegistry  # noqa: E402
 
-SCHEMA = "reed-bench-hotpath/11"
+SCHEMA = "reed-bench-hotpath/12"
 
 #: Every timed repeat lands in ``bench_seconds{bench=...}`` here, so the
 #: numbers the report prints are the same ones a scrape would export.
@@ -102,16 +104,34 @@ def bench_chunking(data: bytes, repeats: int) -> list[dict]:
             for _ in chunks:
                 pass
 
-        seconds = _time(run, repeats, f"chunking/{engine}")
-        results.append(
-            {
-                "name": f"chunking/{engine}",
-                "bytes": len(data),
-                "seconds": seconds,
-                "mib_per_s": mib_per_s(len(data), seconds),
-            }
-        )
+        results.append(_throughput(f"chunking/{engine}", data, run, repeats))
     return results
+
+
+#: The client's input for ``chunking/numpy-client``: one file version of
+#: ``backup_generations``, fed in the client's 1 MiB blocks.
+CLIENT_INPUT_BYTES = 2 * 1024 * 1024
+
+
+def bench_client_chunking(data: bytes, repeats: int) -> dict:
+    """The numpy engine at the client's chunking spec (the paper's
+    2/8/16 KiB sizes; a byte string is fed in 1 MiB blocks)."""
+
+    def run():
+        for _ in rabin.rabin_chunks(data):
+            pass
+
+    return _throughput("chunking/numpy-client", data, run, repeats)
+
+
+def _throughput(name: str, data: bytes, run, repeats: int) -> dict:
+    seconds = _time(run, repeats, name)
+    return {
+        "name": name,
+        "bytes": len(data),
+        "seconds": seconds,
+        "mib_per_s": mib_per_s(len(data), seconds),
+    }
 
 
 def bench_caont(chunk_size: int, chunk_count: int, repeats: int, seed: int) -> list[dict]:
@@ -239,6 +259,7 @@ def run(quick: bool, seed: int = 0) -> dict:
         repeats = 3
     results = (
         bench_chunking(chunk_data, repeats)
+        + [bench_client_chunking(rng.random_bytes(CLIENT_INPUT_BYTES), repeats)]
         + bench_caont(*caont, repeats, seed)
         + bench_rsa(*rsa, repeats, seed)
     )

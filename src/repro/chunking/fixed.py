@@ -19,12 +19,16 @@ FEED_BLOCK_BYTES = 1 << 20
 
 
 def iter_blocks(data_stream: Iterable[bytes] | bytes) -> Iterable[bytes]:
-    """The stream's blocks; a single byte string is cut into feed blocks."""
+    """The stream's blocks; a single byte string is cut into feed blocks.
+
+    The blocks are views of the string, not copies: the chunkers copy
+    what they keep into their own buffers.
+    """
     if not isinstance(data_stream, (bytes, bytearray, memoryview)):
         return data_stream
     view = memoryview(data_stream)
     return (
-        bytes(view[start : start + FEED_BLOCK_BYTES])
+        view[start : start + FEED_BLOCK_BYTES]
         for start in range(0, len(view), FEED_BLOCK_BYTES)
     )
 

@@ -37,6 +37,8 @@ exactly what makes the vectorized engine sound.
 
 from __future__ import annotations
 
+import os
+import threading
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from functools import cache
@@ -176,9 +178,16 @@ class _ReferenceEngine:
 #: more, shorter lanes, and regions under 4 KiB the scalar loop.
 _LANE_BYTES, _SHORT_LANE_BYTES = 256, 64
 _SHORT_REGION_BYTES, _SCALAR_REGION_BYTES = 256 * 1024, 4096
+#: Positions one lane scan covers (a feed block): a longer region is
+#: scanned in pieces that overlap by a window, so a workspace is bounded.
+_PIECE_BYTES = 1 << 20
 #: Lanes hold the fingerprint in the top 53 bits of an int64, so the
 #: byte shifted past degree 53 falls off without a mask.
 _LANE_PAD = 64 - POLY_DEGREE
+#: The step-major array packs four steps into a row; a byte leaves the
+#: window ``_WINDOW_ROWS`` rows after it entered.
+_ROW_STEPS = 4
+_WINDOW_ROWS = WINDOW_SIZE // _ROW_STEPS
 
 
 @cache
@@ -196,7 +205,33 @@ def _lane_tables():
     return tuple((t.ravel() << np.uint64(_LANE_PAD)).view(np.int64) for t in (fold, step))
 
 
-def _scalar_hits(region: bytes, mask: int, magic: int) -> list[int]:
+class _Workspace:
+    """The arrays of one piece's lane scan, reused from piece to piece.
+
+    ``pairs`` takes the piece's bytes; once they are transposed into
+    ``steps`` it takes the shifted copy, and then the tested bits.
+    ``steps`` takes the match mask after the scan.  Together about 4.4
+    bytes per position of a piece, touched only as far as a piece reaches.
+    """
+
+    __slots__ = ("pairs", "steps", "fp", "top")
+
+    def __init__(self) -> None:
+        lanes = _PIECE_BYTES // _LANE_BYTES
+        # Room for the widest tested bits, 8-byte lanes of a quarter piece.
+        self.pairs = np.empty((_PIECE_BYTES + 4 * _LANE_BYTES + WINDOW_SIZE) // 4, np.uint64)
+        self.steps = np.empty((_LANE_BYTES + WINDOW_SIZE) // _ROW_STEPS * lanes, np.uint64)
+        self.fp, self.top = np.empty((2, lanes), np.int64)
+
+
+#: Workspaces not in use: a scan takes one (or makes one) and puts it
+#: back, and at most one per core is kept.
+_idle_workspaces: list[_Workspace] = []
+_idle_lock = threading.Lock()
+_MAX_IDLE_WORKSPACES = os.cpu_count() or 1
+
+
+def _scalar_hits(region, mask: int, magic: int) -> list[int]:
     """``_lane_hits`` as one plain rolling loop, for short regions."""
     hits, fp = [], 0
     for u, (out, byte) in enumerate(zip(bytes(WINDOW_SIZE) + region, region)):
@@ -207,8 +242,36 @@ def _scalar_hits(region: bytes, mask: int, magic: int) -> list[int]:
     return hits
 
 
-def _lane_hits(region: bytes, mask: int, magic: int) -> list[int]:
+def _lane_hits(region, mask: int, magic: int) -> list[int]:
     """Sorted ``j`` whose window ``region[j+1 : j+WINDOW_SIZE+1]`` matches.
+
+    ``region`` is any byte buffer; ``region[0]`` only stands in for the
+    byte before the first window and cancels out.  Pieces of at most
+    ``_PIECE_BYTES`` positions (fewer for masks wider than 16 bits) are
+    scanned one after another in one workspace.
+    """
+    count = len(region) - WINDOW_SIZE
+    if count <= 0:
+        return []
+    piece = _PIECE_BYTES // max(1, np.min_scalar_type(mask).itemsize // 2)
+    with _idle_lock:
+        workspace = _idle_workspaces.pop() if _idle_workspaces else None
+    if workspace is None:
+        workspace = _Workspace()
+    try:
+        hits: list[int] = []
+        for first in range(0, count, piece):
+            part = region[first : first + piece + WINDOW_SIZE]
+            hits.extend(first + j for j in _piece_hits(workspace, part, mask, magic))
+        return hits
+    finally:
+        with _idle_lock:
+            if len(_idle_workspaces) < _MAX_IDLE_WORKSPACES:
+                _idle_workspaces.append(workspace)
+
+
+def _piece_hits(workspace: _Workspace, piece, mask: int, magic: int) -> list[int]:
+    """``_lane_hits`` of one piece, in ``workspace``.
 
     The positions split into lanes of consecutive ones.  Each lane warms
     up over the ``WINDOW_SIZE`` bytes before its first position, testing
@@ -216,39 +279,44 @@ def _lane_hits(region: bytes, mask: int, magic: int) -> list[int]:
     ``fp = (fp << 8) ^ fold[fp >> 56] ^ step[out << 8 | in]``.
     """
     fold, step = _lane_tables()
-    count = len(region) - WINDOW_SIZE
+    count = len(piece) - WINDOW_SIZE
     lane = _LANE_BYTES if count >= _SHORT_REGION_BYTES else _SHORT_LANE_BYTES
     lanes = -(-count // lane)
-    # pairs[i] = out << 8 | in: byte i enters the window byte i - 48 leaves.
-    pairs = np.zeros(lanes * lane + WINDOW_SIZE, dtype=np.uint16)
-    pairs[: len(region)] = np.frombuffer(region, dtype=np.uint8)
-    pairs[WINDOW_SIZE:] |= pairs[:-WINDOW_SIZE] << 8
+    rows = (lane + WINDOW_SIZE) // _ROW_STEPS
+    # The bytes, one per uint16; positions past the piece read as zero.
+    pairs = workspace.pairs.view(np.uint16)[: lanes * lane + WINDOW_SIZE]
+    pairs[: len(piece)] = np.frombuffer(piece, dtype=np.uint8)
+    pairs[len(piece) :] = 0
     # Lane k runs over pairs[k*lane : (k+1)*lane + WINDOW_SIZE].  Transpose
     # to step-major through a uint64 view, four pairs per element: step u
     # of every lane is then steps[u >> 2, :, u & 3].
-    rows = (lane + WINDOW_SIZE) // 4
-    by_lane = np.lib.stride_tricks.as_strided(pairs.view(np.uint64), (lanes, rows), (2 * lane, 8))
-    steps = by_lane.T.copy().view(np.uint16).reshape(rows, lanes, 4)
-    del pairs, by_lane
-    fp = np.zeros(lanes, dtype=np.int64)
-    top = np.empty_like(fp)
+    by_lane = np.lib.stride_tricks.as_strided(workspace.pairs, (lanes, rows), (2 * lane, 8))
+    steps = workspace.steps[: rows * lanes].reshape(rows, lanes)
+    np.copyto(steps, by_lane.T)
+    steps = steps.view(np.uint16).reshape(rows, lanes, _ROW_STEPS)
+    # out << 8 | in: the byte leaving at step u entered at step u - 48.
+    # The warm-up rows keep out = 0, whose cancel term is zero.
+    shifted = workspace.pairs.view(np.uint16)[: lanes * lane].reshape(-1, lanes, _ROW_STEPS)
+    np.left_shift(steps[:-_WINDOW_ROWS], 8, out=shifted)
+    steps[_WINDOW_ROWS:] |= shifted
+    fp, top = workspace.fp[:lanes], workspace.top[:lanes]
+    fp[:] = 0
     # low[t, k]: the fingerprint bits the mask tests, of lane k after step t.
-    low = np.empty((lane, lanes), dtype=np.min_scalar_type(mask))
+    dtype = np.min_scalar_type(mask)
+    low = workspace.pairs.view(dtype)[: lane * lanes].reshape(lane, lanes)
     for u in range(lane + WINDOW_SIZE):
-        index = steps[u >> 2, :, u & 3]
         # The arithmetic shift gives -128..127, which indexes the
         # 256-entry table from its end just as the unsigned byte would.
         np.right_shift(fp, 56, out=top)
         fp <<= 8
         fp ^= fold[top]
-        if u < WINDOW_SIZE:  # warm-up: no byte has left the window yet
-            fp ^= step.take(index & 0xFF, mode="clip")
-        else:
-            fp ^= step.take(index, mode="clip")
+        fp ^= step.take(steps[u >> 2, :, u & 3], mode="clip")
+        if u >= WINDOW_SIZE:
             np.right_shift(fp, _LANE_PAD, out=low[u - WINDOW_SIZE], casting="unsafe")
-    del steps
     low &= mask
-    t, k = np.divmod(np.flatnonzero(low == magic), lanes)
+    match = workspace.steps.view(np.bool_)[: lane * lanes].reshape(lane, lanes)
+    np.equal(low, magic, out=match)
+    t, k = np.divmod(np.flatnonzero(match), lanes)
     hits = np.sort(k * lane + t)
     return hits[: np.searchsorted(hits, count)].tolist()
 
@@ -268,53 +336,66 @@ class _NumpyEngine:
         self._mask = avg_size - 1
         self._magic = BOUNDARY_MAGIC & self._mask
         self._buf = bytearray()
+        self._start = 0  # where the chunk being cut starts in _buf
         self._scanned = 0  # candidate positions < _scanned are decided
         self._cands: list[int] = []  # sorted window-end positions that match
+        self._live = 0  # index of the first candidate a later cut can use
 
     def _scan(self, start: int, n: int) -> None:
-        """Find candidate window-end positions in ``[start, n)``."""
-        # A copy, so `del buf[:k]` never trips the exporting-view BufferError;
-        # the zero in front stands in for the byte before the first window.
-        region = bytes(1) + self._buf[start - (WINDOW_SIZE - 1) : n]
+        """Find candidate window-end positions in ``[start, n)``.
+
+        ``start`` is at least ``WINDOW_SIZE``, so the region starts at the
+        byte before its first window.  No cut lies below ``min_size - 1``,
+        which exceeds ``WINDOW_SIZE - 1``, so the first window of a
+        stream is never needed.
+        """
         scan = _scalar_hits if n - start < _SCALAR_REGION_BYTES else _lane_hits
-        self._cands.extend(start + j for j in scan(region, self._mask, self._magic))
+        # The view is released before any `del buf[:k]` can run.
+        with memoryview(self._buf) as view:
+            hits = scan(view[start - WINDOW_SIZE : n], self._mask, self._magic)
+        self._cands.extend(start + j for j in hits)
 
     def _next_cut(self) -> int:
-        """Next boundary decidable from scanned data, or -1."""
-        cands = self._cands
-        i = bisect_left(cands, self.min_size - 1)
-        if i < len(cands) and cands[i] <= self.max_size - 1:
+        """Next boundary decidable from scanned data, or -1.
+
+        Candidates below the current chunk's minimum are below every
+        later chunk's too, so the search skips them for good.
+        """
+        cands, start = self._cands, self._start
+        i = self._live = bisect_left(cands, start + self.min_size - 1, self._live)
+        if i < len(cands) and cands[i] <= start + self.max_size - 1:
             return cands[i]
-        if self._scanned >= self.max_size:
-            return self.max_size - 1  # forced cut at the size cap
+        if self._scanned >= start + self.max_size:
+            return start + self.max_size - 1  # forced cut at the size cap
         return -1
 
     def update(self, data: bytes) -> Iterator[bytes]:
         buf = self._buf
+        if self._start:
+            # Drop the chunks cut since the last feed, once per feed.
+            cut_len = self._start
+            del buf[:cut_len]
+            self._cands = [p - cut_len for p in self._cands[self._live :]]
+            self._scanned -= cut_len
+            self._start = self._live = 0
         buf += data
         n = len(buf)
-        if n >= WINDOW_SIZE and self._scanned < n:
-            self._scan(max(self._scanned, WINDOW_SIZE - 1), n)
+        start = max(self._scanned, WINDOW_SIZE)
+        if start < n:
+            self._scan(start, n)
             self._scanned = n
-        while True:
-            cut = self._next_cut()
-            if cut < 0:
-                return
-            chunk = bytes(buf[: cut + 1])
-            cut_len = cut + 1
-            del buf[:cut_len]
-            self._scanned = max(self._scanned - cut_len, 0)
-            self._cands = [p - cut_len for p in self._cands if p >= cut_len]
+        while (cut := self._next_cut()) >= 0:
+            with memoryview(buf) as view:
+                chunk = bytes(view[self._start : cut + 1])
+            self._start = cut + 1
             yield chunk
 
     def finalize(self) -> bytes | None:
-        if not self._buf:
-            return None
-        chunk = bytes(self._buf)
+        chunk = bytes(self._buf[self._start :])
         self._buf = bytearray()
-        self._scanned = 0
+        self._start = self._scanned = self._live = 0
         self._cands = []
-        return chunk
+        return chunk or None
 
 
 def _resolve_engine(engine: str | None) -> str:

@@ -167,8 +167,15 @@ class GroupManager:
         return state, state.derive_key()
 
     def members(self, group_id: str) -> list[str]:
+        """The manifest's files still sealed in one of the group's
+        envelopes: a file deleted, re-uploaded outside the group or moved
+        into another group has left it, though the manifest lists it
+        until the next group rekey."""
         record, state = self.client._group_state(group_id)
-        return self._read_manifest_at(group_id, record, state)
+        files, _records = self._current_members(
+            group_id, self._read_manifest_at(group_id, record, state)
+        )
+        return files
 
     # -- file membership ------------------------------------------------------
 

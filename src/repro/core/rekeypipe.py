@@ -27,7 +27,7 @@ Stages, mirroring the upload pipeline:
    the new group key.  Winds are deterministic and the draw order is the per-file
    order, so the output does not depend on the window size or the
    pipeline depth.  All of it runs in the client's process: a wind is
-   about 0.07 ms and a stub file of a few KiB about 20 µs, too little
+   about 0.13 ms and a stub file of a few KiB about 20 µs, too little
    to repay a hand-off to worker processes (docs/PERFORMANCE.md,
    *Rekeys in the client's process*), and the owner's derivation key
    never leaves the process;

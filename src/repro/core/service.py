@@ -245,6 +245,7 @@ def _handler(rpc: Rpc, target: object, name: str) -> Handler:
         result = getattr(target, name)(*_unpack(rpc.args, payload))
         return _pack((rpc.reply,), (result,))
 
+    handle.reads_views = True  # _unpack copies each field out once
     return handle
 
 

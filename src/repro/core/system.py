@@ -28,6 +28,8 @@ from repro.mle.server_aided import (
     LocalKeyManagerChannel,
     ServerAidedKeyClient,
 )
+from repro.obs.metrics import default_registry
+from repro.obs.tracing import default_tracer
 from repro.storage.backend import MemoryBackend
 from repro.storage.datastore import DataStore, DataStoreStats
 from repro.storage.keystore import KeyStore
@@ -206,6 +208,8 @@ def build_system(
         km_kwargs["rate_limit"] = rate_limit
         km_kwargs["burst"] = max(rate_limit, 1.0)
     key_manager = KeyManager(key_bits=key_bits, rng=rng, **km_kwargs)
+    # In process, the manager is served where its clients run.
+    key_manager.observe_on(default_registry(), default_tracer())
     authority = AttributeAuthority(rng=rng)
     if backends is None:
         backends = [MemoryBackend() for _ in range(num_data_servers)]

@@ -103,7 +103,6 @@ class UploadPipeline:
         self.new_chunks = 0
         self.trimmed_bytes = 0
         self.upload_batches = 0
-        self.chunking_seconds = 0.0
         #: The key, derive, encrypt and ship stages, once the first
         #: segment closes.
         self._stages: tuple[Stage, Stage, Stage, Stage] | None = None
@@ -129,7 +128,6 @@ class UploadPipeline:
             # the encrypt worker to the ship stage.
             for stage in self._stages or ():
                 stage.close()
-            self._tracer.observe("upload.chunk", self.chunking_seconds)
 
     def _feed(self, chunker: Iterator[Chunk]) -> None:
         clock = self._tracer.clock
@@ -146,12 +144,25 @@ class UploadPipeline:
         later: set[bytes] = set()
         misses = 0
         batch_bytes = 0
+        #: The reads since the last segment closed: one ``upload.chunk``
+        #: span per segment, not one per chunk.
+        reads_start: float | None = None
+        reads_end = 0.0
 
         def read() -> Chunk | None:
+            nonlocal reads_start, reads_end
             started = clock()
             chunk = next(chunker, None)
-            self.chunking_seconds += clock() - started
+            reads_end = clock()
+            if reads_start is None:
+                reads_start = started
             return chunk
+
+        def chunked() -> None:
+            nonlocal reads_start
+            if reads_start is not None:
+                self._tracer.record("upload.chunk", reads_start, reads_end)
+                reads_start = None
 
         # One chunk of lookahead: the last segment must close its store
         # batch whatever else closes it, and only a file with more to
@@ -176,12 +187,14 @@ class UploadPipeline:
             last = following is None
             batch_end = last or batch_bytes >= self._batch_bytes
             if batch_end or misses >= self._key_window:
+                chunked()
                 self._submit(segment, fresh, later, batch_end, more=not last)
                 segment, fresh, later, misses = [], [], set(), 0
                 if batch_end:
                     seen = set()
                     batch_bytes = 0
             chunk = following
+        chunked()
 
     def _submit(
         self,

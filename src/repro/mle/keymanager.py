@@ -35,8 +35,8 @@ from concurrent.futures import ThreadPoolExecutor
 from repro.crypto import blindrsa
 from repro.crypto.drbg import RandomSource
 from repro.crypto.rsa import DEFAULT_KEY_BITS, RSAPrivateKey, RSAPublicKey, generate_keypair
-from repro.obs.metrics import MetricsRegistry, default_registry
-from repro.obs.tracing import Tracer, default_tracer
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracing import Tracer
 from repro.util.errors import ConfigurationError, RateLimitExceeded
 from repro.util.tokenbucket import TokenBucket
 
@@ -87,14 +87,19 @@ class KeyManager:
             if self._threads > 1
             else None
         )
-        self.observe_on(default_registry(), default_tracer())
+        # A registry of its own until the manager is served: binding the
+        # process default here would leave empty ``km_*`` families in the
+        # scrape of every client process that also serves a manager.
+        own = MetricsRegistry()
+        self.observe_on(own, Tracer(metrics=own))
 
     def observe_on(self, metrics: MetricsRegistry, tracer: Tracer) -> None:
         """Report signing telemetry on ``metrics`` / ``tracer``.
 
-        The process defaults until the node that serves this manager
-        binds its own (:func:`~repro.core.service.register_key_manager`),
-        so the series show up in that node's scrape.
+        Bound once, where the manager is served: the node registry of
+        :func:`~repro.core.service.register_key_manager`, or the process
+        defaults for an in-process system
+        (:func:`~repro.core.system.build_system`).
         """
         self._tracer = tracer
         self._sign_batches = metrics.counter(

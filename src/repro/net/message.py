@@ -35,11 +35,16 @@ class Message:
     message_id: int
     method: str
     is_error: bool
-    payload: bytes
+    payload: bytes | memoryview
     trace_id: str = ""
     parent_span_id: str = ""
 
     def encode(self) -> bytes:
+        return b"".join(self.parts())
+
+    def parts(self) -> list[bytes]:
+        """The encoding as pieces that join to :meth:`encode`; a
+        ``bytes`` payload is one of them, not copied."""
         enc = (
             Encoder()
             .uint(self.message_id)
@@ -49,15 +54,18 @@ class Message:
         )
         if self.trace_id or self.parent_span_id:
             enc.text(self.trace_id).text(self.parent_span_id)
-        return enc.done()
+        return enc.pieces()
 
     @classmethod
-    def decode(cls, data: bytes) -> "Message":
+    def decode(cls, data: bytes | bytearray) -> "Message":
+        """Decode a frame body.  From a ``bytearray`` (a large frame,
+        received in place) the payload is a read-only view of it, which
+        the service codec reads without copying it whole."""
         dec = Decoder(data)
         message_id = dec.uint()
         method = dec.text()
         is_error = dec.boolean()
-        payload = dec.blob()
+        payload = dec.blob_view()
         # Optional trailing trace context: absent on old-format frames.
         trace_id = dec.text() if dec.remaining else ""
         parent_span_id = dec.text() if dec.remaining else ""
@@ -72,11 +80,22 @@ class Message:
         )
 
 
+def _prefix(length: int) -> bytes:
+    if length > MAX_MESSAGE_BYTES:
+        raise ProtocolError(f"message of {length} bytes exceeds the frame limit")
+    return length.to_bytes(4, "big")
+
+
 def frame(data: bytes) -> bytes:
     """Length-prefix a message body for stream transports."""
-    if len(data) > MAX_MESSAGE_BYTES:
-        raise ProtocolError(f"message of {len(data)} bytes exceeds the frame limit")
-    return len(data).to_bytes(4, "big") + data
+    return _prefix(len(data)) + data
+
+
+def frame_parts(message: Message) -> list[bytes]:
+    """``frame(message.encode())`` as the buffers that join to it: the
+    length prefix, then :meth:`Message.parts`, the payload uncopied."""
+    parts = message.parts()
+    return [_prefix(sum(map(len, parts))), *parts]
 
 
 def read_frame(recv_exact, max_bytes: int = MAX_MESSAGE_BYTES) -> bytes:

@@ -31,6 +31,10 @@ from repro.util import errors
 from repro.util.codec import Decoder, Encoder
 from repro.util.errors import ProtocolError, ReproError
 
+#: A handler maps the request payload to the reply payload.  A large
+#: request's payload arrives as a read-only ``memoryview`` of the frame
+#: received in place; it is copied to ``bytes`` first unless the handler
+#: has a true ``reads_views`` attribute (the service codec's handlers).
 Handler = Callable[[bytes], bytes]
 
 #: Exception classes allowed to cross the wire by name.
@@ -154,9 +158,12 @@ class ServiceRegistry:
         else:
             span = nullcontext()
         started = self._clock()
+        payload = request.payload
+        if not isinstance(payload, bytes) and not getattr(handler, "reads_views", False):
+            payload = bytes(payload)
         try:
             with span, obs_scope.using(None):
-                payload = handler(request.payload)
+                payload = handler(payload)
         except Exception as exc:  # noqa: BLE001 - faults must cross the wire
             self._handler_seconds.labels(method=method).observe(
                 self._clock() - started
@@ -224,6 +231,8 @@ class RpcClient:
         )
 
     def call(self, method: str, payload: bytes = b"") -> bytes:
+        """The reply payload: ``bytes``, or a read-only ``memoryview`` for
+        a large reply received in place over TCP."""
         with self._lock:
             self._next_id += 1
             message_id = self._next_id

@@ -23,7 +23,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
-from repro.net.message import MAX_MESSAGE_BYTES, Message, frame
+from repro.net.message import MAX_MESSAGE_BYTES, Message, frame_parts
 from repro.net.retry import RetryPolicy, is_idempotent_method
 from repro.net.rpc import RpcClient, ServiceRegistry, encode_error
 from repro.obs.metrics import MetricsRegistry, default_registry
@@ -52,6 +52,11 @@ DEFAULT_CLIENT_WINDOW = 64
 #: restart is ridden out in ~100 ms of backoff, a hard outage surfaces
 #: as ProtocolError after three dials.
 RECONNECT_POLICY = dict(attempts=3, base_delay=0.02, cap=0.25)
+
+#: Frames up to this size are sent joined, in one ``sendall``, and read
+#: with ``recv``; longer ones are sent as their parts with ``sendmsg``
+#: and read into one buffer of their length.
+LARGE_FRAME_BYTES = 64 * 1024
 
 #: TCP keepalive cadence (seconds idle before probing, probe interval,
 #: probes before the kernel declares the peer dead).
@@ -128,12 +133,47 @@ def _recv_exact(sock: socket.socket, n: int, *, frame_start: bool = False) -> by
     return chunks[0] if len(chunks) == 1 else b"".join(chunks)
 
 
-def _read_frame(sock: socket.socket, max_bytes: int = MAX_MESSAGE_BYTES) -> bytes:
-    """One frame body; an oversized length raises before any allocation."""
+def _read_frame(
+    sock: socket.socket, max_bytes: int = MAX_MESSAGE_BYTES
+) -> bytes | bytearray:
+    """One frame body; an oversized length raises before any allocation.
+
+    A large body is received in place, into one buffer of its length.
+    """
     length = int.from_bytes(_recv_exact(sock, 4, frame_start=True), "big")
     if length > max_bytes:
         raise CorruptionError(f"frame length {length} exceeds the limit")
-    return _recv_exact(sock, length)
+    if length <= LARGE_FRAME_BYTES:
+        return _recv_exact(sock, length)
+    body = bytearray(length)
+    got = 0
+    with memoryview(body) as view:
+        while got < length:
+            received = sock.recv_into(view[got:])
+            if not received:
+                raise ProtocolError(
+                    f"peer closed the connection mid-frame after {got} of {length} bytes"
+                )
+            got += received
+    return body
+
+
+def _send_frame(sock: socket.socket, parts: list[bytes]) -> None:
+    """Write one frame given as :func:`~repro.net.message.frame_parts`.
+
+    A large frame goes out scatter-gather, resumed after partial sends,
+    so its payload is never copied into a joined frame.
+    """
+    if sum(map(len, parts)) <= LARGE_FRAME_BYTES:
+        sock.sendall(b"".join(parts))
+        return
+    pending = [memoryview(part) for part in parts]
+    while pending:
+        sent = sock.sendmsg(pending)
+        while pending and sent >= len(pending[0]):
+            sent -= len(pending.pop(0))
+        if sent:
+            pending[0] = pending[0][sent:]
 
 
 class _Connection:
@@ -145,9 +185,9 @@ class _Connection:
         self.sock = sock
         #: One slot per request read and not yet flushed.
         self.window = threading.Semaphore(window)
-        #: Encoded responses for the writer (``b""`` for a request that
-        #: got none); ``None`` tells it the connection is done.
-        self.outbox: queue.SimpleQueue[bytes | None] = queue.SimpleQueue()
+        #: Framed responses for the writer, as their parts (``[]`` for a
+        #: request that got none); ``None`` tells it the connection is done.
+        self.outbox: queue.SimpleQueue[list[bytes] | None] = queue.SimpleQueue()
         #: Sequence numbers of requests not yet handed to the writer —
         #: used to detect (and count) out-of-order completions.  Guarded
         #: by the server's lock.
@@ -350,7 +390,7 @@ class TcpServer:
                         self._queued -= 1
                         self._queue_depth.set(self._queued)
                         conn.outstanding.discard(seq)
-                    conn.outbox.put(b"")
+                    conn.outbox.put([])
                     return
         finally:
             # Half-close friendliness: a client that sent its requests
@@ -365,15 +405,15 @@ class TcpServer:
         with self._lock:
             self._queued -= 1
             self._queue_depth.set(self._queued)
-        encoded = b""
+        encoded: list[bytes] = []
         try:
             if not self._closing:
-                encoded = frame(self._registry.dispatch(request).encode())
+                encoded = frame_parts(self._registry.dispatch(request))
         except Exception as exc:  # noqa: BLE001 - the caller must hear of it
             # A result that cannot be sent (not bytes, or over the frame
             # limit) fails the call now instead of at the caller's timeout.
             error = Message(request.message_id, request.method, True, encode_error(exc))
-            encoded = frame(error.encode())
+            encoded = frame_parts(error)
         finally:
             with self._lock:
                 conn.outstanding.discard(seq)
@@ -391,7 +431,7 @@ class TcpServer:
         for encoded in iter(conn.outbox.get, None):
             if alive and encoded:
                 try:
-                    sock.sendall(encoded)
+                    _send_frame(sock, encoded)
                 except OSError:
                     # The peer went away (or stopped reading for
                     # ``idle_timeout``) mid-response: the stream is torn,
@@ -636,10 +676,10 @@ class TcpConnection:
                 waiter = _Waiter()
                 self._pending[wire_id] = waiter
                 sock = self._sock
-            encoded = frame(replace(request, message_id=wire_id).encode())
+            encoded = frame_parts(replace(request, message_id=wire_id))
             try:
                 with self._send_lock:
-                    sock.sendall(encoded)
+                    _send_frame(sock, encoded)
             except OSError as exc:
                 with self._lock:
                     self._pending.pop(wire_id, None)

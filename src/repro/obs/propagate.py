@@ -88,7 +88,7 @@ def fetch_traces(rpc: RpcClient, trace_id: str | None = None) -> dict:
     payload = b""
     if trace_id:
         payload = json.dumps({"trace_id": trace_id}).encode("utf-8")
-    return json.loads(rpc.call(TRACES_METHOD, payload).decode("utf-8"))
+    return json.loads(str(rpc.call(TRACES_METHOD, payload), "utf-8"))
 
 
 def _walk(tree: dict):

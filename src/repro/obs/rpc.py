@@ -42,4 +42,4 @@ def register_metrics(registry: ServiceRegistry, metrics: MetricsRegistry) -> Non
 
 def scrape(rpc: RpcClient, fmt: str = FORMAT_PROMETHEUS) -> str:
     """Fetch one node's exposition body over an RPC client."""
-    return rpc.call(METRICS_METHOD, fmt.encode("utf-8")).decode("utf-8")
+    return str(rpc.call(METRICS_METHOD, fmt.encode("utf-8")), "utf-8")

@@ -237,6 +237,11 @@ class Tracer:
         context still propagates over RPC — see
         :func:`current_trace_context`).
         """
+        span = Span(name, attributes, self._open_parent(), node=self.node)
+        span.owner = self
+        return _SpanHandle(self, span)
+
+    def _open_parent(self) -> Span | None:
         active = _ACTIVE_SPAN.get()
         parent = active if active is not None and active.owner is self else None
         while parent is not None and parent.end_time is not None:
@@ -244,9 +249,7 @@ class Tracer:
             # outlived its span — generator pipelines); climb to the
             # nearest still-open ancestor.
             parent = parent.parent
-        span = Span(name, attributes, parent, node=self.node)
-        span.owner = self
-        return _SpanHandle(self, span)
+        return parent
 
     def remote_span(
         self, name: str, trace_id: str, parent_span_id: str, **attributes
@@ -269,13 +272,22 @@ class Tracer:
         span.owner = self
         return _SpanHandle(self, span)
 
-    def observe(self, name: str, seconds: float) -> None:
-        """Record a duration into the span histogram without a tree node.
+    def record(self, name: str, start: float, end: float) -> None:
+        """Add a finished span over ``[start, end]`` of :attr:`clock`
+        under the active span, without making it active.
 
-        For stages whose time accumulates non-contiguously (e.g. the
-        chunking generator interleaved with the upload loop).
+        For work timed in pieces between other work on one thread (the
+        chunker, interleaved with the upload loop), where a span per
+        piece would be too many.
         """
-        self._histogram.labels(span=name).observe(seconds)
+        span = Span(name, {}, self._open_parent(), node=self.node)
+        span.owner = self
+        to_wall = self._wall_clock() - self._clock()
+        span.start_time, span.end_time = start, end
+        span.start_wall, span.end_wall = start + to_wall, end + to_wall
+        if span.parent is not None:
+            span.parent.children.append(span)
+        self._finish(span)
 
     @property
     def clock(self) -> Callable[[], float]:
@@ -299,6 +311,10 @@ class Tracer:
             # in (generator-driven pipelines); restore the parent
             # explicitly instead of via the stale token.
             _ACTIVE_SPAN.set(span.parent)
+        self._finish(span)
+
+    def _finish(self, span: Span) -> None:
+        """Record a closed span: histogram, ring of roots, slow ring."""
         duration = span.duration or 0.0
         self._histogram.labels(span=span.name).observe(duration)
         record_slow = duration >= SLOW_THRESHOLD

@@ -49,11 +49,6 @@ _HEADER = struct.Struct(">4sBQ")
 CODEC_STORED = 0
 
 
-def _encode_container(payload: bytes) -> bytes:
-    """Frame a sealed payload."""
-    return _HEADER.pack(_MAGIC, CODEC_STORED, len(payload)) + payload
-
-
 def _payload_len(blob: bytes) -> int:
     """The payload length a container blob's header declares."""
     if len(blob) < _HEADER.size or not blob.startswith(_MAGIC):
@@ -64,15 +59,16 @@ def _payload_len(blob: bytes) -> int:
     return payload_len
 
 
-def _decode_container(blob: bytes) -> bytes:
-    """Recover the payload from a framed container blob."""
+def _check_container(blob: bytes) -> int:
+    """The payload length of a framed container blob, checked against
+    the blob's own length (the payload is sliced in place, not copied)."""
     payload_len = _payload_len(blob)
-    payload = blob[_HEADER.size:]
-    if len(payload) != payload_len:
+    if len(blob) - _HEADER.size != payload_len:
         raise StorageError(
-            f"container payload is {len(payload)} bytes, header says {payload_len}"
+            f"container payload is {len(blob) - _HEADER.size} bytes, "
+            f"header says {payload_len}"
         )
-    return payload
+    return payload_len
 
 
 class ContainerStore:
@@ -97,7 +93,10 @@ class ContainerStore:
         self._capacity = container_bytes
         self._lock = threading.Lock()
         self._open_id = self._next_container_id()
-        self._open_buffer = bytearray()
+        #: The open container's blob: its header, filled in at the seal,
+        #: then the payload.
+        self._open_buffer = bytearray(_HEADER.size)
+        #: Sealed blobs, header included.
         self._read_cache: LRUCache[int, bytes] = LRUCache(READ_CACHE_CONTAINERS)
         # Single-flight state: per-container-id events readers wait on
         # while one leader performs the backend fetch.
@@ -145,35 +144,41 @@ class ContainerStore:
     def _name(container_id: int) -> str:
         return f"{_PREFIX}{container_id:012d}"
 
+    @property
+    def _open_len(self) -> int:
+        """Payload bytes in the open container."""
+        return len(self._open_buffer) - _HEADER.size
+
     def append(self, data: bytes) -> ChunkLocation:
         """Buffer a chunk, sealing the open container when it fills."""
         if not data:
             raise ConfigurationError("cannot store an empty chunk")
         with self._lock:
-            if self._open_buffer and len(self._open_buffer) + len(data) > self._capacity:
+            if self._open_len and self._open_len + len(data) > self._capacity:
                 self._seal_locked()
             location = ChunkLocation(
                 container_id=self._open_id,
-                offset=len(self._open_buffer),
+                offset=self._open_len,
                 length=len(data),
             )
             self._open_buffer.extend(data)
-            if len(self._open_buffer) >= self._capacity:
+            if self._open_len >= self._capacity:
                 self._seal_locked()
             return location
 
     def _seal_locked(self) -> None:
-        if not self._open_buffer:
+        payload_len = self._open_len
+        if not payload_len:
             return
         started = time.perf_counter()
-        payload = bytes(self._open_buffer)
-        blob = _encode_container(payload)
+        _HEADER.pack_into(self._open_buffer, 0, _MAGIC, CODEC_STORED, payload_len)
+        blob = bytes(self._open_buffer)
         self._backend.put(self._name(self._open_id), blob)
         self._m_seal_seconds.observe(time.perf_counter() - started)
         self._m_seals.labels(codec="stored").inc()
-        self._record_lens_locked(self._open_id, len(payload), len(blob))
+        self._record_lens_locked(self._open_id, payload_len, len(blob))
         self._open_id += 1
-        self._open_buffer = bytearray()
+        self._open_buffer = bytearray(_HEADER.size)
 
     def _record_lens_locked(self, container_id: int, payload: int, stored: int) -> None:
         self._payload_lens[container_id] = payload
@@ -227,7 +232,7 @@ class ContainerStore:
         """Whether a container's bytes are readable (open buffer counts)."""
         with self._lock:
             if container_id == self._open_id:
-                return bool(self._open_buffer)
+                return self._open_len > 0
             if container_id in self._stored_lens:
                 return True
         return self._backend.exists(self._name(container_id))
@@ -236,7 +241,7 @@ class ContainerStore:
         """Payload bytes of one container (0 when absent or unreadable)."""
         with self._lock:
             if container_id == self._open_id:
-                return len(self._open_buffer)
+                return self._open_len
             known = self._payload_lens.get(container_id)
         if known is not None:
             return known
@@ -248,26 +253,27 @@ class ContainerStore:
         """Serve a location from the open buffer, or None if sealed."""
         if location.container_id != self._open_id:
             return None
-        end = location.offset + location.length
+        start = _HEADER.size + location.offset
+        end = start + location.length
         if end > len(self._open_buffer):
             raise NotFoundError("location beyond the open container")
-        return bytes(self._open_buffer[location.offset:end])
+        return bytes(self._open_buffer[start:end])
 
     def _get_container(self, container_id: int) -> tuple[bytes, int]:
-        """Cached container payload; single-flighted backend fetch on miss.
+        """Cached container blob; single-flighted backend fetch on miss.
 
         Also returns the backend fetches this call made itself: 1 when
         it led the fetch, 0 when it was served by the cache or by
         another reader's fetch.
         """
         while True:
-            payload = self._read_cache.get(container_id)
-            if payload is not None:
-                return payload, 0
+            blob = self._read_cache.get(container_id)
+            if blob is not None:
+                return blob, 0
             with self._fetch_lock:
-                payload = self._read_cache.get(container_id)
-                if payload is not None:
-                    return payload, 0
+                blob = self._read_cache.get(container_id)
+                if blob is not None:
+                    return blob, 0
                 waiter = self._in_flight.get(container_id)
                 if waiter is None:
                     waiter = threading.Event()
@@ -283,23 +289,24 @@ class ContainerStore:
                 continue
             try:
                 blob = self._backend.get(self._name(container_id))
-                payload = _decode_container(blob)
+                payload_len = _check_container(blob)
                 with self._lock:
-                    self._record_lens_locked(container_id, len(payload), len(blob))
+                    self._record_lens_locked(container_id, payload_len, len(blob))
                 self._m_fetches.inc()
-                self._read_cache.put(container_id, payload)
-                return payload, 1
+                self._read_cache.put(container_id, blob)
+                return blob, 1
             finally:
                 with self._fetch_lock:
                     self._in_flight.pop(container_id, None)
                 waiter.set()
 
     @staticmethod
-    def _slice(payload: bytes, location: ChunkLocation) -> bytes:
-        end = location.offset + location.length
-        if end > len(payload):
+    def _slice(blob: bytes, location: ChunkLocation) -> bytes:
+        start = _HEADER.size + location.offset
+        end = start + location.length
+        if end > len(blob):
             raise NotFoundError("location beyond its container's size")
-        return payload[location.offset:end]
+        return blob[start:end]
 
     def read(self, location: ChunkLocation) -> bytes:
         """Fetch a chunk's bytes from its container."""
@@ -307,8 +314,8 @@ class ContainerStore:
             buffered = self._read_open_locked(location)
         if buffered is not None:
             return buffered
-        payload, _fetched = self._get_container(location.container_id)
-        return self._slice(payload, location)
+        blob, _fetched = self._get_container(location.container_id)
+        return self._slice(blob, location)
 
     def read_many(self, locations: list[ChunkLocation]) -> tuple[list[bytes], int]:
         """Fetch many chunks, hitting each distinct container exactly once.
@@ -339,13 +346,13 @@ class ContainerStore:
             ) as pool:
                 # Surface the first fetch error (iterating re-raises).
                 fetches += sum(
-                    fetched for _payload, fetched in pool.map(self._get_container, missing)
+                    fetched for _blob, fetched in pool.map(self._get_container, missing)
                 )
         for cid, indexes in by_container.items():
-            payload, fetched = self._get_container(cid)
+            blob, fetched = self._get_container(cid)
             fetches += fetched
             for i in indexes:
-                out[i] = self._slice(payload, locations[i])
+                out[i] = self._slice(blob, locations[i])
         return out, fetches  # type: ignore[return-value]
 
     def delete_container(self, container_id: int) -> None:
@@ -364,4 +371,4 @@ class ContainerStore:
             if container_id not in self._payload_lens:
                 self._learn_lens(container_id)
         with self._lock:
-            return sum(self._payload_lens.values()) + len(self._open_buffer)
+            return sum(self._payload_lens.values()) + self._open_len

@@ -81,19 +81,27 @@ class Encoder:
     def done(self) -> bytes:
         return b"".join(self._parts)
 
+    def pieces(self) -> list[bytes]:
+        """The encoding as the pieces that join to :meth:`done`, a blob
+        given as ``bytes`` among them uncopied."""
+        return self._parts
+
 
 class Decoder:
     """Sequential decoder matching :class:`Encoder`'s output."""
 
-    def __init__(self, data: bytes) -> None:
-        self._data = data
+    def __init__(self, data: bytes | bytearray | memoryview) -> None:
+        # Any other buffer is read through a read-only view, each field
+        # copied out as bytes once.
+        self._view = not isinstance(data, bytes)
+        self._data = memoryview(data).toreadonly() if self._view else data
         self._pos = 0
 
     @property
     def remaining(self) -> int:
         return len(self._data) - self._pos
 
-    def _take(self, n: int) -> bytes:
+    def _take(self, n: int, copy: bool = True) -> bytes:
         if n < 0 or self._pos + n > len(self._data):
             raise CorruptionError(
                 f"decoder underrun: need {n} bytes at offset {self._pos}, "
@@ -101,7 +109,7 @@ class Decoder:
             )
         out = self._data[self._pos : self._pos + n]
         self._pos += n
-        return out
+        return bytes(out) if copy and self._view else out
 
     def uint(self) -> int:
         value = 0
@@ -123,6 +131,11 @@ class Decoder:
 
     def blob(self) -> bytes:
         return self._take(self.uint())
+
+    def blob_view(self) -> bytes | memoryview:
+        """A blob, not copied: a read-only view when the decoded buffer
+        is not ``bytes``."""
+        return self._take(self.uint(), copy=False)
 
     def text(self) -> str:
         try:

@@ -1,5 +1,7 @@
 """Tests for Rabin-fingerprint content-defined chunking."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from repro.chunking.rabin import (
     ENGINES,
     WINDOW_SIZE,
     RabinChunker,
+    _PIECE_BYTES,
     _lane_hits,
     _ReferenceEngine,
     _scalar_hits,
@@ -244,6 +247,49 @@ class TestLaneEdges:
 
     def test_auto_engine_picks_numpy_on_wide_mask(self):
         assert RabinChunker(**WIDE).engine == "numpy"
+
+
+#: Feed sizes on both sides of the scalar (4 KiB) and lane-length
+#: (256 KiB) switches; each update scans exactly the bytes it feeds.
+SWITCH_FEEDS = [4095, 4096, 4097, 4096 + WINDOW_SIZE, (1 << 18) - 1, 1 << 18, (1 << 18) + 4097]
+
+
+class TestWorkspaceReuse:
+    """Scans of every size share reused workspaces; no scan may see what
+    an earlier, larger or differently shaped one left in them."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.lists(st.sampled_from(SWITCH_FEEDS), min_size=2, max_size=3), st.integers(0, 1 << 16))
+    def test_back_to_back_feeds_cut_like_reference(self, feeds, seed):
+        data = unique_data(sum(feeds), seed=seed)
+        chunker = RabinChunker(engine="numpy")
+        chunks, start = [], 0
+        for feed in feeds:
+            chunks.extend(chunker.update(data[start : start + feed]))
+            start += feed
+        tail = chunker.finalize()
+        if tail is not None:
+            chunks.append(tail)
+        assert chunks == list(rabin_chunks(data, engine="reference"))
+
+    @pytest.mark.parametrize("mask", [8191, (1 << 17) - 1])
+    def test_large_small_large_regions_against_scalar(self, mask):
+        magic = BOUNDARY_MAGIC & mask
+        # Two pieces (three for the wide mask), then a short-lane region.
+        for size, seed in ((_PIECE_BYTES + 4097, 31), (5_000, 32), (_PIECE_BYTES // 2, 33)):
+            region = unique_data(size + WINDOW_SIZE, seed=seed)
+            assert _lane_hits(memoryview(region), mask, magic) == _scalar_hits(region, mask, magic)
+
+    def test_warm_scan_allocates_far_less_than_its_region(self):
+        region = memoryview(unique_data(_PIECE_BYTES + WINDOW_SIZE, seed=34))
+        _lane_hits(region, 8191, BOUNDARY_MAGIC & 8191)  # makes the workspace
+        tracemalloc.start()
+        try:
+            _lane_hits(region, 8191, BOUNDARY_MAGIC & 8191)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < len(region) // 8
 
 
 class TestValidation:

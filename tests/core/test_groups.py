@@ -297,6 +297,14 @@ class TestListedFilesThatLeftTheGroup:
             bob.download("f")
         assert alice.download("f").data == members["f"]
 
+    def test_members_leaves_out_files_that_left_before_a_rekey(
+        self, alice, groups, members
+    ):
+        assert groups.members("G") == ["f", "h"]
+        alice.delete("h")
+        alice.upload("f", b"private" * 1000)  # owner-only now
+        assert groups.members("G") == []
+
     def test_member_moved_into_another_group_is_dropped(
         self, system, alice, groups, members
     ):

@@ -23,6 +23,7 @@ BENCH = os.path.join(REPO_ROOT, "benchmarks", "bench_hotpath.py")
 THROUGHPUT_ROWS = {
     "chunking/reference",
     "chunking/numpy",
+    "chunking/numpy-client",
     "caont/aes256ctr",
     "caont/aes256ctr-window",
     "caont/aes256ctr-window-decrypt",
@@ -51,7 +52,7 @@ def test_quick_bench_runs_and_writes_valid_report(tmp_path):
     assert "metrics snapshot: well-formed" in proc.stdout
 
     report = json.loads(out.read_text())
-    assert report["schema"] == "reed-bench-hotpath/11"
+    assert report["schema"] == "reed-bench-hotpath/12"
     assert report["quick"] is True
     assert report["seed"] == 3
     assert {r["name"] for r in report["results"]} == EXPECTED_ROWS

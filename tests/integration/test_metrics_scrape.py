@@ -17,6 +17,7 @@ import pytest
 from repro.chunking.chunker import ChunkingSpec
 from repro.core.cluster import TcpCluster
 from repro.core.service import RemoteKeyManagerChannel, register_key_manager, serve_node
+from repro.core.system import build_system
 from repro.crypto.drbg import HmacDrbg
 from repro.mle.keymanager import KeyManager
 from repro.mle.server_aided import ServerAidedKeyClient
@@ -232,6 +233,26 @@ def test_key_manager_signatures_match_client_evaluations(fresh_registry, cluster
         assert client[("key_oprf_evaluations_total", labels)] == chunks
     assert km[("km_clients", frozenset())] == 2
     assert _total(km, "km_rejected_total") == 0
+
+
+def test_key_manager_series_stay_off_the_client_registry(fresh_registry, cluster):
+    """A served key manager counts on its node's registry only: the
+    client process's own registry carries no ``km_*`` family."""
+    cluster.new_client("alice").upload("file-a", cluster.rng.random_bytes(8 * CHUNK_SIZE))
+    assert _total(_series(cluster, "key-manager"), "km_signatures_total") == 8
+    assert [f.name for f in fresh_registry.families() if f.name.startswith("km_")] == []
+
+
+def test_in_process_system_reports_key_manager_series(fresh_registry):
+    """Served in process, the key manager counts on the process registry."""
+    system = build_system(
+        num_data_servers=1,
+        chunking=ChunkingSpec(method="fixed", avg_size=CHUNK_SIZE),
+        rng=HmacDrbg(b"in-process-km"),
+    )
+    data = HmacDrbg(b"in-process-data").random_bytes(8 * CHUNK_SIZE)
+    system.new_client("alice").upload("file-a", data)
+    assert fresh_registry.value("km_signatures_total") == 8
 
 
 def test_rate_limited_batch_counted_on_both_ends():

@@ -109,3 +109,24 @@ def test_a_pipelined_upload_sums_to_its_root():
         return own + sum(durations(child) for child in node["children"])
 
     assert durations(tree) >= sum(times[name] for name in stages)
+
+
+def test_chunking_is_a_node_of_the_upload_profile():
+    """The caller thread's chunking is charged to ``upload.chunk``, one
+    span per segment rather than one per chunk."""
+    system = build_system(
+        num_data_servers=2,
+        chunking=ChunkingSpec(avg_size=256, min_size=64, max_size=1024),
+        key_batch_size=16,
+        rng=HmacDrbg(b"profile-chunk"),
+    )
+    client = system.new_client("alice")
+    client.upload_batch_bytes = 4096
+    result = client.upload("file", HmacDrbg(b"profile-chunk-data").random_bytes(40_000))
+    root = client.tracer.last_trace()
+    tree = root.tree()
+    times = profile(tree)
+    assert times["upload.chunk"] > 0
+    assert sum(times.values()) == pytest.approx(root.duration, rel=0.02)
+    spans = [child for child in tree["children"] if child["name"] == "upload.chunk"]
+    assert 1 < len(spans) < result.chunk_count

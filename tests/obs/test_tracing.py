@@ -57,11 +57,26 @@ def test_error_spans_are_flagged():
     assert root.duration == 0.1
 
 
-def test_observe_records_without_tree_node():
-    tracer, registry, _ = _tracer()
-    tracer.observe("upload.chunk", 0.75)
+def test_record_adds_a_finished_child_without_activating_it():
+    tracer, registry, clock = _tracer()
+    with tracer.span("upload") as root:
+        clock.advance(1.0)
+        tracer.record("upload.chunk", 0.25, 1.0)
+        with tracer.span("upload.store"):
+            clock.advance(0.5)
+    assert [child.name for child in root.children] == ["upload.chunk", "upload.store"]
+    chunk = root.children[0]
+    assert (chunk.start_time, chunk.duration) == (0.25, 0.75)
+    assert chunk.tree()["start_time"] == 0.25  # the sim clock is the wall clock too
     assert registry.get(SPAN_HISTOGRAM).labels(span="upload.chunk").sum == 0.75
-    assert tracer.recent_traces() == []
+    assert root.children[1].parent is root
+
+
+def test_record_outside_a_span_is_a_root():
+    tracer, registry, _ = _tracer()
+    tracer.record("upload.chunk", 0.0, 0.75)
+    assert registry.get(SPAN_HISTOGRAM).labels(span="upload.chunk").sum == 0.75
+    assert [root.name for root in tracer.recent_traces()] == ["upload.chunk"]
 
 
 def test_trace_ring_is_bounded(monkeypatch):
